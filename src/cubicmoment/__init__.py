@@ -13,6 +13,7 @@ from .cubic import (
     ExtensionResult,
     beta04_formula,
     build_m3_kneg,
+    classify_k,
     compute_k,
     extend,
     extend_k0,

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .cubic import compute_k
+from .cubic import classify_k, compute_k
 from .errors import MomentProblemError, SingularM1Error
 from .measure import (
     DEFAULT_TOLERANCES,
@@ -169,8 +169,9 @@ def cmd_solve(args) -> int:
             "m1": m1.entries.tolist(),
             "m2": report.extension.m2.entries.tolist(),
         }
-        if report.extension.m3 is not None:
-            matrices["m3"] = report.extension.m3.entries.tolist()
+        m3 = report.extension.m3
+        if m3 is not None:
+            matrices["m3"] = m3.entries.tolist()
         payload["matrices"] = matrices
     _emit(payload)
     if not args.quiet:
@@ -259,7 +260,6 @@ def cmd_info(args) -> int:
         return _fail(EXIT_SINGULAR, str(exc))
     k = compute_k(cert.a_vec)
     tol_k = args.tol_k if args.tol_k is not None else DEFAULT_TOLERANCES.k
-    case = "k_zero" if abs(k) <= tol_k else ("k_pos" if k > 0 else "k_neg")
     _emit(
         {
             "d2": cert.d2,
@@ -267,7 +267,7 @@ def cmd_info(args) -> int:
             "map": _map_payload(cert.map),
             "a_vec": list(cert.a_vec),
             "k": k,
-            "case": case,
+            "case": classify_k(k, tol_k).value,
             "normalized_beta": [float(v) for v in cert.normalized.values],
         }
     )

@@ -28,13 +28,13 @@ decides how they can be chosen:
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InconsistentRelationsError, MissingRelationError
+from .linalg import TOL_COMMUTE
 from .moments import (
     MomentMatrix,
     MomentSequence,
@@ -84,14 +84,61 @@ class ColumnRelation:
         return Polynomial2(coeffs)
 
 
+def classify_k(k: float, tol_k: float = TOL_K) -> CaseTag:
+    """The extension route for the invariant k; ties within tol_k go to k = 0."""
+    if abs(k) <= tol_k:
+        return CaseTag.FLAT_K0
+    if k > 0.0:
+        return CaseTag.RECURSIVELY_DETERMINATE_K_POS
+    return CaseTag.RANK_INCREASING_K_NEG
+
+
+def multiplication_matrices(
+    basis, relations: tuple[ColumnRelation, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices of multiplication by x and by y on the column-space basis.
+
+    Column b of Mx (resp. My) holds the basis coordinates of x*b (resp.
+    y*b). Such a product s*b is a basis monomial, the target of a relation,
+    or o * (s*b / o) for the other variable o, whose coordinates are M_o
+    applied to those of s*b / o once the columns of M_o that needs are
+    filled. Raises MissingRelationError when the fill gets stuck.
+    """
+    basis = tuple(Monomial(*b) for b in basis)
+    known = dict(zip(basis, np.eye(len(basis))))
+    for rel in relations:
+        if not set(rel.combo) <= set(basis):
+            raise ValueError(f"relation for {rel.target} uses a non-basis monomial")
+        known[rel.target] = np.array([rel.combo.get(b, 0.0) for b in basis])
+    step = (Monomial(1, 0), Monomial(0, 1))
+    mats = np.full((2, len(basis), len(basis)), np.nan)  # NaN: column not filled yet
+    while np.isnan(mats).any():
+        stuck = True
+        for s, col in np.argwhere(np.isnan(mats[:, 0, :])):
+            o = 1 - s
+            m = Monomial(basis[col].i + step[s].i, basis[col].j + step[s].j)
+            parent = known.get((m.i - step[o].i, m.j - step[o].j))
+            if m not in known and parent is not None:
+                used = parent != 0
+                if not np.isnan(mats[o][:, used]).any():
+                    known[m] = mats[o][:, used] @ parent[used]
+            if m in known:
+                mats[s][:, col] = known[m]
+                stuck = False
+        if stuck:
+            raise MissingRelationError(f"cannot express every x*b and y*b over basis {basis}")
+    mats.setflags(write=False)
+    return mats[0], mats[1]
+
+
 @dataclass(frozen=True)
 class ExtensionResult:
     """Extension certificate for one normalized input.
 
     basis lists the independent columns; relations express every dependent
-    column over the basis. For the k < 0 route, p_vec is the Y^2 relation
-    coefficient vector, beta50 the induced quintic moment, and m3 the flat
-    degree-3 extension.
+    column over the basis; mx and my are the multiplication matrices on the
+    basis. For the k < 0 route, p_vec is the Y^2 relation coefficient
+    vector and beta50 the induced quintic moment.
     """
 
     case: CaseTag
@@ -99,9 +146,23 @@ class ExtensionResult:
     m2: MomentMatrix
     basis: tuple[Monomial, ...]
     relations: tuple[ColumnRelation, ...]
+    mx: np.ndarray
+    my: np.ndarray
     p_vec: tuple[float, float, float, float] | None = None
     beta50: float | None = None
-    m3: MomentMatrix | None = None
+
+    @property
+    def m3(self) -> MomentMatrix | None:
+        """The flat degree-3 extension of the k < 0 route (None otherwise),
+        built on each read."""
+        if self.case is not CaseTag.RANK_INCREASING_K_NEG:
+            return None
+        return build_m3_kneg(None, self)
+
+
+def _extension(case, k, m2, basis, relations, **extra) -> ExtensionResult:
+    mx, my = multiplication_matrices(basis, relations)
+    return ExtensionResult(case, k, m2, basis, relations, mx, my, **extra)
 
 
 def compute_k(a) -> float:
@@ -147,7 +208,7 @@ def extend_k0(a, tol_k: float = TOL_K) -> ExtensionResult:
         _rel(_XY, {_X: a1, _Y: a2}),
         _rel(_Y2, {_ONE: 1.0, _X: a2, _Y: a3}),
     )
-    return ExtensionResult(CaseTag.FLAT_K0, k, m2, BASIS_K0, relations)
+    return _extension(CaseTag.FLAT_K0, k, m2, BASIS_K0, relations)
 
 
 def extend_kpos(a, tol_k: float = TOL_K) -> ExtensionResult:
@@ -172,14 +233,14 @@ def extend_kpos(a, tol_k: float = TOL_K) -> ExtensionResult:
         _rel(_X2, {_ONE: 1.0, _X: a0, _Y: a1}),
         _rel(_Y2, {_ONE: 1.0, _X: a2, _Y: a3}),
     )
-    return ExtensionResult(CaseTag.RECURSIVELY_DETERMINATE_K_POS, k, m2, BASIS_KPOS, relations)
+    return _extension(CaseTag.RECURSIVELY_DETERMINATE_K_POS, k, m2, BASIS_KPOS, relations)
 
 
 def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
     """Rank-4 extension flat over the {1, X, Y, X^2} compression (k < 0).
 
-    Includes the induced X^3 relation, the quintic moment beta_50, and the
-    flat degree-3 matrix m3.
+    Includes the induced X^3 relation and the quintic moment beta_50; the
+    flat degree-3 matrix is built from mx and my when m3 is read.
     """
     a0, a1, a2, a3 = a = _as_tuple(a)
     k = compute_k(a)
@@ -207,7 +268,7 @@ def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
         _rel(_Y2, {_ONE: p[0], _X: p[1], _Y: p[2], _X2: p[3]}),
         ColumnRelation(_X3, x3_combo),
     )
-    ext = ExtensionResult(
+    return _extension(
         CaseTag.RANK_INCREASING_K_NEG,
         k,
         m2,
@@ -216,7 +277,6 @@ def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
         p_vec=tuple(float(v) for v in p),
         beta50=beta50,
     )
-    return dataclasses.replace(ext, m3=build_m3_kneg(a, ext))
 
 
 def beta04_formula(a) -> float:
@@ -276,104 +336,32 @@ def x3_relation(a, p_vec) -> tuple[dict[Monomial, float], float]:
     return combo, float(beta50)
 
 
-def span_reductions(
-    basis, relations, up_to_degree: int
-) -> dict[Monomial, np.ndarray]:
-    """Coordinates of every monomial of degree <= up_to_degree over the basis.
-
-    Rewrites x^i y^j by peeling one variable at a time and re-expanding
-    through the relation set (the recursively-generated property in action).
-    Raises MissingRelationError when some monomial cannot be expressed.
-    """
-    basis = tuple(Monomial(*b) for b in basis)
-    pos = {b: i for i, b in enumerate(basis)}
-    r = len(basis)
-    red: dict[Monomial, np.ndarray] = {}
-    for i, b in enumerate(basis):
-        unit = np.zeros(r)
-        unit[i] = 1.0
-        red[b] = unit
-    for rel in relations:
-        vec = np.zeros(r)
-        for m, c in rel.combo.items():
-            if m not in pos:
-                raise ValueError(f"relation for {rel.target} uses non-basis monomial {m}")
-            vec[pos[m]] = c
-        red[rel.target] = vec
-
-    def shifted_expand(parent_vec: np.ndarray, di: int, dj: int) -> np.ndarray | None:
-        acc = np.zeros(r)
-        for b, coeff in zip(basis, parent_vec):
-            if coeff == 0.0:
-                continue
-            image = red.get(Monomial(b.i + di, b.j + dj))
-            if image is None:
-                return None
-            acc += coeff * image
-        return acc
-
-    for degree in range(1, up_to_degree + 1):
-        pending = [
-            Monomial(i, degree - i)
-            for i in range(degree, -1, -1)
-            if Monomial(i, degree - i) not in red
-        ]
-        while pending:
-            progress = False
-            for m in list(pending):
-                vec = None
-                if m.i > 0:
-                    parent = red.get(Monomial(m.i - 1, m.j))
-                    if parent is not None:
-                        vec = shifted_expand(parent, 1, 0)
-                if vec is None and m.j > 0:
-                    parent = red.get(Monomial(m.i, m.j - 1))
-                    if parent is not None:
-                        vec = shifted_expand(parent, 0, 1)
-                if vec is not None:
-                    red[m] = vec
-                    pending.remove(m)
-                    progress = True
-            if not progress:
-                raise MissingRelationError(
-                    f"cannot express {pending[0]} over basis {basis}"
-                )
-    return red
-
-
 def build_m3_kneg(a, ext: ExtensionResult) -> MomentMatrix:
     """Degree-3 Hankel-block matrix extending m2 by functional calculus.
 
-    Quintic and sextic moments come from rewriting each monomial over the
-    basis and applying the Riesz values of the basis monomials. The two
-    possible expansions of the XY^2 column (through the XY relation and
-    through the Y^2 relation) must coincide; a mismatch beyond 1e-9 means
-    the relation set is corrupt.
+    Moments of degree <= 4 are read from m2; a quintic or sextic moment is
+    the Riesz value of the basis coordinates Mx^i My^j e_1 of x^i y^j. The
+    two expansions of the XY^2 column differ by column Y of My Mx - Mx My,
+    so a commutator beyond TOL_COMMUTE of the matrix scale means the
+    relation set is corrupt. Everything is read from ext; a is unused.
     """
     if ext.case is not CaseTag.RANK_INCREASING_K_NEG:
         raise ValueError("degree-3 completion is defined for the k < 0 route only")
-    a0, a1, a2, a3 = _as_tuple(a)
-    p1, p2, p3, p4 = ext.p_vec
-    red = span_reductions(ext.basis, ext.relations, 6)
-    via_xy = a1 * red[_XY] + a2 * red[_Y2]
-    via_y2 = p1 * red[_X] + p2 * red[_X2] + p3 * red[_XY] + p4 * red[_X3]
-    # relative to the expansion scale: near-degenerate k blows the X^3
-    # coefficients up like 1/|k| without making the relations inconsistent
-    scale = max(1.0, float(np.abs(via_xy).max()), float(np.abs(via_y2).max()))
-    mismatch = float(np.abs(via_xy - via_y2).max())
-    if mismatch > 1e-9 * scale:
+    mx, my = ext.mx, ext.my
+    scale = max(1.0, float(np.abs(mx).max()), float(np.abs(my).max()))
+    mismatch = float(np.abs(my @ mx - mx @ my).max())
+    if mismatch > TOL_COMMUTE * scale:
         raise InconsistentRelationsError(
             f"the two XY^2 expansions disagree by {mismatch:.3e}"
         )
-    riesz_basis = np.array(
-        [ext.m2.entries[0, monomial_index(b)] for b in ext.basis]
-    )
+    riesz_basis = np.array([ext.m2.moment(b) for b in ext.basis])
     vals = np.empty(sequence_length(6))
     for m in monomials_up_to(6):
         if m.degree <= 4:
             vals[monomial_index(m)] = ext.m2.moment(m)
         else:
-            vals[monomial_index(m)] = float(red[m] @ riesz_basis)
+            coords = np.linalg.matrix_power(mx, m.i) @ np.linalg.matrix_power(my, m.j)[:, 0]
+            vals[monomial_index(m)] = float(riesz_basis @ coords)
     return build_moment_matrix(MomentSequence(6, vals))
 
 
@@ -408,9 +396,9 @@ def sos_certificate_check(a, tol: float = 1e-9) -> bool:
 
 def extend(a, tol_k: float = TOL_K) -> ExtensionResult:
     """Dispatch on the sign of k; ties within tol_k go to the flat rank-3 case."""
-    k = compute_k(a)
-    if abs(k) <= tol_k:
-        return extend_k0(a, tol_k)
-    if k > 0.0:
-        return extend_kpos(a, tol_k)
-    return extend_kneg(a, tol_k)
+    route = {
+        CaseTag.FLAT_K0: extend_k0,
+        CaseTag.RECURSIVELY_DETERMINATE_K_POS: extend_kpos,
+        CaseTag.RANK_INCREASING_K_NEG: extend_kneg,
+    }[classify_k(compute_k(a), tol_k)]
+    return route(a, tol_k)

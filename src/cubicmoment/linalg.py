@@ -3,8 +3,8 @@
 Positivity of a symmetric block matrix [[A, B], [B^T, C]] is decided by
 Smul'jan's criterion: A >= 0, B = A W for some W, and C >= W^T A W. The
 extension keeps rank A ("flat") exactly when C = W^T A W. Joint eigenvalues
-of a commuting pair are extracted from the real Schur form of a random
-convex combination.
+of a commuting pair are read off by diagonalizing both matrices with the
+eigenvectors of one random convex combination.
 
 Everything here works on matrices of side at most ten, so plain dense
 LAPACK routines are used throughout.
@@ -12,11 +12,9 @@ LAPACK routines are used throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CommutatorError, ComplexAtomError, MomentProblemError, RangeError
 
@@ -25,7 +23,6 @@ TOL_RANGE = 1e-9
 TOL_FLAT = 1e-9
 TOL_COMMUTE = 1e-9
 TOL_EIG = 1e-7
-TOL_CLUSTER = 1e-7
 
 
 def _sym(S) -> np.ndarray:
@@ -141,8 +138,6 @@ def joint_eigen(
     rng: np.random.Generator | None = None,
     tol_commute: float = TOL_COMMUTE,
     tol_eig: float = TOL_EIG,
-    tol_cluster: float = TOL_CLUSTER,
-    max_tries: int = 5,
 ) -> list[tuple[float, float]]:
     """Joint eigenvalue pairs of two commuting real matrices.
 
@@ -152,7 +147,7 @@ def joint_eigen(
         Square real matrices of equal size, commuting within tol_commute
         (relative to the largest entry magnitude).
     rng : numpy Generator, optional
-        Source of the random combination coefficients; a fixed default seed
+        Source of the random combination coefficient; a fixed default seed
         is used when omitted, so calls are reproducible.
 
     Returns
@@ -164,18 +159,17 @@ def joint_eigen(
 
     Notes
     -----
-    Takes the real Schur form of a random convex combination
-    c*Mx + (1-c)*My, recovers each eigenvector by back-substitution in the
-    triangular factor, and reads the pair off as Rayleigh quotients. A fresh
-    c is drawn (up to max_tries) whenever the combination's eigenvalues
-    cluster closer than tol_cluster, which would make the back-substitution
-    ill-conditioned.
+    Takes the eigenvectors V of one random convex combination
+    c*Mx + (1-c)*My and reads the pairs off the diagonals of V^{-1} Mx V
+    and V^{-1} My V, the simultaneous diagonalization (Moller and Stetter
+    1995; Stetter, Numerical Polynomial Algebra, 2004). Raises
+    ComplexAtomError for a non-real spectrum and MomentProblemError when a
+    column of V is not a joint eigenvector.
     """
     Mx = np.asarray(Mx, dtype=float)
     My = np.asarray(My, dtype=float)
     if Mx.ndim != 2 or Mx.shape[0] != Mx.shape[1] or Mx.shape != My.shape:
         raise ValueError("Mx and My must be square matrices of equal size")
-    n = Mx.shape[0]
     scale = max(1.0, float(np.abs(Mx).max(initial=0.0)), float(np.abs(My).max(initial=0.0)))
     commutator = float(np.abs(Mx @ My - My @ Mx).max(initial=0.0))
     if commutator > tol_commute * scale:
@@ -184,65 +178,24 @@ def joint_eigen(
         )
     if rng is None:
         rng = np.random.default_rng(0)
-
-    saw_complex = False
-    clustered_pairs: list[tuple[float, float]] | None = None
-    for _ in range(max_tries):
-        c = rng.uniform(0.2, 0.8)
-        combo = c * Mx + (1.0 - c) * My
-        lam = np.linalg.eigvals(combo)
-        lam_scale = max(1.0, float(np.abs(lam).max()))
-        if float(np.abs(lam.imag).max()) > 1e-6 * lam_scale:
-            saw_complex = True
-            continue
-        T, Q = scipy.linalg.schur(combo, output="real")
-        if n > 1 and float(np.abs(np.diag(T, -1)).max()) > tol_cluster * lam_scale:
-            # an unresolved 2x2 block means a conjugate pair
-            saw_complex = True
-            continue
-        pairs = _pairs_from_schur(T, Q, Mx, My, tol_eig * scale)
-        if pairs is None:
-            continue
-        diag = np.sort(np.diag(T))
-        gap = float(np.diff(diag).min()) if n > 1 else math.inf
-        if gap >= tol_cluster:
-            return pairs
-        # residuals passed but eigenvalues coincide: genuine multiplicity
-        clustered_pairs = pairs
-    if clustered_pairs is not None:
-        return clustered_pairs
-    if saw_complex:
+    c = rng.uniform(0.2, 0.8)
+    lam, V = np.linalg.eig(c * Mx + (1.0 - c) * My)
+    if float(np.abs(lam.imag).max()) > 1e-6 * max(1.0, float(np.abs(lam).max())):
         raise ComplexAtomError("joint spectrum is not real")
-    raise MomentProblemError("joint eigenvalue extraction did not converge")
-
-
-def _pairs_from_schur(T, Q, Mx, My, resid_tol) -> list[tuple[float, float]] | None:
-    """Read joint pairs off a strictly triangular real Schur form.
-
-    Returns None when some recovered vector is not a joint eigenvector to
-    within resid_tol (the caller then retries with a new combination).
-    """
-    n = T.shape[0]
-    t_scale = max(1.0, float(np.abs(T).max(initial=0.0)))
-    pairs = []
-    for idx in range(n):
-        lam = T[idx, idx]
-        w = np.zeros(n)
-        w[idx] = 1.0
-        for row in range(idx - 1, -1, -1):
-            rhs = -float(T[row, row + 1 : idx + 1] @ w[row + 1 : idx + 1])
-            denom = T[row, row] - lam
-            # clamp so repeated eigenvalues with zero coupling still work
-            safe = max(abs(denom), 1e-15 * t_scale)
-            w[row] = rhs / math.copysign(safe, denom if denom != 0.0 else 1.0)
-        v = Q @ w
-        v /= np.linalg.norm(v)
-        xv = float(v @ (Mx @ v))
-        yv = float(v @ (My @ v))
-        if (
-            float(np.linalg.norm(Mx @ v - xv * v)) > resid_tol
-            or float(np.linalg.norm(My @ v - yv * v)) > resid_tol
-        ):
-            return None
-        pairs.append((xv, yv))
-    return pairs
+    V = V.real
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError as exc:
+        raise MomentProblemError("the combination has no eigenvector basis") from exc
+    x = np.diag(V_inv @ Mx @ V)
+    y = np.diag(V_inv @ My @ V)
+    V = V / np.linalg.norm(V, axis=0)
+    residual = max(
+        float(np.linalg.norm(Mx @ V - V * x, axis=0).max()),
+        float(np.linalg.norm(My @ V - V * y, axis=0).max()),
+    )
+    if not residual <= tol_eig * scale:  # also rejects a NaN residual
+        raise MomentProblemError(
+            f"joint eigenvector residual {residual:.3e} exceeds {tol_eig:g} of scale {scale:.3g}"
+        )
+    return [(float(xi), float(yi)) for xi, yi in zip(x, y)]

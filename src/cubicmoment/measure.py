@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import CaseTag, ColumnRelation, ExtensionResult, extend, span_reductions
+from .cubic import CaseTag, ColumnRelation, ExtensionResult, extend, multiplication_matrices
 from .errors import SingularVandermondeError, VerificationError
 from .linalg import joint_eigen, numeric_rank
 from .moments import (
@@ -96,60 +96,24 @@ class MeasureCheck:
     variety_residual: float
 
 
-def multiplication_matrices(
-    basis, relations: tuple[ColumnRelation, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of multiplication by x and by y on the column-space basis.
-
-    Column b of Mx (resp. My) holds the basis coordinates of x*b (resp.
-    y*b). Every such product must be in the basis or reducible through the
-    relations; otherwise MissingRelationError propagates.
-    """
-    basis = tuple(Monomial(*b) for b in basis)
-    top = max(m.degree for m in basis) + 1
-    red = span_reductions(basis, relations, top)
-    r = len(basis)
-    mx = np.empty((r, r))
-    my = np.empty((r, r))
-    for col, b in enumerate(basis):
-        mx[:, col] = red[Monomial(b.i + 1, b.j)]
-        my[:, col] = red[Monomial(b.i, b.j + 1)]
-    return mx, my
-
-
 def extract_atoms(
-    ext: ExtensionResult,
-    rng: np.random.Generator | None = None,
-    separation: float = MIN_ATOM_SEPARATION,
-    max_tries: int = 5,
+    ext: ExtensionResult, rng: np.random.Generator | None = None
 ) -> list[tuple[float, float]]:
     """Atoms of the representing measure: the joint spectrum of (Mx, My).
 
-    Returns the pairs sorted by (x, y). The randomized extraction is
-    retried when two atoms land closer than `separation` in the max norm;
-    flat extensions have distinct atoms, so persistent collisions signal an
-    upstream failure and raise SingularVandermondeError.
+    Returns the pairs sorted by (x, y). Flat extensions have distinct
+    atoms, so two atoms closer than MIN_ATOM_SEPARATION in the max norm
+    signal an upstream failure and raise SingularVandermondeError.
     """
-    mx, my = multiplication_matrices(ext.basis, ext.relations)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for _ in range(max_tries):
-        pairs = joint_eigen(mx, my, rng=rng)
-        if len(pairs) < 2 or _min_separation(pairs) >= separation:
-            return sorted(pairs)
-    raise SingularVandermondeError(
-        f"atoms stayed closer than {separation:g} after {max_tries} extractions"
-    )
-
-
-def _min_separation(pairs) -> float:
-    gap = np.inf
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            dx = abs(pairs[i][0] - pairs[j][0])
-            dy = abs(pairs[i][1] - pairs[j][1])
-            gap = min(gap, max(dx, dy))
-    return gap
+    pairs = sorted(joint_eigen(ext.mx, ext.my, rng=rng))
+    points = np.array(pairs)
+    gaps = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2)
+    gaps[np.diag_indices(len(pairs))] = np.inf
+    if gaps.min(initial=np.inf) < MIN_ATOM_SEPARATION:
+        raise SingularVandermondeError(
+            f"atoms closer than {MIN_ATOM_SEPARATION:g}: the joint spectrum is repeated"
+        )
+    return pairs
 
 
 def solve_densities(atoms, basis, beta: MomentSequence) -> np.ndarray:
@@ -213,10 +177,8 @@ def solve_cubic(
     mass = beta[0, 0]
     certificate = normalize_cubic(beta)
     ext = extend(certificate.a_vec, tol_k=tolerances.k)
-    mx, my = multiplication_matrices(ext.basis, ext.relations)
-    commutator_norm = float(np.abs(mx @ my - my @ mx).max())
-    rng = np.random.default_rng(seed)
-    atoms = extract_atoms(ext, rng=rng)
+    commutator_norm = float(np.abs(ext.mx @ ext.my - ext.my @ ext.mx).max())
+    atoms = extract_atoms(ext, rng=np.random.default_rng(seed))
     rho = solve_densities(atoms, ext.basis, certificate.normalized)
     smallest = float(rho.min())
     if smallest < tolerances.weight:

@@ -27,8 +27,6 @@ from .moments import (
     build_moment_matrix,
     monomial_index,
     monomials_up_to,
-    riesz,
-    sequence_length,
 )
 
 SINGULAR_RTOL = 1e-10
@@ -108,7 +106,10 @@ def degree_one_coeffs(beta: MomentSequence, tol: float = SINGULAR_RTOL) -> Affin
     SingularM1Error when either minor fails to clear tol relative to the
     largest degree-<=2 moment magnitude.
     """
-    d2, d3 = minors(beta)
+    return _normalizing_map(beta, *minors(beta), tol)
+
+
+def _normalizing_map(beta: MomentSequence, d2: float, d3: float, tol: float) -> AffineMap:
     quad_scale = max(abs(beta[m]) for m in monomials_up_to(2))
     threshold = tol * quad_scale
     if d2 <= threshold:
@@ -130,22 +131,12 @@ def degree_one_coeffs(beta: MomentSequence, tol: float = SINGULAR_RTOL) -> Affin
 
 
 def transform_sequence(beta: MomentSequence, psi: AffineMap) -> MomentSequence:
-    """Pushforward moments beta~_ij = Lambda_beta(psi1^i psi2^j).
+    """Pushforward moments beta~_ij = Lambda_beta(psi1^i psi2^j), i.e. J^T beta.
 
     Satisfies Lambda_{beta~}(p) = Lambda_beta(p o psi) for every p of
     admissible degree.
     """
-    p1, p2 = psi.components()
-    deg = beta.degree
-    pow1 = [Polynomial2.constant(1.0)]
-    pow2 = [Polynomial2.constant(1.0)]
-    for _ in range(deg):
-        pow1.append(pow1[-1] * p1)
-        pow2.append(pow2[-1] * p2)
-    vals = np.empty(sequence_length(deg))
-    for m in monomials_up_to(deg):
-        vals[monomial_index(m)] = riesz(beta, pow1[m.i] * pow2[m.j])
-    return MomentSequence(deg, vals)
+    return MomentSequence(beta.degree, build_J(psi, beta.degree).T @ beta.values)
 
 
 def build_J(psi: AffineMap, degree: int) -> np.ndarray:
@@ -156,16 +147,23 @@ def build_J(psi: AffineMap, degree: int) -> np.ndarray:
     matrices of a sequence and its pushforward are congruent through J:
     M~(d) = J^T M(d) J.
     """
-    p1, p2 = psi.components()
     labels = monomials_up_to(degree)
-    pow1 = [Polynomial2.constant(1.0)]
-    pow2 = [Polynomial2.constant(1.0)]
-    for _ in range(degree):
-        pow1.append(pow1[-1] * p1)
-        pow2.append(pow2[-1] * p2)
-    J = np.zeros((len(labels), len(labels)))
-    for col, m in enumerate(labels):
-        J[:, col] = (pow1[m.i] * pow2[m.j]).coefficient_vector(degree)
+    n = len(labels)
+    shift_x = np.zeros((n, n))
+    shift_y = np.zeros((n, n))
+    for m in monomials_up_to(degree - 1):
+        shift_x[monomial_index((m.i + 1, m.j)), monomial_index(m)] = 1.0
+        shift_y[monomial_index((m.i, m.j + 1)), monomial_index(m)] = 1.0
+    # multiplication by psi1 and by psi2, exact on polynomials of degree < degree
+    times_p1 = psi.a * np.eye(n) + psi.b * shift_x + psi.c * shift_y
+    times_p2 = psi.d * np.eye(n) + psi.e * shift_x + psi.f * shift_y
+    J = np.zeros((n, n))
+    J[0, 0] = 1.0
+    for col, m in enumerate(labels[1:], start=1):
+        if m.i > 0:
+            J[:, col] = times_p1 @ J[:, monomial_index((m.i - 1, m.j))]
+        else:
+            J[:, col] = times_p2 @ J[:, monomial_index((0, m.j - 1))]
     return J
 
 
@@ -206,7 +204,7 @@ def normalize_cubic(beta: MomentSequence, tol: float = SINGULAR_RTOL) -> Normali
         raise ValueError("normalization expects a degree-3 sequence")
     scaled = beta.rescaled(1.0 / beta[0, 0])
     d2, d3 = minors(scaled)
-    psi = degree_one_coeffs(scaled, tol)
+    psi = _normalizing_map(scaled, d2, d3, tol)
     normalized = transform_sequence(scaled, psi)
     m1 = build_moment_matrix(normalized.truncated(2)).entries
     defect = float(np.abs(m1 - np.eye(3)).max())

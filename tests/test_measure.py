@@ -201,6 +201,18 @@ class TestSolveCubic:
         with pytest.raises(VerificationError):
             solve_cubic(beta, tolerances=Tolerances(accept=1e-18))
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "a",
+        [(6.1, -13.4, -3.9, -10.2), (19.1, -11.7, 9.0, 19.8), (-9.2, 12.4, -1.0, -18.6)],
+    )
+    def test_large_cubic_moments_keep_precision(self, a, seed):
+        # k < 0 with |a| up to 20: the atoms must come out accurate enough to
+        # reproduce the moments well inside the default acceptance bound
+        _, report = solve_cubic(seq_from_a(a), seed=seed)
+        assert report.case is CaseTag.RANK_INCREASING_K_NEG
+        assert report.max_moment_residual <= 1e-9
+
     def test_variety_membership(self):
         for a in [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0.4, -0.9, 1.2, 0.5)]:
             beta = seq_from_a(a)
