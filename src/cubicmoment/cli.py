@@ -101,15 +101,11 @@ def _parse_request(obj) -> tuple[MomentSequence, dict, int | None]:
 def _resolve_tolerances(args, request_tols: dict) -> Tolerances:
     merged = dataclasses.asdict(DEFAULT_TOLERANCES)
     for key in ("psd", "k", "accept"):
-        if key in request_tols:
+        flag = getattr(args, f"tol_{key}", None)
+        if flag is not None:  # command-line flags win over the request body
+            merged[key] = flag
+        elif key in request_tols:
             merged[key] = float(request_tols[key])
-    # command-line flags win over the request body
-    if getattr(args, "tol_psd", None) is not None:
-        merged["psd"] = args.tol_psd
-    if getattr(args, "tol_k", None) is not None:
-        merged["k"] = args.tol_k
-    if getattr(args, "tol_accept", None) is not None:
-        merged["accept"] = args.tol_accept
     return Tolerances(**merged)
 
 

@@ -33,17 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentRelationsError, MissingRelationError
-from .linalg import TOL_COMMUTE
+from .errors import InconsistentRelationsError, MissingRelationError, MomentProblemError
+from .linalg import TOL_COMMUTE, commutator_norm
 from .moments import (
     MomentMatrix,
     MomentSequence,
     Monomial,
     Polynomial2,
     build_moment_matrix,
-    monomial_index,
     monomials_up_to,
-    sequence_length,
 )
 
 TOL_K = 1e-10
@@ -102,7 +100,8 @@ def multiplication_matrices(
     y*b). Such a product s*b is a basis monomial, the target of a relation,
     or o * (s*b / o) for the other variable o, whose coordinates are M_o
     applied to those of s*b / o once the columns of M_o that needs are
-    filled. Raises MissingRelationError when the fill gets stuck.
+    filled. Raises MissingRelationError when the fill gets stuck and
+    MomentProblemError when a coefficient is not finite.
     """
     basis = tuple(Monomial(*b) for b in basis)
     known = dict(zip(basis, np.eye(len(basis))))
@@ -111,22 +110,25 @@ def multiplication_matrices(
             raise ValueError(f"relation for {rel.target} uses a non-basis monomial")
         known[rel.target] = np.array([rel.combo.get(b, 0.0) for b in basis])
     step = (Monomial(1, 0), Monomial(0, 1))
-    mats = np.full((2, len(basis), len(basis)), np.nan)  # NaN: column not filled yet
-    while np.isnan(mats).any():
+    mats = np.zeros((2, len(basis), len(basis)))
+    filled = np.zeros((2, len(basis)), dtype=bool)
+    while not filled.all():
         stuck = True
-        for s, col in np.argwhere(np.isnan(mats[:, 0, :])):
+        for s, col in np.argwhere(~filled):
             o = 1 - s
             m = Monomial(basis[col].i + step[s].i, basis[col].j + step[s].j)
             parent = known.get((m.i - step[o].i, m.j - step[o].j))
             if m not in known and parent is not None:
                 used = parent != 0
-                if not np.isnan(mats[o][:, used]).any():
+                if filled[o][used].all():
                     known[m] = mats[o][:, used] @ parent[used]
             if m in known:
                 mats[s][:, col] = known[m]
-                stuck = False
+                filled[s, col], stuck = True, False
         if stuck:
             raise MissingRelationError(f"cannot express every x*b and y*b over basis {basis}")
+    if not np.isfinite(mats).all():
+        raise MomentProblemError("a multiplication matrix has a non-finite entry")
     mats.setflags(write=False)
     return mats[0], mats[1]
 
@@ -153,8 +155,7 @@ class ExtensionResult:
 
     @property
     def m3(self) -> MomentMatrix | None:
-        """The flat degree-3 extension of the k < 0 route (None otherwise),
-        built on each read."""
+        """The flat degree-3 extension of the k < 0 route, built on each read (else None)."""
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:
             return None
         return build_m3_kneg(None, self)
@@ -167,47 +168,43 @@ def _extension(case, k, m2, basis, relations, **extra) -> ExtensionResult:
 
 def compute_k(a) -> float:
     """The flatness invariant (1 + a0 a2 + a1 a3) - (a1^2 + a2^2)."""
-    a0, a1, a2, a3 = (float(v) for v in a)
+    a0, a1, a2, a3 = map(float, a)
     return (1.0 + a0 * a2 + a1 * a3) - (a1 * a1 + a2 * a2)
 
 
-def _as_tuple(a) -> tuple[float, float, float, float]:
-    a0, a1, a2, a3 = (float(v) for v in a)
-    return (a0, a1, a2, a3)
-
-
 def _sequence4(a, quartics) -> MomentSequence:
-    a0, a1, a2, a3 = a
-    b40, b31, b22, b13, b04 = quartics
-    return MomentSequence(
-        4,
-        np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, a0, a1, a2, a3, b40, b31, b22, b13, b04]),
-    )
+    """M(1) = I, the cubic moments a and the quartics (beta_40, ..., beta_04)."""
+    return MomentSequence(4, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, *a, *quartics]))
 
 
 def _rel(target: Monomial, combo: dict[Monomial, float]) -> ColumnRelation:
     return ColumnRelation(target, {m: float(c) for m, c in combo.items() if float(c) != 0.0})
 
 
-def extend_k0(a, tol_k: float = TOL_K) -> ExtensionResult:
-    """Flat extension over M(1): every quartic determined, rank 3 (k = 0)."""
-    a0, a1, a2, a3 = a = _as_tuple(a)
-    k = compute_k(a)
-    if abs(k) > tol_k:
-        raise ValueError(f"k = {k:.6g} is not zero within {tol_k:g}")
+def _square_relations(a, b22: float) -> tuple[MomentMatrix, ColumnRelation, ColumnRelation]:
+    """M(2) of the k >= 0 routes for the given beta_22, with its X^2 and Y^2 relations."""
+    a0, a1, a2, a3 = a
     quartics = (
         1.0 + a0 * a0 + a1 * a1,
         a0 * a1 + a1 * a2,
-        a1 * a1 + a2 * a2,  # equals 1 + a0 a2 + a1 a3 because k = 0
+        b22,
         a1 * a2 + a2 * a3,
         1.0 + a2 * a2 + a3 * a3,
     )
-    m2 = build_moment_matrix(_sequence4(a, quartics))
-    relations = (
-        _rel(_X2, {_ONE: 1.0, _X: a0, _Y: a1}),
-        _rel(_XY, {_X: a1, _Y: a2}),
-        _rel(_Y2, {_ONE: 1.0, _X: a2, _Y: a3}),
-    )
+    x2 = _rel(_X2, {_ONE: 1.0, _X: a0, _Y: a1})
+    y2 = _rel(_Y2, {_ONE: 1.0, _X: a2, _Y: a3})
+    return build_moment_matrix(_sequence4(a, quartics)), x2, y2
+
+
+def extend_k0(a, tol_k: float = TOL_K) -> ExtensionResult:
+    """Flat extension over M(1): every quartic determined, rank 3 (k = 0)."""
+    a0, a1, a2, a3 = a = tuple(map(float, a))
+    k = compute_k(a)
+    if not abs(k) <= tol_k:
+        raise ValueError(f"k = {k:.6g} is not zero within {tol_k:g}")
+    # beta_22 = a1^2 + a2^2 equals 1 + a0 a2 + a1 a3 because k = 0
+    m2, x2, y2 = _square_relations(a, a1 * a1 + a2 * a2)
+    relations = (x2, _rel(_XY, {_X: a1, _Y: a2}), y2)
     return _extension(CaseTag.FLAT_K0, k, m2, BASIS_K0, relations)
 
 
@@ -217,23 +214,12 @@ def extend_kpos(a, tol_k: float = TOL_K) -> ExtensionResult:
     The completion block exceeds its flat value by k in the single (XY, XY)
     entry, so {1, X, Y, XY} is independent and positivity is strict there.
     """
-    a0, a1, a2, a3 = a = _as_tuple(a)
+    a0, a1, a2, a3 = a = tuple(map(float, a))
     k = compute_k(a)
-    if k <= tol_k:
+    if not k > tol_k:
         raise ValueError(f"k = {k:.6g} is not positive beyond {tol_k:g}")
-    quartics = (
-        1.0 + a0 * a0 + a1 * a1,
-        a0 * a1 + a1 * a2,
-        1.0 + a0 * a2 + a1 * a3,
-        a1 * a2 + a2 * a3,
-        1.0 + a2 * a2 + a3 * a3,
-    )
-    m2 = build_moment_matrix(_sequence4(a, quartics))
-    relations = (
-        _rel(_X2, {_ONE: 1.0, _X: a0, _Y: a1}),
-        _rel(_Y2, {_ONE: 1.0, _X: a2, _Y: a3}),
-    )
-    return _extension(CaseTag.RECURSIVELY_DETERMINATE_K_POS, k, m2, BASIS_KPOS, relations)
+    m2, x2, y2 = _square_relations(a, 1.0 + a0 * a2 + a1 * a3)
+    return _extension(CaseTag.RECURSIVELY_DETERMINATE_K_POS, k, m2, BASIS_KPOS, (x2, y2))
 
 
 def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
@@ -242,9 +228,9 @@ def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
     Includes the induced X^3 relation and the quintic moment beta_50; the
     flat degree-3 matrix is built from mx and my when m3 is read.
     """
-    a0, a1, a2, a3 = a = _as_tuple(a)
+    a0, a1, a2, a3 = a = tuple(map(float, a))
     k = compute_k(a)
-    if k >= -tol_k:
+    if not k < -tol_k:
         raise ValueError(f"k = {k:.6g} is not negative beyond {tol_k:g}")
     b40 = 2.0 + a0 * a0 + a1 * a1
     b31 = a0 * a1 + a1 * a2
@@ -259,7 +245,10 @@ def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
         ]
     )
     y2_column = np.array([1.0, a2, a3, b22])
-    p = np.linalg.solve(m4, y2_column)  # m4 has determinant 1, always solvable
+    try:
+        p = np.linalg.solve(m4, y2_column)  # det m4 = 1, but huge a can make it singular in floats
+    except np.linalg.LinAlgError as exc:
+        raise MomentProblemError("the {1, X, Y, X^2} block is numerically singular") from exc
     b04 = float(p @ y2_column)  # flat completion: (Y^2)^T M4^{-1} (Y^2)
     m2 = build_moment_matrix(_sequence4(a, (b40, b31, b22, b13, b04)))
     x3_combo, beta50 = x3_relation(a, p)
@@ -285,7 +274,7 @@ def beta04_formula(a) -> float:
     A degree-8 polynomial in a; algebraically it equals
     1 + k^2 + a2^2 + a3^2, hence is always >= 1.
     """
-    a0, a1, a2, a3 = _as_tuple(a)
+    a0, a1, a2, a3 = map(float, a)
     return (
         2.0
         + a1**4
@@ -318,7 +307,7 @@ def x3_relation(a, p_vec) -> tuple[dict[Monomial, float], float]:
     Returns (combo over {1, X, Y, X^2}, beta50), where beta50 evaluates the
     combo against the X^2 row of those columns, (1, a0, a1, beta_40).
     """
-    a0, a1, a2, a3 = _as_tuple(a)
+    a0, a1, a2, a3 = map(float, a)
     p1, p2, p3, p4 = (float(v) for v in p_vec)
     if p4 == 0.0:
         raise ZeroDivisionError("p4 = 0: the Y^2 relation involves no X^2 term")
@@ -336,50 +325,38 @@ def x3_relation(a, p_vec) -> tuple[dict[Monomial, float], float]:
     return combo, float(beta50)
 
 
-def build_m3_kneg(a, ext: ExtensionResult) -> MomentMatrix:
+def build_m3_kneg(_a, ext: ExtensionResult) -> MomentMatrix:
     """Degree-3 Hankel-block matrix extending m2 by functional calculus.
 
     Moments of degree <= 4 are read from m2; a quintic or sextic moment is
     the Riesz value of the basis coordinates Mx^i My^j e_1 of x^i y^j. The
     two expansions of the XY^2 column differ by column Y of My Mx - Mx My,
     so a commutator beyond TOL_COMMUTE of the matrix scale means the
-    relation set is corrupt. Everything is read from ext; a is unused.
+    relation set is corrupt. Everything is read from ext; the first
+    argument is ignored and kept only for existing callers.
     """
     if ext.case is not CaseTag.RANK_INCREASING_K_NEG:
         raise ValueError("degree-3 completion is defined for the k < 0 route only")
     mx, my = ext.mx, ext.my
     scale = max(1.0, float(np.abs(mx).max()), float(np.abs(my).max()))
-    mismatch = float(np.abs(my @ mx - mx @ my).max())
-    if mismatch > TOL_COMMUTE * scale:
-        raise InconsistentRelationsError(
-            f"the two XY^2 expansions disagree by {mismatch:.3e}"
-        )
+    mismatch = commutator_norm(my, mx)
+    if not mismatch <= TOL_COMMUTE * scale:
+        raise InconsistentRelationsError(f"the two XY^2 expansions disagree by {mismatch:.3e}")
     riesz_basis = np.array([ext.m2.moment(b) for b in ext.basis])
-    vals = np.empty(sequence_length(6))
-    for m in monomials_up_to(6):
-        if m.degree <= 4:
-            vals[monomial_index(m)] = ext.m2.moment(m)
-        else:
-            coords = np.linalg.matrix_power(mx, m.i) @ np.linalg.matrix_power(my, m.j)[:, 0]
-            vals[monomial_index(m)] = float(riesz_basis @ coords)
-    return build_moment_matrix(MomentSequence(6, vals))
+    power = np.linalg.matrix_power
+    vals = [
+        ext.m2.moment(m) if m.degree <= 4
+        else float(riesz_basis @ (power(mx, m.i) @ power(my, m.j)[:, 0]))
+        for m in monomials_up_to(6)
+    ]
+    return build_moment_matrix(MomentSequence(6, np.array(vals)))
 
 
 # Gram matrix of the nonnegativity certificate for beta_04 - 1: it is
 # u u^T + e2 e2^T + e3 e3^T with u = (1, 0, 0, -1, -1, 1, 1), hence PSD of
 # rank 3 and flat over its identity 3x3 corner.
-SOS_GRAM = np.array(
-    [
-        [1, 0, 0, -1, -1, 1, 1],
-        [0, 1, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0],
-        [-1, 0, 0, 1, 1, -1, -1],
-        [-1, 0, 0, 1, 1, -1, -1],
-        [1, 0, 0, -1, -1, 1, 1],
-        [1, 0, 0, -1, -1, 1, 1],
-    ],
-    dtype=float,
-)
+_SOS_U = np.array([1.0, 0.0, 0.0, -1.0, -1.0, 1.0, 1.0])
+SOS_GRAM = np.outer(_SOS_U, _SOS_U) + np.diag([0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def sos_certificate_check(a, tol: float = 1e-9) -> bool:
@@ -388,17 +365,23 @@ def sos_certificate_check(a, tol: float = 1e-9) -> bool:
     y = (1, a2, a3, a1^2, a2^2, a0 a2, a1 a3). Certifies that the k < 0
     completion always has beta_04 >= 1.
     """
-    a0, a1, a2, a3 = _as_tuple(a)
+    a0, a1, a2, a3 = map(float, a)
     y = np.array([1.0, a2, a3, a1 * a1, a2 * a2, a0 * a2, a1 * a3])
     quad = float(y @ SOS_GRAM @ y)
     return abs(quad - (beta04_formula(a) - 1.0)) <= tol and quad >= -1e-12
 
 
 def extend(a, tol_k: float = TOL_K) -> ExtensionResult:
-    """Dispatch on the sign of k; ties within tol_k go to the flat rank-3 case."""
+    """Dispatch on the sign of k; ties within tol_k go to the flat rank-3 case.
+
+    Raises MomentProblemError when k is not finite (the cubic moments overflow).
+    """
+    k = compute_k(a)
+    if not np.isfinite(k):
+        raise MomentProblemError(f"k = {k} is not finite: the cubic moments overflow")
     route = {
         CaseTag.FLAT_K0: extend_k0,
         CaseTag.RECURSIVELY_DETERMINATE_K_POS: extend_kpos,
         CaseTag.RANK_INCREASING_K_NEG: extend_kneg,
-    }[classify_k(compute_k(a), tol_k)]
+    }[classify_k(k, tol_k)]
     return route(a, tol_k)

@@ -132,6 +132,11 @@ def flat_completion(A, B, tol_range: float = TOL_RANGE) -> np.ndarray:
     return _sym(W.T @ A @ W)
 
 
+def commutator_norm(Mx, My) -> float:
+    """Largest entry magnitude of the commutator Mx My - My Mx."""
+    return float(np.abs(Mx @ My - My @ Mx).max(initial=0.0))
+
+
 def joint_eigen(
     Mx,
     My,
@@ -171,8 +176,8 @@ def joint_eigen(
     if Mx.ndim != 2 or Mx.shape[0] != Mx.shape[1] or Mx.shape != My.shape:
         raise ValueError("Mx and My must be square matrices of equal size")
     scale = max(1.0, float(np.abs(Mx).max(initial=0.0)), float(np.abs(My).max(initial=0.0)))
-    commutator = float(np.abs(Mx @ My - My @ Mx).max(initial=0.0))
-    if commutator > tol_commute * scale:
+    commutator = commutator_norm(Mx, My)
+    if not commutator <= tol_commute * scale:  # also rejects a NaN commutator
         raise CommutatorError(
             f"multiplication matrices do not commute (max entry {commutator:.3e})"
         )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cubic import CaseTag, ColumnRelation, ExtensionResult, extend, multiplication_matrices
 from .errors import SingularVandermondeError, VerificationError
-from .linalg import joint_eigen, numeric_rank
+from .linalg import commutator_norm, joint_eigen, numeric_rank
 from .moments import (
     Atom,
     AtomicMeasure,
@@ -76,9 +76,13 @@ class SolveReport:
     variety_size: int
     max_moment_residual: float
     min_weight: float
-    commutator_norm: float
     certificate: NormalizationCertificate
     extension: ExtensionResult
+
+    @property
+    def commutator_norm(self) -> float:
+        """Largest entry of Mx My - My Mx, the quantity joint_eigen bounds."""
+        return commutator_norm(self.extension.mx, self.extension.my)
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,7 @@ def extract_atoms(
     pairs = sorted(joint_eigen(ext.mx, ext.my, rng=rng))
     points = np.array(pairs)
     gaps = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2)
-    gaps[np.diag_indices(len(pairs))] = np.inf
-    if gaps.min(initial=np.inf) < MIN_ATOM_SEPARATION:
+    if not gaps[np.triu_indices(len(pairs), 1)].min(initial=np.inf) >= MIN_ATOM_SEPARATION:
         raise SingularVandermondeError(
             f"atoms closer than {MIN_ATOM_SEPARATION:g}: the joint spectrum is repeated"
         )
@@ -147,18 +150,19 @@ def verify_measure(
     for m in monomials_up_to(beta.degree):
         integral = sum(a.weight * a.x**m.i * a.y**m.j for a in mu.atoms)
         residuals[monomial_index(m)] = abs(integral - beta[m])
-    variety_residual = 0.0
-    for rel in relations:
-        poly = rel.polynomial()
-        for a in mu.atoms:
-            variety_residual = max(variety_residual, abs(poly(a.x, a.y)))
     weights = [a.weight for a in mu.atoms]
     return MeasureCheck(
         max_moment_residual=float(residuals.max(initial=0.0)),
         residuals=residuals,
         min_weight=min(weights, default=0.0),
-        variety_residual=variety_residual,
+        variety_residual=_variety_residual(relations, [(a.x, a.y) for a in mu.atoms]),
     )
+
+
+def _variety_residual(relations, points) -> float:
+    """Largest |relation polynomial| over the points; a NaN propagates."""
+    polys = [rel.polynomial() for rel in relations]
+    return float(np.max([abs(p(x, y)) for p in polys for x, y in points], initial=0.0))
 
 
 def solve_cubic(
@@ -177,11 +181,10 @@ def solve_cubic(
     mass = beta[0, 0]
     certificate = normalize_cubic(beta)
     ext = extend(certificate.a_vec, tol_k=tolerances.k)
-    commutator_norm = float(np.abs(ext.mx @ ext.my - ext.my @ ext.mx).max())
     atoms = extract_atoms(ext, rng=np.random.default_rng(seed))
     rho = solve_densities(atoms, ext.basis, certificate.normalized)
     smallest = float(rho.min())
-    if smallest < tolerances.weight:
+    if not smallest >= tolerances.weight:
         # near-degenerate k < 0 sends one atom to infinity with density ~ k^4,
         # which is positive in exact arithmetic but numerically meaningless
         hint = (
@@ -193,23 +196,18 @@ def solve_cubic(
         raise VerificationError(
             f"density {smallest:.3e} below {tolerances.weight:g}{hint}"
         )
+    variety_residual = _variety_residual(ext.relations, atoms)
+    if not variety_residual <= 1e-7:
+        raise VerificationError(f"an atom violates a column relation by {variety_residual:.3e}")
     mu_normalized = AtomicMeasure(
         tuple(Atom(x, y, float(w)) for (x, y), w in zip(atoms, rho))
     )
-    normalized_check = verify_measure(
-        mu_normalized, certificate.normalized, ext.relations
-    )
-    if normalized_check.variety_residual > 1e-7:
-        raise VerificationError(
-            f"an atom violates a column relation by "
-            f"{normalized_check.variety_residual:.3e}"
-        )
     pulled = pullback_measure(mu_normalized, certificate.map)
     mu = AtomicMeasure(
         tuple(sorted(Atom(a.x, a.y, a.weight * mass) for a in pulled.atoms))
     )
     check = verify_measure(mu, beta)
-    if check.max_moment_residual > tolerances.accept:
+    if not check.max_moment_residual <= tolerances.accept:
         raise VerificationError(
             f"recovered measure misses the moments by "
             f"{check.max_moment_residual:.3e} (tolerance {tolerances.accept:g})"
@@ -221,7 +219,6 @@ def solve_cubic(
         variety_size=len(atoms),
         max_moment_residual=check.max_moment_residual,
         min_weight=check.min_weight,
-        commutator_norm=commutator_norm,
         certificate=certificate,
         extension=ext,
     )

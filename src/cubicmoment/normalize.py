@@ -24,7 +24,6 @@ from .moments import (
     AtomicMeasure,
     MomentSequence,
     Polynomial2,
-    build_moment_matrix,
     monomial_index,
     monomials_up_to,
 )
@@ -206,16 +205,11 @@ def normalize_cubic(beta: MomentSequence, tol: float = SINGULAR_RTOL) -> Normali
     d2, d3 = minors(scaled)
     psi = _normalizing_map(scaled, d2, d3, tol)
     normalized = transform_sequence(scaled, psi)
-    m1 = build_moment_matrix(normalized.truncated(2)).entries
-    defect = float(np.abs(m1 - np.eye(3)).max())
+    # the entries of M(1) are the moments of degree <= 2: (1, 0, 0, 1, 0, 1) for M(1) = I
+    defect = float(np.abs(normalized.values[:6] - (1.0, 0.0, 0.0, 1.0, 0.0, 1.0)).max())
     if defect > 1e-10:
         raise MomentProblemError(
             f"normalization failed to reach M(1) = I (defect {defect:.3e})"
         )
-    a_vec = (
-        normalized[3, 0],
-        normalized[2, 1],
-        normalized[1, 2],
-        normalized[0, 3],
-    )
+    a_vec = tuple(float(v) for v in normalized.values[6:])  # beta~_30, ..., beta~_03
     return NormalizationCertificate(d2, d3, psi, normalized, a_vec)

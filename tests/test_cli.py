@@ -64,6 +64,13 @@ class TestSolve:
         assert "d2" in payload["error"]["message"]
         assert "atoms" not in payload
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_cubic_moment_exits_3(self, tmp_path, capsys):
+        path = write_json(tmp_path, "req.json", {"beta": [1, 0, 0, 1, 0, 1, 0, 1e200, 0, 0]})
+        code, out, _ = run_cli(capsys, ["solve", path, "--quiet"])
+        assert code == 3
+        assert "not finite" in json.loads(out)["error"]["message"]
+
     def test_singular_d3_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path, "req.json", SINGULAR_D3)
         code, out, _ = run_cli(capsys, ["solve", path, "--quiet"])

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from cubicmoment import (
     CaseTag,
+    MomentProblemError,
     beta04_formula,
     build_m3_kneg,
     column_of,
@@ -234,6 +235,14 @@ class TestExtendDispatch:
     def test_tie_goes_to_flat(self):
         ext = extend((0, 1 + 1e-12, 0, 0))
         assert ext.case is CaseTag.FLAT_K0
+
+    def test_non_finite_k_raises(self):
+        with pytest.raises(MomentProblemError, match="not finite"):
+            extend((float("nan"), 0, 0, 0))
+        with pytest.raises(MomentProblemError, match="not finite"):
+            extend((0, 1e200, 0, 0))
+        with pytest.raises(ValueError):
+            extend_kneg((float("nan"), 0, 0, 0))
 
 
 class TestExtensionInvariants:

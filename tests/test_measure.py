@@ -9,6 +9,7 @@ from cubicmoment import (
     AtomicMeasure,
     CaseTag,
     MissingRelationError,
+    MomentProblemError,
     MomentSequence,
     SingularM1Error,
     Tolerances,
@@ -64,6 +65,17 @@ class TestMultiplicationMatrices:
         only_x2 = (ColumnRelation(Monomial(2, 0), {Monomial(0, 0): 1.0}),)
         with pytest.raises(MissingRelationError):
             multiplication_matrices(basis, only_x2)
+
+    def test_non_finite_coefficient_raises(self):
+        # a NaN coefficient must end the fill with an error, not keep it looping
+        basis = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+        relations = (
+            ColumnRelation(Monomial(2, 0), {Monomial(0, 0): float("nan")}),
+            ColumnRelation(Monomial(1, 1), {Monomial(1, 0): 1.0}),
+            ColumnRelation(Monomial(0, 2), {Monomial(0, 0): 1.0}),
+        )
+        with pytest.raises(MomentProblemError, match="non-finite"):
+            multiplication_matrices(basis, relations)
 
 
 class TestExtractAtoms:
@@ -140,6 +152,14 @@ class TestVerifyMeasure:
         assert verify_measure(on_variety, beta, ext.relations).variety_residual <= 1e-12
         assert verify_measure(off_variety, beta, ext.relations).variety_residual >= 1.0
 
+    def test_nan_atom_propagates(self):
+        ext = extend((0, 0, 0, 0))
+        points = [(1, 1), (1, -1), (-1, 1), (-1, float("nan"))]
+        mu = AtomicMeasure(tuple(Atom(x, y, 0.25) for x, y in points))
+        check = verify_measure(mu, seq_from_a((0, 0, 0, 0)), ext.relations)
+        assert math.isnan(check.max_moment_residual)
+        assert math.isnan(check.variety_residual)
+
 
 class TestSolveCubic:
     def test_kpos_closed_form(self):
@@ -212,6 +232,16 @@ class TestSolveCubic:
         _, report = solve_cubic(seq_from_a(a), seed=seed)
         assert report.case is CaseTag.RANK_INCREASING_K_NEG
         assert report.max_moment_residual <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("position, cubic", [(7, 1e140), (8, 1e140), (7, 1e160), (7, 1e200)])
+    def test_overflowing_cubic_moments_raise(self, position, cubic):
+        # k < 0 inputs whose relation coefficients, {1, X, Y, X^2} block or k
+        # itself leave the float range end in a typed error, never a hang
+        values = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        values[position] = cubic
+        with pytest.raises(MomentProblemError):
+            solve_cubic(MomentSequence(3, values))
 
     def test_variety_membership(self):
         for a in [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0.4, -0.9, 1.2, 0.5)]:
