@@ -59,10 +59,10 @@ from .moments import (
     MomentMatrix,
     MomentSequence,
     Monomial,
-    Polynomial2,
     build_moment_matrix,
     column_of,
     monomial_index,
+    monomial_table,
     monomials_up_to,
     riesz,
 )

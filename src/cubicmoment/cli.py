@@ -99,13 +99,16 @@ def _parse_request(obj) -> tuple[MomentSequence, dict, int | None]:
 
 
 def _resolve_tolerances(args, request_tols: dict) -> Tolerances:
+    """Flag, then request body, then default; each given value must be finite and positive."""
     merged = dataclasses.asdict(DEFAULT_TOLERANCES)
     for key in ("psd", "k", "accept"):
-        flag = getattr(args, f"tol_{key}", None)
-        if flag is not None:  # command-line flags win over the request body
-            merged[key] = flag
-        elif key in request_tols:
-            merged[key] = float(request_tols[key])
+        value = getattr(args, f"tol_{key}", None)
+        if value is None:  # command-line flags win over the request body
+            value = request_tols.get(key, merged[key])
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 < value <= sys.float_info.max):
+            raise _InputError(f'tolerance "{key}" must be a finite positive number, got {value!r}')
+        merged[key] = float(value)
     return Tolerances(**merged)
 
 
@@ -247,7 +250,8 @@ def cmd_random(args) -> int:
 def cmd_info(args) -> int:
     try:
         request = _read_json(args.input)
-        beta, _, _ = _parse_request(request)
+        beta, request_tols, _ = _parse_request(request)
+        tol_k = _resolve_tolerances(args, request_tols).k
     except _InputError as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:
@@ -255,7 +259,6 @@ def cmd_info(args) -> int:
     except SingularM1Error as exc:
         return _fail(EXIT_SINGULAR, str(exc))
     k = compute_k(cert.a_vec)
-    tol_k = args.tol_k if args.tol_k is not None else DEFAULT_TOLERANCES.k
     _emit(
         {
             "d2": cert.d2,
@@ -294,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check a measure against a moment request")
     verify.add_argument("beta", help="moment request file")
     verify.add_argument("measure", help='measure file with an "atoms" array')
-    verify.add_argument("--tol", type=float, default=1e-8, help="largest admissible residual")
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOLERANCES.accept, help="largest admissible residual")
     verify.set_defaults(func=cmd_verify)
 
     random_cmd = sub.add_parser("random", help="emit a random solvable request (for testing)")

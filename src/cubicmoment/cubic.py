@@ -39,9 +39,10 @@ from .moments import (
     MomentMatrix,
     MomentSequence,
     Monomial,
-    Polynomial2,
     build_moment_matrix,
+    monomial_index,
     monomials_up_to,
+    sequence_length,
 )
 
 TOL_K = 1e-10
@@ -74,12 +75,12 @@ class ColumnRelation:
     target: Monomial
     combo: dict[Monomial, float]
 
-    def polynomial(self) -> Polynomial2:
-        """target - combo as a polynomial; its column vanishes on the matrix."""
-        coeffs = {self.target: 1.0}
-        for m, c in self.combo.items():
-            coeffs[m] = coeffs.get(m, 0.0) - c
-        return Polynomial2(coeffs)
+    def polynomial(self) -> np.ndarray:
+        """target - combo as a dense degree-lex vector; its column vanishes on the matrix."""
+        p = np.zeros(sequence_length(self.target.degree))
+        p[[monomial_index(m) for m in self.combo]] = [-c for c in self.combo.values()]
+        p[monomial_index(self.target)] = 1.0
+        return p
 
 
 def classify_k(k: float, tol_k: float = TOL_K) -> CaseTag:
@@ -158,7 +159,7 @@ class ExtensionResult:
         """The flat degree-3 extension of the k < 0 route, built on each read (else None)."""
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:
             return None
-        return build_m3_kneg(None, self)
+        return build_m3_kneg(self)
 
 
 def _extension(case, k, m2, basis, relations, **extra) -> ExtensionResult:
@@ -325,15 +326,14 @@ def x3_relation(a, p_vec) -> tuple[dict[Monomial, float], float]:
     return combo, float(beta50)
 
 
-def build_m3_kneg(_a, ext: ExtensionResult) -> MomentMatrix:
+def build_m3_kneg(ext: ExtensionResult) -> MomentMatrix:
     """Degree-3 Hankel-block matrix extending m2 by functional calculus.
 
     Moments of degree <= 4 are read from m2; a quintic or sextic moment is
     the Riesz value of the basis coordinates Mx^i My^j e_1 of x^i y^j. The
     two expansions of the XY^2 column differ by column Y of My Mx - Mx My,
     so a commutator beyond TOL_COMMUTE of the matrix scale means the
-    relation set is corrupt. Everything is read from ext; the first
-    argument is ignored and kept only for existing callers.
+    relation set is corrupt.
     """
     if ext.case is not CaseTag.RANK_INCREASING_K_NEG:
         raise ValueError("degree-3 completion is defined for the k < 0 route only")

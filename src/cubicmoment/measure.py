@@ -14,18 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import CaseTag, ColumnRelation, ExtensionResult, extend, multiplication_matrices
+from .cubic import TOL_K, CaseTag, ColumnRelation, ExtensionResult, extend, multiplication_matrices
 from .errors import SingularVandermondeError, VerificationError
-from .linalg import commutator_norm, joint_eigen, numeric_rank
-from .moments import (
-    Atom,
-    AtomicMeasure,
-    MomentSequence,
-    Monomial,
-    monomial_index,
-    monomials_up_to,
-    sequence_length,
-)
+from .linalg import TOL_PSD, commutator_norm, joint_eigen, numeric_rank
+from .moments import Atom, AtomicMeasure, MomentSequence, monomial_index, monomial_table
 from .normalize import NormalizationCertificate, normalize_cubic, pullback_measure
 
 __all__ = [
@@ -43,6 +35,7 @@ __all__ = [
 ]
 
 MIN_ATOM_SEPARATION = 1e-8
+MAX_VARIETY_RESIDUAL = 1e-7  # largest |relation polynomial| accepted at a normalized atom
 
 
 @dataclass(frozen=True)
@@ -53,8 +46,8 @@ class Tolerances:
     density accepted before the solve is declared faulty.
     """
 
-    psd: float = 1e-10
-    k: float = 1e-10
+    psd: float = TOL_PSD
+    k: float = TOL_K
     accept: float = 1e-8
     weight: float = 1e-10
 
@@ -125,12 +118,12 @@ def solve_densities(atoms, basis, beta: MomentSequence) -> np.ndarray:
     Solves V_B^T rho = (Lambda(t_1), ..., Lambda(t_r))^T, where row k of
     V_B evaluates the basis monomials at atom k.
     """
-    atoms = [(float(x), float(y)) for x, y in atoms]
-    basis = tuple(Monomial(*b) for b in basis)
-    if len(atoms) != len(basis):
+    x, y = np.array(atoms, dtype=float).reshape(-1, 2).T
+    columns = [monomial_index(b) for b in basis]
+    if len(x) != len(columns):
         raise ValueError("need exactly as many atoms as basis monomials")
-    vb = np.array([[x**m.i * y**m.j for m in basis] for x, y in atoms])
-    rhs = np.array([beta[m] for m in basis])
+    vb = monomial_table(x, y, max(map(sum, basis), default=0))[:, columns]
+    rhs = beta.values[columns]
     try:
         rho = np.linalg.solve(vb.T, rhs)
     except np.linalg.LinAlgError as exc:
@@ -146,23 +139,24 @@ def verify_measure(
     relations: tuple[ColumnRelation, ...] = (),
 ) -> MeasureCheck:
     """Re-integrate every monomial of the sequence against the measure."""
-    residuals = np.empty(sequence_length(beta.degree))
-    for m in monomials_up_to(beta.degree):
-        integral = sum(a.weight * a.x**m.i * a.y**m.j for a in mu.atoms)
-        residuals[monomial_index(m)] = abs(integral - beta[m])
-    weights = [a.weight for a in mu.atoms]
+    residuals = np.abs(mu.integrals(beta.degree) - beta.values)
     return MeasureCheck(
         max_moment_residual=float(residuals.max(initial=0.0)),
         residuals=residuals,
-        min_weight=min(weights, default=0.0),
-        variety_residual=_variety_residual(relations, [(a.x, a.y) for a in mu.atoms]),
+        min_weight=min((a.weight for a in mu.atoms), default=0.0),
+        variety_residual=_variety_residual(
+            relations, [a.x for a in mu.atoms], [a.y for a in mu.atoms]
+        ),
     )
 
 
-def _variety_residual(relations, points) -> float:
-    """Largest |relation polynomial| over the points; a NaN propagates."""
+def _variety_residual(relations, x, y) -> float:
+    """Largest |relation polynomial| over the points (x_k, y_k); a NaN propagates."""
+    if not relations:
+        return 0.0
+    table = monomial_table(x, y, max(rel.target.degree for rel in relations))
     polys = [rel.polynomial() for rel in relations]
-    return float(np.max([abs(p(x, y)) for p in polys for x, y in points], initial=0.0))
+    return float(np.max([np.abs(table[:, : p.size] @ p) for p in polys], initial=0.0))
 
 
 def solve_cubic(
@@ -196,8 +190,8 @@ def solve_cubic(
         raise VerificationError(
             f"density {smallest:.3e} below {tolerances.weight:g}{hint}"
         )
-    variety_residual = _variety_residual(ext.relations, atoms)
-    if not variety_residual <= 1e-7:
+    variety_residual = _variety_residual(ext.relations, *zip(*atoms))
+    if not variety_residual <= MAX_VARIETY_RESIDUAL:
         raise VerificationError(f"an atom violates a column relation by {variety_residual:.3e}")
     mu_normalized = AtomicMeasure(
         tuple(Atom(x, y, float(w)) for (x, y), w in zip(atoms, rho))

@@ -9,8 +9,9 @@ at degree 6 a sequence holds 28 values, so no sparse structure is needed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ __all__ = [
     "MomentSequence",
     "MomentMatrix",
     "build_moment_matrix",
-    "Polynomial2",
+    "monomial_table",
     "riesz",
     "column_of",
     "Atom",
@@ -135,13 +136,11 @@ class MomentMatrix:
         return self.entries.shape[0]
 
     def moment(self, m: tuple[int, int]) -> float:
-        """Read beta_m back from any entry (u, v) with u + v = m."""
-        i, j = m
-        for u in self.labels:
-            vi, vj = i - u.i, j - u.j
-            if vi >= 0 and vj >= 0 and vi + vj <= self.degree:
-                return float(self.entries[monomial_index(u), monomial_index((vi, vj))])
-        raise IndexError(f"moment ({i},{j}) is not an entry of M({self.degree})")
+        """Read beta_m back from the first entry (u, v) with u + v = m."""
+        hits = np.argwhere(_hankel_index(self.degree) == monomial_index(m))
+        if min(m) < 0 or not len(hits):
+            raise IndexError(f"moment {tuple(m)} is not an entry of M({self.degree})")
+        return float(self.entries[tuple(hits[0])])
 
 
 def build_moment_matrix(beta: MomentSequence) -> MomentMatrix:
@@ -153,122 +152,68 @@ def build_moment_matrix(beta: MomentSequence) -> MomentMatrix:
     if beta.degree % 2 != 0:
         raise ValueError("a moment matrix requires an even-degree sequence")
     d = beta.degree // 2
-    labels = monomials_up_to(d)
-    side = len(labels)
-    entries = np.empty((side, side))
-    for u, mu in enumerate(labels):
-        for v in range(u, side):
-            mv = labels[v]
-            entries[u, v] = entries[v, u] = beta[mu.i + mv.i, mu.j + mv.j]
-    return MomentMatrix(d, entries, tuple(labels))
+    return MomentMatrix(d, beta.values[_hankel_index(d)], tuple(monomials_up_to(d)))
 
 
-class Polynomial2:
-    """Immutable bivariate polynomial with real coefficients.
+@functools.cache
+def _hankel_index(d: int) -> np.ndarray:
+    """Entry (u, v) is the degree-lex position of the monomial u * v."""
+    i, j = _exponents(d)
+    index = monomial_index((i[:, None] + i[None, :], j[:, None] + j[None, :]))
+    index.setflags(write=False)
+    return index
 
-    Only what the moment machinery needs: addition, multiplication, integer
-    powers, evaluation, and extraction of the degree-lex coefficient vector.
+
+@functools.cache
+def _exponents(degree: int) -> np.ndarray:
+    """Rows i and j: the exponents of the monomials up to degree, in degree-lex order."""
+    exponents = np.array(monomials_up_to(degree)).T
+    exponents.setflags(write=False)
+    return exponents
+
+
+def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:
+    """Every monomial of degree <= degree evaluated at the points (x_k, y_k).
+
+    Row k holds x_k^i y_k^j in degree-lex order, times weights[k] when
+    given. The powers are Python float powers and the weight multiplies
+    x^i before y^j, so each entry rounds exactly as w * x**i * y**j does.
     """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[tuple[int, int], float] = ()):
-        cleaned = {}
-        for m, c in dict(coeffs).items():
-            c = float(c)
-            if c != 0.0:
-                cleaned[Monomial(*m)] = c
-        self._coeffs = cleaned
-
-    @classmethod
-    def constant(cls, c: float) -> "Polynomial2":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, coeff: float = 1.0) -> "Polynomial2":
-        return cls({(i, j): coeff})
-
-    @property
-    def coefficients(self) -> dict[Monomial, float]:
-        return dict(self._coeffs)
-
-    @property
-    def degree(self) -> int:
-        return max((m.degree for m in self._coeffs), default=0)
-
-    def __add__(self, other: "Polynomial2") -> "Polynomial2":
-        acc = dict(self._coeffs)
-        for m, c in other._coeffs.items():
-            acc[m] = acc.get(m, 0.0) + c
-        return Polynomial2(acc)
-
-    def __neg__(self) -> "Polynomial2":
-        return Polynomial2({m: -c for m, c in self._coeffs.items()})
-
-    def __sub__(self, other: "Polynomial2") -> "Polynomial2":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial2):
-            acc: dict[Monomial, float] = {}
-            for m1, c1 in self._coeffs.items():
-                for m2, c2 in other._coeffs.items():
-                    m = Monomial(m1.i + m2.i, m1.j + m2.j)
-                    acc[m] = acc.get(m, 0.0) + c1 * c2
-            return Polynomial2(acc)
-        return Polynomial2({m: c * float(other) for m, c in self._coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial2":
-        if n < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = Polynomial2.constant(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __call__(self, x: float, y: float) -> float:
-        return sum(c * x**m.i * y**m.j for m, c in self._coeffs.items())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial2) and self._coeffs == other._coeffs
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "Polynomial2(0)"
-        parts = [
-            f"{c:+g}*x^{m.i}*y^{m.j}"
-            for m, c in sorted(self._coeffs.items(), key=lambda mc: monomial_index(mc[0]))
-        ]
-        return f"Polynomial2({' '.join(parts)})"
-
-    def coefficient_vector(self, degree: int) -> np.ndarray:
-        """Dense degree-lex coefficient vector padded up to the given degree."""
-        if self.degree > degree:
-            raise ValueError(f"polynomial degree {self.degree} exceeds {degree}")
-        vec = np.zeros(sequence_length(degree))
-        for m, c in self._coeffs.items():
-            vec[monomial_index(m)] = c
-        return vec
+    if len(x) != len(y):
+        raise ValueError(f"{len(x)} x-coordinates but {len(y)} y-coordinates")
+    i, j = _exponents(degree)
+    powers = [[v**e for e in range(degree + 1)] for v in map(float, (*x, *y))]
+    x_pow, y_pow = np.array(powers).reshape(2, -1, degree + 1)
+    if weights is not None:
+        x_pow = np.asarray(weights, dtype=float)[:, None] * x_pow
+    return x_pow[:, i] * y_pow[:, j]
 
 
-def riesz(beta: MomentSequence, p: Polynomial2) -> float:
-    """Riesz functional: replace each monomial of p by the matching moment."""
-    if p.degree > beta.degree:
+def riesz(beta: MomentSequence, p: np.ndarray) -> float:
+    """Riesz functional: replace each monomial of p by the matching moment.
+
+    p is a dense degree-lex coefficient vector; a shorter vector than the
+    sequence covers the lower degrees only.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.size > beta.values.size:
         raise ValueError(
-            f"polynomial degree {p.degree} exceeds available moments ({beta.degree})"
+            f"{p.size} coefficients exceed the {beta.values.size} available moments"
         )
-    return float(sum(c * beta[m] for m, c in p.coefficients.items()))
+    return float(beta.values[: p.size] @ p)
 
 
-def column_of(M: MomentMatrix, p: Polynomial2) -> np.ndarray:
+def column_of(M: MomentMatrix, p: np.ndarray) -> np.ndarray:
     """Functional-calculus column p(X, Y) = M(d) @ p_hat.
 
+    p is a dense degree-lex coefficient vector of at most M.side entries.
     The polynomial vanishes as a column, p(X, Y) = 0, exactly when its
     coefficient vector lies in the kernel of M(d).
     """
-    return M.entries @ p.coefficient_vector(M.degree)
+    p = np.asarray(p, dtype=float)
+    if p.size > M.side:
+        raise ValueError(f"{p.size} coefficients exceed the {M.side} columns of M({M.degree})")
+    return M.entries[:, : p.size] @ p
 
 
 class Atom(NamedTuple):
@@ -297,12 +242,15 @@ class AtomicMeasure:
     def total_mass(self) -> float:
         return float(sum(a.weight for a in self.atoms))
 
+    def integrals(self, degree: int) -> np.ndarray:
+        """sum_k rho_k x_k^i y_k^j for every i + j <= degree, in degree-lex order.
+
+        The atoms are added in order, so each entry rounds exactly as the
+        scalar sum over the atoms does.
+        """
+        x, y, w = ([a[k] for a in self.atoms] for k in range(3))
+        return sum(monomial_table(x, y, degree, w), np.zeros(sequence_length(degree)))
+
     def moments(self, degree: int) -> MomentSequence:
         """Exact moments sum rho_k x_k^i y_k^j up to the given degree."""
-        vals = np.array(
-            [
-                sum(a.weight * a.x**m.i * a.y**m.j for a in self.atoms)
-                for m in monomials_up_to(degree)
-            ]
-        )
-        return MomentSequence(degree, vals)
+        return MomentSequence(degree, self.integrals(degree))

@@ -13,20 +13,14 @@ beta_10 = beta_01 = beta_11 = 0, beta_20 = beta_02 = 1, i.e. M(1) = I.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MomentProblemError, SingularM1Error
-from .moments import (
-    Atom,
-    AtomicMeasure,
-    MomentSequence,
-    Polynomial2,
-    monomial_index,
-    monomials_up_to,
-)
+from .moments import Atom, AtomicMeasure, MomentSequence, monomials_up_to, sequence_length
 
 SINGULAR_RTOL = 1e-10
 
@@ -62,12 +56,6 @@ class AffineMap:
         det = self.linear_det
         ru, rv = u - self.a, v - self.d
         return ((self.f * ru - self.c * rv) / det, (self.b * rv - self.e * ru) / det)
-
-    def components(self) -> tuple[Polynomial2, Polynomial2]:
-        """The two coordinate functions as degree-one polynomials."""
-        p1 = Polynomial2({(0, 0): self.a, (1, 0): self.b, (0, 1): self.c})
-        p2 = Polynomial2({(0, 0): self.d, (1, 0): self.e, (0, 1): self.f})
-        return p1, p2
 
 
 def minors(beta: MomentSequence) -> tuple[float, float]:
@@ -146,24 +134,36 @@ def build_J(psi: AffineMap, degree: int) -> np.ndarray:
     matrices of a sequence and its pushforward are congruent through J:
     M~(d) = J^T M(d) J.
     """
-    labels = monomials_up_to(degree)
-    n = len(labels)
-    shift_x = np.zeros((n, n))
-    shift_y = np.zeros((n, n))
-    for m in monomials_up_to(degree - 1):
-        shift_x[monomial_index((m.i + 1, m.j)), monomial_index(m)] = 1.0
-        shift_y[monomial_index((m.i, m.j + 1)), monomial_index(m)] = 1.0
+    shifts, steps = _substitution_tables(degree)
+    coeffs = np.array([[psi.a, psi.b, psi.c], [psi.d, psi.e, psi.f]])[:, :, None, None]
     # multiplication by psi1 and by psi2, exact on polynomials of degree < degree
-    times_p1 = psi.a * np.eye(n) + psi.b * shift_x + psi.c * shift_y
-    times_p2 = psi.d * np.eye(n) + psi.e * shift_x + psi.f * shift_y
-    J = np.zeros((n, n))
+    eye = np.eye(len(shifts[0]))
+    times = coeffs[:, 0] * eye + coeffs[:, 1] * shifts[0] + coeffs[:, 2] * shifts[1]
+    J = np.zeros_like(eye)
     J[0, 0] = 1.0
-    for col, m in enumerate(labels[1:], start=1):
-        if m.i > 0:
-            J[:, col] = times_p1 @ J[:, monomial_index((m.i - 1, m.j))]
-        else:
-            J[:, col] = times_p2 @ J[:, monomial_index((0, m.j - 1))]
+    for cols, parents, factor in steps:
+        # a stack of matrix-vector products, one per column, so that each
+        # column rounds exactly as its own product times[factor] @ J[:, parent]
+        J[:, cols] = (times[factor] @ J.T[parents, :, None])[..., 0].T
     return J
+
+
+@functools.cache
+def _substitution_tables(degree: int):
+    """Shift matrices (multiplication by x and by y, truncated at degree) and the steps of build_J.
+
+    Step t fills the columns of degree t: x^i y^j = x * x^(i-1) y^j
+    (factor 0, psi1) for i > 0, and y^t = y * y^(t-1) (factor 1, psi2).
+    """
+    i, j = np.array(monomials_up_to(degree)).T[:, :, None]  # row exponents
+    shifts = np.array([(i == i.T + 1) & (j == j.T), (i == i.T) & (j == j.T + 1)], dtype=float)
+    shifts.setflags(write=False)
+    steps = []
+    for t in range(1, degree + 1):
+        lo, mid, hi = sequence_length(t - 2), sequence_length(t - 1), sequence_length(t)
+        parents = np.array([*range(lo, mid), mid - 1])
+        steps.append((slice(mid, hi), parents, np.array([0] * t + [1])))
+    return shifts, tuple(steps)
 
 
 def pullback_measure(mu: AtomicMeasure, psi: AffineMap) -> AtomicMeasure:

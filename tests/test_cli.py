@@ -133,6 +133,32 @@ class TestSolve:
         assert json.loads(out)["diagnostics"]["case"] == "k_pos"
 
 
+    @pytest.mark.parametrize(
+        "tolerances, flags",
+        [
+            ({"psd": "abc"}, []),
+            ({"k": None}, []),
+            ({"accept": True}, []),
+            ({"psd": -1}, []),
+            ({"accept": 0}, []),
+            ({"k": float("inf")}, []),
+            ({"k": float("nan")}, []),
+            ({"accept": 10**400}, []),
+            ({}, ["--tol-psd", "-1"]),
+            ({}, ["--tol-k", "nan"]),
+            ({}, ["--tol-accept", "inf"]),
+        ],
+    )
+    def test_malformed_tolerance_exits_1(self, tmp_path, capsys, tolerances, flags):
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps(dict(KPOS_REQUEST, tolerances=tolerances)))
+        commands = ("solve", "info") if flags[:1] in ([], ["--tol-k"]) else ("solve",)
+        for command in commands:
+            code, out, _ = run_cli(capsys, [command, str(path), *flags])
+            assert code == 1
+            assert "finite positive number" in json.loads(out)["error"]["message"]
+
+
 class TestVerify:
     def test_round_trip(self, tmp_path, capsys):
         req = write_json(tmp_path, "req.json", KPOS_REQUEST)
@@ -217,6 +243,17 @@ class TestInfo:
         path = write_json(tmp_path, "req.json", SINGULAR_D2)
         code, _, _ = run_cli(capsys, ["info", path])
         assert code == 2
+
+    def test_tol_k_resolves_like_solve(self, tmp_path, capsys):
+        # k = 0.3: a request tol_k of 0.5 sends it to k_zero, unless a flag overrides it
+        request = {"beta": [1, 0, 0, 1, 0, 1, 0, 1, 0, 0.3], "tolerances": {"k": 0.5}}
+        path = write_json(tmp_path, "req.json", request)
+        _, out, _ = run_cli(capsys, ["info", path])
+        assert json.loads(out)["case"] == "k_zero"
+        code, _, _ = run_cli(capsys, ["solve", path, "--quiet"])
+        assert code == 3  # solve takes the same k_zero route, whose relations do not hold here
+        _, out, _ = run_cli(capsys, ["info", path, "--tol-k", "1e-10"])
+        assert json.loads(out)["case"] == "k_pos"
 
 
 class TestSelfConsistency:

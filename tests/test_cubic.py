@@ -202,7 +202,7 @@ class TestBuildM3:
     def test_rejects_other_cases(self):
         ext = extend_kpos((0, 0, 0, 0))
         with pytest.raises(ValueError):
-            build_m3_kneg((0, 0, 0, 0), ext)
+            build_m3_kneg(ext)
 
 
 class TestSosCertificate:
@@ -260,7 +260,7 @@ class TestExtensionInvariants:
             matrix = ext.m3 if ext.m3 is not None else ext.m2
             for rel in ext.relations:
                 poly = rel.polynomial()
-                target = ext.m2 if poly.degree <= 2 else matrix
+                target = ext.m2 if poly.size <= ext.m2.side else matrix
                 assert np.abs(column_of(target, poly)).max() <= 1e-9
         # both generic signs well represented; the k = 0 points are hand-added
         assert seen[CaseTag.RECURSIVELY_DETERMINATE_K_POS] > 10

@@ -8,11 +8,10 @@ from cubicmoment import (
     Atom,
     AtomicMeasure,
     MomentSequence,
-    Monomial,
-    Polynomial2,
     build_moment_matrix,
     column_of,
     monomial_index,
+    monomial_table,
     monomials_up_to,
     riesz,
 )
@@ -129,56 +128,66 @@ class TestBuildMomentMatrix:
     @given(st.integers(0, 2**32 - 1))
     def test_symmetric_and_hankel_exhaustively(self, seed):
         rng = np.random.default_rng(seed)
-        vals = rng.uniform(-1, 1, 15)
-        vals[0] = abs(vals[0]) + 0.1
-        m2 = build_moment_matrix(MomentSequence(4, vals))
-        assert_allclose(m2.entries, m2.entries.T, rtol=0, atol=0)
-        labels = m2.labels
-        for u, mu in enumerate(labels):
-            for v, mv in enumerate(labels):
-                target = vals[monomial_index((mu.i + mv.i, mu.j + mv.j))]
-                assert m2.entries[u, v] == target
+        for degree in (0, 2, 4, 6):
+            vals = rng.uniform(-1, 1, sequence_length(degree))
+            vals[0] = abs(vals[0]) + 0.1
+            m = build_moment_matrix(MomentSequence(degree, vals))
+            assert m.side == sequence_length(degree // 2)
+            assert_allclose(m.entries, m.entries.T, rtol=0, atol=0)
+            labels = m.labels
+            for u, mu in enumerate(labels):
+                for v, mv in enumerate(labels):
+                    target = vals[monomial_index((mu.i + mv.i, mu.j + mv.j))]
+                    assert m.entries[u, v] == target
 
 
-class TestPolynomial2:
-    def test_arithmetic(self):
-        x = Polynomial2.monomial(1, 0)
-        y = Polynomial2.monomial(0, 1)
-        p = (x + y) * (x - y)
-        assert p == Polynomial2({(2, 0): 1.0, (0, 2): -1.0})
-        assert (x * 0.0).degree == 0
-        assert ((x + y) ** 2).coefficients[Monomial(1, 1)] == 2.0
+class TestMonomialTable:
+    def test_matches_explicit_powers(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.5, 1.5, 7)
+        y = rng.uniform(-1.5, 1.5, 7)
+        w = rng.uniform(0.2, 1.5, 7)
+        for degree in range(7):
+            labels = monomials_up_to(degree)
+            table = monomial_table(x, y, degree)
+            expected = [
+                [float(xk) ** i * float(yk) ** j for i, j in labels] for xk, yk in zip(x, y)
+            ]
+            assert table.tolist() == expected
+            # weighted column sums round exactly as the scalar sum over the atoms
+            sums = sum(monomial_table(x, y, degree, w), np.zeros(len(labels)))
+            assert sums.tolist() == [
+                sum(float(wk) * float(xk) ** i * float(yk) ** j for xk, yk, wk in zip(x, y, w))
+                for i, j in labels
+            ]
+            mu = AtomicMeasure(tuple(Atom(*a) for a in zip(x, y, w)))
+            assert mu.moments(degree).values.tolist() == sums.tolist()
 
-    def test_evaluation(self):
-        p = Polynomial2({(2, 0): 1.0, (1, 1): -2.0, (0, 0): 3.0})
-        assert p(2.0, 1.0) == 4.0 - 4.0 + 3.0
+    def test_no_points(self):
+        assert monomial_table([], [], 3).shape == (0, 10)
 
-    def test_coefficient_vector_order(self):
-        p = Polynomial2({(1, 1): 5.0, (0, 0): 1.0})
-        assert p.coefficient_vector(2).tolist() == [1, 0, 0, 0, 5, 0]
+    def test_coordinate_counts_must_match(self):
         with pytest.raises(ValueError):
-            p.coefficient_vector(1)
+            monomial_table([1.0, 2.0, 3.0], [1.0], 2)
 
 
 class TestRiesz:
     def test_constant(self):
         beta = seq_from_a((1, 2, 3, 4))
-        assert riesz(beta, Polynomial2.constant(1.0)) == 1.0
+        assert riesz(beta, [1.0]) == 1.0
 
     def test_sum_of_squares_of_coordinates(self):
         beta = seq_from_a((0, 0, 0, 0))
-        p = Polynomial2({(2, 0): 1.0, (0, 2): 1.0})
-        assert riesz(beta, p) == 2.0
+        assert riesz(beta, [0, 0, 0, 1, 0, 1]) == 2.0  # x^2 + y^2
 
     def test_cubic_minus_linear(self):
         beta = seq_from_a((1, 0, 0, 0))
-        p = Polynomial2({(3, 0): 1.0, (1, 0): -1.0})
-        assert riesz(beta, p) == 1.0
+        assert riesz(beta, [0, -1, 0, 0, 0, 0, 1]) == 1.0  # x^3 - x
 
     def test_degree_overflow(self):
         beta = seq_from_a((0, 0, 0, 0))
         with pytest.raises(ValueError):
-            riesz(beta, Polynomial2.monomial(4, 0))
+            riesz(beta, np.eye(15)[monomial_index((4, 0))])
 
     @given(
         st.lists(st.floats(-1, 1), min_size=10, max_size=10),
@@ -187,10 +196,8 @@ class TestRiesz:
         st.floats(-2, 2),
     )
     def test_linearity(self, pc, qc, moments, alpha):
-        labels = monomials_up_to(3)
         beta = MomentSequence(3, np.array([1.0] + moments))
-        p = Polynomial2(dict(zip(labels, pc)))
-        q = Polynomial2(dict(zip(labels, qc)))
+        p, q = np.array(pc), np.array(qc)
         lhs = riesz(beta, alpha * p + q)
         rhs = alpha * riesz(beta, p) + riesz(beta, q)
         assert abs(lhs - rhs) <= 1e-12
@@ -199,17 +206,22 @@ class TestRiesz:
 class TestColumnOf:
     def test_unit_column(self):
         m1 = build_moment_matrix(MomentSequence(2, np.array([1, 0, 0, 1, 0, 1], float)))
-        assert_allclose(column_of(m1, Polynomial2.monomial(1, 0)), [0, 1, 0])
+        assert_allclose(column_of(m1, [0, 1]), [0, 1, 0])  # x, as a degree-lex prefix
 
     def test_zero_polynomial(self):
         m1 = build_moment_matrix(MomentSequence(2, np.array([1, 0, 0, 1, 0, 1], float)))
-        assert_allclose(column_of(m1, Polynomial2({})), np.zeros(3))
+        assert_allclose(column_of(m1, []), np.zeros(3))
 
     def test_kernel_vector_of_flat_quartics(self):
         vals = np.array([1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1], dtype=float)
         m2 = build_moment_matrix(MomentSequence(4, vals))
-        p = Polynomial2({(2, 0): 1.0, (0, 0): -1.0})  # x^2 - 1
+        p = [-1.0, 0.0, 0.0, 1.0]  # x^2 - 1
         assert_allclose(column_of(m2, p), np.zeros(6), atol=0)
+
+    def test_degree_overflow(self):
+        m1 = build_moment_matrix(MomentSequence(2, np.array([1, 0, 0, 1, 0, 1], float)))
+        with pytest.raises(ValueError):
+            column_of(m1, np.eye(6)[3])
 
     @given(st.lists(st.floats(-1, 1), min_size=6, max_size=6), st.integers(0, 2**32 - 1))
     def test_linearity_over_monomials(self, coeffs, seed):
@@ -217,12 +229,11 @@ class TestColumnOf:
         vals = rng.uniform(-1, 1, 15)
         vals[0] = 1.0
         m2 = build_moment_matrix(MomentSequence(4, vals))
-        p = Polynomial2(dict(zip(monomials_up_to(2), coeffs)))
         combo = sum(
-            (c * column_of(m2, Polynomial2.monomial(*m)) for m, c in p.coefficients.items()),
+            (c * column_of(m2, unit) for unit, c in zip(np.eye(6), coeffs)),
             start=np.zeros(6),
         )
-        assert_allclose(column_of(m2, p), combo, rtol=0, atol=5e-15)
+        assert_allclose(column_of(m2, coeffs), combo, rtol=0, atol=5e-15)
 
 
 class TestAtomicMeasure:

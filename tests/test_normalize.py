@@ -9,7 +9,6 @@ from cubicmoment import (
     Atom,
     AtomicMeasure,
     MomentSequence,
-    Polynomial2,
     SingularM1Error,
     build_J,
     build_moment_matrix,
@@ -54,12 +53,6 @@ class TestAffineMap:
             pytest.approx(0.7),
             pytest.approx(-1.3),
         )
-
-    def test_components(self):
-        psi = AffineMap(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-        p1, p2 = psi.components()
-        assert p1 == Polynomial2({(0, 0): 1, (1, 0): 2, (0, 1): 3})
-        assert p2 == Polynomial2({(0, 0): 4, (1, 0): 5, (0, 1): 6})
 
 
 class TestMinors:
@@ -145,8 +138,8 @@ class TestBuildJ:
 
     def test_quarter_turn_degree_one(self):
         J = build_J(AffineMap(0, 0, -1, 0, 1, 0), 1)
-        x_hat = Polynomial2.monomial(1, 0).coefficient_vector(1)
-        minus_y_hat = Polynomial2.monomial(0, 1, -1.0).coefficient_vector(1)
+        x_hat = np.array([0.0, 1.0, 0.0])
+        minus_y_hat = np.array([0.0, 0.0, -1.0])
         assert_allclose(J @ x_hat, minus_y_hat)
 
     def test_block_lower_triangular_by_degree(self):
@@ -163,6 +156,31 @@ class TestBuildJ:
     def test_invertible(self):
         psi = AffineMap(0.3, 1.2, -0.7, -0.1, 0.4, 0.9)
         assert abs(np.linalg.det(build_J(psi, 2))) > 1e-8
+
+    def test_matches_column_by_column_reference(self):
+        from cubicmoment.moments import monomial_index, monomials_up_to
+
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            psi = AffineMap(*(rng.normal(size=6) * 10.0 ** rng.uniform(-3, 3, 6)))
+            for degree in range(7):
+                labels = monomials_up_to(degree)
+                n = len(labels)
+                shift_x, shift_y = np.zeros((n, n)), np.zeros((n, n))
+                for m in monomials_up_to(degree - 1):
+                    shift_x[monomial_index((m.i + 1, m.j)), monomial_index(m)] = 1.0
+                    shift_y[monomial_index((m.i, m.j + 1)), monomial_index(m)] = 1.0
+                times_p1 = psi.a * np.eye(n) + psi.b * shift_x + psi.c * shift_y
+                times_p2 = psi.d * np.eye(n) + psi.e * shift_x + psi.f * shift_y
+                expected = np.zeros((n, n))
+                expected[0, 0] = 1.0
+                for col, m in enumerate(labels[1:], start=1):
+                    if m.i > 0:
+                        expected[:, col] = times_p1 @ expected[:, monomial_index((m.i - 1, m.j))]
+                    else:
+                        expected[:, col] = times_p2 @ expected[:, monomial_index((0, m.j - 1))]
+                # same products, same rounding: equal, not merely close
+                assert np.array_equal(build_J(psi, degree), expected)
 
 
 class TestPullbackMeasure:
