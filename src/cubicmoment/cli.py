@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -105,11 +106,15 @@ def _resolve_tolerances(args, request_tols: dict) -> Tolerances:
         value = getattr(args, f"tol_{key}", None)
         if value is None:  # command-line flags win over the request body
             value = request_tols.get(key, merged[key])
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0 < value <= sys.float_info.max):
-            raise _InputError(f'tolerance "{key}" must be a finite positive number, got {value!r}')
-        merged[key] = float(value)
+        merged[key] = _tolerance(key, value)
     return Tolerances(**merged)
+
+
+def _tolerance(key: str, value) -> float:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value <= sys.float_info.max):
+        raise _InputError(f'tolerance "{key}" must be a finite positive number, got {value!r}')
+    return float(value)
 
 
 def _resolve_seed(args, request_seed: int | None) -> int:
@@ -188,16 +193,17 @@ def cmd_verify(args) -> int:
         beta, _, _ = _parse_request(beta_obj)
         measure_obj = _read_json(args.measure)
         mu = _parse_measure(measure_obj)
+        tol = _tolerance("tol", args.tol)
     except _InputError as exc:
         return _fail(EXIT_INPUT, str(exc))
     check = verify_measure(mu, beta)
     print(f"{'moment':>8}  {'target':>22}  {'residual':>12}")
     for m, residual in zip(monomials_up_to(beta.degree), check.residuals):
         print(f"beta_{m.i}{m.j:<3}  {beta[m]:>22.15g}  {residual:>12.3e}")
-    ok = check.max_moment_residual <= args.tol
+    ok = check.max_moment_residual <= tol
     print(
         f"max residual {check.max_moment_residual:.3e} "
-        f"({'within' if ok else 'EXCEEDS'} tolerance {args.tol:g}), "
+        f"({'within' if ok else 'EXCEEDS'} tolerance {tol:g}), "
         f"min weight {check.min_weight:.3e}"
     )
     return EXIT_OK if ok else EXIT_VERIFY
@@ -209,9 +215,12 @@ def _parse_measure(obj) -> AtomicMeasure:
     atoms = []
     for entry in obj["atoms"]:
         try:
-            atoms.append(Atom(float(entry["x"]), float(entry["y"]), float(entry["weight"])))
+            atom = Atom(float(entry["x"]), float(entry["y"]), float(entry["weight"]))
         except (TypeError, KeyError, ValueError) as exc:
             raise _InputError('each atom needs numeric "x", "y", "weight"') from exc
+        if not all(map(math.isfinite, atom)):
+            raise _InputError('atom "x", "y", "weight" must be finite')
+        atoms.append(atom)
     return AtomicMeasure(tuple(atoms))
 
 

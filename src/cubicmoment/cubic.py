@@ -103,6 +103,10 @@ def multiplication_matrices(
     applied to those of s*b / o once the columns of M_o that needs are
     filled. Raises MissingRelationError when the fill gets stuck and
     MomentProblemError when a coefficient is not finite.
+
+    This is the general reducer for any basis and relation set. The three
+    extension routes write their matrices in closed form instead, and the
+    tests check those against this function.
     """
     basis = tuple(Monomial(*b) for b in basis)
     known = dict(zip(basis, np.eye(len(basis))))
@@ -162,9 +166,18 @@ class ExtensionResult:
         return build_m3_kneg(self)
 
 
-def _extension(case, k, m2, basis, relations, **extra) -> ExtensionResult:
-    mx, my = multiplication_matrices(basis, relations)
-    return ExtensionResult(case, k, m2, basis, relations, mx, my, **extra)
+def _extension(case, k, m2, basis, relations, mx, my, **extra) -> ExtensionResult:
+    """The certificate with Mx, My given column by column: mx[b] holds the coordinates of x*b.
+
+    Each route writes these columns in closed form; they equal what
+    multiplication_matrices(basis, relations) finds, bit for bit (adding
+    0.0 stores a zero as +0.0, as the reducer does).
+    """
+    mats = np.array([mx, my]).transpose(0, 2, 1).copy() + 0.0
+    if not np.isfinite(mats).all():
+        raise MomentProblemError("a multiplication matrix has a non-finite entry")
+    mats.setflags(write=False)
+    return ExtensionResult(case, k, m2, basis, relations, mats[0], mats[1], **extra)
 
 
 def compute_k(a) -> float:
@@ -206,7 +219,9 @@ def extend_k0(a, tol_k: float = TOL_K) -> ExtensionResult:
     # beta_22 = a1^2 + a2^2 equals 1 + a0 a2 + a1 a3 because k = 0
     m2, x2, y2 = _square_relations(a, a1 * a1 + a2 * a2)
     relations = (x2, _rel(_XY, {_X: a1, _Y: a2}), y2)
-    return _extension(CaseTag.FLAT_K0, k, m2, BASIS_K0, relations)
+    x, y = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+    xx, xy, yy = (1.0, a0, a1), (0.0, a1, a2), (1.0, a2, a3)
+    return _extension(CaseTag.FLAT_K0, k, m2, BASIS_K0, relations, (x, xx, xy), (y, xy, yy))
 
 
 def extend_kpos(a, tol_k: float = TOL_K) -> ExtensionResult:
@@ -220,7 +235,12 @@ def extend_kpos(a, tol_k: float = TOL_K) -> ExtensionResult:
     if not k > tol_k:
         raise ValueError(f"k = {k:.6g} is not positive beyond {tol_k:g}")
     m2, x2, y2 = _square_relations(a, 1.0 + a0 * a2 + a1 * a3)
-    return _extension(CaseTag.RECURSIVELY_DETERMINATE_K_POS, k, m2, BASIS_KPOS, (x2, y2))
+    x, y, xy = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
+    xx, yy = (1.0, a0, a1, 0.0), (1.0, a2, a3, 0.0)
+    xxy = (a1, a1 * a2, 1.0 + a1 * a3, a0)  # X^2 Y = Y + a0 XY + a1 Y^2
+    xyy = (a2, 1.0 + a2 * a0, a2 * a1, a3)  # X Y^2 = X + a2 X^2 + a3 XY
+    mx, my = (x, xx, xy, xxy), (y, xy, yy, xyy)
+    return _extension(CaseTag.RECURSIVELY_DETERMINATE_K_POS, k, m2, BASIS_KPOS, (x2, y2), mx, my)
 
 
 def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
@@ -258,15 +278,13 @@ def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
         _rel(_Y2, {_ONE: p[0], _X: p[1], _Y: p[2], _X2: p[3]}),
         ColumnRelation(_X3, x3_combo),
     )
-    return _extension(
-        CaseTag.RANK_INCREASING_K_NEG,
-        k,
-        m2,
-        BASIS_KNEG,
-        relations,
-        p_vec=tuple(float(v) for v in p),
-        beta50=beta50,
-    )
+    x, y, xx = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
+    xy, yy = (0.0, a1, a2, 0.0), tuple(p.tolist())
+    xxx = tuple(x3_combo.get(b, 0.0) for b in BASIS_KNEG)
+    xxy = (0.0, a1 * a2, a2 * a2, a1)  # X^2 Y = a1 X^2 + a2 XY
+    mx, my = (x, xx, xy, xxx), (y, xy, yy, xxy)
+    case = CaseTag.RANK_INCREASING_K_NEG
+    return _extension(case, k, m2, BASIS_KNEG, relations, mx, my, p_vec=yy, beta50=beta50)
 
 
 def beta04_formula(a) -> float:

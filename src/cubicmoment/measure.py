@@ -10,6 +10,7 @@ solver never returns an unverified measure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,15 +101,18 @@ def extract_atoms(
 
     Returns the pairs sorted by (x, y). Flat extensions have distinct
     atoms, so two atoms closer than MIN_ATOM_SEPARATION in the max norm
-    signal an upstream failure and raise SingularVandermondeError.
+    signal an upstream failure and raise SingularVandermondeError, as does
+    a NaN gap.
     """
     pairs = sorted(joint_eigen(ext.mx, ext.my, rng=rng))
-    points = np.array(pairs)
-    gaps = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2)
-    if not gaps[np.triu_indices(len(pairs), 1)].min(initial=np.inf) >= MIN_ATOM_SEPARATION:
-        raise SingularVandermondeError(
-            f"atoms closer than {MIN_ATOM_SEPARATION:g}: the joint spectrum is repeated"
-        )
+    sep = MIN_ATOM_SEPARATION
+    for n, (x, y) in enumerate(pairs):
+        for u, v in pairs[n + 1 :]:
+            dx, dy = abs(x - u), abs(y - v)
+            if math.isnan(dx + dy) or not (dx >= sep or dy >= sep):
+                raise SingularVandermondeError(
+                    f"atoms closer than {sep:g}: the joint spectrum is repeated"
+                )
     return pairs
 
 
@@ -119,18 +123,20 @@ def solve_densities(atoms, basis, beta: MomentSequence) -> np.ndarray:
     V_B evaluates the basis monomials at atom k.
     """
     x, y = np.array(atoms, dtype=float).reshape(-1, 2).T
-    columns = [monomial_index(b) for b in basis]
-    if len(x) != len(columns):
+    if len(x) != len(basis):
         raise ValueError("need exactly as many atoms as basis monomials")
-    vb = monomial_table(x, y, max(map(sum, basis), default=0))[:, columns]
-    rhs = beta.values[columns]
+    return _densities(monomial_table(x, y, max(map(sum, basis), default=0)), basis, beta)
+
+
+def _densities(table, basis, beta: MomentSequence) -> np.ndarray:
+    """solve_densities on a monomial table of the atoms that covers the basis."""
+    columns = [monomial_index(b) for b in basis]
     try:
-        rho = np.linalg.solve(vb.T, rhs)
+        return np.linalg.solve(table[:, columns].T, beta.values[columns])
     except np.linalg.LinAlgError as exc:
         raise SingularVandermondeError(
             "coincident atoms made the Vandermonde system singular"
         ) from exc
-    return rho
 
 
 def verify_measure(
@@ -140,21 +146,21 @@ def verify_measure(
 ) -> MeasureCheck:
     """Re-integrate every monomial of the sequence against the measure."""
     residuals = np.abs(mu.integrals(beta.degree) - beta.values)
+    variety_residual = 0.0
+    if relations:
+        x, y = [a.x for a in mu.atoms], [a.y for a in mu.atoms]
+        degree = max(rel.target.degree for rel in relations)
+        variety_residual = _variety_residual(relations, monomial_table(x, y, degree))
     return MeasureCheck(
         max_moment_residual=float(residuals.max(initial=0.0)),
         residuals=residuals,
         min_weight=min((a.weight for a in mu.atoms), default=0.0),
-        variety_residual=_variety_residual(
-            relations, [a.x for a in mu.atoms], [a.y for a in mu.atoms]
-        ),
+        variety_residual=variety_residual,
     )
 
 
-def _variety_residual(relations, x, y) -> float:
-    """Largest |relation polynomial| over the points (x_k, y_k); a NaN propagates."""
-    if not relations:
-        return 0.0
-    table = monomial_table(x, y, max(rel.target.degree for rel in relations))
+def _variety_residual(relations, table) -> float:
+    """Largest |relation polynomial| over the rows of a monomial table; a NaN propagates."""
     polys = [rel.polynomial() for rel in relations]
     return float(np.max([np.abs(table[:, : p.size] @ p) for p in polys], initial=0.0))
 
@@ -176,7 +182,8 @@ def solve_cubic(
     certificate = normalize_cubic(beta)
     ext = extend(certificate.a_vec, tol_k=tolerances.k)
     atoms = extract_atoms(ext, rng=np.random.default_rng(seed))
-    rho = solve_densities(atoms, ext.basis, certificate.normalized)
+    table = monomial_table(*zip(*atoms), 3)  # covers every basis monomial and relation
+    rho = _densities(table, ext.basis, certificate.normalized)
     smallest = float(rho.min())
     if not smallest >= tolerances.weight:
         # near-degenerate k < 0 sends one atom to infinity with density ~ k^4,
@@ -190,7 +197,7 @@ def solve_cubic(
         raise VerificationError(
             f"density {smallest:.3e} below {tolerances.weight:g}{hint}"
         )
-    variety_residual = _variety_residual(ext.relations, *zip(*atoms))
+    variety_residual = _variety_residual(ext.relations, table)
     if not variety_residual <= MAX_VARIETY_RESIDUAL:
         raise VerificationError(f"an atom violates a column relation by {variety_residual:.3e}")
     mu_normalized = AtomicMeasure(

@@ -182,8 +182,13 @@ def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:
     if len(x) != len(y):
         raise ValueError(f"{len(x)} x-coordinates but {len(y)} y-coordinates")
     i, j = _exponents(degree)
-    powers = [[v**e for e in range(degree + 1)] for v in map(float, (*x, *y))]
-    x_pow, y_pow = np.array(powers).reshape(2, -1, degree + 1)
+    coordinates = [*map(float, x), *map(float, y)]
+    try:
+        powers = np.array([[v**e for e in range(degree + 1)] for v in coordinates])
+    except OverflowError:  # float ** raises where C pow gives +-inf; np.power gives it
+        with np.errstate(over="ignore"):
+            powers = np.power.outer(coordinates, np.arange(degree + 1.0))
+    x_pow, y_pow = powers.reshape(2, -1, degree + 1)
     if weights is not None:
         x_pow = np.asarray(weights, dtype=float)[:, None] * x_pow
     return x_pow[:, i] * y_pow[:, j]

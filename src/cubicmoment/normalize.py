@@ -64,10 +64,9 @@ def minors(beta: MomentSequence) -> tuple[float, float]:
     Assumes the sequence has been rescaled to beta_00 = 1 (the closed forms
     below are written for that normalization).
     """
-    if abs(beta[0, 0] - 1.0) > 1e-9:
+    b00, b10, b01, b20, b11, b02 = beta.values[:6].tolist()
+    if abs(b00 - 1.0) > 1e-9:
         raise ValueError("rescale the sequence to beta_00 = 1 before taking minors")
-    b10, b01 = beta[1, 0], beta[0, 1]
-    b20, b11, b02 = beta[2, 0], beta[1, 1], beta[0, 2]
     d2 = b20 - b10 * b10
     d3 = (
         -b02 * b10 * b10
@@ -97,14 +96,13 @@ def degree_one_coeffs(beta: MomentSequence, tol: float = SINGULAR_RTOL) -> Affin
 
 
 def _normalizing_map(beta: MomentSequence, d2: float, d3: float, tol: float) -> AffineMap:
-    quad_scale = max(abs(beta[m]) for m in monomials_up_to(2))
-    threshold = tol * quad_scale
+    m1 = beta.values[:6].tolist()  # the moments of degree <= 2, the entries of M(1)
+    threshold = tol * max(map(abs, m1))
     if d2 <= threshold:
         raise SingularM1Error("d2", d2)
     if d3 <= threshold:
         raise SingularM1Error("d3", d3)
-    b10, b01 = beta[1, 0], beta[0, 1]
-    b20, b11 = beta[2, 0], beta[1, 1]
+    _, b10, b01, b20, b11, _ = m1
     s23 = math.sqrt(d2 * d3)
     s2 = math.sqrt(d2)
     return AffineMap(

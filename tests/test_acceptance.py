@@ -250,6 +250,20 @@ def test_criterion_8_commutativity(random_suite):
     )
 
 
+def test_closed_form_multiplication_matrices_match_reducer(random_suite):
+    rows, _ = random_suite
+    ok = True
+    for _, _, report in rows:
+        ext = report.extension
+        mx, my = multiplication_matrices(ext.basis, ext.relations)
+        ok &= np.array_equal(ext.mx, mx) and np.array_equal(ext.my, my)
+        ok &= not (ext.mx.flags.writeable or ext.my.flags.writeable)
+    _check(
+        f"closed-form Mx, My ({len(rows)} solves: equal to the fixed-point reducer, read-only)",
+        ok,
+    )
+
+
 def test_criterion_9_rejection_path(tmp_path, capsys):
     cases = [
         ([1, 0, 0, 0, 0, 1, 0, 0, 0, 0], "d2"),  # beta_20 = 0

@@ -193,6 +193,34 @@ class TestVerify:
         code, _, _ = run_cli(capsys, ["verify", req, str(tmp_path / "nope.json")])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags, x",
+        [
+            (["--tol", "nan"], 1.0),
+            (["--tol", "-1"], 1.0),
+            (["--tol", "0"], 1.0),
+            (["--tol", "inf"], 1.0),
+            ([], float("nan")),
+        ],
+    )
+    def test_malformed_tolerance_or_atom_exits_1(self, tmp_path, capsys, flags, x):
+        req = write_json(tmp_path, "req.json", KPOS_REQUEST)
+        # the exact measure of KPOS_REQUEST, the points (+-1, +-1), with x in place of x = 1
+        atoms = [{"x": sx, "y": sy, "weight": 0.25} for sx in (x, -1.0) for sy in (1.0, -1.0)]
+        measure = write_json(tmp_path, "measure.json", {"atoms": atoms})
+        code, out, _ = run_cli(capsys, ["verify", req, measure, *flags])
+        assert code == 1
+        assert "finite" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_atom_exits_3(self, tmp_path, capsys):
+        req = write_json(tmp_path, "req.json", KPOS_REQUEST)
+        atoms = [{"x": 1e200, "y": 0, "weight": 1}]  # x^2 overflows the float range
+        measure = write_json(tmp_path, "measure.json", {"atoms": atoms})
+        code, out, _ = run_cli(capsys, ["verify", req, measure])
+        assert code == 3
+        assert "max residual nan (EXCEEDS" in out
+
 
 class TestRandom:
     def test_deterministic(self, capsys):

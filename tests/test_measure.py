@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from cubicmoment import (
     MomentProblemError,
     MomentSequence,
     SingularM1Error,
+    SingularVandermondeError,
     Tolerances,
     VerificationError,
     extend,
@@ -25,6 +27,7 @@ from cubicmoment import (
     solve_densities,
     verify_measure,
 )
+from cubicmoment import measure
 from cubicmoment.cubic import ColumnRelation, Monomial
 from cubicmoment.cli import random_request
 
@@ -97,6 +100,28 @@ class TestExtractAtoms:
     def test_sorted_output(self):
         atoms = extract_atoms(extend((0, 0, 0, 0)))
         assert atoms == sorted(atoms)
+
+    @staticmethod
+    def _diagonal(xs, ys):
+        # Mx, My diagonal on the standard basis: the joint spectrum is exactly the pairs
+        return dataclasses.replace(extend((0, 0, 0, 0)), mx=np.diag(xs), my=np.diag(ys))
+
+    def test_repeated_joint_spectrum_raises(self):
+        ext = self._diagonal([1.0, 1.0, -1.0, -1.0], [1.0, 1.0 + 5e-9, -1.0, 1.0])
+        with pytest.raises(SingularVandermondeError):
+            extract_atoms(ext)
+
+    def test_atoms_apart_in_one_coordinate_pass(self):
+        # two pairs are closer than MIN_ATOM_SEPARATION in one coordinate, apart in the other
+        ext = self._diagonal([0.0, 0.0, 1.0, 1.0 + 5e-9], [0.0, 2e-8, 3.0, -3.0])
+        assert extract_atoms(ext) == [(0.0, 0.0), (0.0, 2e-8), (1.0, 3.0), (1.0 + 5e-9, -3.0)]
+
+    def test_nan_gap_raises(self, monkeypatch):
+        # the y gap alone clears the threshold; the NaN x gap must still fail the check
+        pairs = [(0.0, 0.0), (math.nan, 1.0), (2.0, 2.0)]
+        monkeypatch.setattr(measure, "joint_eigen", lambda *args, **kwargs: pairs)
+        with pytest.raises(SingularVandermondeError):
+            extract_atoms(extend((0, 0, 0, 0)))
 
 
 class TestSolveDensities:
@@ -243,6 +268,12 @@ class TestSolveCubic:
         values[position] = cubic
         with pytest.raises(MomentProblemError):
             solve_cubic(MomentSequence(3, values))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_atom_power_raises(self):
+        # an atom near x = 1e104 overflows x^3 in the solve's degree-3 monomial table
+        with pytest.raises(VerificationError):
+            solve_cubic(seq_from_a((1e104, 0, 1, 0)))
 
     def test_variety_membership(self):
         for a in [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0.4, -0.9, 1.2, 0.5)]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -162,6 +164,13 @@ class TestMonomialTable:
             ]
             mu = AtomicMeasure(tuple(Atom(*a) for a in zip(x, y, w)))
             assert mu.moments(degree).values.tolist() == sums.tolist()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_power_is_inf(self):
+        # float ** raises OverflowError here; the table follows IEEE arithmetic instead
+        table = monomial_table([1e200, -1.7], [-1e200, 0.3], 3)
+        assert table[0, :6].tolist() == [1.0, 1e200, -1e200, math.inf, -math.inf, math.inf]
+        assert table[1].tolist() == [(-1.7) ** i * 0.3**j for i, j in monomials_up_to(3)]
 
     def test_no_points(self):
         assert monomial_table([], [], 3).shape == (0, 10)
