@@ -90,7 +90,7 @@ def _parse_request(obj) -> tuple[MomentSequence, dict, int | None]:
     tols = obj.get("tolerances", {})
     if not isinstance(tols, dict):
         raise _InputError('"tolerances" must be an object')
-    unknown = set(tols) - {"psd", "k", "accept"}
+    unknown = set(tols) - {field.name for field in dataclasses.fields(Tolerances)}
     if unknown:
         raise _InputError(f"unknown tolerance keys: {sorted(unknown)}")
     seed = obj.get("seed")
@@ -102,7 +102,7 @@ def _parse_request(obj) -> tuple[MomentSequence, dict, int | None]:
 def _resolve_tolerances(args, request_tols: dict) -> Tolerances:
     """Flag, then request body, then default; each given value must be finite and positive."""
     merged = dataclasses.asdict(DEFAULT_TOLERANCES)
-    for key in ("psd", "k", "accept"):
+    for key in merged:
         value = getattr(args, f"tol_{key}", None)
         if value is None:  # command-line flags win over the request body
             value = request_tols.get(key, merged[key])
@@ -295,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="recover a representing measure from a JSON request")
     solve.add_argument("input", nargs="?", default="-", help="request file, or - for stdin")
-    solve.add_argument("--tol-psd", type=float, default=None, help="PSD / rank threshold")
     solve.add_argument("--tol-k", type=float, default=None, help="three-way case-split threshold on k")
     solve.add_argument("--tol-accept", type=float, default=None, help="largest admissible moment residual")
     solve.add_argument("--seed", type=int, default=None, help="seed for the randomized eigensolver")
@@ -323,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    with np.errstate(all="ignore"):  # an overflow shows as inf/nan or a typed error
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -142,21 +142,26 @@ def multiplication_matrices(
 class ExtensionResult:
     """Extension certificate for one normalized input.
 
-    basis lists the independent columns; relations express every dependent
-    column over the basis; mx and my are the multiplication matrices on the
-    basis. For the k < 0 route, p_vec is the Y^2 relation coefficient
-    vector and beta50 the induced quintic moment.
+    moments is the route's degree-4 sequence; basis lists the independent
+    columns of its M(2), so len(basis) is the rank; relations express every
+    dependent column over the basis; mx and my multiply by x and y on it. For
+    the k < 0 route, p_vec holds the Y^2 relation and beta50 the quintic moment.
     """
 
     case: CaseTag
     k: float
-    m2: MomentMatrix
+    moments: MomentSequence
     basis: tuple[Monomial, ...]
     relations: tuple[ColumnRelation, ...]
     mx: np.ndarray
     my: np.ndarray
     p_vec: tuple[float, float, float, float] | None = None
     beta50: float | None = None
+
+    @property
+    def m2(self) -> MomentMatrix:
+        """The moment matrix M(2) of moments, built on each read."""
+        return build_moment_matrix(self.moments)
 
     @property
     def m3(self) -> MomentMatrix | None:
@@ -166,7 +171,7 @@ class ExtensionResult:
         return build_m3_kneg(self)
 
 
-def _extension(case, k, m2, basis, relations, mx, my, **extra) -> ExtensionResult:
+def _extension(case, k, moments, basis, relations, mx, my, **extra) -> ExtensionResult:
     """The certificate with Mx, My given column by column: mx[b] holds the coordinates of x*b.
 
     Each route writes these columns in closed form; they equal what
@@ -177,7 +182,7 @@ def _extension(case, k, m2, basis, relations, mx, my, **extra) -> ExtensionResul
     if not np.isfinite(mats).all():
         raise MomentProblemError("a multiplication matrix has a non-finite entry")
     mats.setflags(write=False)
-    return ExtensionResult(case, k, m2, basis, relations, mats[0], mats[1], **extra)
+    return ExtensionResult(case, k, moments, basis, relations, mats[0], mats[1], **extra)
 
 
 def compute_k(a) -> float:
@@ -195,8 +200,8 @@ def _rel(target: Monomial, combo: dict[Monomial, float]) -> ColumnRelation:
     return ColumnRelation(target, {m: float(c) for m, c in combo.items() if float(c) != 0.0})
 
 
-def _square_relations(a, b22: float) -> tuple[MomentMatrix, ColumnRelation, ColumnRelation]:
-    """M(2) of the k >= 0 routes for the given beta_22, with its X^2 and Y^2 relations."""
+def _square_relations(a, b22: float) -> tuple[MomentSequence, ColumnRelation, ColumnRelation]:
+    """Degree-4 moments of the k >= 0 routes for beta_22, with the X^2 and Y^2 relations."""
     a0, a1, a2, a3 = a
     quartics = (
         1.0 + a0 * a0 + a1 * a1,
@@ -207,7 +212,7 @@ def _square_relations(a, b22: float) -> tuple[MomentMatrix, ColumnRelation, Colu
     )
     x2 = _rel(_X2, {_ONE: 1.0, _X: a0, _Y: a1})
     y2 = _rel(_Y2, {_ONE: 1.0, _X: a2, _Y: a3})
-    return build_moment_matrix(_sequence4(a, quartics)), x2, y2
+    return _sequence4(a, quartics), x2, y2
 
 
 def extend_k0(a, tol_k: float = TOL_K) -> ExtensionResult:
@@ -217,11 +222,11 @@ def extend_k0(a, tol_k: float = TOL_K) -> ExtensionResult:
     if not abs(k) <= tol_k:
         raise ValueError(f"k = {k:.6g} is not zero within {tol_k:g}")
     # beta_22 = a1^2 + a2^2 equals 1 + a0 a2 + a1 a3 because k = 0
-    m2, x2, y2 = _square_relations(a, a1 * a1 + a2 * a2)
+    moments, x2, y2 = _square_relations(a, a1 * a1 + a2 * a2)
     relations = (x2, _rel(_XY, {_X: a1, _Y: a2}), y2)
     x, y = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
     xx, xy, yy = (1.0, a0, a1), (0.0, a1, a2), (1.0, a2, a3)
-    return _extension(CaseTag.FLAT_K0, k, m2, BASIS_K0, relations, (x, xx, xy), (y, xy, yy))
+    return _extension(CaseTag.FLAT_K0, k, moments, BASIS_K0, relations, (x, xx, xy), (y, xy, yy))
 
 
 def extend_kpos(a, tol_k: float = TOL_K) -> ExtensionResult:
@@ -234,13 +239,14 @@ def extend_kpos(a, tol_k: float = TOL_K) -> ExtensionResult:
     k = compute_k(a)
     if not k > tol_k:
         raise ValueError(f"k = {k:.6g} is not positive beyond {tol_k:g}")
-    m2, x2, y2 = _square_relations(a, 1.0 + a0 * a2 + a1 * a3)
+    moments, x2, y2 = _square_relations(a, 1.0 + a0 * a2 + a1 * a3)
     x, y, xy = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
     xx, yy = (1.0, a0, a1, 0.0), (1.0, a2, a3, 0.0)
     xxy = (a1, a1 * a2, 1.0 + a1 * a3, a0)  # X^2 Y = Y + a0 XY + a1 Y^2
     xyy = (a2, 1.0 + a2 * a0, a2 * a1, a3)  # X Y^2 = X + a2 X^2 + a3 XY
     mx, my = (x, xx, xy, xxy), (y, xy, yy, xyy)
-    return _extension(CaseTag.RECURSIVELY_DETERMINATE_K_POS, k, m2, BASIS_KPOS, (x2, y2), mx, my)
+    case = CaseTag.RECURSIVELY_DETERMINATE_K_POS
+    return _extension(case, k, moments, BASIS_KPOS, (x2, y2), mx, my)
 
 
 def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
@@ -271,7 +277,7 @@ def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
     except np.linalg.LinAlgError as exc:
         raise MomentProblemError("the {1, X, Y, X^2} block is numerically singular") from exc
     b04 = float(p @ y2_column)  # flat completion: (Y^2)^T M4^{-1} (Y^2)
-    m2 = build_moment_matrix(_sequence4(a, (b40, b31, b22, b13, b04)))
+    moments = _sequence4(a, (b40, b31, b22, b13, b04))
     x3_combo, beta50 = x3_relation(a, p)
     relations = (
         _rel(_XY, {_X: a1, _Y: a2}),
@@ -284,7 +290,7 @@ def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
     xxy = (0.0, a1 * a2, a2 * a2, a1)  # X^2 Y = a1 X^2 + a2 XY
     mx, my = (x, xx, xy, xxx), (y, xy, yy, xxy)
     case = CaseTag.RANK_INCREASING_K_NEG
-    return _extension(case, k, m2, BASIS_KNEG, relations, mx, my, p_vec=yy, beta50=beta50)
+    return _extension(case, k, moments, BASIS_KNEG, relations, mx, my, p_vec=yy, beta50=beta50)
 
 
 def beta04_formula(a) -> float:
@@ -347,7 +353,7 @@ def x3_relation(a, p_vec) -> tuple[dict[Monomial, float], float]:
 def build_m3_kneg(ext: ExtensionResult) -> MomentMatrix:
     """Degree-3 Hankel-block matrix extending m2 by functional calculus.
 
-    Moments of degree <= 4 are read from m2; a quintic or sextic moment is
+    Moments of degree <= 4 are ext.moments; a quintic or sextic moment is
     the Riesz value of the basis coordinates Mx^i My^j e_1 of x^i y^j. The
     two expansions of the XY^2 column differ by column Y of My Mx - Mx My,
     so a commutator beyond TOL_COMMUTE of the matrix scale means the
@@ -360,14 +366,14 @@ def build_m3_kneg(ext: ExtensionResult) -> MomentMatrix:
     mismatch = commutator_norm(my, mx)
     if not mismatch <= TOL_COMMUTE * scale:
         raise InconsistentRelationsError(f"the two XY^2 expansions disagree by {mismatch:.3e}")
-    riesz_basis = np.array([ext.m2.moment(b) for b in ext.basis])
+    low = ext.moments.values
+    riesz_basis = low[[monomial_index(b) for b in ext.basis]]
     power = np.linalg.matrix_power
-    vals = [
-        ext.m2.moment(m) if m.degree <= 4
-        else float(riesz_basis @ (power(mx, m.i) @ power(my, m.j)[:, 0]))
-        for m in monomials_up_to(6)
+    higher = [
+        float(riesz_basis @ (power(mx, m.i) @ power(my, m.j)[:, 0]))
+        for m in monomials_up_to(6)[low.size :]
     ]
-    return build_moment_matrix(MomentSequence(6, np.array(vals)))
+    return build_moment_matrix(MomentSequence(6, np.concatenate([low, higher])))
 
 
 # Gram matrix of the nonnegativity certificate for beta_04 - 1: it is

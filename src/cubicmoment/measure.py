@@ -17,7 +17,7 @@ import numpy as np
 
 from .cubic import TOL_K, CaseTag, ColumnRelation, ExtensionResult, extend, multiplication_matrices
 from .errors import SingularVandermondeError, VerificationError
-from .linalg import TOL_PSD, commutator_norm, joint_eigen, numeric_rank
+from .linalg import commutator_norm, joint_eigen
 from .moments import Atom, AtomicMeasure, MomentSequence, monomial_index, monomial_table
 from .normalize import NormalizationCertificate, normalize_cubic, pullback_measure
 
@@ -37,20 +37,15 @@ __all__ = [
 
 MIN_ATOM_SEPARATION = 1e-8
 MAX_VARIETY_RESIDUAL = 1e-7  # largest |relation polynomial| accepted at a normalized atom
+MIN_WEIGHT = 1e-10  # smallest normalized density accepted before the solve is declared faulty
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Pipeline-level tolerances (the subset exposed on the command line).
+    """Settable tolerances: k splits the cases, accept bounds the returned moment residual."""
 
-    psd also serves as the numerical-rank threshold; weight is the smallest
-    density accepted before the solve is declared faulty.
-    """
-
-    psd: float = TOL_PSD
     k: float = TOL_K
     accept: float = 1e-8
-    weight: float = 1e-10
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -60,8 +55,8 @@ DEFAULT_TOLERANCES = Tolerances()
 class SolveReport:
     """Verified diagnostics attached to every successful solve.
 
-    rank equals variety_size here: flat extensions realize the extremal
-    case of the variety condition rank <= #atoms <= #variety.
+    rank is the extension's rank len(extension.basis): 3 for k = 0, else 4.
+    A flat extension has exactly rank atoms, so rank equals variety_size.
     """
 
     case: CaseTag
@@ -176,7 +171,7 @@ def solve_cubic(
     whose verification fields are always populated. Raises SingularM1Error
     for inputs whose M(1) is not safely positive definite, and
     VerificationError if the recovered measure misses the moments by more
-    than tolerances.accept or produces a density below tolerances.weight.
+    than tolerances.accept or produces a density below MIN_WEIGHT.
     """
     mass = beta[0, 0]
     certificate = normalize_cubic(beta)
@@ -185,7 +180,7 @@ def solve_cubic(
     table = monomial_table(*zip(*atoms), 3)  # covers every basis monomial and relation
     rho = _densities(table, ext.basis, certificate.normalized)
     smallest = float(rho.min())
-    if not smallest >= tolerances.weight:
+    if not smallest >= MIN_WEIGHT:
         # near-degenerate k < 0 sends one atom to infinity with density ~ k^4,
         # which is positive in exact arithmetic but numerically meaningless
         hint = (
@@ -194,9 +189,7 @@ def solve_cubic(
             if abs(ext.k) < 1e-2
             else ""
         )
-        raise VerificationError(
-            f"density {smallest:.3e} below {tolerances.weight:g}{hint}"
-        )
+        raise VerificationError(f"density {smallest:.3e} below {MIN_WEIGHT:g}{hint}")
     variety_residual = _variety_residual(ext.relations, table)
     if not variety_residual <= MAX_VARIETY_RESIDUAL:
         raise VerificationError(f"an atom violates a column relation by {variety_residual:.3e}")
@@ -216,7 +209,7 @@ def solve_cubic(
     report = SolveReport(
         case=ext.case,
         k=ext.k,
-        rank=numeric_rank(ext.m2.entries, tolerances.psd),
+        rank=len(ext.basis),
         variety_size=len(atoms),
         max_moment_residual=check.max_moment_residual,
         min_weight=check.min_weight,

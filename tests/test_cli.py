@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +65,6 @@ class TestSolve:
         assert "d2" in payload["error"]["message"]
         assert "atoms" not in payload
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_cubic_moment_exits_3(self, tmp_path, capsys):
         path = write_json(tmp_path, "req.json", {"beta": [1, 0, 0, 1, 0, 1, 0, 1e200, 0, 0]})
         code, out, _ = run_cli(capsys, ["solve", path, "--quiet"])
@@ -136,15 +136,12 @@ class TestSolve:
     @pytest.mark.parametrize(
         "tolerances, flags",
         [
-            ({"psd": "abc"}, []),
             ({"k": None}, []),
             ({"accept": True}, []),
-            ({"psd": -1}, []),
             ({"accept": 0}, []),
             ({"k": float("inf")}, []),
             ({"k": float("nan")}, []),
             ({"accept": 10**400}, []),
-            ({}, ["--tol-psd", "-1"]),
             ({}, ["--tol-k", "nan"]),
             ({}, ["--tol-accept", "inf"]),
         ],
@@ -157,6 +154,28 @@ class TestSolve:
             code, out, _ = run_cli(capsys, [command, str(path), *flags])
             assert code == 1
             assert "finite positive number" in json.loads(out)["error"]["message"]
+
+    def test_psd_tolerance_is_unknown(self, tmp_path, capsys):
+        path = write_json(tmp_path, "req.json", dict(KPOS_REQUEST, tolerances={"psd": 1e-10}))
+        code, out, _ = run_cli(capsys, ["solve", path, "--quiet"])
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == "unknown tolerance keys: ['psd']"
+        path = write_json(tmp_path, "req.json", KPOS_REQUEST)
+        with pytest.raises(SystemExit) as info:
+            main(["solve", path, "--tol-psd", "1e-10"])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --tol-psd" in capsys.readouterr().err
+
+    def test_rank_is_the_atom_count_at_small_k(self, tmp_path, capsys):
+        # k = 3e-10 is beyond tol_k, so the rank-4 k > 0 route gives four atoms,
+        # although M(2) has an eigenvalue of order k
+        path = write_json(tmp_path, "req.json", {"beta": [1, 0, 0, 1, 0, 1, 0, 1, 0, 3e-10]})
+        code, out, _ = run_cli(capsys, ["solve", path, "--quiet"])
+        assert code == 0
+        payload = json.loads(out)
+        diagnostics = payload["diagnostics"]
+        assert diagnostics["case"] == "k_pos"
+        assert len(payload["atoms"]) == diagnostics["rank"] == diagnostics["variety_size"] == 4
 
 
 class TestVerify:
@@ -212,7 +231,6 @@ class TestVerify:
         assert code == 1
         assert "finite" in json.loads(out)["error"]["message"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_atom_exits_3(self, tmp_path, capsys):
         req = write_json(tmp_path, "req.json", KPOS_REQUEST)
         atoms = [{"x": 1e200, "y": 0, "weight": 1}]  # x^2 overflows the float range
@@ -315,6 +333,18 @@ class TestConsoleEntry:
             text=True,
         )
         assert proc.returncode == 1
+
+    def test_overflow_prints_no_warning(self, tmp_path, capsys):
+        # the overflow reaches the output as a typed error or a nan residual, not as numpy noise
+        overflowing = write_json(tmp_path, "big.json", {"beta": [1, 0, 0, 1, 0, 1, 0, 1e140, 0, 0]})
+        req = write_json(tmp_path, "req.json", KPOS_REQUEST)
+        measure = write_json(tmp_path, "measure.json", {"atoms": [{"x": 1e200, "y": 0, "weight": 1}]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, ["solve", overflowing, "--quiet"])
+            assert code == 3 and "error" in json.loads(out)
+            code, out, _ = run_cli(capsys, ["verify", req, measure])
+            assert code == 3 and "max residual nan (EXCEEDS" in out
 
     def test_import_does_not_load_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

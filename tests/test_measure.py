@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cubicmoment import (
@@ -274,6 +276,24 @@ class TestSolveCubic:
         # an atom near x = 1e104 overflows x^3 in the solve's degree-3 monomial table
         with pytest.raises(VerificationError):
             solve_cubic(seq_from_a((1e104, 0, 1, 0)))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        a0=st.floats(-2, 2),
+        a1=st.one_of(st.floats(-2, -0.2), st.floats(0.2, 2)),
+        a2=st.floats(-2, 2),
+        u=st.integers(-1200, -600).map(lambda n: n / 100),  # float draws pile up at -12 and -6
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_rank_is_the_atom_count_near_k_zero(self, a0, a1, a2, u, sign):
+        # a3 puts k at +-10^u, on both sides of tol_k = 1e-10
+        a3 = (sign * 10.0**u - 1.0 - a0 * a2 + a1 * a1 + a2 * a2) / a1
+        try:
+            mu, report = solve_cubic(seq_from_a((a0, a1, a2, a3)))
+        except MomentProblemError:
+            return
+        assert report.rank == report.variety_size == len(mu.atoms)
+        assert (report.rank == 3) == (report.case is CaseTag.FLAT_K0)
 
     def test_variety_membership(self):
         for a in [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0.4, -0.9, 1.2, 0.5)]:
