@@ -5,6 +5,11 @@ quadratic moment matrix, this package constructs a quartic moment-matrix
 extension, recovers a 3- or 4-atomic representing measure, and emits a
 verifiable certificate: the extension matrices, the column relations that
 cut out the support, and the moment residuals of the recovered measure.
+
+The package is the solver, its command line and the paper's closed forms.
+The independent oracles the tests check it against (the Smul'jan block
+tests, the fixed-point reducer for Mx and My, the Riesz functional) live
+in tests/_oracle.py.
 """
 
 from .cubic import (
@@ -26,29 +31,18 @@ from .errors import (
     CommutatorError,
     ComplexAtomError,
     InconsistentRelationsError,
-    MissingRelationError,
     MomentProblemError,
-    RangeError,
     SingularM1Error,
     SingularVandermondeError,
     VerificationError,
 )
-from .linalg import (
-    SmuljanResult,
-    flat_completion,
-    joint_eigen,
-    numeric_rank,
-    psd_min_eig,
-    range_solve,
-    smuljan_classify,
-)
+from .linalg import joint_eigen
 from .measure import (
     DEFAULT_TOLERANCES,
     MeasureCheck,
     SolveReport,
     Tolerances,
     extract_atoms,
-    multiplication_matrices,
     solve_cubic,
     solve_densities,
     verify_measure,
@@ -60,11 +54,9 @@ from .moments import (
     MomentSequence,
     Monomial,
     build_moment_matrix,
-    column_of,
     monomial_index,
     monomial_table,
     monomials_up_to,
-    riesz,
 )
 from .normalize import (
     AffineMap,

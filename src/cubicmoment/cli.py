@@ -71,6 +71,8 @@ def _read_json(path: str):
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"invalid JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_request(obj) -> tuple[MomentSequence, dict, int | None]:
@@ -81,6 +83,8 @@ def _parse_request(obj) -> tuple[MomentSequence, dict, int | None]:
         raise _InputError(f'"beta" must hold exactly {BETA_LENGTH} numbers (degree-lex)')
     try:
         values = [float(v) for v in beta]
+    except OverflowError as exc:  # an int beyond the float range
+        raise _InputError('"beta" entries must be finite') from exc
     except (TypeError, ValueError) as exc:
         raise _InputError('"beta" entries must be numbers') from exc
     if not all(np.isfinite(values)):
@@ -94,8 +98,8 @@ def _parse_request(obj) -> tuple[MomentSequence, dict, int | None]:
     if unknown:
         raise _InputError(f"unknown tolerance keys: {sorted(unknown)}")
     seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise _InputError('"seed" must be an integer')
+    if seed is not None:
+        seed = _seed('"seed"', seed)
     return MomentSequence(3, np.array(values)), tols, seed
 
 
@@ -118,17 +122,25 @@ def _tolerance(key: str, value) -> float:
 
 
 def _resolve_seed(args, request_seed: int | None) -> int:
+    """Flag, then request body, then environment variable, then 0."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
+        return _seed("--seed", args.seed)
     if request_seed is not None:
         return request_seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise _InputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+            return _seed(SEED_ENV_VAR, int(env))
+        except ValueError:
+            return _seed(SEED_ENV_VAR, env)
     return 0
+
+
+def _seed(source: str, value) -> int:
+    # bool is an int subclass, and numpy rejects a negative seed with a ValueError
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise _InputError(f"{source} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _map_payload(affine) -> dict:
@@ -216,6 +228,8 @@ def _parse_measure(obj) -> AtomicMeasure:
     for entry in obj["atoms"]:
         try:
             atom = Atom(float(entry["x"]), float(entry["y"]), float(entry["weight"]))
+        except OverflowError as exc:  # an int beyond the float range
+            raise _InputError('atom "x", "y", "weight" must be finite') from exc
         except (TypeError, KeyError, ValueError) as exc:
             raise _InputError('each atom needs numeric "x", "y", "weight"') from exc
         if not all(map(math.isfinite, atom)):
@@ -265,9 +279,12 @@ def cmd_info(args) -> int:
         return _fail(EXIT_INPUT, str(exc))
     try:
         cert = normalize_cubic(beta)
+        k = compute_k(cert.a_vec)
+        case = classify_k(k, tol_k)
     except SingularM1Error as exc:
         return _fail(EXIT_SINGULAR, str(exc))
-    k = compute_k(cert.a_vec)
+    except MomentProblemError as exc:
+        return _fail(EXIT_VERIFY, str(exc))
     _emit(
         {
             "d2": cert.d2,
@@ -275,7 +292,7 @@ def cmd_info(args) -> int:
             "map": _map_payload(cert.map),
             "a_vec": list(cert.a_vec),
             "k": k,
-            "case": classify_k(k, tol_k).value,
+            "case": case.value,
             "normalized_beta": [float(v) for v in cert.normalized.values],
         }
     )

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentRelationsError, MissingRelationError, MomentProblemError
+from .errors import InconsistentRelationsError, MomentProblemError
 from .linalg import TOL_COMMUTE, commutator_norm
 from .moments import (
     MomentMatrix,
@@ -84,58 +84,17 @@ class ColumnRelation:
 
 
 def classify_k(k: float, tol_k: float = TOL_K) -> CaseTag:
-    """The extension route for the invariant k; ties within tol_k go to k = 0."""
+    """The extension route for the invariant k; ties within tol_k go to k = 0.
+
+    Raises MomentProblemError when k is not finite (the cubic moments overflow).
+    """
+    if not np.isfinite(k):
+        raise MomentProblemError(f"k = {k} is not finite: the cubic moments overflow")
     if abs(k) <= tol_k:
         return CaseTag.FLAT_K0
     if k > 0.0:
         return CaseTag.RECURSIVELY_DETERMINATE_K_POS
     return CaseTag.RANK_INCREASING_K_NEG
-
-
-def multiplication_matrices(
-    basis, relations: tuple[ColumnRelation, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of multiplication by x and by y on the column-space basis.
-
-    Column b of Mx (resp. My) holds the basis coordinates of x*b (resp.
-    y*b). Such a product s*b is a basis monomial, the target of a relation,
-    or o * (s*b / o) for the other variable o, whose coordinates are M_o
-    applied to those of s*b / o once the columns of M_o that needs are
-    filled. Raises MissingRelationError when the fill gets stuck and
-    MomentProblemError when a coefficient is not finite.
-
-    This is the general reducer for any basis and relation set. The three
-    extension routes write their matrices in closed form instead, and the
-    tests check those against this function.
-    """
-    basis = tuple(Monomial(*b) for b in basis)
-    known = dict(zip(basis, np.eye(len(basis))))
-    for rel in relations:
-        if not set(rel.combo) <= set(basis):
-            raise ValueError(f"relation for {rel.target} uses a non-basis monomial")
-        known[rel.target] = np.array([rel.combo.get(b, 0.0) for b in basis])
-    step = (Monomial(1, 0), Monomial(0, 1))
-    mats = np.zeros((2, len(basis), len(basis)))
-    filled = np.zeros((2, len(basis)), dtype=bool)
-    while not filled.all():
-        stuck = True
-        for s, col in np.argwhere(~filled):
-            o = 1 - s
-            m = Monomial(basis[col].i + step[s].i, basis[col].j + step[s].j)
-            parent = known.get((m.i - step[o].i, m.j - step[o].j))
-            if m not in known and parent is not None:
-                used = parent != 0
-                if filled[o][used].all():
-                    known[m] = mats[o][:, used] @ parent[used]
-            if m in known:
-                mats[s][:, col] = known[m]
-                filled[s, col], stuck = True, False
-        if stuck:
-            raise MissingRelationError(f"cannot express every x*b and y*b over basis {basis}")
-    if not np.isfinite(mats).all():
-        raise MomentProblemError("a multiplication matrix has a non-finite entry")
-    mats.setflags(write=False)
-    return mats[0], mats[1]
 
 
 @dataclass(frozen=True)
@@ -174,9 +133,9 @@ class ExtensionResult:
 def _extension(case, k, moments, basis, relations, mx, my, **extra) -> ExtensionResult:
     """The certificate with Mx, My given column by column: mx[b] holds the coordinates of x*b.
 
-    Each route writes these columns in closed form; they equal what
-    multiplication_matrices(basis, relations) finds, bit for bit (adding
-    0.0 stores a zero as +0.0, as the reducer does).
+    Each route writes these columns in closed form; they equal what the
+    general fixed-point reducer finds from basis and relations, bit for bit
+    (adding 0.0 stores a zero as +0.0, as the reducer does).
     """
     mats = np.array([mx, my]).transpose(0, 2, 1).copy() + 0.0
     if not np.isfinite(mats).all():
@@ -383,16 +342,16 @@ _SOS_U = np.array([1.0, 0.0, 0.0, -1.0, -1.0, 1.0, 1.0])
 SOS_GRAM = np.outer(_SOS_U, _SOS_U) + np.diag([0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
-def sos_certificate_check(a, tol: float = 1e-9) -> bool:
+def sos_certificate_check(a) -> bool:
     """Check y^T R y = beta04_formula(a) - 1 >= 0 for the fixed Gram matrix R.
 
-    y = (1, a2, a3, a1^2, a2^2, a0 a2, a1 a3). Certifies that the k < 0
-    completion always has beta_04 >= 1.
+    y = (1, a2, a3, a1^2, a2^2, a0 a2, a1 a3), and the identity must hold
+    to 1e-9. Certifies that the k < 0 completion always has beta_04 >= 1.
     """
     a0, a1, a2, a3 = map(float, a)
     y = np.array([1.0, a2, a3, a1 * a1, a2 * a2, a0 * a2, a1 * a3])
     quad = float(y @ SOS_GRAM @ y)
-    return abs(quad - (beta04_formula(a) - 1.0)) <= tol and quad >= -1e-12
+    return abs(quad - (beta04_formula(a) - 1.0)) <= 1e-9 and quad >= -1e-12
 
 
 def extend(a, tol_k: float = TOL_K) -> ExtensionResult:
@@ -401,8 +360,6 @@ def extend(a, tol_k: float = TOL_K) -> ExtensionResult:
     Raises MomentProblemError when k is not finite (the cubic moments overflow).
     """
     k = compute_k(a)
-    if not np.isfinite(k):
-        raise MomentProblemError(f"k = {k} is not finite: the cubic moments overflow")
     route = {
         CaseTag.FLAT_K0: extend_k0,
         CaseTag.RECURSIVELY_DETERMINATE_K_POS: extend_kpos,

@@ -19,23 +19,12 @@ class SingularM1Error(MomentProblemError):
         )
 
 
-class RangeError(MomentProblemError):
-    """The off-diagonal block is not in the range of the diagonal block.
-
-    By the block positivity criterion this rules out any positive extension.
-    """
-
-
 class CommutatorError(MomentProblemError):
     """The multiplication matrices fail to commute within tolerance."""
 
 
 class ComplexAtomError(MomentProblemError):
     """The joint spectrum is not real; signals upstream inconsistency."""
-
-
-class MissingRelationError(MomentProblemError):
-    """A monomial product cannot be rewritten over the column-space basis."""
 
 
 class InconsistentRelationsError(MomentProblemError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import TOL_K, CaseTag, ColumnRelation, ExtensionResult, extend, multiplication_matrices
+from .cubic import TOL_K, CaseTag, ColumnRelation, ExtensionResult, extend
 from .errors import SingularVandermondeError, VerificationError
 from .linalg import commutator_norm, joint_eigen
 from .moments import Atom, AtomicMeasure, MomentSequence, monomial_index, monomial_table
@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "SolveReport",
     "MeasureCheck",
-    "multiplication_matrices",
     "extract_atoms",
     "solve_densities",
     "verify_measure",

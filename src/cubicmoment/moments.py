@@ -24,8 +24,6 @@ __all__ = [
     "MomentMatrix",
     "build_moment_matrix",
     "monomial_table",
-    "riesz",
-    "column_of",
     "Atom",
     "AtomicMeasure",
 ]
@@ -192,33 +190,6 @@ def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:
     if weights is not None:
         x_pow = np.asarray(weights, dtype=float)[:, None] * x_pow
     return x_pow[:, i] * y_pow[:, j]
-
-
-def riesz(beta: MomentSequence, p: np.ndarray) -> float:
-    """Riesz functional: replace each monomial of p by the matching moment.
-
-    p is a dense degree-lex coefficient vector; a shorter vector than the
-    sequence covers the lower degrees only.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.size > beta.values.size:
-        raise ValueError(
-            f"{p.size} coefficients exceed the {beta.values.size} available moments"
-        )
-    return float(beta.values[: p.size] @ p)
-
-
-def column_of(M: MomentMatrix, p: np.ndarray) -> np.ndarray:
-    """Functional-calculus column p(X, Y) = M(d) @ p_hat.
-
-    p is a dense degree-lex coefficient vector of at most M.side entries.
-    The polynomial vanishes as a column, p(X, Y) = 0, exactly when its
-    coefficient vector lies in the kernel of M(d).
-    """
-    p = np.asarray(p, dtype=float)
-    if p.size > M.side:
-        raise ValueError(f"{p.size} coefficients exceed the {M.side} columns of M({M.degree})")
-    return M.entries[:, : p.size] @ p
 
 
 class Atom(NamedTuple):

@@ -78,7 +78,7 @@ def minors(beta: MomentSequence) -> tuple[float, float]:
     return d2, d3
 
 
-def degree_one_coeffs(beta: MomentSequence, tol: float = SINGULAR_RTOL) -> AffineMap:
+def degree_one_coeffs(beta: MomentSequence) -> AffineMap:
     """The six coefficients whose map normalizes M(1) to the identity.
 
     With d2 and d3 the leading minors of M(1):
@@ -89,19 +89,21 @@ def degree_one_coeffs(beta: MomentSequence, tol: float = SINGULAR_RTOL) -> Affin
         e = 1 / sqrt(d2)        f = 0
 
     so the linear determinant b*f - c*e = 1/sqrt(d3) is never zero. Raises
-    SingularM1Error when either minor fails to clear tol relative to the
-    largest degree-<=2 moment magnitude.
+    SingularM1Error when either minor fails to clear SINGULAR_RTOL relative
+    to the largest degree-<=2 moment magnitude.
     """
-    return _normalizing_map(beta, *minors(beta), tol)
+    return _normalizing_map(beta, *minors(beta))
 
 
-def _normalizing_map(beta: MomentSequence, d2: float, d3: float, tol: float) -> AffineMap:
+def _normalizing_map(beta: MomentSequence, d2: float, d3: float) -> AffineMap:
     m1 = beta.values[:6].tolist()  # the moments of degree <= 2, the entries of M(1)
-    threshold = tol * max(map(abs, m1))
+    threshold = SINGULAR_RTOL * max(map(abs, m1))
     if d2 <= threshold:
         raise SingularM1Error("d2", d2)
     if d3 <= threshold:
         raise SingularM1Error("d3", d3)
+    if not (math.isfinite(d2) and math.isfinite(d3)):  # else the map degenerates
+        raise MomentProblemError(f"the minors of M(1) overflow: d2 = {d2:.6g}, d3 = {d3:.6g}")
     _, b10, b01, b20, b11, _ = m1
     s23 = math.sqrt(d2 * d3)
     s2 = math.sqrt(d2)
@@ -190,7 +192,7 @@ class NormalizationCertificate:
     a_vec: tuple[float, float, float, float]
 
 
-def normalize_cubic(beta: MomentSequence, tol: float = SINGULAR_RTOL) -> NormalizationCertificate:
+def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
     """Rescale to beta_00 = 1, normalize M(1) to the identity, and certify.
 
     Applied unconditionally (already-normalized input maps through
@@ -200,12 +202,14 @@ def normalize_cubic(beta: MomentSequence, tol: float = SINGULAR_RTOL) -> Normali
     if beta.degree != 3:
         raise ValueError("normalization expects a degree-3 sequence")
     scaled = beta.rescaled(1.0 / beta[0, 0])
+    if not np.isfinite(scaled.values).all():
+        raise MomentProblemError(f"rescaling by 1 / beta_00 = {1.0 / beta[0, 0]:.3e} overflows")
     d2, d3 = minors(scaled)
-    psi = _normalizing_map(scaled, d2, d3, tol)
+    psi = _normalizing_map(scaled, d2, d3)
     normalized = transform_sequence(scaled, psi)
     # the entries of M(1) are the moments of degree <= 2: (1, 0, 0, 1, 0, 1) for M(1) = I
     defect = float(np.abs(normalized.values[:6] - (1.0, 0.0, 0.0, 1.0, 0.0, 1.0)).max())
-    if defect > 1e-10:
+    if not defect <= 1e-10:  # also rejects a NaN defect
         raise MomentProblemError(
             f"normalization failed to reach M(1) = I (defect {defect:.3e})"
         )

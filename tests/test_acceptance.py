@@ -19,10 +19,6 @@ from cubicmoment import (
     build_moment_matrix,
     compute_k,
     extend_kneg,
-    multiplication_matrices,
-    numeric_rank,
-    psd_min_eig,
-    smuljan_classify,
     solve_cubic,
     sos_certificate_check,
     transform_sequence,
@@ -31,6 +27,7 @@ from cubicmoment.cli import main as cli_main, random_request
 from cubicmoment.cubic import SOS_GRAM, ColumnRelation, Monomial
 from cubicmoment.measure import verify_measure
 
+from _oracle import multiplication_matrices, numeric_rank, psd_min_eig, smuljan_classify
 from _util import is_hankel, match_points, seq_from_a
 
 SUITE_SIZE = 1000

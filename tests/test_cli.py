@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubicmoment.cli import main
+from cubicmoment import Atom, AtomicMeasure
+from cubicmoment.cli import main, random_request
 
 KPOS_REQUEST = {"beta": [1, 0, 0, 1, 0, 1, 0, 0, 0, 0]}
 K0_REQUEST = {"beta": [1, 0, 0, 1, 0, 1, 0, 1, 0, 0]}
@@ -98,6 +104,18 @@ class TestSolve:
         code, _, _ = run_cli(capsys, ["solve", "/nonexistent/req.json", "--quiet"])
         assert code == 1
 
+    def test_int_beyond_float_range_exits_1(self, tmp_path, capsys):
+        path = write_json(tmp_path, "req.json", {"beta": [1, 0, 0, 1, 0, 1, 0, 10**400, 0, 0]})
+        for argv in (["solve", path, "--quiet"], ["info", path]):
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 1
+            assert json.loads(out)["error"]["message"] == '"beta" entries must be finite'
+        req = write_json(tmp_path, "ok.json", KPOS_REQUEST)
+        measure = write_json(tmp_path, "measure.json", {"atoms": [{"x": 10**400, "y": 0, "weight": 1}]})
+        code, out, _ = run_cli(capsys, ["verify", req, measure])
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == 'atom "x", "y", "weight" must be finite'
+
     def test_emit_matrices(self, tmp_path, capsys):
         path = write_json(tmp_path, "req.json", KNEG_REQUEST)
         code, out, _ = run_cli(capsys, ["solve", path, "--quiet", "--emit-matrices"])
@@ -154,6 +172,36 @@ class TestSolve:
             code, out, _ = run_cli(capsys, [command, str(path), *flags])
             assert code == 1
             assert "finite positive number" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "request_seed, argv, env_seed",
+        [
+            (-1, ["solve"], None),
+            (True, ["solve"], None),
+            (None, ["solve", "--seed", "-1"], None),
+            (None, ["solve"], "-3"),
+            (None, ["random", "--seed", "-1"], None),
+        ],
+    )
+    def test_malformed_seed_exits_1(self, tmp_path, capsys, monkeypatch, request_seed, argv, env_seed):
+        if env_seed is not None:
+            monkeypatch.setenv("MOMENT_SOLVER_SEED", env_seed)
+        request = KPOS_REQUEST if request_seed is None else dict(KPOS_REQUEST, seed=request_seed)
+        path = write_json(tmp_path, "req.json", request)
+        inputs = [path, "--quiet"] if argv[0] == "solve" else []
+        code, out, _ = run_cli(capsys, [*argv, *inputs])
+        assert code == 1
+        assert "non-negative integer" in json.loads(out)["error"]["message"]
+
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + json.dumps(KPOS_REQUEST).encode("utf-16-le"))
+        good = write_json(tmp_path, "req.json", KPOS_REQUEST)
+        measure = write_json(tmp_path, "measure.json", {"atoms": []})
+        for argv in (["solve", str(bad)], ["info", str(bad)], ["verify", str(bad), measure], ["verify", good, str(bad)]):
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 1
+            assert "UTF-8" in json.loads(out)["error"]["message"]
 
     def test_psd_tolerance_is_unknown(self, tmp_path, capsys):
         path = write_json(tmp_path, "req.json", dict(KPOS_REQUEST, tolerances={"psd": 1e-10}))
@@ -290,6 +338,33 @@ class TestInfo:
         code, _, _ = run_cli(capsys, ["info", path])
         assert code == 2
 
+    def test_normalization_fault_exits_3_like_solve(self, tmp_path, capsys):
+        # four atoms of weight 1/4 translated by 1e4: M(1) is too ill-conditioned to map to I
+        points = [(0.3, 0.1), (-0.7, 0.4), (0.2, -0.9), (0.5, 0.6)]
+        mu = AtomicMeasure(tuple(Atom(x + 1e4, y + 1e4, 0.25) for x, y in points))
+        path = write_json(tmp_path, "req.json", {"beta": mu.moments(3).values.tolist()})
+        code, info_out, _ = run_cli(capsys, ["info", path])
+        assert code == 3
+        assert "M(1) = I" in json.loads(info_out)["error"]["message"]
+        code, solve_out, _ = run_cli(capsys, ["solve", path, "--quiet"])
+        assert (code, solve_out) == (3, info_out)
+
+    @pytest.mark.parametrize(
+        "beta, message",
+        [
+            ([1e-320, 0, 0, 1, 0, 1, 0, 0, 0, 0], "rescaling by 1 / beta_00"),
+            ([1.9055892520074806e-281, 1, 0, 3.4256647162012635e27, 0, 0, 0, 0, 0, 0], "rescaling"),
+            ([1, 0, 0, 1e300, 0, 1e300, 0, 0, 0, 0], "minors of M(1) overflow"),
+            ([1, 0, 0, 1, 0, 1, 0, 1e200, 0, 0], "k = -inf is not finite"),
+        ],
+    )
+    def test_overflowing_normalization_exits_3(self, tmp_path, capsys, beta, message):
+        path = write_json(tmp_path, "req.json", {"beta": beta})
+        for argv in (["info", path], ["solve", path, "--quiet"]):
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 3
+            assert message in json.loads(out)["error"]["message"]
+
     def test_tol_k_resolves_like_solve(self, tmp_path, capsys):
         # k = 0.3: a request tol_k of 0.5 sends it to k_zero, unless a flag overrides it
         request = {"beta": [1, 0, 0, 1, 0, 1, 0, 1, 0, 0.3], "tolerances": {"k": 0.5}}
@@ -313,6 +388,49 @@ class TestSelfConsistency:
             measure = write_json(tmp_path, "measure.json", json.loads(out))
             code, _, _ = run_cli(capsys, ["verify", req, measure])
             assert code == 0
+
+
+JSON_VALUES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.integers(),
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+)
+REQUESTS = st.fixed_dictionaries(
+    {
+        "beta": st.one_of(
+            st.lists(JSON_VALUES, max_size=12),
+            st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=10, max_size=10),
+            st.builds(lambda n, seed: random_request(n, seed)["beta"], st.integers(3, 5), st.integers(0, 999)),
+        )
+    },
+    optional={
+        "seed": st.one_of(st.integers(max_value=-1), st.booleans(), st.text(max_size=4)),
+        "tolerances": st.dictionaries(
+            st.one_of(st.sampled_from(["k", "accept"]), st.text(max_size=4)), JSON_VALUES, max_size=3
+        ),
+    },
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestProperty:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(request=REQUESTS)
+    def test_every_request_gets_one_json_answer(self, request):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "req.json"
+            path.write_text(json.dumps(request))
+            for argv in (["solve", str(path), "--quiet"], ["info", str(path)]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                assert code in (0, 1, 2, 3)
+                json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 class TestConsoleEntry:

@@ -7,20 +7,17 @@ from cubicmoment import (
     MomentProblemError,
     beta04_formula,
     build_m3_kneg,
-    column_of,
     compute_k,
     extend,
     extend_k0,
     extend_kneg,
     extend_kpos,
-    numeric_rank,
-    psd_min_eig,
-    smuljan_classify,
     sos_certificate_check,
     x3_relation,
 )
 from cubicmoment.cubic import SOS_GRAM
 
+from _oracle import column_of, numeric_rank, psd_min_eig, smuljan_classify
 from _util import is_hankel, quartics_of
 
 

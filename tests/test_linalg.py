@@ -7,16 +7,18 @@ from numpy.testing import assert_allclose
 from cubicmoment import (
     CommutatorError,
     ComplexAtomError,
-    RangeError,
     extend_k0,
-    flat_completion,
     joint_eigen,
+)
+
+from _oracle import (
+    RangeError,
+    flat_completion,
     numeric_rank,
     psd_min_eig,
     range_solve,
     smuljan_classify,
 )
-
 from _util import b2_block, gram_expected, match_points, random_orthogonal
 
 

@@ -11,7 +11,6 @@ from cubicmoment import (
     Atom,
     AtomicMeasure,
     CaseTag,
-    MissingRelationError,
     MomentProblemError,
     MomentSequence,
     SingularM1Error,
@@ -24,7 +23,6 @@ from cubicmoment import (
     extend_kpos,
     extract_atoms,
     monomial_table,
-    multiplication_matrices,
     solve_cubic,
     solve_densities,
     verify_measure,
@@ -33,6 +31,7 @@ from cubicmoment import measure
 from cubicmoment.cubic import ColumnRelation, Monomial
 from cubicmoment.cli import random_request
 
+from _oracle import MissingRelationError, multiplication_matrices
 from _util import match_points, seq_from_a
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0

@@ -11,14 +11,13 @@ from cubicmoment import (
     AtomicMeasure,
     MomentSequence,
     build_moment_matrix,
-    column_of,
     monomial_index,
     monomial_table,
     monomials_up_to,
-    riesz,
 )
 from cubicmoment.moments import sequence_length
 
+from _oracle import column_of, riesz
 from _util import seq_from_a
 
 

@@ -16,11 +16,11 @@ from cubicmoment import (
     degree_one_coeffs,
     minors,
     normalize_cubic,
-    numeric_rank,
     pullback_measure,
     transform_sequence,
 )
 
+from _oracle import numeric_rank
 from _util import seq_from_a
 
 
