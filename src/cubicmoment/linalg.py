@@ -7,6 +7,8 @@ The matrices are 3x3 or 4x4, so plain dense LAPACK routines are used.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import CommutatorError, ComplexAtomError, MomentProblemError
@@ -20,11 +22,7 @@ def commutator_norm(Mx, My) -> float:
     return float(np.abs(Mx @ My - My @ Mx).max(initial=0.0))
 
 
-def joint_eigen(
-    Mx,
-    My,
-    rng: np.random.Generator | None = None,
-) -> list[tuple[float, float]]:
+def joint_eigen(Mx, My, seed=0) -> list[tuple[float, float]]:
     """Joint eigenvalue pairs of two commuting real matrices.
 
     Parameters
@@ -32,9 +30,9 @@ def joint_eigen(
     Mx, My : array_like
         Square real matrices of equal size, commuting within TOL_COMMUTE
         (relative to the largest entry magnitude).
-    rng : numpy Generator, optional
-        Source of the random combination coefficient; a fixed default seed
-        is used when omitted, so calls are reproducible.
+    seed : int, sequence, SeedSequence or None, default 0
+        Seed of c = np.random.default_rng(seed).uniform(0.2, 0.8), memoised
+        per int seed; None draws fresh entropy on every call.
 
     Returns
     -------
@@ -56,15 +54,14 @@ def joint_eigen(
     My = np.asarray(My, dtype=float)
     if Mx.ndim != 2 or Mx.shape[0] != Mx.shape[1] or Mx.shape != My.shape:
         raise ValueError("Mx and My must be square matrices of equal size")
-    scale = max(1.0, float(np.abs(Mx).max(initial=0.0)), float(np.abs(My).max(initial=0.0)))
+    M = np.array((Mx, My))  # each slice of the stack multiplies as its own matrix
+    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     commutator = commutator_norm(Mx, My)
     if not commutator <= TOL_COMMUTE * scale:  # also rejects a NaN commutator
         raise CommutatorError(
             f"multiplication matrices do not commute (max entry {commutator:.3e})"
         )
-    if rng is None:
-        rng = np.random.default_rng(0)
-    c = rng.uniform(0.2, 0.8)
+    c = _combination_coefficient(seed)
     lam, V = np.linalg.eig(c * Mx + (1.0 - c) * My)
     if float(np.abs(lam.imag).max()) > 1e-6 * max(1.0, float(np.abs(lam).max())):
         raise ComplexAtomError("joint spectrum is not real")
@@ -73,15 +70,23 @@ def joint_eigen(
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise MomentProblemError("the combination has no eigenvector basis") from exc
-    x = np.diag(V_inv @ Mx @ V)
-    y = np.diag(V_inv @ My @ V)
+    xy = np.diagonal(V_inv @ M @ V, axis1=1, axis2=2)  # rows x and y
     V = V / np.linalg.norm(V, axis=0)
-    residual = max(
-        float(np.linalg.norm(Mx @ V - V * x, axis=0).max()),
-        float(np.linalg.norm(My @ V - V * y, axis=0).max()),
-    )
+    residual = float(np.linalg.norm(M @ V - V * xy[:, None, :], axis=1).max())
     if not residual <= TOL_EIG * scale:  # also rejects a NaN residual
         raise MomentProblemError(
             f"joint eigenvector residual {residual:.3e} exceeds {TOL_EIG:g} of scale {scale:.3g}"
         )
-    return [(float(xi), float(yi)) for xi, yi in zip(x, y)]
+    return list(zip(*xy.tolist()))
+
+
+def _combination_coefficient(seed) -> float:
+    """c = np.random.default_rng(seed).uniform(0.2, 0.8), memoised for int seeds only."""
+    if isinstance(seed, (int, np.integer)):
+        return _int_seed_coefficient(int(seed))
+    return np.random.default_rng(seed).uniform(0.2, 0.8)
+
+
+@functools.lru_cache(maxsize=1024)
+def _int_seed_coefficient(seed: int) -> float:
+    return np.random.default_rng(seed).uniform(0.2, 0.8)

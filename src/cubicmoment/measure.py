@@ -88,17 +88,15 @@ class MeasureCheck:
     variety_residual: float
 
 
-def extract_atoms(
-    ext: ExtensionResult, rng: np.random.Generator | None = None
-) -> list[tuple[float, float]]:
+def extract_atoms(ext: ExtensionResult, seed=0) -> list[tuple[float, float]]:
     """Atoms of the representing measure: the joint spectrum of (Mx, My).
 
-    Returns the pairs sorted by (x, y). Flat extensions have distinct
-    atoms, so two atoms closer than MIN_ATOM_SEPARATION in the max norm
-    signal an upstream failure and raise SingularVandermondeError, as does
-    a NaN gap.
+    seed is joint_eigen's. Returns the pairs sorted by (x, y). Flat
+    extensions have distinct atoms, so two atoms closer than
+    MIN_ATOM_SEPARATION in the max norm signal an upstream failure and
+    raise SingularVandermondeError, as does a NaN gap.
     """
-    pairs = sorted(joint_eigen(ext.mx, ext.my, rng=rng))
+    pairs = sorted(joint_eigen(ext.mx, ext.my, seed=seed))
     sep = MIN_ATOM_SEPARATION
     for n, (x, y) in enumerate(pairs):
         for u, v in pairs[n + 1 :]:
@@ -167,7 +165,8 @@ def solve_cubic(
     """Recover a 3- or 4-atomic representing measure for a degree-3 sequence.
 
     Returns the measure in the original coordinates together with a report
-    whose verification fields are always populated. Raises SingularM1Error
+    whose verification fields are always populated. seed fixes the
+    combination coefficient of joint_eigen. Raises SingularM1Error
     for inputs whose M(1) is not safely positive definite, and
     VerificationError if the recovered measure misses the moments by more
     than tolerances.accept or produces a density below MIN_WEIGHT.
@@ -175,7 +174,7 @@ def solve_cubic(
     mass = beta[0, 0]
     certificate = normalize_cubic(beta)
     ext = extend(certificate.a_vec, tol_k=tolerances.k)
-    atoms = extract_atoms(ext, rng=np.random.default_rng(seed))
+    atoms = extract_atoms(ext, seed=seed)
     table = monomial_table(*zip(*atoms), 3)  # covers every basis monomial and relation
     rho = _densities(table, ext.basis, certificate.normalized)
     smallest = float(rho.min())
@@ -192,13 +191,9 @@ def solve_cubic(
     variety_residual = _variety_residual(ext.relations, table)
     if not variety_residual <= MAX_VARIETY_RESIDUAL:
         raise VerificationError(f"an atom violates a column relation by {variety_residual:.3e}")
-    mu_normalized = AtomicMeasure(
-        tuple(Atom(x, y, float(w)) for (x, y), w in zip(atoms, rho))
-    )
-    pulled = pullback_measure(mu_normalized, certificate.map)
-    mu = AtomicMeasure(
-        tuple(sorted(Atom(a.x, a.y, a.weight * mass) for a in pulled.atoms))
-    )
+    # the mass multiplies the weights before the pullback, which leaves them as they are
+    weighted = AtomicMeasure(tuple(map(Atom, *zip(*atoms), (rho * mass).tolist())))
+    mu = AtomicMeasure(tuple(sorted(pullback_measure(weighted, certificate.map).atoms)))
     check = verify_measure(mu, beta)
     if not check.max_moment_residual <= tolerances.accept:
         raise VerificationError(

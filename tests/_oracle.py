@@ -11,6 +11,14 @@ extension keeps rank A ("flat") exactly when C = W^T A W.
 multiplication_matrices is the general fixed-point reducer for Mx, My on
 any basis and relation set; riesz and column_of are the Riesz functional
 and the column functional calculus on dense degree-lex vectors.
+
+joint_eigen_reference reads the joint spectrum one matrix at a time: two
+triple products and two residual norms, with c drawn from a fresh
+generator. The solver does the same arithmetic on one (2, n, n) stack and
+memoises c, so the tests require equal results. They differ only where
+the tests' inputs never go: the reference's Python max over the two
+residuals drops a NaN My residual that follows a finite Mx one, and the
+solver's single array max rejects it.
 """
 
 from __future__ import annotations
@@ -19,7 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cubicmoment import ColumnRelation, MomentMatrix, MomentProblemError, MomentSequence, Monomial
+from cubicmoment import (
+    ColumnRelation,
+    CommutatorError,
+    ComplexAtomError,
+    MomentMatrix,
+    MomentProblemError,
+    MomentSequence,
+    Monomial,
+)
+from cubicmoment.linalg import TOL_COMMUTE, TOL_EIG, commutator_norm
 
 TOL_PSD = 1e-10
 TOL_RANGE = 1e-9
@@ -215,4 +232,45 @@ def column_of(M: MomentMatrix, p: np.ndarray) -> np.ndarray:
     if p.size > M.side:
         raise ValueError(f"{p.size} coefficients exceed the {M.side} columns of M({M.degree})")
     return M.entries[:, : p.size] @ p
+
+
+def joint_eigen_reference(
+    Mx,
+    My,
+    rng: np.random.Generator | None = None,
+) -> list[tuple[float, float]]:
+    """Joint eigenvalue pairs of two commuting real matrices, one matrix at a time."""
+    Mx = np.asarray(Mx, dtype=float)
+    My = np.asarray(My, dtype=float)
+    if Mx.ndim != 2 or Mx.shape[0] != Mx.shape[1] or Mx.shape != My.shape:
+        raise ValueError("Mx and My must be square matrices of equal size")
+    scale = max(1.0, float(np.abs(Mx).max(initial=0.0)), float(np.abs(My).max(initial=0.0)))
+    commutator = commutator_norm(Mx, My)
+    if not commutator <= TOL_COMMUTE * scale:  # also rejects a NaN commutator
+        raise CommutatorError(
+            f"multiplication matrices do not commute (max entry {commutator:.3e})"
+        )
+    if rng is None:
+        rng = np.random.default_rng(0)
+    c = rng.uniform(0.2, 0.8)
+    lam, V = np.linalg.eig(c * Mx + (1.0 - c) * My)
+    if float(np.abs(lam.imag).max()) > 1e-6 * max(1.0, float(np.abs(lam).max())):
+        raise ComplexAtomError("joint spectrum is not real")
+    V = V.real
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError as exc:
+        raise MomentProblemError("the combination has no eigenvector basis") from exc
+    x = np.diag(V_inv @ Mx @ V)
+    y = np.diag(V_inv @ My @ V)
+    V = V / np.linalg.norm(V, axis=0)
+    residual = max(
+        float(np.linalg.norm(Mx @ V - V * x, axis=0).max()),
+        float(np.linalg.norm(My @ V - V * y, axis=0).max()),
+    )
+    if not residual <= TOL_EIG * scale:  # also rejects a NaN residual
+        raise MomentProblemError(
+            f"joint eigenvector residual {residual:.3e} exceeds {TOL_EIG:g} of scale {scale:.3g}"
+        )
+    return [(float(xi), float(yi)) for xi, yi in zip(x, y)]
 

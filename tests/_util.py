@@ -2,13 +2,27 @@
 
 import numpy as np
 
-from cubicmoment import MomentMatrix, MomentSequence
+from cubicmoment import MomentMatrix, MomentSequence, compute_k
+
+SUITE_SIZE = 1000
+K0_HAND_POINTS = [(0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, -0.7)]  # k = 0 exactly
 
 
 def seq_from_a(a) -> MomentSequence:
     """Normalized degree-3 sequence with cubic moments a = (a0, a1, a2, a3)."""
     a0, a1, a2, a3 = (float(v) for v in a)
     return MomentSequence(3, np.array([1, 0, 0, 1, 0, 1, a0, a1, a2, a3], dtype=float))
+
+
+def acceptance_draws() -> list[tuple]:
+    """The acceptance suite's inputs: SUITE_SIZE seeded a in [-2, 2]^4 with |k| >= 0.05, then K0_HAND_POINTS."""
+    rng = np.random.default_rng(0)
+    draws = []
+    while len(draws) < SUITE_SIZE:
+        a = tuple(rng.uniform(-2, 2, 4))
+        if abs(compute_k(a)) >= 0.05:
+            draws.append(a)
+    return draws + K0_HAND_POINTS
 
 
 def b2_block(a) -> np.ndarray:

@@ -28,10 +28,7 @@ from cubicmoment.cubic import SOS_GRAM, ColumnRelation, Monomial
 from cubicmoment.measure import verify_measure
 
 from _oracle import multiplication_matrices, numeric_rank, psd_min_eig, smuljan_classify
-from _util import is_hankel, match_points, seq_from_a
-
-SUITE_SIZE = 1000
-K0_HAND_POINTS = [(0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, -0.7)]  # k = 0 exactly
+from _util import K0_HAND_POINTS, acceptance_draws, is_hankel, match_points, seq_from_a
 
 
 def _check(criterion: str, ok: bool, detail: str = "") -> None:
@@ -51,16 +48,9 @@ def random_suite():
     weight floor (one atom escapes to infinity as k -> 0-), so no
     implementation can return it as a positive-weight atom in floats.
     """
-    rng = np.random.default_rng(0)
-    draws = []
-    while len(draws) < SUITE_SIZE:
-        a = tuple(rng.uniform(-2, 2, 4))
-        if abs(compute_k(a)) >= 0.05:
-            draws.append(a)
-    draws += K0_HAND_POINTS
     rows = []
     solve_seconds = 0.0
-    for a in draws:
+    for a in acceptance_draws():
         beta = seq_from_a(a)
         start = time.perf_counter()
         mu, report = solve_cubic(beta, seed=1)

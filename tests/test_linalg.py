@@ -7,19 +7,27 @@ from numpy.testing import assert_allclose
 from cubicmoment import (
     CommutatorError,
     ComplexAtomError,
+    MomentProblemError,
+    MomentSequence,
+    extend,
     extend_k0,
+    extend_kpos,
     joint_eigen,
+    normalize_cubic,
 )
+from cubicmoment import linalg
+from cubicmoment.cli import random_request
 
 from _oracle import (
     RangeError,
     flat_completion,
+    joint_eigen_reference,
     numeric_rank,
     psd_min_eig,
     range_solve,
     smuljan_classify,
 )
-from _util import b2_block, gram_expected, match_points, random_orthogonal
+from _util import acceptance_draws, b2_block, gram_expected, match_points, random_orthogonal, seq_from_a
 
 
 class TestPsdMinEig:
@@ -208,6 +216,61 @@ class TestJointEigen:
     def test_reproducible_with_explicit_rng(self):
         mx = np.diag([0.3, 1.7, -2.2])
         my = np.diag([1.0, -1.0, 0.5])
-        first = joint_eigen(mx, my, rng=np.random.default_rng(123))
-        second = joint_eigen(mx, my, rng=np.random.default_rng(123))
+        first = joint_eigen(mx, my, seed=123)
+        second = joint_eigen(mx, my, seed=123)
         assert first == second
+
+
+class TestCombinationSeed:
+    """joint_eigen draws c = default_rng(seed).uniform(0.2, 0.8), memoised for int seeds only."""
+
+    # a k > 0 pair whose eigenvectors, and so the last bits of the pairs, depend on c
+    EXT = extend_kpos((0.4, 0.3, 0.2, 0.5))
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 123, 2**40])
+    def test_int_seed_draws_the_generator_value(self, seed):
+        expected = np.random.default_rng(seed).uniform(0.2, 0.8)
+        assert linalg._combination_coefficient(seed) == expected
+        assert linalg._combination_coefficient(seed) == expected  # now from the memo
+
+    def test_numpy_int_is_the_python_int(self):
+        assert linalg._combination_coefficient(np.int64(5)) == linalg._combination_coefficient(5)
+        assert joint_eigen(self.EXT.mx, self.EXT.my, seed=np.int64(5)) == joint_eigen(
+            self.EXT.mx, self.EXT.my, seed=5
+        )
+
+    def test_sequence_seed_draws_the_generator_value(self):
+        pairs = joint_eigen(self.EXT.mx, self.EXT.my, seed=[1, 2])
+        assert pairs == joint_eigen_reference(self.EXT.mx, self.EXT.my, rng=np.random.default_rng([1, 2]))
+
+    def test_memo_is_bounded(self):
+        assert linalg._int_seed_coefficient.cache_info().maxsize is not None
+
+
+def _outcome(fn, *args, **kwargs):
+    """The return value, or the type and message of the MomentProblemError raised."""
+    try:
+        return fn(*args, **kwargs)
+    except MomentProblemError as exc:
+        return type(exc), str(exc)
+
+
+def test_joint_eigen_equals_loop_reading():
+    # the stacked reading does the reference's arithmetic, so the pairs and
+    # every gate's verdict and message are equal, not merely close
+    inputs = [(seq_from_a(a), 1) for a in acceptance_draws()]
+    for n in range(3, 6):
+        for s in range(100):
+            request = random_request(n, s)
+            inputs.append((MomentSequence(3, np.array(request["beta"])), request["seed"]))
+    compared = 0
+    for beta, seed in inputs:
+        try:
+            ext = extend(normalize_cubic(beta).a_vec)
+        except MomentProblemError:
+            continue
+        stacked = _outcome(joint_eigen, ext.mx, ext.my, seed=seed)
+        loop = _outcome(joint_eigen_reference, ext.mx, ext.my, rng=np.random.default_rng(seed))
+        assert stacked == loop
+        compared += 1
+    assert compared >= 1200

@@ -27,7 +27,7 @@ from cubicmoment import (
     solve_densities,
     verify_measure,
 )
-from cubicmoment import measure
+from cubicmoment import linalg, measure
 from cubicmoment.cubic import ColumnRelation, Monomial
 from cubicmoment.cli import random_request
 
@@ -148,6 +148,12 @@ class TestSolveDensities:
         with pytest.raises(ValueError):
             solve_densities([(0, 0)], (Monomial(0, 0), Monomial(1, 0)), seq_from_a((0, 0, 0, 0)))
 
+    def test_list_basis(self):
+        ext = extend((0, 0, 0, 0))
+        atoms = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        rho = solve_densities(atoms, list(ext.basis), seq_from_a((0, 0, 0, 0)))
+        assert_allclose(rho, 0.25 * np.ones(4), atol=1e-12)
+
 
 class TestVerifyMeasure:
     def test_exact_measure(self):
@@ -168,6 +174,11 @@ class TestVerifyMeasure:
         check = verify_measure(AtomicMeasure(()), seq_from_a((0, 0, 0, 0)))
         assert check.max_moment_residual == 1.0
         assert check.min_weight == 0.0
+
+    def test_empty_measure_meets_every_relation(self):
+        ext = extend((0, 0, 0, 0))
+        check = verify_measure(AtomicMeasure(()), seq_from_a((0, 0, 0, 0)), ext.relations)
+        assert check.variety_residual == 0.0
 
     def test_variety_residual(self):
         ext = extend((0, 0, 0, 0))
@@ -237,6 +248,18 @@ class TestSolveCubic:
         second, _ = solve_cubic(beta, seed=5)
         assert first == second
 
+    @pytest.mark.parametrize("seed", [None, [1, 2], np.random.SeedSequence(7)])
+    def test_unmemoised_seeds_solve(self, seed):
+        before = linalg._int_seed_coefficient.cache_info().currsize
+        mu, report = solve_cubic(MomentSequence(3, np.array(random_request(4, 99)["beta"])), seed=seed)
+        assert len(mu.atoms) == report.rank
+        assert report.max_moment_residual <= 1e-8
+        assert linalg._int_seed_coefficient.cache_info().currsize == before
+
+    def test_negative_seed_raises_numpy_value_error(self):
+        with pytest.raises(ValueError):
+            solve_cubic(seq_from_a((0, 0, 0, 0)), seed=-1)
+
     def test_singular_rejected(self):
         values = np.array([1, 0, 0, 0, 0, 1, 0, 0, 0, 0], dtype=float)
         with pytest.raises(SingularM1Error) as info:
@@ -269,6 +292,14 @@ class TestSolveCubic:
         values[position] = cubic
         with pytest.raises(MomentProblemError):
             solve_cubic(MomentSequence(3, values))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_residual_of_one_matrix_fails_joint_eigen(self):
+        # beta_30 = 1e280 normalizes to a3 = 1e280 (k > 0): the My eigenvector
+        # residual is NaN while the Mx one is finite, and the NaN-rejecting gate
+        # must stop it in joint_eigen, not pass it on to extract_atoms
+        with pytest.raises(MomentProblemError, match="joint eigenvector residual nan"):
+            solve_cubic(MomentSequence(3, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1e280, 0.0, 0.0, 0.0]))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_atom_power_raises(self):

@@ -188,6 +188,13 @@ class TestPullbackMeasure:
         mu = AtomicMeasure((Atom(1.0, 2.0, 0.5),))
         assert pullback_measure(mu, AffineMap.identity()) == mu
 
+    def test_identity_keeps_atoms_and_order(self):
+        mu = AtomicMeasure((Atom(3.0, -1.0, 0.25), Atom(-2.5, 4.0, 0.5), Atom(0.0, 0.0, 0.25)))
+        assert pullback_measure(mu, AffineMap.identity()) == mu
+
+    def test_empty(self):
+        assert pullback_measure(AtomicMeasure(()), AffineMap(1.0, 2.0, 0.5, -1.0, 0.0, 3.0)) == AtomicMeasure(())
+
     def test_quarter_turn(self):
         mu = AtomicMeasure((Atom(3.0, 7.0, 0.5),))
         out = pullback_measure(mu, AffineMap(0, 0, -1, 0, 1, 0))
