@@ -3,18 +3,18 @@
 Given the ten real moments beta_ij (i + j <= 3) with a positive definite
 quadratic moment matrix, this package constructs a quartic moment-matrix
 extension, recovers a 3- or 4-atomic representing measure, and emits a
-verifiable certificate: the extension matrices, the column relations that
-cut out the support, and the moment residuals of the recovered measure.
+verifiable certificate: the extension matrices, the multiplication
+matrices Mx, My (whose columns are the relations that cut out the support)
+and the moment residuals of the recovered measure.
 
 The package is the solver, its command line and the paper's closed forms.
 The independent oracles the tests check it against (the Smul'jan block
-tests, the fixed-point reducer for Mx and My, the Riesz functional) live
-in tests/_oracle.py.
+tests, the fixed-point reducer for Mx and My and the relations it reads,
+the Riesz functional) live in tests/_oracle.py.
 """
 
 from .cubic import (
     CaseTag,
-    ColumnRelation,
     ExtensionResult,
     beta04_formula,
     build_m3_kneg,
@@ -30,7 +30,6 @@ from .cubic import (
 from .errors import (
     CommutatorError,
     ComplexAtomError,
-    InconsistentRelationsError,
     MomentProblemError,
     SingularM1Error,
     SingularVandermondeError,

@@ -24,6 +24,9 @@ decides how they can be chosen:
   and p4 = -k. Compatibility of the two XY^2 expansions then forces an
   X^3 relation, which pins the quintic moment beta_50 and lets the whole
   degree-3 matrix be filled in by functional calculus, flat over M(2).
+
+Each route writes every column relation once, as a column of the
+multiplication matrix Mx or My on its basis (see ExtensionResult).
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentRelationsError, MomentProblemError
-from .linalg import TOL_COMMUTE, commutator_norm
+from .errors import MomentProblemError
+from .linalg import commutator_gate
 from .moments import (
     MomentMatrix,
     MomentSequence,
@@ -42,22 +45,13 @@ from .moments import (
     build_moment_matrix,
     monomial_index,
     monomials_up_to,
-    sequence_length,
 )
 
 TOL_K = 1e-10
 
-_ONE = Monomial(0, 0)
-_X = Monomial(1, 0)
-_Y = Monomial(0, 1)
-_X2 = Monomial(2, 0)
-_XY = Monomial(1, 1)
-_Y2 = Monomial(0, 2)
-_X3 = Monomial(3, 0)
-
-BASIS_K0 = (_ONE, _X, _Y)
-BASIS_KPOS = (_ONE, _X, _Y, _XY)
-BASIS_KNEG = (_ONE, _X, _Y, _X2)
+BASIS_K0 = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+BASIS_KPOS = (*BASIS_K0, Monomial(1, 1))
+BASIS_KNEG = (*BASIS_K0, Monomial(2, 0))
 
 
 class CaseTag(enum.Enum):
@@ -66,21 +60,6 @@ class CaseTag(enum.Enum):
     FLAT_K0 = "k_zero"
     RECURSIVELY_DETERMINATE_K_POS = "k_pos"
     RANK_INCREASING_K_NEG = "k_neg"
-
-
-@dataclass(frozen=True)
-class ColumnRelation:
-    """A dependent column: target = sum of combo[b] * (column b)."""
-
-    target: Monomial
-    combo: dict[Monomial, float]
-
-    def polynomial(self) -> np.ndarray:
-        """target - combo as a dense degree-lex vector; its column vanishes on the matrix."""
-        p = np.zeros(sequence_length(self.target.degree))
-        p[[monomial_index(m) for m in self.combo]] = [-c for c in self.combo.values()]
-        p[monomial_index(self.target)] = 1.0
-        return p
 
 
 def classify_k(k: float, tol_k: float = TOL_K) -> CaseTag:
@@ -102,16 +81,16 @@ class ExtensionResult:
     """Extension certificate for one normalized input.
 
     moments is the route's degree-4 sequence; basis lists the independent
-    columns of its M(2), so len(basis) is the rank; relations express every
-    dependent column over the basis; mx and my multiply by x and y on it. For
-    the k < 0 route, p_vec holds the Y^2 relation and beta50 the quintic moment.
+    columns of its M(2), so len(basis) is the rank. Column b of mx (my) holds
+    the basis coordinates of x*b (y*b), so every column relation is a
+    column: X^2 is column X of mx. For the k < 0 route, p_vec is column Y of
+    my (the Y^2 relation) and beta50 the quintic moment.
     """
 
     case: CaseTag
     k: float
     moments: MomentSequence
     basis: tuple[Monomial, ...]
-    relations: tuple[ColumnRelation, ...]
     mx: np.ndarray
     my: np.ndarray
     p_vec: tuple[float, float, float, float] | None = None
@@ -130,7 +109,7 @@ class ExtensionResult:
         return build_m3_kneg(self)
 
 
-def _extension(case, k, moments, basis, relations, mx, my, **extra) -> ExtensionResult:
+def _extension(case, k, moments, basis, mx, my, **extra) -> ExtensionResult:
     """The certificate with Mx, My given column by column: mx[b] holds the coordinates of x*b.
 
     Each route writes these columns in closed form; they equal what the
@@ -141,7 +120,7 @@ def _extension(case, k, moments, basis, relations, mx, my, **extra) -> Extension
     if not np.isfinite(mats).all():
         raise MomentProblemError("a multiplication matrix has a non-finite entry")
     mats.setflags(write=False)
-    return ExtensionResult(case, k, moments, basis, relations, mats[0], mats[1], **extra)
+    return ExtensionResult(case, k, moments, basis, mats[0], mats[1], **extra)
 
 
 def compute_k(a) -> float:
@@ -155,12 +134,8 @@ def _sequence4(a, quartics) -> MomentSequence:
     return MomentSequence(4, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, *a, *quartics]))
 
 
-def _rel(target: Monomial, combo: dict[Monomial, float]) -> ColumnRelation:
-    return ColumnRelation(target, {m: float(c) for m, c in combo.items() if float(c) != 0.0})
-
-
-def _square_relations(a, b22: float) -> tuple[MomentSequence, ColumnRelation, ColumnRelation]:
-    """Degree-4 moments of the k >= 0 routes for beta_22, with the X^2 and Y^2 relations."""
+def _square_moments(a, b22: float) -> MomentSequence:
+    """Degree-4 moments of the k >= 0 routes for beta_22."""
     a0, a1, a2, a3 = a
     quartics = (
         1.0 + a0 * a0 + a1 * a1,
@@ -169,9 +144,7 @@ def _square_relations(a, b22: float) -> tuple[MomentSequence, ColumnRelation, Co
         a1 * a2 + a2 * a3,
         1.0 + a2 * a2 + a3 * a3,
     )
-    x2 = _rel(_X2, {_ONE: 1.0, _X: a0, _Y: a1})
-    y2 = _rel(_Y2, {_ONE: 1.0, _X: a2, _Y: a3})
-    return _sequence4(a, quartics), x2, y2
+    return _sequence4(a, quartics)
 
 
 def extend_k0(a, tol_k: float = TOL_K) -> ExtensionResult:
@@ -181,11 +154,10 @@ def extend_k0(a, tol_k: float = TOL_K) -> ExtensionResult:
     if not abs(k) <= tol_k:
         raise ValueError(f"k = {k:.6g} is not zero within {tol_k:g}")
     # beta_22 = a1^2 + a2^2 equals 1 + a0 a2 + a1 a3 because k = 0
-    moments, x2, y2 = _square_relations(a, a1 * a1 + a2 * a2)
-    relations = (x2, _rel(_XY, {_X: a1, _Y: a2}), y2)
+    moments = _square_moments(a, a1 * a1 + a2 * a2)
     x, y = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
-    xx, xy, yy = (1.0, a0, a1), (0.0, a1, a2), (1.0, a2, a3)
-    return _extension(CaseTag.FLAT_K0, k, moments, BASIS_K0, relations, (x, xx, xy), (y, xy, yy))
+    xx, xy, yy = (1.0, a0, a1), (0.0, a1, a2), (1.0, a2, a3)  # X^2, XY, Y^2 over {1, X, Y}
+    return _extension(CaseTag.FLAT_K0, k, moments, BASIS_K0, (x, xx, xy), (y, xy, yy))
 
 
 def extend_kpos(a, tol_k: float = TOL_K) -> ExtensionResult:
@@ -198,14 +170,14 @@ def extend_kpos(a, tol_k: float = TOL_K) -> ExtensionResult:
     k = compute_k(a)
     if not k > tol_k:
         raise ValueError(f"k = {k:.6g} is not positive beyond {tol_k:g}")
-    moments, x2, y2 = _square_relations(a, 1.0 + a0 * a2 + a1 * a3)
+    moments = _square_moments(a, 1.0 + a0 * a2 + a1 * a3)
     x, y, xy = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
-    xx, yy = (1.0, a0, a1, 0.0), (1.0, a2, a3, 0.0)
+    xx, yy = (1.0, a0, a1, 0.0), (1.0, a2, a3, 0.0)  # X^2 = 1 + a0 X + a1 Y, Y^2 = 1 + a2 X + a3 Y
     xxy = (a1, a1 * a2, 1.0 + a1 * a3, a0)  # X^2 Y = Y + a0 XY + a1 Y^2
     xyy = (a2, 1.0 + a2 * a0, a2 * a1, a3)  # X Y^2 = X + a2 X^2 + a3 XY
     mx, my = (x, xx, xy, xxy), (y, xy, yy, xyy)
     case = CaseTag.RECURSIVELY_DETERMINATE_K_POS
-    return _extension(case, k, moments, BASIS_KPOS, (x2, y2), mx, my)
+    return _extension(case, k, moments, BASIS_KPOS, mx, my)
 
 
 def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
@@ -237,19 +209,13 @@ def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
         raise MomentProblemError("the {1, X, Y, X^2} block is numerically singular") from exc
     b04 = float(p @ y2_column)  # flat completion: (Y^2)^T M4^{-1} (Y^2)
     moments = _sequence4(a, (b40, b31, b22, b13, b04))
-    x3_combo, beta50 = x3_relation(a, p)
-    relations = (
-        _rel(_XY, {_X: a1, _Y: a2}),
-        _rel(_Y2, {_ONE: p[0], _X: p[1], _Y: p[2], _X2: p[3]}),
-        ColumnRelation(_X3, x3_combo),
-    )
+    xxx, beta50 = x3_relation(a, p)
     x, y, xx = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
-    xy, yy = (0.0, a1, a2, 0.0), tuple(p.tolist())
-    xxx = tuple(x3_combo.get(b, 0.0) for b in BASIS_KNEG)
+    xy, yy = (0.0, a1, a2, 0.0), tuple(p.tolist())  # XY = a1 X + a2 Y, Y^2 = p over the basis
     xxy = (0.0, a1 * a2, a2 * a2, a1)  # X^2 Y = a1 X^2 + a2 XY
     mx, my = (x, xx, xy, xxx), (y, xy, yy, xxy)
     case = CaseTag.RANK_INCREASING_K_NEG
-    return _extension(case, k, moments, BASIS_KNEG, relations, mx, my, p_vec=yy, beta50=beta50)
+    return _extension(case, k, moments, BASIS_KNEG, mx, my, p_vec=yy, beta50=beta50)
 
 
 def beta04_formula(a) -> float:
@@ -279,7 +245,7 @@ def beta04_formula(a) -> float:
     )
 
 
-def x3_relation(a, p_vec) -> tuple[dict[Monomial, float], float]:
+def x3_relation(a, p_vec) -> tuple[tuple[float, float, float, float], float]:
     """X^3 column forced by matching the two XY^2 expansions (k < 0 route).
 
     XY^2 expands both through the XY relation and through the Y^2 relation;
@@ -288,8 +254,8 @@ def x3_relation(a, p_vec) -> tuple[dict[Monomial, float], float]:
         X^3 = (1/p4) [ a2 p1 + (a1^2 + a2 p2 - p1 - a1 p3) X
                        + a1 a2 Y + (a2 p4 - p2) X^2 ].
 
-    Returns (combo over {1, X, Y, X^2}, beta50), where beta50 evaluates the
-    combo against the X^2 row of those columns, (1, a0, a1, beta_40).
+    Returns (column X^2 of Mx, the X^3 column over {1, X, Y, X^2}, and beta50,
+    which evaluates it against the X^2 row of those columns, (1, a0, a1, beta_40)).
     """
     a0, a1, a2, a3 = map(float, a)
     p1, p2, p3, p4 = (float(v) for v in p_vec)
@@ -301,12 +267,7 @@ def x3_relation(a, p_vec) -> tuple[dict[Monomial, float], float]:
     c3 = (a2 * p4 - p2) / p4
     b40 = 2.0 + a0 * a0 + a1 * a1
     beta50 = c0 + c1 * a0 + c2 * a1 + c3 * b40
-    combo = {
-        m: c
-        for m, c in ((_ONE, c0), (_X, c1), (_Y, c2), (_X2, c3))
-        if c != 0.0
-    }
-    return combo, float(beta50)
+    return (c0, c1, c2, c3), float(beta50)
 
 
 def build_m3_kneg(ext: ExtensionResult) -> MomentMatrix:
@@ -315,16 +276,13 @@ def build_m3_kneg(ext: ExtensionResult) -> MomentMatrix:
     Moments of degree <= 4 are ext.moments; a quintic or sextic moment is
     the Riesz value of the basis coordinates Mx^i My^j e_1 of x^i y^j. The
     two expansions of the XY^2 column differ by column Y of My Mx - Mx My,
-    so a commutator beyond TOL_COMMUTE of the matrix scale means the
-    relation set is corrupt.
+    so the commutator gate of joint_eigen decides their consistency and
+    raises CommutatorError.
     """
     if ext.case is not CaseTag.RANK_INCREASING_K_NEG:
         raise ValueError("degree-3 completion is defined for the k < 0 route only")
     mx, my = ext.mx, ext.my
-    scale = max(1.0, float(np.abs(mx).max()), float(np.abs(my).max()))
-    mismatch = commutator_norm(my, mx)
-    if not mismatch <= TOL_COMMUTE * scale:
-        raise InconsistentRelationsError(f"the two XY^2 expansions disagree by {mismatch:.3e}")
+    commutator_gate(mx, my)
     low = ext.moments.values
     riesz_basis = low[[monomial_index(b) for b in ext.basis]]
     power = np.linalg.matrix_power

@@ -20,15 +20,11 @@ class SingularM1Error(MomentProblemError):
 
 
 class CommutatorError(MomentProblemError):
-    """The multiplication matrices fail to commute within tolerance."""
+    """The multiplication matrices fail to commute (for k < 0: the two XY^2 expansions disagree)."""
 
 
 class ComplexAtomError(MomentProblemError):
     """The joint spectrum is not real; signals upstream inconsistency."""
-
-
-class InconsistentRelationsError(MomentProblemError):
-    """Two functional-calculus derivations of the same column disagree."""
 
 
 class SingularVandermondeError(MomentProblemError):

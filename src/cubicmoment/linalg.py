@@ -22,6 +22,20 @@ def commutator_norm(Mx, My) -> float:
     return float(np.abs(Mx @ My - My @ Mx).max(initial=0.0))
 
 
+def commutator_gate(Mx, My) -> float:
+    """Raise CommutatorError unless Mx and My commute within TOL_COMMUTE of their scale.
+
+    Returns the scale, max(1, max|Mx|, max|My|). A NaN commutator fails.
+    """
+    scale = max(1.0, float(np.abs(Mx).max(initial=0.0)), float(np.abs(My).max(initial=0.0)))
+    commutator = commutator_norm(Mx, My)
+    if not commutator <= TOL_COMMUTE * scale:
+        raise CommutatorError(
+            f"multiplication matrices do not commute (max entry {commutator:.3e})"
+        )
+    return scale
+
+
 def joint_eigen(Mx, My, seed=0) -> list[tuple[float, float]]:
     """Joint eigenvalue pairs of two commuting real matrices.
 
@@ -54,22 +68,18 @@ def joint_eigen(Mx, My, seed=0) -> list[tuple[float, float]]:
     My = np.asarray(My, dtype=float)
     if Mx.ndim != 2 or Mx.shape[0] != Mx.shape[1] or Mx.shape != My.shape:
         raise ValueError("Mx and My must be square matrices of equal size")
-    M = np.array((Mx, My))  # each slice of the stack multiplies as its own matrix
-    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    commutator = commutator_norm(Mx, My)
-    if not commutator <= TOL_COMMUTE * scale:  # also rejects a NaN commutator
-        raise CommutatorError(
-            f"multiplication matrices do not commute (max entry {commutator:.3e})"
-        )
+    scale = commutator_gate(Mx, My)
     c = _combination_coefficient(seed)
     lam, V = np.linalg.eig(c * Mx + (1.0 - c) * My)
-    if float(np.abs(lam.imag).max()) > 1e-6 * max(1.0, float(np.abs(lam).max())):
+    # eig returns a real lam, which needs no check, exactly when every eigenvalue is real
+    if np.iscomplexobj(lam) and np.abs(lam.imag).max() > 1e-6 * max(1.0, np.abs(lam).max()):
         raise ComplexAtomError("joint spectrum is not real")
     V = V.real
     try:
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise MomentProblemError("the combination has no eigenvector basis") from exc
+    M = np.array((Mx, My))  # each slice of the stack multiplies as its own matrix
     xy = np.diagonal(V_inv @ M @ V, axis1=1, axis2=2)  # rows x and y
     V = V / np.linalg.norm(V, axis=0)
     residual = float(np.linalg.norm(M @ V - V * xy[:, None, :], axis=1).max())

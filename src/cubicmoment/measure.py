@@ -3,9 +3,10 @@
 The pipeline: normalize the input so M(1) = I, extend to a quartic moment
 matrix, form the multiplication-by-x and -by-y matrices on the column-space
 basis, take their joint spectrum as the atoms, solve the basis-restricted
-Vandermonde system for the densities, pull the measure back through the
-normalizing map, and verify the result against the original moments. The
-solver never returns an unverified measure.
+Vandermonde system V_B for the densities, check on V_B that the atoms meet
+the column relations in Mx, My, pull the measure back through the
+normalizing map, and verify it against the original moments. The solver
+never returns an unverified measure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import TOL_K, CaseTag, ColumnRelation, ExtensionResult, extend
+from .cubic import TOL_K, CaseTag, ExtensionResult, extend
 from .errors import SingularVandermondeError, VerificationError
 from .linalg import commutator_norm, joint_eigen
 from .moments import Atom, AtomicMeasure, MomentSequence, monomial_index, monomial_table
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 MIN_ATOM_SEPARATION = 1e-8
-MAX_VARIETY_RESIDUAL = 1e-7  # largest |relation polynomial| accepted at a normalized atom
+MAX_VARIETY_RESIDUAL = 1e-7  # largest entry of V_B M - diag(t) V_B accepted at the normalized atoms
 MIN_WEIGHT = 1e-10  # smallest normalized density accepted before the solve is declared faulty
 
 
@@ -78,14 +79,12 @@ class MeasureCheck:
     """Residual report from re-integrating a candidate measure.
 
     residuals holds |sum rho x^i y^j - beta_ij| per monomial in degree-lex
-    order; variety_residual is the largest |relation polynomial| over the
-    atoms (0 when no relations are supplied).
+    order.
     """
 
     max_moment_residual: float
     residuals: np.ndarray
     min_weight: float
-    variety_residual: float
 
 
 def extract_atoms(ext: ExtensionResult, seed=0) -> list[tuple[float, float]]:
@@ -117,44 +116,44 @@ def solve_densities(atoms, basis, beta: MomentSequence) -> np.ndarray:
     x, y = np.array(atoms, dtype=float).reshape(-1, 2).T
     if len(x) != len(basis):
         raise ValueError("need exactly as many atoms as basis monomials")
-    return _densities(monomial_table(x, y, max(map(sum, basis), default=0)), basis, beta)
+    return _densities(_vandermonde(x, y, basis), basis, beta)
 
 
-def _densities(table, basis, beta: MomentSequence) -> np.ndarray:
-    """solve_densities on a monomial table of the atoms that covers the basis."""
+def _vandermonde(x, y, basis) -> np.ndarray:
+    """V_B: row k evaluates the basis monomials at the atom (x_k, y_k)."""
     columns = [monomial_index(b) for b in basis]
+    return monomial_table(x, y, max(map(sum, basis), default=0))[:, columns]
+
+
+def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
+    """solve_densities on the atoms' V_B."""
     try:
-        return np.linalg.solve(table[:, columns].T, beta.values[columns])
+        return np.linalg.solve(vb.T, beta.values[[monomial_index(b) for b in basis]])
     except np.linalg.LinAlgError as exc:
         raise SingularVandermondeError(
             "coincident atoms made the Vandermonde system singular"
         ) from exc
 
 
-def verify_measure(
-    mu: AtomicMeasure,
-    beta: MomentSequence,
-    relations: tuple[ColumnRelation, ...] = (),
-) -> MeasureCheck:
+def verify_measure(mu: AtomicMeasure, beta: MomentSequence) -> MeasureCheck:
     """Re-integrate every monomial of the sequence against the measure."""
     residuals = np.abs(mu.integrals(beta.degree) - beta.values)
-    variety_residual = 0.0
-    if relations:
-        x, y = [a.x for a in mu.atoms], [a.y for a in mu.atoms]
-        degree = max(rel.target.degree for rel in relations)
-        variety_residual = _variety_residual(relations, monomial_table(x, y, degree))
     return MeasureCheck(
         max_moment_residual=float(residuals.max(initial=0.0)),
         residuals=residuals,
         min_weight=min((a.weight for a in mu.atoms), default=0.0),
-        variety_residual=variety_residual,
     )
 
 
-def _variety_residual(relations, table) -> float:
-    """Largest |relation polynomial| over the rows of a monomial table; a NaN propagates."""
-    polys = [rel.polynomial() for rel in relations]
-    return float(np.max([np.abs(table[:, : p.size] @ p) for p in polys], initial=0.0))
+def _variety_residual(ext: ExtensionResult, vb) -> float:
+    """Largest |V_B M - diag(t) V_B| over M in (Mx, My), t = x or y (basis columns 1, 2).
+
+    Row k of V_B is a left eigenvector of Mx and My with eigenvalues x_k, y_k
+    exactly when atom k meets every relation they encode (Moller and Stetter
+    1995). An empty V_B gives 0, and a NaN propagates.
+    """
+    gap = vb @ np.array((ext.mx, ext.my)) - vb[:, 1:3].T[:, :, None] * vb
+    return float(np.abs(gap).max(initial=0.0))
 
 
 def solve_cubic(
@@ -169,14 +168,15 @@ def solve_cubic(
     combination coefficient of joint_eigen. Raises SingularM1Error
     for inputs whose M(1) is not safely positive definite, and
     VerificationError if the recovered measure misses the moments by more
-    than tolerances.accept or produces a density below MIN_WEIGHT.
+    than tolerances.accept, produces a density below MIN_WEIGHT, or has an
+    atom off the variety by more than MAX_VARIETY_RESIDUAL.
     """
     mass = beta[0, 0]
     certificate = normalize_cubic(beta)
     ext = extend(certificate.a_vec, tol_k=tolerances.k)
     atoms = extract_atoms(ext, seed=seed)
-    table = monomial_table(*zip(*atoms), 3)  # covers every basis monomial and relation
-    rho = _densities(table, ext.basis, certificate.normalized)
+    vb = _vandermonde(*zip(*atoms), ext.basis)
+    rho = _densities(vb, ext.basis, certificate.normalized)
     smallest = float(rho.min())
     if not smallest >= MIN_WEIGHT:
         # near-degenerate k < 0 sends one atom to infinity with density ~ k^4,
@@ -188,7 +188,7 @@ def solve_cubic(
             else ""
         )
         raise VerificationError(f"density {smallest:.3e} below {MIN_WEIGHT:g}{hint}")
-    variety_residual = _variety_residual(ext.relations, table)
+    variety_residual = _variety_residual(ext, vb)
     if not variety_residual <= MAX_VARIETY_RESIDUAL:
         raise VerificationError(f"an atom violates a column relation by {variety_residual:.3e}")
     # the mass multiplies the weights before the pullback, which leaves them as they are

@@ -212,7 +212,8 @@ class AtomicMeasure:
     atoms: tuple[Atom, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", tuple(Atom(*a) for a in self.atoms))
+        atoms = tuple(a if isinstance(a, Atom) else Atom(*a) for a in self.atoms)
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def total_mass(self) -> float:

@@ -9,8 +9,12 @@ Smul'jan's criterion: A >= 0, B = A W for some W, and C >= W^T A W. The
 extension keeps rank A ("flat") exactly when C = W^T A W.
 
 multiplication_matrices is the general fixed-point reducer for Mx, My on
-any basis and relation set; riesz and column_of are the Riesz functional
-and the column functional calculus on dense degree-lex vectors.
+any basis and set of ColumnRelation; paper_relations writes each
+extension route's relations as the paper states them, from the cubic
+moments a and never from Mx, My, so the reducer's output is an independent
+writing of the matrices the routes store. riesz and column_of are the
+Riesz functional and the column functional calculus on dense degree-lex
+vectors.
 
 joint_eigen_reference reads the joint spectrum one matrix at a time: two
 triple products and two residual norms, with c drawn from a fresh
@@ -28,15 +32,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from cubicmoment import (
-    ColumnRelation,
+    CaseTag,
     CommutatorError,
     ComplexAtomError,
+    ExtensionResult,
     MomentMatrix,
     MomentProblemError,
     MomentSequence,
     Monomial,
+    monomial_index,
+    x3_relation,
 )
+from cubicmoment.cubic import BASIS_KNEG
 from cubicmoment.linalg import TOL_COMMUTE, TOL_EIG, commutator_norm
+from cubicmoment.moments import sequence_length
 
 TOL_PSD = 1e-10
 TOL_RANGE = 1e-9
@@ -159,6 +168,45 @@ def flat_completion(A, B, tol_range: float = TOL_RANGE) -> np.ndarray:
     B2 = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
     W = range_solve(A, B2, tol_range)
     return _sym(W.T @ A @ W)
+
+
+@dataclass(frozen=True)
+class ColumnRelation:
+    """A dependent column: target = sum of combo[b] * (column b)."""
+
+    target: Monomial
+    combo: dict[Monomial, float]
+
+    def polynomial(self) -> np.ndarray:
+        """target - combo as a dense degree-lex vector; its column vanishes on the matrix."""
+        p = np.zeros(sequence_length(self.target.degree))
+        p[[monomial_index(m) for m in self.combo]] = [-c for c in self.combo.values()]
+        p[monomial_index(self.target)] = 1.0
+        return p
+
+
+def paper_relations(ext: ExtensionResult, a) -> tuple[ColumnRelation, ...]:
+    """The column relations of ext's route, written from the cubic moments a.
+
+    k = 0:  X^2 = 1 + a0 X + a1 Y,  XY = a1 X + a2 Y,  Y^2 = 1 + a2 X + a3 Y.
+    k > 0:  the X^2 and Y^2 relations of k = 0.
+    k < 0:  the XY relation of k = 0, Y^2 = p1 + p2 X + p3 Y + p4 X^2 with
+            p = ext.p_vec, and the X^3 relation of x3_relation(a, p).
+
+    Reads ext.case and ext.p_vec, never ext.mx or ext.my.
+    """
+    a0, a1, a2, a3 = (float(v) for v in a)
+    one, x, y = Monomial(0, 0), Monomial(1, 0), Monomial(0, 1)
+    x2 = ColumnRelation(Monomial(2, 0), {one: 1.0, x: a0, y: a1})
+    xy = ColumnRelation(Monomial(1, 1), {x: a1, y: a2})
+    y2 = ColumnRelation(Monomial(0, 2), {one: 1.0, x: a2, y: a3})
+    if ext.case is CaseTag.FLAT_K0:
+        return x2, xy, y2
+    if ext.case is CaseTag.RECURSIVELY_DETERMINATE_K_POS:
+        return x2, y2
+    y2 = ColumnRelation(Monomial(0, 2), dict(zip(BASIS_KNEG, ext.p_vec)))
+    x3 = ColumnRelation(Monomial(3, 0), dict(zip(BASIS_KNEG, x3_relation(a, ext.p_vec)[0])))
+    return xy, y2, x3
 
 
 def multiplication_matrices(

@@ -24,10 +24,17 @@ from cubicmoment import (
     transform_sequence,
 )
 from cubicmoment.cli import main as cli_main, random_request
-from cubicmoment.cubic import SOS_GRAM, ColumnRelation, Monomial
+from cubicmoment.cubic import SOS_GRAM, Monomial
 from cubicmoment.measure import verify_measure
 
-from _oracle import multiplication_matrices, numeric_rank, psd_min_eig, smuljan_classify
+from _oracle import (
+    ColumnRelation,
+    multiplication_matrices,
+    numeric_rank,
+    paper_relations,
+    psd_min_eig,
+    smuljan_classify,
+)
 from _util import K0_HAND_POINTS, acceptance_draws, is_hankel, match_points, seq_from_a
 
 
@@ -242,7 +249,7 @@ def test_closed_form_multiplication_matrices_match_reducer(random_suite):
     ok = True
     for _, _, report in rows:
         ext = report.extension
-        mx, my = multiplication_matrices(ext.basis, ext.relations)
+        mx, my = multiplication_matrices(ext.basis, paper_relations(ext, report.certificate.a_vec))
         ok &= np.array_equal(ext.mx, mx) and np.array_equal(ext.my, my)
         ok &= not (ext.mx.flags.writeable or ext.my.flags.writeable)
     _check(

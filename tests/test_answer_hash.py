@@ -1,0 +1,34 @@
+"""The records that tools/answer_hash.py hashes; no subprocess, no git."""
+
+import numpy as np
+
+import answer_hash
+from cubicmoment import MomentSequence, solve_cubic
+
+K_POS = [1, 0, 0, 1, 0, 1, 0, 0, 0, 0]  # the four atoms (+-1, +-1)
+K_NEG = [1, 0, 0, 1, 0, 1, 0, 1, 1, 0]
+
+
+def test_success_record_covers_atoms_and_matrices():
+    record = answer_hash.solve_record(K_NEG)
+    assert record == answer_hash.solve_record(np.array(K_NEG, dtype=float))
+    mu, report = solve_cubic(MomentSequence(3, np.array(K_NEG, dtype=float)))
+    ext = report.extension
+    assert record.startswith(b"ok 4x3 3 6x6 10x10 4x4 4x4|")
+    atoms = np.array([tuple(a) for a in mu.atoms])
+    scalars = np.array([report.k, 4.0, report.max_moment_residual])
+    parts = [atoms, scalars, ext.m2.entries, ext.m3.entries, ext.mx, ext.my]
+    assert record.endswith(b"".join(p.tobytes() for p in parts))
+    assert answer_hash.solve_record(K_POS) != record
+
+
+def test_error_record_names_type_and_message():
+    record = answer_hash.solve_record([1, 0, 0, 0, 0, 1, 0, 0, 0, 0])
+    assert record.startswith(b"error SingularM1Error: M(1) is singular")
+
+
+def test_cli_record_is_reproducible(tmp_path):
+    record = answer_hash.cli_record(4, 7, tmp_path)
+    assert record == answer_hash.cli_record(4, 7, tmp_path)
+    assert record.startswith(b"0\n{") and b'"matrices"' in record
+    assert answer_hash.digest(record) != answer_hash.digest(answer_hash.cli_record(4, 8, tmp_path))

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from cubicmoment import (
     CaseTag,
+    CommutatorError,
     MomentProblemError,
     beta04_formula,
     build_m3_kneg,
@@ -17,7 +20,7 @@ from cubicmoment import (
 )
 from cubicmoment.cubic import SOS_GRAM
 
-from _oracle import column_of, numeric_rank, psd_min_eig, smuljan_classify
+from _oracle import column_of, numeric_rank, paper_relations, psd_min_eig, smuljan_classify
 from _util import is_hankel, quartics_of
 
 
@@ -79,18 +82,15 @@ class TestExtendKpos:
         ext = extend_kpos((0, 0, 0, 0))
         assert quartics_of(ext.m2) == (1, 0, 1, 0, 1)
         assert numeric_rank(ext.m2.entries, 1e-10) == 4
-        targets = {rel.target for rel in ext.relations}
-        assert targets == {(2, 0), (0, 2)}
-        by_target = {rel.target: rel.combo for rel in ext.relations}
-        assert by_target[2, 0] == {(0, 0): 1.0}
-        assert by_target[0, 2] == {(0, 0): 1.0}
+        # the X^2 and Y^2 relations are column X of Mx and column Y of My
+        assert ext.mx[:, 1].tolist() == [1.0, 0.0, 0.0, 0.0]  # x^2 = 1
+        assert ext.my[:, 2].tolist() == [1.0, 0.0, 0.0, 0.0]  # y^2 = 1
 
     def test_shifted(self):
         ext = extend_kpos((1, 0, 0, 0))
         b40, b31, b22, b13, b04 = quartics_of(ext.m2)
         assert (b40, b22, b04) == (2, 1, 1)
-        by_target = {rel.target: rel.combo for rel in ext.relations}
-        assert by_target[2, 0] == {(0, 0): 1.0, (1, 0): 1.0}  # x^2 = 1 + x
+        assert ext.mx[:, 1].tolist() == [1.0, 1.0, 0.0, 0.0]  # x^2 = 1 + x
 
     def test_beta22_pins_k_gap(self):
         ext = extend_kpos((0, 1, 0, 1))
@@ -155,15 +155,15 @@ class TestBeta04Formula:
 
 class TestX3Relation:
     def test_example_one(self):
-        combo, beta50 = x3_relation((0, 1, 1, 0), (0, 1, -1, 1))
-        assert combo == {(1, 0): 3.0, (0, 1): 1.0}  # X^3 = 3X + Y
+        column, beta50 = x3_relation((0, 1, 1, 0), (0, 1, -1, 1))
+        assert column == (0.0, 3.0, 1.0, 0.0)  # X^3 = 3X + Y over (1, X, Y, X^2)
         assert beta50 == 1.0
 
     def test_example_two(self):
         # oracle: on the variety {xy = 2x, y^2 = -2 - 6y + 3x^2} the X column
-        # cubes to 6x at every root, so the combo must be exactly 6X
-        combo, beta50 = x3_relation((0, 2, 0, 0), (-2, 0, -6, 3))
-        assert combo == {(1, 0): 6.0}
+        # cubes to 6x at every root, so the column must be exactly 6X
+        column, beta50 = x3_relation((0, 2, 0, 0), (-2, 0, -6, 3))
+        assert column == (0.0, 6.0, 0.0, 0.0)
         assert beta50 == 0.0
         for x, y in [(0, -3 + np.sqrt(7)), (0, -3 - np.sqrt(7)),
                      (np.sqrt(6), 2.0), (-np.sqrt(6), 2.0)]:
@@ -200,6 +200,14 @@ class TestBuildM3:
         ext = extend_kpos((0, 0, 0, 0))
         with pytest.raises(ValueError):
             build_m3_kneg(ext)
+
+    def test_disagreeing_xy2_expansions_fail_the_commutator_gate(self):
+        # the two XY^2 expansions differ by column Y of My Mx - Mx My
+        ext = extend_kneg((0, 1, 1, 0))
+        mx = ext.mx.copy()
+        mx[0, 3] += 1e-3  # corrupt the X^3 column
+        with pytest.raises(CommutatorError, match="do not commute"):
+            build_m3_kneg(dataclasses.replace(ext, mx=mx))
 
 
 class TestSosCertificate:
@@ -255,7 +263,7 @@ class TestExtensionInvariants:
             expected_rank = 3 if abs(compute_k(a)) <= 1e-10 else 4
             assert numeric_rank(ext.m2.entries, 1e-10) == expected_rank
             matrix = ext.m3 if ext.m3 is not None else ext.m2
-            for rel in ext.relations:
+            for rel in paper_relations(ext, a):
                 poly = rel.polynomial()
                 target = ext.m2 if poly.size <= ext.m2.side else matrix
                 assert np.abs(column_of(target, poly)).max() <= 1e-9

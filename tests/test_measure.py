@@ -28,10 +28,10 @@ from cubicmoment import (
     verify_measure,
 )
 from cubicmoment import linalg, measure
-from cubicmoment.cubic import ColumnRelation, Monomial
+from cubicmoment.cubic import Monomial
 from cubicmoment.cli import random_request
 
-from _oracle import MissingRelationError, multiplication_matrices
+from _oracle import ColumnRelation, MissingRelationError, multiplication_matrices, paper_relations
 from _util import match_points, seq_from_a
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -40,7 +40,7 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 class TestMultiplicationMatrices:
     def test_kpos_square_roots_of_unity(self):
         ext = extend_kpos((0, 0, 0, 0))
-        mx, my = multiplication_matrices(ext.basis, ext.relations)
+        mx, my = multiplication_matrices(ext.basis, paper_relations(ext, (0, 0, 0, 0)))
         # basis (1, X, Y, XY): x swaps 1 <-> X and Y <-> XY
         expected_mx = np.zeros((4, 4))
         expected_mx[1, 0] = expected_mx[0, 1] = 1.0
@@ -54,14 +54,14 @@ class TestMultiplicationMatrices:
 
     def test_k0_reads_relations(self):
         ext = extend_k0((0, 1, 0, 0))
-        mx, my = multiplication_matrices(ext.basis, ext.relations)
+        mx, my = multiplication_matrices(ext.basis, paper_relations(ext, (0, 1, 0, 0)))
         # x*1 = x, x*x = 1 + y, x*y = x
         assert_allclose(mx, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
         assert_allclose(my, np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=float))
 
     def test_kneg_uses_cubic_relation(self):
         ext = extend_kneg((0, 1, 1, 0))
-        mx, _ = multiplication_matrices(ext.basis, ext.relations)
+        mx, _ = multiplication_matrices(ext.basis, paper_relations(ext, (0, 1, 1, 0)))
         # x * X^2 = X^3 = 3X + Y
         assert_allclose(mx[:, 3], [0, 3, 1, 0])
 
@@ -175,28 +175,30 @@ class TestVerifyMeasure:
         assert check.max_moment_residual == 1.0
         assert check.min_weight == 0.0
 
-    def test_empty_measure_meets_every_relation(self):
-        ext = extend((0, 0, 0, 0))
-        check = verify_measure(AtomicMeasure(()), seq_from_a((0, 0, 0, 0)), ext.relations)
-        assert check.variety_residual == 0.0
-
-    def test_variety_residual(self):
-        ext = extend((0, 0, 0, 0))
-        on_variety = AtomicMeasure(
-            tuple(Atom(x, y, 0.25) for x, y in [(1, 1), (1, -1), (-1, 1), (-1, -1)])
-        )
-        off_variety = AtomicMeasure((Atom(2.0, 0.0, 1.0),))
-        beta = seq_from_a((0, 0, 0, 0))
-        assert verify_measure(on_variety, beta, ext.relations).variety_residual <= 1e-12
-        assert verify_measure(off_variety, beta, ext.relations).variety_residual >= 1.0
-
     def test_nan_atom_propagates(self):
-        ext = extend((0, 0, 0, 0))
         points = [(1, 1), (1, -1), (-1, 1), (-1, float("nan"))]
         mu = AtomicMeasure(tuple(Atom(x, y, 0.25) for x, y in points))
-        check = verify_measure(mu, seq_from_a((0, 0, 0, 0)), ext.relations)
+        check = verify_measure(mu, seq_from_a((0, 0, 0, 0)))
         assert math.isnan(check.max_moment_residual)
-        assert math.isnan(check.variety_residual)
+
+
+def _variety_residual(ext, points) -> float:
+    x, y = np.array(points, dtype=float).reshape(-1, 2).T
+    return measure._variety_residual(ext, measure._vandermonde(x, y, ext.basis))
+
+
+class TestVarietyResidual:
+    def test_empty_atom_set_meets_every_relation(self):
+        assert _variety_residual(extend((0, 0, 0, 0)), []) == 0.0
+
+    def test_on_and_off_variety(self):
+        ext = extend((0, 0, 0, 0))
+        assert _variety_residual(ext, [(1, 1), (1, -1), (-1, 1), (-1, -1)]) <= 1e-12
+        assert _variety_residual(ext, [(2.0, 0.0)]) >= 1.0
+
+    def test_nan_atom_propagates(self):
+        points = [(1, 1), (1, -1), (-1, 1), (-1, float("nan"))]
+        assert math.isnan(_variety_residual(extend((0, 0, 0, 0)), points))
 
 
 class TestSolveCubic:
@@ -303,9 +305,20 @@ class TestSolveCubic:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_atom_power_raises(self):
-        # an atom near x = 1e104 overflows x^3 in the solve's degree-3 monomial table
-        with pytest.raises(VerificationError):
+        # an atom near x = 1e104 leaves the densities no precision: the floor rejects them
+        with pytest.raises(VerificationError, match="density"):
             solve_cubic(seq_from_a((1e104, 0, 1, 0)))
+
+    def test_atom_off_the_variety_fails_the_gate(self, monkeypatch):
+        # moving one of the atoms (+-1, +-1) by 1e-3 keeps every density positive,
+        # so only the variety gate can reject the measure
+        def shifted(ext, seed=0):
+            (x, y), *rest = extract_atoms(ext, seed)
+            return [(x + 1e-3, y), *rest]
+
+        monkeypatch.setattr(measure, "extract_atoms", shifted)
+        with pytest.raises(VerificationError, match="violates a column relation"):
+            solve_cubic(seq_from_a((0, 0, 0, 0)))
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
@@ -331,7 +344,7 @@ class TestSolveCubic:
             mu, report = solve_cubic(beta)
             cert = report.certificate
             x, y = np.array([cert.map.apply(at.x, at.y) for at in mu.atoms]).T
-            for rel in report.extension.relations:
+            for rel in paper_relations(report.extension, cert.a_vec):
                 poly = rel.polynomial()
                 values = monomial_table(x, y, rel.target.degree) @ poly
                 assert np.abs(values).max() <= 1e-7

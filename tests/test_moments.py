@@ -253,3 +253,9 @@ class TestAtomicMeasure:
     def test_total_mass(self):
         mu = AtomicMeasure((Atom(0, 0, 0.25), Atom(1, 2, 0.75)))
         assert mu.total_mass == 1.0
+
+    def test_keeps_atoms_and_converts_tuples(self):
+        atom = Atom(0.0, 1.0, 0.5)
+        mu = AtomicMeasure((atom, (1.0, 2.0, 0.5)))
+        assert mu.atoms[0] is atom
+        assert type(mu.atoms[1]) is Atom and mu.atoms[1] == (1.0, 2.0, 0.5)

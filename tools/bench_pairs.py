@@ -25,16 +25,15 @@ at a time.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from gitexport import ROOT, export
+
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
 
@@ -74,15 +73,6 @@ def pair_stats(base: list[float], change: list[float], better: str) -> dict:
         "losses": len(base) - wins - ties,
         "gain_holds": len(base) >= MIN_PAIRS and wins >= WIN_SHARE * len(base) and gap > spread,
     }
-
-
-def export(revision: str, into: Path) -> None:
-    """Write the tree of a revision into a directory with git archive."""
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", revision], cwd=ROOT, check=True, capture_output=True
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
