@@ -10,7 +10,7 @@ and the moment residuals of the recovered measure.
 The package is the solver, its command line and the paper's closed forms.
 The independent oracles the tests check it against (the Smul'jan block
 tests, the fixed-point reducer for Mx and My and the relations it reads,
-the Riesz functional) live in tests/_oracle.py.
+the Riesz functional, the paper's normalizing map) live in tests/_oracle.py.
 """
 
 from .cubic import (
@@ -60,12 +60,9 @@ from .moments import (
 from .normalize import (
     AffineMap,
     NormalizationCertificate,
-    build_J,
-    degree_one_coeffs,
     minors,
     normalize_cubic,
     pullback_measure,
-    transform_sequence,
 )
 
 __version__ = "0.1.0"

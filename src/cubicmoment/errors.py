@@ -6,16 +6,18 @@ class MomentProblemError(Exception):
 
 
 class SingularM1Error(MomentProblemError):
-    """A leading principal minor of M(1) is not positive; the input is out of scope.
+    """A leading principal minor of M(1) is not above its threshold; the input is out of scope.
 
-    Carries the name of the violated minor ("d2" or "d3") and its value.
+    Carries the name of the violated minor ("d2" or "d3"), its value and the
+    threshold it failed to clear.
     """
 
-    def __init__(self, minor: str, value: float):
+    def __init__(self, minor: str, value: float, threshold: float):
         self.minor = minor
         self.value = value
+        self.threshold = threshold
         super().__init__(
-            f"M(1) is singular or indefinite: minor {minor} = {value:.6g} is not positive"
+            f"M(1) is singular or indefinite: minor {minor} = {value:.6g} is not above {threshold:.6g}"
         )
 
 

@@ -23,15 +23,25 @@ memoises c, so the tests require equal results. They differ only where
 the tests' inputs never go: the reference's Python max over the two
 residuals drops a NaN My residual that follows a finite Mx one, and the
 solver's single array max rejects it.
+
+paper_minors, degree_one_coeffs and transform_sequence are the paper's
+normalization as it is written: the leading minors of M(1) and the six
+coefficients of the normalizing map in closed form, and the pushforward
+J^T beta through the substitution matrix build_J of any degree. The solver
+reaches the same map through a Cholesky factor of M(1) and pushes the
+moment tensor instead.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from cubicmoment import (
+    AffineMap,
     CaseTag,
     CommutatorError,
     ComplexAtomError,
@@ -40,12 +50,15 @@ from cubicmoment import (
     MomentProblemError,
     MomentSequence,
     Monomial,
+    SingularM1Error,
     monomial_index,
+    monomials_up_to,
     x3_relation,
 )
 from cubicmoment.cubic import BASIS_KNEG
 from cubicmoment.linalg import TOL_COMMUTE, TOL_EIG, commutator_norm
 from cubicmoment.moments import sequence_length
+from cubicmoment.normalize import SINGULAR_RTOL
 
 TOL_PSD = 1e-10
 TOL_RANGE = 1e-9
@@ -322,3 +335,110 @@ def joint_eigen_reference(
         )
     return [(float(xi), float(yi)) for xi, yi in zip(x, y)]
 
+
+def paper_minors(beta: MomentSequence) -> tuple[float, float]:
+    """Leading principal 2x2 and 3x3 minors of M(1).
+
+    Assumes the sequence has been rescaled to beta_00 = 1 (the closed forms
+    below are written for that normalization).
+    """
+    b00, b10, b01, b20, b11, b02 = beta.values[:6].tolist()
+    if abs(b00 - 1.0) > 1e-9:
+        raise ValueError("rescale the sequence to beta_00 = 1 before taking minors")
+    d2 = b20 - b10 * b10
+    d3 = (
+        -b02 * b10 * b10
+        + 2.0 * b01 * b10 * b11
+        - b11 * b11
+        - b01 * b01 * b20
+        + b02 * b20
+    )
+    return d2, d3
+
+
+def degree_one_coeffs(beta: MomentSequence) -> AffineMap:
+    """The six coefficients whose map normalizes M(1) to the identity.
+
+    With d2 and d3 the leading minors of M(1):
+
+        a = (beta_01 beta_20 - beta_10 beta_11) / sqrt(d2 d3)
+        b = (beta_11 - beta_01 beta_10) / sqrt(d2 d3)
+        c = -sqrt(d2 / d3)      d = -beta_10 / sqrt(d2)
+        e = 1 / sqrt(d2)        f = 0
+
+    so the linear determinant b*f - c*e = 1/sqrt(d3) is never zero. Raises
+    SingularM1Error when either minor fails to clear SINGULAR_RTOL relative
+    to the largest degree-<=2 moment magnitude.
+    """
+    return _normalizing_map(beta, *paper_minors(beta))
+
+
+def _normalizing_map(beta: MomentSequence, d2: float, d3: float) -> AffineMap:
+    m1 = beta.values[:6].tolist()  # the moments of degree <= 2, the entries of M(1)
+    threshold = SINGULAR_RTOL * max(map(abs, m1))
+    if d2 <= threshold:
+        raise SingularM1Error("d2", d2, threshold)
+    if d3 <= threshold:
+        raise SingularM1Error("d3", d3, threshold)
+    if not (math.isfinite(d2) and math.isfinite(d3)):  # else the map degenerates
+        raise MomentProblemError(f"the minors of M(1) overflow: d2 = {d2:.6g}, d3 = {d3:.6g}")
+    _, b10, b01, b20, b11, _ = m1
+    s23 = math.sqrt(d2 * d3)
+    s2 = math.sqrt(d2)
+    return AffineMap(
+        a=(b01 * b20 - b10 * b11) / s23,
+        b=(b11 - b01 * b10) / s23,
+        c=-math.sqrt(d2 / d3),
+        d=-b10 / s2,
+        e=1.0 / s2,
+        f=0.0,
+    )
+
+
+def transform_sequence(beta: MomentSequence, psi: AffineMap) -> MomentSequence:
+    """Pushforward moments beta~_ij = Lambda_beta(psi1^i psi2^j), i.e. J^T beta.
+
+    Satisfies Lambda_{beta~}(p) = Lambda_beta(p o psi) for every p of
+    admissible degree.
+    """
+    return MomentSequence(beta.degree, build_J(psi, beta.degree).T @ beta.values)
+
+
+def build_J(psi: AffineMap, degree: int) -> np.ndarray:
+    """Matrix of substitution on coefficient vectors: J p_hat = (p o psi)_hat.
+
+    Column m holds the coefficients of psi1^i psi2^j for m = x^i y^j, so J
+    is block lower-triangular by degree and always invertible. Moment
+    matrices of a sequence and its pushforward are congruent through J:
+    M~(d) = J^T M(d) J.
+    """
+    shifts, steps = _substitution_tables(degree)
+    coeffs = np.array([[psi.a, psi.b, psi.c], [psi.d, psi.e, psi.f]])[:, :, None, None]
+    # multiplication by psi1 and by psi2, exact on polynomials of degree < degree
+    eye = np.eye(len(shifts[0]))
+    times = coeffs[:, 0] * eye + coeffs[:, 1] * shifts[0] + coeffs[:, 2] * shifts[1]
+    J = np.zeros_like(eye)
+    J[0, 0] = 1.0
+    for cols, parents, factor in steps:
+        # a stack of matrix-vector products, one per column, so that each
+        # column rounds exactly as its own product times[factor] @ J[:, parent]
+        J[:, cols] = (times[factor] @ J.T[parents, :, None])[..., 0].T
+    return J
+
+
+@functools.cache
+def _substitution_tables(degree: int):
+    """Shift matrices (multiplication by x and by y, truncated at degree) and the steps of build_J.
+
+    Step t fills the columns of degree t: x^i y^j = x * x^(i-1) y^j
+    (factor 0, psi1) for i > 0, and y^t = y * y^(t-1) (factor 1, psi2).
+    """
+    i, j = np.array(monomials_up_to(degree)).T[:, :, None]  # row exponents
+    shifts = np.array([(i == i.T + 1) & (j == j.T), (i == i.T) & (j == j.T + 1)], dtype=float)
+    shifts.setflags(write=False)
+    steps = []
+    for t in range(1, degree + 1):
+        lo, mid, hi = sequence_length(t - 2), sequence_length(t - 1), sequence_length(t)
+        parents = np.array([*range(lo, mid), mid - 1])
+        steps.append((slice(mid, hi), parents, np.array([0] * t + [1])))
+    return shifts, tuple(steps)

@@ -15,13 +15,11 @@ from cubicmoment import (
     CaseTag,
     MomentSequence,
     beta04_formula,
-    build_J,
     build_moment_matrix,
     compute_k,
     extend_kneg,
     solve_cubic,
     sos_certificate_check,
-    transform_sequence,
 )
 from cubicmoment.cli import main as cli_main, random_request
 from cubicmoment.cubic import SOS_GRAM, Monomial
@@ -29,11 +27,13 @@ from cubicmoment.measure import verify_measure
 
 from _oracle import (
     ColumnRelation,
+    build_J,
     multiplication_matrices,
     numeric_rank,
     paper_relations,
     psd_min_eig,
     smuljan_classify,
+    transform_sequence,
 )
 from _util import K0_HAND_POINTS, acceptance_draws, is_hankel, match_points, seq_from_a
 

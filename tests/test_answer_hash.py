@@ -1,4 +1,4 @@
-"""The records that tools/answer_hash.py hashes; no subprocess, no git."""
+"""The records that tools/answer_hash.py hashes and its per-part comparison; no subprocess, no git."""
 
 import numpy as np
 
@@ -32,3 +32,41 @@ def test_cli_record_is_reproducible(tmp_path):
     assert record == answer_hash.cli_record(4, 7, tmp_path)
     assert record.startswith(b"0\n{") and b'"matrices"' in record
     assert answer_hash.digest(record) != answer_hash.digest(answer_hash.cli_record(4, 8, tmp_path))
+
+
+def test_each_part_hashes_apart_and_names_its_first_difference():
+    base = [
+        ("a0", "pool seed 1", "pool seed 1 #0"),
+        ("a1", "pool seed 1", "pool seed 1 #1"),
+        ("a2", "pool seed 1", "pool seed 1 #2"),
+        ("c0", "cli", "random 3 0"),
+    ]
+    tree = [*base[:1], ("b1", "pool seed 1", "pool seed 1 #1"), ("b2", "pool seed 1", "pool seed 1 #2"), base[3]]
+    assert list(answer_hash.by_part(base)) == ["pool seed 1", "cli"]
+    base_pool, tree_pool = ([(d, label) for d, _, label in side[:3]] for side in (base, tree))
+    cli_hash = answer_hash.part_hash([("c0", "random 3 0")])
+    report, equal = answer_hash.compare("base", base, "tree", tree)
+    assert not equal
+    assert report == [
+        "pool seed 1: DIFFERENT (3 / 3 inputs)",
+        f"  {answer_hash.part_hash(base_pool)}  base",
+        f"  {answer_hash.part_hash(tree_pool)}  tree",
+        "  first difference: pool seed 1 #1",
+        "cli: equal (1 / 1 inputs)",
+        f"  {cli_hash}  base",
+        f"  {cli_hash}  tree",
+    ]
+    assert answer_hash.part_hash(base_pool) != answer_hash.part_hash(tree_pool)
+    assert answer_hash.compare("base", base, "tree", base)[1]
+
+
+def test_a_part_missing_on_one_side_differs():
+    base = [("a0", "pool seed 1", "pool seed 1 #0"), ("c0", "cli", "random 3 0")]
+    report, equal = answer_hash.compare("base", base, "tree", base[:1])
+    assert not equal
+    assert report[-4:] == [
+        "cli: DIFFERENT (1 / 0 inputs)",
+        f"  {answer_hash.part_hash([('c0', 'random 3 0')])}  base",
+        f"  {answer_hash.part_hash([])}  tree",
+        "  the sides cover 1 and 0 inputs",
+    ]

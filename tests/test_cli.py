@@ -339,9 +339,15 @@ class TestInfo:
         assert code == 2
 
     def test_normalization_fault_exits_3_like_solve(self, tmp_path, capsys):
-        # four atoms of weight 1/4 translated by 1e4: M(1) is too ill-conditioned to map to I
-        points = [(0.3, 0.1), (-0.7, 0.4), (0.2, -0.9), (0.5, 0.6)]
-        mu = AtomicMeasure(tuple(Atom(x + 1e4, y + 1e4, 0.25) for x, y in points))
+        # four atoms near the line y = 483107.29: the pushed-forward M(1) rounds to an
+        # indefinite matrix, so the refinement step cannot map it to I
+        atoms = [
+            (-44501.38264829572, 483107.2875033109, 0.6925377303771841),
+            (41806.91316264958, 483107.2875032406, 0.47100608652878617),
+            (-30916.76938839168, 483107.2875029994, 0.6381984433326882),
+            (52756.54738342965, 483107.2875036431, 0.8273509685217525),
+        ]
+        mu = AtomicMeasure(tuple(Atom(x, y, w) for x, y, w in atoms))
         path = write_json(tmp_path, "req.json", {"beta": mu.moments(3).values.tolist()})
         code, info_out, _ = run_cli(capsys, ["info", path])
         assert code == 3

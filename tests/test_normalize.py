@@ -1,7 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cubicmoment import (
@@ -10,18 +13,19 @@ from cubicmoment import (
     AtomicMeasure,
     MomentSequence,
     SingularM1Error,
-    build_J,
     build_moment_matrix,
     compute_k,
-    degree_one_coeffs,
     minors,
     normalize_cubic,
     pullback_measure,
-    transform_sequence,
+    solve_cubic,
 )
+from cubicmoment.cli import random_request
 
-from _oracle import numeric_rank
+from _oracle import build_J, degree_one_coeffs, numeric_rank, paper_minors, transform_sequence
 from _util import seq_from_a
+
+TEST_POINTS = [(0.3, 0.1), (-0.7, 0.4), (0.2, -0.9), (0.5, 0.6)]  # weight 1/4 each
 
 
 def _sequence(degree, **entries):
@@ -33,6 +37,15 @@ def _sequence(degree, **entries):
         i, j = int(key[1]), int(key[2])
         vals[monomial_index((i, j))] = value
     return MomentSequence(degree, vals)
+
+
+def _test_measure(offset=0.0):
+    return AtomicMeasure(tuple(Atom(x + offset, y + offset, 0.25) for x, y in TEST_POINTS)).moments(3)
+
+
+def _relative_gap(got, expected) -> float:
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    return float(np.abs(got - expected).max() / np.abs(expected).max())
 
 
 def _random_measure(rng, n_atoms):
@@ -256,10 +269,9 @@ class TestInvariance:
         for _ in range(25):
             a = rng.uniform(-2, 2, 4)
             cert = normalize_cubic(seq_from_a(a))
-            # already-normalized input goes through the quarter turn
-            assert_allclose(
-                cert.a_vec, (-a[3], a[2], -a[1], a[0]), atol=1e-12
-            )
+            # already-normalized input goes through the quarter turn, exactly
+            assert cert.a_vec == (-a[3], a[2], -a[1], a[0])
+            assert astuple(cert.map) == (0.0, 0.0, -1.0, 0.0, 1.0, 0.0)
             assert compute_k(cert.a_vec) == pytest.approx(compute_k(a), abs=1e-12)
 
     def test_pullback_round_trip(self):
@@ -299,3 +311,68 @@ class TestNormalizeCubic:
         values = np.array([1, 0, 0, 0, 0, 1, 0, 0, 0, 0], dtype=float)  # beta_20 = 0
         with pytest.raises(SingularM1Error):
             normalize_cubic(MomentSequence(3, values))
+
+    def test_threshold_failure_names_the_threshold(self):
+        # translated by 1e5, d2 = 0.2119 is positive but not above 1e-10 * beta_20 = 1.0
+        with pytest.raises(SingularM1Error) as info:
+            normalize_cubic(_test_measure(offset=1e5))
+        err = info.value
+        assert err.minor == "d2" and 0.0 < err.value <= err.threshold
+        assert str(err) == (
+            f"M(1) is singular or indefinite: minor d2 = {err.value:.6g} is not above {err.threshold:.6g}"
+        )
+
+
+class TestRobustnessRows:
+    def test_translated_by_100_solves(self):
+        mu, report = solve_cubic(_test_measure(offset=100.0))
+        assert len(mu.atoms) == 4
+        assert report.max_moment_residual <= 1e-8
+
+    def test_translated_by_1e4_keeps_the_pivots(self):
+        # the factor's first column is the mean, so d3 comes from centered moments
+        cert = normalize_cubic(_test_measure(offset=1e4))
+        assert cert.d3 == pytest.approx(normalize_cubic(_test_measure()).d3, rel=1e-6)
+        m1 = build_moment_matrix(cert.normalized.truncated(2)).entries
+        assert np.abs(m1 - np.eye(3)).max() <= 1e-10
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        atoms=st.lists(
+            st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.2, 1.5)),
+            min_size=3,
+            max_size=5,
+        ),
+        shift=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+        log_mass=st.floats(-12.0, 12.0),
+    )
+    def test_translation_and_mass_keep_a_vec(self, atoms, shift, log_mass):
+        beta = AtomicMeasure(tuple(Atom(*atom) for atom in atoms)).moments(3)
+        d2, d3 = minors(beta.rescaled(1.0 / beta[0, 0]))
+        assume(d2 > 0.01 and d3 > 0.01)
+        moved = AtomicMeasure(
+            tuple(Atom(x + shift[0], y + shift[1], w * 10.0**log_mass) for x, y, w in atoms)
+        ).moments(3)
+        expected = np.array(normalize_cubic(beta).a_vec)
+        got = np.array(normalize_cubic(moved).a_vec)
+        # relative to the normalized sequence (1, 0, 0, 1, 0, 1, a), whose M(1) part is I
+        assert np.abs(got - expected).max() <= 1e-4 * max(1.0, np.abs(expected).max())
+
+
+class TestPaperMap:
+    def test_matches_the_closed_forms(self):
+        worst = [0.0, 0.0, 0.0]
+        for n_atoms in (3, 4, 5):
+            for seed in range(100):
+                beta = MomentSequence(3, np.array(random_request(n_atoms, seed)["beta"]))
+                scaled = beta.rescaled(1.0 / beta[0, 0])
+                psi = degree_one_coeffs(scaled)
+                paper = transform_sequence(scaled, psi).values[6:]
+                cert = normalize_cubic(beta)
+                gaps = (
+                    _relative_gap(cert.a_vec, paper),
+                    _relative_gap(astuple(cert.map), astuple(psi)),
+                    _relative_gap((cert.d2, cert.d3), paper_minors(scaled)),
+                )
+                worst = [max(w, g) for w, g in zip(worst, gaps)]
+        assert max(worst) <= 1e-12, worst

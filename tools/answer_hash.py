@@ -17,9 +17,11 @@ side's src/ and records, one input at a time:
   `solve --emit-matrices` on that output, for N in 3, 4, 5 and S in
   0..99, run in-process.
 
-The tool prints one hash per side over all records. It exits 0 when the
-hashes are equal; otherwise it prints the first input whose records
-differ and exits 1. Sides run one after the other.
+The records fall into parts: one per (workload, seed) pool, and one for
+the CLI records. The tool prints one hash per part and side. It exits 0
+when every part's hashes are equal; otherwise it names, for each part that
+differs, the first input whose records differ, and exits 1. Sides run one
+after the other.
 """
 
 from __future__ import annotations
@@ -87,17 +89,18 @@ def cli_record(atoms: int, seed: int, scratch: Path) -> bytes:
 
 
 def records(seeds, scratch: Path):
-    """(label, record) for every input the hash covers, in a fixed order."""
+    """(part, label, record) for every input the hash covers, in a fixed order."""
     import workloads
 
     for seed in seeds:
         for workload in WORKLOADS:
+            part = f"{workload} seed {seed}"
             for i, beta in enumerate(workloads.generate(workload, seed)):
-                yield f"{workload} seed {seed} #{i} beta {beta.tolist()}", solve_record(beta)
+                yield part, f"{part} #{i} beta {beta.tolist()}", solve_record(beta)
     for atoms in CLI_ATOMS:
         for seed in CLI_SEEDS:
             label = f"solve --emit-matrices on random --atoms {atoms} --seed {seed}"
-            yield label, cli_record(atoms, seed, scratch)
+            yield "cli", label, cli_record(atoms, seed, scratch)
 
 
 def digest(record: bytes) -> str:
@@ -105,7 +108,7 @@ def digest(record: bytes) -> str:
 
 
 def hash_tree(tree: Path, seeds) -> None:
-    """Print one line per input, its record's digest and its label, for the solver in tree/src."""
+    """Print one line per input, its record's digest, part and label, for the solver in tree/src."""
     sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
     import cubicmoment
 
@@ -113,18 +116,53 @@ def hash_tree(tree: Path, seeds) -> None:
     if not origin.is_relative_to((tree / "src").resolve()):
         raise SystemExit(f"cubicmoment was imported from {origin}, not from {tree / 'src'}")
     with tempfile.TemporaryDirectory(prefix="answer-hash-cli-") as tmp, np.errstate(all="ignore"):
-        for label, record in records(seeds, Path(tmp)):
-            print(f"{digest(record)} {label}")
+        for part, label, record in records(seeds, Path(tmp)):
+            print(f"{digest(record)}\t{part}\t{label}")
 
 
-def _side(tree: Path, seeds) -> list[tuple[str, str]]:
-    """(digest, label) per input, from a child process that imports tree's solver."""
+def _side(tree: Path, seeds) -> list[tuple[str, str, str]]:
+    """(digest, part, label) per input, from a child process that imports tree's solver."""
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "MOMENT_SOLVER_SEED")}
     cmd = [sys.executable, __file__, "--tree", str(tree), "--seeds", *map(str, seeds)]
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"hashing {tree} failed:\n{done.stderr}")
-    return [tuple(line.split(" ", 1)) for line in done.stdout.splitlines()]
+    return [tuple(line.split("\t", 2)) for line in done.stdout.splitlines()]
+
+
+def by_part(lines) -> dict[str, list[tuple[str, str]]]:
+    """(digest, label) per input, grouped by part in the order the parts first appear."""
+    parts: dict[str, list[tuple[str, str]]] = {}
+    for d, part, label in lines:
+        parts.setdefault(part, []).append((d, label))
+    return parts
+
+
+def part_hash(inputs: list[tuple[str, str]]) -> str:
+    return hashlib.sha256("".join(d for d, _ in inputs).encode()).hexdigest()
+
+
+def compare(base_name: str, base_lines, tree_name: str, tree_lines) -> tuple[list[str], bool]:
+    """Report lines and whether the sides agree: one hash per part and side, and the
+    first differing input of each part that differs."""
+    base, tree = by_part(base_lines), by_part(tree_lines)
+    report, equal = [], True
+    for part in dict.fromkeys([*base, *tree]):
+        left, right = base.get(part, []), tree.get(part, [])
+        same = left == right
+        equal &= same
+        report.append(f"{part}: {'equal' if same else 'DIFFERENT'} ({len(left)} / {len(right)} inputs)")
+        report.append(f"  {part_hash(left)}  {base_name}")
+        report.append(f"  {part_hash(right)}  {tree_name}")
+        if same:
+            continue
+        first = next(((a, b) for a, b in zip(left, right) if a != b), None)
+        if first is None:
+            report.append(f"  the sides cover {len(left)} and {len(right)} inputs")
+        else:
+            (_, label), (_, tree_label) = first
+            report.append(f"  first difference: {label}" + ("" if label == tree_label else f" / {tree_label}"))
+    return report, equal
 
 
 def main(argv=None) -> int:
@@ -139,20 +177,11 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="answer-hash-base-") as tmp:
         export(args.base, Path(tmp))
-        sides = {args.base: _side(Path(tmp), args.seeds), "working tree": _side(ROOT, args.seeds)}
-    for name, lines in sides.items():
-        total = hashlib.sha256("".join(d for d, _ in lines).encode()).hexdigest()
-        print(f"{total}  {name} ({len(lines)} inputs)")
-    base, tree = sides.values()
-    for (base_digest, label), (tree_digest, tree_label) in zip(base, tree):
-        if (base_digest, label) != (tree_digest, tree_label):
-            print(f"first difference: {label}" + ("" if label == tree_label else f" / {tree_label}"))
-            return 1
-    if len(base) != len(tree):
-        print(f"the sides cover {len(base)} and {len(tree)} inputs")
-        return 1
-    print("equal")
-    return 0
+        base = _side(Path(tmp), args.seeds)
+    report, equal = compare(args.base, base, "working tree", _side(ROOT, args.seeds))
+    print("\n".join(report))
+    print("equal" if equal else "different")
+    return 0 if equal else 1
 
 
 if __name__ == "__main__":
