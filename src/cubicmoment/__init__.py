@@ -7,16 +7,17 @@ verifiable certificate: the extension matrices, the multiplication
 matrices Mx, My (whose columns are the relations that cut out the support)
 and the moment residuals of the recovered measure.
 
-The package is the solver, its command line and the paper's closed forms.
-The independent oracles the tests check it against (the Smul'jan block
-tests, the fixed-point reducer for Mx and My and the relations it reads,
-the Riesz functional, the paper's normalizing map) live in tests/_oracle.py.
+The package is the solver, its command line and the closed forms they
+use. The independent oracles the tests check it against (the Smul'jan
+block tests, the fixed-point reducer for Mx and My and the relations it
+reads, the Riesz functional, the paper's normalizing map, and the paper's
+k < 0 construction with the bump t = 1 and its beta_04 certificate) live in
+tests/_oracle.py.
 """
 
 from .cubic import (
     CaseTag,
     ExtensionResult,
-    beta04_formula,
     build_m3_kneg,
     classify_k,
     compute_k,
@@ -24,8 +25,6 @@ from .cubic import (
     extend_k0,
     extend_kneg,
     extend_kpos,
-    sos_certificate_check,
-    x3_relation,
 )
 from .errors import (
     CommutatorError,

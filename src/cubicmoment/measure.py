@@ -179,15 +179,7 @@ def solve_cubic(
     rho = _densities(vb, ext.basis, certificate.normalized)
     smallest = float(rho.min())
     if not smallest >= MIN_WEIGHT:
-        # near-degenerate k < 0 sends one atom to infinity with density ~ k^4,
-        # which is positive in exact arithmetic but numerically meaningless
-        hint = (
-            f" (k = {ext.k:.3e} is near-degenerate; the rank-4 construction "
-            "carries a vanishing density there)"
-            if abs(ext.k) < 1e-2
-            else ""
-        )
-        raise VerificationError(f"density {smallest:.3e} below {MIN_WEIGHT:g}{hint}")
+        raise VerificationError(f"density {smallest:.3e} below {MIN_WEIGHT:g}")
     variety_residual = _variety_residual(ext, vb)
     if not variety_residual <= MAX_VARIETY_RESIDUAL:
         raise VerificationError(f"an atom violates a column relation by {variety_residual:.3e}")

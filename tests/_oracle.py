@@ -30,6 +30,14 @@ coefficients of the normalizing map in closed form, and the pushforward
 J^T beta through the substitution matrix build_J of any degree. The solver
 reaches the same map through a Cholesky factor of M(1) and pushes the
 moment tensor instead.
+
+paper_extend_kneg is the paper's k < 0 construction as it is written: it
+bumps beta_40 by t = 1, solves the {1, X, Y, X^2} compression M4 for the
+Y^2 relation p, and divides by p4 = -k for the X^3 relation (x3_relation).
+beta04_formula is its beta_04 in closed form, and SOS_GRAM with
+sos_certificate_check the paper's certificate that beta_04 >= 1. The
+solver bumps by t = |k| instead, where every coefficient is a short
+polynomial in a.
 """
 
 from __future__ import annotations
@@ -51,11 +59,11 @@ from cubicmoment import (
     MomentSequence,
     Monomial,
     SingularM1Error,
+    compute_k,
     monomial_index,
     monomials_up_to,
-    x3_relation,
 )
-from cubicmoment.cubic import BASIS_KNEG
+from cubicmoment.cubic import BASIS_KNEG, TOL_K, _extension, _sequence4
 from cubicmoment.linalg import TOL_COMMUTE, TOL_EIG, commutator_norm
 from cubicmoment.moments import sequence_length
 from cubicmoment.normalize import SINGULAR_RTOL
@@ -203,10 +211,14 @@ def paper_relations(ext: ExtensionResult, a) -> tuple[ColumnRelation, ...]:
 
     k = 0:  X^2 = 1 + a0 X + a1 Y,  XY = a1 X + a2 Y,  Y^2 = 1 + a2 X + a3 Y.
     k > 0:  the X^2 and Y^2 relations of k = 0.
-    k < 0:  the XY relation of k = 0, Y^2 = p1 + p2 X + p3 Y + p4 X^2 with
-            p = ext.p_vec, and the X^3 relation of x3_relation(a, p).
+    k < 0:  the XY relation of k = 0, and with the bump t = -k,
+            Y^2 = (a2 - a0) X + (a3 - a1) Y + X^2 and
+            X^3 = (1 + t + a1^2) X + a1 a2 Y + a0 X^2 (the solver's route;
+            paper_extend_kneg's t = 1 relations differ).
 
-    Reads ext.case and ext.p_vec, never ext.mx or ext.my.
+    Reads ext.case, never ext.mx or ext.my. The k < 0 coefficients are the
+    route's float expressions, so the reducer's matrices equal the route's
+    bit for bit.
     """
     a0, a1, a2, a3 = (float(v) for v in a)
     one, x, y = Monomial(0, 0), Monomial(1, 0), Monomial(0, 1)
@@ -217,8 +229,9 @@ def paper_relations(ext: ExtensionResult, a) -> tuple[ColumnRelation, ...]:
         return x2, xy, y2
     if ext.case is CaseTag.RECURSIVELY_DETERMINATE_K_POS:
         return x2, y2
-    y2 = ColumnRelation(Monomial(0, 2), dict(zip(BASIS_KNEG, ext.p_vec)))
-    x3 = ColumnRelation(Monomial(3, 0), dict(zip(BASIS_KNEG, x3_relation(a, ext.p_vec)[0])))
+    t, xx = -compute_k(a), Monomial(2, 0)
+    y2 = ColumnRelation(Monomial(0, 2), {x: a2 - a0, y: a3 - a1, xx: 1.0})
+    x3 = ColumnRelation(Monomial(3, 0), {x: 1.0 + t + a1 * a1, y: a1 * a2, xx: a0})
     return xy, y2, x3
 
 
@@ -442,3 +455,113 @@ def _substitution_tables(degree: int):
         parents = np.array([*range(lo, mid), mid - 1])
         steps.append((slice(mid, hi), parents, np.array([0] * t + [1])))
     return shifts, tuple(steps)
+
+
+def paper_extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
+    """The paper's rank-4 extension for k < 0: beta_40 bumped by t = 1.
+
+    Includes the induced X^3 relation; the quintic moment beta_50 is
+    x3_relation(a, my[:, 2])[1], and the flat degree-3 matrix is built from
+    mx and my when m3 is read.
+    """
+    a0, a1, a2, a3 = a = tuple(map(float, a))
+    k = compute_k(a)
+    if not k < -tol_k:
+        raise ValueError(f"k = {k:.6g} is not negative beyond {tol_k:g}")
+    b40 = 2.0 + a0 * a0 + a1 * a1
+    b31 = a0 * a1 + a1 * a2
+    b22 = a1 * a1 + a2 * a2
+    b13 = a1 * a2 + a2 * a3
+    m4 = np.array(
+        [
+            [1.0, 0.0, 0.0, 1.0],
+            [0.0, 1.0, 0.0, a0],
+            [0.0, 0.0, 1.0, a1],
+            [1.0, a0, a1, b40],
+        ]
+    )
+    y2_column = np.array([1.0, a2, a3, b22])
+    try:
+        p = np.linalg.solve(m4, y2_column)  # det m4 = 1, but huge a can make it singular in floats
+    except np.linalg.LinAlgError as exc:
+        raise MomentProblemError("the {1, X, Y, X^2} block is numerically singular") from exc
+    b04 = float(p @ y2_column)  # flat completion: (Y^2)^T M4^{-1} (Y^2)
+    moments = _sequence4(a, (b40, b31, b22, b13, b04))
+    xxx = x3_relation(a, p)[0]
+    x, y, xx = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
+    xy, yy = (0.0, a1, a2, 0.0), tuple(p.tolist())  # XY = a1 X + a2 Y, Y^2 = p over the basis
+    xxy = (0.0, a1 * a2, a2 * a2, a1)  # X^2 Y = a1 X^2 + a2 XY
+    mx, my = (x, xx, xy, xxx), (y, xy, yy, xxy)
+    case = CaseTag.RANK_INCREASING_K_NEG
+    return _extension(case, k, moments, BASIS_KNEG, mx, my)
+
+
+def beta04_formula(a) -> float:
+    """Closed-form beta_04 of the k < 0 completion.
+
+    A degree-8 polynomial in a; algebraically it equals
+    1 + k^2 + a2^2 + a3^2, hence is always >= 1.
+    """
+    a0, a1, a2, a3 = map(float, a)
+    return (
+        2.0
+        + a1**4
+        + 2.0 * a0 * a2
+        + a0**2 * a2**2
+        + 2.0 * a1**2 * a2**2
+        + a2**4
+        + 2.0 * a1 * a3
+        + 2.0 * a0 * a1 * a2 * a3
+        + a3**2
+        + a1**2 * a3**2
+        - 2.0 * a1**2
+        - 2.0 * a0 * a1**2 * a2
+        - a2**2
+        - 2.0 * a0 * a2**3
+        - 2.0 * a1**3 * a3
+        - 2.0 * a1 * a2**2 * a3
+    )
+
+
+def x3_relation(a, p_vec) -> tuple[tuple[float, float, float, float], float]:
+    """X^3 column forced by matching the two XY^2 expansions (k < 0 route).
+
+    XY^2 expands both through the XY relation and through the Y^2 relation;
+    equating them and dividing by p4 gives
+
+        X^3 = (1/p4) [ a2 p1 + (a1^2 + a2 p2 - p1 - a1 p3) X
+                       + a1 a2 Y + (a2 p4 - p2) X^2 ].
+
+    Returns (column X^2 of Mx, the X^3 column over {1, X, Y, X^2}, and beta50,
+    which evaluates it against the X^2 row of those columns, (1, a0, a1, beta_40)).
+    """
+    a0, a1, a2, a3 = map(float, a)
+    p1, p2, p3, p4 = (float(v) for v in p_vec)
+    if p4 == 0.0:
+        raise ZeroDivisionError("p4 = 0: the Y^2 relation involves no X^2 term")
+    c0 = a2 * p1 / p4
+    c1 = (a1 * a1 + a2 * p2 - p1 - a1 * p3) / p4
+    c2 = a1 * a2 / p4
+    c3 = (a2 * p4 - p2) / p4
+    b40 = 2.0 + a0 * a0 + a1 * a1
+    beta50 = c0 + c1 * a0 + c2 * a1 + c3 * b40
+    return (c0, c1, c2, c3), float(beta50)
+
+
+# Gram matrix of the nonnegativity certificate for beta_04 - 1: it is
+# u u^T + e2 e2^T + e3 e3^T with u = (1, 0, 0, -1, -1, 1, 1), hence PSD of
+# rank 3 and flat over its identity 3x3 corner.
+_SOS_U = np.array([1.0, 0.0, 0.0, -1.0, -1.0, 1.0, 1.0])
+SOS_GRAM = np.outer(_SOS_U, _SOS_U) + np.diag([0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def sos_certificate_check(a) -> bool:
+    """Check y^T R y = beta04_formula(a) - 1 >= 0 for the fixed Gram matrix R.
+
+    y = (1, a2, a3, a1^2, a2^2, a0 a2, a1 a3), and the identity must hold
+    to 1e-9. Certifies that the k < 0 completion always has beta_04 >= 1.
+    """
+    a0, a1, a2, a3 = map(float, a)
+    y = np.array([1.0, a2, a3, a1 * a1, a2 * a2, a0 * a2, a1 * a3])
+    quad = float(y @ SOS_GRAM @ y)
+    return abs(quad - (beta04_formula(a) - 1.0)) <= 1e-9 and quad >= -1e-12

@@ -1,5 +1,8 @@
 """The records that tools/answer_hash.py hashes and its per-part comparison; no subprocess, no git."""
 
+import sys
+import types
+
 import numpy as np
 
 import answer_hash
@@ -69,4 +72,37 @@ def test_a_part_missing_on_one_side_differs():
         f"  {answer_hash.part_hash([('c0', 'random 3 0')])}  base",
         f"  {answer_hash.part_hash([])}  tree",
         "  the sides cover 1 and 0 inputs",
+    ]
+
+
+def test_outcome_is_the_case_or_error():
+    k_zero = [1, 0, 0, 1, 0, 1, 0, 1, 0, 0]
+    singular = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+    outcomes = {"k_pos": K_POS, "k_neg": K_NEG, "k_zero": k_zero, "error": singular}
+    for outcome, beta in outcomes.items():
+        assert answer_hash.solve_outcome(beta) == (outcome, answer_hash.solve_record(beta))
+
+
+def test_pool_parts_split_by_outcome(monkeypatch, tmp_path):
+    pool = [np.array(beta, dtype=float) for beta in (K_POS, K_NEG, K_POS)]
+    workloads = types.ModuleType("workloads")
+    workloads.generate = lambda workload, seed: pool
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    monkeypatch.setattr(answer_hash, "WORKLOADS", ("pool",))
+    monkeypatch.setattr(answer_hash, "CLI_ATOMS", ())
+    records = answer_hash.records([5], tmp_path)
+    lines = [(answer_hash.digest(record), part, label) for part, label, record in records]
+    assert [(part, label.split(" beta ")[0]) for _, part, label in lines] == [
+        ("pool seed 5 k_pos", "pool seed 5 #0"),
+        ("pool seed 5 k_neg", "pool seed 5 #1"),
+        ("pool seed 5 k_pos", "pool seed 5 #2"),
+    ]
+    # an input that changes outcome on one side leaves the other outcome's part equal
+    tree = [lines[0], ("e1", "pool seed 5 error", lines[1][2]), lines[2]]
+    report, equal = answer_hash.compare("base", lines, "tree", tree)
+    assert not equal
+    assert [line for line in report if not line.startswith("  ")] == [
+        "pool seed 5 k_pos: equal (2 / 2 inputs)",
+        "pool seed 5 k_neg: DIFFERENT (1 / 0 inputs)",
+        "pool seed 5 error: DIFFERENT (0 / 1 inputs)",
     ]

@@ -8,27 +8,37 @@ from cubicmoment import (
     CaseTag,
     CommutatorError,
     MomentProblemError,
-    beta04_formula,
     build_m3_kneg,
     compute_k,
     extend,
     extend_k0,
     extend_kneg,
     extend_kpos,
+    extract_atoms,
+    solve_densities,
+)
+
+from _oracle import (
+    SOS_GRAM,
+    beta04_formula,
+    column_of,
+    numeric_rank,
+    paper_extend_kneg,
+    paper_relations,
+    psd_min_eig,
+    smuljan_classify,
     sos_certificate_check,
     x3_relation,
 )
-from cubicmoment.cubic import SOS_GRAM
-
-from _oracle import column_of, numeric_rank, paper_relations, psd_min_eig, smuljan_classify
-from _util import is_hankel, quartics_of
+from _util import is_hankel, match_points, quartics_of
 
 
-def _oracle_p(a):
+def _oracle_p(a, bump=1.0):
     """Independent route to the Y^2 relation: assemble the compression
-    from the moment definitions and solve it directly."""
+    with beta_40 raised by bump from the moment definitions and solve it
+    directly (bump = 1 is the paper's)."""
     a0, a1, a2, a3 = a
-    b40 = 2.0 + a0 * a0 + a1 * a1
+    b40 = 1.0 + bump + a0 * a0 + a1 * a1
     b22 = a1 * a1 + a2 * a2
     m4 = np.array(
         [
@@ -57,7 +67,7 @@ class TestExtendK0:
         assert numeric_rank(ext.m2.entries, 1e-10) == 3
         assert ext.case is CaseTag.FLAT_K0
         assert ext.basis == ((0, 0), (1, 0), (0, 1))
-        assert ext.p_vec is None and ext.m3 is None
+        assert ext.m3 is None
 
     def test_second_example(self):
         assert compute_k((1, 1, 0, 0)) == 0.0
@@ -105,21 +115,21 @@ class TestExtendKpos:
 class TestExtendKneg:
     def test_example_one_against_oracle(self):
         a = (0.0, 1.0, 1.0, 0.0)
-        ext = extend_kneg(a)
+        ext = paper_extend_kneg(a)
         assert quartics_of(ext.m2)[:4] == (3, 1, 2, 1)
         p_oracle, b04_oracle = _oracle_p(a)
-        assert_allclose(ext.p_vec, (0, 1, -1, 1), atol=1e-12)
-        assert_allclose(ext.p_vec, p_oracle, atol=1e-12)
+        assert_allclose(ext.my[:, 2], (0, 1, -1, 1), atol=1e-12)
+        assert_allclose(ext.my[:, 2], p_oracle, atol=1e-12)
         assert ext.m2.moment((0, 4)) == pytest.approx(3.0, abs=1e-12)
         assert ext.m2.moment((0, 4)) == pytest.approx(b04_oracle, abs=1e-12)
         assert ext.basis == ((0, 0), (1, 0), (0, 1), (2, 0))
 
     def test_example_two_against_oracle(self):
         a = (0.0, 2.0, 0.0, 0.0)
-        ext = extend_kneg(a)
+        ext = paper_extend_kneg(a)
         assert ext.k == -3.0
         assert quartics_of(ext.m2)[:4] == (6, 0, 4, 0)
-        assert_allclose(ext.p_vec, (-2, 0, -6, 3), atol=1e-12)
+        assert_allclose(ext.my[:, 2], (-2, 0, -6, 3), atol=1e-12)
         assert ext.m2.moment((0, 4)) == pytest.approx(10.0, abs=1e-12)
 
     def test_rejects_wrong_sign(self):
@@ -133,8 +143,39 @@ class TestExtendKneg:
             k = compute_k(a)
             if k >= -1e-6:
                 continue
+            ext = paper_extend_kneg(a)
+            assert abs(ext.my[:, 2][3] + k) <= 1e-10
+
+
+class TestKnegBump:
+    """The solver's k < 0 route bumps beta_40 by t = |k|."""
+
+    def test_closed_form_example(self):
+        # k = -3, so t = 3: Y^2 = X^2 - 2Y, X^3 = 8X and XY = 2X
+        ext = extend_kneg((0, 2, 0, 0))
+        assert quartics_of(ext.m2) == (8, 0, 4, 0, 4)
+        assert ext.my[:, 2].tolist() == [0.0, 0.0, -2.0, 1.0]
+        assert ext.mx[:, 3].tolist() == [0.0, 8.0, 0.0, 0.0]
+        atoms = extract_atoms(ext)
+        r8 = 2.0 * np.sqrt(2.0)
+        match_points(atoms, [(-r8, 2.0), (0.0, -2.0), (0.0, 0.0), (r8, 2.0)], atol=1e-12)
+        weights = solve_densities(atoms, ext.basis, ext.moments)
+        assert_allclose(weights, [1 / 16, 1 / 8, 3 / 4, 1 / 16], rtol=0, atol=1e-12)
+
+    def test_matches_m4_solve(self):
+        # the flat completion over M4 at t = |k|, solved numerically
+        rng = np.random.default_rng(61)
+        checked = 0
+        while checked < 1000:
+            a = rng.uniform(-2, 2, 4)
+            k = compute_k(a)
+            if k >= -1e-10:
+                continue
+            checked += 1
             ext = extend_kneg(a)
-            assert abs(ext.p_vec[3] + k) <= 1e-10
+            p, b04 = _oracle_p(a, bump=-k)
+            assert np.abs(ext.my[:, 2] - p).max() <= 1e-12 * max(1.0, np.abs(p).max())
+            assert abs(ext.m2.moment((0, 4)) - b04) <= 1e-12 * abs(b04)
 
 
 class TestBeta04Formula:
@@ -149,7 +190,7 @@ class TestBeta04Formula:
             a = rng.uniform(-2, 2, 4)
             if compute_k(a) >= -1e-6:
                 continue
-            ext = extend_kneg(a)
+            ext = paper_extend_kneg(a)
             assert abs(ext.m2.moment((0, 4)) - beta04_formula(a)) <= 1e-9
 
 
@@ -188,8 +229,8 @@ class TestBuildM3:
         assert res.flat and res.psd and res.rank == 4
 
     def test_second_example_beta50_row_consistency(self):
-        ext = extend_kneg((0, 2, 0, 0))
-        assert ext.m3.moment((5, 0)) == pytest.approx(ext.beta50, abs=1e-12)
+        ext = paper_extend_kneg((0, 2, 0, 0))
+        assert ext.m3.moment((5, 0)) == pytest.approx(x3_relation((0, 2, 0, 0), ext.my[:, 2])[1], abs=1e-12)
         assert is_hankel(ext.m3)
 
     def test_principal_block_is_m2(self):

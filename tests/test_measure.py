@@ -348,3 +348,29 @@ class TestSolveCubic:
                 poly = rel.polynomial()
                 values = monomial_table(x, y, rel.target.degree) @ poly
                 assert np.abs(values).max() <= 1e-7
+
+
+class TestNearZeroKneg:
+    """The k < 0 route's smallest density is of order |k|, so the band down to tol_k solves."""
+
+    @pytest.mark.parametrize("seed", [313, 656, 738, 958])
+    def test_random_four_atom_requests_solve(self, seed):
+        # k is between -1.4e-3 and -4.7e-4 here, where a bump of 1 left a density below 1e-10
+        beta = MomentSequence(3, np.array(random_request(4, seed)["beta"]))
+        mu, report = solve_cubic(beta)
+        assert report.case is CaseTag.RANK_INCREASING_K_NEG
+        assert len(mu.atoms) == 4
+        assert report.max_moment_residual <= 1e-8
+
+    def test_band_below_k_zero_solves(self):
+        # k = -10^u for u from -9.5 to -1.31; a3 puts each k on a normalized a
+        rng = np.random.default_rng(2)
+        worst = 0.0
+        for u in np.arange(-950, -130) / 100:
+            a0, a2 = rng.uniform(-2, 2, 2)
+            a1 = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2)
+            a3 = (-(10.0**u) - 1.0 - a0 * a2 + a1 * a1 + a2 * a2) / a1
+            mu, report = solve_cubic(seq_from_a((a0, a1, a2, a3)))
+            assert report.case is CaseTag.RANK_INCREASING_K_NEG and len(mu.atoms) == 4
+            worst = max(worst, report.max_moment_residual)
+        assert worst <= 1e-12

@@ -17,11 +17,14 @@ side's src/ and records, one input at a time:
   `solve --emit-matrices` on that output, for N in 3, 4, 5 and S in
   0..99, run in-process.
 
-The records fall into parts: one per (workload, seed) pool, and one for
-the CLI records. The tool prints one hash per part and side. It exits 0
-when every part's hashes are equal; otherwise it names, for each part that
-differs, the first input whose records differ, and exits 1. Sides run one
-after the other.
+The records fall into parts: one per (workload, seed) pool and outcome,
+and one for the CLI records. The outcome is the case of that side's solve
+(k_zero, k_pos or k_neg) or error, so an input whose outcome changes
+leaves a part on one side and joins another, and both parts differ; the
+parts of the outcomes a change leaves alone stay equal. The tool prints
+one hash per part and side. It exits 0 when every part's hashes are
+equal; otherwise it names, for each part that differs, the first input
+whose records differ, and exits 1. Sides run one after the other.
 """
 
 from __future__ import annotations
@@ -45,15 +48,15 @@ CLI_ATOMS = (3, 4, 5)
 CLI_SEEDS = range(100)
 
 
-def solve_record(beta) -> bytes:
-    """Everything the hash covers of solve_cubic(beta, seed=0)."""
+def solve_outcome(beta) -> tuple[str, bytes]:
+    """(outcome, record) of solve_cubic(beta, seed=0); the outcome is the case value or "error"."""
     from cubicmoment import MomentSequence, solve_cubic
 
     beta = np.asarray(beta, dtype=float)
     try:
         mu, report = solve_cubic(MomentSequence(3, beta), seed=0)
     except Exception as exc:  # every outcome is part of the answer, an untyped error too
-        return f"error {type(exc).__name__}: {exc}".encode()
+        return "error", f"error {type(exc).__name__}: {exc}".encode()
     ext = report.extension
     m3 = ext.m3
     numbers = [
@@ -66,7 +69,12 @@ def solve_record(beta) -> bytes:
     ]
     shapes = " ".join("x".join(map(str, np.shape(n))) for n in numbers)
     data = b"".join(np.ascontiguousarray(n, dtype=float).tobytes() for n in numbers)
-    return f"ok {shapes}|".encode() + data
+    return report.case.value, f"ok {shapes}|".encode() + data
+
+
+def solve_record(beta) -> bytes:
+    """Everything the hash covers of solve_cubic(beta, seed=0)."""
+    return solve_outcome(beta)[1]
 
 
 def _run_cli(argv: list[str]) -> tuple[int, str]:
@@ -94,9 +102,10 @@ def records(seeds, scratch: Path):
 
     for seed in seeds:
         for workload in WORKLOADS:
-            part = f"{workload} seed {seed}"
+            pool = f"{workload} seed {seed}"
             for i, beta in enumerate(workloads.generate(workload, seed)):
-                yield part, f"{part} #{i} beta {beta.tolist()}", solve_record(beta)
+                outcome, record = solve_outcome(beta)
+                yield f"{pool} {outcome}", f"{pool} #{i} beta {beta.tolist()}", record
     for atoms in CLI_ATOMS:
         for seed in CLI_SEEDS:
             label = f"solve --emit-matrices on random --atoms {atoms} --seed {seed}"
