@@ -48,7 +48,6 @@ from .measure import (
 from .moments import (
     Atom,
     AtomicMeasure,
-    MomentMatrix,
     MomentSequence,
     Monomial,
     build_moment_matrix,
@@ -57,7 +56,6 @@ from .moments import (
     monomials_up_to,
 )
 from .normalize import (
-    AffineMap,
     NormalizationCertificate,
     minors,
     normalize_cubic,

@@ -143,8 +143,9 @@ def _seed(source: str, value) -> int:
     return value
 
 
-def _map_payload(affine) -> dict:
-    return {key: getattr(affine, key) for key in "abcdef"}
+def _map_payload(psi) -> dict:
+    """The coefficients a, ..., f of psi(x, y) = (a + b x + c y, d + e x + f y), rows 1-2 of psi."""
+    return dict(zip("abcdef", psi[1:].ravel().tolist()))
 
 
 def cmd_solve(args) -> int:
@@ -182,12 +183,12 @@ def cmd_solve(args) -> int:
         # all matrices live in the normalized coordinates of the map above
         m1 = build_moment_matrix(cert.normalized.truncated(2))
         matrices = {
-            "m1": m1.entries.tolist(),
-            "m2": report.extension.m2.entries.tolist(),
+            "m1": m1.tolist(),
+            "m2": report.extension.m2.tolist(),
         }
         m3 = report.extension.m3
         if m3 is not None:
-            matrices["m3"] = m3.entries.tolist()
+            matrices["m3"] = m3.tolist()
         payload["matrices"] = matrices
     _emit(payload)
     if not args.quiet:

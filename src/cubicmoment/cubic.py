@@ -42,7 +42,6 @@ import numpy as np
 from .errors import MomentProblemError
 from .linalg import commutator_gate
 from .moments import (
-    MomentMatrix,
     MomentSequence,
     Monomial,
     build_moment_matrix,
@@ -98,12 +97,12 @@ class ExtensionResult:
     my: np.ndarray
 
     @property
-    def m2(self) -> MomentMatrix:
+    def m2(self) -> np.ndarray:
         """The moment matrix M(2) of moments, built on each read."""
         return build_moment_matrix(self.moments)
 
     @property
-    def m3(self) -> MomentMatrix | None:
+    def m3(self) -> np.ndarray | None:
         """The flat degree-3 extension of the k < 0 route, built on each read (else None)."""
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:
             return None
@@ -115,8 +114,17 @@ def _extension(case, k, moments, basis, mx, my) -> ExtensionResult:
 
     Each route writes these columns in closed form; they equal what the
     general fixed-point reducer finds from basis and relations, bit for bit
-    (adding 0.0 stores a zero as +0.0, as the reducer does).
+    (adding 0.0 stores a zero as +0.0, as the reducer does). Raises
+    MomentProblemError, naming the moment, when a moment is not finite (a
+    quartic overflows).
     """
+    finite = np.isfinite(moments.values)
+    if not finite.all():
+        n = int(finite.argmin())
+        i, j = monomials_up_to(4)[n]
+        raise MomentProblemError(
+            f"the degree-{i + j} moment beta_{i}{j} = {moments.values[n]} is not finite"
+        )
     mats = np.array([mx, my]).transpose(0, 2, 1).copy() + 0.0
     if not np.isfinite(mats).all():
         raise MomentProblemError("a multiplication matrix has a non-finite entry")
@@ -202,7 +210,7 @@ def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
     return _extension(CaseTag.RANK_INCREASING_K_NEG, k, moments, BASIS_KNEG, mx, my)
 
 
-def build_m3_kneg(ext: ExtensionResult) -> MomentMatrix:
+def build_m3_kneg(ext: ExtensionResult) -> np.ndarray:
     """Degree-3 Hankel-block matrix extending m2 by functional calculus.
 
     Moments of degree <= 4 are ext.moments; a quintic or sextic moment is

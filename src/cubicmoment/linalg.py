@@ -15,6 +15,7 @@ from .errors import CommutatorError, ComplexAtomError, MomentProblemError
 
 TOL_COMMUTE = 1e-9
 TOL_EIG = 1e-7
+TOL_IMAG = 1e-6  # largest imaginary part of the spectrum accepted, relative to max(1, |lambda|)
 
 
 def commutator_norm(Mx, My) -> float:
@@ -72,7 +73,7 @@ def joint_eigen(Mx, My, seed=0) -> list[tuple[float, float]]:
     c = _combination_coefficient(seed)
     lam, V = np.linalg.eig(c * Mx + (1.0 - c) * My)
     # eig returns a real lam, which needs no check, exactly when every eigenvalue is real
-    if np.iscomplexobj(lam) and np.abs(lam.imag).max() > 1e-6 * max(1.0, np.abs(lam).max()):
+    if np.iscomplexobj(lam) and np.abs(lam.imag).max() > TOL_IMAG * max(1.0, np.abs(lam).max()):
         raise ComplexAtomError("joint spectrum is not real")
     V = V.real
     try:

@@ -21,7 +21,6 @@ __all__ = [
     "monomials_up_to",
     "sequence_length",
     "MomentSequence",
-    "MomentMatrix",
     "build_moment_matrix",
     "monomial_table",
     "Atom",
@@ -112,45 +111,18 @@ class MomentSequence:
         return MomentSequence(degree, self.values[: sequence_length(degree)])
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
-    """Symmetric matrix M(d) with entry (u, v) = beta_{u+v}, Hankel by blocks."""
+def build_moment_matrix(beta: MomentSequence) -> np.ndarray:
+    """Assemble M(d) from an even-degree sequence beta^(2d), as a read-only array.
 
-    degree: int
-    entries: np.ndarray
-    labels: tuple[Monomial, ...]
-
-    def __post_init__(self) -> None:
-        ent = np.array(self.entries, dtype=float)
-        side = sequence_length(self.degree)
-        if ent.shape != (side, side):
-            raise ValueError(f"M({self.degree}) must be {side}x{side}, got {ent.shape}")
-        ent.setflags(write=False)
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "labels", tuple(Monomial(*m) for m in self.labels))
-
-    @property
-    def side(self) -> int:
-        return self.entries.shape[0]
-
-    def moment(self, m: tuple[int, int]) -> float:
-        """Read beta_m back from the first entry (u, v) with u + v = m."""
-        hits = np.argwhere(_hankel_index(self.degree) == monomial_index(m))
-        if min(m) < 0 or not len(hits):
-            raise IndexError(f"moment {tuple(m)} is not an entry of M({self.degree})")
-        return float(self.entries[tuple(hits[0])])
-
-
-def build_moment_matrix(beta: MomentSequence) -> MomentMatrix:
-    """Assemble M(d) from an even-degree sequence beta^(2d).
-
-    The entry at (row u, col v) is beta_{u+v}, so the result is symmetric
-    and Hankel by blocks by construction.
+    Rows and columns follow monomials_up_to(d). The entry at (row u, col v)
+    is beta_{u+v}, so the result is symmetric and Hankel by blocks by
+    construction.
     """
     if beta.degree % 2 != 0:
         raise ValueError("a moment matrix requires an even-degree sequence")
-    d = beta.degree // 2
-    return MomentMatrix(d, beta.values[_hankel_index(d)], tuple(monomials_up_to(d)))
+    entries = beta.values[_hankel_index(beta.degree // 2)]
+    entries.setflags(write=False)
+    return entries
 
 
 @functools.cache

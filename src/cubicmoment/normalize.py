@@ -23,6 +23,8 @@ from .errors import MomentProblemError, SingularM1Error
 from .moments import Atom, AtomicMeasure, MomentSequence, monomial_index
 
 SINGULAR_RTOL = 1e-10
+MASS_ATOL = 1e-9  # largest |beta_00 - 1| minors accepts as a rescaled sequence
+DEFECT_ATOL = 1e-10  # largest entry of M(1) - I accepted after normalization
 
 _Z = np.array([[0, 0], [1, 0], [0, 1]])  # the exponents (i, j) of z = (1, x, y)
 # entry (a, b, c) is the degree-lex position of z_a z_b z_c, so values[_TENSOR] = E[z (x) z (x) z]
@@ -31,45 +33,12 @@ _, _ENTRIES = np.unique(_TENSOR, return_index=True)  # the flat position of one 
 _QUARTER = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])  # R: (x, y) -> (-y, x)
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """psi(x, y) = (a + b*x + c*y, d + e*x + f*y) with invertible linear part."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-    def __post_init__(self) -> None:
-        if self.b * self.f - self.c * self.e == 0.0:
-            raise ValueError("linear part must be invertible (b*f - c*e != 0)")
-
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-
-    @property
-    def linear_det(self) -> float:
-        return self.b * self.f - self.c * self.e
-
-    def apply(self, x: float, y: float) -> tuple[float, float]:
-        return (self.a + self.b * x + self.c * y, self.d + self.e * x + self.f * y)
-
-    def invert_point(self, u: float, v: float) -> tuple[float, float]:
-        """Solve psi(x, y) = (u, v) for (x, y)."""
-        det = self.linear_det
-        ru, rv = u - self.a, v - self.d
-        return ((self.f * ru - self.c * rv) / det, (self.b * rv - self.e * ru) / det)
-
-
 def minors(beta: MomentSequence) -> tuple[float, float]:
     """Leading principal 2x2 and 3x3 minors of M(1), the pivots of its Cholesky factor.
 
     Assumes the sequence has been rescaled to beta_00 = 1.
     """
-    if abs(beta.values[0] - 1.0) > 1e-9:
+    if abs(beta.values[0] - 1.0) > MASS_ATOL:
         raise ValueError("rescale the sequence to beta_00 = 1 before taking minors")
     return _pivots(beta.values[:6].tolist())
 
@@ -100,15 +69,22 @@ def _push(A: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (A @ S.reshape(3, 9)).reshape(27)[_ENTRIES]
 
 
-def pullback_measure(mu: AtomicMeasure, psi: AffineMap) -> AtomicMeasure:
+def pullback_measure(mu: AtomicMeasure, psi: np.ndarray) -> AtomicMeasure:
     """Move atoms through psi^{-1}; weights and cardinality are unchanged.
 
-    If mu~ represents the pushforward sequence, the result represents the
-    original one.
+    psi is the 3x3 matrix of an invertible map z -> psi z on z = (1, x, y).
+    Each atom (u, v) goes to the (x, y) that psi maps to it, by Cramer's
+    rule on rows 1-2. If mu~ represents the pushforward sequence, the
+    result represents the original one.
     """
-    return AtomicMeasure(
-        tuple(Atom(*psi.invert_point(a.x, a.y), a.weight) for a in mu.atoms)
-    )
+    (a, b, c), (d, e, f) = psi[1:].tolist()
+    det = b * f - c * e
+
+    def invert(u: float, v: float) -> tuple[float, float]:
+        ru, rv = u - a, v - d
+        return ((f * ru - c * rv) / det, (b * rv - e * ru) / det)
+
+    return AtomicMeasure(tuple(Atom(*invert(u, v), w) for u, v, w in mu.atoms))
 
 
 @dataclass(frozen=True)
@@ -116,13 +92,15 @@ class NormalizationCertificate:
     """Record of a normalization: the pivots, the map used, and its result.
 
     d2 and d3 are the pivots of the first Cholesky factor, the leading
-    minors of the rescaled M(1). a_vec holds the four normalized cubic
-    moments (beta~_30, beta~_21, beta~_12, beta~_03).
+    minors of the rescaled M(1). map is the read-only 3x3 matrix of
+    z -> psi z, whose rows 1-2 are (a, b, c) and (d, e, f) for
+    psi(x, y) = (a + b x + c y, d + e x + f y). a_vec holds the four
+    normalized cubic moments (beta~_30, beta~_21, beta~_12, beta~_03).
     """
 
     d2: float
     d3: float
-    map: AffineMap
+    map: np.ndarray
     normalized: MomentSequence
     a_vec: tuple[float, float, float, float]
 
@@ -132,9 +110,9 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
 
     Factors M(1) = L1 L1^T, pushes the moments through L1^-1, factors the
     pushed-forward M(1) = L2 L2^T and pushes through R L2^-1, so psi is
-    rows 1-2 of R L2^-1 L1^-1. Applied unconditionally (already-normalized
+    the matrix R L2^-1 L1^-1. Applied unconditionally (already-normalized
     input maps through psi(x, y) = (-y, x)); the resulting M(1) is checked
-    against the identity to 1e-10.
+    against the identity to DEFECT_ATOL.
     """
     if beta.degree != 3:
         raise ValueError("normalization expects a degree-3 sequence")
@@ -162,10 +140,11 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
     normalized = _push(turn, pushed)
     # the entries of M(1) are the moments of degree <= 2: (1, 0, 0, 1, 0, 1) for M(1) = I
     defect = float(np.abs(normalized[:6] - (1.0, 0.0, 0.0, 1.0, 0.0, 1.0)).max())
-    if not defect <= 1e-10:  # also rejects a NaN defect
+    if not defect <= DEFECT_ATOL:  # also rejects a NaN defect
         raise MomentProblemError(
             f"normalization failed to reach M(1) = I (defect {defect:.3e})"
         )
-    psi = AffineMap(*(turn @ whiten)[1:].ravel().tolist())
+    psi = turn @ whiten
+    psi.setflags(write=False)
     a_vec = tuple(normalized[6:].tolist())  # beta~_30, ..., beta~_03
     return NormalizationCertificate(d2, d3, psi, MomentSequence(3, normalized), a_vec)

@@ -25,11 +25,12 @@ residuals drops a NaN My residual that follows a finite Mx one, and the
 solver's single array max rejects it.
 
 paper_minors, degree_one_coeffs and transform_sequence are the paper's
-normalization as it is written: the leading minors of M(1) and the six
-coefficients of the normalizing map in closed form, and the pushforward
-J^T beta through the substitution matrix build_J of any degree. The solver
-reaches the same map through a Cholesky factor of M(1) and pushes the
-moment tensor instead.
+normalization as it is written: the leading minors of M(1), the six
+coefficients of the normalizing map in closed form (rows 1-2 of its 3x3
+matrix on z = (1, x, y)), and the pushforward J^T beta through the
+substitution matrix build_J of any degree. The solver reaches the same
+matrix through a Cholesky factor of M(1) and pushes the moment tensor
+instead.
 
 paper_extend_kneg is the paper's k < 0 construction as it is written: it
 bumps beta_40 by t = 1, solves the {1, X, Y, X^2} compression M4 for the
@@ -49,12 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from cubicmoment import (
-    AffineMap,
     CaseTag,
     CommutatorError,
     ComplexAtomError,
     ExtensionResult,
-    MomentMatrix,
     MomentProblemError,
     MomentSequence,
     Monomial,
@@ -64,9 +63,9 @@ from cubicmoment import (
     monomials_up_to,
 )
 from cubicmoment.cubic import BASIS_KNEG, TOL_K, _extension, _sequence4
-from cubicmoment.linalg import TOL_COMMUTE, TOL_EIG, commutator_norm
+from cubicmoment.linalg import TOL_COMMUTE, TOL_EIG, TOL_IMAG, commutator_norm
 from cubicmoment.moments import sequence_length
-from cubicmoment.normalize import SINGULAR_RTOL
+from cubicmoment.normalize import MASS_ATOL, SINGULAR_RTOL
 
 TOL_PSD = 1e-10
 TOL_RANGE = 1e-9
@@ -295,17 +294,17 @@ def riesz(beta: MomentSequence, p: np.ndarray) -> float:
     return float(beta.values[: p.size] @ p)
 
 
-def column_of(M: MomentMatrix, p: np.ndarray) -> np.ndarray:
+def column_of(M: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Functional-calculus column p(X, Y) = M(d) @ p_hat.
 
-    p is a dense degree-lex coefficient vector of at most M.side entries.
-    The polynomial vanishes as a column, p(X, Y) = 0, exactly when its
-    coefficient vector lies in the kernel of M(d).
+    p is a dense degree-lex coefficient vector with at most as many entries
+    as M(d) has columns. The polynomial vanishes as a column, p(X, Y) = 0,
+    exactly when its coefficient vector lies in the kernel of M(d).
     """
     p = np.asarray(p, dtype=float)
-    if p.size > M.side:
-        raise ValueError(f"{p.size} coefficients exceed the {M.side} columns of M({M.degree})")
-    return M.entries[:, : p.size] @ p
+    if p.size > M.shape[1]:
+        raise ValueError(f"{p.size} coefficients exceed the {M.shape[1]} columns of M(d)")
+    return M[:, : p.size] @ p
 
 
 def joint_eigen_reference(
@@ -328,7 +327,7 @@ def joint_eigen_reference(
         rng = np.random.default_rng(0)
     c = rng.uniform(0.2, 0.8)
     lam, V = np.linalg.eig(c * Mx + (1.0 - c) * My)
-    if float(np.abs(lam.imag).max()) > 1e-6 * max(1.0, float(np.abs(lam).max())):
+    if float(np.abs(lam.imag).max()) > TOL_IMAG * max(1.0, float(np.abs(lam).max())):
         raise ComplexAtomError("joint spectrum is not real")
     V = V.real
     try:
@@ -356,7 +355,7 @@ def paper_minors(beta: MomentSequence) -> tuple[float, float]:
     below are written for that normalization).
     """
     b00, b10, b01, b20, b11, b02 = beta.values[:6].tolist()
-    if abs(b00 - 1.0) > 1e-9:
+    if abs(b00 - 1.0) > MASS_ATOL:
         raise ValueError("rescale the sequence to beta_00 = 1 before taking minors")
     d2 = b20 - b10 * b10
     d3 = (
@@ -369,10 +368,12 @@ def paper_minors(beta: MomentSequence) -> tuple[float, float]:
     return d2, d3
 
 
-def degree_one_coeffs(beta: MomentSequence) -> AffineMap:
-    """The six coefficients whose map normalizes M(1) to the identity.
+def degree_one_coeffs(beta: MomentSequence) -> np.ndarray:
+    """The 3x3 matrix of the map z -> psi z on z = (1, x, y) that normalizes M(1) to the identity.
 
-    With d2 and d3 the leading minors of M(1):
+    Rows 1-2 hold the six coefficients (a, b, c) and (d, e, f) of
+    psi(x, y) = (a + b x + c y, d + e x + f y). With d2 and d3 the leading
+    minors of M(1):
 
         a = (beta_01 beta_20 - beta_10 beta_11) / sqrt(d2 d3)
         b = (beta_11 - beta_01 beta_10) / sqrt(d2 d3)
@@ -386,7 +387,7 @@ def degree_one_coeffs(beta: MomentSequence) -> AffineMap:
     return _normalizing_map(beta, *paper_minors(beta))
 
 
-def _normalizing_map(beta: MomentSequence, d2: float, d3: float) -> AffineMap:
+def _normalizing_map(beta: MomentSequence, d2: float, d3: float) -> np.ndarray:
     m1 = beta.values[:6].tolist()  # the moments of degree <= 2, the entries of M(1)
     threshold = SINGULAR_RTOL * max(map(abs, m1))
     if d2 <= threshold:
@@ -398,18 +399,20 @@ def _normalizing_map(beta: MomentSequence, d2: float, d3: float) -> AffineMap:
     _, b10, b01, b20, b11, _ = m1
     s23 = math.sqrt(d2 * d3)
     s2 = math.sqrt(d2)
-    return AffineMap(
-        a=(b01 * b20 - b10 * b11) / s23,
-        b=(b11 - b01 * b10) / s23,
-        c=-math.sqrt(d2 / d3),
-        d=-b10 / s2,
-        e=1.0 / s2,
-        f=0.0,
+    return np.array(
+        [
+            [1.0, 0.0, 0.0],
+            [(b01 * b20 - b10 * b11) / s23, (b11 - b01 * b10) / s23, -math.sqrt(d2 / d3)],
+            [-b10 / s2, 1.0 / s2, 0.0],
+        ]
     )
 
 
-def transform_sequence(beta: MomentSequence, psi: AffineMap) -> MomentSequence:
+def transform_sequence(beta: MomentSequence, psi: np.ndarray) -> MomentSequence:
     """Pushforward moments beta~_ij = Lambda_beta(psi1^i psi2^j), i.e. J^T beta.
+
+    psi is the 3x3 matrix of z -> psi z on z = (1, x, y); rows 1-2 are psi1
+    and psi2.
 
     Satisfies Lambda_{beta~}(p) = Lambda_beta(p o psi) for every p of
     admissible degree.
@@ -417,7 +420,7 @@ def transform_sequence(beta: MomentSequence, psi: AffineMap) -> MomentSequence:
     return MomentSequence(beta.degree, build_J(psi, beta.degree).T @ beta.values)
 
 
-def build_J(psi: AffineMap, degree: int) -> np.ndarray:
+def build_J(psi: np.ndarray, degree: int) -> np.ndarray:
     """Matrix of substitution on coefficient vectors: J p_hat = (p o psi)_hat.
 
     Column m holds the coefficients of psi1^i psi2^j for m = x^i y^j, so J
@@ -426,7 +429,7 @@ def build_J(psi: AffineMap, degree: int) -> np.ndarray:
     M~(d) = J^T M(d) J.
     """
     shifts, steps = _substitution_tables(degree)
-    coeffs = np.array([[psi.a, psi.b, psi.c], [psi.d, psi.e, psi.f]])[:, :, None, None]
+    coeffs = np.asarray(psi, dtype=float)[1:, :, None, None]
     # multiplication by psi1 and by psi2, exact on polynomials of degree < degree
     eye = np.eye(len(shifts[0]))
     times = coeffs[:, 0] * eye + coeffs[:, 1] * shifts[0] + coeffs[:, 2] * shifts[1]

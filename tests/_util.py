@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cubicmoment import MomentMatrix, MomentSequence, compute_k
+from cubicmoment import MomentSequence, compute_k, monomials_up_to
 
 SUITE_SIZE = 1000
 K0_HAND_POINTS = [(0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, -0.7)]  # k = 0 exactly
@@ -43,24 +43,19 @@ def gram_expected(a) -> np.ndarray:
     )
 
 
-def quartics_of(m2: MomentMatrix) -> tuple[float, float, float, float, float]:
-    return (
-        m2.moment((4, 0)),
-        m2.moment((3, 1)),
-        m2.moment((2, 2)),
-        m2.moment((1, 3)),
-        m2.moment((0, 4)),
-    )
+def quartics_of(beta: MomentSequence) -> tuple[float, float, float, float, float]:
+    """(beta_40, beta_31, beta_22, beta_13, beta_04)."""
+    return tuple(beta[4 - j, j] for j in range(5))
 
 
-def is_hankel(M: MomentMatrix, tol: float = 0.0) -> bool:
-    """Entry (u, v) must depend only on the exponent sum u + v."""
+def is_hankel(M: np.ndarray, degree: int, tol: float = 0.0) -> bool:
+    """Entry (u, v) of M(degree) must depend only on the exponent sum u + v."""
+    labels = monomials_up_to(degree)
+    assert M.shape == (len(labels), len(labels))
     groups: dict[tuple[int, int], list[float]] = {}
-    for u, mu in enumerate(M.labels):
-        for v, mv in enumerate(M.labels):
-            groups.setdefault((mu.i + mv.i, mu.j + mv.j), []).append(
-                float(M.entries[u, v])
-            )
+    for u, mu in enumerate(labels):
+        for v, mv in enumerate(labels):
+            groups.setdefault((mu.i + mv.i, mu.j + mv.j), []).append(float(M[u, v]))
     return all(max(vals) - min(vals) <= tol for vals in groups.values())
 
 

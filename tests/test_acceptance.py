@@ -133,7 +133,7 @@ def test_criterion_4_case2_oracle():
             continue
         checked += 1
         ext = paper_extend_kneg(a)
-        worst_b04 = max(worst_b04, abs(ext.m2.moment((0, 4)) - beta04_formula(a)))
+        worst_b04 = max(worst_b04, abs(ext.moments[0, 4] - beta04_formula(a)))
         worst_p4 = max(worst_p4, abs(ext.my[:, 2][3] + k))
     _check(
         "criterion 4 (1000 k<0 draws: flat-completed beta_04 matches the closed form, p4 = -k)",
@@ -174,8 +174,8 @@ def test_criterion_6_degree_one_invariance():
         psi = report.certificate.map
         raw4 = mu.moments(4).rescaled(1.0 / mu.total_mass)
         J = build_J(psi, 2)
-        lhs = J.T @ build_moment_matrix(raw4).entries @ J
-        rhs = build_moment_matrix(transform_sequence(raw4, psi)).entries
+        lhs = J.T @ build_moment_matrix(raw4) @ J
+        rhs = build_moment_matrix(transform_sequence(raw4, psi))
         worst_congruence = max(worst_congruence, float(np.abs(lhs - rhs).max()))
         raw_check = verify_measure(mu, beta)
         worst_residual = max(worst_residual, raw_check.max_moment_residual)
@@ -194,21 +194,17 @@ def test_criterion_7_flatness_certificates(random_suite):
         ext = report.extension
         if report.case is CaseTag.FLAT_K0:
             k0_seen += 1
-            res = smuljan_classify(
-                ext.m2.entries[:3, :3], ext.m2.entries[:3, 3:], ext.m2.entries[3:, 3:]
-            )
+            res = smuljan_classify(ext.m2[:3, :3], ext.m2[:3, 3:], ext.m2[3:, 3:])
             ok &= res.flat and res.psd
         elif report.case is CaseTag.RANK_INCREASING_K_NEG:
             kneg_seen += 1
             m3 = ext.m3
             ok &= m3 is not None
-            scale = max(1.0, float(np.abs(m3.entries).max()))
-            ok &= psd_min_eig(m3.entries) >= -1e-10 * scale
-            ok &= is_hankel(m3)
-            ok &= numeric_rank(m3.entries, 1e-10) == 4
-            res = smuljan_classify(
-                m3.entries[:6, :6], m3.entries[:6, 6:], m3.entries[6:, 6:]
-            )
+            scale = max(1.0, float(np.abs(m3).max()))
+            ok &= psd_min_eig(m3) >= -1e-10 * scale
+            ok &= is_hankel(m3, 3)
+            ok &= numeric_rank(m3, 1e-10) == 4
+            res = smuljan_classify(m3[:6, :6], m3[:6, 6:], m3[6:, 6:])
             ok &= res.flat and res.psd
     ok &= k0_seen >= len(K0_HAND_POINTS) and kneg_seen > 100
     _check(

@@ -6,7 +6,7 @@ import types
 import numpy as np
 
 import answer_hash
-from cubicmoment import MomentSequence, solve_cubic
+from cubicmoment import ExtensionResult, MomentSequence, solve_cubic
 
 K_POS = [1, 0, 0, 1, 0, 1, 0, 0, 0, 0]  # the four atoms (+-1, +-1)
 K_NEG = [1, 0, 0, 1, 0, 1, 0, 1, 1, 0]
@@ -20,9 +20,19 @@ def test_success_record_covers_atoms_and_matrices():
     assert record.startswith(b"ok 4x3 3 6x6 10x10 4x4 4x4|")
     atoms = np.array([tuple(a) for a in mu.atoms])
     scalars = np.array([report.k, 4.0, report.max_moment_residual])
-    parts = [atoms, scalars, ext.m2.entries, ext.m3.entries, ext.mx, ext.my]
+    parts = [atoms, scalars, ext.m2, ext.m3, ext.mx, ext.my]
     assert record.endswith(b"".join(p.tobytes() for p in parts))
     assert answer_hash.solve_record(K_POS) != record
+
+
+def test_success_record_reads_a_wrapped_matrix_as_its_entries(monkeypatch):
+    # older revisions hand m2 and m3 out wrapped, with the array as .entries
+    record = answer_hash.solve_record(K_NEG)
+    for name in ("m2", "m3"):
+        array = getattr(ExtensionResult, name).fget
+        wrapped = property(lambda ext, array=array: types.SimpleNamespace(entries=array(ext)))
+        monkeypatch.setattr(ExtensionResult, name, wrapped)
+    assert answer_hash.solve_record(K_NEG) == record
 
 
 def test_error_record_names_type_and_message():

@@ -55,7 +55,7 @@ class TestNumericRank:
 
     def test_flat_extension_keeps_rank_three(self):
         ext = extend_k0((0.0, 1.0, 0.0, 0.0))
-        assert numeric_rank(ext.m2.entries, 1e-10) == 3
+        assert numeric_rank(ext.m2, 1e-10) == 3
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):

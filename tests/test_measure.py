@@ -288,20 +288,35 @@ class TestSolveCubic:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("position, cubic", [(7, 1e140), (8, 1e140), (7, 1e160), (7, 1e200)])
     def test_overflowing_cubic_moments_raise(self, position, cubic):
-        # k < 0 inputs whose relation coefficients, {1, X, Y, X^2} block or k
-        # itself leave the float range end in a typed error, never a hang
+        # k < 0 inputs whose relation coefficients, commutator or k itself
+        # leave the float range end in a typed error, never a hang
         values = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
         values[position] = cubic
         with pytest.raises(MomentProblemError):
             solve_cubic(MomentSequence(3, values))
 
+    @pytest.mark.parametrize(
+        "a, moment",
+        [((0, 1, 0, -1e200), "beta_40"), ((1e200, 0, 0, 0), "beta_04"), ((0, 0, 0, 1e200), "beta_40")],
+    )
+    def test_overflowing_quartic_moments_fail_at_the_extension(self, a, moment):
+        # the normalized moment overflows while Mx, My stay finite; without the
+        # extension's gate these end in the density floor (k < 0) or the joint
+        # eigenvector residual (k > 0)
+        message = f"degree-4 moment {moment} = inf is not finite"
+        with pytest.raises(MomentProblemError, match=message):
+            solve_cubic(seq_from_a(a))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_residual_of_one_matrix_fails_joint_eigen(self):
-        # beta_30 = 1e280 normalizes to a3 = 1e280 (k > 0): the My eigenvector
-        # residual is NaN while the Mx one is finite, and the NaN-rejecting gate
-        # must stop it in joint_eigen, not pass it on to extract_atoms
+        # the k > 0 matrices at a = (0, 0, 0, 1e280), whose beta_04 overflows, so
+        # that a solve stops at the extension: the My eigenvector residual is NaN
+        # while the Mx one is finite, and the NaN-rejecting gate must stop it in
+        # joint_eigen, not pass it on to extract_atoms
+        mx = np.array([(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)], dtype=float).T
+        my = np.array([(0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 1e280, 0), (0, 1, 0, 1e280)], dtype=float).T
         with pytest.raises(MomentProblemError, match="joint eigenvector residual nan"):
-            solve_cubic(MomentSequence(3, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1e280, 0.0, 0.0, 0.0]))
+            linalg.joint_eigen(mx, my)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_atom_power_raises(self):
@@ -343,7 +358,7 @@ class TestSolveCubic:
             beta = seq_from_a(a)
             mu, report = solve_cubic(beta)
             cert = report.certificate
-            x, y = np.array([cert.map.apply(at.x, at.y) for at in mu.atoms]).T
+            _, x, y = cert.map @ np.array([(1.0, at.x, at.y) for at in mu.atoms]).T
             for rel in paper_relations(report.extension, cert.a_vec):
                 poly = rel.polynomial()
                 values = monomial_table(x, y, rel.target.degree) @ poly

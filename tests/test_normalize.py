@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cubicmoment import (
-    AffineMap,
     Atom,
     AtomicMeasure,
     MomentSequence,
@@ -26,6 +24,10 @@ from _oracle import build_J, degree_one_coeffs, numeric_rank, paper_minors, tran
 from _util import seq_from_a
 
 TEST_POINTS = [(0.3, 0.1), (-0.7, 0.4), (0.2, -0.9), (0.5, 0.6)]  # weight 1/4 each
+# maps z -> psi z on z = (1, x, y): row 1 is psi1(x, y), row 2 is psi2(x, y)
+QUARTER_TURN = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])  # (x, y) -> (-y, x)
+SHIFT_AND_STRETCH = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])  # (x + 1, 2 y)
+GENERIC = np.array([[1.0, 0.0, 0.0], [0.3, 1.2, -0.7], [-0.1, 0.4, 0.9]])
 
 
 def _sequence(degree, **entries):
@@ -54,20 +56,6 @@ def _random_measure(rng, n_atoms):
     return AtomicMeasure(tuple(Atom(x, y, w) for (x, y), w in zip(pts, wts)))
 
 
-class TestAffineMap:
-    def test_rejects_singular_linear_part(self):
-        with pytest.raises(ValueError):
-            AffineMap(0, 1, 2, 0, 2, 4)
-
-    def test_invert_point_round_trip(self):
-        psi = AffineMap(1.0, 2.0, -1.0, 0.5, 0.25, 3.0)
-        u, v = psi.apply(0.7, -1.3)
-        assert psi.invert_point(u, v) == (
-            pytest.approx(0.7),
-            pytest.approx(-1.3),
-        )
-
-
 class TestMinors:
     def test_normalized(self):
         assert minors(seq_from_a((0, 0, 0, 0))) == (1.0, 1.0)
@@ -92,22 +80,23 @@ class TestMinors:
 class TestDegreeOneCoeffs:
     def test_already_normalized_gives_quarter_turn(self):
         psi = degree_one_coeffs(seq_from_a((0, 0, 0, 0)))
-        assert (psi.a, psi.b, psi.c, psi.d, psi.e, psi.f) == (0, 0, -1, 0, 1, 0)
-        assert psi.apply(3.0, 5.0) == (-5.0, 3.0)
+        assert np.array_equal(psi, QUARTER_TURN)
+        assert (psi @ (1.0, 3.0, 5.0)).tolist() == [1.0, -5.0, 3.0]
 
     def test_shifted_first_moment(self):
         beta = _sequence(2, b10=0.5, b20=1.0, b02=1.0)
         psi = degree_one_coeffs(beta)
-        assert psi.e == pytest.approx(2.0 / math.sqrt(3.0))
-        assert psi.d == pytest.approx(-1.0 / math.sqrt(3.0))
-        assert psi.f == 0.0
+        _, (d, e, f) = psi[1:]
+        assert e == pytest.approx(2.0 / math.sqrt(3.0))
+        assert d == pytest.approx(-1.0 / math.sqrt(3.0))
+        assert f == 0.0
 
     def test_linear_determinant_value(self):
         beta = _sequence(2, b10=0.3, b01=-0.2, b11=0.1, b20=1.4, b02=0.9)
         d2, d3 = minors(beta)
         psi = degree_one_coeffs(beta)
-        # |b f - c e| = 1/sqrt(d3); with f = 0 the sign works out positive
-        assert psi.linear_det == pytest.approx(1.0 / math.sqrt(d3))
+        # det psi = b f - c e = 1/sqrt(d3); with f = 0 the sign works out positive
+        assert np.linalg.det(psi) == pytest.approx(1.0 / math.sqrt(d3))
 
     def test_singular_d2(self):
         beta = _sequence(2, b10=0.5, b20=0.25, b02=1.0)
@@ -126,31 +115,30 @@ class TestDegreeOneCoeffs:
 class TestTransformSequence:
     def test_identity_map(self):
         beta = seq_from_a((0.3, -0.4, 1.2, 0.1))
-        out = transform_sequence(beta, AffineMap.identity())
+        out = transform_sequence(beta, np.eye(3))
         assert_allclose(out.values, beta.values)
 
     def test_quarter_turn_permutes_cubics(self):
         a = (0.8, -0.5, 0.3, 1.1)
         beta = seq_from_a(a)
-        out = transform_sequence(beta, AffineMap(0, 0, -1, 0, 1, 0))
+        out = transform_sequence(beta, QUARTER_TURN)
         a_out = (out[3, 0], out[2, 1], out[1, 2], out[0, 3])
         expected = (-a[3], a[2], -a[1], a[0])
         assert_allclose(a_out, expected, atol=1e-14)
 
     def test_point_mass_pushforward(self):
         mu = AtomicMeasure((Atom(1.0, 1.0, 1.0),))
-        psi = AffineMap(1.0, 1.0, 0.0, 0.0, 0.0, 2.0)  # (x + 1, 2 y)
-        out = transform_sequence(mu.moments(3), psi)
+        out = transform_sequence(mu.moments(3), SHIFT_AND_STRETCH)
         expected = AtomicMeasure((Atom(2.0, 2.0, 1.0),)).moments(3)
         assert_allclose(out.values, expected.values)
 
 
 class TestBuildJ:
     def test_identity(self):
-        assert_allclose(build_J(AffineMap.identity(), 2), np.eye(6))
+        assert_allclose(build_J(np.eye(3), 2), np.eye(6))
 
     def test_quarter_turn_degree_one(self):
-        J = build_J(AffineMap(0, 0, -1, 0, 1, 0), 1)
+        J = build_J(QUARTER_TURN, 1)
         x_hat = np.array([0.0, 1.0, 0.0])
         minus_y_hat = np.array([0.0, 0.0, -1.0])
         assert_allclose(J @ x_hat, minus_y_hat)
@@ -158,8 +146,7 @@ class TestBuildJ:
     def test_block_lower_triangular_by_degree(self):
         from cubicmoment.moments import monomials_up_to
 
-        psi = AffineMap(0.3, 1.2, -0.7, -0.1, 0.4, 0.9)
-        J = build_J(psi, 2)
+        J = build_J(GENERIC, 2)
         labels = monomials_up_to(2)
         for r, mr in enumerate(labels):
             for c, mc in enumerate(labels):
@@ -167,15 +154,16 @@ class TestBuildJ:
                     assert J[r, c] == 0.0
 
     def test_invertible(self):
-        psi = AffineMap(0.3, 1.2, -0.7, -0.1, 0.4, 0.9)
-        assert abs(np.linalg.det(build_J(psi, 2))) > 1e-8
+        assert abs(np.linalg.det(build_J(GENERIC, 2))) > 1e-8
 
     def test_matches_column_by_column_reference(self):
         from cubicmoment.moments import monomial_index, monomials_up_to
 
         rng = np.random.default_rng(19)
         for _ in range(50):
-            psi = AffineMap(*(rng.normal(size=6) * 10.0 ** rng.uniform(-3, 3, 6)))
+            coeffs = rng.normal(size=6) * 10.0 ** rng.uniform(-3, 3, 6)
+            psi = np.vstack([(1.0, 0.0, 0.0), coeffs.reshape(2, 3)])
+            (a, b, c), (d, e, f) = psi[1:]
             for degree in range(7):
                 labels = monomials_up_to(degree)
                 n = len(labels)
@@ -183,8 +171,8 @@ class TestBuildJ:
                 for m in monomials_up_to(degree - 1):
                     shift_x[monomial_index((m.i + 1, m.j)), monomial_index(m)] = 1.0
                     shift_y[monomial_index((m.i, m.j + 1)), monomial_index(m)] = 1.0
-                times_p1 = psi.a * np.eye(n) + psi.b * shift_x + psi.c * shift_y
-                times_p2 = psi.d * np.eye(n) + psi.e * shift_x + psi.f * shift_y
+                times_p1 = a * np.eye(n) + b * shift_x + c * shift_y
+                times_p2 = d * np.eye(n) + e * shift_x + f * shift_y
                 expected = np.zeros((n, n))
                 expected[0, 0] = 1.0
                 for col, m in enumerate(labels[1:], start=1):
@@ -199,24 +187,35 @@ class TestBuildJ:
 class TestPullbackMeasure:
     def test_identity(self):
         mu = AtomicMeasure((Atom(1.0, 2.0, 0.5),))
-        assert pullback_measure(mu, AffineMap.identity()) == mu
+        assert pullback_measure(mu, np.eye(3)) == mu
 
     def test_identity_keeps_atoms_and_order(self):
         mu = AtomicMeasure((Atom(3.0, -1.0, 0.25), Atom(-2.5, 4.0, 0.5), Atom(0.0, 0.0, 0.25)))
-        assert pullback_measure(mu, AffineMap.identity()) == mu
+        assert pullback_measure(mu, np.eye(3)) == mu
 
     def test_empty(self):
-        assert pullback_measure(AtomicMeasure(()), AffineMap(1.0, 2.0, 0.5, -1.0, 0.0, 3.0)) == AtomicMeasure(())
+        assert pullback_measure(AtomicMeasure(()), GENERIC) == AtomicMeasure(())
 
     def test_quarter_turn(self):
         mu = AtomicMeasure((Atom(3.0, 7.0, 0.5),))
-        out = pullback_measure(mu, AffineMap(0, 0, -1, 0, 1, 0))
+        out = pullback_measure(mu, QUARTER_TURN)
         assert out.atoms[0] == pytest.approx((7.0, -3.0, 0.5))
 
     def test_affine_inverse(self):
         mu = AtomicMeasure((Atom(2.0, 2.0, 1.0),))
-        out = pullback_measure(mu, AffineMap(1.0, 1.0, 0.0, 0.0, 0.0, 2.0))
+        out = pullback_measure(mu, SHIFT_AND_STRETCH)
         assert out.atoms[0] == pytest.approx((1.0, 1.0, 1.0))
+
+    def test_round_trip_through_the_matrix(self):
+        psi = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, -1.0], [0.5, 0.25, 3.0]])
+        _, u, v = psi @ (1.0, 0.7, -1.3)
+        (back,) = pullback_measure(AtomicMeasure((Atom(u, v, 0.5),)), psi).atoms
+        assert back == pytest.approx((0.7, -1.3, 0.5))
+
+    def test_singular_map_raises(self):
+        psi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]])  # b f - c e = 0
+        with pytest.raises(ZeroDivisionError):
+            pullback_measure(AtomicMeasure((Atom(1.0, 2.0, 0.5),)), psi)
 
 
 class TestInvariance:
@@ -236,8 +235,8 @@ class TestInvariance:
             transformed = transform_sequence(scaled, psi)
             for d in (1, 2):
                 J = build_J(psi, d)
-                lhs = J.T @ build_moment_matrix(scaled.truncated(2 * d)).entries @ J
-                rhs = build_moment_matrix(transformed.truncated(2 * d)).entries
+                lhs = J.T @ build_moment_matrix(scaled.truncated(2 * d)) @ J
+                rhs = build_moment_matrix(transformed.truncated(2 * d))
                 assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_rank_preserved(self):
@@ -250,7 +249,7 @@ class TestInvariance:
             transformed = transform_sequence(scaled, psi)
             m_raw = build_moment_matrix(scaled)
             m_new = build_moment_matrix(transformed)
-            assert numeric_rank(m_raw.entries, 1e-9) == numeric_rank(m_new.entries, 1e-9)
+            assert numeric_rank(m_raw, 1e-9) == numeric_rank(m_new, 1e-9)
 
     def test_normalization_reaches_identity(self):
         rng = np.random.default_rng(8)
@@ -261,7 +260,7 @@ class TestInvariance:
                 cert = normalize_cubic(beta)
             except SingularM1Error:
                 continue
-            m1 = build_moment_matrix(cert.normalized.truncated(2)).entries
+            m1 = build_moment_matrix(cert.normalized.truncated(2))
             assert np.abs(m1 - np.eye(3)).max() < 1e-10
 
     def test_k_is_invariant_under_renormalization(self):
@@ -271,7 +270,7 @@ class TestInvariance:
             cert = normalize_cubic(seq_from_a(a))
             # already-normalized input goes through the quarter turn, exactly
             assert cert.a_vec == (-a[3], a[2], -a[1], a[0])
-            assert astuple(cert.map) == (0.0, 0.0, -1.0, 0.0, 1.0, 0.0)
+            assert np.array_equal(cert.map, QUARTER_TURN)
             assert compute_k(cert.a_vec) == pytest.approx(compute_k(a), abs=1e-12)
 
     def test_pullback_round_trip(self):
@@ -285,7 +284,7 @@ class TestInvariance:
             except SingularM1Error:
                 continue
             pushed = AtomicMeasure(
-                tuple(Atom(*psi.apply(a.x, a.y), a.weight) for a in mu.atoms)
+                tuple(Atom(*(psi @ (1.0, a.x, a.y))[1:], a.weight) for a in mu.atoms)
             )
             back = pullback_measure(pushed, psi)
             assert np.abs(back.moments(3).values - beta.values).max() < 1e-8
@@ -333,7 +332,7 @@ class TestRobustnessRows:
         # the factor's first column is the mean, so d3 comes from centered moments
         cert = normalize_cubic(_test_measure(offset=1e4))
         assert cert.d3 == pytest.approx(normalize_cubic(_test_measure()).d3, rel=1e-6)
-        m1 = build_moment_matrix(cert.normalized.truncated(2)).entries
+        m1 = build_moment_matrix(cert.normalized.truncated(2))
         assert np.abs(m1 - np.eye(3)).max() <= 1e-10
 
     @settings(derandomize=True, max_examples=200)
@@ -371,7 +370,7 @@ class TestPaperMap:
                 cert = normalize_cubic(beta)
                 gaps = (
                     _relative_gap(cert.a_vec, paper),
-                    _relative_gap(astuple(cert.map), astuple(psi)),
+                    _relative_gap(cert.map[1:], psi[1:]),
                     _relative_gap((cert.d2, cert.d3), paper_minors(scaled)),
                 )
                 worst = [max(w, g) for w, g in zip(worst, gaps)]

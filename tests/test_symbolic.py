@@ -1,8 +1,10 @@
-"""Symbolic proofs of the closed forms the extension routes write.
+"""Symbolic proofs of the extension routes' closed forms and of the paper's normalizing map.
 
-Each identity is proved in sympy as a polynomial (or rational) identity in
-the cubic moments a = (a0, a1, a2, a3) and the bump t, and the routes are
-tied to the proved forms by evaluating both at sample points.
+Each route identity is proved in sympy as a polynomial (or rational)
+identity in the cubic moments a = (a0, a1, a2, a3) and the bump t, and the
+routes are tied to the proved forms by evaluating both at sample points.
+The paper's normalizing map is proved equal to the quarter turn of the
+whitening R L^-1, with L the Cholesky factor of M(1), in the entries of L.
 """
 
 import itertools
@@ -11,9 +13,9 @@ import numpy as np
 import sympy as sp
 from numpy.testing import assert_allclose
 
-from cubicmoment import compute_k, extend_k0, extend_kneg, extend_kpos
+from cubicmoment import MomentSequence, compute_k, extend_k0, extend_kneg, extend_kpos
 
-from _oracle import SOS_GRAM, beta04_formula
+from _oracle import SOS_GRAM, beta04_formula, degree_one_coeffs
 
 A = a0, a1, a2, a3 = sp.symbols("a0:4", real=True)
 T = sp.Symbol("t", positive=True)
@@ -28,6 +30,10 @@ def _m4(t):
 
 
 Y2_COLUMN = sp.Matrix([1, a2, a3, a1**2 + a2**2])  # column Y^2 of M(2) on {1, X, Y, X^2}
+
+B = b10, b01, b20, b11, b02 = sp.symbols("b10 b01 b20 b11 b02", real=True)
+M1 = sp.Matrix([[1, b10, b01], [b10, b20, b11], [b01, b11, b02]])  # beta_00 = 1
+QUARTER = sp.Matrix([[1, 0, 0], [0, 0, -1], [0, 1, 0]])  # R: (x, y) -> (-y, x) on z = (1, x, y)
 
 
 def _flat_completion(t):
@@ -129,3 +135,36 @@ def test_criterion_5_identity():
     b04_at = sp.lambdify(A, b04)
     for a in itertools.product(range(-2, 3), repeat=4):
         assert beta04_formula(a) == b04_at(*a)
+
+
+def _paper_map_rows() -> sp.Matrix:
+    """Rows 1-2 of the paper's normalizing map in the entries of M(1), as in _oracle._normalizing_map."""
+    d2, d3 = M1[:2, :2].det(), M1.det()
+    s23, s2 = sp.sqrt(d2 * d3), sp.sqrt(d2)
+    return sp.Matrix(
+        [
+            [(b01 * b20 - b10 * b11) / s23, (b11 - b01 * b10) / s23, -sp.sqrt(d2 / d3)],
+            [-b10 / s2, 1 / s2, 0],
+        ]
+    )
+
+
+def test_paper_map_is_the_quarter_turn_of_the_whitening():
+    # every M(1) > 0 with beta_00 = 1 is L L^T for exactly one L of this shape
+    m10, m01, l21 = sp.symbols("m10 m01 l21", real=True)
+    l11, l22 = sp.symbols("l11 l22", positive=True)
+    L = sp.Matrix([[1, 0, 0], [m10, l11, 0], [m01, l21, l22]])
+    m1 = L * L.T
+    assert m1.cholesky(hermitian=False).applyfunc(sp.simplify) == L
+    on_L = dict(zip(B, (m1[0, 1], m1[0, 2], m1[1, 1], m1[1, 2], m1[2, 2])))
+    gap = (QUARTER * L.inv())[1:, :] - _paper_map_rows().subs(on_L)
+    assert gap.applyfunc(sp.simplify) == sp.zeros(2, 3)
+    # the oracle's floats are the proved forms
+    rows = sp.lambdify(B, _paper_map_rows())
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        m10, m01, l21 = rng.uniform(-2, 2, 3)
+        l11, l22 = rng.uniform(0.3, 2, 2)
+        b = (m10, m01, m10**2 + l11**2, m10 * m01 + l11 * l21, m01**2 + l21**2 + l22**2)
+        psi = degree_one_coeffs(MomentSequence(2, np.array([1.0, *b])))
+        assert_allclose(psi[1:], rows(*b), rtol=1e-12, atol=1e-12)

@@ -62,8 +62,9 @@ def solve_outcome(beta) -> tuple[str, bytes]:
     numbers = [
         np.array([tuple(a) for a in mu.atoms], dtype=float),
         np.array([report.k, report.rank, report.max_moment_residual], dtype=float),
-        ext.m2.entries,
-        np.empty(0) if m3 is None else m3.entries,
+        # a revision whose moment matrices are not arrays keeps the array in .entries
+        np.asarray(getattr(ext.m2, "entries", ext.m2)),
+        np.empty(0) if m3 is None else np.asarray(getattr(m3, "entries", m3)),
         ext.mx,
         ext.my,
     ]
