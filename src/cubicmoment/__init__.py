@@ -18,13 +18,9 @@ tests/_oracle.py.
 from .cubic import (
     CaseTag,
     ExtensionResult,
-    build_m3_kneg,
     classify_k,
     compute_k,
     extend,
-    extend_k0,
-    extend_kneg,
-    extend_kpos,
 )
 from .errors import (
     CommutatorError,
@@ -42,7 +38,6 @@ from .measure import (
     Tolerances,
     extract_atoms,
     solve_cubic,
-    solve_densities,
     verify_measure,
 )
 from .moments import (

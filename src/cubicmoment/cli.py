@@ -169,7 +169,7 @@ def cmd_solve(args) -> int:
             "case": report.case.value,
             "k": report.k,
             "rank": report.rank,
-            "variety_size": report.variety_size,
+            "variety_size": len(mu.atoms),
             "max_moment_residual": report.max_moment_residual,
             "min_weight": report.min_weight,
             "commutator_norm": report.commutator_norm,

@@ -28,8 +28,12 @@ decides how they can be chosen:
   takes t = 1); at t = |k| every coefficient is a short polynomial in a,
   and the smallest density is of order |k| as k -> 0-.
 
-Each route writes every column relation once, as a column of the
-multiplication matrix Mx or My on its basis (see ExtensionResult).
+extend is the only way in: it computes k once, and classify_k alone
+states the sign rule and picks one of the private closed forms
+_extend_k0, _extend_kpos, _extend_kneg, which take (a, k). Each route
+writes every column relation once, as a column of the multiplication
+matrix Mx or My on its basis (see ExtensionResult), and the k < 0 route's
+flat degree-3 matrix is ExtensionResult.m3, its only completion.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ def classify_k(k: float, tol_k: float = TOL_K) -> CaseTag:
     return CaseTag.RANK_INCREASING_K_NEG
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionResult:
     """Extension certificate for one normalized input.
 
@@ -86,7 +90,8 @@ class ExtensionResult:
     columns of its M(2), so len(basis) is the rank. Column b of mx (my) holds
     the basis coordinates of x*b (y*b), so every column relation is a
     column: X^2 is column X of mx, and for the k < 0 route the Y^2 relation
-    is column Y of my and the X^3 relation column X^2 of mx.
+    is column Y of my and the X^3 relation column X^2 of mx. Equality is
+    identity.
     """
 
     case: CaseTag
@@ -103,10 +108,26 @@ class ExtensionResult:
 
     @property
     def m3(self) -> np.ndarray | None:
-        """The flat degree-3 extension of the k < 0 route, built on each read (else None)."""
+        """The flat degree-3 extension of the k < 0 route, built on each read (else None).
+
+        Functional calculus on the column space: moments of degree <= 4 are
+        moments, and a quintic or sextic moment is the Riesz value of the
+        basis coordinates Mx^i My^j e_1 of x^i y^j. The two expansions of
+        the XY^2 column differ by column Y of My Mx - Mx My, so the
+        commutator gate of joint_eigen decides their consistency and raises
+        CommutatorError.
+        """
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:
             return None
-        return build_m3_kneg(self)
+        commutator_gate(self.mx, self.my)
+        low = self.moments.values
+        riesz_basis = low[[monomial_index(b) for b in self.basis]]
+        power = np.linalg.matrix_power
+        higher = [
+            float(riesz_basis @ (power(self.mx, m.i) @ power(self.my, m.j)[:, 0]))
+            for m in monomials_up_to(6)[low.size :]
+        ]
+        return build_moment_matrix(MomentSequence(6, np.concatenate([low, higher])))
 
 
 def _extension(case, k, moments, basis, mx, my) -> ExtensionResult:
@@ -156,12 +177,9 @@ def _square_moments(a, b22: float, t: float = 0.0) -> MomentSequence:
     return _sequence4(a, quartics)
 
 
-def extend_k0(a, tol_k: float = TOL_K) -> ExtensionResult:
+def _extend_k0(a, k: float) -> ExtensionResult:
     """Flat extension over M(1): every quartic determined, rank 3 (k = 0)."""
-    a0, a1, a2, a3 = a = tuple(map(float, a))
-    k = compute_k(a)
-    if not abs(k) <= tol_k:
-        raise ValueError(f"k = {k:.6g} is not zero within {tol_k:g}")
+    a0, a1, a2, a3 = a
     # beta_22 = a1^2 + a2^2 equals 1 + a0 a2 + a1 a3 because k = 0
     moments = _square_moments(a, a1 * a1 + a2 * a2)
     x, y = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
@@ -169,16 +187,13 @@ def extend_k0(a, tol_k: float = TOL_K) -> ExtensionResult:
     return _extension(CaseTag.FLAT_K0, k, moments, BASIS_K0, (x, xx, xy), (y, xy, yy))
 
 
-def extend_kpos(a, tol_k: float = TOL_K) -> ExtensionResult:
+def _extend_kpos(a, k: float) -> ExtensionResult:
     """Rank-4 PSD extension carrying only the X^2 and Y^2 relations (k > 0).
 
     The completion block exceeds its flat value by k in the single (XY, XY)
     entry, so {1, X, Y, XY} is independent and positivity is strict there.
     """
-    a0, a1, a2, a3 = a = tuple(map(float, a))
-    k = compute_k(a)
-    if not k > tol_k:
-        raise ValueError(f"k = {k:.6g} is not positive beyond {tol_k:g}")
+    a0, a1, a2, a3 = a
     moments = _square_moments(a, 1.0 + a0 * a2 + a1 * a3)
     x, y, xy = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
     xx, yy = (1.0, a0, a1, 0.0), (1.0, a2, a3, 0.0)  # X^2 = 1 + a0 X + a1 Y, Y^2 = 1 + a2 X + a3 Y
@@ -189,16 +204,13 @@ def extend_kpos(a, tol_k: float = TOL_K) -> ExtensionResult:
     return _extension(case, k, moments, BASIS_KPOS, mx, my)
 
 
-def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
+def _extend_kneg(a, k: float) -> ExtensionResult:
     """Rank-4 extension flat over the {1, X, Y, X^2} compression, bumped by t = |k| (k < 0).
 
     Includes the induced X^3 relation; the flat degree-3 matrix is built
     from mx and my when m3 is read.
     """
-    a0, a1, a2, a3 = a = tuple(map(float, a))
-    k = compute_k(a)
-    if not k < -tol_k:
-        raise ValueError(f"k = {k:.6g} is not negative beyond {tol_k:g}")
+    a0, a1, a2, a3 = a
     t = -k
     moments = _square_moments(a, a1 * a1 + a2 * a2, t)
     x, y, xx = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
@@ -210,38 +222,18 @@ def extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
     return _extension(CaseTag.RANK_INCREASING_K_NEG, k, moments, BASIS_KNEG, mx, my)
 
 
-def build_m3_kneg(ext: ExtensionResult) -> np.ndarray:
-    """Degree-3 Hankel-block matrix extending m2 by functional calculus.
-
-    Moments of degree <= 4 are ext.moments; a quintic or sextic moment is
-    the Riesz value of the basis coordinates Mx^i My^j e_1 of x^i y^j. The
-    two expansions of the XY^2 column differ by column Y of My Mx - Mx My,
-    so the commutator gate of joint_eigen decides their consistency and
-    raises CommutatorError.
-    """
-    if ext.case is not CaseTag.RANK_INCREASING_K_NEG:
-        raise ValueError("degree-3 completion is defined for the k < 0 route only")
-    mx, my = ext.mx, ext.my
-    commutator_gate(mx, my)
-    low = ext.moments.values
-    riesz_basis = low[[monomial_index(b) for b in ext.basis]]
-    power = np.linalg.matrix_power
-    higher = [
-        float(riesz_basis @ (power(mx, m.i) @ power(my, m.j)[:, 0]))
-        for m in monomials_up_to(6)[low.size :]
-    ]
-    return build_moment_matrix(MomentSequence(6, np.concatenate([low, higher])))
-
-
 def extend(a, tol_k: float = TOL_K) -> ExtensionResult:
     """Dispatch on the sign of k; ties within tol_k go to the flat rank-3 case.
 
+    The only way into the routes: a is read as floats once, k is computed
+    once, classify_k alone picks the route, and the route is handed both.
     Raises MomentProblemError when k is not finite (the cubic moments overflow).
     """
+    a = tuple(map(float, a))
     k = compute_k(a)
     route = {
-        CaseTag.FLAT_K0: extend_k0,
-        CaseTag.RECURSIVELY_DETERMINATE_K_POS: extend_kpos,
-        CaseTag.RANK_INCREASING_K_NEG: extend_kneg,
+        CaseTag.FLAT_K0: _extend_k0,
+        CaseTag.RECURSIVELY_DETERMINATE_K_POS: _extend_kpos,
+        CaseTag.RANK_INCREASING_K_NEG: _extend_kneg,
     }[classify_k(k, tol_k)]
-    return route(a, tol_k)
+    return route(a, k)

@@ -28,7 +28,6 @@ __all__ = [
     "SolveReport",
     "MeasureCheck",
     "extract_atoms",
-    "solve_densities",
     "verify_measure",
     "solve_cubic",
     "AtomicMeasure",
@@ -51,18 +50,18 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Verified diagnostics attached to every successful solve.
 
     rank is the extension's rank len(extension.basis): 3 for k = 0, else 4.
-    A flat extension has exactly rank atoms, so rank equals variety_size.
+    joint_eigen returns one atom per basis column, so the measure has
+    exactly rank atoms. Equality is identity.
     """
 
     case: CaseTag
     k: float
     rank: int
-    variety_size: int
     max_moment_residual: float
     min_weight: float
     certificate: NormalizationCertificate
@@ -74,12 +73,12 @@ class SolveReport:
         return commutator_norm(self.extension.mx, self.extension.my)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureCheck:
     """Residual report from re-integrating a candidate measure.
 
     residuals holds |sum rho x^i y^j - beta_ij| per monomial in degree-lex
-    order.
+    order. Equality is identity.
     """
 
     max_moment_residual: float
@@ -107,18 +106,6 @@ def extract_atoms(ext: ExtensionResult, seed=0) -> list[tuple[float, float]]:
     return pairs
 
 
-def solve_densities(atoms, basis, beta: MomentSequence) -> np.ndarray:
-    """Densities from the basis-restricted Vandermonde system.
-
-    Solves V_B^T rho = (Lambda(t_1), ..., Lambda(t_r))^T, where row k of
-    V_B evaluates the basis monomials at atom k.
-    """
-    x, y = np.array(atoms, dtype=float).reshape(-1, 2).T
-    if len(x) != len(basis):
-        raise ValueError("need exactly as many atoms as basis monomials")
-    return _densities(_vandermonde(x, y, basis), basis, beta)
-
-
 def _vandermonde(x, y, basis) -> np.ndarray:
     """V_B: row k evaluates the basis monomials at the atom (x_k, y_k)."""
     columns = [monomial_index(b) for b in basis]
@@ -126,7 +113,7 @@ def _vandermonde(x, y, basis) -> np.ndarray:
 
 
 def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
-    """solve_densities on the atoms' V_B."""
+    """Densities from V_B: solves V_B^T rho = (Lambda(t_1), ..., Lambda(t_r))^T."""
     try:
         return np.linalg.solve(vb.T, beta.values[[monomial_index(b) for b in basis]])
     except np.linalg.LinAlgError as exc:
@@ -196,7 +183,6 @@ def solve_cubic(
         case=ext.case,
         k=ext.k,
         rank=len(ext.basis),
-        variety_size=len(atoms),
         max_moment_residual=check.max_moment_residual,
         min_weight=check.min_weight,
         certificate=certificate,

@@ -60,12 +60,13 @@ def sequence_length(degree: int) -> int:
     return (degree + 1) * (degree + 2) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSequence:
     """Real moments beta_ij for every i + j <= degree.
 
     Values are stored densely in degree-lex order and are read-only after
-    construction. beta_00 must be positive.
+    construction. beta_00 must be positive. Equality is identity; compare
+    values with np.array_equal.
     """
 
     degree: int

@@ -87,7 +87,7 @@ def pullback_measure(mu: AtomicMeasure, psi: np.ndarray) -> AtomicMeasure:
     return AtomicMeasure(tuple(Atom(*invert(u, v), w) for u, v, w in mu.atoms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationCertificate:
     """Record of a normalization: the pivots, the map used, and its result.
 
@@ -96,6 +96,7 @@ class NormalizationCertificate:
     z -> psi z, whose rows 1-2 are (a, b, c) and (d, e, f) for
     psi(x, y) = (a + b x + c y, d + e x + f y). a_vec holds the four
     normalized cubic moments (beta~_30, beta~_21, beta~_12, beta~_03).
+    Equality is identity.
     """
 
     d2: float

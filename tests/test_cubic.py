@@ -8,16 +8,12 @@ from cubicmoment import (
     CaseTag,
     CommutatorError,
     MomentProblemError,
-    build_m3_kneg,
     compute_k,
     extend,
-    extend_k0,
-    extend_kneg,
-    extend_kpos,
     extract_atoms,
     monomial_index,
-    solve_densities,
 )
+from cubicmoment import measure
 
 from _oracle import (
     SOS_GRAM,
@@ -63,7 +59,7 @@ class TestComputeK:
 
 class TestExtendK0:
     def test_first_example(self):
-        ext = extend_k0((0, 1, 0, 0))
+        ext = extend((0, 1, 0, 0))
         assert quartics_of(ext.moments) == (2, 0, 1, 0, 1)
         assert numeric_rank(ext.m2, 1e-10) == 3
         assert ext.case is CaseTag.FLAT_K0
@@ -72,15 +68,11 @@ class TestExtendK0:
 
     def test_second_example(self):
         assert compute_k((1, 1, 0, 0)) == 0.0
-        ext = extend_k0((1, 1, 0, 0))
+        ext = extend((1, 1, 0, 0))
         assert quartics_of(ext.moments) == (3, 1, 1, 0, 1)
 
-    def test_rejects_nonzero_k(self):
-        with pytest.raises(ValueError):
-            extend_k0((0, 1, 0, 1))
-
     def test_flat_over_m1(self):
-        ext = extend_k0((0, 1, 0, 0))
+        ext = extend((0, 1, 0, 0))
         a_block = ext.m2[:3, :3]
         b_block = ext.m2[:3, 3:]
         c_block = ext.m2[3:, 3:]
@@ -90,7 +82,7 @@ class TestExtendK0:
 
 class TestExtendKpos:
     def test_all_zero(self):
-        ext = extend_kpos((0, 0, 0, 0))
+        ext = extend((0, 0, 0, 0))
         assert quartics_of(ext.moments) == (1, 0, 1, 0, 1)
         assert numeric_rank(ext.m2, 1e-10) == 4
         # the X^2 and Y^2 relations are column X of Mx and column Y of My
@@ -98,19 +90,15 @@ class TestExtendKpos:
         assert ext.my[:, 2].tolist() == [1.0, 0.0, 0.0, 0.0]  # y^2 = 1
 
     def test_shifted(self):
-        ext = extend_kpos((1, 0, 0, 0))
+        ext = extend((1, 0, 0, 0))
         b40, b31, b22, b13, b04 = quartics_of(ext.moments)
         assert (b40, b22, b04) == (2, 1, 1)
         assert ext.mx[:, 1].tolist() == [1.0, 1.0, 0.0, 0.0]  # x^2 = 1 + x
 
     def test_beta22_pins_k_gap(self):
-        ext = extend_kpos((0, 1, 0, 1))
+        ext = extend((0, 1, 0, 1))
         assert ext.k == 1.0
         assert ext.moments[2, 2] == 2.0
-
-    def test_rejects_wrong_sign(self):
-        with pytest.raises(ValueError):
-            extend_kpos((0, 1, 1, 0))
 
 
 class TestExtendKneg:
@@ -133,10 +121,6 @@ class TestExtendKneg:
         assert_allclose(ext.my[:, 2], (-2, 0, -6, 3), atol=1e-12)
         assert ext.moments[0, 4] == pytest.approx(10.0, abs=1e-12)
 
-    def test_rejects_wrong_sign(self):
-        with pytest.raises(ValueError):
-            extend_kneg((0, 0, 0, 0))
-
     def test_p4_is_minus_k(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
@@ -153,14 +137,15 @@ class TestKnegBump:
 
     def test_closed_form_example(self):
         # k = -3, so t = 3: Y^2 = X^2 - 2Y, X^3 = 8X and XY = 2X
-        ext = extend_kneg((0, 2, 0, 0))
+        ext = extend((0, 2, 0, 0))
         assert quartics_of(ext.moments) == (8, 0, 4, 0, 4)
         assert ext.my[:, 2].tolist() == [0.0, 0.0, -2.0, 1.0]
         assert ext.mx[:, 3].tolist() == [0.0, 8.0, 0.0, 0.0]
         atoms = extract_atoms(ext)
         r8 = 2.0 * np.sqrt(2.0)
         match_points(atoms, [(-r8, 2.0), (0.0, -2.0), (0.0, 0.0), (r8, 2.0)], atol=1e-12)
-        weights = solve_densities(atoms, ext.basis, ext.moments)
+        vb = measure._vandermonde(*zip(*atoms), ext.basis)
+        weights = measure._densities(vb, ext.basis, ext.moments)
         assert_allclose(weights, [1 / 16, 1 / 8, 3 / 4, 1 / 16], rtol=0, atol=1e-12)
 
     def test_matches_m4_solve(self):
@@ -173,7 +158,7 @@ class TestKnegBump:
             if k >= -1e-10:
                 continue
             checked += 1
-            ext = extend_kneg(a)
+            ext = extend(a)
             p, b04 = _oracle_p(a, bump=-k)
             assert np.abs(ext.my[:, 2] - p).max() <= 1e-12 * max(1.0, np.abs(p).max())
             assert abs(ext.moments[0, 4] - b04) <= 1e-12 * abs(b04)
@@ -220,7 +205,7 @@ class TestX3Relation:
 
 class TestBuildM3:
     def test_contracts_for_example(self):
-        ext = extend_kneg((0, 1, 1, 0))
+        ext = extend((0, 1, 1, 0))
         m3 = ext.m3
         assert m3.shape == (10, 10)
         assert is_hankel(m3, 3)
@@ -236,21 +221,20 @@ class TestBuildM3:
         assert is_hankel(ext.m3, 3)
 
     def test_principal_block_is_m2(self):
-        ext = extend_kneg((0.5, -1.2, 0.8, 0.3))
+        ext = extend((0.5, -1.2, 0.8, 0.3))
         assert_allclose(ext.m3[:6, :6], ext.m2, rtol=0, atol=0)
 
     def test_rejects_other_cases(self):
-        ext = extend_kpos((0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            build_m3_kneg(ext)
+        ext = extend((0, 0, 0, 0))
+        assert ext.m3 is None
 
     def test_disagreeing_xy2_expansions_fail_the_commutator_gate(self):
         # the two XY^2 expansions differ by column Y of My Mx - Mx My
-        ext = extend_kneg((0, 1, 1, 0))
+        ext = extend((0, 1, 1, 0))
         mx = ext.mx.copy()
         mx[0, 3] += 1e-3  # corrupt the X^3 column
         with pytest.raises(CommutatorError, match="do not commute"):
-            build_m3_kneg(dataclasses.replace(ext, mx=mx))
+            dataclasses.replace(ext, mx=mx).m3
 
 
 class TestSosCertificate:
@@ -284,13 +268,22 @@ class TestExtendDispatch:
         ext = extend((0, 1 + 1e-12, 0, 0))
         assert ext.case is CaseTag.FLAT_K0
 
+    @pytest.mark.parametrize("s", [1e-10, -1e-10, 0.3, -0.3])
+    def test_tie_rule_is_classify_k(self, s):
+        # |k| = tol_k is a tie and goes to k = 0; one ulp below it, the sign of k decides
+        a = (0, 1, 0, s)
+        k = compute_k(a)
+        tie = extend(a, tol_k=abs(k))
+        assert tie.case is CaseTag.FLAT_K0 and len(tie.basis) == 3
+        signed = extend(a, tol_k=np.nextafter(abs(k), 0))
+        expected = CaseTag.RECURSIVELY_DETERMINATE_K_POS if s > 0 else CaseTag.RANK_INCREASING_K_NEG
+        assert signed.case is expected and len(signed.basis) == 4
+
     def test_non_finite_k_raises(self):
         with pytest.raises(MomentProblemError, match="not finite"):
             extend((float("nan"), 0, 0, 0))
         with pytest.raises(MomentProblemError, match="not finite"):
             extend((0, 1e200, 0, 0))
-        with pytest.raises(ValueError):
-            extend_kneg((float("nan"), 0, 0, 0))
 
 
 class TestExtensionInvariants:
@@ -324,7 +317,7 @@ class TestExtensionInvariants:
             if k <= 1e-6:
                 continue
             count += 1
-            ext = extend_kpos(a)
+            ext = extend(a)
             w = ext.m2[:3, 3:]  # M(1) = I, so W = B(2)
             gap = ext.m2[3:, 3:] - w.T @ w
             expected = np.zeros((3, 3))
@@ -339,7 +332,7 @@ class TestExtensionInvariants:
             if compute_k(a) >= -1e-6:
                 continue
             count += 1
-            ext = extend_kneg(a)  # raises if the two XY^2 expansions disagree
+            ext = extend(a)  # raises if the two XY^2 expansions disagree
             m3 = ext.m3
             res = smuljan_classify(m3[:6, :6], m3[:6, 6:], m3[6:, 6:])
             assert res.flat and res.psd

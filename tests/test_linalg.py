@@ -10,8 +10,6 @@ from cubicmoment import (
     MomentProblemError,
     MomentSequence,
     extend,
-    extend_k0,
-    extend_kpos,
     joint_eigen,
     normalize_cubic,
 )
@@ -54,7 +52,7 @@ class TestNumericRank:
         assert numeric_rank(np.ones((3, 3)), 1e-10) == 1
 
     def test_flat_extension_keeps_rank_three(self):
-        ext = extend_k0((0.0, 1.0, 0.0, 0.0))
+        ext = extend((0.0, 1.0, 0.0, 0.0))
         assert numeric_rank(ext.m2, 1e-10) == 3
 
     def test_rejects_nonpositive_tol(self):
@@ -225,7 +223,7 @@ class TestCombinationSeed:
     """joint_eigen draws c = default_rng(seed).uniform(0.2, 0.8), memoised for int seeds only."""
 
     # a k > 0 pair whose eigenvectors, and so the last bits of the pairs, depend on c
-    EXT = extend_kpos((0.4, 0.3, 0.2, 0.5))
+    EXT = extend((0.4, 0.3, 0.2, 0.5))
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 123, 2**40])
     def test_int_seed_draws_the_generator_value(self, seed):

@@ -18,13 +18,9 @@ from cubicmoment import (
     Tolerances,
     VerificationError,
     extend,
-    extend_k0,
-    extend_kneg,
-    extend_kpos,
     extract_atoms,
     monomial_table,
     solve_cubic,
-    solve_densities,
     verify_measure,
 )
 from cubicmoment import linalg, measure
@@ -39,7 +35,7 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 class TestMultiplicationMatrices:
     def test_kpos_square_roots_of_unity(self):
-        ext = extend_kpos((0, 0, 0, 0))
+        ext = extend((0, 0, 0, 0))
         mx, my = multiplication_matrices(ext.basis, paper_relations(ext, (0, 0, 0, 0)))
         # basis (1, X, Y, XY): x swaps 1 <-> X and Y <-> XY
         expected_mx = np.zeros((4, 4))
@@ -53,14 +49,14 @@ class TestMultiplicationMatrices:
         assert_allclose(mx @ my, my @ mx)
 
     def test_k0_reads_relations(self):
-        ext = extend_k0((0, 1, 0, 0))
+        ext = extend((0, 1, 0, 0))
         mx, my = multiplication_matrices(ext.basis, paper_relations(ext, (0, 1, 0, 0)))
         # x*1 = x, x*x = 1 + y, x*y = x
         assert_allclose(mx, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))
         assert_allclose(my, np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=float))
 
     def test_kneg_uses_cubic_relation(self):
-        ext = extend_kneg((0, 1, 1, 0))
+        ext = extend((0, 1, 1, 0))
         mx, _ = multiplication_matrices(ext.basis, paper_relations(ext, (0, 1, 1, 0)))
         # x * X^2 = X^3 = 3X + Y
         assert_allclose(mx[:, 3], [0, 3, 1, 0])
@@ -125,33 +121,34 @@ class TestExtractAtoms:
             extract_atoms(extend((0, 0, 0, 0)))
 
 
+def _densities(atoms, basis, beta):
+    """The solver's own density solve on the atoms' V_B."""
+    return measure._densities(measure._vandermonde(*zip(*atoms), basis), basis, beta)
+
+
 class TestSolveDensities:
     def test_square_case(self):
         ext = extend((0, 0, 0, 0))
         atoms = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-        rho = solve_densities(atoms, ext.basis, seq_from_a((0, 0, 0, 0)))
+        rho = _densities(atoms, ext.basis, seq_from_a((0, 0, 0, 0)))
         assert_allclose(rho, 0.25 * np.ones(4), atol=1e-12)
 
     def test_three_point_case(self):
         r2 = math.sqrt(2.0)
         atoms = [(0, -1), (r2, 1), (-r2, 1)]
         basis = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
-        rho = solve_densities(atoms, basis, seq_from_a((0, 1, 0, 0)))
+        rho = _densities(atoms, basis, seq_from_a((0, 1, 0, 0)))
         assert_allclose(rho, [0.5, 0.25, 0.25], atol=1e-12)
 
     def test_single_atom(self):
         beta = AtomicMeasure((Atom(0, 0, 0.7),)).moments(0)
-        rho = solve_densities([(0, 0)], (Monomial(0, 0),), beta)
+        rho = _densities([(0, 0)], (Monomial(0, 0),), beta)
         assert_allclose(rho, [0.7])
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_densities([(0, 0)], (Monomial(0, 0), Monomial(1, 0)), seq_from_a((0, 0, 0, 0)))
 
     def test_list_basis(self):
         ext = extend((0, 0, 0, 0))
         atoms = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-        rho = solve_densities(atoms, list(ext.basis), seq_from_a((0, 0, 0, 0)))
+        rho = _densities(atoms, list(ext.basis), seq_from_a((0, 0, 0, 0)))
         assert_allclose(rho, 0.25 * np.ones(4), atol=1e-12)
 
 
@@ -206,7 +203,7 @@ class TestSolveCubic:
         mu, report = solve_cubic(seq_from_a((0, 0, 0, 0)))
         assert report.case is CaseTag.RECURSIVELY_DETERMINATE_K_POS
         assert report.k == 1.0
-        assert report.rank == 4 == report.variety_size
+        assert report.rank == 4 == len(mu.atoms)
         match_points([(a.x, a.y) for a in mu.atoms], [(1, 1), (1, -1), (-1, 1), (-1, -1)], atol=1e-10)
         assert_allclose([a.weight for a in mu.atoms], 0.25 * np.ones(4), atol=1e-10)
         assert report.max_moment_residual <= 1e-12
@@ -215,7 +212,7 @@ class TestSolveCubic:
     def test_k0_closed_form(self):
         mu, report = solve_cubic(seq_from_a((0, 1, 0, 0)))
         assert report.case is CaseTag.FLAT_K0
-        assert len(mu.atoms) == 3 == report.rank == report.variety_size
+        assert len(mu.atoms) == 3 == report.rank
         r2 = math.sqrt(2.0)
         match_points([(a.x, a.y) for a in mu.atoms], [(0, -1), (r2, 1), (-r2, 1)], atol=1e-9)
         by_y = sorted(mu.atoms, key=lambda a: a.y)
@@ -242,7 +239,7 @@ class TestSolveCubic:
             assert report.max_moment_residual <= 1e-8
             assert report.min_weight > 1e-10
             assert len(mu.atoms) == (3 if abs(report.k) <= 1e-10 else 4)
-            assert report.rank == report.variety_size
+            assert report.rank == len(mu.atoms)
 
     def test_determinism(self):
         beta = MomentSequence(3, np.array(random_request(4, 99)["beta"]))
@@ -350,7 +347,7 @@ class TestSolveCubic:
             mu, report = solve_cubic(seq_from_a((a0, a1, a2, a3)))
         except MomentProblemError:
             return
-        assert report.rank == report.variety_size == len(mu.atoms)
+        assert report.rank == len(mu.atoms)
         assert (report.rank == 3) == (report.case is CaseTag.FLAT_K0)
 
     def test_variety_membership(self):

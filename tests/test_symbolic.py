@@ -13,7 +13,7 @@ import numpy as np
 import sympy as sp
 from numpy.testing import assert_allclose
 
-from cubicmoment import MomentSequence, compute_k, extend_k0, extend_kneg, extend_kpos
+from cubicmoment import MomentSequence, compute_k, extend
 
 from _oracle import SOS_GRAM, beta04_formula, degree_one_coeffs
 
@@ -105,7 +105,6 @@ def test_routes_commute():
 
 
 def test_routes_write_the_proved_matrices():
-    routes = {"k_zero": extend_k0, "k_pos": extend_kpos, "k_neg": extend_kneg}
     numeric = {
         name: sp.lambdify(A, sp.Matrix.hstack(mx, my)) for name, (mx, my) in _route_matrices().items()
     }
@@ -116,9 +115,10 @@ def test_routes_write_the_proved_matrices():
         k = compute_k(a)
         name = "k_zero" if abs(k) <= 1e-10 else ("k_pos" if k > 0 else "k_neg")
         seen.add(name)
-        ext = routes[name](a)
+        ext = extend(a)
+        assert ext.case.value == name
         assert_allclose(np.hstack([ext.mx, ext.my]), numeric[name](*a), rtol=1e-14, atol=1e-14)
-    assert seen == set(routes)
+    assert seen == set(numeric)
 
 
 def test_criterion_5_identity():
