@@ -39,7 +39,9 @@ flat degree-3 matrix is ExtensionResult.m3, its only completion.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -73,7 +75,7 @@ def classify_k(k: float, tol_k: float = TOL_K) -> CaseTag:
 
     Raises MomentProblemError when k is not finite (the cubic moments overflow).
     """
-    if not np.isfinite(k):
+    if not math.isfinite(k):
         raise MomentProblemError(f"k = {k} is not finite: the cubic moments overflow")
     if abs(k) <= tol_k:
         return CaseTag.FLAT_K0
@@ -119,7 +121,7 @@ class ExtensionResult:
         """
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:
             return None
-        commutator_gate(self.mx, self.my)
+        commutator_gate(np.array((self.mx, self.my)))
         low = self.moments.values
         riesz_basis = low[[monomial_index(b) for b in self.basis]]
         power = np.linalg.matrix_power
@@ -139,16 +141,17 @@ def _extension(case, k, moments, basis, mx, my) -> ExtensionResult:
     MomentProblemError, naming the moment, when a moment is not finite (a
     quartic overflows).
     """
-    finite = np.isfinite(moments.values)
-    if not finite.all():
-        n = int(finite.argmin())
+    finite = list(map(math.isfinite, moments.values.tolist()))
+    if not all(finite):
+        n = finite.index(False)
         i, j = monomials_up_to(4)[n]
         raise MomentProblemError(
             f"the degree-{i + j} moment beta_{i}{j} = {moments.values[n]} is not finite"
         )
-    mats = np.array([mx, my]).transpose(0, 2, 1).copy() + 0.0
-    if not np.isfinite(mats).all():
+    if not all(map(math.isfinite, chain(*mx, *my))):
         raise MomentProblemError("a multiplication matrix has a non-finite entry")
+    columns = np.fromiter(chain(*mx, *my), float).reshape(2, len(mx), -1)
+    mats = np.add(columns.transpose(0, 2, 1), 0.0, order="C")
     mats.setflags(write=False)
     return ExtensionResult(case, k, moments, basis, mats[0], mats[1])
 
@@ -161,7 +164,7 @@ def compute_k(a) -> float:
 
 def _sequence4(a, quartics) -> MomentSequence:
     """M(1) = I, the cubic moments a and the quartics (beta_40, ..., beta_04)."""
-    return MomentSequence(4, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, *a, *quartics]))
+    return MomentSequence(4, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, *a, *quartics])
 
 
 def _square_moments(a, b22: float, t: float = 0.0) -> MomentSequence:
@@ -231,9 +234,11 @@ def extend(a, tol_k: float = TOL_K) -> ExtensionResult:
     """
     a = tuple(map(float, a))
     k = compute_k(a)
-    route = {
-        CaseTag.FLAT_K0: _extend_k0,
-        CaseTag.RECURSIVELY_DETERMINATE_K_POS: _extend_kpos,
-        CaseTag.RANK_INCREASING_K_NEG: _extend_kneg,
-    }[classify_k(k, tol_k)]
-    return route(a, k)
+    return _ROUTES[classify_k(k, tol_k)](a, k)
+
+
+_ROUTES = {
+    CaseTag.FLAT_K0: _extend_k0,
+    CaseTag.RECURSIVELY_DETERMINATE_K_POS: _extend_kpos,
+    CaseTag.RANK_INCREASING_K_NEG: _extend_kneg,
+}

@@ -23,13 +23,14 @@ def commutator_norm(Mx, My) -> float:
     return float(np.abs(Mx @ My - My @ Mx).max(initial=0.0))
 
 
-def commutator_gate(Mx, My) -> float:
-    """Raise CommutatorError unless Mx and My commute within TOL_COMMUTE of their scale.
+def commutator_gate(M: np.ndarray) -> float:
+    """Raise CommutatorError unless the stacked pair M = (Mx, My) commutes within TOL_COMMUTE.
 
-    Returns the scale, max(1, max|Mx|, max|My|). A NaN commutator fails.
+    The tolerance is relative to the scale max(1, max|Mx|, max|My|), which
+    is returned. A NaN commutator fails.
     """
-    scale = max(1.0, float(np.abs(Mx).max(initial=0.0)), float(np.abs(My).max(initial=0.0)))
-    commutator = commutator_norm(Mx, My)
+    scale = max(1.0, *np.abs(M).max(axis=(1, 2), initial=0.0).tolist())
+    commutator = commutator_norm(M[0], M[1])
     if not commutator <= TOL_COMMUTE * scale:
         raise CommutatorError(
             f"multiplication matrices do not commute (max entry {commutator:.3e})"
@@ -69,26 +70,33 @@ def joint_eigen(Mx, My, seed=0) -> list[tuple[float, float]]:
     My = np.asarray(My, dtype=float)
     if Mx.ndim != 2 or Mx.shape[0] != Mx.shape[1] or Mx.shape != My.shape:
         raise ValueError("Mx and My must be square matrices of equal size")
-    scale = commutator_gate(Mx, My)
+    M = np.array((Mx, My))  # each slice of the stack multiplies as its own matrix
+    scale = commutator_gate(M)
     c = _combination_coefficient(seed)
     lam, V = np.linalg.eig(c * Mx + (1.0 - c) * My)
     # eig returns a real lam, which needs no check, exactly when every eigenvalue is real
-    if np.iscomplexobj(lam) and np.abs(lam.imag).max() > TOL_IMAG * max(1.0, np.abs(lam).max()):
+    if lam.dtype.kind == "c" and np.abs(lam.imag).max() > TOL_IMAG * max(1.0, np.abs(lam).max()):
         raise ComplexAtomError("joint spectrum is not real")
     V = V.real
     try:
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise MomentProblemError("the combination has no eigenvector basis") from exc
-    M = np.array((Mx, My))  # each slice of the stack multiplies as its own matrix
-    xy = np.diagonal(V_inv @ M @ V, axis1=1, axis2=2)  # rows x and y
-    V = V / np.linalg.norm(V, axis=0)
-    residual = float(np.linalg.norm(M @ V - V * xy[:, None, :], axis=1).max())
+    # huge entries overflow to an inf or NaN residual, which the gate below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
+        V = V / _norms(V, 0)
+        residual = float(_norms(M @ V - V * xy[:, None, :], 1).max())
     if not residual <= TOL_EIG * scale:  # also rejects a NaN residual
         raise MomentProblemError(
             f"joint eigenvector residual {residual:.3e} exceeds {TOL_EIG:g} of scale {scale:.3g}"
         )
     return list(zip(*xy.tolist()))
+
+
+def _norms(v: np.ndarray, axis: int) -> np.ndarray:
+    """np.linalg.norm(v, axis=axis) of a real array, computed as norm computes it."""
+    return np.sqrt(np.add.reduce(v * v, axis))
 
 
 def _combination_coefficient(seed) -> float:

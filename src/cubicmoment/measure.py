@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -96,13 +97,12 @@ def extract_atoms(ext: ExtensionResult, seed=0) -> list[tuple[float, float]]:
     """
     pairs = sorted(joint_eigen(ext.mx, ext.my, seed=seed))
     sep = MIN_ATOM_SEPARATION
-    for n, (x, y) in enumerate(pairs):
-        for u, v in pairs[n + 1 :]:
-            dx, dy = abs(x - u), abs(y - v)
-            if math.isnan(dx + dy) or not (dx >= sep or dy >= sep):
-                raise SingularVandermondeError(
-                    f"atoms closer than {sep:g}: the joint spectrum is repeated"
-                )
+    for (x, y), (u, v) in combinations(pairs, 2):
+        dx, dy = abs(x - u), abs(y - v)
+        if math.isnan(dx + dy) or not (dx >= sep or dy >= sep):
+            raise SingularVandermondeError(
+                f"atoms closer than {sep:g}: the joint spectrum is repeated"
+            )
     return pairs
 
 
@@ -128,7 +128,7 @@ def verify_measure(mu: AtomicMeasure, beta: MomentSequence) -> MeasureCheck:
     return MeasureCheck(
         max_moment_residual=float(residuals.max(initial=0.0)),
         residuals=residuals,
-        min_weight=min((a.weight for a in mu.atoms), default=0.0),
+        min_weight=min([a.weight for a in mu.atoms], default=0.0),
     )
 
 
@@ -139,7 +139,7 @@ def _variety_residual(ext: ExtensionResult, vb) -> float:
     exactly when atom k meets every relation they encode (Moller and Stetter
     1995). An empty V_B gives 0, and a NaN propagates.
     """
-    gap = vb @ np.array((ext.mx, ext.my)) - vb[:, 1:3].T[:, :, None] * vb
+    gap = np.array((vb.dot(ext.mx), vb.dot(ext.my))) - vb.T[1:3, :, None] * vb
     return float(np.abs(gap).max(initial=0.0))
 
 
@@ -158,20 +158,19 @@ def solve_cubic(
     than tolerances.accept, produces a density below MIN_WEIGHT, or has an
     atom off the variety by more than MAX_VARIETY_RESIDUAL.
     """
-    mass = beta[0, 0]
+    mass = float(beta.values[0])
     certificate = normalize_cubic(beta)
     ext = extend(certificate.a_vec, tol_k=tolerances.k)
     atoms = extract_atoms(ext, seed=seed)
     vb = _vandermonde(*zip(*atoms), ext.basis)
-    rho = _densities(vb, ext.basis, certificate.normalized)
-    smallest = float(rho.min())
-    if not smallest >= MIN_WEIGHT:
-        raise VerificationError(f"density {smallest:.3e} below {MIN_WEIGHT:g}")
+    rho = _densities(vb, ext.basis, certificate.normalized).tolist()
+    if not all(r >= MIN_WEIGHT for r in rho):  # also rejects a NaN density
+        raise VerificationError(f"density {float(np.min(rho)):.3e} below {MIN_WEIGHT:g}")
     variety_residual = _variety_residual(ext, vb)
     if not variety_residual <= MAX_VARIETY_RESIDUAL:
         raise VerificationError(f"an atom violates a column relation by {variety_residual:.3e}")
     # the mass multiplies the weights before the pullback, which leaves them as they are
-    weighted = AtomicMeasure(tuple(map(Atom, *zip(*atoms), (rho * mass).tolist())))
+    weighted = AtomicMeasure(tuple([Atom(x, y, r * mass) for (x, y), r in zip(atoms, rho)]))
     mu = AtomicMeasure(tuple(sorted(pullback_measure(weighted, certificate.map).atoms)))
     check = verify_measure(mu, beta)
     if not check.max_moment_residual <= tolerances.accept:

@@ -10,6 +10,7 @@ at degree 6 a sequence holds 28 values, so no sparse structure is needed.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -148,21 +149,31 @@ def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:
 
     Row k holds x_k^i y_k^j in degree-lex order, times weights[k] when
     given. The powers are Python float powers and the weight multiplies
-    x^i before y^j, so each entry rounds exactly as w * x**i * y**j does.
+    x^i before y^j, so each entry rounds exactly as w * x**i * y**j does;
+    the products are Python float products, so an overflow gives +-inf
+    (and inf * 0 gives NaN) without a warning.
     """
     if len(x) != len(y):
         raise ValueError(f"{len(x)} x-coordinates but {len(y)} y-coordinates")
-    i, j = _exponents(degree)
-    coordinates = [*map(float, x), *map(float, y)]
+    x, y = list(map(float, x)), list(map(float, y))
+    w = [1.0] * len(x) if weights is None else list(map(float, weights))  # 1.0 * v is v
+    if len(w) != len(x):
+        raise ValueError(f"{len(w)} weights for {len(x)} points")
+    exponents = _exponent_pairs(degree)
     try:
-        powers = np.array([[v**e for e in range(degree + 1)] for v in coordinates])
+        entries = [wk * u**i * v**j for u, v, wk in zip(x, y, w) for i, j in exponents]
     except OverflowError:  # float ** raises where C pow gives +-inf; np.power gives it
         with np.errstate(over="ignore"):
-            powers = np.power.outer(coordinates, np.arange(degree + 1.0))
-    x_pow, y_pow = powers.reshape(2, -1, degree + 1)
-    if weights is not None:
-        x_pow = np.asarray(weights, dtype=float)[:, None] * x_pow
-    return x_pow[:, i] * y_pow[:, j]
+            p = np.power.outer([*x, *y], np.arange(degree + 1.0)).tolist()
+        rows = zip(p[: len(x)], p[len(x) :], w)
+        entries = [wk * px[i] * py[j] for px, py, wk in rows for i, j in exponents]
+    return np.array(entries, dtype=float).reshape(len(x), len(exponents))
+
+
+@functools.cache
+def _exponent_pairs(degree: int) -> tuple[tuple[int, int], ...]:
+    """The exponents (i, j) of monomials_up_to(degree) as plain int pairs."""
+    return tuple(map(tuple, monomials_up_to(degree)))
 
 
 class Atom(NamedTuple):
@@ -185,7 +196,7 @@ class AtomicMeasure:
     atoms: tuple[Atom, ...]
 
     def __post_init__(self) -> None:
-        atoms = tuple(a if isinstance(a, Atom) else Atom(*a) for a in self.atoms)
+        atoms = tuple([a if isinstance(a, Atom) else Atom(*a) for a in self.atoms])
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -198,9 +209,38 @@ class AtomicMeasure:
         The atoms are added in order, so each entry rounds exactly as the
         scalar sum over the atoms does.
         """
-        x, y, w = ([a[k] for a in self.atoms] for k in range(3))
-        return sum(monomial_table(x, y, degree, w), np.zeros(sequence_length(degree)))
+        if degree == 3:
+            try:
+                return np.array(_cubic_integrals(self.atoms))
+            except OverflowError:  # monomial_table's powers take over
+                pass
+        totals = [0.0] * sequence_length(degree)
+        if self.atoms:
+            x, y, w = zip(*self.atoms)
+            for row in monomial_table(x, y, degree, w).tolist():
+                totals = list(map(operator.add, totals, row))
+        return np.array(totals)
 
     def moments(self, degree: int) -> MomentSequence:
         """Exact moments sum rho_k x_k^i y_k^j up to the given degree."""
         return MomentSequence(degree, self.integrals(degree))
+
+
+def _cubic_integrals(atoms) -> list[float]:
+    """AtomicMeasure.integrals(3) written out: (w * x**i) * y**j, with x**1 as x and x**0 as 1.0."""
+    t0 = t1 = t2 = t3 = t4 = t5 = t6 = t7 = t8 = t9 = 0.0
+    for x, y, w in atoms:
+        x, y, w = float(x), float(y), float(w)
+        x2, y2 = x**2, y**2
+        wx, wx2 = w * x, w * x2
+        t0 += w
+        t1 += wx
+        t2 += w * y
+        t3 += wx2
+        t4 += wx * y
+        t5 += w * y2
+        t6 += w * x**3
+        t7 += wx2 * y
+        t8 += wx * y2
+        t9 += w * y**3
+    return [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9]

@@ -30,6 +30,8 @@ _Z = np.array([[0, 0], [1, 0], [0, 1]])  # the exponents (i, j) of z = (1, x, y)
 # entry (a, b, c) is the degree-lex position of z_a z_b z_c, so values[_TENSOR] = E[z (x) z (x) z]
 _TENSOR = monomial_index((_Z[:, None, None] + _Z[:, None] + _Z).transpose(3, 0, 1, 2))
 _, _ENTRIES = np.unique(_TENSOR, return_index=True)  # the flat position of one entry per moment
+# the entries of M(1) are the moments of degree <= 2: (1, 0, 0, 1, 0, 1) for M(1) = I
+_IDENTITY_M1 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
 _QUARTER = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])  # R: (x, y) -> (-y, x)
 
 
@@ -59,14 +61,14 @@ def _whiten(m1: list[float], d2: float, d3: float) -> np.ndarray:
     _, b10, b01, _, b11, _ = m1
     l11 = math.sqrt(d2)
     l21, l22 = (b11 - b10 * b01) / l11, math.sqrt(d3) / l11
-    bottom = [(l21 * b10 / l11 - b01) / l22, -l21 / l11 / l22, 1.0 / l22]
-    return np.array([[1.0, 0.0, 0.0], [-b10 / l11, 1.0 / l11, 0.0], bottom])
+    bottom = ((l21 * b10 / l11 - b01) / l22, -l21 / l11 / l22, 1.0 / l22)
+    return np.array((1.0, 0.0, 0.0, -b10 / l11, 1.0 / l11, 0.0, *bottom)).reshape(3, 3)
 
 
 def _push(A: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The ten moments of the pushforward under z -> A z, read back from A (x) A (x) A T."""
     S = A @ values[_TENSOR] @ A.T
-    return (A @ S.reshape(3, 9)).reshape(27)[_ENTRIES]
+    return A.dot(S.reshape(3, 9)).reshape(27)[_ENTRIES]
 
 
 def pullback_measure(mu: AtomicMeasure, psi: np.ndarray) -> AtomicMeasure:
@@ -79,12 +81,11 @@ def pullback_measure(mu: AtomicMeasure, psi: np.ndarray) -> AtomicMeasure:
     """
     (a, b, c), (d, e, f) = psi[1:].tolist()
     det = b * f - c * e
-
-    def invert(u: float, v: float) -> tuple[float, float]:
+    atoms = []
+    for u, v, w in mu.atoms:
         ru, rv = u - a, v - d
-        return ((f * ru - c * rv) / det, (b * rv - e * ru) / det)
-
-    return AtomicMeasure(tuple(Atom(*invert(u, v), w) for u, v, w in mu.atoms))
+        atoms.append(Atom((f * ru - c * rv) / det, (b * rv - e * ru) / det, w))
+    return AtomicMeasure(tuple(atoms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +118,15 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
     """
     if beta.degree != 3:
         raise ValueError("normalization expects a degree-3 sequence")
-    scaled = beta.rescaled(1.0 / beta[0, 0])
-    if not np.isfinite(scaled.values).all():
-        raise MomentProblemError(f"rescaling by 1 / beta_00 = {1.0 / beta[0, 0]:.3e} overflows")
-    m1 = scaled.values[:6].tolist()  # the moments of degree <= 2, the entries of M(1)
+    mass = float(beta.values[0])
+    if not math.isfinite(mass):
+        raise MomentProblemError(f"the mass beta_00 = {mass} is not finite")
+    factor = 1.0 / mass
+    scaled = beta.values * factor
+    values = scaled.tolist()
+    if not all(map(math.isfinite, values)):
+        raise MomentProblemError(f"rescaling by 1 / beta_00 = {factor:.3e} overflows")
+    m1 = values[:6]  # the moments of degree <= 2, the entries of M(1)
     threshold = SINGULAR_RTOL * max(map(abs, m1))
     d2, d3 = _pivots(m1)
     if d2 <= threshold:
@@ -130,22 +136,21 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
     if not (math.isfinite(d2) and math.isfinite(d3)):  # else the map degenerates
         raise MomentProblemError(f"the minors of M(1) overflow: d2 = {d2:.6g}, d3 = {d3:.6g}")
     whiten = _whiten(m1, d2, d3)
-    pushed = _push(whiten, scaled.values)
+    pushed = _push(whiten, scaled)
     refined = pushed[:6].tolist()
     r2, r3 = _pivots(refined)
     if not (r2 > 0.0 and r3 > 0.0):  # also rejects NaN pivots
         raise MomentProblemError(
             f"normalization failed to reach M(1) = I (refined pivots {r2:.3e}, {r3:.3e})"
         )
-    turn = _QUARTER @ _whiten(refined, r2, r3)
+    turn = _QUARTER.dot(_whiten(refined, r2, r3))
     normalized = _push(turn, pushed)
-    # the entries of M(1) are the moments of degree <= 2: (1, 0, 0, 1, 0, 1) for M(1) = I
-    defect = float(np.abs(normalized[:6] - (1.0, 0.0, 0.0, 1.0, 0.0, 1.0)).max())
+    defect = float(np.abs(normalized[:6] - _IDENTITY_M1).max())
     if not defect <= DEFECT_ATOL:  # also rejects a NaN defect
         raise MomentProblemError(
             f"normalization failed to reach M(1) = I (defect {defect:.3e})"
         )
-    psi = turn @ whiten
+    psi = turn.dot(whiten)
     psi.setflags(write=False)
     a_vec = tuple(normalized[6:].tolist())  # beta~_30, ..., beta~_03
     return NormalizationCertificate(d2, d3, psi, MomentSequence(3, normalized), a_vec)

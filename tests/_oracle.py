@@ -32,6 +32,11 @@ substitution matrix build_J of any degree. The solver reaches the same
 matrix through a Cholesky factor of M(1) and pushes the moment tensor
 instead.
 
+monomial_table_reference is the numpy monomial table the solver used
+before its Python-float kernels: a power table, fancy-indexed and
+multiplied as arrays. monomial_table and AtomicMeasure.integrals must
+match it and its row sum byte for byte.
+
 paper_extend_kneg is the paper's k < 0 construction as it is written: it
 bumps beta_40 by t = 1, solves the {1, X, Y, X^2} compression M4 for the
 Y^2 relation p, and divides by p4 = -k for the X^3 relation (x3_relation).
@@ -64,7 +69,7 @@ from cubicmoment import (
 )
 from cubicmoment.cubic import BASIS_KNEG, TOL_K, _extension, _sequence4
 from cubicmoment.linalg import TOL_COMMUTE, TOL_EIG, TOL_IMAG, commutator_norm
-from cubicmoment.moments import sequence_length
+from cubicmoment.moments import _exponents, sequence_length
 from cubicmoment.normalize import MASS_ATOL, SINGULAR_RTOL
 
 TOL_PSD = 1e-10
@@ -305,6 +310,28 @@ def column_of(M: np.ndarray, p: np.ndarray) -> np.ndarray:
     if p.size > M.shape[1]:
         raise ValueError(f"{p.size} coefficients exceed the {M.shape[1]} columns of M(d)")
     return M[:, : p.size] @ p
+
+
+def monomial_table_reference(x, y, degree: int, weights=None) -> np.ndarray:
+    """Every monomial of degree <= degree evaluated at the points (x_k, y_k).
+
+    Row k holds x_k^i y_k^j in degree-lex order, times weights[k] when
+    given. The powers are Python float powers and the weight multiplies
+    x^i before y^j, so each entry rounds exactly as w * x**i * y**j does.
+    """
+    if len(x) != len(y):
+        raise ValueError(f"{len(x)} x-coordinates but {len(y)} y-coordinates")
+    i, j = _exponents(degree)
+    coordinates = [*map(float, x), *map(float, y)]
+    try:
+        powers = np.array([[v**e for e in range(degree + 1)] for v in coordinates])
+    except OverflowError:  # float ** raises where C pow gives +-inf; np.power gives it
+        with np.errstate(over="ignore"):
+            powers = np.power.outer(coordinates, np.arange(degree + 1.0))
+    x_pow, y_pow = powers.reshape(2, -1, degree + 1)
+    if weights is not None:
+        x_pow = np.asarray(weights, dtype=float)[:, None] * x_pow
+    return x_pow[:, i] * y_pow[:, j]
 
 
 def joint_eigen_reference(

@@ -1,0 +1,41 @@
+"""The statistics of tools/interleave.py; no benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "interleave", Path(__file__).resolve().parent.parent / "tools" / "interleave.py"
+)
+interleave = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(interleave)
+ratio_stats = interleave.ratio_stats
+
+
+def test_percentiles_are_in_microseconds_per_side():
+    base = [1000.0 * (k + 1) for k in range(100)]  # 1 to 100 us
+    s = ratio_stats(base, [2.0 * b for b in base])
+    assert s["base"] == pytest.approx((50.5, 95.05))
+    assert s["change"] == pytest.approx((101.0, 190.1))
+    assert s["ratio"] == 2.0
+
+
+def test_ratio_is_the_median_of_per_input_ratios():
+    # the sides' medians give 1.0, but three of five inputs got 20% faster
+    base = [100.0, 200.0, 300.0, 400.0, 500.0]
+    change = [80.0, 160.0, 300.0, 500.0, 400.0]
+    s = ratio_stats(base, change)
+    assert s["base"][0] == s["change"][0] == 0.3
+    assert s["ratio"] == 0.8
+
+
+def test_pairs_stay_with_their_input():
+    s = ratio_stats([100.0, 1000.0, 100.0], [50.0, 500.0, 50.0])
+    assert s["ratio"] == 0.5
+
+
+@pytest.mark.parametrize("base, change", [([], []), ([1.0], [1.0, 2.0]), ([0.0], [1.0]), ([1.0], [-1.0])])
+def test_rejects_malformed_input(base, change):
+    with pytest.raises(ValueError):
+        ratio_stats(base, change)

@@ -1,5 +1,8 @@
+import collections
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +181,11 @@ class TestVerifyMeasure:
         check = verify_measure(mu, seq_from_a((0, 0, 0, 0)))
         assert math.isnan(check.max_moment_residual)
 
+    def test_overflowing_atom_gives_an_inf_residual(self):
+        # x^2 y = 1e450 leaves float range; the residual says so, without a warning
+        check = verify_measure(AtomicMeasure((Atom(1e150, 1e150, 1.0),)), seq_from_a((0, 0, 0, 0)))
+        assert check.max_moment_residual == math.inf
+
 
 def _variety_residual(ext, points) -> float:
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
@@ -304,7 +312,6 @@ class TestSolveCubic:
         with pytest.raises(MomentProblemError, match=message):
             solve_cubic(seq_from_a(a))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_residual_of_one_matrix_fails_joint_eigen(self):
         # the k > 0 matrices at a = (0, 0, 0, 1e280), whose beta_04 overflows, so
         # that a solve stops at the extension: the My eigenvector residual is NaN
@@ -315,7 +322,22 @@ class TestSolveCubic:
         with pytest.raises(MomentProblemError, match="joint eigenvector residual nan"):
             linalg.joint_eigen(mx, my)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ((1e20, 0, 0, 0), "joint eigenvector residual inf exceeds 1e-07 of scale 1e+20"),
+            ((0, 0, 0, 1e20), "joint eigenvector residual inf exceeds 1e-07 of scale 1e+20"),
+            ((1e60, 0, 0, 0), "joint eigenvector residual nan exceeds 1e-07 of scale 1e+60"),
+        ],
+    )
+    def test_overflowing_joint_spectrum_fails_without_a_warning(self, a, message):
+        # the residual's products overflow to inf or NaN, which the gate rejects quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MomentProblemError, match=f"^{re.escape(message)}$") as info:
+                solve_cubic(seq_from_a(a))
+        assert type(info.value) is MomentProblemError
+
     def test_overflowing_atom_power_raises(self):
         # an atom near x = 1e104 leaves the densities no precision: the floor rejects them
         with pytest.raises(VerificationError, match="density"):
@@ -360,6 +382,33 @@ class TestSolveCubic:
                 poly = rel.polynomial()
                 values = monomial_table(x, y, rel.target.degree) @ poly
                 assert np.abs(values).max() <= 1e-7
+
+
+class TestCallBudget:
+    @pytest.mark.parametrize(
+        "a, case",
+        [
+            ((0, 1, 0, 0), CaseTag.FLAT_K0),
+            ((0, 0, 0, 0), CaseTag.RECURSIVELY_DETERMINATE_K_POS),
+            ((0, 1, 1, 0), CaseTag.RANK_INCREASING_K_NEG),
+        ],
+    )
+    def test_one_eig_inv_solve_and_verification_per_solve(self, monkeypatch, a, case):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eig", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(measure, "verify_measure", counted("verify_measure", verify_measure))
+        _, report = solve_cubic(seq_from_a(a))
+        assert report.case is case
+        assert calls == {"eig": 1, "inv": 1, "solve": 1, "verify_measure": 1}
 
 
 class TestNearZeroKneg:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,7 +17,7 @@ from cubicmoment import (
 )
 from cubicmoment.moments import sequence_length
 
-from _oracle import column_of, riesz
+from _oracle import column_of, monomial_table_reference, riesz
 from _util import seq_from_a
 
 
@@ -160,12 +160,17 @@ class TestMonomialTable:
             mu = AtomicMeasure(tuple(Atom(*a) for a in zip(x, y, w)))
             assert mu.moments(degree).values.tolist() == sums.tolist()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_power_is_inf(self):
         # float ** raises OverflowError here; the table follows IEEE arithmetic instead
         table = monomial_table([1e200, -1.7], [-1e200, 0.3], 3)
         assert table[0, :6].tolist() == [1.0, 1e200, -1e200, math.inf, -math.inf, math.inf]
         assert table[1].tolist() == [(-1.7) ** i * 0.3**j for i, j in monomials_up_to(3)]
+
+    def test_overflowing_product_is_inf(self):
+        # the powers are finite and their products leave float range, without a warning
+        assert monomial_table([1e150], [1e150], 3)[0, 6:].tolist() == [math.inf] * 4
+        table = monomial_table([1e150], [1.0], 2, [1e100])
+        assert table.tolist() == [[1e100, 1e250, 1e100, math.inf, 1e250, 1e100]]
 
     def test_no_points(self):
         assert monomial_table([], [], 3).shape == (0, 10)
@@ -173,6 +178,37 @@ class TestMonomialTable:
     def test_coordinate_counts_must_match(self):
         with pytest.raises(ValueError):
             monomial_table([1.0, 2.0, 3.0], [1.0], 2)
+
+
+def _signed(magnitude_and_sign) -> float:
+    magnitude, negative = magnitude_and_sign
+    return -magnitude if negative else magnitude
+
+
+# signed zeros, and magnitudes from 1e-300 to 1e200, whose squares and cubes underflow or overflow
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.tuples(st.floats(1e-300, 1e200), st.booleans()).map(_signed)
+)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestRoundingPin:
+    @settings(max_examples=400)
+    @given(st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES), max_size=5), st.integers(0, 6))
+    @example([(1e200, -0.0, -1e-300), (2.5, -1e-160, 3.0)], 3)  # the OverflowError fallback at degree 3
+    @example([(0.3, -0.7, 0.25), (-0.0, 1e-300, 0.5)], 3)
+    def test_tables_and_integrals_match_the_numpy_reference(self, points, degree):
+        x, y, w = ([p[k] for p in points] for k in range(3))
+        with np.errstate(all="ignore"):  # the reference's array products warn on overflow
+            weighted = monomial_table_reference(x, y, degree, w)
+            plain = monomial_table_reference(x, y, degree)
+            integrals = sum(weighted, np.zeros(sequence_length(degree)))
+        assert _same_bytes(monomial_table(x, y, degree, w), weighted)
+        assert _same_bytes(monomial_table(x, y, degree), plain)
+        assert _same_bytes(AtomicMeasure(tuple(points)).integrals(degree), integrals)
 
 
 class TestRiesz:

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from cubicmoment import (
     Atom,
     AtomicMeasure,
+    MomentProblemError,
     MomentSequence,
     SingularM1Error,
     build_moment_matrix,
@@ -305,6 +306,12 @@ class TestNormalizeCubic:
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
             normalize_cubic(seq_from_a((0, 0, 0, 0)).truncated(2))
+
+    def test_infinite_mass_is_a_typed_error(self):
+        # MomentSequence accepts beta_00 = inf; rescaling by 1 / inf = 0 would give inf * 0 = NaN
+        beta = MomentSequence(3, [math.inf, 0, 0, 1, 0, 1, 0, 0, 0, 0])
+        with pytest.raises(MomentProblemError, match=r"^the mass beta_00 = inf is not finite$"):
+            solve_cubic(beta)
 
     def test_singular_input(self):
         values = np.array([1, 0, 0, 0, 0, 1, 0, 0, 0, 0], dtype=float)  # beta_20 = 0

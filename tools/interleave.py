@@ -1,0 +1,136 @@
+"""Per-input timing of a base revision against the working tree, in one process.
+
+Run from anywhere inside the repository:
+
+    python3 tools/interleave.py --base HEAD --workload generator_mixed \\
+        --seed 23 --seconds 60
+
+The base revision is exported with `git archive` into a temporary
+directory. Its src/ is imported as the package cubicmoment_base, and the
+working tree's src/ as cubicmoment, so both run in this process. The
+workload's input pool comes from perfbench/workloads.py, which this tool
+imports and does not change.
+
+The first TIMED_INPUTS inputs of the workload's pool are timed, pass
+after pass, for --seconds: each call on one side is followed at once by
+the same input on the other side, the side that goes first alternating
+from pass to pass, and each input keeps its fastest call on each side (as
+perfbench/run.py does).
+
+The tool prints each side's p50 and p95 over those fastest calls and the
+median over the inputs of change time / base time. It compares times
+only; tools/answer_hash.py checks that the answers are equal. Drift in
+the machine's speed falls on both sides alike, so the median ratio
+repeats far more closely than the medians of separate benchmark runs do.
+Run as a script, it pins BLAS and OpenMP to one thread, as
+perfbench/run.py does.
+"""
+
+from __future__ import annotations
+
+import os
+
+if __name__ == "__main__":  # numpy reads these once, when it loads
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from gitexport import ROOT, export  # noqa: E402
+
+TIMED_INPUTS = 400  # the first inputs of the pool, as in perfbench/run.py
+
+
+def ratio_stats(base_ns: list[float], change_ns: list[float]) -> dict:
+    """p50 and p95 in microseconds per side, and the median of the per-input ratios change / base.
+
+    Entry k of each list is input k's fastest call on that side, in ns.
+    """
+    if len(base_ns) != len(change_ns) or not base_ns:
+        raise ValueError("need the same positive number of base and change times")
+    if min(base_ns) <= 0 or min(change_ns) <= 0:
+        raise ValueError("times must be positive")
+
+    def p(samples, q):
+        return float(np.percentile(np.asarray(samples, dtype=float), q)) / 1e3
+
+    return {
+        "base": (p(base_ns, 50), p(base_ns, 95)),
+        "change": (p(change_ns, 50), p(change_ns, 95)),
+        "ratio": statistics.median(c / b for b, c in zip(base_ns, change_ns)),
+    }
+
+
+def load_package(src: Path, name: str):
+    """Import the cubicmoment package under src/ as a top-level package called name."""
+    init = src / "cubicmoment" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def fastest_calls(sides, sequences, seconds: float) -> list[list[float]]:
+    """Each input's fastest call per side, in ns, over whole passes that end after `seconds`."""
+    best = [[float("inf")] * len(sequences) for _ in sides]
+    solvers = [(cm.solve_cubic, cm.MomentProblemError) for cm in sides]
+    clock = time.perf_counter_ns
+    deadline = clock() + int(seconds * 1e9)
+    passes = 0
+    while passes == 0 or clock() < deadline:
+        order = (0, 1) if passes % 2 == 0 else (1, 0)
+        for k in range(len(sequences)):
+            for side in order:
+                solve, typed = solvers[side]
+                t0 = clock()
+                try:
+                    solve(sequences[k][side], seed=0)
+                except typed:
+                    pass
+                elapsed = clock() - t0
+                if elapsed < best[side][k]:
+                    best[side][k] = elapsed
+        passes += 1
+    return best
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="revision to compare the working tree against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import cubicmoment
+    import workloads
+
+    with tempfile.TemporaryDirectory(prefix="interleave-base-") as tmp:
+        export(args.base, Path(tmp))
+        base = load_package(Path(tmp) / "src", "cubicmoment_base")
+        sides = (base, cubicmoment)
+        pool = workloads.generate(args.workload, args.seed)
+        sequences = [[cm.MomentSequence(3, beta) for cm in sides] for beta in pool[:TIMED_INPUTS]]
+        best = fastest_calls(sides, sequences, args.seconds)
+    s = ratio_stats(*best)
+
+    print(f"{args.workload} seed {args.seed}, {len(best[0])} timed inputs, {args.seconds:g} s, base {args.base} vs working tree")
+    for side in ("base", "change"):
+        p50, p95 = s[side]
+        print(f"{side:6s} p50 {p50:8.1f} us  p95 {p95:8.1f} us")
+    print(f"median per-input ratio change / base {s['ratio']:.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
