@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -37,7 +36,6 @@ EXIT_INPUT = 1
 EXIT_SINGULAR = 2
 EXIT_VERIFY = 3
 
-SEED_ENV_VAR = "MOMENT_SOLVER_SEED"
 BETA_LENGTH = 10  # degree-lex order beta_00 ... beta_03
 
 
@@ -75,7 +73,7 @@ def _read_json(path: str):
         raise _InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _parse_request(obj) -> tuple[MomentSequence, dict, int | None]:
+def _parse_request(obj) -> tuple[MomentSequence, dict]:
     if not isinstance(obj, dict) or "beta" not in obj:
         raise _InputError('request must be a JSON object with a "beta" array')
     beta = obj["beta"]
@@ -97,10 +95,7 @@ def _parse_request(obj) -> tuple[MomentSequence, dict, int | None]:
     unknown = set(tols) - {field.name for field in dataclasses.fields(Tolerances)}
     if unknown:
         raise _InputError(f"unknown tolerance keys: {sorted(unknown)}")
-    seed = obj.get("seed")
-    if seed is not None:
-        seed = _seed('"seed"', seed)
-    return MomentSequence(3, np.array(values)), tols, seed
+    return MomentSequence(3, np.array(values)), tols
 
 
 def _resolve_tolerances(args, request_tols: dict) -> Tolerances:
@@ -121,28 +116,6 @@ def _tolerance(key: str, value) -> float:
     return float(value)
 
 
-def _resolve_seed(args, request_seed: int | None) -> int:
-    """Flag, then request body, then environment variable, then 0."""
-    if getattr(args, "seed", None) is not None:
-        return _seed("--seed", args.seed)
-    if request_seed is not None:
-        return request_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return _seed(SEED_ENV_VAR, int(env))
-        except ValueError:
-            return _seed(SEED_ENV_VAR, env)
-    return 0
-
-
-def _seed(source: str, value) -> int:
-    # bool is an int subclass, and numpy rejects a negative seed with a ValueError
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise _InputError(f"{source} must be a non-negative integer, got {value!r}")
-    return value
-
-
 def _map_payload(psi) -> dict:
     """The coefficients a, ..., f of psi(x, y) = (a + b x + c y, d + e x + f y), rows 1-2 of psi."""
     return dict(zip("abcdef", psi[1:].ravel().tolist()))
@@ -151,13 +124,12 @@ def _map_payload(psi) -> dict:
 def cmd_solve(args) -> int:
     try:
         request = _read_json(args.input)
-        beta, request_tols, request_seed = _parse_request(request)
+        beta, request_tols = _parse_request(request)
         tolerances = _resolve_tolerances(args, request_tols)
-        seed = _resolve_seed(args, request_seed)
     except _InputError as exc:
         return _fail(EXIT_INPUT, str(exc))
     try:
-        mu, report = solve_cubic(beta, seed=seed, tolerances=tolerances)
+        mu, report = solve_cubic(beta, tolerances)
     except SingularM1Error as exc:
         return _fail(EXIT_SINGULAR, str(exc))
     except MomentProblemError as exc:
@@ -203,7 +175,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     try:
         beta_obj = _read_json(args.beta)
-        beta, _, _ = _parse_request(beta_obj)
+        beta, _ = _parse_request(beta_obj)
         measure_obj = _read_json(args.measure)
         mu = _parse_measure(measure_obj)
         tol = _tolerance("tol", args.tol)
@@ -263,18 +235,16 @@ def random_request(n_atoms: int, seed: int) -> dict:
 def cmd_random(args) -> int:
     if args.atoms < 3:
         return _fail(EXIT_INPUT, "--atoms must be at least 3")
-    try:
-        seed = _resolve_seed(args, None)
-    except _InputError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    _emit(random_request(args.atoms, seed))
+    if args.seed < 0:  # numpy rejects a negative seed with a ValueError
+        return _fail(EXIT_INPUT, f"--seed must be a non-negative integer, got {args.seed!r}")
+    _emit(random_request(args.atoms, args.seed))
     return EXIT_OK
 
 
 def cmd_info(args) -> int:
     try:
         request = _read_json(args.input)
-        beta, request_tols, _ = _parse_request(request)
+        beta, request_tols = _parse_request(request)
         tol_k = _resolve_tolerances(args, request_tols).k
     except _InputError as exc:
         return _fail(EXIT_INPUT, str(exc))
@@ -315,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("input", nargs="?", default="-", help="request file, or - for stdin")
     solve.add_argument("--tol-k", type=float, default=None, help="three-way case-split threshold on k")
     solve.add_argument("--tol-accept", type=float, default=None, help="largest admissible moment residual")
-    solve.add_argument("--seed", type=int, default=None, help="seed for the randomized eigensolver")
     solve.add_argument("--emit-matrices", action="store_true", help="include m1/m2/(m3) row-major in the response")
     solve.add_argument("--quiet", action="store_true", help="suppress the stderr summary line")
     solve.set_defaults(func=cmd_solve)
@@ -328,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     random_cmd = sub.add_parser("random", help="emit a random solvable request (for testing)")
     random_cmd.add_argument("--atoms", type=int, default=4, help="number of atoms (>= 3)")
-    random_cmd.add_argument("--seed", type=int, default=None, help="generator seed")
+    random_cmd.add_argument("--seed", type=int, default=0, help="generator seed")
     random_cmd.set_defaults(func=cmd_random)
 
     info = sub.add_parser("info", help="normalization diagnostics only, no solve")

@@ -1,13 +1,14 @@
 """Joint spectrum of the commuting multiplication matrices Mx, My.
 
 The joint eigenvalues of a commuting pair are read off by diagonalizing
-both matrices with the eigenvectors of one random convex combination.
-The matrices are 3x3 or 4x4, so plain dense LAPACK routines are used.
+both matrices with the eigenvectors of one fixed convex combination, which
+only has to separate the 3 or 4 distinct atoms of a flat extension. The
+matrices are 3x3 or 4x4, so plain dense LAPACK routines are used.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 
 import numpy as np
 
@@ -16,6 +17,9 @@ from .errors import CommutatorError, ComplexAtomError, MomentProblemError
 TOL_COMMUTE = 1e-9
 TOL_EIG = 1e-7
 TOL_IMAG = 1e-6  # largest imaginary part of the spectrum accepted, relative to max(1, |lambda|)
+# c of c*Mx + (1-c)*My, tried in order; the first is the seed-0 c of the earlier seeded solve,
+# so its answers stay bit-identical
+_COMBINATIONS = (0.5821770123928727, 0.3)
 
 
 def commutator_norm(Mx, My) -> float:
@@ -38,7 +42,7 @@ def commutator_gate(M: np.ndarray) -> float:
     return scale
 
 
-def joint_eigen(Mx, My, seed=0) -> list[tuple[float, float]]:
+def joint_eigen(Mx, My) -> list[tuple[float, float]]:
     """Joint eigenvalue pairs of two commuting real matrices.
 
     Parameters
@@ -46,9 +50,6 @@ def joint_eigen(Mx, My, seed=0) -> list[tuple[float, float]]:
     Mx, My : array_like
         Square real matrices of equal size, commuting within TOL_COMMUTE
         (relative to the largest entry magnitude).
-    seed : int, sequence, SeedSequence or None, default 0
-        Seed of c = np.random.default_rng(seed).uniform(0.2, 0.8), memoised
-        per int seed; None draws fresh entropy on every call.
 
     Returns
     -------
@@ -59,21 +60,50 @@ def joint_eigen(Mx, My, seed=0) -> list[tuple[float, float]]:
 
     Notes
     -----
-    Takes the eigenvectors V of one random convex combination
-    c*Mx + (1-c)*My and reads the pairs off the diagonals of V^{-1} Mx V
-    and V^{-1} My V, the simultaneous diagonalization (Moller and Stetter
-    1995; Stetter, Numerical Polynomial Algebra, 2004). Raises
-    ComplexAtomError for a non-real spectrum and MomentProblemError when a
-    column of V is not a joint eigenvector.
+    Takes the eigenvectors V of the combination c*Mx + (1-c)*My and reads
+    the pairs off the diagonals of V^{-1} Mx V and V^{-1} My V, the
+    simultaneous diagonalization (Moller and Stetter 1995; Stetter,
+    Numerical Polynomial Algebra, 2004). c is the first of _COMBINATIONS;
+    the second is tried only when the first fails, as it does when two
+    distinct pairs tie under it, and not after an overflowing residual,
+    which is no tie. Raises ComplexAtomError for a non-real spectrum and
+    MomentProblemError when a column of V is not a joint eigenvector, each
+    for the first c when both fail.
     """
     Mx = np.asarray(Mx, dtype=float)
     My = np.asarray(My, dtype=float)
     if Mx.ndim != 2 or Mx.shape[0] != Mx.shape[1] or Mx.shape != My.shape:
         raise ValueError("Mx and My must be square matrices of equal size")
     M = np.array((Mx, My))  # each slice of the stack multiplies as its own matrix
-    scale = commutator_gate(M)
-    c = _combination_coefficient(seed)
-    lam, V = np.linalg.eig(c * Mx + (1.0 - c) * My)
+    # huge entries overflow to an inf or NaN commutator or residual, which the gates reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = commutator_gate(M)
+        errors = []
+        for c in _COMBINATIONS:
+            try:
+                pairs, residual = _read_spectrum(M, c)
+            except MomentProblemError as exc:
+                errors.append(exc)
+                continue
+            if residual <= TOL_EIG * scale:
+                return pairs
+            errors.append(
+                MomentProblemError(
+                    f"joint eigenvector residual {residual:.3e} exceeds {TOL_EIG:g} of scale {scale:.3g}"
+                )
+            )
+            if not math.isfinite(residual):  # an overflow, not a tie: the second c is not tried
+                break
+    raise errors[0]
+
+
+def _read_spectrum(M: np.ndarray, c: float) -> tuple[list[tuple[float, float]], float]:
+    """The pairs of the stack M = (Mx, My) read with the eigenvectors of c*Mx + (1-c)*My.
+
+    Returns them with the largest eigenvector residual of either matrix
+    over the unit eigenvectors.
+    """
+    lam, V = np.linalg.eig(c * M[0] + (1.0 - c) * M[1])
     # eig returns a real lam, which needs no check, exactly when every eigenvalue is real
     if lam.dtype.kind == "c" and np.abs(lam.imag).max() > TOL_IMAG * max(1.0, np.abs(lam).max()):
         raise ComplexAtomError("joint spectrum is not real")
@@ -82,30 +112,12 @@ def joint_eigen(Mx, My, seed=0) -> list[tuple[float, float]]:
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise MomentProblemError("the combination has no eigenvector basis") from exc
-    # huge entries overflow to an inf or NaN residual, which the gate below rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
-        V = V / _norms(V, 0)
-        residual = float(_norms(M @ V - V * xy[:, None, :], 1).max())
-    if not residual <= TOL_EIG * scale:  # also rejects a NaN residual
-        raise MomentProblemError(
-            f"joint eigenvector residual {residual:.3e} exceeds {TOL_EIG:g} of scale {scale:.3g}"
-        )
-    return list(zip(*xy.tolist()))
+    xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
+    V = V / _norms(V, 0)
+    residual = float(_norms(M @ V - V * xy[:, None, :], 1).max())
+    return list(zip(*xy.tolist())), residual
 
 
 def _norms(v: np.ndarray, axis: int) -> np.ndarray:
     """np.linalg.norm(v, axis=axis) of a real array, computed as norm computes it."""
     return np.sqrt(np.add.reduce(v * v, axis))
-
-
-def _combination_coefficient(seed) -> float:
-    """c = np.random.default_rng(seed).uniform(0.2, 0.8), memoised for int seeds only."""
-    if isinstance(seed, (int, np.integer)):
-        return _int_seed_coefficient(int(seed))
-    return np.random.default_rng(seed).uniform(0.2, 0.8)
-
-
-@functools.lru_cache(maxsize=1024)
-def _int_seed_coefficient(seed: int) -> float:
-    return np.random.default_rng(seed).uniform(0.2, 0.8)

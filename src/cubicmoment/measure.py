@@ -87,15 +87,15 @@ class MeasureCheck:
     min_weight: float
 
 
-def extract_atoms(ext: ExtensionResult, seed=0) -> list[tuple[float, float]]:
+def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
     """Atoms of the representing measure: the joint spectrum of (Mx, My).
 
-    seed is joint_eigen's. Returns the pairs sorted by (x, y). Flat
-    extensions have distinct atoms, so two atoms closer than
-    MIN_ATOM_SEPARATION in the max norm signal an upstream failure and
-    raise SingularVandermondeError, as does a NaN gap.
+    Returns the pairs sorted by (x, y). Flat extensions have distinct
+    atoms, so two atoms closer than MIN_ATOM_SEPARATION in the max norm
+    signal an upstream failure and raise SingularVandermondeError, as does
+    a NaN gap.
     """
-    pairs = sorted(joint_eigen(ext.mx, ext.my, seed=seed))
+    pairs = sorted(joint_eigen(ext.mx, ext.my))
     sep = MIN_ATOM_SEPARATION
     for (x, y), (u, v) in combinations(pairs, 2):
         dx, dy = abs(x - u), abs(y - v)
@@ -145,15 +145,17 @@ def _variety_residual(ext: ExtensionResult, vb) -> float:
 
 def solve_cubic(
     beta: MomentSequence,
-    seed: int | None = 0,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
+    *,
+    seed=None,
 ) -> tuple[AtomicMeasure, SolveReport]:
     """Recover a 3- or 4-atomic representing measure for a degree-3 sequence.
 
     Returns the measure in the original coordinates together with a report
-    whose verification fields are always populated. seed fixes the
-    combination coefficient of joint_eigen. Raises SingularM1Error
-    for inputs whose M(1) is not safely positive definite, and
+    whose verification fields are always populated. seed is accepted and
+    ignored, so callers written for the seeded solve keep working: the
+    joint spectrum uses fixed combinations. Raises SingularM1Error for
+    inputs whose M(1) is not safely positive definite, and
     VerificationError if the recovered measure misses the moments by more
     than tolerances.accept, produces a density below MIN_WEIGHT, or has an
     atom off the variety by more than MAX_VARIETY_RESIDUAL.
@@ -161,7 +163,7 @@ def solve_cubic(
     mass = float(beta.values[0])
     certificate = normalize_cubic(beta)
     ext = extend(certificate.a_vec, tol_k=tolerances.k)
-    atoms = extract_atoms(ext, seed=seed)
+    atoms = extract_atoms(ext)
     vb = _vandermonde(*zip(*atoms), ext.basis)
     rho = _densities(vb, ext.basis, certificate.normalized).tolist()
     if not all(r >= MIN_WEIGHT for r in rho):  # also rejects a NaN density

@@ -14,6 +14,15 @@ def seq_from_a(a) -> MomentSequence:
     return MomentSequence(3, np.array([1, 0, 0, 1, 0, 1, a0, a1, a2, a3], dtype=float))
 
 
+def rotate_a(a, theta: float) -> tuple[float, float, float, float]:
+    """The cubic moments a after rotating the measure by theta; mean 0, covariance I and k are kept."""
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    T = np.array([[[a[i + j + k] for k in range(2)] for j in range(2)] for i in range(2)], dtype=float)
+    T = np.einsum("ip,jq,kr,pqr->ijk", R, R, R, T)
+    return float(T[0, 0, 0]), float(T[0, 0, 1]), float(T[0, 1, 1]), float(T[1, 1, 1])
+
+
 def acceptance_draws() -> list[tuple]:
     """The acceptance suite's inputs: SUITE_SIZE seeded a in [-2, 2]^4 with |k| >= 0.05, then K0_HAND_POINTS."""
     rng = np.random.default_rng(0)

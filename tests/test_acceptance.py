@@ -61,7 +61,7 @@ def random_suite():
     for a in acceptance_draws():
         beta = seq_from_a(a)
         start = time.perf_counter()
-        mu, report = solve_cubic(beta, seed=1)
+        mu, report = solve_cubic(beta)
         solve_seconds += time.perf_counter() - start
         rows.append((a, mu, report))
     return rows, solve_seconds

@@ -132,9 +132,26 @@ class TestSolve:
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write_json(tmp_path, "req.json", KNEG_REQUEST)
-        _, first, _ = run_cli(capsys, ["solve", path, "--quiet", "--seed", "3"])
-        _, second, _ = run_cli(capsys, ["solve", path, "--quiet", "--seed", "3"])
+        _, first, _ = run_cli(capsys, ["solve", path, "--quiet"])
+        _, second, _ = run_cli(capsys, ["solve", path, "--quiet"])
         assert first == second
+
+    @pytest.mark.parametrize("seed", [0, -1, "x"])
+    def test_request_seed_is_ignored(self, tmp_path, capsys, seed):
+        plain = write_json(tmp_path, "plain.json", KNEG_REQUEST)
+        seeded = write_json(tmp_path, "seeded.json", dict(KNEG_REQUEST, seed=seed))
+        expected = run_cli(capsys, ["solve", plain, "--emit-matrices"])
+        assert expected[0] == 0
+        assert run_cli(capsys, ["solve", seeded, "--emit-matrices"]) == expected
+
+    def test_seed_flag_is_unrecognized(self, tmp_path, capsys):
+        path = write_json(tmp_path, "req.json", KNEG_REQUEST)
+        with pytest.raises(SystemExit) as info:
+            main(["solve", path, "--seed", "3"])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --seed 3" in err
 
     def test_request_tolerance_override(self, tmp_path, capsys):
         request = dict(KPOS_REQUEST, tolerances={"accept": 1e-3})
@@ -172,26 +189,6 @@ class TestSolve:
             code, out, _ = run_cli(capsys, [command, str(path), *flags])
             assert code == 1
             assert "finite positive number" in json.loads(out)["error"]["message"]
-
-    @pytest.mark.parametrize(
-        "request_seed, argv, env_seed",
-        [
-            (-1, ["solve"], None),
-            (True, ["solve"], None),
-            (None, ["solve", "--seed", "-1"], None),
-            (None, ["solve"], "-3"),
-            (None, ["random", "--seed", "-1"], None),
-        ],
-    )
-    def test_malformed_seed_exits_1(self, tmp_path, capsys, monkeypatch, request_seed, argv, env_seed):
-        if env_seed is not None:
-            monkeypatch.setenv("MOMENT_SOLVER_SEED", env_seed)
-        request = KPOS_REQUEST if request_seed is None else dict(KPOS_REQUEST, seed=request_seed)
-        path = write_json(tmp_path, "req.json", request)
-        inputs = [path, "--quiet"] if argv[0] == "solve" else []
-        code, out, _ = run_cli(capsys, [*argv, *inputs])
-        assert code == 1
-        assert "non-negative integer" in json.loads(out)["error"]["message"]
 
     def test_non_utf8_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "utf16.json"
@@ -310,11 +307,16 @@ class TestRandom:
         assert code == 1
         assert json.loads(out)["error"]["code"] == 1
 
-    def test_env_seed_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("MOMENT_SOLVER_SEED", "42")
-        _, via_env, _ = run_cli(capsys, ["random", "--atoms", "4"])
-        _, via_flag, _ = run_cli(capsys, ["random", "--atoms", "4", "--seed", "42"])
-        assert via_env == via_flag
+    def test_negative_seed_exits_1(self, capsys):
+        code, out, _ = run_cli(capsys, ["random", "--seed", "-1"])
+        assert code == 1
+        assert "non-negative integer" in json.loads(out)["error"]["message"]
+
+    def test_seed_defaults_to_0(self, capsys, monkeypatch):
+        monkeypatch.setenv("MOMENT_SOLVER_SEED", "42")  # no environment value reaches the generator
+        _, default, _ = run_cli(capsys, ["random", "--atoms", "4"])
+        _, zero, _ = run_cli(capsys, ["random", "--atoms", "4", "--seed", "0"])
+        assert default == zero
 
 
 class TestInfo:

@@ -23,6 +23,7 @@ from cubicmoment import (
     extend,
     extract_atoms,
     monomial_table,
+    normalize_cubic,
     solve_cubic,
     verify_measure,
 )
@@ -30,8 +31,14 @@ from cubicmoment import linalg, measure
 from cubicmoment.cubic import Monomial
 from cubicmoment.cli import random_request
 
-from _oracle import ColumnRelation, MissingRelationError, multiplication_matrices, paper_relations
-from _util import match_points, seq_from_a
+from _oracle import (
+    ColumnRelation,
+    MissingRelationError,
+    joint_eigen_reference,
+    multiplication_matrices,
+    paper_relations,
+)
+from _util import match_points, rotate_a, seq_from_a
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -251,21 +258,9 @@ class TestSolveCubic:
 
     def test_determinism(self):
         beta = MomentSequence(3, np.array(random_request(4, 99)["beta"]))
-        first, _ = solve_cubic(beta, seed=5)
-        second, _ = solve_cubic(beta, seed=5)
+        first, _ = solve_cubic(beta)
+        second, _ = solve_cubic(beta)
         assert first == second
-
-    @pytest.mark.parametrize("seed", [None, [1, 2], np.random.SeedSequence(7)])
-    def test_unmemoised_seeds_solve(self, seed):
-        before = linalg._int_seed_coefficient.cache_info().currsize
-        mu, report = solve_cubic(MomentSequence(3, np.array(random_request(4, 99)["beta"])), seed=seed)
-        assert len(mu.atoms) == report.rank
-        assert report.max_moment_residual <= 1e-8
-        assert linalg._int_seed_coefficient.cache_info().currsize == before
-
-    def test_negative_seed_raises_numpy_value_error(self):
-        with pytest.raises(ValueError):
-            solve_cubic(seq_from_a((0, 0, 0, 0)), seed=-1)
 
     def test_singular_rejected(self):
         values = np.array([1, 0, 0, 0, 0, 1, 0, 0, 0, 0], dtype=float)
@@ -278,19 +273,19 @@ class TestSolveCubic:
         with pytest.raises(VerificationError):
             solve_cubic(beta, tolerances=Tolerances(accept=1e-18))
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("turn", range(6))
     @pytest.mark.parametrize(
         "a",
         [(6.1, -13.4, -3.9, -10.2), (19.1, -11.7, 9.0, 19.8), (-9.2, 12.4, -1.0, -18.6)],
     )
-    def test_large_cubic_moments_keep_precision(self, a, seed):
-        # k < 0 with |a| up to 20: the atoms must come out accurate enough to
-        # reproduce the moments well inside the default acceptance bound
-        _, report = solve_cubic(seq_from_a(a), seed=seed)
+    def test_large_cubic_moments_keep_precision(self, a, turn):
+        # k < 0 with |a| up to 30, each input rotated by turn * 30 degrees: the
+        # atoms must come out accurate enough to reproduce the moments well
+        # inside the default acceptance bound
+        _, report = solve_cubic(seq_from_a(rotate_a(a, turn * math.pi / 6)))
         assert report.case is CaseTag.RANK_INCREASING_K_NEG
         assert report.max_moment_residual <= 1e-9
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("position, cubic", [(7, 1e140), (8, 1e140), (7, 1e160), (7, 1e200)])
     def test_overflowing_cubic_moments_raise(self, position, cubic):
         # k < 0 inputs whose relation coefficients, commutator or k itself
@@ -346,8 +341,8 @@ class TestSolveCubic:
     def test_atom_off_the_variety_fails_the_gate(self, monkeypatch):
         # moving one of the atoms (+-1, +-1) by 1e-3 keeps every density positive,
         # so only the variety gate can reject the measure
-        def shifted(ext, seed=0):
-            (x, y), *rest = extract_atoms(ext, seed)
+        def shifted(ext):
+            (x, y), *rest = extract_atoms(ext)
             return [(x + 1e-3, y), *rest]
 
         monkeypatch.setattr(measure, "extract_atoms", shifted)
@@ -409,6 +404,42 @@ class TestCallBudget:
         _, report = solve_cubic(seq_from_a(a))
         assert report.case is case
         assert calls == {"eig": 1, "inv": 1, "solve": 1, "verify_measure": 1}
+
+
+class TestCombinationFallback:
+    """Two distinct atoms whose normalized images tie under the first c make joint_eigen take the second."""
+
+    # the third atom at angle t on a circle of radius 0.5 ties the first two under the first c
+    TIES = [0.442121967853211, 5.841063339326374]
+
+    @staticmethod
+    def measure(t):
+        third = Atom(0.5 * math.cos(t), 0.5 * math.sin(t) - 0.6, 0.2)
+        return AtomicMeasure((Atom(0.3, 0.1, 0.3), Atom(-0.7, 0.4, 0.5), third))
+
+    @pytest.mark.parametrize("t", TIES)
+    def test_tied_k0_measure_solves(self, t):
+        tied = self.measure(t)
+        mu, report = solve_cubic(tied.moments(3))
+        assert report.case is CaseTag.FLAT_K0
+        assert report.max_moment_residual <= 1e-10
+        match_points([(a.x, a.y) for a in mu.atoms], [(a.x, a.y) for a in tied.atoms], atol=1e-9)
+
+    @pytest.mark.parametrize("t", TIES)
+    def test_first_combination_fails_and_the_second_reads_the_pairs(self, t):
+        ext = extend(normalize_cubic(self.measure(t).moments(3)).a_vec)
+        first, second = linalg._COMBINATIONS
+        with pytest.raises(MomentProblemError, match="joint eigenvector residual"):
+            joint_eigen_reference(ext.mx, ext.my, first)
+        assert linalg.joint_eigen(ext.mx, ext.my) == joint_eigen_reference(ext.mx, ext.my, second)
+
+    def test_both_failing_raise_the_first_error(self, monkeypatch):
+        def failing(M, c):
+            raise MomentProblemError(f"c = {c}")
+
+        monkeypatch.setattr(linalg, "_read_spectrum", failing)
+        with pytest.raises(MomentProblemError, match=f"^c = {linalg._COMBINATIONS[0]}$"):
+            linalg.joint_eigen(np.eye(3), np.eye(3))
 
 
 class TestNearZeroKneg:

@@ -10,9 +10,11 @@ side's src/ and records, one input at a time:
 
 * every input of the three perfbench workloads at each seed (the pools of
   perfbench/workloads.py, which this tool imports and does not change):
-  the outcome of solve_cubic(beta, seed=0), that is the error type and
-  message, or the atoms, k, rank, max_moment_residual and the bytes of
-  extension.m2, m3, mx and my;
+  the outcome of solve_cubic(beta), that is the error type and message,
+  or the atoms, k, rank, max_moment_residual and the bytes of
+  extension.m2, m3, mx and my (a base whose solve_cubic still took a
+  seed defaulted it to 0, and the seed-0 c is the first fixed
+  combination, so such a base is compared like with like);
 * the stdout and exit code of `random --atoms N --seed S` and of
   `solve --emit-matrices` on that output, for N in 3, 4, 5 and S in
   0..99, run in-process.
@@ -49,12 +51,12 @@ CLI_SEEDS = range(100)
 
 
 def solve_outcome(beta) -> tuple[str, bytes]:
-    """(outcome, record) of solve_cubic(beta, seed=0); the outcome is the case value or "error"."""
+    """(outcome, record) of solve_cubic(beta); the outcome is the case value or "error"."""
     from cubicmoment import MomentSequence, solve_cubic
 
     beta = np.asarray(beta, dtype=float)
     try:
-        mu, report = solve_cubic(MomentSequence(3, beta), seed=0)
+        mu, report = solve_cubic(MomentSequence(3, beta))
     except Exception as exc:  # every outcome is part of the answer, an untyped error too
         return "error", f"error {type(exc).__name__}: {exc}".encode()
     ext = report.extension
@@ -74,7 +76,7 @@ def solve_outcome(beta) -> tuple[str, bytes]:
 
 
 def solve_record(beta) -> bytes:
-    """Everything the hash covers of solve_cubic(beta, seed=0)."""
+    """Everything the hash covers of solve_cubic(beta)."""
     return solve_outcome(beta)[1]
 
 

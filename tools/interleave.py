@@ -15,7 +15,9 @@ The first TIMED_INPUTS inputs of the workload's pool are timed, pass
 after pass, for --seconds: each call on one side is followed at once by
 the same input on the other side, the side that goes first alternating
 from pass to pass, and each input keeps its fastest call on each side (as
-perfbench/run.py does).
+perfbench/run.py does). Each call is solve_cubic(beta) with its defaults;
+a base whose solve_cubic still took a seed defaulted it to 0, whose c is
+the first fixed combination, so both sides do the same arithmetic.
 
 The tool prints each side's p50 and p95 over those fastest calls and the
 median over the inputs of change time / base time. It compares times
@@ -93,7 +95,7 @@ def fastest_calls(sides, sequences, seconds: float) -> list[list[float]]:
                 solve, typed = solvers[side]
                 t0 = clock()
                 try:
-                    solve(sequences[k][side], seed=0)
+                    solve(sequences[k][side])
                 except typed:
                     pass
                 elapsed = clock() - t0
