@@ -41,7 +41,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .moments import (
     MomentSequence,
     Monomial,
     build_moment_matrix,
+    frozen_record,
     monomial_index,
     monomials_up_to,
 )
@@ -132,8 +132,11 @@ class ExtensionResult:
         return build_moment_matrix(MomentSequence(6, np.concatenate([low, higher])))
 
 
-def _extension(case, k, moments, basis, mx, my) -> ExtensionResult:
+def _extension(case, k, a, quartics, basis, mx, my) -> ExtensionResult:
     """The certificate with Mx, My given column by column: mx[b] holds the coordinates of x*b.
+
+    The moments are M(1) = I, the cubic moments a and the quartics
+    (beta_40, ..., beta_04).
 
     Each route writes these columns in closed form; they equal what the
     general fixed-point reducer finds from basis and relations, bit for bit
@@ -141,19 +144,20 @@ def _extension(case, k, moments, basis, mx, my) -> ExtensionResult:
     MomentProblemError, naming the moment, when a moment is not finite (a
     quartic overflows).
     """
-    finite = list(map(math.isfinite, moments.values.tolist()))
-    if not all(finite):
-        n = finite.index(False)
+    values = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, *a, *quartics]
+    if not all(map(math.isfinite, values)):
+        n = list(map(math.isfinite, values)).index(False)
         i, j = monomials_up_to(4)[n]
-        raise MomentProblemError(
-            f"the degree-{i + j} moment beta_{i}{j} = {moments.values[n]} is not finite"
-        )
-    if not all(map(math.isfinite, chain(*mx, *my))):
+        raise MomentProblemError(f"the degree-{i + j} moment beta_{i}{j} = {values[n]} is not finite")
+    entries = [v + 0.0 for m in (mx, my) for row in zip(*m) for v in row]  # the matrices row by row
+    if not all(map(math.isfinite, entries)):
         raise MomentProblemError("a multiplication matrix has a non-finite entry")
-    columns = np.fromiter(chain(*mx, *my), float).reshape(2, len(mx), -1)
-    mats = np.add(columns.transpose(0, 2, 1), 0.0, order="C")
+    mats = np.array(entries).reshape(2, len(mx), len(mx))
     mats.setflags(write=False)
-    return ExtensionResult(case, k, moments, basis, mats[0], mats[1])
+    moments = np.array(values)  # beta_00 = 1
+    moments.setflags(write=False)
+    moments = frozen_record(MomentSequence, degree=4, values=moments)
+    return frozen_record(ExtensionResult, case=case, k=k, moments=moments, basis=basis, mx=mats[0], my=mats[1])
 
 
 def compute_k(a) -> float:
@@ -162,32 +166,26 @@ def compute_k(a) -> float:
     return (1.0 + a0 * a2 + a1 * a3) - (a1 * a1 + a2 * a2)
 
 
-def _sequence4(a, quartics) -> MomentSequence:
-    """M(1) = I, the cubic moments a and the quartics (beta_40, ..., beta_04)."""
-    return MomentSequence(4, [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, *a, *quartics])
-
-
-def _square_moments(a, b22: float, t: float = 0.0) -> MomentSequence:
-    """Degree-4 moments for beta_22; the k < 0 route raises beta_40 and beta_04 by its bump t."""
+def _quartics(a, b22: float, t: float = 0.0) -> tuple[float, ...]:
+    """(beta_40, ..., beta_04) for beta_22; the k < 0 route raises beta_40 and beta_04 by its bump t."""
     a0, a1, a2, a3 = a
-    quartics = (
+    return (
         1.0 + a0 * a0 + a1 * a1 + t,
         a0 * a1 + a1 * a2,
         b22,
         a1 * a2 + a2 * a3,
         1.0 + t + a2 * a2 + a3 * a3,
     )
-    return _sequence4(a, quartics)
 
 
 def _extend_k0(a, k: float) -> ExtensionResult:
     """Flat extension over M(1): every quartic determined, rank 3 (k = 0)."""
     a0, a1, a2, a3 = a
     # beta_22 = a1^2 + a2^2 equals 1 + a0 a2 + a1 a3 because k = 0
-    moments = _square_moments(a, a1 * a1 + a2 * a2)
+    quartics = _quartics(a, a1 * a1 + a2 * a2)
     x, y = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
     xx, xy, yy = (1.0, a0, a1), (0.0, a1, a2), (1.0, a2, a3)  # X^2, XY, Y^2 over {1, X, Y}
-    return _extension(CaseTag.FLAT_K0, k, moments, BASIS_K0, (x, xx, xy), (y, xy, yy))
+    return _extension(CaseTag.FLAT_K0, k, a, quartics, BASIS_K0, (x, xx, xy), (y, xy, yy))
 
 
 def _extend_kpos(a, k: float) -> ExtensionResult:
@@ -197,14 +195,14 @@ def _extend_kpos(a, k: float) -> ExtensionResult:
     entry, so {1, X, Y, XY} is independent and positivity is strict there.
     """
     a0, a1, a2, a3 = a
-    moments = _square_moments(a, 1.0 + a0 * a2 + a1 * a3)
+    quartics = _quartics(a, 1.0 + a0 * a2 + a1 * a3)
     x, y, xy = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
     xx, yy = (1.0, a0, a1, 0.0), (1.0, a2, a3, 0.0)  # X^2 = 1 + a0 X + a1 Y, Y^2 = 1 + a2 X + a3 Y
     xxy = (a1, a1 * a2, 1.0 + a1 * a3, a0)  # X^2 Y = Y + a0 XY + a1 Y^2
     xyy = (a2, 1.0 + a2 * a0, a2 * a1, a3)  # X Y^2 = X + a2 X^2 + a3 XY
     mx, my = (x, xx, xy, xxy), (y, xy, yy, xyy)
     case = CaseTag.RECURSIVELY_DETERMINATE_K_POS
-    return _extension(case, k, moments, BASIS_KPOS, mx, my)
+    return _extension(case, k, a, quartics, BASIS_KPOS, mx, my)
 
 
 def _extend_kneg(a, k: float) -> ExtensionResult:
@@ -215,14 +213,14 @@ def _extend_kneg(a, k: float) -> ExtensionResult:
     """
     a0, a1, a2, a3 = a
     t = -k
-    moments = _square_moments(a, a1 * a1 + a2 * a2, t)
+    quartics = _quartics(a, a1 * a1 + a2 * a2, t)
     x, y, xx = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
     xy = (0.0, a1, a2, 0.0)  # XY = a1 X + a2 Y
     yy = (0.0, a2 - a0, a3 - a1, 1.0)  # Y^2 = (a2 - a0) X + (a3 - a1) Y + X^2
     xxx = (0.0, 1.0 + t + a1 * a1, a1 * a2, a0)  # X^3 = (1 + t + a1^2) X + a1 a2 Y + a0 X^2
     xxy = (0.0, a1 * a2, a2 * a2, a1)  # X^2 Y = a1 X^2 + a2 XY
     mx, my = (x, xx, xy, xxx), (y, xy, yy, xxy)
-    return _extension(CaseTag.RANK_INCREASING_K_NEG, k, moments, BASIS_KNEG, mx, my)
+    return _extension(CaseTag.RANK_INCREASING_K_NEG, k, a, quartics, BASIS_KNEG, mx, my)
 
 
 def extend(a, tol_k: float = TOL_K) -> ExtensionResult:

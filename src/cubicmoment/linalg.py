@@ -27,13 +27,19 @@ def commutator_norm(Mx, My) -> float:
     return float(np.abs(Mx @ My - My @ Mx).max(initial=0.0))
 
 
+def largest(values: list[float]) -> float:
+    """ndarray.max(initial=0.0) of non-negative floats: their max, 0.0 for none, NaN if one is NaN."""
+    total = sum(values)  # NaN exactly when a value is NaN, as the others are >= 0 or +inf
+    return total if total != total else max(values, default=0.0)
+
+
 def commutator_gate(M: np.ndarray) -> float:
     """Raise CommutatorError unless the stacked pair M = (Mx, My) commutes within TOL_COMMUTE.
 
     The tolerance is relative to the scale max(1, max|Mx|, max|My|), which
     is returned. A NaN commutator fails.
     """
-    scale = max(1.0, *np.abs(M).max(axis=(1, 2), initial=0.0).tolist())
+    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     commutator = commutator_norm(M[0], M[1])
     if not commutator <= TOL_COMMUTE * scale:
         raise CommutatorError(
@@ -74,6 +80,8 @@ def joint_eigen(Mx, My) -> list[tuple[float, float]]:
     My = np.asarray(My, dtype=float)
     if Mx.ndim != 2 or Mx.shape[0] != Mx.shape[1] or Mx.shape != My.shape:
         raise ValueError("Mx and My must be square matrices of equal size")
+    if not len(Mx):  # the empty pair commutes and has no pairs
+        return []
     M = np.array((Mx, My))  # each slice of the stack multiplies as its own matrix
     # huge entries overflow to an inf or NaN commutator or residual, which the gates reject
     with np.errstate(over="ignore", invalid="ignore"):
@@ -113,11 +121,8 @@ def _read_spectrum(M: np.ndarray, c: float) -> tuple[list[tuple[float, float]], 
     except np.linalg.LinAlgError as exc:
         raise MomentProblemError("the combination has no eigenvector basis") from exc
     xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
-    V = V / _norms(V, 0)
-    residual = float(_norms(M @ V - V * xy[:, None, :], 1).max())
-    return list(zip(*xy.tolist())), residual
-
-
-def _norms(v: np.ndarray, axis: int) -> np.ndarray:
-    """np.linalg.norm(v, axis=axis) of a real array, computed as norm computes it."""
-    return np.sqrt(np.add.reduce(v * v, axis))
+    V = V / np.sqrt(np.add.reduce(V * V, 0))  # unit columns, scaled as np.linalg.norm scales them
+    R = M @ V - V * xy[:, None, :]
+    squares = np.add.reduce(R * R, 1).ravel().tolist()  # the squared norms of the columns of R
+    # sqrt is monotone and correctly rounded: the root of the largest square is the largest norm
+    return list(zip(*xy.tolist())), math.sqrt(largest(squares))

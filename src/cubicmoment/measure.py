@@ -11,6 +11,7 @@ never returns an unverified measure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -19,9 +20,17 @@ import numpy as np
 
 from .cubic import TOL_K, CaseTag, ExtensionResult, extend
 from .errors import SingularVandermondeError, VerificationError
-from .linalg import commutator_norm, joint_eigen
-from .moments import Atom, AtomicMeasure, MomentSequence, monomial_index, monomial_table
-from .normalize import NormalizationCertificate, normalize_cubic, pullback_measure
+from .linalg import commutator_norm, joint_eigen, largest
+from .moments import (
+    Atom,
+    AtomicMeasure,
+    MomentSequence,
+    frozen_record,
+    integrals_of,
+    monomial_index,
+    monomial_table,
+)
+from .normalize import NormalizationCertificate, normalize_cubic, pullback
 
 __all__ = [
     "Tolerances",
@@ -107,15 +116,37 @@ def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
 
 
 def _vandermonde(x, y, basis) -> np.ndarray:
-    """V_B: row k evaluates the basis monomials at the atom (x_k, y_k)."""
-    columns = [monomial_index(b) for b in basis]
-    return monomial_table(x, y, max(map(sum, basis), default=0))[:, columns]
+    """V_B: row k evaluates the basis monomials at the atom (x_k, y_k).
+
+    The basis columns of monomial_table, entry by entry: x**i * y**j in
+    Python floats, and the table itself when a power overflows.
+    """
+    exponents = _float_exponents(tuple(basis))
+    try:
+        entries = [u**i * v**j for u, v in zip(map(float, x), map(float, y)) for i, j in exponents]
+    except OverflowError:  # float ** raises where the table's np.power gives +-inf
+        return monomial_table(x, y, max(map(sum, basis), default=0))[:, _columns(tuple(basis))]
+    return np.array(entries, dtype=float).reshape(len(x), len(basis))
+
+
+@functools.cache
+def _float_exponents(basis: tuple) -> tuple[tuple[float, float], ...]:
+    """The basis exponents as floats: x**2.0 is x**2, without converting the int on each call."""
+    return tuple((float(i), float(j)) for i, j in basis)
+
+
+@functools.cache
+def _columns(basis: tuple) -> np.ndarray:
+    """The degree-lex positions of the basis monomials."""
+    columns = np.array([monomial_index(b) for b in basis], dtype=np.intp)
+    columns.setflags(write=False)
+    return columns
 
 
 def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
     """Densities from V_B: solves V_B^T rho = (Lambda(t_1), ..., Lambda(t_r))^T."""
     try:
-        return np.linalg.solve(vb.T, beta.values[[monomial_index(b) for b in basis]])
+        return np.linalg.solve(vb.T, beta.values[_columns(tuple(basis))])
     except np.linalg.LinAlgError as exc:
         raise SingularVandermondeError(
             "coincident atoms made the Vandermonde system singular"
@@ -124,10 +155,12 @@ def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
 
 def verify_measure(mu: AtomicMeasure, beta: MomentSequence) -> MeasureCheck:
     """Re-integrate every monomial of the sequence against the measure."""
-    residuals = np.abs(mu.integrals(beta.degree) - beta.values)
-    return MeasureCheck(
-        max_moment_residual=float(residuals.max(initial=0.0)),
-        residuals=residuals,
+    integrals = integrals_of(mu.atoms, beta.degree)
+    residuals = [abs(t - b) for t, b in zip(integrals, beta.values.tolist())]
+    return frozen_record(
+        MeasureCheck,
+        max_moment_residual=largest(residuals),
+        residuals=np.array(residuals),
         min_weight=min([a.weight for a in mu.atoms], default=0.0),
     )
 
@@ -172,15 +205,17 @@ def solve_cubic(
     if not variety_residual <= MAX_VARIETY_RESIDUAL:
         raise VerificationError(f"an atom violates a column relation by {variety_residual:.3e}")
     # the mass multiplies the weights before the pullback, which leaves them as they are
-    weighted = AtomicMeasure(tuple([Atom(x, y, r * mass) for (x, y), r in zip(atoms, rho)]))
-    mu = AtomicMeasure(tuple(sorted(pullback_measure(weighted, certificate.map).atoms)))
+    weighted = [(x, y, r * mass) for (x, y), r in zip(atoms, rho)]
+    # pullback_measure's loop, sorted once; its atoms are Atoms, so nothing is left to convert
+    mu = frozen_record(AtomicMeasure, atoms=tuple(sorted(pullback(weighted, certificate.map))))
     check = verify_measure(mu, beta)
     if not check.max_moment_residual <= tolerances.accept:
         raise VerificationError(
             f"recovered measure misses the moments by "
             f"{check.max_moment_residual:.3e} (tolerance {tolerances.accept:g})"
         )
-    report = SolveReport(
+    report = frozen_record(
+        SolveReport,
         case=ext.case,
         k=ext.k,
         rank=len(ext.basis),

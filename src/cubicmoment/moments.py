@@ -74,6 +74,8 @@ class MomentSequence:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.degree < 0:
+            raise ValueError(f"a sequence needs a degree >= 0, got degree {self.degree}")
         vals = np.array(self.values, dtype=float)
         expected = sequence_length(self.degree)
         if vals.shape != (expected,):
@@ -111,6 +113,18 @@ class MomentSequence:
         if degree > self.degree:
             raise ValueError("cannot truncate upwards")
         return MomentSequence(degree, self.values[: sequence_length(degree)])
+
+
+def frozen_record(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, for the records the solver builds.
+
+    The generated __init__ sets each field with its own object.__setattr__
+    call; this sets the instance dict at once. Every field must be given,
+    and no __post_init__ runs, so the values must already meet it.
+    """
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 def build_moment_matrix(beta: MomentSequence) -> np.ndarray:
@@ -209,29 +223,37 @@ class AtomicMeasure:
         The atoms are added in order, so each entry rounds exactly as the
         scalar sum over the atoms does.
         """
-        if degree == 3:
-            try:
-                return np.array(_cubic_integrals(self.atoms))
-            except OverflowError:  # monomial_table's powers take over
-                pass
-        totals = [0.0] * sequence_length(degree)
-        if self.atoms:
-            x, y, w = zip(*self.atoms)
-            for row in monomial_table(x, y, degree, w).tolist():
-                totals = list(map(operator.add, totals, row))
-        return np.array(totals)
+        return np.array(integrals_of(self.atoms, degree))
 
     def moments(self, degree: int) -> MomentSequence:
         """Exact moments sum rho_k x_k^i y_k^j up to the given degree."""
         return MomentSequence(degree, self.integrals(degree))
 
 
+def integrals_of(atoms, degree: int) -> list[float]:
+    """AtomicMeasure.integrals of the (x, y, weight) triples atoms, as Python floats."""
+    if degree == 3:
+        try:
+            return _cubic_integrals(atoms)
+        except OverflowError:  # monomial_table's powers take over
+            pass
+    totals = [0.0] * sequence_length(degree)
+    if atoms:
+        x, y, w = zip(*atoms)
+        for row in monomial_table(x, y, degree, w).tolist():
+            totals = list(map(operator.add, totals, row))
+    return totals
+
+
 def _cubic_integrals(atoms) -> list[float]:
-    """AtomicMeasure.integrals(3) written out: (w * x**i) * y**j, with x**1 as x and x**0 as 1.0."""
+    """AtomicMeasure.integrals(3) written out: (w * x**i) * y**j, with x**1 as x and x**0 as 1.0.
+
+    The exponents are floats, which pow the same as ints without the conversion.
+    """
     t0 = t1 = t2 = t3 = t4 = t5 = t6 = t7 = t8 = t9 = 0.0
     for x, y, w in atoms:
         x, y, w = float(x), float(y), float(w)
-        x2, y2 = x**2, y**2
+        x2, y2 = x**2.0, y**2.0
         wx, wx2 = w * x, w * x2
         t0 += w
         t1 += wx
@@ -239,8 +261,8 @@ def _cubic_integrals(atoms) -> list[float]:
         t3 += wx2
         t4 += wx * y
         t5 += w * y2
-        t6 += w * x**3
+        t6 += w * x**3.0
         t7 += wx2 * y
         t8 += wx * y2
-        t9 += w * y**3
+        t9 += w * y**3.0
     return [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9]

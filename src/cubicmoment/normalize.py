@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MomentProblemError, SingularM1Error
-from .moments import Atom, AtomicMeasure, MomentSequence, monomial_index
+from .linalg import largest
+from .moments import Atom, AtomicMeasure, MomentSequence, frozen_record, monomial_index
 
 SINGULAR_RTOL = 1e-10
 MASS_ATOL = 1e-9  # largest |beta_00 - 1| minors accepts as a rescaled sequence
@@ -31,7 +32,7 @@ _Z = np.array([[0, 0], [1, 0], [0, 1]])  # the exponents (i, j) of z = (1, x, y)
 _TENSOR = monomial_index((_Z[:, None, None] + _Z[:, None] + _Z).transpose(3, 0, 1, 2))
 _, _ENTRIES = np.unique(_TENSOR, return_index=True)  # the flat position of one entry per moment
 # the entries of M(1) are the moments of degree <= 2: (1, 0, 0, 1, 0, 1) for M(1) = I
-_IDENTITY_M1 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+_IDENTITY_M1 = (1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
 _QUARTER = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])  # R: (x, y) -> (-y, x)
 
 
@@ -79,13 +80,18 @@ def pullback_measure(mu: AtomicMeasure, psi: np.ndarray) -> AtomicMeasure:
     rule on rows 1-2. If mu~ represents the pushforward sequence, the
     result represents the original one.
     """
+    return AtomicMeasure(tuple(pullback(mu.atoms, psi)))
+
+
+def pullback(triples, psi: np.ndarray) -> list[Atom]:
+    """The atoms of pullback_measure for the (u, v, weight) triples, in their order."""
     (a, b, c), (d, e, f) = psi[1:].tolist()
     det = b * f - c * e
     atoms = []
-    for u, v, w in mu.atoms:
+    for u, v, w in triples:
         ru, rv = u - a, v - d
         atoms.append(Atom((f * ru - c * rv) / det, (b * rv - e * ru) / det, w))
-    return AtomicMeasure(tuple(atoms))
+    return atoms
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +151,15 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
         )
     turn = _QUARTER.dot(_whiten(refined, r2, r3))
     normalized = _push(turn, pushed)
-    defect = float(np.abs(normalized[:6] - _IDENTITY_M1).max())
+    result = normalized.tolist()
+    defect = largest([abs(v - e) for v, e in zip(result, _IDENTITY_M1)])
     if not defect <= DEFECT_ATOL:  # also rejects a NaN defect
         raise MomentProblemError(
             f"normalization failed to reach M(1) = I (defect {defect:.3e})"
         )
     psi = turn.dot(whiten)
     psi.setflags(write=False)
-    a_vec = tuple(normalized[6:].tolist())  # beta~_30, ..., beta~_03
-    return NormalizationCertificate(d2, d3, psi, MomentSequence(3, normalized), a_vec)
+    normalized.setflags(write=False)  # a new array whose beta_00 passed the defect gate
+    sequence = frozen_record(MomentSequence, degree=3, values=normalized)
+    a_vec = tuple(result[6:])  # beta~_30, ..., beta~_03
+    return frozen_record(NormalizationCertificate, d2=d2, d3=d3, map=psi, normalized=sequence, a_vec=a_vec)

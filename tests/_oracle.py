@@ -67,7 +67,7 @@ from cubicmoment import (
     monomial_index,
     monomials_up_to,
 )
-from cubicmoment.cubic import BASIS_KNEG, TOL_K, _extension, _sequence4
+from cubicmoment.cubic import BASIS_KNEG, TOL_K, _extension
 from cubicmoment.linalg import TOL_COMMUTE, TOL_EIG, TOL_IMAG, commutator_norm
 from cubicmoment.moments import _exponents, sequence_length
 from cubicmoment.normalize import MASS_ATOL, SINGULAR_RTOL
@@ -512,14 +512,13 @@ def paper_extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
     except np.linalg.LinAlgError as exc:
         raise MomentProblemError("the {1, X, Y, X^2} block is numerically singular") from exc
     b04 = float(p @ y2_column)  # flat completion: (Y^2)^T M4^{-1} (Y^2)
-    moments = _sequence4(a, (b40, b31, b22, b13, b04))
     xxx = x3_relation(a, p)[0]
     x, y, xx = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)
     xy, yy = (0.0, a1, a2, 0.0), tuple(p.tolist())  # XY = a1 X + a2 Y, Y^2 = p over the basis
     xxy = (0.0, a1 * a2, a2 * a2, a1)  # X^2 Y = a1 X^2 + a2 XY
     mx, my = (x, xx, xy, xxx), (y, xy, yy, xxy)
     case = CaseTag.RANK_INCREASING_K_NEG
-    return _extension(case, k, moments, BASIS_KNEG, mx, my)
+    return _extension(case, k, a, (b40, b31, b22, b13, b04), BASIS_KNEG, mx, my)
 
 
 def beta04_formula(a) -> float:

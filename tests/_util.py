@@ -8,6 +8,11 @@ SUITE_SIZE = 1000
 K0_HAND_POINTS = [(0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, -0.7)]  # k = 0 exactly
 
 
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: NaN payloads and signed zeros included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def seq_from_a(a) -> MomentSequence:
     """Normalized degree-3 sequence with cubic moments a = (a0, a1, a2, a3)."""
     a0, a1, a2, a3 = (float(v) for v in a)

@@ -39,3 +39,15 @@ def test_pairs_stay_with_their_input():
 def test_rejects_malformed_input(base, change):
     with pytest.raises(ValueError):
         ratio_stats(base, change)
+
+
+def test_one_result_per_workload_and_seed_in_order():
+    import cubicmoment
+
+    pools = {("a", 1): [[1, 0, 0, 1, 0, 1, 0, 0, 0, 0]] * 2, ("a", 2): [[1, 0, 0, 1, 0, 1, 0, 1, 1, 0]] * 3}
+    pools[("b", 1)] = [[1, 0, 0, 0, 0, 1, 0, 0, 0, 0]]  # a singular M(1): a typed rejection is timed too
+    generate = lambda workload, seed: pools[workload, seed]  # noqa: E731
+    pairs = [("a", 1), ("a", 2), ("b", 1)]
+    results = interleave.time_pairs((cubicmoment, cubicmoment), pairs, generate, 0.0)
+    assert [(w, s, n) for w, s, n, _ in results] == [("a", 1, 2), ("a", 2, 3), ("b", 1, 1)]
+    assert all(stats["ratio"] > 0 for *_, stats in results)

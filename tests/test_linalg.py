@@ -202,6 +202,10 @@ class TestJointEigen:
         with pytest.raises(ValueError):
             joint_eigen(np.eye(2), np.eye(3))
 
+    def test_empty_pair_has_no_pairs(self):
+        # like the commutator gate and the variety residual, an empty pair is exact
+        assert joint_eigen(np.zeros((0, 0)), np.zeros((0, 0))) == []
+
     def test_pairs_satisfy_relations(self):
         # x^2 = 1 + y, xy = x, y^2 = 1: check the defining equations at the output
         mx = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])

@@ -22,13 +22,15 @@ from cubicmoment import (
     VerificationError,
     extend,
     extract_atoms,
+    monomial_index,
     monomial_table,
     normalize_cubic,
+    pullback_measure,
     solve_cubic,
     verify_measure,
 )
 from cubicmoment import linalg, measure
-from cubicmoment.cubic import Monomial
+from cubicmoment.cubic import BASIS_K0, BASIS_KNEG, BASIS_KPOS, Monomial
 from cubicmoment.cli import random_request
 
 from _oracle import (
@@ -38,7 +40,7 @@ from _oracle import (
     multiplication_matrices,
     paper_relations,
 )
-from _util import match_points, rotate_a, seq_from_a
+from _util import match_points, rotate_a, same_bytes, seq_from_a
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -197,6 +199,54 @@ class TestVerifyMeasure:
 def _variety_residual(ext, points) -> float:
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
     return measure._variety_residual(ext, measure._vandermonde(x, y, ext.basis))
+
+
+class TestWrittenOutPaths:
+    """The solver's written-out loops give, byte for byte, what the generic forms give."""
+
+    # an atom whose x**2 overflows, a NaN atom, a signed zero and ordinary atoms
+    POINTS = [(0.3, -1.2), (1e200, 0.5), (math.nan, 0.7), (-0.0, 2.5), (-1.7, 1e-160)]
+
+    @pytest.mark.parametrize("basis", [BASIS_K0, BASIS_KPOS, BASIS_KNEG])
+    @pytest.mark.parametrize("rows", [[0, 3], [1, 4], [2, 3], [0, 1, 2, 3, 4], []])
+    def test_vandermonde_is_the_basis_columns_of_the_table(self, basis, rows):
+        x, y = [self.POINTS[k][0] for k in rows], [self.POINTS[k][1] for k in rows]
+        columns = [monomial_index(b) for b in basis]
+        expected = monomial_table(x, y, 2)[:, columns]
+        assert same_bytes(measure._vandermonde(x, y, basis), expected)
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [(1, 1, 0.25), (1, -1, 0.25), (-1, 1, 0.25), (-1, -1, 0.25 + 1e-3)],
+            [(1e150, 1e150, 1.0)],  # x^2 y overflows: an inf residual
+            [(1e200, 0.0, 1.0), (-1e200, 0.0, 1.0)],  # x^3 sums inf and -inf: a NaN residual
+            [(0.5, math.nan, 1.0), (0.2, 0.1, 0.5)],  # a NaN atom
+            [],
+        ],
+    )
+    def test_verify_measure_is_the_array_difference(self, atoms):
+        mu = AtomicMeasure(tuple(atoms))
+        beta = seq_from_a((0.3, -0.8, 0.4, 1.1))
+        with np.errstate(all="ignore"):  # inf - inf in the reference
+            expected = np.abs(mu.integrals(3) - beta.values)
+        check = verify_measure(mu, beta)
+        assert same_bytes(check.residuals, expected)
+        assert same_bytes(np.array(check.max_moment_residual), np.array(float(expected.max(initial=0.0))))
+
+    def test_solve_pulls_back_as_pullback_measure(self):
+        for n in (3, 4, 5):
+            for seed in range(20):
+                beta = MomentSequence(3, np.array(random_request(n, seed)["beta"]))
+                mu, report = solve_cubic(beta)
+                ext, cert = report.extension, report.certificate
+                atoms = extract_atoms(ext)
+                vb = measure._vandermonde(*zip(*atoms), ext.basis)
+                rho = measure._densities(vb, ext.basis, cert.normalized).tolist()
+                mass = float(beta.values[0])
+                weighted = AtomicMeasure(tuple(Atom(x, y, r * mass) for (x, y), r in zip(atoms, rho)))
+                expected = sorted(pullback_measure(weighted, cert.map).atoms)
+                assert same_bytes(np.array(mu.atoms), np.array(expected))
 
 
 class TestVarietyResidual:

@@ -18,7 +18,7 @@ from cubicmoment import (
 from cubicmoment.moments import sequence_length
 
 from _oracle import column_of, monomial_table_reference, riesz
-from _util import seq_from_a
+from _util import same_bytes, seq_from_a
 
 
 class TestIndexing:
@@ -79,6 +79,12 @@ class TestMomentSequence:
     def test_truncated(self):
         beta = seq_from_a((1, 2, 3, 4))
         assert beta.truncated(2).values.tolist() == [1, 0, 0, 1, 0, 1]
+
+    def test_negative_degree_is_named(self):
+        with pytest.raises(ValueError, match="degree -1"):
+            MomentSequence(-1, [])
+        with pytest.raises(ValueError, match="degree -1"):
+            seq_from_a((1, 2, 3, 4)).truncated(-1)
 
 
 class TestBuildMomentMatrix:
@@ -191,10 +197,6 @@ COORDINATES = st.one_of(
 )
 
 
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 class TestRoundingPin:
     @settings(max_examples=400)
     @given(st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES), max_size=5), st.integers(0, 6))
@@ -206,9 +208,9 @@ class TestRoundingPin:
             weighted = monomial_table_reference(x, y, degree, w)
             plain = monomial_table_reference(x, y, degree)
             integrals = sum(weighted, np.zeros(sequence_length(degree)))
-        assert _same_bytes(monomial_table(x, y, degree, w), weighted)
-        assert _same_bytes(monomial_table(x, y, degree), plain)
-        assert _same_bytes(AtomicMeasure(tuple(points)).integrals(degree), integrals)
+        assert same_bytes(monomial_table(x, y, degree, w), weighted)
+        assert same_bytes(monomial_table(x, y, degree), plain)
+        assert same_bytes(AtomicMeasure(tuple(points)).integrals(degree), integrals)
 
 
 class TestRiesz:

@@ -3,29 +3,31 @@
 Run from anywhere inside the repository:
 
     python3 tools/interleave.py --base HEAD --workload generator_mixed \\
-        --seed 23 --seconds 60
+        kneg_normalized ill_conditioned --seed 23 11 --seconds 30
 
-The base revision is exported with `git archive` into a temporary
+The base revision is exported once with `git archive` into a temporary
 directory. Its src/ is imported as the package cubicmoment_base, and the
-working tree's src/ as cubicmoment, so both run in this process. The
+working tree's src/ as cubicmoment, so both run in this process. Each
 workload's input pool comes from perfbench/workloads.py, which this tool
 imports and does not change.
 
-The first TIMED_INPUTS inputs of the workload's pool are timed, pass
-after pass, for --seconds: each call on one side is followed at once by
-the same input on the other side, the side that goes first alternating
-from pass to pass, and each input keeps its fastest call on each side (as
-perfbench/run.py does). Each call is solve_cubic(beta) with its defaults;
-a base whose solve_cubic still took a seed defaulted it to 0, whose c is
-the first fixed combination, so both sides do the same arithmetic.
+Each (workload, seed) pair is timed in turn, workloads in the order given
+and the seeds of each workload in the order given. The first TIMED_INPUTS
+inputs of the pair's pool are timed, pass after pass, for --seconds: each
+call on one side is followed at once by the same input on the other side,
+the side that goes first alternating from pass to pass, and each input
+keeps its fastest call on each side (as perfbench/run.py does). Each call
+is solve_cubic(beta) with its defaults; a base whose solve_cubic still took
+a seed defaulted it to 0, whose c is the first fixed combination, so both
+sides do the same arithmetic.
 
-The tool prints each side's p50 and p95 over those fastest calls and the
-median over the inputs of change time / base time. It compares times
-only; tools/answer_hash.py checks that the answers are equal. Drift in
-the machine's speed falls on both sides alike, so the median ratio
-repeats far more closely than the medians of separate benchmark runs do.
-Run as a script, it pins BLAS and OpenMP to one thread, as
-perfbench/run.py does.
+For each pair the tool prints a block: each side's p50 and p95 over those
+fastest calls and the median over the inputs of change time / base time.
+It compares times only; tools/answer_hash.py checks that the answers are
+equal. Drift in the machine's speed falls on both sides alike, so the
+median ratio repeats far more closely than the medians of separate
+benchmark runs do. Run as a script, it pins BLAS and OpenMP to one thread,
+as perfbench/run.py does.
 """
 
 from __future__ import annotations
@@ -105,32 +107,45 @@ def fastest_calls(sides, sequences, seconds: float) -> list[list[float]]:
     return best
 
 
+def time_pairs(sides, pairs, generate, seconds: float) -> list[tuple[str, int, int, dict]]:
+    """(workload, seed, timed inputs, ratio_stats) for each (workload, seed) pair, in order.
+
+    generate(workload, seed) gives the pair's input pool, whose first
+    TIMED_INPUTS inputs are timed on both sides for `seconds`.
+    """
+    results = []
+    for workload, seed in pairs:
+        pool = generate(workload, seed)[:TIMED_INPUTS]
+        sequences = [[cm.MomentSequence(3, beta) for cm in sides] for beta in pool]
+        best = fastest_calls(sides, sequences, seconds)
+        results.append((workload, seed, len(sequences), ratio_stats(*best)))
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="revision to compare the working tree against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--workload", nargs="+", required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=float, required=True, help="timing per (workload, seed) pair")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import cubicmoment
     import workloads
 
+    pairs = [(workload, seed) for workload in args.workload for seed in args.seed]
     with tempfile.TemporaryDirectory(prefix="interleave-base-") as tmp:
         export(args.base, Path(tmp))
         base = load_package(Path(tmp) / "src", "cubicmoment_base")
-        sides = (base, cubicmoment)
-        pool = workloads.generate(args.workload, args.seed)
-        sequences = [[cm.MomentSequence(3, beta) for cm in sides] for beta in pool[:TIMED_INPUTS]]
-        best = fastest_calls(sides, sequences, args.seconds)
-    s = ratio_stats(*best)
+        results = time_pairs((base, cubicmoment), pairs, workloads.generate, args.seconds)
 
-    print(f"{args.workload} seed {args.seed}, {len(best[0])} timed inputs, {args.seconds:g} s, base {args.base} vs working tree")
-    for side in ("base", "change"):
-        p50, p95 = s[side]
-        print(f"{side:6s} p50 {p50:8.1f} us  p95 {p95:8.1f} us")
-    print(f"median per-input ratio change / base {s['ratio']:.3f}")
+    for workload, seed, timed, s in results:
+        print(f"{workload} seed {seed}, {timed} timed inputs, {args.seconds:g} s, base {args.base} vs working tree")
+        for side in ("base", "change"):
+            p50, p95 = s[side]
+            print(f"{side:6s} p50 {p50:8.1f} us  p95 {p95:8.1f} us")
+        print(f"median per-input ratio change / base {s['ratio']:.3f}")
     return 0
 
 
