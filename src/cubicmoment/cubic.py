@@ -89,19 +89,29 @@ class ExtensionResult:
     """Extension certificate for one normalized input.
 
     moments is the route's degree-4 sequence; basis lists the independent
-    columns of its M(2), so len(basis) is the rank. Column b of mx (my) holds
-    the basis coordinates of x*b (y*b), so every column relation is a
-    column: X^2 is column X of mx, and for the k < 0 route the Y^2 relation
-    is column Y of my and the X^3 relation column X^2 of mx. Equality is
-    identity.
+    columns of its M(2), so len(basis) is the rank. pair is the read-only
+    stack (Mx, My) of shape (2, rank, rank), and mx, my are views of its
+    slices. Column b of mx (my) holds the basis coordinates of x*b (y*b),
+    so every column relation is a column: X^2 is column X of mx, and for
+    the k < 0 route the Y^2 relation is column Y of my and the X^3 relation
+    column X^2 of mx. Equality is identity.
     """
 
     case: CaseTag
     k: float
     moments: MomentSequence
     basis: tuple[Monomial, ...]
-    mx: np.ndarray
-    my: np.ndarray
+    pair: np.ndarray
+
+    @property
+    def mx(self) -> np.ndarray:
+        """The multiplication-by-x matrix, pair[0]."""
+        return self.pair[0]
+
+    @property
+    def my(self) -> np.ndarray:
+        """The multiplication-by-y matrix, pair[1]."""
+        return self.pair[1]
 
     @property
     def m2(self) -> np.ndarray:
@@ -121,7 +131,7 @@ class ExtensionResult:
         """
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:
             return None
-        commutator_gate(np.array((self.mx, self.my)))
+        commutator_gate(self.pair)
         low = self.moments.values
         riesz_basis = low[[monomial_index(b) for b in self.basis]]
         power = np.linalg.matrix_power
@@ -152,12 +162,12 @@ def _extension(case, k, a, quartics, basis, mx, my) -> ExtensionResult:
     entries = [v + 0.0 for m in (mx, my) for row in zip(*m) for v in row]  # the matrices row by row
     if not all(map(math.isfinite, entries)):
         raise MomentProblemError("a multiplication matrix has a non-finite entry")
-    mats = np.array(entries).reshape(2, len(mx), len(mx))
-    mats.setflags(write=False)
+    pair = np.array(entries).reshape(2, len(mx), len(mx))
+    pair.setflags(write=False)
     moments = np.array(values)  # beta_00 = 1
     moments.setflags(write=False)
     moments = frozen_record(MomentSequence, degree=4, values=moments)
-    return frozen_record(ExtensionResult, case=case, k=k, moments=moments, basis=basis, mx=mats[0], my=mats[1])
+    return frozen_record(ExtensionResult, case=case, k=k, moments=moments, basis=basis, pair=pair)
 
 
 def compute_k(a) -> float:

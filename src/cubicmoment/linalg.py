@@ -4,6 +4,12 @@ The joint eigenvalues of a commuting pair are read off by diagonalizing
 both matrices with the eigenvectors of one fixed convex combination, which
 only has to separate the 3 or 4 distinct atoms of a flat extension. The
 matrices are 3x3 or 4x4, so plain dense LAPACK routines are used.
+
+Those routines are numpy.linalg's own gufuncs (numpy.linalg._umath_linalg,
+verified on numpy 2.4.6), called without the Python wrappers of
+np.linalg.eig, inv and solve: lapack_eig, lapack_inv and lapack_solve
+return what those three return, byte for byte, and raise LinAlgError where
+they raise it, when run under lapack_errors().
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import CommutatorError, ComplexAtomError, MomentProblemError
 
@@ -20,6 +27,44 @@ TOL_IMAG = 1e-6  # largest imaginary part of the spectrum accepted, relative to 
 # c of c*Mx + (1-c)*My, tried in order; the first is the seed-0 c of the earlier seeded solve,
 # so its answers stay bit-identical
 _COMBINATIONS = (0.5821770123928727, 0.3)
+
+
+def _lapack_failed(err, flag):
+    """The errstate call handler: a gufunc reports a LAPACK failure as an invalid operation."""
+    raise LinAlgError("the LAPACK routine failed: a singular matrix or no convergence")
+
+
+def lapack_errors() -> np.errstate:
+    """numpy.linalg's error state around its gufuncs: a LAPACK failure raises LinAlgError.
+
+    Overflow, division and underflow inside LAPACK stay quiet, as in
+    np.linalg; without this state a failure only fills the result with NaN.
+    """
+    return np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def lapack_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eig of a real square float array: real w and V when no eigenvalue has an imaginary part.
+
+    Raises LinAlgError for a non-finite entry before LAPACK runs, and, under
+    lapack_errors(), when LAPACK does not converge.
+    """
+    if not np.isfinite(a).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    w, v = _umath_linalg.eig(a, signature="d->DD")
+    if w.imag.any():  # NaN is truthy and -0.0 is not, as in np.linalg.eig's w.imag == 0.0
+        return w, v
+    return w.real, v.real
+
+
+def lapack_inv(a: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of a real square float array; under lapack_errors() a singular one raises."""
+    return _umath_linalg.inv(a, signature="d->d")
+
+
+def lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of a real square float a and a vector b; under lapack_errors() a singular a raises."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
 def commutator_norm(Mx, My) -> float:
@@ -73,8 +118,8 @@ def joint_eigen(Mx, My) -> list[tuple[float, float]]:
     the second is tried only when the first fails, as it does when two
     distinct pairs tie under it, and not after an overflowing residual,
     which is no tie. Raises ComplexAtomError for a non-real spectrum and
-    MomentProblemError when a column of V is not a joint eigenvector, each
-    for the first c when both fail.
+    MomentProblemError when eig fails, V is singular or a column of V is
+    not a joint eigenvector, each for the first c when both fail.
     """
     Mx = np.asarray(Mx, dtype=float)
     My = np.asarray(My, dtype=float)
@@ -82,7 +127,11 @@ def joint_eigen(Mx, My) -> list[tuple[float, float]]:
         raise ValueError("Mx and My must be square matrices of equal size")
     if not len(Mx):  # the empty pair commutes and has no pairs
         return []
-    M = np.array((Mx, My))  # each slice of the stack multiplies as its own matrix
+    return joint_spectrum(np.array((Mx, My)))  # each slice of the stack multiplies as its own matrix
+
+
+def joint_spectrum(M: np.ndarray) -> list[tuple[float, float]]:
+    """joint_eigen of the stack M = (Mx, My) of two nonempty square float matrices, unchecked."""
     # huge entries overflow to an inf or NaN commutator or residual, which the gates reject
     with np.errstate(over="ignore", invalid="ignore"):
         scale = commutator_gate(M)
@@ -111,15 +160,19 @@ def _read_spectrum(M: np.ndarray, c: float) -> tuple[list[tuple[float, float]], 
     Returns them with the largest eigenvector residual of either matrix
     over the unit eigenvectors.
     """
-    lam, V = np.linalg.eig(c * M[0] + (1.0 - c) * M[1])
-    # eig returns a real lam, which needs no check, exactly when every eigenvalue is real
-    if lam.dtype.kind == "c" and np.abs(lam.imag).max() > TOL_IMAG * max(1.0, np.abs(lam).max()):
-        raise ComplexAtomError("joint spectrum is not real")
-    V = V.real
-    try:
-        V_inv = np.linalg.inv(V)
-    except np.linalg.LinAlgError as exc:
-        raise MomentProblemError("the combination has no eigenvector basis") from exc
+    with lapack_errors():
+        try:
+            lam, V = lapack_eig(c * M[0] + (1.0 - c) * M[1])
+        except LinAlgError as exc:
+            raise MomentProblemError(f"eig of the combination failed ({exc})") from exc
+        # eig returns a real lam, which needs no check, exactly when every eigenvalue is real
+        if lam.dtype.kind == "c" and np.abs(lam.imag).max() > TOL_IMAG * max(1.0, np.abs(lam).max()):
+            raise ComplexAtomError("joint spectrum is not real")
+        V = V.real
+        try:
+            V_inv = lapack_inv(V)
+        except LinAlgError as exc:
+            raise MomentProblemError("the combination has no eigenvector basis") from exc
     xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
     V = V / np.sqrt(np.add.reduce(V * V, 0))  # unit columns, scaled as np.linalg.norm scales them
     R = M @ V - V * xy[:, None, :]

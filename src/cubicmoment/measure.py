@@ -20,7 +20,7 @@ import numpy as np
 
 from .cubic import TOL_K, CaseTag, ExtensionResult, extend
 from .errors import SingularVandermondeError, VerificationError
-from .linalg import commutator_norm, joint_eigen, largest
+from .linalg import commutator_norm, joint_spectrum, lapack_errors, lapack_solve, largest
 from .moments import (
     Atom,
     AtomicMeasure,
@@ -104,7 +104,7 @@ def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
     signal an upstream failure and raise SingularVandermondeError, as does
     a NaN gap.
     """
-    pairs = sorted(joint_eigen(ext.mx, ext.my))
+    pairs = sorted(joint_spectrum(ext.pair))
     sep = MIN_ATOM_SEPARATION
     for (x, y), (u, v) in combinations(pairs, 2):
         dx, dy = abs(x - u), abs(y - v)
@@ -146,7 +146,8 @@ def _columns(basis: tuple) -> np.ndarray:
 def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
     """Densities from V_B: solves V_B^T rho = (Lambda(t_1), ..., Lambda(t_r))^T."""
     try:
-        return np.linalg.solve(vb.T, beta.values[_columns(tuple(basis))])
+        with lapack_errors():
+            return lapack_solve(vb.T, beta.values[_columns(tuple(basis))])
     except np.linalg.LinAlgError as exc:
         raise SingularVandermondeError(
             "coincident atoms made the Vandermonde system singular"
@@ -172,7 +173,7 @@ def _variety_residual(ext: ExtensionResult, vb) -> float:
     exactly when atom k meets every relation they encode (Moller and Stetter
     1995). An empty V_B gives 0, and a NaN propagates.
     """
-    gap = np.array((vb.dot(ext.mx), vb.dot(ext.my))) - vb.T[1:3, :, None] * vb
+    gap = vb @ ext.pair - vb.T[1:3, :, None] * vb
     return float(np.abs(gap).max(initial=0.0))
 
 

@@ -78,15 +78,17 @@ def pullback_measure(mu: AtomicMeasure, psi: np.ndarray) -> AtomicMeasure:
     psi is the 3x3 matrix of an invertible map z -> psi z on z = (1, x, y).
     Each atom (u, v) goes to the (x, y) that psi maps to it, by Cramer's
     rule on rows 1-2. If mu~ represents the pushforward sequence, the
-    result represents the original one.
+    result represents the original one. A singular psi raises ValueError.
     """
     return AtomicMeasure(tuple(pullback(mu.atoms, psi)))
 
 
 def pullback(triples, psi: np.ndarray) -> list[Atom]:
-    """The atoms of pullback_measure for the (u, v, weight) triples, in their order."""
+    """The atoms of pullback_measure for the (u, v, weight) triples, in order; ValueError if b*f - c*e = 0."""
     (a, b, c), (d, e, f) = psi[1:].tolist()
     det = b * f - c * e
+    if det == 0.0:
+        raise ValueError(f"psi is not invertible: its determinant b*f - c*e is {det}")
     atoms = []
     for u, v, w in triples:
         ru, rv = u - a, v - d

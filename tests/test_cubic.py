@@ -234,7 +234,7 @@ class TestBuildM3:
         mx = ext.mx.copy()
         mx[0, 3] += 1e-3  # corrupt the X^3 column
         with pytest.raises(CommutatorError, match="do not commute"):
-            dataclasses.replace(ext, mx=mx).m3
+            dataclasses.replace(ext, pair=np.array((mx, ext.my))).m3
 
 
 class TestSosCertificate:

@@ -30,6 +30,15 @@ def test_ratio_is_the_median_of_per_input_ratios():
     assert s["ratio"] == 0.8
 
 
+def test_won_is_the_share_of_inputs_the_change_made_faster():
+    # a tie is not a win; the ratio median alone cannot tell 3 wins of 5 from 5 of 5
+    base = [100.0, 200.0, 300.0, 400.0, 500.0]
+    s = ratio_stats(base, [80.0, 160.0, 300.0, 500.0, 400.0])
+    assert s["won"] == 0.6
+    assert ratio_stats(base, [0.5 * b for b in base])["won"] == 1.0
+    assert ratio_stats(base, base)["won"] == 0.0
+
+
 def test_pairs_stay_with_their_input():
     s = ratio_stats([100.0, 1000.0, 100.0], [50.0, 500.0, 50.0])
     assert s["ratio"] == 0.5

@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError, _umath_linalg
 from numpy.testing import assert_allclose
 
 from cubicmoment import (
@@ -9,11 +11,14 @@ from cubicmoment import (
     ComplexAtomError,
     MomentProblemError,
     MomentSequence,
+    SingularVandermondeError,
     extend,
+    extract_atoms,
     joint_eigen,
     normalize_cubic,
+    solve_cubic,
 )
-from cubicmoment import linalg
+from cubicmoment import linalg, measure
 from cubicmoment.cli import random_request
 
 from _oracle import (
@@ -25,7 +30,15 @@ from _oracle import (
     range_solve,
     smuljan_classify,
 )
-from _util import acceptance_draws, b2_block, gram_expected, match_points, random_orthogonal, seq_from_a
+from _util import (
+    acceptance_draws,
+    b2_block,
+    gram_expected,
+    match_points,
+    random_orthogonal,
+    same_bytes,
+    seq_from_a,
+)
 
 
 class TestPsdMinEig:
@@ -246,3 +259,122 @@ def test_joint_eigen_equals_loop_reading():
         assert _outcome(joint_eigen, ext.mx, ext.my) == loop
         compared += 1
     assert compared >= 1200
+
+
+def _seam_matrices() -> list[np.ndarray]:
+    """Seeded real 3x3 and 4x4 matrices, a rotation and the transposed V_B of a solve."""
+    rng = np.random.default_rng(18)
+    matrices = [rng.normal(size=(n, n)) for n in (3, 4) for _ in range(40)]
+    matrices.append(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))  # a complex pair
+    ext = extend(normalize_cubic(seq_from_a((0.4, -0.9, 1.2, 0.5))).a_vec)
+    vb = measure._vandermonde(*zip(*extract_atoms(ext)), ext.basis)
+    matrices.append(vb.T)  # not contiguous, as the density solve hands it over
+    return matrices
+
+
+class TestLapackSeam:
+    """numpy.linalg's gufuncs without its wrappers: the same bytes, the same failures."""
+
+    def test_gufuncs_are_the_ones_numpy_linalg_wraps(self):
+        # a numpy that renames, reshapes or retypes these gufuncs must fail here, loudly
+        gufuncs = (_umath_linalg.eig, _umath_linalg.inv, _umath_linalg.solve1)
+        signatures = [f.signature.replace(" ", "") for f in gufuncs]
+        assert signatures == ["(m,m)->(m),(m,m)", "(m,m)->(m,m)", "(m,m),(m)->(m)"]
+        assert "d->DD" in _umath_linalg.eig.types
+        assert "d->d" in _umath_linalg.inv.types
+        assert "dd->d" in _umath_linalg.solve1.types
+
+    def test_eig_is_np_linalg_eig_byte_for_byte(self):
+        kinds = set()
+        for a in _seam_matrices():
+            with linalg.lapack_errors():
+                w, v = linalg.lapack_eig(a)
+            expected = np.linalg.eig(a)
+            assert same_bytes(w, expected.eigenvalues) and same_bytes(v, expected.eigenvectors)
+            kinds.add(w.dtype.kind)
+        assert kinds == {"f", "c"}  # real spectra come back real, as np.linalg.eig returns them
+
+    def test_inv_and_solve_are_np_linalg_byte_for_byte(self):
+        rng = np.random.default_rng(19)
+        strided = 0
+        for a in _seam_matrices():
+            b = rng.normal(size=len(a))
+            with linalg.lapack_errors():
+                assert same_bytes(linalg.lapack_inv(a), np.linalg.inv(a))
+                assert same_bytes(linalg.lapack_solve(a, b), np.linalg.solve(a, b))
+                w, v = linalg.lapack_eig(a)
+                if w.dtype.kind == "f":  # V is the strided real view the joint spectrum inverts
+                    assert same_bytes(linalg.lapack_inv(v), np.linalg.inv(v))
+                    strided += not v.flags.contiguous
+        assert strided >= 10
+
+    @pytest.mark.parametrize(
+        "singular", [np.zeros((3, 3)), np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])]
+    )
+    def test_singular_input_raises_under_lapack_errors(self, singular):
+        with linalg.lapack_errors():
+            with pytest.raises(LinAlgError):
+                linalg.lapack_inv(singular)
+            with pytest.raises(LinAlgError):
+                linalg.lapack_solve(singular, np.ones(3))
+
+    def test_singular_vandermonde_is_a_typed_error(self):
+        ext = extend((0, 0, 0, 0))
+        vb = measure._vandermonde([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], ext.basis)  # a repeated atom
+        with pytest.raises(SingularVandermondeError, match="Vandermonde system singular"):
+            measure._densities(vb, ext.basis, seq_from_a((0, 0, 0, 0)))
+
+    def test_singular_eigenvector_basis_is_a_typed_error(self, monkeypatch):
+        # every column the same eigenvector: the real inv gufunc fails, and the error names the basis
+        monkeypatch.setattr(linalg, "lapack_eig", lambda a: (np.ones(len(a)), np.ones(a.shape)))
+        with pytest.raises(MomentProblemError, match="^the combination has no eigenvector basis$"):
+            joint_eigen(np.eye(3), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_raises_before_lapack_runs(self, monkeypatch, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        message = "Array must not contain infs or NaNs"
+        with pytest.raises(LinAlgError, match=message):
+            np.linalg.eig(a)
+
+        class NoLapack:
+            def __getattr__(self, name):
+                raise AssertionError(f"LAPACK {name} ran on a non-finite matrix")
+
+        monkeypatch.setattr(linalg, "_umath_linalg", NoLapack())
+        with pytest.raises(LinAlgError, match=message):
+            linalg.lapack_eig(a)
+        # in the joint spectrum, the eig failure is a typed error that names eig
+        with pytest.raises(MomentProblemError, match=f"^eig of the combination failed \\({message}\\)$"):
+            linalg._read_spectrum(np.array((a, np.eye(3))), linalg._COMBINATIONS[0])
+
+
+class TestEigFailure:
+    """A LAPACK eig failure is a MomentProblemError, and the second c is tried after it."""
+
+    @staticmethod
+    def failing(fail_calls):
+        # the seam's eig, failing as LAPACK does on its first fail_calls calls
+        real, calls = linalg.lapack_eig, []
+
+        def eig(a):
+            calls.append(a)
+            if len(calls) <= fail_calls:
+                raise LinAlgError("Eigenvalues did not converge")
+            return real(a)
+
+        return eig
+
+    def test_second_combination_reads_the_pairs(self, monkeypatch):
+        ext = extend((0.4, -0.9, 1.2, 0.5))
+        second = linalg._COMBINATIONS[1]
+        monkeypatch.setattr(linalg, "lapack_eig", self.failing(1))
+        assert linalg.joint_eigen(ext.mx, ext.my) == joint_eigen_reference(ext.mx, ext.my, second)
+
+    def test_solve_raises_a_typed_error_naming_eig(self, monkeypatch):
+        monkeypatch.setattr(linalg, "lapack_eig", self.failing(len(linalg._COMBINATIONS)))
+        message = "eig of the combination failed (Eigenvalues did not converge)"
+        with pytest.raises(MomentProblemError, match=f"^{re.escape(message)}$") as info:
+            solve_cubic(seq_from_a((0.4, -0.9, 1.2, 0.5)))
+        assert type(info.value) is MomentProblemError

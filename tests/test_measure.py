@@ -113,7 +113,7 @@ class TestExtractAtoms:
     @staticmethod
     def _diagonal(xs, ys):
         # Mx, My diagonal on the standard basis: the joint spectrum is exactly the pairs
-        return dataclasses.replace(extend((0, 0, 0, 0)), mx=np.diag(xs), my=np.diag(ys))
+        return dataclasses.replace(extend((0, 0, 0, 0)), pair=np.array((np.diag(xs), np.diag(ys))))
 
     def test_repeated_joint_spectrum_raises(self):
         ext = self._diagonal([1.0, 1.0, -1.0, -1.0], [1.0, 1.0 + 5e-9, -1.0, 1.0])
@@ -128,7 +128,7 @@ class TestExtractAtoms:
     def test_nan_gap_raises(self, monkeypatch):
         # the y gap alone clears the threshold; the NaN x gap must still fail the check
         pairs = [(0.0, 0.0), (math.nan, 1.0), (2.0, 2.0)]
-        monkeypatch.setattr(measure, "joint_eigen", lambda *args, **kwargs: pairs)
+        monkeypatch.setattr(measure, "joint_spectrum", lambda *args, **kwargs: pairs)
         with pytest.raises(SingularVandermondeError):
             extract_atoms(extend((0, 0, 0, 0)))
 
@@ -233,6 +233,14 @@ class TestWrittenOutPaths:
         check = verify_measure(mu, beta)
         assert same_bytes(check.residuals, expected)
         assert same_bytes(np.array(check.max_moment_residual), np.array(float(expected.max(initial=0.0))))
+
+    def test_stacked_variety_product_is_the_two_products(self):
+        # the variety gate multiplies V_B into the stack (Mx, My) at once
+        for n in (3, 4, 5):
+            for seed in range(20):
+                ext = solve_cubic(MomentSequence(3, np.array(random_request(n, seed)["beta"])))[1].extension
+                vb = measure._vandermonde(*zip(*extract_atoms(ext)), ext.basis)
+                assert same_bytes(vb @ ext.pair, np.array((vb.dot(ext.mx), vb.dot(ext.my))))
 
     def test_solve_pulls_back_as_pullback_measure(self):
         for n in (3, 4, 5):
@@ -439,6 +447,7 @@ class TestCallBudget:
         ],
     )
     def test_one_eig_inv_solve_and_verification_per_solve(self, monkeypatch, a, case):
+        # the LAPACK calls go through the seam in linalg, and none through np.linalg's wrappers
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -449,7 +458,10 @@ class TestCallBudget:
             return wrapper
 
         for name in ("eig", "inv", "solve"):
-            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+            monkeypatch.setattr(np.linalg, name, counted(f"np.linalg.{name}", getattr(np.linalg, name)))
+        monkeypatch.setattr(linalg, "lapack_eig", counted("eig", linalg.lapack_eig))
+        monkeypatch.setattr(linalg, "lapack_inv", counted("inv", linalg.lapack_inv))
+        monkeypatch.setattr(measure, "lapack_solve", counted("solve", measure.lapack_solve))
         monkeypatch.setattr(measure, "verify_measure", counted("verify_measure", verify_measure))
         _, report = solve_cubic(seq_from_a(a))
         assert report.case is case

@@ -213,10 +213,18 @@ class TestPullbackMeasure:
         (back,) = pullback_measure(AtomicMeasure((Atom(u, v, 0.5),)), psi).atoms
         assert back == pytest.approx((0.7, -1.3, 0.5))
 
-    def test_singular_map_raises(self):
-        psi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]])  # b f - c e = 0
-        with pytest.raises(ZeroDivisionError):
-            pullback_measure(AtomicMeasure((Atom(1.0, 2.0, 0.5),)), psi)
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]),  # b f - c e = 0
+            np.zeros((3, 3)),
+        ],
+    )
+    @pytest.mark.parametrize("atoms", [(Atom(1.0, 2.0, 0.5),), ()])
+    def test_singular_map_raises(self, psi, atoms):
+        # a typed error, not the ZeroDivisionError of Cramer's rule, and for no atoms too
+        with pytest.raises(ValueError, match=r"determinant b\*f - c\*e is 0\.0$"):
+            pullback_measure(AtomicMeasure(atoms), psi)
 
 
 class TestInvariance:

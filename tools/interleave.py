@@ -22,7 +22,8 @@ a seed defaulted it to 0, whose c is the first fixed combination, so both
 sides do the same arithmetic.
 
 For each pair the tool prints a block: each side's p50 and p95 over those
-fastest calls and the median over the inputs of change time / base time.
+fastest calls, the median over the inputs of change time / base time, and
+the share of inputs on which the change was faster.
 It compares times only; tools/answer_hash.py checks that the answers are
 equal. Drift in the machine's speed falls on both sides alike, so the
 median ratio repeats far more closely than the medians of separate
@@ -57,6 +58,7 @@ def ratio_stats(base_ns: list[float], change_ns: list[float]) -> dict:
     """p50 and p95 in microseconds per side, and the median of the per-input ratios change / base.
 
     Entry k of each list is input k's fastest call on that side, in ns.
+    "won" is the share of inputs whose ratio is below 1, the change faster.
     """
     if len(base_ns) != len(change_ns) or not base_ns:
         raise ValueError("need the same positive number of base and change times")
@@ -66,10 +68,12 @@ def ratio_stats(base_ns: list[float], change_ns: list[float]) -> dict:
     def p(samples, q):
         return float(np.percentile(np.asarray(samples, dtype=float), q)) / 1e3
 
+    ratios = [c / b for b, c in zip(base_ns, change_ns)]
     return {
         "base": (p(base_ns, 50), p(base_ns, 95)),
         "change": (p(change_ns, 50), p(change_ns, 95)),
-        "ratio": statistics.median(c / b for b, c in zip(base_ns, change_ns)),
+        "ratio": statistics.median(ratios),
+        "won": sum(r < 1.0 for r in ratios) / len(ratios),
     }
 
 
@@ -146,6 +150,7 @@ def main(argv=None) -> int:
             p50, p95 = s[side]
             print(f"{side:6s} p50 {p50:8.1f} us  p95 {p95:8.1f} us")
         print(f"median per-input ratio change / base {s['ratio']:.3f}")
+        print(f"change faster on {s['won']:.1%} of inputs")
     return 0
 
 
