@@ -79,12 +79,12 @@ def _parse_request(obj) -> tuple[MomentSequence, dict]:
     beta = obj["beta"]
     if not isinstance(beta, list) or len(beta) != BETA_LENGTH:
         raise _InputError(f'"beta" must hold exactly {BETA_LENGTH} numbers (degree-lex)')
+    if not all(map(_is_number, beta)):
+        raise _InputError('"beta" entries must be numbers')
     try:
         values = [float(v) for v in beta]
     except OverflowError as exc:  # an int beyond the float range
         raise _InputError('"beta" entries must be finite') from exc
-    except (TypeError, ValueError) as exc:
-        raise _InputError('"beta" entries must be numbers') from exc
     if not all(np.isfinite(values)):
         raise _InputError('"beta" entries must be finite')
     if values[0] <= 0.0:
@@ -109,9 +109,13 @@ def _resolve_tolerances(args, request_tols: dict) -> Tolerances:
     return Tolerances(**merged)
 
 
+def _is_number(value) -> bool:
+    """A JSON number as json.load reads it: an int or a float, and not true or false, which are ints too."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _tolerance(key: str, value) -> float:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and 0 < value <= sys.float_info.max):
+    if not (_is_number(value) and 0 < value <= sys.float_info.max):
         raise _InputError(f'tolerance "{key}" must be a finite positive number, got {value!r}')
     return float(value)
 
@@ -199,12 +203,13 @@ def _parse_measure(obj) -> AtomicMeasure:
         raise _InputError('measure must be a JSON object with an "atoms" array')
     atoms = []
     for entry in obj["atoms"]:
+        coordinates = [entry.get(key) for key in ("x", "y", "weight")] if isinstance(entry, dict) else [None]
+        if not all(map(_is_number, coordinates)):
+            raise _InputError('each atom needs numeric "x", "y", "weight"')
         try:
-            atom = Atom(float(entry["x"]), float(entry["y"]), float(entry["weight"]))
+            atom = Atom(*map(float, coordinates))
         except OverflowError as exc:  # an int beyond the float range
             raise _InputError('atom "x", "y", "weight" must be finite') from exc
-        except (TypeError, KeyError, ValueError) as exc:
-            raise _InputError('each atom needs numeric "x", "y", "weight"') from exc
         if not all(map(math.isfinite, atom)):
             raise _InputError('atom "x", "y", "weight" must be finite')
         atoms.append(atom)
@@ -227,7 +232,7 @@ def random_request(n_atoms: int, seed: int) -> dict:
             tuple(Atom(x, y, w) for (x, y), w in zip(points, weights))
         )
         seq = mu.moments(3)
-        d2, d3 = minors(seq.rescaled(1.0 / seq[0, 0]))
+        d2, d3 = minors(seq)
         if d2 > 0.01 and d3 > 0.01:
             return {"beta": [float(v) for v in seq.values], "seed": int(seed)}
 

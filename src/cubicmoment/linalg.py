@@ -67,8 +67,9 @@ def lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
-def commutator_norm(Mx, My) -> float:
-    """Largest entry magnitude of the commutator Mx My - My Mx."""
+def commutator_norm(M: np.ndarray) -> float:
+    """Largest entry magnitude of the commutator Mx My - My Mx of the stack M = (Mx, My)."""
+    Mx, My = M[0], M[1]
     return float(np.abs(Mx @ My - My @ Mx).max(initial=0.0))
 
 
@@ -85,7 +86,7 @@ def commutator_gate(M: np.ndarray) -> float:
     is returned. A NaN commutator fails.
     """
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    commutator = commutator_norm(M[0], M[1])
+    commutator = commutator_norm(M)
     if not commutator <= TOL_COMMUTE * scale:
         raise CommutatorError(
             f"multiplication matrices do not commute (max entry {commutator:.3e})"
@@ -93,14 +94,14 @@ def commutator_gate(M: np.ndarray) -> float:
     return scale
 
 
-def joint_eigen(Mx, My) -> list[tuple[float, float]]:
+def joint_eigen(M) -> list[tuple[float, float]]:
     """Joint eigenvalue pairs of two commuting real matrices.
 
     Parameters
     ----------
-    Mx, My : array_like
-        Square real matrices of equal size, commuting within TOL_COMMUTE
-        (relative to the largest entry magnitude).
+    M : array_like, shape (2, n, n)
+        The stack (Mx, My) of two square real matrices, commuting within
+        TOL_COMMUTE (relative to the largest entry magnitude).
 
     Returns
     -------
@@ -121,17 +122,12 @@ def joint_eigen(Mx, My) -> list[tuple[float, float]]:
     MomentProblemError when eig fails, V is singular or a column of V is
     not a joint eigenvector, each for the first c when both fail.
     """
-    Mx = np.asarray(Mx, dtype=float)
-    My = np.asarray(My, dtype=float)
-    if Mx.ndim != 2 or Mx.shape[0] != Mx.shape[1] or Mx.shape != My.shape:
-        raise ValueError("Mx and My must be square matrices of equal size")
-    if not len(Mx):  # the empty pair commutes and has no pairs
+    M = np.asarray(M, dtype=float)
+    two, n, m = M.shape if M.ndim == 3 else (0, 0, 0)
+    if two != 2 or n != m:
+        raise ValueError(f"M must stack two square matrices, shape (2, n, n), not {M.shape}")
+    if not n:  # the empty pair commutes and has no pairs
         return []
-    return joint_spectrum(np.array((Mx, My)))  # each slice of the stack multiplies as its own matrix
-
-
-def joint_spectrum(M: np.ndarray) -> list[tuple[float, float]]:
-    """joint_eigen of the stack M = (Mx, My) of two nonempty square float matrices, unchecked."""
     # huge entries overflow to an inf or NaN commutator or residual, which the gates reject
     with np.errstate(over="ignore", invalid="ignore"):
         scale = commutator_gate(M)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cubic import TOL_K, CaseTag, ExtensionResult, extend
 from .errors import SingularVandermondeError, VerificationError
-from .linalg import commutator_norm, joint_spectrum, lapack_errors, lapack_solve, largest
+from .linalg import commutator_norm, joint_eigen, lapack_errors, lapack_solve, largest
 from .moments import (
     Atom,
     AtomicMeasure,
@@ -30,7 +30,7 @@ from .moments import (
     monomial_index,
     monomial_table,
 )
-from .normalize import NormalizationCertificate, normalize_cubic, pullback
+from .normalize import NormalizationCertificate, normalize_cubic, pullback_measure
 
 __all__ = [
     "Tolerances",
@@ -80,7 +80,7 @@ class SolveReport:
     @property
     def commutator_norm(self) -> float:
         """Largest entry of Mx My - My Mx, the quantity joint_eigen bounds."""
-        return commutator_norm(self.extension.mx, self.extension.my)
+        return commutator_norm(self.extension.pair)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +104,7 @@ def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
     signal an upstream failure and raise SingularVandermondeError, as does
     a NaN gap.
     """
-    pairs = sorted(joint_spectrum(ext.pair))
+    pairs = sorted(joint_eigen(ext.pair))
     sep = MIN_ATOM_SEPARATION
     for (x, y), (u, v) in combinations(pairs, 2):
         dx, dy = abs(x - u), abs(y - v)
@@ -207,8 +207,8 @@ def solve_cubic(
         raise VerificationError(f"an atom violates a column relation by {variety_residual:.3e}")
     # the mass multiplies the weights before the pullback, which leaves them as they are
     weighted = [(x, y, r * mass) for (x, y), r in zip(atoms, rho)]
-    # pullback_measure's loop, sorted once; its atoms are Atoms, so nothing is left to convert
-    mu = frozen_record(AtomicMeasure, atoms=tuple(sorted(pullback(weighted, certificate.map))))
+    # the pulled-back atoms are Atoms, sorted once, so the record has nothing left to convert
+    mu = frozen_record(AtomicMeasure, atoms=tuple(sorted(pullback_measure(weighted, certificate.map))))
     check = verify_measure(mu, beta)
     if not check.max_moment_residual <= tolerances.accept:
         raise VerificationError(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,17 +87,6 @@ class MomentSequence:
             raise ValueError("beta_00 must be positive")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_values(cls, values: Iterable[float]) -> "MomentSequence":
-        """Build a sequence from a flat degree-lex list, inferring the degree."""
-        vals = np.asarray(list(values), dtype=float)
-        degree = 0
-        while sequence_length(degree) < vals.size:
-            degree += 1
-        if sequence_length(degree) != vals.size:
-            raise ValueError(f"{vals.size} values is not a full set of moments")
-        return cls(degree, vals)
 
     def __getitem__(self, m: tuple[int, int]) -> float:
         i, j = m
@@ -213,25 +202,13 @@ class AtomicMeasure:
         atoms = tuple([a if isinstance(a, Atom) else Atom(*a) for a in self.atoms])
         object.__setattr__(self, "atoms", atoms)
 
-    @property
-    def total_mass(self) -> float:
-        return float(sum(a.weight for a in self.atoms))
-
-    def integrals(self, degree: int) -> np.ndarray:
-        """sum_k rho_k x_k^i y_k^j for every i + j <= degree, in degree-lex order.
-
-        The atoms are added in order, so each entry rounds exactly as the
-        scalar sum over the atoms does.
-        """
-        return np.array(integrals_of(self.atoms, degree))
-
     def moments(self, degree: int) -> MomentSequence:
         """Exact moments sum rho_k x_k^i y_k^j up to the given degree."""
-        return MomentSequence(degree, self.integrals(degree))
+        return MomentSequence(degree, integrals_of(self.atoms, degree))
 
 
 def integrals_of(atoms, degree: int) -> list[float]:
-    """AtomicMeasure.integrals of the (x, y, weight) triples atoms, as Python floats."""
+    """Degree-lex sums of w x^i y^j over the (x, y, w) triples atoms, added in order, as Python floats."""
     if degree == 3:
         try:
             return _cubic_integrals(atoms)
@@ -246,7 +223,7 @@ def integrals_of(atoms, degree: int) -> list[float]:
 
 
 def _cubic_integrals(atoms) -> list[float]:
-    """AtomicMeasure.integrals(3) written out: (w * x**i) * y**j, with x**1 as x and x**0 as 1.0.
+    """integrals_of(atoms, 3) written out: (w * x**i) * y**j, with x**1 as x and x**0 as 1.0.
 
     The exponents are floats, which pow the same as ints without the conversion.
     """

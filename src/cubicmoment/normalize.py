@@ -21,10 +21,9 @@ import numpy as np
 
 from .errors import MomentProblemError, SingularM1Error
 from .linalg import largest
-from .moments import Atom, AtomicMeasure, MomentSequence, frozen_record, monomial_index
+from .moments import Atom, MomentSequence, frozen_record, monomial_index
 
 SINGULAR_RTOL = 1e-10
-MASS_ATOL = 1e-9  # largest |beta_00 - 1| minors accepts as a rescaled sequence
 DEFECT_ATOL = 1e-10  # largest entry of M(1) - I accepted after normalization
 
 _Z = np.array([[0, 0], [1, 0], [0, 1]])  # the exponents (i, j) of z = (1, x, y)
@@ -37,13 +36,9 @@ _QUARTER = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])  # R: 
 
 
 def minors(beta: MomentSequence) -> tuple[float, float]:
-    """Leading principal 2x2 and 3x3 minors of M(1), the pivots of its Cholesky factor.
-
-    Assumes the sequence has been rescaled to beta_00 = 1.
-    """
-    if abs(beta.values[0] - 1.0) > MASS_ATOL:
-        raise ValueError("rescale the sequence to beta_00 = 1 before taking minors")
-    return _pivots(beta.values[:6].tolist())
+    """Leading 2x2 and 3x3 minors of M(1), its Cholesky pivots, after rescaling to beta_00 = 1."""
+    factor = 1.0 / float(beta.values[0])  # the products MomentSequence.rescaled forms
+    return _pivots([v * factor for v in beta.values[:6].tolist()])
 
 
 def _pivots(m1: list[float]) -> tuple[float, float]:
@@ -72,28 +67,23 @@ def _push(A: np.ndarray, values: np.ndarray) -> np.ndarray:
     return A.dot(S.reshape(3, 9)).reshape(27)[_ENTRIES]
 
 
-def pullback_measure(mu: AtomicMeasure, psi: np.ndarray) -> AtomicMeasure:
-    """Move atoms through psi^{-1}; weights and cardinality are unchanged.
+def pullback_measure(atoms, psi: np.ndarray) -> list[Atom]:
+    """Move (u, v, weight) atoms, such as an AtomicMeasure's, through psi^{-1}, in order.
 
     psi is the 3x3 matrix of an invertible map z -> psi z on z = (1, x, y).
     Each atom (u, v) goes to the (x, y) that psi maps to it, by Cramer's
-    rule on rows 1-2. If mu~ represents the pushforward sequence, the
-    result represents the original one. A singular psi raises ValueError.
+    rule on rows 1-2, with its weight. If the atoms represent the pushforward
+    sequence, the result represents the original one. A singular psi raises ValueError.
     """
-    return AtomicMeasure(tuple(pullback(mu.atoms, psi)))
-
-
-def pullback(triples, psi: np.ndarray) -> list[Atom]:
-    """The atoms of pullback_measure for the (u, v, weight) triples, in order; ValueError if b*f - c*e = 0."""
     (a, b, c), (d, e, f) = psi[1:].tolist()
     det = b * f - c * e
     if det == 0.0:
         raise ValueError(f"psi is not invertible: its determinant b*f - c*e is {det}")
-    atoms = []
-    for u, v, w in triples:
+    pulled = []
+    for u, v, w in atoms:
         ru, rv = u - a, v - d
-        atoms.append(Atom((f * ru - c * rv) / det, (b * rv - e * ru) / det, w))
-    return atoms
+        pulled.append(Atom((f * ru - c * rv) / det, (b * rv - e * ru) / det, w))
+    return pulled
 
 
 @dataclass(frozen=True, eq=False)

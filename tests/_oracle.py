@@ -70,8 +70,9 @@ from cubicmoment import (
 from cubicmoment.cubic import BASIS_KNEG, TOL_K, _extension
 from cubicmoment.linalg import TOL_COMMUTE, TOL_EIG, TOL_IMAG, commutator_norm
 from cubicmoment.moments import _exponents, sequence_length
-from cubicmoment.normalize import MASS_ATOL, SINGULAR_RTOL
+from cubicmoment.normalize import SINGULAR_RTOL
 
+MASS_ATOL = 1e-9  # largest |beta_00 - 1| paper_minors accepts as a rescaled sequence
 TOL_PSD = 1e-10
 TOL_RANGE = 1e-9
 TOL_FLAT = 1e-9
@@ -344,7 +345,7 @@ def joint_eigen_reference(Mx, My, c: float) -> list[tuple[float, float]]:
     if Mx.ndim != 2 or Mx.shape[0] != Mx.shape[1] or Mx.shape != My.shape:
         raise ValueError("Mx and My must be square matrices of equal size")
     scale = max(1.0, float(np.abs(Mx).max(initial=0.0)), float(np.abs(My).max(initial=0.0)))
-    commutator = commutator_norm(Mx, My)
+    commutator = commutator_norm(np.array((Mx, My)))
     if not commutator <= TOL_COMMUTE * scale:  # also rejects a NaN commutator
         raise CommutatorError(
             f"multiplication matrices do not commute (max entry {commutator:.3e})"

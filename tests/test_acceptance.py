@@ -172,7 +172,7 @@ def test_criterion_6_degree_one_invariance():
         beta = MomentSequence(3, np.array(request["beta"]))
         mu, report = solve_cubic(beta)
         psi = report.certificate.map
-        raw4 = mu.moments(4).rescaled(1.0 / mu.total_mass)
+        raw4 = mu.moments(4).rescaled(1.0 / sum(a.weight for a in mu.atoms))
         J = build_J(psi, 2)
         lhs = J.T @ build_moment_matrix(raw4) @ J
         rhs = build_moment_matrix(transform_sequence(raw4, psi))

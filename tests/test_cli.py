@@ -116,6 +116,23 @@ class TestSolve:
         assert code == 1
         assert json.loads(out)["error"]["message"] == 'atom "x", "y", "weight" must be finite'
 
+    @pytest.mark.parametrize(
+        "beta",
+        [
+            ["1", "0", "0", "1", "0", "1", "0", "0", "0", "0"],
+            [True, 0, 0, True, 0, True, 0, 0, 0, 0],
+            [1, 0, 0, 1, 0, " 1 ", 0, 0, 0, 0],
+            [1, 0, 0, 1, 0, 1, 0, 0, 0, False],
+        ],
+    )
+    def test_only_json_numbers_are_moments(self, tmp_path, capsys, beta):
+        # strings and booleans that float() would read as the k_pos example are not numbers
+        path = write_json(tmp_path, "req.json", {"beta": beta})
+        for argv in (["solve", path, "--quiet"], ["info", path]):
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 1
+            assert json.loads(out)["error"]["message"] == '"beta" entries must be numbers'
+
     def test_emit_matrices(self, tmp_path, capsys):
         path = write_json(tmp_path, "req.json", KNEG_REQUEST)
         code, out, _ = run_cli(capsys, ["solve", path, "--quiet", "--emit-matrices"])
@@ -275,6 +292,24 @@ class TestVerify:
         code, out, _ = run_cli(capsys, ["verify", req, measure, *flags])
         assert code == 1
         assert "finite" in json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "atom",
+        [
+            {"x": "1", "y": True, "weight": "0.25"},
+            {"x": 1, "y": 1, "weight": "0.25"},
+            {"x": True, "y": 1, "weight": 0.25},
+            {"x": 1, "y": " 1 ", "weight": 0.25},
+        ],
+    )
+    def test_only_json_numbers_are_atom_fields(self, tmp_path, capsys, atom):
+        req = write_json(tmp_path, "req.json", KPOS_REQUEST)
+        # the exact measure of KPOS_REQUEST with one atom (1, 1, 0.25) written as given
+        atoms = [atom] + [{"x": sx, "y": sy, "weight": 0.25} for sx, sy in ((1, -1), (-1, 1), (-1, -1))]
+        measure = write_json(tmp_path, "measure.json", {"atoms": atoms})
+        code, out, _ = run_cli(capsys, ["verify", req, measure])
+        assert code == 1
+        assert json.loads(out)["error"]["message"] == 'each atom needs numeric "x", "y", "weight"'
 
     def test_overflowing_atom_exits_3(self, tmp_path, capsys):
         req = write_json(tmp_path, "req.json", KPOS_REQUEST)

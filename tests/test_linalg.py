@@ -166,7 +166,7 @@ class TestFlatCompletion:
 
 class TestJointEigen:
     def test_diagonal_pair(self):
-        pairs = joint_eigen(np.diag([1.0, -1.0]), np.diag([2.0, 3.0]))
+        pairs = joint_eigen(np.array((np.diag([1.0, -1.0]), np.diag([2.0, 3.0]))))
         assert sorted(pairs) == [
             pytest.approx((-1.0, 3.0)),
             pytest.approx((1.0, 2.0)),
@@ -184,46 +184,52 @@ class TestJointEigen:
         my[:, 1] = [0, 0, 0, 1]
         my[:, 2] = [1, 0, 0, 0]
         my[:, 3] = [0, 1, 0, 0]
-        pairs = joint_eigen(mx, my)
+        pairs = joint_eigen(np.array((mx, my)))
         match_points(pairs, [(-1, -1), (-1, 1), (1, -1), (1, 1)], atol=1e-9)
 
     def test_three_point_system(self):
         # relations x^2 = 1 + y, xy = x, y^2 = 1 on basis (1, x, y)
         mx = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         my = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        pairs = sorted(joint_eigen(mx, my))
+        pairs = sorted(joint_eigen(np.array((mx, my))))
         r2 = math.sqrt(2.0)
         expected = [(-r2, 1.0), (0.0, -1.0), (r2, 1.0)]
         assert_allclose(np.array(pairs), np.array(expected), atol=1e-9)
 
     def test_repeated_joint_value(self):
-        pairs = joint_eigen(np.eye(2), np.eye(2))
+        pairs = joint_eigen(np.array((np.eye(2), np.eye(2))))
         assert_allclose(np.array(sorted(pairs)), np.array([(1.0, 1.0), (1.0, 1.0)]), atol=1e-9)
 
     def test_commutator_guard(self):
         mx = np.array([[0.0, 1.0], [0.0, 0.0]])
         my = np.diag([1.0, 2.0])
         with pytest.raises(CommutatorError):
-            joint_eigen(mx, my)
+            joint_eigen(np.array((mx, my)))
 
     def test_complex_spectrum_guard(self):
         rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(ComplexAtomError):
-            joint_eigen(rotation, np.eye(2))
+            joint_eigen(np.array((rotation, np.eye(2))))
 
     def test_shape_guard(self):
+        # matrices of unequal size make no stack
         with pytest.raises(ValueError):
-            joint_eigen(np.eye(2), np.eye(3))
+            joint_eigen([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 4), (3, 3)])
+    def test_malformed_stack_raises_naming_its_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            joint_eigen(np.zeros(shape))
 
     def test_empty_pair_has_no_pairs(self):
         # like the commutator gate and the variety residual, an empty pair is exact
-        assert joint_eigen(np.zeros((0, 0)), np.zeros((0, 0))) == []
+        assert joint_eigen(np.zeros((2, 0, 0))) == []
 
     def test_pairs_satisfy_relations(self):
         # x^2 = 1 + y, xy = x, y^2 = 1: check the defining equations at the output
         mx = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         my = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        for x, y in joint_eigen(mx, my):
+        for x, y in joint_eigen(np.array((mx, my))):
             assert abs(x * x - 1.0 - y) <= 1e-8
             assert abs(x * y - x) <= 1e-8
             assert abs(y * y - 1.0) <= 1e-8
@@ -231,7 +237,7 @@ class TestJointEigen:
     def test_reproducible(self):
         mx = np.diag([0.3, 1.7, -2.2])
         my = np.diag([1.0, -1.0, 0.5])
-        assert joint_eigen(mx, my) == joint_eigen(mx, my)
+        assert joint_eigen(np.array((mx, my))) == joint_eigen(np.array((mx, my)))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -256,7 +262,7 @@ def test_joint_eigen_equals_loop_reading():
         except MomentProblemError:
             continue
         loop = _outcome(joint_eigen_reference, ext.mx, ext.my, linalg._COMBINATIONS[0])
-        assert _outcome(joint_eigen, ext.mx, ext.my) == loop
+        assert _outcome(joint_eigen, ext.pair) == loop
         compared += 1
     assert compared >= 1200
 
@@ -328,7 +334,7 @@ class TestLapackSeam:
         # every column the same eigenvector: the real inv gufunc fails, and the error names the basis
         monkeypatch.setattr(linalg, "lapack_eig", lambda a: (np.ones(len(a)), np.ones(a.shape)))
         with pytest.raises(MomentProblemError, match="^the combination has no eigenvector basis$"):
-            joint_eigen(np.eye(3), np.eye(3))
+            joint_eigen(np.array((np.eye(3), np.eye(3))))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_raises_before_lapack_runs(self, monkeypatch, bad):
@@ -370,7 +376,7 @@ class TestEigFailure:
         ext = extend((0.4, -0.9, 1.2, 0.5))
         second = linalg._COMBINATIONS[1]
         monkeypatch.setattr(linalg, "lapack_eig", self.failing(1))
-        assert linalg.joint_eigen(ext.mx, ext.my) == joint_eigen_reference(ext.mx, ext.my, second)
+        assert linalg.joint_eigen(ext.pair) == joint_eigen_reference(ext.mx, ext.my, second)
 
     def test_solve_raises_a_typed_error_naming_eig(self, monkeypatch):
         monkeypatch.setattr(linalg, "lapack_eig", self.failing(len(linalg._COMBINATIONS)))

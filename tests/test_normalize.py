@@ -72,10 +72,9 @@ class TestMinors:
         d2, _ = minors(beta)
         assert d2 == 0.0
 
-    def test_requires_unit_mass(self):
+    def test_rescales_by_itself(self):
         beta = _sequence(2, b20=1.0, b02=1.0).rescaled(2.0)
-        with pytest.raises(ValueError):
-            minors(beta)
+        assert minors(beta) == minors(beta.rescaled(1.0 / beta[0, 0]))
 
 
 class TestDegreeOneCoeffs:
@@ -188,29 +187,29 @@ class TestBuildJ:
 class TestPullbackMeasure:
     def test_identity(self):
         mu = AtomicMeasure((Atom(1.0, 2.0, 0.5),))
-        assert pullback_measure(mu, np.eye(3)) == mu
+        assert pullback_measure(mu.atoms, np.eye(3)) == list(mu.atoms)
 
     def test_identity_keeps_atoms_and_order(self):
         mu = AtomicMeasure((Atom(3.0, -1.0, 0.25), Atom(-2.5, 4.0, 0.5), Atom(0.0, 0.0, 0.25)))
-        assert pullback_measure(mu, np.eye(3)) == mu
+        assert pullback_measure(mu.atoms, np.eye(3)) == list(mu.atoms)
 
     def test_empty(self):
-        assert pullback_measure(AtomicMeasure(()), GENERIC) == AtomicMeasure(())
+        assert pullback_measure(AtomicMeasure(()).atoms, GENERIC) == []
 
     def test_quarter_turn(self):
         mu = AtomicMeasure((Atom(3.0, 7.0, 0.5),))
-        out = pullback_measure(mu, QUARTER_TURN)
-        assert out.atoms[0] == pytest.approx((7.0, -3.0, 0.5))
+        out = pullback_measure(mu.atoms, QUARTER_TURN)
+        assert out[0] == pytest.approx((7.0, -3.0, 0.5))
 
     def test_affine_inverse(self):
         mu = AtomicMeasure((Atom(2.0, 2.0, 1.0),))
-        out = pullback_measure(mu, SHIFT_AND_STRETCH)
-        assert out.atoms[0] == pytest.approx((1.0, 1.0, 1.0))
+        out = pullback_measure(mu.atoms, SHIFT_AND_STRETCH)
+        assert out[0] == pytest.approx((1.0, 1.0, 1.0))
 
     def test_round_trip_through_the_matrix(self):
         psi = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, -1.0], [0.5, 0.25, 3.0]])
         _, u, v = psi @ (1.0, 0.7, -1.3)
-        (back,) = pullback_measure(AtomicMeasure((Atom(u, v, 0.5),)), psi).atoms
+        (back,) = pullback_measure(AtomicMeasure((Atom(u, v, 0.5),)).atoms, psi)
         assert back == pytest.approx((0.7, -1.3, 0.5))
 
     @pytest.mark.parametrize(
@@ -224,7 +223,7 @@ class TestPullbackMeasure:
     def test_singular_map_raises(self, psi, atoms):
         # a typed error, not the ZeroDivisionError of Cramer's rule, and for no atoms too
         with pytest.raises(ValueError, match=r"determinant b\*f - c\*e is 0\.0$"):
-            pullback_measure(AtomicMeasure(atoms), psi)
+            pullback_measure(AtomicMeasure(atoms).atoms, psi)
 
 
 class TestInvariance:
@@ -295,7 +294,7 @@ class TestInvariance:
             pushed = AtomicMeasure(
                 tuple(Atom(*(psi @ (1.0, a.x, a.y))[1:], a.weight) for a in mu.atoms)
             )
-            back = pullback_measure(pushed, psi)
+            back = AtomicMeasure(tuple(pullback_measure(pushed.atoms, psi)))
             assert np.abs(back.moments(3).values - beta.values).max() < 1e-8
 
 
