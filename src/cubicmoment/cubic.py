@@ -53,6 +53,7 @@ from .moments import (
     frozen_record,
     monomial_index,
     monomials_up_to,
+    require_finite,
 )
 
 TOL_K = 1e-10
@@ -155,10 +156,7 @@ def _extension(case, k, a, quartics, basis, mx, my) -> ExtensionResult:
     quartic overflows).
     """
     values = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, *a, *quartics]
-    if not all(map(math.isfinite, values)):
-        n = list(map(math.isfinite, values)).index(False)
-        i, j = monomials_up_to(4)[n]
-        raise MomentProblemError(f"the degree-{i + j} moment beta_{i}{j} = {values[n]} is not finite")
+    require_finite(values, 4)
     entries = [v + 0.0 for m in (mx, my) for row in zip(*m) for v in row]  # the matrices row by row
     if not all(map(math.isfinite, entries)):
         raise MomentProblemError("a multiplication matrix has a non-finite entry")

@@ -154,7 +154,8 @@ def _read_spectrum(M: np.ndarray, c: float) -> tuple[list[tuple[float, float]], 
     """The pairs of the stack M = (Mx, My) read with the eigenvectors of c*Mx + (1-c)*My.
 
     Returns them with the largest eigenvector residual of either matrix
-    over the unit eigenvectors.
+    over the unit eigenvectors: eig's own columns, which LAPACK's dgeev
+    returns with norm 1, or the real parts of complex ones made unit.
     """
     with lapack_errors():
         try:
@@ -170,7 +171,8 @@ def _read_spectrum(M: np.ndarray, c: float) -> tuple[list[tuple[float, float]], 
         except LinAlgError as exc:
             raise MomentProblemError("the combination has no eigenvector basis") from exc
     xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
-    V = V / np.sqrt(np.add.reduce(V * V, 0))  # unit columns, scaled as np.linalg.norm scales them
+    if lam.dtype.kind == "c":  # dgeev returns unit columns, but their real parts are not unit
+        V = V / np.sqrt(np.add.reduce(V * V, 0))  # scaled as np.linalg.norm scales them
     R = M @ V - V * xy[:, None, :]
     squares = np.add.reduce(R * R, 1).ravel().tolist()  # the squared norms of the columns of R
     # sqrt is monotone and correctly rounded: the root of the largest square is the largest norm

@@ -10,11 +10,14 @@ at degree 6 a sequence holds 28 values, so no sparse structure is needed.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import MomentProblemError
 
 __all__ = [
     "Monomial",
@@ -54,6 +57,15 @@ def monomial_index(m: tuple[int, int]) -> int:
 def monomials_up_to(degree: int) -> list[Monomial]:
     """All monomials of total degree <= degree, in degree-lex order."""
     return [Monomial(i, d - i) for d in range(degree + 1) for i in range(d, -1, -1)]
+
+
+def require_finite(values: list[float], degree: int) -> None:
+    """Raise MomentProblemError naming the first of the degree-lex moments values that is not finite."""
+    if not all(map(math.isfinite, values)):
+        n = list(map(math.isfinite, values)).index(False)
+        i, j = monomials_up_to(degree)[n]
+        moment = f"degree-{i + j} moment" if n else "mass"
+        raise MomentProblemError(f"the {moment} beta_{i}{j} = {values[n]} is not finite")
 
 
 def sequence_length(degree: int) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MomentProblemError, SingularM1Error
 from .linalg import largest
-from .moments import Atom, MomentSequence, frozen_record, monomial_index
+from .moments import Atom, MomentSequence, frozen_record, monomial_index, require_finite
 
 SINGULAR_RTOL = 1e-10
 DEFECT_ATOL = 1e-10  # largest entry of M(1) - I accepted after normalization
@@ -33,6 +33,7 @@ _, _ENTRIES = np.unique(_TENSOR, return_index=True)  # the flat position of one 
 # the entries of M(1) are the moments of degree <= 2: (1, 0, 0, 1, 0, 1) for M(1) = I
 _IDENTITY_M1 = (1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
 _QUARTER = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])  # R: (x, y) -> (-y, x)
+_QUARTER.setflags(write=False)  # handed out as views, which cannot be made writeable again
 
 
 def minors(beta: MomentSequence) -> tuple[float, float]:
@@ -110,21 +111,31 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
 
     Factors M(1) = L1 L1^T, pushes the moments through L1^-1, factors the
     pushed-forward M(1) = L2 L2^T and pushes through R L2^-1, so psi is
-    the matrix R L2^-1 L1^-1. Applied unconditionally (already-normalized
-    input maps through psi(x, y) = (-y, x)); the resulting M(1) is checked
-    against the identity to DEFECT_ATOL.
+    the matrix R L2^-1 L1^-1; the resulting M(1) is checked against the
+    identity to DEFECT_ATOL. Input whose rescaled M(1) is already I maps
+    through psi(x, y) = (-y, x) alone, with no arithmetic, to the
+    certificate the factors would give, bit for bit. A non-finite input
+    moment raises MomentProblemError naming it.
     """
     if beta.degree != 3:
         raise ValueError("normalization expects a degree-3 sequence")
-    mass = float(beta.values[0])
-    if not math.isfinite(mass):
-        raise MomentProblemError(f"the mass beta_00 = {mass} is not finite")
-    factor = 1.0 / mass
-    scaled = beta.values * factor
-    values = scaled.tolist()
+    raw = beta.values.tolist()
+    require_finite(raw, 3)
+    factor = 1.0 / raw[0]
+    values = [v * factor for v in raw]  # the products numpy's rescaling forms, without its warning
     if not all(map(math.isfinite, values)):
         raise MomentProblemError(f"rescaling by 1 / beta_00 = {factor:.3e} overflows")
     m1 = values[:6]  # the moments of degree <= 2, the entries of M(1)
+    if m1 == [*_IDENTITY_M1]:  # -0.0 == 0.0 too: R L2^-1 L1^-1 rounds to R exactly
+        b30, b21, b12, b03 = values[6:]
+        # beta~_ij = (-1)^i beta_ji, a zero stored as +0.0, as the factors' products store it
+        a_vec = (0.0 - b03, b12 + 0.0, 0.0 - b21, b30 + 0.0)
+        normalized = np.array((*_IDENTITY_M1, *a_vec))
+        normalized.setflags(write=False)
+        sequence = frozen_record(MomentSequence, degree=3, values=normalized)
+        return frozen_record(
+            NormalizationCertificate, d2=1.0, d3=1.0, map=_QUARTER.view(), normalized=sequence, a_vec=a_vec
+        )
     threshold = SINGULAR_RTOL * max(map(abs, m1))
     d2, d3 = _pivots(m1)
     if d2 <= threshold:
@@ -134,7 +145,7 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
     if not (math.isfinite(d2) and math.isfinite(d3)):  # else the map degenerates
         raise MomentProblemError(f"the minors of M(1) overflow: d2 = {d2:.6g}, d3 = {d3:.6g}")
     whiten = _whiten(m1, d2, d3)
-    pushed = _push(whiten, scaled)
+    pushed = _push(whiten, np.array(values))
     refined = pushed[:6].tolist()
     r2, r3 = _pivots(refined)
     if not (r2 > 0.0 and r3 > 0.0):  # also rejects NaN pivots

@@ -16,11 +16,11 @@ def test_success_record_covers_atoms_and_matrices():
     record = answer_hash.solve_record(K_NEG)
     assert record == answer_hash.solve_record(np.array(K_NEG, dtype=float))
     mu, report = solve_cubic(MomentSequence(3, np.array(K_NEG, dtype=float)))
-    ext = report.extension
-    assert record.startswith(b"ok 4x3 3 6x6 10x10 4x4 4x4|")
+    ext, cert = report.extension, report.certificate
+    assert record.startswith(b"ok 4x3 5 3x3 10 6x6 10x10 4x4 4x4|")
     atoms = np.array([tuple(a) for a in mu.atoms])
-    scalars = np.array([report.k, 4.0, report.max_moment_residual])
-    parts = [atoms, scalars, ext.m2, ext.m3, ext.mx, ext.my]
+    scalars = np.array([report.k, 4.0, report.max_moment_residual, cert.d2, cert.d3])
+    parts = [atoms, scalars, cert.map, cert.normalized.values, ext.m2, ext.m3, ext.mx, ext.my]
     assert record.endswith(b"".join(p.tobytes() for p in parts))
     assert answer_hash.solve_record(K_POS) != record
 
@@ -45,6 +45,13 @@ def test_cli_record_is_reproducible(tmp_path):
     assert record == answer_hash.cli_record(4, 7, tmp_path)
     assert record.startswith(b"0\n{") and b'"matrices"' in record
     assert answer_hash.digest(record) != answer_hash.digest(answer_hash.cli_record(4, 8, tmp_path))
+
+
+def test_request_record_covers_info_and_solve(tmp_path):
+    (request,) = answer_hash.CLI_REQUESTS
+    record = answer_hash.request_record(request, tmp_path)
+    assert record == answer_hash.request_record(request, tmp_path)
+    assert record.startswith(b"0\n{") and b'"normalized_beta"' in record and b'"matrices"' in record
 
 
 def test_each_part_hashes_apart_and_names_its_first_difference():
@@ -100,6 +107,7 @@ def test_pool_parts_split_by_outcome(monkeypatch, tmp_path):
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     monkeypatch.setattr(answer_hash, "WORKLOADS", ("pool",))
     monkeypatch.setattr(answer_hash, "CLI_ATOMS", ())
+    monkeypatch.setattr(answer_hash, "CLI_REQUESTS", ())
     records = answer_hash.records([5], tmp_path)
     lines = [(answer_hash.digest(record), part, label) for part, label, record in records]
     assert [(part, label.split(" beta ")[0]) for _, part, label in lines] == [

@@ -356,6 +356,54 @@ class TestLapackSeam:
             linalg._read_spectrum(np.array((a, np.eye(3))), linalg._COMBINATIONS[0])
 
 
+def _route_pairs() -> list[np.ndarray]:
+    """The stacks (Mx, My) of seeded inputs of all three routes, at the first c."""
+    inputs = [seq_from_a(a) for a in acceptance_draws()[::5]]
+    inputs += [MomentSequence(3, np.array(random_request(n, s)["beta"])) for n in range(3, 6) for s in range(30)]
+    exts = [extend(normalize_cubic(beta).a_vec) for beta in inputs]
+    assert {ext.case.value for ext in exts} == {"k_zero", "k_pos", "k_neg"}
+    return [ext.pair for ext in exts]
+
+
+class TestUnitColumns:
+    """The residual reads dgeev's eigenvectors as they come: LAPACK returns them with norm 1."""
+
+    C = linalg._COMBINATIONS[0]
+
+    def test_real_eigenvectors_are_unit(self):
+        for M in _route_pairs():
+            with linalg.lapack_errors():
+                w, V = linalg.lapack_eig(self.C * M[0] + (1.0 - self.C) * M[1])
+            assert w.dtype.kind == "f"
+            assert np.abs(np.linalg.norm(V, axis=0) - 1.0).max() <= 4 * np.spacing(1.0)
+
+    def test_residual_is_the_residual_over_normalized_columns(self):
+        # a residual near rounding level moves by a rounding of the products, so the two are
+        # compared on the scale the gate measures against, max(1, max |M|)
+        for M in _route_pairs():
+            pairs, residual = linalg._read_spectrum(M, self.C)
+            _, V = np.linalg.eig(self.C * M[0] + (1.0 - self.C) * M[1])
+            V = V / np.linalg.norm(V, axis=0)  # as tests/_oracle.py normalizes them
+            x, y = np.array(pairs).T
+            expected = max(np.linalg.norm(M[i] @ V - V * xy, axis=0).max() for i, xy in enumerate((x, y)))
+            assert abs(residual - expected) <= 4 * np.spacing(max(1.0, np.abs(M).max()))
+
+    def test_accepted_complex_spectrum_gets_unit_columns(self, monkeypatch):
+        # the pair does not commute, so the residual is of order 1 and scales with a column
+        M = np.array((np.diag([1.0, 2.0, 3.0]), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        _, residual = linalg._read_spectrum(M, self.C)
+        real_eig = linalg.lapack_eig
+
+        def eig(a):  # the same spectrum with an accepted imaginary part, and columns of norm 2, 3, 5
+            w, V = real_eig(a)
+            return w + 1e-12j, V * [2.0, 3.0, 5.0] + 0j
+
+        monkeypatch.setattr(linalg, "lapack_eig", eig)
+        _, scaled = linalg._read_spectrum(M, self.C)
+        assert residual > 0.1
+        assert scaled == pytest.approx(residual, rel=1e-12)
+
+
 class TestEigFailure:
     """A LAPACK eig failure is a MomentProblemError, and the second c is tried after it."""
 

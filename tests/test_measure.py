@@ -496,6 +496,22 @@ class TestCallBudget:
         assert report.case is case
         assert calls == {name: 1 for _, name in self.STAGES}
 
+    @pytest.mark.parametrize(
+        "beta, factored",
+        [
+            *((seq_from_a(a), 0) for a, _ in CASES),  # already normalized: the quarter turn alone
+            (MomentSequence(3, np.array(random_request(4, 3)["beta"])), 2),
+            (MomentSequence(3, [1, 0, 0, 1 + 2.0**-52, 0, 1, 0, 1, 1, 0]), 2),  # M(1) one ulp off I
+        ],
+        ids=["k_zero", "k_pos", "k_neg", "raw", "one ulp off"],
+    )
+    def test_normalization_factors_only_input_that_is_not_normalized(self, monkeypatch, beta, factored):
+        calls = collections.Counter()
+        for name in ("_whiten", "_push"):
+            monkeypatch.setattr(normalize, name, _counted(calls, name, getattr(normalize, name)))
+        solve_cubic(beta)
+        assert calls == ({"_whiten": factored, "_push": factored} if factored else {})
+
 
 class TestCombinationFallback:
     """Two distinct atoms whose normalized images tie under the first c make joint_eigen take the second."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,10 +20,11 @@ from cubicmoment import (
     pullback_measure,
     solve_cubic,
 )
+from cubicmoment import normalize
 from cubicmoment.cli import random_request
 
 from _oracle import build_J, degree_one_coeffs, numeric_rank, paper_minors, transform_sequence
-from _util import seq_from_a
+from _util import same_bytes, seq_from_a
 
 TEST_POINTS = [(0.3, 0.1), (-0.7, 0.4), (0.2, -0.9), (0.5, 0.6)]  # weight 1/4 each
 # maps z -> psi z on z = (1, x, y): row 1 is psi1(x, y), row 2 is psi2(x, y)
@@ -320,6 +322,26 @@ class TestNormalizeCubic:
         with pytest.raises(MomentProblemError, match=r"^the mass beta_00 = inf is not finite$"):
             solve_cubic(beta)
 
+    @pytest.mark.parametrize(
+        "position, bad, message",
+        [
+            (1, math.nan, "the degree-1 moment beta_10 = nan is not finite"),
+            (6, math.inf, "the degree-3 moment beta_30 = inf is not finite"),
+            (9, -math.inf, "the degree-3 moment beta_03 = -inf is not finite"),
+        ],
+    )
+    def test_non_finite_moment_is_named(self, position, bad, message):
+        values = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        values[position] = bad
+        with pytest.raises(MomentProblemError, match=f"^{message}$"):
+            solve_cubic(MomentSequence(3, values))
+
+    def test_rescaling_overflow_is_a_typed_error_without_a_warning(self):
+        # 1e10 / 1e-300 leaves the float range; RuntimeWarnings are errors in this suite
+        beta = MomentSequence(3, [1e-300, 0, 0, 1e-300, 0, 1e-300, 1e10, 0, 0, 0])
+        with pytest.raises(MomentProblemError, match=r"^rescaling by 1 / beta_00 = 1\.000e\+300 overflows$"):
+            normalize_cubic(beta)
+
     def test_singular_input(self):
         values = np.array([1, 0, 0, 0, 0, 1, 0, 0, 0, 0], dtype=float)  # beta_20 = 0
         with pytest.raises(SingularM1Error):
@@ -334,6 +356,60 @@ class TestNormalizeCubic:
         assert str(err) == (
             f"M(1) is singular or indefinite: minor d2 = {err.value:.6g} is not above {err.threshold:.6g}"
         )
+
+
+def _factored(beta: MomentSequence):
+    """d2, d3, the map and the normalized values, through both Cholesky factors as the general path chains them."""
+    scaled = beta.values * (1.0 / beta.values[0])
+    m1 = scaled[:6].tolist()
+    d2, d3 = normalize._pivots(m1)
+    whiten = normalize._whiten(m1, d2, d3)
+    pushed = normalize._push(whiten, scaled)
+    refined = pushed[:6].tolist()
+    turn = normalize._QUARTER.dot(normalize._whiten(refined, *normalize._pivots(refined)))
+    return d2, d3, turn.dot(whiten), normalize._push(turn, pushed)
+
+
+def _already_normalized() -> dict[str, list[MomentSequence]]:
+    """Input whose rescaled M(1) is I, by kind."""
+    rng = np.random.default_rng(22)
+    m1_zeros = itertools.product((0.0, -0.0), repeat=4)
+    return {
+        "readme": [MomentSequence(3, [1, 0, 0, 1, 0, 1, 0, 0, 0, 0])],
+        "seeded": [seq_from_a(rng.uniform(-20.0, 20.0, 4)) for _ in range(200)],
+        # masses that rescale exactly
+        "masses": [seq_from_a((0.8, -0.5, 0.0, 1.1)).rescaled(mass) for mass in (2.0, 0.5, 2.0**-40)],
+        # every sign of the zeros beta_10, beta_01, beta_11 and of a zero cubic moment
+        "m1 zeros": [
+            MomentSequence(3, [1, b10, b01, 1, b11, 1, 0.7, b21, -1.3, 2]) for b10, b01, b11, b21 in m1_zeros
+        ],
+        "cubic zeros": [
+            MomentSequence(3, [1.0, -0.0, 0.0, 1.0, -0.0, 1.0, *cubics])
+            for cubics in itertools.product((0.0, -0.0, 1.5), repeat=4)
+        ],
+    }
+
+
+class TestAlreadyNormalized:
+    """Input whose rescaled M(1) is I gets, without arithmetic, the certificate both factors give."""
+
+    @pytest.mark.parametrize("kind", list(_already_normalized()))
+    def test_certificate_is_the_factored_one_bit_for_bit(self, kind):
+        for beta in _already_normalized()[kind]:
+            cert = normalize_cubic(beta)
+            d2, d3, psi, normalized = _factored(beta)
+            assert (cert.d2, cert.d3) == (d2, d3) == (1.0, 1.0), beta.values
+            assert same_bytes(cert.map, psi) and same_bytes(psi, normalize._QUARTER), beta.values
+            assert same_bytes(cert.normalized.values, normalized), beta.values
+            assert same_bytes(np.array(cert.a_vec), normalized[6:]), beta.values
+            assert not cert.map.flags.writeable and not cert.normalized.values.flags.writeable
+
+    def test_shared_map_cannot_be_made_writeable(self):
+        # every such certificate holds a view of one quarter turn, so none may write through it
+        cert = normalize_cubic(seq_from_a((0.8, -0.5, 0.3, 1.1)))
+        with pytest.raises(ValueError):
+            cert.map.setflags(write=True)
+        assert np.array_equal(normalize_cubic(seq_from_a((0, 0, 0, 0))).map, QUARTER_TURN)
 
 
 class TestRobustnessRows:

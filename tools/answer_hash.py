@@ -11,13 +11,16 @@ side's src/ and records, one input at a time:
 * every input of the three perfbench workloads at each seed (the pools of
   perfbench/workloads.py, which this tool imports and does not change):
   the outcome of solve_cubic(beta), that is the error type and message,
-  or the atoms, k, rank, max_moment_residual and the bytes of
-  extension.m2, m3, mx and my (a base whose solve_cubic still took a
-  seed defaulted it to 0, and the seed-0 c is the first fixed
-  combination, so such a base is compared like with like);
+  or the atoms, k, rank, max_moment_residual, the normalization
+  certificate's d2 and d3, and the bytes of certificate.map,
+  certificate.normalized.values and extension.m2, m3, mx and my (a base
+  whose solve_cubic still took a seed defaulted it to 0, and the seed-0
+  c is the first fixed combination, so such a base is compared like
+  with like);
 * the stdout and exit code of `random --atoms N --seed S` and of
   `solve --emit-matrices` on that output, for N in 3, 4, 5 and S in
-  0..99, run in-process.
+  0..99, and of `info` and `solve --emit-matrices` on the README's
+  request, whose moments are already normalized, run in-process.
 
 The records fall into parts: one per (workload, seed) pool and outcome,
 and one for the CLI records. The outcome is the case of that side's solve
@@ -48,6 +51,7 @@ from gitexport import ROOT, export
 WORKLOADS = ("generator_mixed", "kneg_normalized", "ill_conditioned")
 CLI_ATOMS = (3, 4, 5)
 CLI_SEEDS = range(100)
+CLI_REQUESTS = ('{"beta": [1, 0, 0, 1, 0, 1, 0, 0, 0, 0]}',)  # the README's: the four points (+-1, +-1)
 
 
 def solve_outcome(beta) -> tuple[str, bytes]:
@@ -59,11 +63,13 @@ def solve_outcome(beta) -> tuple[str, bytes]:
         mu, report = solve_cubic(MomentSequence(3, beta))
     except Exception as exc:  # every outcome is part of the answer, an untyped error too
         return "error", f"error {type(exc).__name__}: {exc}".encode()
-    ext = report.extension
+    ext, cert = report.extension, report.certificate
     m3 = ext.m3
     numbers = [
         np.array([tuple(a) for a in mu.atoms], dtype=float),
-        np.array([report.k, report.rank, report.max_moment_residual], dtype=float),
+        np.array([report.k, report.rank, report.max_moment_residual, cert.d2, cert.d3], dtype=float),
+        cert.map,
+        cert.normalized.values,
         # a revision whose moment matrices are not arrays keeps the array in .entries
         np.asarray(getattr(ext.m2, "entries", ext.m2)),
         np.empty(0) if m3 is None else np.asarray(getattr(m3, "entries", m3)),
@@ -99,6 +105,15 @@ def cli_record(atoms: int, seed: int, scratch: Path) -> bytes:
     return f"{code}\n{request}\n{solve_code}\n{answer}".encode()
 
 
+def request_record(request: str, scratch: Path) -> bytes:
+    """Exit codes and stdout of `info` and `solve --emit-matrices` on the request."""
+    path = scratch / "request.json"
+    path.write_text(request)
+    info_code, info = _run_cli(["info", str(path)])
+    solve_code, answer = _run_cli(["solve", str(path), "--emit-matrices"])
+    return f"{info_code}\n{info}\n{solve_code}\n{answer}".encode()
+
+
 def records(seeds, scratch: Path):
     """(part, label, record) for every input the hash covers, in a fixed order."""
     import workloads
@@ -113,6 +128,8 @@ def records(seeds, scratch: Path):
         for seed in CLI_SEEDS:
             label = f"solve --emit-matrices on random --atoms {atoms} --seed {seed}"
             yield "cli", label, cli_record(atoms, seed, scratch)
+    for request in CLI_REQUESTS:
+        yield "cli", f"info and solve --emit-matrices on {request}", request_record(request, scratch)
 
 
 def digest(record: bytes) -> str:
