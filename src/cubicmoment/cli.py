@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, JSON (or a residual table) out.
 
 Exit codes: 0 success, 1 malformed input, 2 out-of-scope input (singular
-M(1)), 3 verification failure or a downstream solver fault.
+M(1)), 3 verification failure or a downstream solver fault. The commands
+raise; main maps each error to its code and one JSON error document.
 """
 
 from __future__ import annotations
@@ -126,18 +127,8 @@ def _map_payload(psi) -> dict:
 
 
 def cmd_solve(args) -> int:
-    try:
-        request = _read_json(args.input)
-        beta, request_tols = _parse_request(request)
-        tolerances = _resolve_tolerances(args, request_tols)
-    except _InputError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        mu, report = solve_cubic(beta, tolerances)
-    except SingularM1Error as exc:
-        return _fail(EXIT_SINGULAR, str(exc))
-    except MomentProblemError as exc:
-        return _fail(EXIT_VERIFY, str(exc))
+    beta, request_tols = _parse_request(_read_json(args.input))
+    mu, report = solve_cubic(beta, _resolve_tolerances(args, request_tols))
     cert = report.certificate
     payload = {
         "atoms": [{"x": a.x, "y": a.y, "weight": a.weight} for a in mu.atoms],
@@ -177,14 +168,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        beta_obj = _read_json(args.beta)
-        beta, _ = _parse_request(beta_obj)
-        measure_obj = _read_json(args.measure)
-        mu = _parse_measure(measure_obj)
-        tol = _tolerance("tol", args.tol)
-    except _InputError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    beta, _ = _parse_request(_read_json(args.beta))
+    mu = _parse_measure(_read_json(args.measure))
+    tol = _tolerance("tol", args.tol)
     check = verify_measure(mu, beta)
     print(f"{'moment':>8}  {'target':>22}  {'residual':>12}")
     for m, residual in zip(monomials_up_to(beta.degree), check.residuals):
@@ -239,28 +225,19 @@ def random_request(n_atoms: int, seed: int) -> dict:
 
 def cmd_random(args) -> int:
     if args.atoms < 3:
-        return _fail(EXIT_INPUT, "--atoms must be at least 3")
+        raise _InputError("--atoms must be at least 3")
     if args.seed < 0:  # numpy rejects a negative seed with a ValueError
-        return _fail(EXIT_INPUT, f"--seed must be a non-negative integer, got {args.seed!r}")
+        raise _InputError(f"--seed must be a non-negative integer, got {args.seed!r}")
     _emit(random_request(args.atoms, args.seed))
     return EXIT_OK
 
 
 def cmd_info(args) -> int:
-    try:
-        request = _read_json(args.input)
-        beta, request_tols = _parse_request(request)
-        tol_k = _resolve_tolerances(args, request_tols).k
-    except _InputError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        cert = normalize_cubic(beta)
-        k = compute_k(cert.a_vec)
-        case = classify_k(k, tol_k)
-    except SingularM1Error as exc:
-        return _fail(EXIT_SINGULAR, str(exc))
-    except MomentProblemError as exc:
-        return _fail(EXIT_VERIFY, str(exc))
+    beta, request_tols = _parse_request(_read_json(args.input))
+    tol_k = _resolve_tolerances(args, request_tols).k
+    cert = normalize_cubic(beta)
+    k = compute_k(cert.a_vec)
+    case = classify_k(k, tol_k)
     _emit(
         {
             "d2": cert.d2,
@@ -314,8 +291,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    with np.errstate(all="ignore"):  # an overflow shows as inf/nan or a typed error
-        return args.func(args)
+    try:
+        with np.errstate(all="ignore"):  # an overflow shows as inf/nan or a typed error
+            return args.func(args)
+    except _InputError as exc:
+        return _fail(EXIT_INPUT, str(exc))
+    except SingularM1Error as exc:
+        return _fail(EXIT_SINGULAR, str(exc))
+    except MomentProblemError as exc:
+        return _fail(EXIT_VERIFY, str(exc))
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from .errors import CommutatorError, ComplexAtomError, MomentProblemError
 
 TOL_COMMUTE = 1e-9
 TOL_EIG = 1e-7
-TOL_IMAG = 1e-6  # largest imaginary part of the spectrum accepted, relative to max(1, |lambda|)
 # c of c*Mx + (1-c)*My, tried in order; the first is the seed-0 c of the earlier seeded solve,
 # so its answers stay bit-identical
 _COMBINATIONS = (0.5821770123928727, 0.3)
@@ -154,25 +153,22 @@ def _read_spectrum(M: np.ndarray, c: float) -> tuple[list[tuple[float, float]], 
     """The pairs of the stack M = (Mx, My) read with the eigenvectors of c*Mx + (1-c)*My.
 
     Returns them with the largest eigenvector residual of either matrix
-    over the unit eigenvectors: eig's own columns, which LAPACK's dgeev
-    returns with norm 1, or the real parts of complex ones made unit.
+    over eig's own columns, which LAPACK's dgeev returns with norm 1.
+    The atoms of the extension are real, so a non-real eigenvalue,
+    however small its imaginary part, raises ComplexAtomError.
     """
     with lapack_errors():
         try:
             lam, V = lapack_eig(c * M[0] + (1.0 - c) * M[1])
         except LinAlgError as exc:
             raise MomentProblemError(f"eig of the combination failed ({exc})") from exc
-        # eig returns a real lam, which needs no check, exactly when every eigenvalue is real
-        if lam.dtype.kind == "c" and np.abs(lam.imag).max() > TOL_IMAG * max(1.0, np.abs(lam).max()):
+        if lam.dtype.kind == "c":  # eig returns a complex lam exactly when an eigenvalue is not real
             raise ComplexAtomError("joint spectrum is not real")
-        V = V.real
         try:
             V_inv = lapack_inv(V)
         except LinAlgError as exc:
             raise MomentProblemError("the combination has no eigenvector basis") from exc
     xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
-    if lam.dtype.kind == "c":  # dgeev returns unit columns, but their real parts are not unit
-        V = V / np.sqrt(np.add.reduce(V * V, 0))  # scaled as np.linalg.norm scales them
     R = M @ V - V * xy[:, None, :]
     squares = np.add.reduce(R * R, 1).ravel().tolist()  # the squared norms of the columns of R
     # sqrt is monotone and correctly rounded: the root of the largest square is the largest norm

@@ -121,18 +121,11 @@ def _vandermonde(x, y, basis) -> np.ndarray:
     The basis columns of monomial_table, entry by entry: x**i * y**j in
     Python floats, and the table itself when a power overflows.
     """
-    exponents = _float_exponents(tuple(basis))
     try:
-        entries = [u**i * v**j for u, v in zip(map(float, x), map(float, y)) for i, j in exponents]
+        entries = [u**i * v**j for u, v in zip(map(float, x), map(float, y)) for i, j in basis]
     except OverflowError:  # float ** raises where the table's np.power gives +-inf
         return monomial_table(x, y, max(map(sum, basis), default=0))[:, _columns(tuple(basis))]
     return np.array(entries, dtype=float).reshape(len(x), len(basis))
-
-
-@functools.cache
-def _float_exponents(basis: tuple) -> tuple[tuple[float, float], ...]:
-    """The basis exponents as floats: x**2.0 is x**2, without converting the int on each call."""
-    return tuple((float(i), float(j)) for i, j in basis)
 
 
 @functools.cache

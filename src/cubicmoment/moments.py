@@ -106,9 +106,6 @@ class MomentSequence:
             raise IndexError(f"moment ({i},{j}) outside degree {self.degree}")
         return float(self.values[monomial_index(m)])
 
-    def rescaled(self, factor: float) -> "MomentSequence":
-        return MomentSequence(self.degree, self.values * factor)
-
     def truncated(self, degree: int) -> "MomentSequence":
         """Drop all moments above the given total degree."""
         if degree > self.degree:
@@ -174,7 +171,7 @@ def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:
     w = [1.0] * len(x) if weights is None else list(map(float, weights))  # 1.0 * v is v
     if len(w) != len(x):
         raise ValueError(f"{len(w)} weights for {len(x)} points")
-    exponents = _exponent_pairs(degree)
+    exponents = monomials_up_to(degree)
     try:
         entries = [wk * u**i * v**j for u, v, wk in zip(x, y, w) for i, j in exponents]
     except OverflowError:  # float ** raises where C pow gives +-inf; np.power gives it
@@ -183,12 +180,6 @@ def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:
         rows = zip(p[: len(x)], p[len(x) :], w)
         entries = [wk * px[i] * py[j] for px, py, wk in rows for i, j in exponents]
     return np.array(entries, dtype=float).reshape(len(x), len(exponents))
-
-
-@functools.cache
-def _exponent_pairs(degree: int) -> tuple[tuple[int, int], ...]:
-    """The exponents (i, j) of monomials_up_to(degree) as plain int pairs."""
-    return tuple(map(tuple, monomials_up_to(degree)))
 
 
 class Atom(NamedTuple):

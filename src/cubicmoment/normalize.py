@@ -38,7 +38,7 @@ _QUARTER.setflags(write=False)  # handed out as views, which cannot be made writ
 
 def minors(beta: MomentSequence) -> tuple[float, float]:
     """Leading 2x2 and 3x3 minors of M(1), its Cholesky pivots, after rescaling to beta_00 = 1."""
-    factor = 1.0 / float(beta.values[0])  # the products MomentSequence.rescaled forms
+    factor = 1.0 / float(beta.values[0])  # the products beta.values * factor forms
     return _pivots([v * factor for v in beta.values[:6].tolist()])
 
 

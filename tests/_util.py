@@ -13,6 +13,11 @@ def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def rescaled(beta: MomentSequence, factor: float) -> MomentSequence:
+    """The sequence of beta's moments times factor, the products values * factor forms."""
+    return MomentSequence(beta.degree, beta.values * factor)
+
+
 def seq_from_a(a) -> MomentSequence:
     """Normalized degree-3 sequence with cubic moments a = (a0, a1, a2, a3)."""
     a0, a1, a2, a3 = (float(v) for v in a)

@@ -36,7 +36,7 @@ from _oracle import (
     sos_certificate_check,
     transform_sequence,
 )
-from _util import K0_HAND_POINTS, acceptance_draws, is_hankel, match_points, seq_from_a
+from _util import K0_HAND_POINTS, acceptance_draws, is_hankel, match_points, rescaled, seq_from_a
 
 
 def _check(criterion: str, ok: bool, detail: str = "") -> None:
@@ -172,7 +172,7 @@ def test_criterion_6_degree_one_invariance():
         beta = MomentSequence(3, np.array(request["beta"]))
         mu, report = solve_cubic(beta)
         psi = report.certificate.map
-        raw4 = mu.moments(4).rescaled(1.0 / sum(a.weight for a in mu.atoms))
+        raw4 = rescaled(mu.moments(4), 1.0 / sum(a.weight for a in mu.atoms))
         J = build_J(psi, 2)
         lhs = J.T @ build_moment_matrix(raw4) @ J
         rhs = build_moment_matrix(transform_sequence(raw4, psi))

@@ -13,7 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicmoment import Atom, AtomicMeasure
+from cubicmoment import (
+    Atom,
+    AtomicMeasure,
+    CommutatorError,
+    ComplexAtomError,
+    MomentProblemError,
+    SingularM1Error,
+    SingularVandermondeError,
+    VerificationError,
+)
+from cubicmoment import cli
 from cubicmoment.cli import main, random_request
 
 KPOS_REQUEST = {"beta": [1, 0, 0, 1, 0, 1, 0, 0, 0, 0]}
@@ -418,6 +428,38 @@ class TestInfo:
         assert code == 3  # solve takes the same k_zero route, whose relations do not hold here
         _, out, _ = run_cli(capsys, ["info", path, "--tol-k", "1e-10"])
         assert json.loads(out)["case"] == "k_pos"
+
+
+class TestTypedErrorExits:
+    """Each subcommand's stage raises; main maps every typed error to one exit code and one JSON document."""
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (SingularM1Error("d2", 0.0, 1.0), 2),
+            (CommutatorError("multiplication matrices do not commute"), 3),
+            (ComplexAtomError("joint spectrum is not real"), 3),
+            (SingularVandermondeError("the joint spectrum is repeated"), 3),
+            (VerificationError("recovered measure misses the moments"), 3),
+            (MomentProblemError("a downstream solver fault"), 3),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+    )
+    @pytest.mark.parametrize(
+        "command, stage", [("solve", "solve_cubic"), ("info", "normalize_cubic"), ("verify", "verify_measure")]
+    )
+    def test_one_exit_per_error(self, tmp_path, capsys, monkeypatch, command, stage, error, code):
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, stage, raising)
+        argv = [command, write_json(tmp_path, "req.json", KPOS_REQUEST)]
+        if command == "verify":
+            atoms = [{"x": sx, "y": sy, "weight": 0.25} for sx in (1.0, -1.0) for sy in (1.0, -1.0)]
+            argv.append(write_json(tmp_path, "measure.json", {"atoms": atoms}))
+        exit_code, out, _ = run_cli(capsys, argv)
+        assert exit_code == code
+        assert out == json.dumps({"error": {"code": code, "message": str(error)}}, indent=2) + "\n"
 
 
 class TestSelfConsistency:

@@ -211,6 +211,16 @@ class TestJointEigen:
         with pytest.raises(ComplexAtomError):
             joint_eigen(np.array((rotation, np.eye(2))))
 
+    def test_near_double_real_atom_is_a_complex_atom_error(self, monkeypatch):
+        # eigenvalues 1 +- 1e-7i and 2: the conjugate pair's eigenvectors have equal real
+        # parts, so no pairs can be read from it, however small its imaginary part
+        B = np.array([[1.0, 1e-7, 0.0], [-1e-7, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        read, tried = linalg._read_spectrum, []
+        monkeypatch.setattr(linalg, "_read_spectrum", lambda M, c: tried.append(c) or read(M, c))
+        with pytest.raises(ComplexAtomError, match="^joint spectrum is not real$"):
+            joint_eigen(np.array((B, B)))
+        assert tried == list(linalg._COMBINATIONS)  # the second c is still tried after the first fails
+
     def test_shape_guard(self):
         # matrices of unequal size make no stack
         with pytest.raises(ValueError):
@@ -366,7 +376,10 @@ def _route_pairs() -> list[np.ndarray]:
 
 
 class TestUnitColumns:
-    """The residual reads dgeev's eigenvectors as they come: LAPACK returns them with norm 1."""
+    """The residual reads dgeev's eigenvectors as they come: LAPACK returns them with norm 1.
+
+    A complex spectrum has no real eigenvectors to read, so it raises.
+    """
 
     C = linalg._COMBINATIONS[0]
 
@@ -388,20 +401,17 @@ class TestUnitColumns:
             expected = max(np.linalg.norm(M[i] @ V - V * xy, axis=0).max() for i, xy in enumerate((x, y)))
             assert abs(residual - expected) <= 4 * np.spacing(max(1.0, np.abs(M).max()))
 
-    def test_accepted_complex_spectrum_gets_unit_columns(self, monkeypatch):
-        # the pair does not commute, so the residual is of order 1 and scales with a column
+    def test_complex_spectrum_is_a_complex_atom_error(self, monkeypatch):
         M = np.array((np.diag([1.0, 2.0, 3.0]), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
-        _, residual = linalg._read_spectrum(M, self.C)
         real_eig = linalg.lapack_eig
 
-        def eig(a):  # the same spectrum with an accepted imaginary part, and columns of norm 2, 3, 5
+        def eig(a):  # the same spectrum with an imaginary part of 1e-12
             w, V = real_eig(a)
-            return w + 1e-12j, V * [2.0, 3.0, 5.0] + 0j
+            return w + 1e-12j, V + 0j
 
         monkeypatch.setattr(linalg, "lapack_eig", eig)
-        _, scaled = linalg._read_spectrum(M, self.C)
-        assert residual > 0.1
-        assert scaled == pytest.approx(residual, rel=1e-12)
+        with pytest.raises(ComplexAtomError, match="^joint spectrum is not real$"):
+            linalg._read_spectrum(M, self.C)
 
 
 class TestEigFailure:

@@ -42,7 +42,7 @@ from _oracle import (
     multiplication_matrices,
     paper_relations,
 )
-from _util import match_points, rotate_a, same_bytes, seq_from_a
+from _util import match_points, rescaled, rotate_a, same_bytes, seq_from_a
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -301,7 +301,7 @@ class TestSolveCubic:
         assert report.extension.m3 is not None
 
     def test_mass_rescaling(self):
-        beta = seq_from_a((0, 0, 0, 0)).rescaled(5.0)
+        beta = rescaled(seq_from_a((0, 0, 0, 0)), 5.0)
         mu, report = solve_cubic(beta)
         assert sum(a.weight for a in mu.atoms) == pytest.approx(5.0, abs=1e-10)
         assert report.max_moment_residual <= 1e-10

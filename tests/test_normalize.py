@@ -24,7 +24,7 @@ from cubicmoment import normalize
 from cubicmoment.cli import random_request
 
 from _oracle import build_J, degree_one_coeffs, numeric_rank, paper_minors, transform_sequence
-from _util import same_bytes, seq_from_a
+from _util import rescaled, same_bytes, seq_from_a
 
 TEST_POINTS = [(0.3, 0.1), (-0.7, 0.4), (0.2, -0.9), (0.5, 0.6)]  # weight 1/4 each
 # maps z -> psi z on z = (1, x, y): row 1 is psi1(x, y), row 2 is psi2(x, y)
@@ -75,8 +75,8 @@ class TestMinors:
         assert d2 == 0.0
 
     def test_rescales_by_itself(self):
-        beta = _sequence(2, b20=1.0, b02=1.0).rescaled(2.0)
-        assert minors(beta) == minors(beta.rescaled(1.0 / beta[0, 0]))
+        beta = rescaled(_sequence(2, b20=1.0, b02=1.0), 2.0)
+        assert minors(beta) == minors(rescaled(beta, 1.0 / beta[0, 0]))
 
 
 class TestDegreeOneCoeffs:
@@ -236,7 +236,7 @@ class TestInvariance:
         while checked < 25:
             mu = _random_measure(rng, rng.integers(3, 7))
             beta4 = mu.moments(4)
-            scaled = beta4.rescaled(1.0 / beta4[0, 0])
+            scaled = rescaled(beta4, 1.0 / beta4[0, 0])
             d2, d3 = minors(scaled.truncated(2))
             if d2 <= 0.01 or d3 <= 0.01:
                 continue
@@ -254,7 +254,7 @@ class TestInvariance:
         for n_atoms in (3, 4, 5):
             mu = _random_measure(rng, n_atoms)
             beta4 = mu.moments(4)
-            scaled = beta4.rescaled(1.0 / beta4[0, 0])
+            scaled = rescaled(beta4, 1.0 / beta4[0, 0])
             psi = degree_one_coeffs(scaled.truncated(2))
             transformed = transform_sequence(scaled, psi)
             m_raw = build_moment_matrix(scaled)
@@ -288,7 +288,7 @@ class TestInvariance:
         for _ in range(25):
             mu = _random_measure(rng, 4)
             beta = mu.moments(3)
-            scaled = beta.rescaled(1.0 / beta[0, 0])
+            scaled = rescaled(beta, 1.0 / beta[0, 0])
             try:
                 psi = degree_one_coeffs(scaled.truncated(2))
             except SingularM1Error:
@@ -308,7 +308,7 @@ class TestNormalizeCubic:
         assert cert.a_vec == pytest.approx((0.0, 0.0, -1.0, 0.0))
 
     def test_rescales_mass(self):
-        beta = seq_from_a((0, 0, 0, 0)).rescaled(5.0)
+        beta = rescaled(seq_from_a((0, 0, 0, 0)), 5.0)
         cert = normalize_cubic(beta)
         assert cert.normalized[0, 0] == 1.0
 
@@ -378,7 +378,7 @@ def _already_normalized() -> dict[str, list[MomentSequence]]:
         "readme": [MomentSequence(3, [1, 0, 0, 1, 0, 1, 0, 0, 0, 0])],
         "seeded": [seq_from_a(rng.uniform(-20.0, 20.0, 4)) for _ in range(200)],
         # masses that rescale exactly
-        "masses": [seq_from_a((0.8, -0.5, 0.0, 1.1)).rescaled(mass) for mass in (2.0, 0.5, 2.0**-40)],
+        "masses": [rescaled(seq_from_a((0.8, -0.5, 0.0, 1.1)), mass) for mass in (2.0, 0.5, 2.0**-40)],
         # every sign of the zeros beta_10, beta_01, beta_11 and of a zero cubic moment
         "m1 zeros": [
             MomentSequence(3, [1, b10, b01, 1, b11, 1, 0.7, b21, -1.3, 2]) for b10, b01, b11, b21 in m1_zeros
@@ -437,7 +437,7 @@ class TestRobustnessRows:
     )
     def test_translation_and_mass_keep_a_vec(self, atoms, shift, log_mass):
         beta = AtomicMeasure(tuple(Atom(*atom) for atom in atoms)).moments(3)
-        d2, d3 = minors(beta.rescaled(1.0 / beta[0, 0]))
+        d2, d3 = minors(rescaled(beta, 1.0 / beta[0, 0]))
         assume(d2 > 0.01 and d3 > 0.01)
         moved = AtomicMeasure(
             tuple(Atom(x + shift[0], y + shift[1], w * 10.0**log_mass) for x, y, w in atoms)
@@ -454,7 +454,7 @@ class TestPaperMap:
         for n_atoms in (3, 4, 5):
             for seed in range(100):
                 beta = MomentSequence(3, np.array(random_request(n_atoms, seed)["beta"]))
-                scaled = beta.rescaled(1.0 / beta[0, 0])
+                scaled = rescaled(beta, 1.0 / beta[0, 0])
                 psi = degree_one_coeffs(scaled)
                 paper = transform_sequence(scaled, psi).values[6:]
                 cert = normalize_cubic(beta)
