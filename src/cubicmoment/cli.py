@@ -55,8 +55,12 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _fail(code: int, message: str) -> int:
-    _emit({"error": {"code": code, "message": message}})
+def _fail(code: int, exc: Exception) -> int:
+    error = {"code": code, "message": str(exc)}
+    if isinstance(exc, MomentProblemError):  # its fields; strict JSON has no inf or NaN, so those are null
+        value, bound = [v if v is None or math.isfinite(v) else None for v in (exc.value, exc.bound)]
+        error.update(stage=exc.stage, quantity=exc.quantity, value=value, bound=bound)
+    _emit({"error": error})
     return code
 
 
@@ -295,11 +299,11 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):  # an overflow shows as inf/nan or a typed error
             return args.func(args)
     except _InputError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+        return _fail(EXIT_INPUT, exc)
     except SingularM1Error as exc:
-        return _fail(EXIT_SINGULAR, str(exc))
+        return _fail(EXIT_SINGULAR, exc)
     except MomentProblemError as exc:
-        return _fail(EXIT_VERIFY, str(exc))
+        return _fail(EXIT_VERIFY, exc)
 
 
 if __name__ == "__main__":

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MomentProblemError
-from .linalg import commutator_gate
+from .errors import TOL_K, MomentProblemError
+from .linalg import commutator_gate, largest
 from .moments import (
     MomentSequence,
     Monomial,
@@ -55,8 +55,6 @@ from .moments import (
     monomials_up_to,
     require_finite,
 )
-
-TOL_K = 1e-10
 
 BASIS_K0 = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
 BASIS_KPOS = (*BASIS_K0, Monomial(1, 1))
@@ -77,7 +75,7 @@ def classify_k(k: float, tol_k: float = TOL_K) -> CaseTag:
     Raises MomentProblemError when k is not finite (the cubic moments overflow).
     """
     if not math.isfinite(k):
-        raise MomentProblemError(f"k = {k} is not finite: the cubic moments overflow")
+        raise MomentProblemError("extend", "k", k)
     if abs(k) <= tol_k:
         return CaseTag.FLAT_K0
     if k > 0.0:
@@ -153,13 +151,13 @@ def _extension(case, k, a, quartics, basis, mx, my) -> ExtensionResult:
     general fixed-point reducer finds from basis and relations, bit for bit
     (adding 0.0 stores a zero as +0.0, as the reducer does). Raises
     MomentProblemError, naming the moment, when a moment is not finite (a
-    quartic overflows).
+    quartic overflows), and when an entry of Mx or My is not.
     """
     values = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, *a, *quartics]
-    require_finite(values, 4)
+    require_finite(values, 4, "extend")
     entries = [v + 0.0 for m in (mx, my) for row in zip(*m) for v in row]  # the matrices row by row
     if not all(map(math.isfinite, entries)):
-        raise MomentProblemError("a multiplication matrix has a non-finite entry")
+        raise MomentProblemError("extend", "max |Mx, My|", largest(list(map(abs, entries))))
     pair = np.array(entries).reshape(2, len(mx), len(mx))
     pair.setflags(write=False)
     moments = np.array(values)  # beta_00 = 1

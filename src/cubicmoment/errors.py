@@ -1,24 +1,41 @@
-"""Exception types raised by the solver."""
+"""The bounds of the solver's gates, each defined here once, and the errors a failed gate raises.
+
+A solve passes the gates of five stages: normalize, extend, joint spectrum, densities and verify.
+"""
+
+TOL_K = 1e-10  # |k| at or below which k counts as 0: the flat rank-3 route
+SINGULAR_RTOL = 1e-10  # the pivots d2, d3 of M(1) must exceed this times its largest entry
+DEFECT_ATOL = 1e-10  # largest entry of M(1) - I accepted after normalization
+TOL_COMMUTE = 1e-9  # largest entry of Mx My - My Mx, relative to max(1, max |Mx|, max |My|)
+TOL_EIG = 1e-7  # largest joint eigenvector residual, relative to the same scale
+MIN_ATOM_SEPARATION = 1e-8  # smallest max-norm distance between two atoms
+MAX_VARIETY_RESIDUAL = 1e-7  # largest entry of V_B M - diag(t) V_B accepted at the normalized atoms
+MIN_WEIGHT = 1e-10  # smallest normalized density accepted before the solve is declared faulty
+TOL_ACCEPT = 1e-8  # default largest moment residual of a returned measure (Tolerances.accept)
 
 
 class MomentProblemError(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately: a failed gate.
+
+    stage is the stage that failed, quantity names what its gate measured,
+    value is the quantity's value (None for a failure without a number,
+    such as a LAPACK failure) and bound the bound it failed (None when the
+    gate asks for a finite value). The message is formatted when it is read.
+    """
+
+    def __init__(self, stage: str, quantity: str, value: float | None = None, bound: float | None = None):
+        super().__init__(stage, quantity, value, bound)  # args rebuild the error under pickle and copy
+        self.stage, self.quantity, self.value, self.bound = stage, quantity, value, bound
+
+    def __str__(self) -> str:
+        text = f"{self.stage} failed: {self.quantity}"
+        if self.value is not None:
+            text += f" = {self.value:.6g}"
+        return text if self.bound is None else f"{text} (bound {self.bound:.6g})"
 
 
 class SingularM1Error(MomentProblemError):
-    """A leading principal minor of M(1) is not above its threshold; the input is out of scope.
-
-    Carries the name of the violated minor ("d2" or "d3"), its value and the
-    threshold it failed to clear.
-    """
-
-    def __init__(self, minor: str, value: float, threshold: float):
-        self.minor = minor
-        self.value = value
-        self.threshold = threshold
-        super().__init__(
-            f"M(1) is singular or indefinite: minor {minor} = {value:.6g} is not above {threshold:.6g}"
-        )
+    """A pivot of M(1), quantity "d2" or "d3", is not above its bound; the input is out of scope."""
 
 
 class CommutatorError(MomentProblemError):
@@ -34,4 +51,4 @@ class SingularVandermondeError(MomentProblemError):
 
 
 class VerificationError(MomentProblemError):
-    """The recovered measure does not reproduce the input moments to tolerance."""
+    """The recovered measure misses the input moments, a density floor, or the variety."""

@@ -19,10 +19,8 @@ import math
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import CommutatorError, ComplexAtomError, MomentProblemError
+from .errors import TOL_COMMUTE, TOL_EIG, CommutatorError, ComplexAtomError, MomentProblemError
 
-TOL_COMMUTE = 1e-9
-TOL_EIG = 1e-7
 # c of c*Mx + (1-c)*My, tried in order; the first is the seed-0 c of the earlier seeded solve,
 # so its answers stay bit-identical
 _COMBINATIONS = (0.5821770123928727, 0.3)
@@ -87,9 +85,7 @@ def commutator_gate(M: np.ndarray) -> float:
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     commutator = commutator_norm(M)
     if not commutator <= TOL_COMMUTE * scale:
-        raise CommutatorError(
-            f"multiplication matrices do not commute (max entry {commutator:.3e})"
-        )
+        raise CommutatorError("joint spectrum", "max |Mx My - My Mx|", commutator, TOL_COMMUTE * scale)
     return scale
 
 
@@ -139,11 +135,7 @@ def joint_eigen(M) -> list[tuple[float, float]]:
                 continue
             if residual <= TOL_EIG * scale:
                 return pairs
-            errors.append(
-                MomentProblemError(
-                    f"joint eigenvector residual {residual:.3e} exceeds {TOL_EIG:g} of scale {scale:.3g}"
-                )
-            )
+            errors.append(MomentProblemError("joint spectrum", "eigenvector residual", residual, TOL_EIG * scale))
             if not math.isfinite(residual):  # an overflow, not a tie: the second c is not tried
                 break
     raise errors[0]
@@ -161,13 +153,13 @@ def _read_spectrum(M: np.ndarray, c: float) -> tuple[list[tuple[float, float]], 
         try:
             lam, V = lapack_eig(c * M[0] + (1.0 - c) * M[1])
         except LinAlgError as exc:
-            raise MomentProblemError(f"eig of the combination failed ({exc})") from exc
+            raise MomentProblemError("joint spectrum", "eig") from exc
         if lam.dtype.kind == "c":  # eig returns a complex lam exactly when an eigenvalue is not real
-            raise ComplexAtomError("joint spectrum is not real")
+            raise ComplexAtomError("joint spectrum", "max |Im lambda|", float(np.abs(lam.imag).max()), 0.0)
         try:
             V_inv = lapack_inv(V)
         except LinAlgError as exc:
-            raise MomentProblemError("the combination has no eigenvector basis") from exc
+            raise MomentProblemError("joint spectrum", "eigenvector basis") from exc
     xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
     R = M @ V - V * xy[:, None, :]
     squares = np.add.reduce(R * R, 1).ravel().tolist()  # the squared norms of the columns of R

@@ -18,7 +18,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .cubic import TOL_K, CaseTag, ExtensionResult, extend
+from .cubic import CaseTag, ExtensionResult, extend
+from .errors import MAX_VARIETY_RESIDUAL, MIN_ATOM_SEPARATION, MIN_WEIGHT, TOL_ACCEPT, TOL_K
 from .errors import SingularVandermondeError, VerificationError
 from .linalg import commutator_norm, joint_eigen, lapack_errors, lapack_solve, largest
 from .moments import (
@@ -44,17 +45,13 @@ __all__ = [
     "Atom",
 ]
 
-MIN_ATOM_SEPARATION = 1e-8
-MAX_VARIETY_RESIDUAL = 1e-7  # largest entry of V_B M - diag(t) V_B accepted at the normalized atoms
-MIN_WEIGHT = 1e-10  # smallest normalized density accepted before the solve is declared faulty
-
 
 @dataclass(frozen=True)
 class Tolerances:
     """Settable tolerances: k splits the cases, accept bounds the returned moment residual."""
 
     k: float = TOL_K
-    accept: float = 1e-8
+    accept: float = TOL_ACCEPT
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -105,13 +102,10 @@ def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
     a NaN gap.
     """
     pairs = sorted(joint_eigen(ext.pair))
-    sep = MIN_ATOM_SEPARATION
     for (x, y), (u, v) in combinations(pairs, 2):
         dx, dy = abs(x - u), abs(y - v)
-        if math.isnan(dx + dy) or not (dx >= sep or dy >= sep):
-            raise SingularVandermondeError(
-                f"atoms closer than {sep:g}: the joint spectrum is repeated"
-            )
+        if math.isnan(dx + dy) or not (dx >= MIN_ATOM_SEPARATION or dy >= MIN_ATOM_SEPARATION):
+            raise SingularVandermondeError("joint spectrum", "atom gap", largest([dx, dy]), MIN_ATOM_SEPARATION)
     return pairs
 
 
@@ -142,9 +136,7 @@ def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
         with lapack_errors():
             return lapack_solve(vb.T, beta.values[_columns(tuple(basis))])
     except np.linalg.LinAlgError as exc:
-        raise SingularVandermondeError(
-            "coincident atoms made the Vandermonde system singular"
-        ) from exc
+        raise SingularVandermondeError("densities", "V_B") from exc
 
 
 def verify_measure(mu: AtomicMeasure, beta: MomentSequence) -> MeasureCheck:
@@ -181,11 +173,9 @@ def solve_cubic(
     Returns the measure in the original coordinates together with a report
     whose verification fields are always populated. seed is accepted and
     ignored, so callers written for the seeded solve keep working: the
-    joint spectrum uses fixed combinations. Raises SingularM1Error for
-    inputs whose M(1) is not safely positive definite, and
-    VerificationError if the recovered measure misses the moments by more
-    than tolerances.accept, produces a density below MIN_WEIGHT, or has an
-    atom off the variety by more than MAX_VARIETY_RESIDUAL.
+    joint spectrum uses fixed combinations. A failed gate raises its
+    stage's MomentProblemError (errors.py), SingularM1Error for an M(1)
+    that is not safely positive definite.
     """
     mass = float(beta.values[0])
     certificate = normalize_cubic(beta)
@@ -194,20 +184,17 @@ def solve_cubic(
     vb = _vandermonde(*zip(*atoms), ext.basis)
     rho = _densities(vb, ext.basis, certificate.normalized).tolist()
     if not all(r >= MIN_WEIGHT for r in rho):  # also rejects a NaN density
-        raise VerificationError(f"density {float(np.min(rho)):.3e} below {MIN_WEIGHT:g}")
+        raise VerificationError("densities", "min density", float(np.min(rho)), MIN_WEIGHT)
     variety_residual = _variety_residual(ext, vb)
     if not variety_residual <= MAX_VARIETY_RESIDUAL:
-        raise VerificationError(f"an atom violates a column relation by {variety_residual:.3e}")
+        raise VerificationError("densities", "variety residual", variety_residual, MAX_VARIETY_RESIDUAL)
     # the mass multiplies the weights before the pullback, which leaves them as they are
     weighted = [(x, y, r * mass) for (x, y), r in zip(atoms, rho)]
     # the pulled-back atoms are Atoms, sorted once, so the record has nothing left to convert
     mu = frozen_record(AtomicMeasure, atoms=tuple(sorted(pullback_measure(weighted, certificate.map))))
     check = verify_measure(mu, beta)
     if not check.max_moment_residual <= tolerances.accept:
-        raise VerificationError(
-            f"recovered measure misses the moments by "
-            f"{check.max_moment_residual:.3e} (tolerance {tolerances.accept:g})"
-        )
+        raise VerificationError("verify", "max moment residual", check.max_moment_residual, tolerances.accept)
     report = frozen_record(
         SolveReport,
         case=ext.case,

@@ -59,13 +59,12 @@ def monomials_up_to(degree: int) -> list[Monomial]:
     return [Monomial(i, d - i) for d in range(degree + 1) for i in range(d, -1, -1)]
 
 
-def require_finite(values: list[float], degree: int) -> None:
-    """Raise MomentProblemError naming the first of the degree-lex moments values that is not finite."""
+def require_finite(values: list[float], degree: int, stage: str) -> None:
+    """Raise stage's MomentProblemError naming the first of the degree-lex moments values that is not finite."""
     if not all(map(math.isfinite, values)):
         n = list(map(math.isfinite, values)).index(False)
         i, j = monomials_up_to(degree)[n]
-        moment = f"degree-{i + j} moment" if n else "mass"
-        raise MomentProblemError(f"the {moment} beta_{i}{j} = {values[n]} is not finite")
+        raise MomentProblemError(stage, f"beta_{i}{j}", values[n])
 
 
 def sequence_length(degree: int) -> int:

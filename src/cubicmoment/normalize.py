@@ -19,12 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MomentProblemError, SingularM1Error
+from .errors import DEFECT_ATOL, SINGULAR_RTOL, MomentProblemError, SingularM1Error
 from .linalg import largest
 from .moments import Atom, MomentSequence, frozen_record, monomial_index, require_finite
-
-SINGULAR_RTOL = 1e-10
-DEFECT_ATOL = 1e-10  # largest entry of M(1) - I accepted after normalization
 
 _Z = np.array([[0, 0], [1, 0], [0, 1]])  # the exponents (i, j) of z = (1, x, y)
 # entry (a, b, c) is the degree-lex position of z_a z_b z_c, so values[_TENSOR] = E[z (x) z (x) z]
@@ -114,17 +111,17 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
     the matrix R L2^-1 L1^-1; the resulting M(1) is checked against the
     identity to DEFECT_ATOL. Input whose rescaled M(1) is already I maps
     through psi(x, y) = (-y, x) alone, with no arithmetic, to the
-    certificate the factors would give, bit for bit. A non-finite input
-    moment raises MomentProblemError naming it.
+    certificate the factors would give, bit for bit. A failed gate raises
+    a MomentProblemError of stage "normalize"; a pivot's is a SingularM1Error.
     """
     if beta.degree != 3:
         raise ValueError("normalization expects a degree-3 sequence")
     raw = beta.values.tolist()
-    require_finite(raw, 3)
+    require_finite(raw, 3, "normalize")
     factor = 1.0 / raw[0]
     values = [v * factor for v in raw]  # the products numpy's rescaling forms, without its warning
-    if not all(map(math.isfinite, values)):
-        raise MomentProblemError(f"rescaling by 1 / beta_00 = {factor:.3e} overflows")
+    if not all(map(math.isfinite, values)):  # the rescaled moments overflow
+        raise MomentProblemError("normalize", "1 / beta_00", factor)
     m1 = values[:6]  # the moments of degree <= 2, the entries of M(1)
     if m1 == [*_IDENTITY_M1]:  # -0.0 == 0.0 too: R L2^-1 L1^-1 rounds to R exactly
         b30, b21, b12, b03 = values[6:]
@@ -139,27 +136,24 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
     threshold = SINGULAR_RTOL * max(map(abs, m1))
     d2, d3 = _pivots(m1)
     if d2 <= threshold:
-        raise SingularM1Error("d2", d2, threshold)
+        raise SingularM1Error("normalize", "d2", d2, threshold)
     if d3 <= threshold:
-        raise SingularM1Error("d3", d3, threshold)
-    if not (math.isfinite(d2) and math.isfinite(d3)):  # else the map degenerates
-        raise MomentProblemError(f"the minors of M(1) overflow: d2 = {d2:.6g}, d3 = {d3:.6g}")
+        raise SingularM1Error("normalize", "d3", d3, threshold)
+    if not math.isfinite(d3):  # an overflow degenerates the map; past its gate, d2 is finite
+        raise MomentProblemError("normalize", "d3", d3)
     whiten = _whiten(m1, d2, d3)
     pushed = _push(whiten, np.array(values))
     refined = pushed[:6].tolist()
     r2, r3 = _pivots(refined)
     if not (r2 > 0.0 and r3 > 0.0):  # also rejects NaN pivots
-        raise MomentProblemError(
-            f"normalization failed to reach M(1) = I (refined pivots {r2:.3e}, {r3:.3e})"
-        )
+        name, pivot = ("refined d2", r2) if not r2 > 0.0 else ("refined d3", r3)
+        raise MomentProblemError("normalize", name, pivot, 0.0)
     turn = _QUARTER.dot(_whiten(refined, r2, r3))
     normalized = _push(turn, pushed)
     result = normalized.tolist()
     defect = largest([abs(v - e) for v, e in zip(result, _IDENTITY_M1)])
     if not defect <= DEFECT_ATOL:  # also rejects a NaN defect
-        raise MomentProblemError(
-            f"normalization failed to reach M(1) = I (defect {defect:.3e})"
-        )
+        raise MomentProblemError("normalize", "max |M(1) - I|", defect, DEFECT_ATOL)
     psi = turn.dot(whiten)
     psi.setflags(write=False)
     normalized.setflags(write=False)  # a new array whose beta_00 passed the defect gate

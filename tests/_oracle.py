@@ -69,10 +69,10 @@ from cubicmoment import (
     monomial_index,
     monomials_up_to,
 )
-from cubicmoment.cubic import BASIS_KNEG, TOL_K, _extension
-from cubicmoment.linalg import TOL_COMMUTE, TOL_EIG, commutator_norm
+from cubicmoment.cubic import BASIS_KNEG, _extension
+from cubicmoment.errors import SINGULAR_RTOL, TOL_COMMUTE, TOL_EIG, TOL_K
+from cubicmoment.linalg import commutator_norm
 from cubicmoment.moments import _exponents, sequence_length
-from cubicmoment.normalize import SINGULAR_RTOL
 
 MASS_ATOL = 1e-9  # largest |beta_00 - 1| paper_minors accepts as a rescaled sequence
 TOL_IMAG = 1e-6  # largest |Im lambda| joint_eigen_reference accepts, relative to max(1, |lambda|)
@@ -124,10 +124,9 @@ def range_solve(A, B, tol: float = TOL_RANGE) -> np.ndarray:
     B2 = B if B.ndim == 2 else B[:, None]
     W, *_ = np.linalg.lstsq(A, B2, rcond=None)
     residual = float(np.linalg.norm(A @ W - B2))
-    if residual > tol * max(1.0, float(np.linalg.norm(B2))):
-        raise RangeError(
-            f"block is not in the range of the diagonal block (residual {residual:.3e})"
-        )
+    bound = tol * max(1.0, float(np.linalg.norm(B2)))
+    if residual > bound:
+        raise RangeError("extend", "range residual", residual, bound)
     return W if B.ndim == 2 else W[:, 0]
 
 
@@ -282,9 +281,9 @@ def multiplication_matrices(
                 mats[s][:, col] = known[m]
                 filled[s, col], stuck = True, False
         if stuck:
-            raise MissingRelationError(f"cannot express every x*b and y*b over basis {basis}")
+            raise MissingRelationError("extend", f"x*b and y*b over basis {basis}")
     if not np.isfinite(mats).all():
-        raise MomentProblemError("a multiplication matrix has a non-finite entry")
+        raise MomentProblemError("extend", "max |Mx, My|", float(np.abs(mats).max()))
     mats.setflags(write=False)
     return mats[0], mats[1]
 
@@ -350,17 +349,16 @@ def joint_eigen_reference(Mx, My, c: float) -> list[tuple[float, float]]:
     scale = max(1.0, float(np.abs(Mx).max(initial=0.0)), float(np.abs(My).max(initial=0.0)))
     commutator = commutator_norm(np.array((Mx, My)))
     if not commutator <= TOL_COMMUTE * scale:  # also rejects a NaN commutator
-        raise CommutatorError(
-            f"multiplication matrices do not commute (max entry {commutator:.3e})"
-        )
+        raise CommutatorError("joint spectrum", "max |Mx My - My Mx|", commutator, TOL_COMMUTE * scale)
     lam, V = np.linalg.eig(c * Mx + (1.0 - c) * My)
-    if float(np.abs(lam.imag).max()) > TOL_IMAG * max(1.0, float(np.abs(lam).max())):
-        raise ComplexAtomError("joint spectrum is not real")
+    imag, bound = float(np.abs(lam.imag).max()), TOL_IMAG * max(1.0, float(np.abs(lam).max()))
+    if imag > bound:
+        raise ComplexAtomError("joint spectrum", "max |Im lambda|", imag, bound)
     V = V.real
     try:
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
-        raise MomentProblemError("the combination has no eigenvector basis") from exc
+        raise MomentProblemError("joint spectrum", "eigenvector basis") from exc
     x = np.diag(V_inv @ Mx @ V)
     y = np.diag(V_inv @ My @ V)
     V = V / np.linalg.norm(V, axis=0)
@@ -369,9 +367,7 @@ def joint_eigen_reference(Mx, My, c: float) -> list[tuple[float, float]]:
         float(np.linalg.norm(My @ V - V * y, axis=0).max()),
     )
     if not residual <= TOL_EIG * scale:  # also rejects a NaN residual
-        raise MomentProblemError(
-            f"joint eigenvector residual {residual:.3e} exceeds {TOL_EIG:g} of scale {scale:.3g}"
-        )
+        raise MomentProblemError("joint spectrum", "eigenvector residual", residual, TOL_EIG * scale)
     return [(float(xi), float(yi)) for xi, yi in zip(x, y)]
 
 
@@ -418,11 +414,12 @@ def _normalizing_map(beta: MomentSequence, d2: float, d3: float) -> np.ndarray:
     m1 = beta.values[:6].tolist()  # the moments of degree <= 2, the entries of M(1)
     threshold = SINGULAR_RTOL * max(map(abs, m1))
     if d2 <= threshold:
-        raise SingularM1Error("d2", d2, threshold)
+        raise SingularM1Error("normalize", "d2", d2, threshold)
     if d3 <= threshold:
-        raise SingularM1Error("d3", d3, threshold)
+        raise SingularM1Error("normalize", "d3", d3, threshold)
     if not (math.isfinite(d2) and math.isfinite(d3)):  # else the map degenerates
-        raise MomentProblemError(f"the minors of M(1) overflow: d2 = {d2:.6g}, d3 = {d3:.6g}")
+        name, pivot = ("d2", d2) if not math.isfinite(d2) else ("d3", d3)
+        raise MomentProblemError("normalize", name, pivot)
     _, b10, b01, b20, b11, _ = m1
     s23 = math.sqrt(d2 * d3)
     s2 = math.sqrt(d2)
@@ -514,7 +511,7 @@ def paper_extend_kneg(a, tol_k: float = TOL_K) -> ExtensionResult:
     try:
         p = np.linalg.solve(m4, y2_column)  # det m4 = 1, but huge a can make it singular in floats
     except np.linalg.LinAlgError as exc:
-        raise MomentProblemError("the {1, X, Y, X^2} block is numerically singular") from exc
+        raise MomentProblemError("extend", "{1, X, Y, X^2} block") from exc
     b04 = float(p @ y2_column)  # flat completion: (Y^2)^T M4^{-1} (Y^2)
     xxx = x3_relation(a, p)[0]
     x, y, xx = (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)

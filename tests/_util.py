@@ -8,6 +8,11 @@ SUITE_SIZE = 1000
 K0_HAND_POINTS = [(0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, -0.7)]  # k = 0 exactly
 
 
+def fields(error) -> tuple:
+    """(stage, quantity, value, bound) of a solver error."""
+    return error.stage, error.quantity, error.value, error.bound
+
+
 def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape, dtype and bytes: NaN payloads and signed zeros included."""
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

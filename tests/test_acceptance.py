@@ -268,7 +268,7 @@ def test_criterion_9_rejection_path(tmp_path, capsys):
         out = capsys.readouterr().out
         payload = json.loads(out)
         ok &= code == 2
-        ok &= "error" in payload and minor in payload["error"]["message"]
+        ok &= "error" in payload and payload["error"]["quantity"] == minor
         ok &= "atoms" not in payload
     _check(
         "criterion 9 (singular inputs exit 2 naming the violated minor, no measure emitted)",

@@ -6,7 +6,7 @@ import types
 import numpy as np
 
 import answer_hash
-from cubicmoment import ExtensionResult, MomentSequence, solve_cubic
+from cubicmoment import ExtensionResult, MomentProblemError, MomentSequence, solve_cubic
 
 K_POS = [1, 0, 0, 1, 0, 1, 0, 0, 0, 0]  # the four atoms (+-1, +-1)
 K_NEG = [1, 0, 0, 1, 0, 1, 0, 1, 1, 0]
@@ -35,9 +35,17 @@ def test_success_record_reads_a_wrapped_matrix_as_its_entries(monkeypatch):
     assert answer_hash.solve_record(K_NEG) == record
 
 
-def test_error_record_names_type_and_message():
+def test_error_record_names_type_and_fields():
+    # d2 = 0 against its bound 1e-10, read as their exact bits
     record = answer_hash.solve_record([1, 0, 0, 0, 0, 1, 0, 0, 0, 0])
-    assert record.startswith(b"error SingularM1Error: M(1) is singular")
+    assert record == f"error SingularM1Error: normalize | d2 | {0.0.hex()} | {1e-10.hex()}".encode()
+
+
+def test_error_record_without_fields_is_the_message():
+    # a base whose errors carry no fields, or an error of another type
+    assert answer_hash.error_record(ValueError("bad input")) == b"error ValueError: bad input"
+    error = MomentProblemError("densities", "V_B")
+    assert answer_hash.error_record(error) == b"error MomentProblemError: densities | V_B | None | None"
 
 
 def test_cli_record_is_reproducible(tmp_path):

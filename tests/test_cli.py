@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +46,17 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def solver_error(out: str) -> dict:
+    """The error document of a solver error: strict JSON, with its four fields beside code and message."""
+    error = json.loads(out, parse_constant=_reject_constant)["error"]
+    assert list(error) == ["code", "message", "stage", "quantity", "value", "bound"]
+    return error
+
+
 class TestSolve:
     def test_kpos_closed_form(self, tmp_path, capsys):
         path = write_json(tmp_path, "req.json", KPOS_REQUEST)
@@ -77,21 +89,25 @@ class TestSolve:
         code, out, _ = run_cli(capsys, ["solve", path, "--quiet"])
         assert code == 2
         payload = json.loads(out)
-        assert payload["error"]["code"] == 2
-        assert "d2" in payload["error"]["message"]
+        error = solver_error(out)
+        assert error["code"] == 2
+        assert [error[key] for key in ("stage", "quantity", "value", "bound")] == ["normalize", "d2", 0.0, 1e-10]
         assert "atoms" not in payload
 
     def test_overflowing_cubic_moment_exits_3(self, tmp_path, capsys):
         path = write_json(tmp_path, "req.json", {"beta": [1, 0, 0, 1, 0, 1, 0, 1e200, 0, 0]})
         code, out, _ = run_cli(capsys, ["solve", path, "--quiet"])
         assert code == 3
-        assert "not finite" in json.loads(out)["error"]["message"]
+        error = solver_error(out)
+        # k = -inf is not JSON: the value is null, and the message still prints it
+        assert (error["stage"], error["quantity"], error["value"], error["bound"]) == ("extend", "k", None, None)
+        assert error["message"] == "extend failed: k = -inf"
 
     def test_singular_d3_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path, "req.json", SINGULAR_D3)
         code, out, _ = run_cli(capsys, ["solve", path, "--quiet"])
         assert code == 2
-        assert "d3" in json.loads(out)["error"]["message"]
+        assert solver_error(out)["quantity"] == "d3"
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -382,8 +398,9 @@ class TestInfo:
 
     def test_singular_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path, "req.json", SINGULAR_D2)
-        code, _, _ = run_cli(capsys, ["info", path])
+        code, out, _ = run_cli(capsys, ["info", path])
         assert code == 2
+        assert solver_error(out)["quantity"] == "d2"
 
     def test_normalization_fault_exits_3_like_solve(self, tmp_path, capsys):
         # four atoms near the line y = 483107.29: the pushed-forward M(1) rounds to an
@@ -398,25 +415,29 @@ class TestInfo:
         path = write_json(tmp_path, "req.json", {"beta": mu.moments(3).values.tolist()})
         code, info_out, _ = run_cli(capsys, ["info", path])
         assert code == 3
-        assert "M(1) = I" in json.loads(info_out)["error"]["message"]
+        error = solver_error(info_out)
+        assert (error["stage"], error["quantity"], error["bound"]) == ("normalize", "refined d3", 0.0)
         code, solve_out, _ = run_cli(capsys, ["solve", path, "--quiet"])
         assert (code, solve_out) == (3, info_out)
 
     @pytest.mark.parametrize(
-        "beta, message",
+        "beta, stage, quantity, value",
         [
-            ([1e-320, 0, 0, 1, 0, 1, 0, 0, 0, 0], "rescaling by 1 / beta_00"),
-            ([1.9055892520074806e-281, 1, 0, 3.4256647162012635e27, 0, 0, 0, 0, 0, 0], "rescaling"),
-            ([1, 0, 0, 1e300, 0, 1e300, 0, 0, 0, 0], "minors of M(1) overflow"),
-            ([1, 0, 0, 1, 0, 1, 0, 1e200, 0, 0], "k = -inf is not finite"),
+            # 1 / beta_00 = inf, and 5.2e280 finite, whose rescaled beta_20 overflows
+            ([1e-320, 0, 0, 1, 0, 1, 0, 0, 0, 0], "normalize", "1 / beta_00", None),
+            ([1.9055892520074806e-281, 1, 0, 3.4256647162012635e27, 0, 0, 0, 0, 0, 0], "normalize", "1 / beta_00",
+             1 / 1.9055892520074806e-281),
+            ([1, 0, 0, 1e300, 0, 1e300, 0, 0, 0, 0], "normalize", "d3", None),  # d3 = inf
+            ([1, 0, 0, 1, 0, 1, 0, 1e200, 0, 0], "extend", "k", None),  # k = -inf
         ],
     )
-    def test_overflowing_normalization_exits_3(self, tmp_path, capsys, beta, message):
+    def test_overflowing_normalization_exits_3(self, tmp_path, capsys, beta, stage, quantity, value):
         path = write_json(tmp_path, "req.json", {"beta": beta})
         for argv in (["info", path], ["solve", path, "--quiet"]):
             code, out, _ = run_cli(capsys, argv)
             assert code == 3
-            assert message in json.loads(out)["error"]["message"]
+            error = solver_error(out)
+            assert (error["stage"], error["quantity"], error["value"]) == (stage, quantity, value)
 
     def test_tol_k_resolves_like_solve(self, tmp_path, capsys):
         # k = 0.3: a request tol_k of 0.5 sends it to k_zero, unless a flag overrides it
@@ -424,8 +445,9 @@ class TestInfo:
         path = write_json(tmp_path, "req.json", request)
         _, out, _ = run_cli(capsys, ["info", path])
         assert json.loads(out)["case"] == "k_zero"
-        code, _, _ = run_cli(capsys, ["solve", path, "--quiet"])
+        code, out, _ = run_cli(capsys, ["solve", path, "--quiet"])
         assert code == 3  # solve takes the same k_zero route, whose relations do not hold here
+        solver_error(out)
         _, out, _ = run_cli(capsys, ["info", path, "--tol-k", "1e-10"])
         assert json.loads(out)["case"] == "k_pos"
 
@@ -434,21 +456,21 @@ class TestTypedErrorExits:
     """Each subcommand's stage raises; main maps every typed error to one exit code and one JSON document."""
 
     @pytest.mark.parametrize(
-        "error, code",
+        "error, code, numbers",
         [
-            (SingularM1Error("d2", 0.0, 1.0), 2),
-            (CommutatorError("multiplication matrices do not commute"), 3),
-            (ComplexAtomError("joint spectrum is not real"), 3),
-            (SingularVandermondeError("the joint spectrum is repeated"), 3),
-            (VerificationError("recovered measure misses the moments"), 3),
-            (MomentProblemError("a downstream solver fault"), 3),
+            (SingularM1Error("normalize", "d2", 0.0, 1.0), 2, [0.0, 1.0]),
+            (CommutatorError("joint spectrum", "max |Mx My - My Mx|", 1e-3, 1e-9), 3, [1e-3, 1e-9]),
+            (ComplexAtomError("joint spectrum", "max |Im lambda|", 1e-12, 0.0), 3, [1e-12, 0.0]),
+            (SingularVandermondeError("densities", "V_B"), 3, [None, None]),
+            (VerificationError("verify", "max moment residual", math.nan, math.inf), 3, [None, None]),
+            (MomentProblemError("extend", "k", -math.inf), 3, [None, None]),
         ],
         ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
     )
     @pytest.mark.parametrize(
         "command, stage", [("solve", "solve_cubic"), ("info", "normalize_cubic"), ("verify", "verify_measure")]
     )
-    def test_one_exit_per_error(self, tmp_path, capsys, monkeypatch, command, stage, error, code):
+    def test_one_exit_per_error(self, tmp_path, capsys, monkeypatch, command, stage, error, code, numbers):
         def raising(*args, **kwargs):
             raise error
 
@@ -459,7 +481,17 @@ class TestTypedErrorExits:
             argv.append(write_json(tmp_path, "measure.json", {"atoms": atoms}))
         exit_code, out, _ = run_cli(capsys, argv)
         assert exit_code == code
-        assert out == json.dumps({"error": {"code": code, "message": str(error)}}, indent=2) + "\n"
+        # a number that is not finite is null, so the document stays strict JSON
+        value, bound = numbers
+        fields = {"stage": error.stage, "quantity": error.quantity, "value": value, "bound": bound}
+        assert out == json.dumps({"error": {"code": code, "message": str(error), **fields}}, indent=2) + "\n"
+        assert solver_error(out)["message"] == str(error)
+
+    def test_input_error_document_keeps_its_bytes(self, tmp_path, capsys):
+        path = write_json(tmp_path, "req.json", {"beta": [1, 0, 0]})
+        _, out, _ = run_cli(capsys, ["solve", path])
+        message = '"beta" must hold exactly 10 numbers (degree-lex)'
+        assert out == json.dumps({"error": {"code": 1, "message": message}}, indent=2) + "\n"
 
 
 class TestSelfConsistency:
@@ -497,10 +529,6 @@ REQUESTS = st.fixed_dictionaries(
         ),
     },
 )
-
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not JSON")
 
 
 class TestProperty:
@@ -545,7 +573,7 @@ class TestConsoleEntry:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, _ = run_cli(capsys, ["solve", overflowing, "--quiet"])
-            assert code == 3 and "error" in json.loads(out)
+            assert code == 3 and solver_error(out)["quantity"] == "max |Mx My - My Mx|"
             code, out, _ = run_cli(capsys, ["verify", req, measure])
             assert code == 3 and "max residual nan (EXCEEDS" in out
 

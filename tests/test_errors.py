@@ -1,0 +1,189 @@
+"""The one shape of a solver error, and one row per gate of the five stages."""
+
+import copy
+import dataclasses
+import math
+import pickle
+
+import numpy as np
+import pytest
+from numpy.linalg import LinAlgError
+
+from cubicmoment import (
+    Atom,
+    AtomicMeasure,
+    CaseTag,
+    CommutatorError,
+    ComplexAtomError,
+    MomentProblemError,
+    MomentSequence,
+    SingularM1Error,
+    SingularVandermondeError,
+    Tolerances,
+    VerificationError,
+    extend,
+    extract_atoms,
+    joint_eigen,
+    normalize_cubic,
+    solve_cubic,
+)
+from cubicmoment import cubic, errors, linalg, measure, normalize
+from cubicmoment.cubic import BASIS_K0
+
+from _util import fields, seq_from_a
+
+ERRORS = [
+    SingularM1Error("normalize", "d2", 0.0, 1e-10),
+    CommutatorError("joint spectrum", "max |Mx My - My Mx|", 1e-3, 1e-9),
+    ComplexAtomError("joint spectrum", "max |Im lambda|", 1e-12, 0.0),
+    SingularVandermondeError("densities", "V_B"),
+    VerificationError("verify", "max moment residual", math.inf, 1e-8),
+    MomentProblemError("extend", "k", -math.inf),
+]
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda error: type(error).__name__)
+def test_error_survives_pickle_and_copy(error):
+    for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        assert type(twin) is type(error) and fields(twin) == fields(error)
+        assert str(twin) == str(error)
+
+
+def test_message_names_the_fields_it_has():
+    assert str(ERRORS[0]) == "normalize failed: d2 = 0 (bound 1e-10)"
+    assert str(ERRORS[3]) == "densities failed: V_B"
+    assert str(ERRORS[5]) == "extend failed: k = -inf"
+
+
+def test_tolerances_default_to_the_table():
+    assert Tolerances() == Tolerances(k=errors.TOL_K, accept=errors.TOL_ACCEPT)
+
+
+def _solve(values, tolerances=Tolerances()):
+    return lambda monkeypatch: solve_cubic(MomentSequence(3, np.array(values, dtype=float)), tolerances)
+
+
+def _solve_a(a, tolerances=Tolerances()):
+    return lambda monkeypatch: solve_cubic(seq_from_a(a), tolerances)
+
+
+def _defect(monkeypatch):
+    monkeypatch.setattr(normalize, "DEFECT_ATOL", -1.0)  # no defect is below it
+    # M(1) is not I, so the factors run and the defect gate is reached
+    normalize_cubic(AtomicMeasure((Atom(0.3, 0.1, 0.3), Atom(-0.7, 0.4, 0.5), Atom(0.2, -0.9, 0.2))).moments(3))
+
+
+def _non_finite_entry(monkeypatch):
+    x, y = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+    mx, my = (x, (1.0, math.nan, 0.0), (0.0, 0.0, 0.0)), (y, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    cubic._extension(CaseTag.FLAT_K0, 0.0, (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 1.0), BASIS_K0, mx, my)
+
+
+def _failing_eig(monkeypatch):
+    def eig(a):
+        raise LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(linalg, "lapack_eig", eig)
+    solve_cubic(seq_from_a((0.4, -0.9, 1.2, 0.5)))
+
+
+def _singular_basis(monkeypatch):
+    monkeypatch.setattr(linalg, "lapack_eig", lambda a: (np.ones(len(a)), np.ones(a.shape)))
+    solve_cubic(seq_from_a((0.4, -0.9, 1.2, 0.5)))
+
+
+def _repeated_atoms(monkeypatch):
+    pair = np.array((np.diag([1.0, 1.0, -1.0, -1.0]), np.diag([1.0, 1.0 + 5e-9, -1.0, 1.0])))
+    extract_atoms(dataclasses.replace(extend((0, 0, 0, 0)), pair=pair))
+
+
+def _singular_vandermonde(monkeypatch):
+    ext = extend((0, 0, 0, 0))
+    vb = measure._vandermonde([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], ext.basis)  # a repeated atom
+    measure._densities(vb, ext.basis, seq_from_a((0, 0, 0, 0)))
+
+
+def _off_the_variety(monkeypatch):
+    def shifted(ext):
+        (x, y), *rest = extract_atoms(ext)
+        return [(x + 1e-3, y), *rest]
+
+    monkeypatch.setattr(measure, "extract_atoms", shifted)
+    solve_cubic(seq_from_a((0, 0, 0, 0)))
+
+
+# four atoms near the line y = 483107.29: the pushed-forward M(1) rounds to an indefinite matrix
+NEAR_LINE = AtomicMeasure(
+    (
+        Atom(-44501.38264829572, 483107.2875033109, 0.6925377303771841),
+        Atom(41806.91316264958, 483107.2875032406, 0.47100608652878617),
+        Atom(-30916.76938839168, 483107.2875029994, 0.6381984433326882),
+        Atom(52756.54738342965, 483107.2875036431, 0.8273509685217525),
+    )
+)
+
+GATES = [
+    # normalize
+    ("finite moments", _solve([1, 0, 0, 1, 0, 1, math.nan, 0, 0, 0]), MomentProblemError, "normalize", "beta_30"),
+    (
+        "rescale",
+        _solve([1e-300, 0, 0, 1e-300, 0, 1e-300, 1e10, 0, 0, 0]),
+        MomentProblemError,
+        "normalize",
+        "1 / beta_00",
+    ),
+    ("d2", _solve([1, 0, 0, 0, 0, 1, 0, 0, 0, 0]), SingularM1Error, "normalize", "d2"),
+    ("d3", _solve([1, 0, 0, 1, 1, 1, 0, 0, 0, 0]), SingularM1Error, "normalize", "d3"),
+    ("pivot overflow", _solve([1, 0, 0, 1e300, 0, 1e300, 0, 0, 0, 0]), MomentProblemError, "normalize", "d3"),
+    ("refined pivots", _solve(NEAR_LINE.moments(3).values), MomentProblemError, "normalize", "refined d3"),
+    ("M(1) - I", _defect, MomentProblemError, "normalize", "max |M(1) - I|"),
+    # extend
+    ("k", _solve([1, 0, 0, 1, 0, 1, 0, 1e200, 0, 0]), MomentProblemError, "extend", "k"),
+    ("finite quartics", _solve([1, 0, 0, 1, 0, 1, 1e200, 0, 0, 0]), MomentProblemError, "extend", "beta_04"),
+    ("Mx, My entries", _non_finite_entry, MomentProblemError, "extend", "max |Mx, My|"),
+    # joint spectrum
+    (
+        "commutator",
+        _solve([1, 0, 0, 1, 0, 1, 0, 1e140, 0, 0]),
+        CommutatorError,
+        "joint spectrum",
+        "max |Mx My - My Mx|",
+    ),
+    ("eig", _failing_eig, MomentProblemError, "joint spectrum", "eig"),
+    (
+        "complex lambda",
+        lambda monkeypatch: joint_eigen(np.array(([[0.0, -1.0], [1.0, 0.0]], np.eye(2)))),
+        ComplexAtomError,
+        "joint spectrum",
+        "max |Im lambda|",
+    ),
+    ("eigenvector basis", _singular_basis, MomentProblemError, "joint spectrum", "eigenvector basis"),
+    (
+        "eigenvector residual",
+        _solve_a((1e20, 0, 0, 0)),
+        MomentProblemError,
+        "joint spectrum",
+        "eigenvector residual",
+    ),
+    ("atom gap", _repeated_atoms, SingularVandermondeError, "joint spectrum", "atom gap"),
+    # densities
+    ("Vandermonde solve", _singular_vandermonde, SingularVandermondeError, "densities", "V_B"),
+    ("density floor", _solve_a((1e104, 0, 1, 0)), VerificationError, "densities", "min density"),
+    ("variety residual", _off_the_variety, VerificationError, "densities", "variety residual"),
+    # verify
+    (
+        "moment residual",
+        _solve_a((0.3, -0.8, 0.4, 1.1), Tolerances(accept=1e-18)),
+        VerificationError,
+        "verify",
+        "max moment residual",
+    ),
+]
+
+
+@pytest.mark.parametrize("trip, kind, stage, quantity", [row[1:] for row in GATES], ids=[row[0] for row in GATES])
+def test_each_gate_raises_its_stage_error(monkeypatch, trip, kind, stage, quantity):
+    with pytest.raises(MomentProblemError) as info:
+        trip(monkeypatch)
+    assert type(info.value) is kind
+    assert fields(info.value)[:2] == (stage, quantity)

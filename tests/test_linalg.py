@@ -33,6 +33,7 @@ from _oracle import (
 from _util import (
     acceptance_draws,
     b2_block,
+    fields,
     gram_expected,
     match_points,
     random_orthogonal,
@@ -217,8 +218,10 @@ class TestJointEigen:
         B = np.array([[1.0, 1e-7, 0.0], [-1e-7, 1.0, 0.0], [0.0, 0.0, 2.0]])
         read, tried = linalg._read_spectrum, []
         monkeypatch.setattr(linalg, "_read_spectrum", lambda M, c: tried.append(c) or read(M, c))
-        with pytest.raises(ComplexAtomError, match="^joint spectrum is not real$"):
+        with pytest.raises(ComplexAtomError) as info:
             joint_eigen(np.array((B, B)))
+        stage, quantity, value, bound = fields(info.value)
+        assert (stage, quantity, bound) == ("joint spectrum", "max |Im lambda|", 0.0) and value == pytest.approx(1e-7)
         assert tried == list(linalg._COMBINATIONS)  # the second c is still tried after the first fails
 
     def test_shape_guard(self):
@@ -337,14 +340,16 @@ class TestLapackSeam:
     def test_singular_vandermonde_is_a_typed_error(self):
         ext = extend((0, 0, 0, 0))
         vb = measure._vandermonde([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], ext.basis)  # a repeated atom
-        with pytest.raises(SingularVandermondeError, match="Vandermonde system singular"):
+        with pytest.raises(SingularVandermondeError) as info:
             measure._densities(vb, ext.basis, seq_from_a((0, 0, 0, 0)))
+        assert fields(info.value)[:3] == ("densities", "V_B", None)
 
     def test_singular_eigenvector_basis_is_a_typed_error(self, monkeypatch):
         # every column the same eigenvector: the real inv gufunc fails, and the error names the basis
         monkeypatch.setattr(linalg, "lapack_eig", lambda a: (np.ones(len(a)), np.ones(a.shape)))
-        with pytest.raises(MomentProblemError, match="^the combination has no eigenvector basis$"):
+        with pytest.raises(MomentProblemError) as info:
             joint_eigen(np.array((np.eye(3), np.eye(3))))
+        assert fields(info.value)[:3] == ("joint spectrum", "eigenvector basis", None)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_raises_before_lapack_runs(self, monkeypatch, bad):
@@ -361,9 +366,11 @@ class TestLapackSeam:
         monkeypatch.setattr(linalg, "_umath_linalg", NoLapack())
         with pytest.raises(LinAlgError, match=message):
             linalg.lapack_eig(a)
-        # in the joint spectrum, the eig failure is a typed error that names eig
-        with pytest.raises(MomentProblemError, match=f"^eig of the combination failed \\({message}\\)$"):
+        # in the joint spectrum, the eig failure is a typed error that names eig, caused by LAPACK's
+        with pytest.raises(MomentProblemError) as info:
             linalg._read_spectrum(np.array((a, np.eye(3))), linalg._COMBINATIONS[0])
+        assert fields(info.value)[:3] == ("joint spectrum", "eig", None)
+        assert str(info.value.__cause__) == message
 
 
 def _route_pairs() -> list[np.ndarray]:
@@ -410,8 +417,11 @@ class TestUnitColumns:
             return w + 1e-12j, V + 0j
 
         monkeypatch.setattr(linalg, "lapack_eig", eig)
-        with pytest.raises(ComplexAtomError, match="^joint spectrum is not real$"):
+        with pytest.raises(ComplexAtomError) as info:
             linalg._read_spectrum(M, self.C)
+        assert fields(info.value) == (
+            "joint spectrum", "max |Im lambda|", 1e-12, 0.0
+        )
 
 
 class TestEigFailure:
@@ -438,7 +448,8 @@ class TestEigFailure:
 
     def test_solve_raises_a_typed_error_naming_eig(self, monkeypatch):
         monkeypatch.setattr(linalg, "lapack_eig", self.failing(len(linalg._COMBINATIONS)))
-        message = "eig of the combination failed (Eigenvalues did not converge)"
-        with pytest.raises(MomentProblemError, match=f"^{re.escape(message)}$") as info:
+        with pytest.raises(MomentProblemError) as info:
             solve_cubic(seq_from_a((0.4, -0.9, 1.2, 0.5)))
         assert type(info.value) is MomentProblemError
+        assert fields(info.value)[:3] == ("joint spectrum", "eig", None)
+        assert str(info.value.__cause__) == "Eigenvalues did not converge"

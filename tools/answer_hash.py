@@ -10,8 +10,9 @@ side's src/ and records, one input at a time:
 
 * every input of the three perfbench workloads at each seed (the pools of
   perfbench/workloads.py, which this tool imports and does not change):
-  the outcome of solve_cubic(beta), that is the error type and message,
-  or the atoms, k, rank, max_moment_residual, the normalization
+  the outcome of solve_cubic(beta), that is the error's type, stage,
+  quantity and the bits of its value and bound (its message, for a base
+  whose errors carry no fields), or the atoms, k, rank, max_moment_residual, the normalization
   certificate's d2 and d3, and the bytes of certificate.map,
   certificate.normalized.values and extension.m2, m3, mx and my (a base
   whose solve_cubic still took a seed defaulted it to 0, and the seed-0
@@ -62,7 +63,7 @@ def solve_outcome(beta) -> tuple[str, bytes]:
     try:
         mu, report = solve_cubic(MomentSequence(3, beta))
     except Exception as exc:  # every outcome is part of the answer, an untyped error too
-        return "error", f"error {type(exc).__name__}: {exc}".encode()
+        return "error", error_record(exc)
     ext, cert = report.extension, report.certificate
     m3 = ext.m3
     numbers = [
@@ -79,6 +80,17 @@ def solve_outcome(beta) -> tuple[str, bytes]:
     shapes = " ".join("x".join(map(str, np.shape(n))) for n in numbers)
     data = b"".join(np.ascontiguousarray(n, dtype=float).tobytes() for n in numbers)
     return report.case.value, f"ok {shapes}|".encode() + data
+
+
+def error_record(exc: Exception) -> bytes:
+    """An error's type, stage, quantity and the bits of its value and bound, or its message without them.
+
+    A change of wording leaves the fields as they are, and a moved bound changes them.
+    """
+    if not hasattr(exc, "quantity"):  # an untyped error, or a base whose errors carry no fields
+        return f"error {type(exc).__name__}: {exc}".encode()
+    numbers = [None if v is None else float(v).hex() for v in (exc.value, exc.bound)]
+    return f"error {type(exc).__name__}: {exc.stage} | {exc.quantity} | {numbers[0]} | {numbers[1]}".encode()
 
 
 def solve_record(beta) -> bytes:
