@@ -32,10 +32,8 @@ from .errors import (
 )
 from .linalg import joint_eigen
 from .measure import (
-    DEFAULT_TOLERANCES,
     MeasureCheck,
     SolveReport,
-    Tolerances,
     extract_atoms,
     solve_cubic,
     verify_measure,

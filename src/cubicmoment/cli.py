@@ -8,7 +8,6 @@ raise; main maps each error to its code and one JSON error document.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -16,13 +15,8 @@ import sys
 import numpy as np
 
 from .cubic import classify_k, compute_k
-from .errors import MomentProblemError, SingularM1Error
-from .measure import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    solve_cubic,
-    verify_measure,
-)
+from .errors import TOL_ACCEPT, MomentProblemError, SingularM1Error
+from .measure import solve_cubic, verify_measure
 from .moments import (
     Atom,
     AtomicMeasure,
@@ -78,7 +72,8 @@ def _read_json(path: str):
         raise _InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _parse_request(obj) -> tuple[MomentSequence, dict]:
+def _parse_request(obj) -> tuple[MomentSequence, float]:
+    """The moments and the accept tolerance of a request, TOL_ACCEPT when it sets none."""
     if not isinstance(obj, dict) or "beta" not in obj:
         raise _InputError('request must be a JSON object with a "beta" array')
     beta = obj["beta"]
@@ -97,21 +92,10 @@ def _parse_request(obj) -> tuple[MomentSequence, dict]:
     tols = obj.get("tolerances", {})
     if not isinstance(tols, dict):
         raise _InputError('"tolerances" must be an object')
-    unknown = set(tols) - {field.name for field in dataclasses.fields(Tolerances)}
+    unknown = set(tols) - {"accept"}
     if unknown:
         raise _InputError(f"unknown tolerance keys: {sorted(unknown)}")
-    return MomentSequence(3, np.array(values)), tols
-
-
-def _resolve_tolerances(args, request_tols: dict) -> Tolerances:
-    """Flag, then request body, then default; each given value must be finite and positive."""
-    merged = dataclasses.asdict(DEFAULT_TOLERANCES)
-    for key in merged:
-        value = getattr(args, f"tol_{key}", None)
-        if value is None:  # command-line flags win over the request body
-            value = request_tols.get(key, merged[key])
-        merged[key] = _tolerance(key, value)
-    return Tolerances(**merged)
+    return MomentSequence(3, np.array(values)), _tolerance("accept", tols.get("accept", TOL_ACCEPT))
 
 
 def _is_number(value) -> bool:
@@ -131,8 +115,10 @@ def _map_payload(psi) -> dict:
 
 
 def cmd_solve(args) -> int:
-    beta, request_tols = _parse_request(_read_json(args.input))
-    mu, report = solve_cubic(beta, _resolve_tolerances(args, request_tols))
+    beta, accept = _parse_request(_read_json(args.input))
+    if args.tol_accept is not None:  # the flag wins over the request body
+        accept = _tolerance("accept", args.tol_accept)
+    mu, report = solve_cubic(beta, accept)
     cert = report.certificate
     payload = {
         "atoms": [{"x": a.x, "y": a.y, "weight": a.weight} for a in mu.atoms],
@@ -237,11 +223,9 @@ def cmd_random(args) -> int:
 
 
 def cmd_info(args) -> int:
-    beta, request_tols = _parse_request(_read_json(args.input))
-    tol_k = _resolve_tolerances(args, request_tols).k
+    beta, _ = _parse_request(_read_json(args.input))
     cert = normalize_cubic(beta)
     k = compute_k(cert.a_vec)
-    case = classify_k(k, tol_k)
     _emit(
         {
             "d2": cert.d2,
@@ -249,7 +233,7 @@ def cmd_info(args) -> int:
             "map": _map_payload(cert.map),
             "a_vec": list(cert.a_vec),
             "k": k,
-            "case": case.value,
+            "case": classify_k(k).value,  # the route solve tries first
             "normalized_beta": [float(v) for v in cert.normalized.values],
         }
     )
@@ -269,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="recover a representing measure from a JSON request")
     solve.add_argument("input", nargs="?", default="-", help="request file, or - for stdin")
-    solve.add_argument("--tol-k", type=float, default=None, help="three-way case-split threshold on k")
     solve.add_argument("--tol-accept", type=float, default=None, help="largest admissible moment residual")
     solve.add_argument("--emit-matrices", action="store_true", help="include m1/m2/(m3) row-major in the response")
     solve.add_argument("--quiet", action="store_true", help="suppress the stderr summary line")
@@ -278,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check a measure against a moment request")
     verify.add_argument("beta", help="moment request file")
     verify.add_argument("measure", help='measure file with an "atoms" array')
-    verify.add_argument("--tol", type=float, default=DEFAULT_TOLERANCES.accept, help="largest admissible residual")
+    verify.add_argument("--tol", type=float, default=TOL_ACCEPT, help="largest admissible residual")
     verify.set_defaults(func=cmd_verify)
 
     random_cmd = sub.add_parser("random", help="emit a random solvable request (for testing)")
@@ -288,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     info = sub.add_parser("info", help="normalization diagnostics only, no solve")
     info.add_argument("input", nargs="?", default="-", help="request file, or - for stdin")
-    info.add_argument("--tol-k", type=float, default=None, help="case-split threshold on k")
     info.set_defaults(func=cmd_info)
     return parser
 

@@ -3,7 +3,7 @@
 A solve passes the gates of five stages: normalize, extend, joint spectrum, densities and verify.
 """
 
-TOL_K = 1e-10  # |k| at or below which k counts as 0: the flat rank-3 route
+TOL_K = 1e-10  # |k| at or below which k counts as 0: the flat rank-3 route, also tried after a density-floor failure
 SINGULAR_RTOL = 1e-10  # the pivots d2, d3 of M(1) must exceed this times its largest entry
 DEFECT_ATOL = 1e-10  # largest entry of M(1) - I accepted after normalization
 TOL_COMMUTE = 1e-9  # largest entry of Mx My - My Mx, relative to max(1, max |Mx|, max |My|)
@@ -11,7 +11,7 @@ TOL_EIG = 1e-7  # largest joint eigenvector residual, relative to the same scale
 MIN_ATOM_SEPARATION = 1e-8  # smallest max-norm distance between two atoms
 MAX_VARIETY_RESIDUAL = 1e-7  # largest entry of V_B M - diag(t) V_B accepted at the normalized atoms
 MIN_WEIGHT = 1e-10  # smallest normalized density accepted before the solve is declared faulty
-TOL_ACCEPT = 1e-8  # default largest moment residual of a returned measure (Tolerances.accept)
+TOL_ACCEPT = 1e-8  # default largest moment residual of a returned measure (solve_cubic's accept)
 
 
 class MomentProblemError(Exception):

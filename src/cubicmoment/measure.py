@@ -19,8 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from .cubic import CaseTag, ExtensionResult, extend
-from .errors import MAX_VARIETY_RESIDUAL, MIN_ATOM_SEPARATION, MIN_WEIGHT, TOL_ACCEPT, TOL_K
-from .errors import SingularVandermondeError, VerificationError
+from .errors import MAX_VARIETY_RESIDUAL, MIN_ATOM_SEPARATION, MIN_WEIGHT, TOL_ACCEPT
+from .errors import MomentProblemError, SingularVandermondeError, VerificationError
 from .linalg import commutator_norm, joint_eigen, lapack_errors, lapack_solve, largest
 from .moments import (
     Atom,
@@ -34,8 +34,6 @@ from .moments import (
 from .normalize import NormalizationCertificate, normalize_cubic, pullback_measure
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "SolveReport",
     "MeasureCheck",
     "extract_atoms",
@@ -46,22 +44,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Settable tolerances: k splits the cases, accept bounds the returned moment residual."""
-
-    k: float = TOL_K
-    accept: float = TOL_ACCEPT
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
-
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     """Verified diagnostics attached to every successful solve.
 
-    rank is the extension's rank len(extension.basis): 3 for k = 0, else 4.
+    rank is the extension's rank len(extension.basis): 3 for case k_zero, else 4.
     joint_eigen returns one atom per basis column, so the measure has
     exactly rank atoms. Equality is identity.
     """
@@ -162,24 +149,37 @@ def _variety_residual(ext: ExtensionResult, vb) -> float:
     return float(np.abs(gap).max(initial=0.0))
 
 
-def solve_cubic(
-    beta: MomentSequence,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    *,
-    seed=None,
-) -> tuple[AtomicMeasure, SolveReport]:
+def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) -> tuple[AtomicMeasure, SolveReport]:
     """Recover a 3- or 4-atomic representing measure for a degree-3 sequence.
 
     Returns the measure in the original coordinates together with a report
-    whose verification fields are always populated. seed is accepted and
-    ignored, so callers written for the seeded solve keep working: the
-    joint spectrum uses fixed combinations. A failed gate raises its
-    stage's MomentProblemError (errors.py), SingularM1Error for an M(1)
-    that is not safely positive definite.
+    whose verification fields are always populated; accept bounds its
+    largest moment residual. seed is accepted and ignored, so callers
+    written for the seeded solve keep working: the joint spectrum uses
+    fixed combinations. A failed gate raises its stage's MomentProblemError
+    (errors.py), SingularM1Error for an M(1) that is not safely positive
+    definite.
+
+    Near k = 0 a rank-4 route's smallest density is of order |k|, so one
+    that fails the floor may be a tie at k = 0 in floating point: the
+    stages after extend run once more on the flat rank-3 route, and when
+    that attempt fails too the rank-4 error is raised.
     """
-    mass = float(beta.values[0])
     certificate = normalize_cubic(beta)
-    ext = extend(certificate.a_vec, tol_k=tolerances.k)
+    ext = extend(certificate.a_vec)
+    try:
+        return _recover(beta, certificate, ext, accept)
+    except VerificationError as first:
+        if ext.case is CaseTag.FLAT_K0 or first.quantity != "min density":
+            raise
+        try:
+            return _recover(beta, certificate, extend(certificate.a_vec, tol_k=abs(ext.k)), accept)
+        except MomentProblemError:
+            raise first from None
+
+
+def _recover(beta, certificate, ext, accept) -> tuple[AtomicMeasure, SolveReport]:
+    """The stages after extend: atoms, densities, pullback and verification of one extension."""
     atoms = extract_atoms(ext)
     vb = _vandermonde(*zip(*atoms), ext.basis)
     rho = _densities(vb, ext.basis, certificate.normalized).tolist()
@@ -188,13 +188,14 @@ def solve_cubic(
     variety_residual = _variety_residual(ext, vb)
     if not variety_residual <= MAX_VARIETY_RESIDUAL:
         raise VerificationError("densities", "variety residual", variety_residual, MAX_VARIETY_RESIDUAL)
+    mass = float(beta.values[0])
     # the mass multiplies the weights before the pullback, which leaves them as they are
     weighted = [(x, y, r * mass) for (x, y), r in zip(atoms, rho)]
     # the pulled-back atoms are Atoms, sorted once, so the record has nothing left to convert
     mu = frozen_record(AtomicMeasure, atoms=tuple(sorted(pullback_measure(weighted, certificate.map))))
     check = verify_measure(mu, beta)
-    if not check.max_moment_residual <= tolerances.accept:
-        raise VerificationError("verify", "max moment residual", check.max_moment_residual, tolerances.accept)
+    if not check.max_moment_residual <= accept:
+        raise VerificationError("verify", "max moment residual", check.max_moment_residual, accept)
     report = frozen_record(
         SolveReport,
         case=ext.case,

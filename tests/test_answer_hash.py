@@ -132,3 +132,32 @@ def test_pool_parts_split_by_outcome(monkeypatch, tmp_path):
         "pool seed 5 k_neg: DIFFERENT (1 / 0 inputs)",
         "pool seed 5 error: DIFFERENT (0 / 1 inputs)",
     ]
+
+
+def test_movements_count_outcome_changes_and_changed_records_per_pool():
+    base = [
+        ("a0", "pool seed 1 error", "pool seed 1 #0"),
+        ("a1", "pool seed 1 error", "pool seed 1 #1"),
+        ("a2", "pool seed 1 k_pos", "pool seed 1 #2"),
+        ("a3", "pool seed 1 k_neg", "pool seed 1 #3"),
+        ("b0", "other seed 1 k_pos", "other seed 1 #0"),
+        ("c0", "cli", "random 3 0"),
+    ]
+    tree = [
+        ("t0", "pool seed 1 k_zero", "pool seed 1 #0"),
+        *base[1:3],
+        ("t3", "pool seed 1 k_neg", "pool seed 1 #3"),
+        *base[4:5],
+        ("t4", "cli", "random 3 0"),
+    ]
+    assert answer_hash.movements("base", base, tree) == [
+        "pool seed 1 moves: 1 error -> k_zero; 1 kept their outcome and changed their record",
+        "other seed 1 moves: none; 0 kept their outcome and changed their record",
+        "1 inputs base solved changed",
+    ]
+    # only an error that now solves: every input the base solved is unchanged
+    assert answer_hash.movements("base", base, [*tree[:3], *base[3:]]) == [
+        "pool seed 1 moves: 1 error -> k_zero; 0 kept their outcome and changed their record",
+        "other seed 1 moves: none; 0 kept their outcome and changed their record",
+        "every input base solved is unchanged",
+    ]

@@ -15,7 +15,6 @@ PUBLIC_NAMES = {
     "CaseTag",
     "CommutatorError",
     "ComplexAtomError",
-    "DEFAULT_TOLERANCES",
     "ExtensionResult",
     "MeasureCheck",
     "MomentProblemError",
@@ -25,7 +24,6 @@ PUBLIC_NAMES = {
     "SingularM1Error",
     "SingularVandermondeError",
     "SolveReport",
-    "Tolerances",
     "VerificationError",
     "build_moment_matrix",
     "classify_k",
@@ -51,7 +49,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 29
 
 
 def test_array_holding_records_compare_by_identity_and_hash():

@@ -220,18 +220,29 @@ class TestSolve:
             ({"k": float("inf")}, []),
             ({"k": float("nan")}, []),
             ({"accept": 10**400}, []),
-            ({}, ["--tol-k", "nan"]),
+            ({"k": 1e-10}, []),
             ({}, ["--tol-accept", "inf"]),
         ],
     )
     def test_malformed_tolerance_exits_1(self, tmp_path, capsys, tolerances, flags):
-        path = tmp_path / "req.json"
-        path.write_text(json.dumps(dict(KPOS_REQUEST, tolerances=tolerances)))
-        commands = ("solve", "info") if flags[:1] in ([], ["--tol-k"]) else ("solve",)
-        for command in commands:
-            code, out, _ = run_cli(capsys, [command, str(path), *flags])
+        path = write_json(tmp_path, "req.json", dict(KPOS_REQUEST, tolerances=tolerances))
+        if flags:
+            argvs = [["solve", path, *flags]]
+        else:  # a malformed request is malformed for every command, whatever the flag
+            measure = write_json(tmp_path, "measure.json", {"atoms": []})
+            argvs = [["solve", path], ["info", path], ["verify", path, measure]]
+            argvs.append(["solve", path, "--tol-accept", "1e-6"])
+        outs = set()
+        for argv in argvs:
+            code, out, _ = run_cli(capsys, argv)
             assert code == 1
-            assert "finite positive number" in json.loads(out)["error"]["message"]
+            outs.add(out)
+        (out,) = outs
+        message = json.loads(out)["error"]["message"]
+        if "k" in tolerances:
+            assert message == "unknown tolerance keys: ['k']"
+        else:
+            assert "finite positive number" in message
 
     def test_non_utf8_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "utf16.json"
@@ -439,17 +450,22 @@ class TestInfo:
             error = solver_error(out)
             assert (error["stage"], error["quantity"], error["value"]) == (stage, quantity, value)
 
-    def test_tol_k_resolves_like_solve(self, tmp_path, capsys):
-        # k = 0.3: a request tol_k of 0.5 sends it to k_zero, unless a flag overrides it
+    def test_k_is_not_settable(self, tmp_path, capsys):
+        # k = 0.3: info reports k_pos, the route solve tries first, and neither takes a tie band
+        path = write_json(tmp_path, "req.json", {"beta": [1, 0, 0, 1, 0, 1, 0, 1, 0, 0.3]})
+        _, out, _ = run_cli(capsys, ["info", path])
+        assert json.loads(out)["case"] == "k_pos"
+        for command in ("solve", "info"):
+            with pytest.raises(SystemExit) as info:
+                main([command, path, "--tol-k", "0.5"])
+            assert info.value.code == 1
+            assert "unrecognized arguments: --tol-k 0.5" in capsys.readouterr().err
         request = {"beta": [1, 0, 0, 1, 0, 1, 0, 1, 0, 0.3], "tolerances": {"k": 0.5}}
         path = write_json(tmp_path, "req.json", request)
-        _, out, _ = run_cli(capsys, ["info", path])
-        assert json.loads(out)["case"] == "k_zero"
-        code, out, _ = run_cli(capsys, ["solve", path, "--quiet"])
-        assert code == 3  # solve takes the same k_zero route, whose relations do not hold here
-        solver_error(out)
-        _, out, _ = run_cli(capsys, ["info", path, "--tol-k", "1e-10"])
-        assert json.loads(out)["case"] == "k_pos"
+        for command in ("solve", "info"):
+            code, out, _ = run_cli(capsys, [command, path])
+            assert code == 1
+            assert json.loads(out)["error"]["message"] == "unknown tolerance keys: ['k']"
 
 
 class TestTypedErrorExits:

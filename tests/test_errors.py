@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 
@@ -19,7 +20,6 @@ from cubicmoment import (
     MomentSequence,
     SingularM1Error,
     SingularVandermondeError,
-    Tolerances,
     VerificationError,
     extend,
     extract_atoms,
@@ -55,16 +55,16 @@ def test_message_names_the_fields_it_has():
     assert str(ERRORS[5]) == "extend failed: k = -inf"
 
 
-def test_tolerances_default_to_the_table():
-    assert Tolerances() == Tolerances(k=errors.TOL_K, accept=errors.TOL_ACCEPT)
+def test_accept_defaults_to_the_table():
+    assert inspect.signature(solve_cubic).parameters["accept"].default == errors.TOL_ACCEPT
 
 
-def _solve(values, tolerances=Tolerances()):
-    return lambda monkeypatch: solve_cubic(MomentSequence(3, np.array(values, dtype=float)), tolerances)
+def _solve(values, accept=errors.TOL_ACCEPT):
+    return lambda monkeypatch: solve_cubic(MomentSequence(3, np.array(values, dtype=float)), accept)
 
 
-def _solve_a(a, tolerances=Tolerances()):
-    return lambda monkeypatch: solve_cubic(seq_from_a(a), tolerances)
+def _solve_a(a, accept=errors.TOL_ACCEPT):
+    return lambda monkeypatch: solve_cubic(seq_from_a(a), accept)
 
 
 def _defect(monkeypatch):
@@ -173,7 +173,7 @@ GATES = [
     # verify
     (
         "moment residual",
-        _solve_a((0.3, -0.8, 0.4, 1.1), Tolerances(accept=1e-18)),
+        _solve_a((0.3, -0.8, 0.4, 1.1), accept=1e-18),
         VerificationError,
         "verify",
         "max moment residual",

@@ -18,7 +18,6 @@ from cubicmoment import (
     MomentSequence,
     SingularM1Error,
     SingularVandermondeError,
-    Tolerances,
     VerificationError,
     extend,
     extract_atoms,
@@ -32,6 +31,7 @@ from cubicmoment import (
 from cubicmoment import cubic, linalg, measure, normalize
 from cubicmoment.cubic import BASIS_K0, BASIS_KNEG, BASIS_KPOS, Monomial
 from cubicmoment.cli import random_request
+from cubicmoment.errors import MIN_WEIGHT, TOL_ACCEPT, TOL_K
 from cubicmoment.moments import integrals_of
 
 from _oracle import (
@@ -44,6 +44,18 @@ from _oracle import (
 from _util import fields, match_points, rescaled, rotate_a, same_bytes, seq_from_a
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+# inputs #912 and #194 of perfbench's workloads.generate("ill_conditioned", 11): k is just above TOL_K, so the
+# k > 0 route runs first and its smallest density, of order k, fails the floor
+TIE_SOLVES = [
+    4.126910654237756e-12, -2.8547703793591287e-09, -1.7543903202279463e-12, 1.9817000106271638e-06,
+    1.2123607819650007e-09, 7.460894512258995e-13, -0.0013802091214176351, -8.407657927799078e-07,
+    -5.150514811518111e-10, -3.174109444270546e-13,
+]
+TIE_FAILS = [
+    6.91256688856902, -246.74680376822852, 9.049239331134334, 8809.19559113213, -323.01470315956,
+    11.847156274805666, -314553.62309331074, 11531.99209984533, -422.88520599117925, 15.511202285365766,
+]
 
 
 class TestMultiplicationMatrices:
@@ -332,7 +344,7 @@ class TestSolveCubic:
     def test_accept_tolerance_enforced(self):
         beta = seq_from_a((0.3, -0.8, 0.4, 1.1))
         with pytest.raises(VerificationError):
-            solve_cubic(beta, tolerances=Tolerances(accept=1e-18))
+            solve_cubic(beta, accept=1e-18)
 
     @pytest.mark.parametrize("turn", range(6))
     @pytest.mark.parametrize(
@@ -482,10 +494,12 @@ class TestCallBudget:
         assert report.case is case
         assert calls == {"eig": 1, "inv": 1, "solve": 1, "verify_measure": 1}
 
-    @pytest.mark.parametrize("a, case", CASES)
-    def test_one_call_per_stage_per_solve(self, monkeypatch, a, case):
-        # every module attribute bound to a stage is wrapped, as a name-based trace wraps them,
-        # so a solve that reaches a stage's work by another name shows as 0 calls of it
+    def count_stages(self, monkeypatch) -> collections.Counter:
+        """Calls per stage from here on.
+
+        Every module attribute bound to a stage is wrapped, as a name-based trace wraps them,
+        so a solve that reaches a stage's work by another name shows as 0 calls of it.
+        """
         calls = collections.Counter()
         modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cubicmoment"]
         for module, name in self.STAGES:
@@ -495,9 +509,22 @@ class TestCallBudget:
                 for attr, value in list(vars(holder).items()):
                     if value is fn:
                         monkeypatch.setattr(holder, attr, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("a, case", CASES)
+    def test_one_call_per_stage_per_solve(self, monkeypatch, a, case):
+        calls = self.count_stages(monkeypatch)
         _, report = solve_cubic(seq_from_a(a))
         assert report.case is case
         assert calls == {name: 1 for _, name in self.STAGES}
+
+    def test_a_density_floor_tie_runs_the_stages_from_extend_on_twice(self, monkeypatch):
+        # the k > 0 attempt stops at the density floor, before the pullback and verification
+        calls = self.count_stages(monkeypatch)
+        _, report = solve_cubic(MomentSequence(3, TIE_SOLVES))
+        assert report.case is CaseTag.FLAT_K0
+        once = {"normalize_cubic", "pullback_measure", "verify_measure"}
+        assert calls == {name: 1 if name in once else 2 for _, name in self.STAGES}
 
     @pytest.mark.parametrize(
         "beta, factored",
@@ -578,3 +605,70 @@ class TestNearZeroKneg:
             assert report.case is CaseTag.RANK_INCREASING_K_NEG and len(mu.atoms) == 4
             worst = max(worst, report.max_moment_residual)
         assert worst <= 1e-12
+
+
+class TestTieFallback:
+    """A k != 0 extension whose smallest density fails the floor is re-solved once on the k = 0 route."""
+
+    @staticmethod
+    def attempts(values):
+        """The two attempts' errors or reports: the route k picks, then the k = 0 route."""
+        beta = MomentSequence(3, np.array(values, dtype=float))
+        cert = normalize_cubic(beta)
+        first = extend(cert.a_vec)
+        outcomes = []
+        for ext in (first, extend(cert.a_vec, tol_k=abs(first.k))):
+            try:
+                outcomes.append(measure._recover(beta, cert, ext, TOL_ACCEPT)[1])
+            except VerificationError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    def test_a_tie_solves_on_the_k0_route(self):
+        first, _ = self.attempts(TIE_SOLVES)
+        assert fields(first)[:2] == ("densities", "min density")
+        assert first.value == pytest.approx(4.72e-11, rel=1e-3)
+        mu, report = solve_cubic(MomentSequence(3, TIE_SOLVES))
+        assert report.case is CaseTag.FLAT_K0 and report.rank == len(mu.atoms) == 3
+        assert report.k == pytest.approx(2.886e-10, rel=1e-3) and report.k > TOL_K
+        assert report.max_moment_residual <= TOL_ACCEPT
+
+    def test_both_routes_failing_raise_the_first_error(self):
+        first, second = self.attempts(TIE_FAILS)
+        assert fields(first) == ("densities", "min density", first.value, MIN_WEIGHT)
+        assert first.value == pytest.approx(9.84e-11, rel=1e-3)
+        assert fields(second)[:2] == ("verify", "max moment residual")
+        assert second.value == pytest.approx(2.70e-8, rel=1e-2)
+        with pytest.raises(VerificationError) as info:
+            solve_cubic(MomentSequence(3, TIE_FAILS))
+        assert fields(info.value) == fields(first)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    @pytest.mark.parametrize(
+        "a, failure, extends",
+        [
+            ((0, 0, 0, 0), "min density", 2),  # k > 0: the one failure that re-solves
+            ((0, 1, 1, 0), "min density", 2),  # k < 0
+            ((0, 1, 0, 0), "min density", 1),  # k = 0 has no other route
+            ((0, 0, 0, 0), "variety residual", 1),
+            ((0, 0, 0, 0), "max moment residual", 1),
+        ],
+    )
+    def test_only_a_rank_4_density_floor_failure_re_solves(self, monkeypatch, a, failure, extends):
+        calls = collections.Counter()
+        monkeypatch.setattr(measure, "extend", _counted(calls, "extend", extend))
+        accept = TOL_ACCEPT
+        if failure == "min density":
+            monkeypatch.setattr(measure, "_densities", lambda vb, basis, beta: np.zeros(len(basis)))
+        elif failure == "variety residual":  # one atom moved off the variety, as in TestSolveCubic
+            def shifted(ext):
+                (x, y), *rest = extract_atoms(ext)
+                return [(x + 1e-3, y), *rest]
+
+            monkeypatch.setattr(measure, "extract_atoms", shifted)
+        else:
+            accept = 1e-18
+        with pytest.raises(VerificationError) as info:
+            solve_cubic(seq_from_a(a), accept)
+        assert info.value.quantity == failure
+        assert calls == {"extend": extends}

@@ -28,14 +28,18 @@ and one for the CLI records. The outcome is the case of that side's solve
 (k_zero, k_pos or k_neg) or error, so an input whose outcome changes
 leaves a part on one side and joins another, and both parts differ; the
 parts of the outcomes a change leaves alone stay equal. The tool prints
-one hash per part and side. It exits 0 when every part's hashes are
-equal; otherwise it names, for each part that differs, the first input
-whose records differ, and exits 1. Sides run one after the other.
+one hash per part and side, and names, for each part that differs, the
+first input whose records differ. Then, per pool, it counts the inputs
+that changed outcome, from which to which, and the inputs that kept
+their outcome but changed their record, and says whether every input
+the base solved is unchanged. It exits 0 when every part's hashes are
+equal and 1 otherwise. Sides run one after the other.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -206,6 +210,39 @@ def compare(base_name: str, base_lines, tree_name: str, tree_lines) -> tuple[lis
     return report, equal
 
 
+def movements(base_name: str, base_lines, tree_lines) -> list[str]:
+    """Report lines on what moved, matching inputs by label.
+
+    One line per (workload, seed) pool: the inputs that changed outcome, from which to which, and
+    the inputs that kept their outcome but changed their record. Then one line on whether every
+    input the base solved is unchanged. The CLI part has no pool and is left out.
+    """
+    tree = {label: (d, part) for d, part, label in tree_lines}
+    pools: dict[str, collections.Counter] = {}
+    solved_moved = 0
+    for d, part, label in base_lines:
+        pool, _, outcome = part.rpartition(" ")
+        if not pool:
+            continue
+        tree_d, tree_part = tree.get(label, (None, "missing"))
+        tree_outcome = tree_part.rpartition(" ")[2]
+        moves = pools.setdefault(pool, collections.Counter())
+        if tree_outcome != outcome:
+            moves[f"{outcome} -> {tree_outcome}"] += 1
+        elif tree_d != d:
+            moves["record"] += 1
+        solved_moved += outcome != "error" and (tree_d, tree_outcome) != (d, outcome)
+    report = []
+    for pool, moves in pools.items():
+        changed = ", ".join(f"{n} {move}" for move, n in moves.items() if move != "record") or "none"
+        report.append(f"{pool} moves: {changed}; {moves['record']} kept their outcome and changed their record")
+    if solved_moved:
+        report.append(f"{solved_moved} inputs {base_name} solved changed")
+    else:
+        report.append(f"every input {base_name} solved is unchanged")
+    return report
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="revision to compare the working tree against")
@@ -219,8 +256,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="answer-hash-base-") as tmp:
         export(args.base, Path(tmp))
         base = _side(Path(tmp), args.seeds)
-    report, equal = compare(args.base, base, "working tree", _side(ROOT, args.seeds))
-    print("\n".join(report))
+    tree = _side(ROOT, args.seeds)
+    report, equal = compare(args.base, base, "working tree", tree)
+    print("\n".join([*report, *movements(args.base, base, tree)]))
     print("equal" if equal else "different")
     return 0 if equal else 1
 
