@@ -79,14 +79,7 @@ def _parse_request(obj) -> tuple[MomentSequence, float]:
     beta = obj["beta"]
     if not isinstance(beta, list) or len(beta) != BETA_LENGTH:
         raise _InputError(f'"beta" must hold exactly {BETA_LENGTH} numbers (degree-lex)')
-    if not all(map(_is_number, beta)):
-        raise _InputError('"beta" entries must be numbers')
-    try:
-        values = [float(v) for v in beta]
-    except OverflowError as exc:  # an int beyond the float range
-        raise _InputError('"beta" entries must be finite') from exc
-    if not all(np.isfinite(values)):
-        raise _InputError('"beta" entries must be finite')
+    values = _finite_floats(beta, '"beta" entries must be numbers', '"beta" entries must be finite')
     if values[0] <= 0.0:
         raise _InputError("beta_00 must be positive")
     tols = obj.get("tolerances", {})
@@ -95,7 +88,10 @@ def _parse_request(obj) -> tuple[MomentSequence, float]:
     unknown = set(tols) - {"accept"}
     if unknown:
         raise _InputError(f"unknown tolerance keys: {sorted(unknown)}")
-    return MomentSequence(3, np.array(values)), _tolerance("accept", tols.get("accept", TOL_ACCEPT))
+    accept = tols.get("accept", TOL_ACCEPT)
+    if not (_is_number(accept) and 0 < accept <= sys.float_info.max):
+        raise _InputError(f'tolerance "accept" must be a finite positive number, got {accept!r}')
+    return MomentSequence(3, np.array(values)), float(accept)
 
 
 def _is_number(value) -> bool:
@@ -103,10 +99,17 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _tolerance(key: str, value) -> float:
-    if not (_is_number(value) and 0 < value <= sys.float_info.max):
-        raise _InputError(f'tolerance "{key}" must be a finite positive number, got {value!r}')
-    return float(value)
+def _finite_floats(values, not_numbers: str, not_finite: str) -> list[float]:
+    """values as floats, raising not_numbers unless each is a JSON number and not_finite unless each is finite."""
+    if not all(map(_is_number, values)):
+        raise _InputError(not_numbers)
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError as exc:  # an int beyond the float range
+        raise _InputError(not_finite) from exc
+    if not all(map(math.isfinite, floats)):
+        raise _InputError(not_finite)
+    return floats
 
 
 def _map_payload(psi) -> dict:
@@ -116,8 +119,6 @@ def _map_payload(psi) -> dict:
 
 def cmd_solve(args) -> int:
     beta, accept = _parse_request(_read_json(args.input))
-    if args.tol_accept is not None:  # the flag wins over the request body
-        accept = _tolerance("accept", args.tol_accept)
     mu, report = solve_cubic(beta, accept)
     cert = report.certificate
     payload = {
@@ -158,17 +159,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    beta, _ = _parse_request(_read_json(args.beta))
+    beta, accept = _parse_request(_read_json(args.beta))
     mu = _parse_measure(_read_json(args.measure))
-    tol = _tolerance("tol", args.tol)
     check = verify_measure(mu, beta)
     print(f"{'moment':>8}  {'target':>22}  {'residual':>12}")
     for m, residual in zip(monomials_up_to(beta.degree), check.residuals):
         print(f"beta_{m.i}{m.j:<3}  {beta[m]:>22.15g}  {residual:>12.3e}")
-    ok = check.max_moment_residual <= tol
+    ok = check.max_moment_residual <= accept
     print(
         f"max residual {check.max_moment_residual:.3e} "
-        f"({'within' if ok else 'EXCEEDS'} tolerance {tol:g}), "
+        f"({'within' if ok else 'EXCEEDS'} tolerance {accept:g}), "
         f"min weight {check.min_weight:.3e}"
     )
     return EXIT_OK if ok else EXIT_VERIFY
@@ -177,18 +177,11 @@ def cmd_verify(args) -> int:
 def _parse_measure(obj) -> AtomicMeasure:
     if not isinstance(obj, dict) or "atoms" not in obj or not isinstance(obj["atoms"], list):
         raise _InputError('measure must be a JSON object with an "atoms" array')
+    messages = 'each atom needs numeric "x", "y", "weight"', 'atom "x", "y", "weight" must be finite'
     atoms = []
     for entry in obj["atoms"]:
         coordinates = [entry.get(key) for key in ("x", "y", "weight")] if isinstance(entry, dict) else [None]
-        if not all(map(_is_number, coordinates)):
-            raise _InputError('each atom needs numeric "x", "y", "weight"')
-        try:
-            atom = Atom(*map(float, coordinates))
-        except OverflowError as exc:  # an int beyond the float range
-            raise _InputError('atom "x", "y", "weight" must be finite') from exc
-        if not all(map(math.isfinite, atom)):
-            raise _InputError('atom "x", "y", "weight" must be finite')
-        atoms.append(atom)
+        atoms.append(Atom(*_finite_floats(coordinates, *messages)))
     return AtomicMeasure(tuple(atoms))
 
 
@@ -253,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="recover a representing measure from a JSON request")
     solve.add_argument("input", nargs="?", default="-", help="request file, or - for stdin")
-    solve.add_argument("--tol-accept", type=float, default=None, help="largest admissible moment residual")
     solve.add_argument("--emit-matrices", action="store_true", help="include m1/m2/(m3) row-major in the response")
     solve.add_argument("--quiet", action="store_true", help="suppress the stderr summary line")
     solve.set_defaults(func=cmd_solve)
@@ -261,7 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check a measure against a moment request")
     verify.add_argument("beta", help="moment request file")
     verify.add_argument("measure", help='measure file with an "atoms" array')
-    verify.add_argument("--tol", type=float, default=TOL_ACCEPT, help="largest admissible residual")
     verify.set_defaults(func=cmd_verify)
 
     random_cmd = sub.add_parser("random", help="emit a random solvable request (for testing)")

@@ -11,7 +11,7 @@ TOL_EIG = 1e-7  # largest joint eigenvector residual, relative to the same scale
 MIN_ATOM_SEPARATION = 1e-8  # smallest max-norm distance between two atoms
 MAX_VARIETY_RESIDUAL = 1e-7  # largest entry of V_B M - diag(t) V_B accepted at the normalized atoms
 MIN_WEIGHT = 1e-10  # smallest normalized density accepted before the solve is declared faulty
-TOL_ACCEPT = 1e-8  # default largest moment residual of a returned measure (solve_cubic's accept)
+TOL_ACCEPT = 1e-8  # default largest moment residual of solve_cubic's accept and of a request's, for solve and verify
 
 
 class MomentProblemError(Exception):

@@ -1,12 +1,14 @@
 """The records that tools/answer_hash.py hashes and its per-part comparison; no subprocess, no git."""
 
+import contextlib
+import io
 import sys
 import types
 
 import numpy as np
 
 import answer_hash
-from cubicmoment import ExtensionResult, MomentProblemError, MomentSequence, solve_cubic
+from cubicmoment import ExtensionResult, MomentProblemError, MomentSequence, cli, solve_cubic
 
 K_POS = [1, 0, 0, 1, 0, 1, 0, 0, 0, 0]  # the four atoms (+-1, +-1)
 K_NEG = [1, 0, 0, 1, 0, 1, 0, 1, 1, 0]
@@ -60,6 +62,31 @@ def test_request_record_covers_info_and_solve(tmp_path):
     record = answer_hash.request_record(request, tmp_path)
     assert record == answer_hash.request_record(request, tmp_path)
     assert record.startswith(b"0\n{") and b'"normalized_beta"' in record and b'"matrices"' in record
+    assert record.endswith(b"(within tolerance 1e-08), min weight 2.500e-01\n")
+
+
+def test_a_changed_verify_line_changes_the_cli_part(monkeypatch, tmp_path):
+    (request,) = answer_hash.CLI_REQUESTS
+
+    def cli_part():
+        records = [answer_hash.cli_record(4, 7, tmp_path), answer_hash.request_record(request, tmp_path)]
+        return records, answer_hash.part_hash([(answer_hash.digest(r), str(i)) for i, r in enumerate(records)])
+
+    records, part = cli_part()
+    assert all(b"\n0\n  moment" in r and b"(within tolerance 1e-08)" in r for r in records)
+    verify = cli.cmd_verify
+
+    def reworded(args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = verify(args)
+        print(out.getvalue().replace("within tolerance", "inside tolerance"), end="")
+        return code
+
+    monkeypatch.setattr(cli, "cmd_verify", reworded)
+    changed, changed_part = cli_part()
+    assert changed == [r.replace(b"within tolerance", b"inside tolerance") for r in records]
+    assert changed_part != part
 
 
 def test_each_part_hashes_apart_and_names_its_first_difference():

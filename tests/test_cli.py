@@ -212,28 +212,23 @@ class TestSolve:
 
 
     @pytest.mark.parametrize(
-        "tolerances, flags",
+        "tolerances",
         [
-            ({"k": None}, []),
-            ({"accept": True}, []),
-            ({"accept": 0}, []),
-            ({"k": float("inf")}, []),
-            ({"k": float("nan")}, []),
-            ({"accept": 10**400}, []),
-            ({"k": 1e-10}, []),
-            ({}, ["--tol-accept", "inf"]),
+            {"k": None},
+            {"accept": True},
+            {"accept": 0},
+            {"k": float("inf")},
+            {"k": float("nan")},
+            {"accept": 10**400},
+            {"k": 1e-10},
         ],
     )
-    def test_malformed_tolerance_exits_1(self, tmp_path, capsys, tolerances, flags):
+    def test_malformed_tolerance_exits_1(self, tmp_path, capsys, tolerances):
         path = write_json(tmp_path, "req.json", dict(KPOS_REQUEST, tolerances=tolerances))
-        if flags:
-            argvs = [["solve", path, *flags]]
-        else:  # a malformed request is malformed for every command, whatever the flag
-            measure = write_json(tmp_path, "measure.json", {"atoms": []})
-            argvs = [["solve", path], ["info", path], ["verify", path, measure]]
-            argvs.append(["solve", path, "--tol-accept", "1e-6"])
+        measure = write_json(tmp_path, "measure.json", {"atoms": []})
         outs = set()
-        for argv in argvs:
+        # a malformed request is malformed for every command
+        for argv in (["solve", path], ["info", path], ["verify", path, measure]):
             code, out, _ = run_cli(capsys, argv)
             assert code == 1
             outs.add(out)
@@ -243,6 +238,19 @@ class TestSolve:
             assert message == "unknown tolerance keys: ['k']"
         else:
             assert "finite positive number" in message
+
+    @pytest.mark.parametrize("argv", [["solve", "--tol-accept", "1e-6"], ["verify", "--tol", "0.1"]])
+    def test_tolerance_flags_are_unrecognized(self, tmp_path, capsys, argv):
+        # the request's accept is the only accept setting on the command line
+        command, *flags = argv
+        req = write_json(tmp_path, "req.json", KPOS_REQUEST)
+        files = [req] if command == "solve" else [req, write_json(tmp_path, "measure.json", {"atoms": []})]
+        with pytest.raises(SystemExit) as info:
+            main([command, *files, *flags])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
 
     def test_non_utf8_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "utf16.json"
@@ -286,6 +294,31 @@ class TestVerify:
         code, out, _ = run_cli(capsys, ["verify", req, measure])
         assert code == 0
         assert "beta_00" in out and "max residual" in out
+        strict = write_json(tmp_path, "strict.json", dict(KPOS_REQUEST, tolerances={"accept": 1e-18}))
+        code, out, _ = run_cli(capsys, ["verify", strict, measure])
+        assert code == 3
+        assert "(EXCEEDS tolerance 1e-18)" in out
+
+    def test_verify_judges_by_the_request_accept_as_solve_does(self, tmp_path, capsys):
+        # input #10 of perfbench's ill_conditioned pool at seed 11: its residual,
+        # about 1.35e-8, is within the request's accept 1e-3 but not the default 1e-8
+        beta = [
+            9.222576643761128e-07, 2.6648676368308183e-05, 0.013441955137957394, 0.0007815022815205984,
+            0.38875247039215843, 195.9420659697231, 0.023262977611626153, 11.411622774929082,
+            5671.9545447503115, 2856594.6681655957,
+        ]
+        req = write_json(tmp_path, "req.json", {"beta": beta, "tolerances": {"accept": 1e-3}})
+        code, out, _ = run_cli(capsys, ["solve", req, "--quiet"])
+        assert code == 0
+        assert 1.3e-8 < json.loads(out)["diagnostics"]["max_moment_residual"] < 1.4e-8
+        measure = write_json(tmp_path, "measure.json", json.loads(out))
+        code, out, _ = run_cli(capsys, ["verify", req, measure])
+        assert code == 0
+        assert "(within tolerance 0.001)" in out
+        default = write_json(tmp_path, "default.json", {"beta": beta})
+        code, out, _ = run_cli(capsys, ["verify", default, measure])
+        assert code == 3
+        assert "(EXCEEDS tolerance 1e-08)" in out
 
     def test_perturbed_weight_exits_3(self, tmp_path, capsys):
         req = write_json(tmp_path, "req.json", KPOS_REQUEST)
@@ -303,30 +336,22 @@ class TestVerify:
         payload = json.loads(out)
         payload["atoms"][0]["weight"] += 1e-3
         measure = write_json(tmp_path, "measure.json", payload)
-        code, _, _ = run_cli(capsys, ["verify", req, measure, "--tol", "0.1"])
+        loose = write_json(tmp_path, "loose.json", dict(KPOS_REQUEST, tolerances={"accept": 0.1}))
+        code, out, _ = run_cli(capsys, ["verify", loose, measure])
         assert code == 0
+        assert "within tolerance 0.1" in out
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         req = write_json(tmp_path, "req.json", KPOS_REQUEST)
         code, _, _ = run_cli(capsys, ["verify", req, str(tmp_path / "nope.json")])
         assert code == 1
 
-    @pytest.mark.parametrize(
-        "flags, x",
-        [
-            (["--tol", "nan"], 1.0),
-            (["--tol", "-1"], 1.0),
-            (["--tol", "0"], 1.0),
-            (["--tol", "inf"], 1.0),
-            ([], float("nan")),
-        ],
-    )
-    def test_malformed_tolerance_or_atom_exits_1(self, tmp_path, capsys, flags, x):
+    def test_non_finite_atom_exits_1(self, tmp_path, capsys):
         req = write_json(tmp_path, "req.json", KPOS_REQUEST)
-        # the exact measure of KPOS_REQUEST, the points (+-1, +-1), with x in place of x = 1
-        atoms = [{"x": sx, "y": sy, "weight": 0.25} for sx in (x, -1.0) for sy in (1.0, -1.0)]
+        # the exact measure of KPOS_REQUEST, the points (+-1, +-1), with NaN in place of x = 1
+        atoms = [{"x": sx, "y": sy, "weight": 0.25} for sx in (float("nan"), -1.0) for sy in (1.0, -1.0)]
         measure = write_json(tmp_path, "measure.json", {"atoms": atoms})
-        code, out, _ = run_cli(capsys, ["verify", req, measure, *flags])
+        code, out, _ = run_cli(capsys, ["verify", req, measure])
         assert code == 1
         assert "finite" in json.loads(out)["error"]["message"]
 

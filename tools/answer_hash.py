@@ -18,10 +18,11 @@ side's src/ and records, one input at a time:
   whose solve_cubic still took a seed defaulted it to 0, and the seed-0
   c is the first fixed combination, so such a base is compared like
   with like);
-* the stdout and exit code of `random --atoms N --seed S` and of
-  `solve --emit-matrices` on that output, for N in 3, 4, 5 and S in
-  0..99, and of `info` and `solve --emit-matrices` on the README's
-  request, whose moments are already normalized, run in-process.
+* the stdout and exit code of `random --atoms N --seed S`, of
+  `solve --emit-matrices` on that output and of `verify` on that request
+  and answer, for N in 3, 4, 5 and S in 0..99, and of `info`,
+  `solve --emit-matrices` and `verify` on the README's request, whose
+  moments are already normalized, run in-process.
 
 The records fall into parts: one per (workload, seed) pool and outcome,
 and one for the CLI records. The outcome is the case of that side's solve
@@ -113,21 +114,28 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
 
 
 def cli_record(atoms: int, seed: int, scratch: Path) -> bytes:
-    """Exit codes and stdout of `random --atoms atoms --seed seed` piped into `solve --emit-matrices`."""
+    """Exit codes and stdout of `random --atoms atoms --seed seed`, and of `_solve_and_verify` on its output."""
     code, request = _run_cli(["random", "--atoms", str(atoms), "--seed", str(seed)])
     path = scratch / "request.json"
     path.write_text(request)
-    solve_code, answer = _run_cli(["solve", str(path), "--emit-matrices"])
-    return f"{code}\n{request}\n{solve_code}\n{answer}".encode()
+    return f"{code}\n{request}\n".encode() + _solve_and_verify(path)
 
 
 def request_record(request: str, scratch: Path) -> bytes:
-    """Exit codes and stdout of `info` and `solve --emit-matrices` on the request."""
+    """Exit codes and stdout of `info`, `solve --emit-matrices` and `verify` on the request."""
     path = scratch / "request.json"
     path.write_text(request)
     info_code, info = _run_cli(["info", str(path)])
-    solve_code, answer = _run_cli(["solve", str(path), "--emit-matrices"])
-    return f"{info_code}\n{info}\n{solve_code}\n{answer}".encode()
+    return f"{info_code}\n{info}\n".encode() + _solve_and_verify(path)
+
+
+def _solve_and_verify(request: Path) -> bytes:
+    """Exit codes and stdout of `solve --emit-matrices` on the request file and of `verify` on it and that answer."""
+    solve_code, answer = _run_cli(["solve", str(request), "--emit-matrices"])
+    measure = request.with_name("answer.json")
+    measure.write_text(answer)
+    verify_code, table = _run_cli(["verify", str(request), str(measure)])
+    return f"{solve_code}\n{answer}\n{verify_code}\n{table}".encode()
 
 
 def records(seeds, scratch: Path):
@@ -142,10 +150,10 @@ def records(seeds, scratch: Path):
                 yield f"{pool} {outcome}", f"{pool} #{i} beta {beta.tolist()}", record
     for atoms in CLI_ATOMS:
         for seed in CLI_SEEDS:
-            label = f"solve --emit-matrices on random --atoms {atoms} --seed {seed}"
+            label = f"solve --emit-matrices and verify on random --atoms {atoms} --seed {seed}"
             yield "cli", label, cli_record(atoms, seed, scratch)
     for request in CLI_REQUESTS:
-        yield "cli", f"info and solve --emit-matrices on {request}", request_record(request, scratch)
+        yield "cli", f"info, solve --emit-matrices and verify on {request}", request_record(request, scratch)
 
 
 def digest(record: bytes) -> str:
