@@ -217,6 +217,9 @@ class TestSolve:
             {"k": None},
             {"accept": True},
             {"accept": 0},
+            {"accept": -1.0},
+            {"accept": float("inf")},
+            {"accept": float("nan")},
             {"k": float("inf")},
             {"k": float("nan")},
             {"accept": 10**400},
