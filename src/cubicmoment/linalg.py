@@ -121,8 +121,6 @@ def joint_eigen(M) -> list[tuple[float, float]]:
     two, n, m = M.shape if M.ndim == 3 else (0, 0, 0)
     if two != 2 or n != m:
         raise ValueError(f"M must stack two square matrices, shape (2, n, n), not {M.shape}")
-    if not n:  # the empty pair commutes and has no pairs
-        return []
     # huge entries overflow to an inf or NaN commutator or residual, which the gates reject
     with np.errstate(over="ignore", invalid="ignore"):
         scale = commutator_gate(M)

@@ -23,7 +23,6 @@ from .errors import MAX_VARIETY_RESIDUAL, MIN_ATOM_SEPARATION, MIN_WEIGHT, TOL_A
 from .errors import MomentProblemError, SingularVandermondeError, VerificationError
 from .linalg import commutator_norm, joint_eigen, lapack_errors, lapack_solve, largest
 from .moments import (
-    Atom,
     AtomicMeasure,
     MomentSequence,
     frozen_record,
@@ -32,16 +31,6 @@ from .moments import (
     monomial_table,
 )
 from .normalize import NormalizationCertificate, normalize_cubic, pullback_measure
-
-__all__ = [
-    "SolveReport",
-    "MeasureCheck",
-    "extract_atoms",
-    "verify_measure",
-    "solve_cubic",
-    "AtomicMeasure",
-    "Atom",
-]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +60,8 @@ class SolveReport:
 class MeasureCheck:
     """Residual report from re-integrating a candidate measure.
 
-    residuals holds |sum rho x^i y^j - beta_ij| per monomial in degree-lex
-    order. Equality is identity.
+    residuals is the read-only array of |sum rho x^i y^j - beta_ij| per
+    monomial in degree-lex order. Equality is identity.
     """
 
     max_moment_residual: float
@@ -130,10 +119,12 @@ def verify_measure(mu: AtomicMeasure, beta: MomentSequence) -> MeasureCheck:
     """Re-integrate every monomial of the sequence against the measure."""
     integrals = integrals_of(mu.atoms, beta.degree)
     residuals = [abs(t - b) for t, b in zip(integrals, beta.values.tolist())]
+    array = np.array(residuals)
+    array.setflags(write=False)
     return frozen_record(
         MeasureCheck,
         max_moment_residual=largest(residuals),
-        residuals=np.array(residuals),
+        residuals=array,
         min_weight=min([a.weight for a in mu.atoms], default=0.0),
     )
 

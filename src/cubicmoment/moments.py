@@ -9,7 +9,6 @@ at degree 6 a sequence holds 28 values, so no sparse structure is needed.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -18,18 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MomentProblemError
-
-__all__ = [
-    "Monomial",
-    "monomial_index",
-    "monomials_up_to",
-    "sequence_length",
-    "MomentSequence",
-    "build_moment_matrix",
-    "monomial_table",
-    "Atom",
-    "AtomicMeasure",
-]
 
 
 class Monomial(NamedTuple):
@@ -133,26 +120,15 @@ def build_moment_matrix(beta: MomentSequence) -> np.ndarray:
     """
     if beta.degree % 2 != 0:
         raise ValueError("a moment matrix requires an even-degree sequence")
-    entries = beta.values[_hankel_index(beta.degree // 2)]
+    i, j = _exponents(beta.degree // 2)
+    entries = beta.values[monomial_index((i[:, None] + i[None, :], j[:, None] + j[None, :]))]
     entries.setflags(write=False)
     return entries
 
 
-@functools.cache
-def _hankel_index(d: int) -> np.ndarray:
-    """Entry (u, v) is the degree-lex position of the monomial u * v."""
-    i, j = _exponents(d)
-    index = monomial_index((i[:, None] + i[None, :], j[:, None] + j[None, :]))
-    index.setflags(write=False)
-    return index
-
-
-@functools.cache
 def _exponents(degree: int) -> np.ndarray:
     """Rows i and j: the exponents of the monomials up to degree, in degree-lex order."""
-    exponents = np.array(monomials_up_to(degree)).T
-    exponents.setflags(write=False)
-    return exponents
+    return np.array(monomials_up_to(degree)).T
 
 
 def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:

@@ -8,7 +8,7 @@ import types
 import numpy as np
 
 import answer_hash
-from cubicmoment import ExtensionResult, MomentProblemError, MomentSequence, cli, solve_cubic
+from cubicmoment import MomentProblemError, MomentSequence, cli, solve_cubic
 
 K_POS = [1, 0, 0, 1, 0, 1, 0, 0, 0, 0]  # the four atoms (+-1, +-1)
 K_NEG = [1, 0, 0, 1, 0, 1, 0, 1, 1, 0]
@@ -27,16 +27,6 @@ def test_success_record_covers_atoms_and_matrices():
     assert answer_hash.solve_record(K_POS) != record
 
 
-def test_success_record_reads_a_wrapped_matrix_as_its_entries(monkeypatch):
-    # older revisions hand m2 and m3 out wrapped, with the array as .entries
-    record = answer_hash.solve_record(K_NEG)
-    for name in ("m2", "m3"):
-        array = getattr(ExtensionResult, name).fget
-        wrapped = property(lambda ext, array=array: types.SimpleNamespace(entries=array(ext)))
-        monkeypatch.setattr(ExtensionResult, name, wrapped)
-    assert answer_hash.solve_record(K_NEG) == record
-
-
 def test_error_record_names_type_and_fields():
     # d2 = 0 against its bound 1e-10, read as their exact bits
     record = answer_hash.solve_record([1, 0, 0, 0, 0, 1, 0, 0, 0, 0])
@@ -44,7 +34,7 @@ def test_error_record_names_type_and_fields():
 
 
 def test_error_record_without_fields_is_the_message():
-    # a base whose errors carry no fields, or an error of another type
+    # an untyped error keeps its message; a typed one without a value or bound records None
     assert answer_hash.error_record(ValueError("bad input")) == b"error ValueError: bad input"
     error = MomentProblemError("densities", "V_B")
     assert answer_hash.error_record(error) == b"error MomentProblemError: densities | V_B | None | None"

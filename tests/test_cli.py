@@ -32,6 +32,9 @@ K0_REQUEST = {"beta": [1, 0, 0, 1, 0, 1, 0, 1, 0, 0]}
 KNEG_REQUEST = {"beta": [1, 0, 0, 1, 0, 1, 0, 1, 1, 0]}
 SINGULAR_D2 = {"beta": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0]}
 SINGULAR_D3 = {"beta": [1, 0, 0, 1, 1, 1, 0, 0, 0, 0]}
+NOT_A_REQUEST = 'request must be a JSON object with a "beta" array'
+NOT_A_MEASURE = 'measure must be a JSON object with an "atoms" array'
+NOT_POSITIVE = 'tolerance "accept" must be a finite positive number, got {!r}'
 
 
 def run_cli(capsys, argv):
@@ -212,22 +215,24 @@ class TestSolve:
 
 
     @pytest.mark.parametrize(
-        "tolerances",
+        "body, message",
         [
-            {"k": None},
-            {"accept": True},
-            {"accept": 0},
-            {"accept": -1.0},
-            {"accept": float("inf")},
-            {"accept": float("nan")},
-            {"k": float("inf")},
-            {"k": float("nan")},
-            {"accept": 10**400},
-            {"k": 1e-10},
+            ([], NOT_A_REQUEST),
+            (KPOS_REQUEST["beta"], NOT_A_REQUEST),
+            ({"tolerances": {}}, NOT_A_REQUEST),
+            (dict(KPOS_REQUEST, tolerances=[]), '"tolerances" must be an object'),
+            *[
+                (dict(KPOS_REQUEST, tolerances={"k": k}), "unknown tolerance keys: ['k']")
+                for k in (None, float("inf"), float("nan"), 1e-10)
+            ],
+            *[
+                (dict(KPOS_REQUEST, tolerances={"accept": v}), NOT_POSITIVE.format(v))
+                for v in (True, 0, -1.0, float("inf"), float("nan"), 10**400)
+            ],
         ],
     )
-    def test_malformed_tolerance_exits_1(self, tmp_path, capsys, tolerances):
-        path = write_json(tmp_path, "req.json", dict(KPOS_REQUEST, tolerances=tolerances))
+    def test_malformed_request_exits_1(self, tmp_path, capsys, body, message):
+        path = write_json(tmp_path, "req.json", body)
         measure = write_json(tmp_path, "measure.json", {"atoms": []})
         outs = set()
         # a malformed request is malformed for every command
@@ -236,11 +241,7 @@ class TestSolve:
             assert code == 1
             outs.add(out)
         (out,) = outs
-        message = json.loads(out)["error"]["message"]
-        if "k" in tolerances:
-            assert message == "unknown tolerance keys: ['k']"
-        else:
-            assert "finite positive number" in message
+        assert json.loads(out) == {"error": {"code": 1, "message": message}}
 
     @pytest.mark.parametrize("argv", [["solve", "--tol-accept", "1e-6"], ["verify", "--tol", "0.1"]])
     def test_tolerance_flags_are_unrecognized(self, tmp_path, capsys, argv):
@@ -349,14 +350,26 @@ class TestVerify:
         code, _, _ = run_cli(capsys, ["verify", req, str(tmp_path / "nope.json")])
         assert code == 1
 
-    def test_non_finite_atom_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            # the exact measure of KPOS_REQUEST, the points (+-1, +-1), with NaN in place of x = 1
+            (
+                {"atoms": [{"x": x, "y": y, "weight": 0.25} for x in (math.nan, -1.0) for y in (1.0, -1.0)]},
+                'atom "x", "y", "weight" must be finite',
+            ),
+            ([], NOT_A_MEASURE),
+            ({}, NOT_A_MEASURE),
+            ({"atoms": None}, NOT_A_MEASURE),
+            ({"atoms": {"x": 1, "y": 1, "weight": 1}}, NOT_A_MEASURE),
+        ],
+    )
+    def test_malformed_measure_exits_1(self, tmp_path, capsys, payload, message):
         req = write_json(tmp_path, "req.json", KPOS_REQUEST)
-        # the exact measure of KPOS_REQUEST, the points (+-1, +-1), with NaN in place of x = 1
-        atoms = [{"x": sx, "y": sy, "weight": 0.25} for sx in (float("nan"), -1.0) for sy in (1.0, -1.0)]
-        measure = write_json(tmp_path, "measure.json", {"atoms": atoms})
+        measure = write_json(tmp_path, "measure.json", payload)
         code, out, _ = run_cli(capsys, ["verify", req, measure])
         assert code == 1
-        assert "finite" in json.loads(out)["error"]["message"]
+        assert json.loads(out) == {"error": {"code": 1, "message": message}}
 
     @pytest.mark.parametrize(
         "atom",
@@ -406,6 +419,9 @@ class TestRandom:
         code, out, _ = run_cli(capsys, ["random", "--atoms", "2"])
         assert code == 1
         assert json.loads(out)["error"]["code"] == 1
+        # the command checks before the generator, which checks for its other callers
+        with pytest.raises(ValueError, match="need at least 3 atoms"):
+            random_request(2, 0)
 
     def test_negative_seed_exits_1(self, capsys):
         code, out, _ = run_cli(capsys, ["random", "--seed", "-1"])

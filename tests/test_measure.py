@@ -335,6 +335,22 @@ class TestSolveCubic:
         second, _ = solve_cubic(beta)
         assert first == second
 
+    @pytest.mark.parametrize("a", [(0, 1, 0, 0), (0, 0, 0, 0), (0, 1, 1, 0)])  # k_zero, k_pos, k_neg
+    def test_every_array_a_record_hands_out_is_read_only(self, a):
+        beta = seq_from_a(a)
+        mu, report = solve_cubic(beta)
+        cert, ext, check = report.certificate, report.extension, verify_measure(mu, beta)
+        # the array fields found by type, so a field added later is covered, and the arrays built on each read
+        records = [report, cert, cert.normalized, ext, ext.moments, check]
+        arrays = {
+            f"{type(r).__name__}.{k}": v for r in records for k, v in vars(r).items() if isinstance(v, np.ndarray)
+        }
+        arrays.update({f"ExtensionResult.{k}": getattr(ext, k) for k in ("mx", "my", "m2", "m3")})
+        if ext.m3 is None:
+            del arrays["ExtensionResult.m3"]
+        assert {"NormalizationCertificate.map", "ExtensionResult.pair", "MeasureCheck.residuals"} <= set(arrays)
+        assert [name for name, array in arrays.items() if array.flags.writeable] == []
+
     def test_singular_rejected(self):
         values = np.array([1, 0, 0, 0, 0, 1, 0, 0, 0, 0], dtype=float)
         with pytest.raises(SingularM1Error) as info:

@@ -73,6 +73,8 @@ class TestMomentSequence:
     def test_truncated(self):
         beta = seq_from_a((1, 2, 3, 4))
         assert beta.truncated(2).values.tolist() == [1, 0, 0, 1, 0, 1]
+        with pytest.raises(ValueError, match="cannot truncate upwards"):
+            beta.truncated(4)
 
     def test_negative_degree_is_named(self):
         with pytest.raises(ValueError, match="degree -1"):
@@ -178,6 +180,8 @@ class TestMonomialTable:
     def test_coordinate_counts_must_match(self):
         with pytest.raises(ValueError):
             monomial_table([1.0, 2.0, 3.0], [1.0], 2)
+        with pytest.raises(ValueError, match="2 weights for 1 points"):
+            monomial_table([1.0], [2.0], 2, [1.0, 2.0])
 
 
 def _signed(magnitude_and_sign) -> float:

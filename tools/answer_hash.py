@@ -11,13 +11,11 @@ side's src/ and records, one input at a time:
 * every input of the three perfbench workloads at each seed (the pools of
   perfbench/workloads.py, which this tool imports and does not change):
   the outcome of solve_cubic(beta), that is the error's type, stage,
-  quantity and the bits of its value and bound (its message, for a base
-  whose errors carry no fields), or the atoms, k, rank, max_moment_residual, the normalization
-  certificate's d2 and d3, and the bytes of certificate.map,
-  certificate.normalized.values and extension.m2, m3, mx and my (a base
-  whose solve_cubic still took a seed defaulted it to 0, and the seed-0
-  c is the first fixed combination, so such a base is compared like
-  with like);
+  quantity and the bits of its value and bound (its message, for an
+  untyped error), or the atoms, k, rank, max_moment_residual, the
+  normalization certificate's d2 and d3, and the bytes of
+  certificate.map, certificate.normalized.values and extension.m2, m3,
+  mx and my;
 * the stdout and exit code of `random --atoms N --seed S`, of
   `solve --emit-matrices` on that output and of `verify` on that request
   and answer, for N in 3, 4, 5 and S in 0..99, and of `info`,
@@ -76,9 +74,8 @@ def solve_outcome(beta) -> tuple[str, bytes]:
         np.array([report.k, report.rank, report.max_moment_residual, cert.d2, cert.d3], dtype=float),
         cert.map,
         cert.normalized.values,
-        # a revision whose moment matrices are not arrays keeps the array in .entries
-        np.asarray(getattr(ext.m2, "entries", ext.m2)),
-        np.empty(0) if m3 is None else np.asarray(getattr(m3, "entries", m3)),
+        ext.m2,
+        np.empty(0) if m3 is None else m3,
         ext.mx,
         ext.my,
     ]
@@ -92,7 +89,7 @@ def error_record(exc: Exception) -> bytes:
 
     A change of wording leaves the fields as they are, and a moved bound changes them.
     """
-    if not hasattr(exc, "quantity"):  # an untyped error, or a base whose errors carry no fields
+    if not hasattr(exc, "quantity"):  # an untyped error
         return f"error {type(exc).__name__}: {exc}".encode()
     numbers = [None if v is None else float(v).hex() for v in (exc.value, exc.bound)]
     return f"error {type(exc).__name__}: {exc.stage} | {exc.quantity} | {numbers[0]} | {numbers[1]}".encode()
@@ -175,7 +172,7 @@ def hash_tree(tree: Path, seeds) -> None:
 
 def _side(tree: Path, seeds) -> list[tuple[str, str, str]]:
     """(digest, part, label) per input, from a child process that imports tree's solver."""
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "MOMENT_SOLVER_SEED")}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, __file__, "--tree", str(tree), "--seeds", *map(str, seeds)]
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
