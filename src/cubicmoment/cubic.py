@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TOL_K, MomentProblemError
-from .linalg import commutator_gate, largest
+from .linalg import ERROR_STATE, QUIET_STATE, commutator_gate, largest
 from .moments import (
     MomentSequence,
     Monomial,
@@ -125,20 +125,23 @@ class ExtensionResult:
         moments, and a quintic or sextic moment is the Riesz value of the
         basis coordinates Mx^i My^j e_1 of x^i y^j. The two expansions of
         the XY^2 column differ by column Y of My Mx - Mx My, so the
-        commutator gate of joint_eigen decides their consistency and raises
-        CommutatorError.
+        commutator gate of joint_eigen decides their consistency, quietly, and
+        raises CommutatorError; a non-finite higher moment is named as in extend.
         """
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:
             return None
-        commutator_gate(self.pair)
-        low = self.moments.values
+        low, (mx, my), power = self.moments.values, self.pair, np.linalg.matrix_power
         riesz_basis = low[[monomial_index(b) for b in self.basis]]
-        power = np.linalg.matrix_power
-        higher = [
-            float(riesz_basis @ (power(self.mx, m.i) @ power(self.my, m.j)[:, 0]))
-            for m in monomials_up_to(6)[low.size :]
-        ]
-        return build_moment_matrix(MomentSequence(6, np.concatenate([low, higher])))
+        token = ERROR_STATE.set(QUIET_STATE)  # an overflowing power is named below, not warned about
+        try:
+            commutator_gate(self.pair)
+            exponents = monomials_up_to(6)[low.size :]
+            higher = [float(riesz_basis @ (power(mx, i) @ power(my, j)[:, 0])) for i, j in exponents]
+        finally:
+            ERROR_STATE.reset(token)
+        values = [*low.tolist(), *higher]
+        require_finite(values, 6, "extend")
+        return build_moment_matrix(MomentSequence(6, np.array(values)))
 
 
 def _extension(case, k, a, quartics, basis, mx, my) -> ExtensionResult:

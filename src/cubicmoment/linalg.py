@@ -5,18 +5,23 @@ both matrices with the eigenvectors of one fixed convex combination, which
 only has to separate the 3 or 4 distinct atoms of a flat extension. The
 matrices are 3x3 or 4x4, so plain dense LAPACK routines are used.
 
-Those routines are numpy.linalg's own gufuncs (numpy.linalg._umath_linalg,
-verified on numpy 2.4.6), called without the Python wrappers of
-np.linalg.eig, inv and solve: lapack_eig, lapack_inv and lapack_solve
-return what those three return, byte for byte, and raise LinAlgError where
-they raise it, when run under lapack_errors().
+Those routines are numpy.linalg's own gufuncs (numpy.linalg._umath_linalg),
+called without the Python wrappers of np.linalg.eig, inv and solve:
+lapack_eig, lapack_inv and lapack_solve return what those three return,
+byte for byte, and raise LinAlgError where they raise it, when run under
+LAPACK_STATE. That error state and QUIET_STATE are built once, by
+np.errstate at import, and entered by token on numpy's context variable
+numpy._core.umath._extobj_contextvar, as np.errstate enters its own but
+without its rebuild. Both private names are verified on numpy 2.4.6.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar as ERROR_STATE
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import TOL_COMMUTE, TOL_EIG, CommutatorError, ComplexAtomError, MomentProblemError
@@ -31,13 +36,21 @@ def _lapack_failed(err, flag):
     raise LinAlgError("the LAPACK routine failed: a singular matrix or no convergence")
 
 
-def lapack_errors() -> np.errstate:
-    """numpy.linalg's error state around its gufuncs: a LAPACK failure raises LinAlgError.
+# numpy.linalg's state around its gufuncs: a LAPACK failure raises LinAlgError, the rest stays quiet
+with np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+    LAPACK_STATE = ERROR_STATE.get()
+with np.errstate(all="ignore"):  # huge entries overflow to an inf or NaN that the gates reject
+    QUIET_STATE = ERROR_STATE.get()
 
-    Overflow, division and underflow inside LAPACK stay quiet, as in
-    np.linalg; without this state a failure only fills the result with NaN.
-    """
-    return np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+@contextlib.contextmanager
+def lapack_errors():
+    """The block under LAPACK_STATE, entered by token as the solver enters it."""
+    token = ERROR_STATE.set(LAPACK_STATE)
+    try:
+        yield
+    finally:
+        ERROR_STATE.reset(token)
 
 
 def lapack_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,10 +59,10 @@ def lapack_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises LinAlgError for a non-finite entry before LAPACK runs, and, under
     lapack_errors(), when LAPACK does not converge.
     """
-    if not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise LinAlgError("Array must not contain infs or NaNs")
     w, v = _umath_linalg.eig(a, signature="d->DD")
-    if w.imag.any():  # NaN is truthy and -0.0 is not, as in np.linalg.eig's w.imag == 0.0
+    if np.count_nonzero(w.imag):  # NaN counts and -0.0 does not, as in np.linalg.eig's w.imag == 0.0
         return w, v
     return w.real, v.real
 
@@ -66,8 +79,8 @@ def lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def commutator_norm(M: np.ndarray) -> float:
     """Largest entry magnitude of the commutator Mx My - My Mx of the stack M = (Mx, My)."""
-    Mx, My = M[0], M[1]
-    return float(np.abs(Mx @ My - My @ Mx).max(initial=0.0))
+    P = M @ M[::-1]  # the stack (Mx My, My Mx)
+    return float(np.abs(P[0] - P[1]).max(initial=0.0))
 
 
 def largest(values: list[float]) -> float:
@@ -121,8 +134,8 @@ def joint_eigen(M) -> list[tuple[float, float]]:
     two, n, m = M.shape if M.ndim == 3 else (0, 0, 0)
     if two != 2 or n != m:
         raise ValueError(f"M must stack two square matrices, shape (2, n, n), not {M.shape}")
-    # huge entries overflow to an inf or NaN commutator or residual, which the gates reject
-    with np.errstate(over="ignore", invalid="ignore"):
+    token = ERROR_STATE.set(QUIET_STATE)
+    try:
         scale = commutator_gate(M)
         errors = []
         for c in _COMBINATIONS:
@@ -136,6 +149,8 @@ def joint_eigen(M) -> list[tuple[float, float]]:
             errors.append(MomentProblemError("joint spectrum", "eigenvector residual", residual, TOL_EIG * scale))
             if not math.isfinite(residual):  # an overflow, not a tie: the second c is not tried
                 break
+    finally:
+        ERROR_STATE.reset(token)
     raise errors[0]
 
 
@@ -147,17 +162,17 @@ def _read_spectrum(M: np.ndarray, c: float) -> tuple[list[tuple[float, float]], 
     The atoms of the extension are real, so a non-real eigenvalue,
     however small its imaginary part, raises ComplexAtomError.
     """
-    with lapack_errors():
-        try:
-            lam, V = lapack_eig(c * M[0] + (1.0 - c) * M[1])
-        except LinAlgError as exc:
-            raise MomentProblemError("joint spectrum", "eig") from exc
+    token, step = ERROR_STATE.set(LAPACK_STATE), "eig"
+    try:
+        lam, V = lapack_eig(c * M[0] + (1.0 - c) * M[1])
         if lam.dtype.kind == "c":  # eig returns a complex lam exactly when an eigenvalue is not real
             raise ComplexAtomError("joint spectrum", "max |Im lambda|", float(np.abs(lam.imag).max()), 0.0)
-        try:
-            V_inv = lapack_inv(V)
-        except LinAlgError as exc:
-            raise MomentProblemError("joint spectrum", "eigenvector basis") from exc
+        step = "eigenvector basis"
+        V_inv = lapack_inv(V)
+    except LinAlgError as exc:
+        raise MomentProblemError("joint spectrum", step) from exc
+    finally:
+        ERROR_STATE.reset(token)
     xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
     R = M @ V - V * xy[:, None, :]
     squares = np.add.reduce(R * R, 1).ravel().tolist()  # the squared norms of the columns of R

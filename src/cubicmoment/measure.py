@@ -21,7 +21,7 @@ import numpy as np
 from .cubic import CaseTag, ExtensionResult, extend
 from .errors import MAX_VARIETY_RESIDUAL, MIN_ATOM_SEPARATION, MIN_WEIGHT, TOL_ACCEPT
 from .errors import MomentProblemError, SingularVandermondeError, VerificationError
-from .linalg import commutator_norm, joint_eigen, lapack_errors, lapack_solve, largest
+from .linalg import ERROR_STATE, LAPACK_STATE, commutator_norm, joint_eigen, lapack_solve, largest
 from .moments import (
     AtomicMeasure,
     MomentSequence,
@@ -108,11 +108,13 @@ def _columns(basis: tuple) -> np.ndarray:
 
 def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
     """Densities from V_B: solves V_B^T rho = (Lambda(t_1), ..., Lambda(t_r))^T."""
+    token = ERROR_STATE.set(LAPACK_STATE)
     try:
-        with lapack_errors():
-            return lapack_solve(vb.T, beta.values[_columns(tuple(basis))])
+        return lapack_solve(vb.T, beta.values[_columns(tuple(basis))])
     except np.linalg.LinAlgError as exc:
         raise SingularVandermondeError("densities", "V_B") from exc
+    finally:
+        ERROR_STATE.reset(token)
 
 
 def verify_measure(mu: AtomicMeasure, beta: MomentSequence) -> MeasureCheck:

@@ -12,6 +12,7 @@ from cubicmoment import (
     compute_k,
     extend,
     extract_atoms,
+    joint_eigen,
     monomial_index,
 )
 from cubicmoment import measure
@@ -237,6 +238,24 @@ class TestBuildM3:
         with pytest.raises(CommutatorError) as info:
             dataclasses.replace(ext, pair=np.array((mx, ext.my))).m3
         assert fields(info.value)[:3] == ("joint spectrum", "max |Mx My - My Mx|", 1e-3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_a_typed_error_without_a_warning(self):
+        # the commutator overflows to NaN: the gate fails quietly, as joint_eigen's does on the same pair
+        ext = extend((0.0, 1e150, 0.0, 0.0))
+        with pytest.raises(CommutatorError) as info:
+            ext.m3
+        stage, quantity, value, bound = fields(info.value)
+        assert (stage, quantity, math.isnan(value)) == ("joint spectrum", "max |Mx My - My Mx|", True)
+        with pytest.raises(CommutatorError) as joint:
+            joint_eigen(ext.pair)
+        assert fields(joint.value)[1::2] == (quantity, bound)
+        # the pair commutes, but a quintic moment overflows: the first non-finite one is named
+        with pytest.raises(MomentProblemError) as info:
+            extend((0.0, 1e100, 0.0, 0.0)).m3
+        assert type(info.value) is MomentProblemError
+        stage, quantity, value, bound = fields(info.value)
+        assert (stage, quantity, math.isnan(value), bound) == ("extend", "beta_50", True, None)
 
 
 class TestSosCertificate:

@@ -453,3 +453,85 @@ class TestEigFailure:
         assert type(info.value) is MomentProblemError
         assert fields(info.value)[:3] == ("joint spectrum", "eig", None)
         assert str(info.value.__cause__) == "Eigenvalues did not converge"
+
+
+def _two_products(M: np.ndarray) -> float:
+    """The commutator norm as two separate 2-D products."""
+    return float(np.abs(M[0] @ M[1] - M[1] @ M[0]).max(initial=0.0))
+
+
+class TestCommutatorNorm:
+    def test_stacked_product_is_the_two_products_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        grid = [tuple(rng.uniform(-3, 3, 4)) for _ in range(300)]
+        for a0, a1, a2 in rng.uniform(-3, 3, (100, 3)):  # k = 0 up to rounding: the rank-3 route
+            grid.append((a0, a1, a2, (a1 * a1 + a2 * a2 - 1.0 - a0 * a2) / a1))
+        grid += [(-0.0, 1.0, -0.0, 0.0), (0.0, -0.0, 0.0, -0.0), (-0.0, 1.0, 1.0, -0.0)]  # signed zeros
+        grid.append((0.0, 1e150, 0.0, 0.0))  # the products overflow: inf - inf
+        cases, overflowed = set(), 0
+        for a in grid:
+            ext = extend(a)
+            cases.add(ext.case.value)
+            for M in (ext.pair, -ext.pair):  # the negated pair holds -0.0 wherever the pair holds 0.0
+                with np.errstate(all="ignore"):
+                    expected = _two_products(M)
+                    assert linalg.commutator_norm(M).hex() == expected.hex()
+                overflowed += math.isnan(expected)
+        assert cases == {"k_zero", "k_pos", "k_neg"}
+        assert overflowed == 2
+
+
+class TestErrorStates:
+    """The error states built once at import are np.errstate's, and a solve leaves the caller's state as it was."""
+
+    def test_lapack_state_is_numpy_linalgs(self):
+        expected = {"over": "ignore", "divide": "ignore", "under": "ignore", "invalid": "call"}
+        for caller in ({}, {"all": "raise"}):
+            with np.errstate(**caller), linalg.lapack_errors():
+                assert np.geterr() == expected
+                assert np.geterrcall() is linalg._lapack_failed
+
+    def test_quiet_state_ignores_all_four(self):
+        token = linalg.ERROR_STATE.set(linalg.QUIET_STATE)
+        try:
+            assert np.geterr() == {"over": "ignore", "divide": "ignore", "under": "ignore", "invalid": "ignore"}
+        finally:
+            linalg.ERROR_STATE.reset(token)
+
+    @staticmethod
+    def _fails(a):
+        raise LinAlgError("the LAPACK routine failed")
+
+    @pytest.mark.parametrize(
+        "run, seam, error, quantity",
+        [
+            ("solve", None, None, None),
+            ("commutator", None, CommutatorError, "max |Mx My - My Mx|"),
+            ("solve", "lapack_eig", MomentProblemError, "eig"),
+            ("solve", "lapack_inv", MomentProblemError, "eigenvector basis"),
+            ("densities", None, SingularVandermondeError, "V_B"),
+            ("m3", None, MomentProblemError, "beta_50"),
+        ],
+        ids=["solve", "commutator", "eig", "eigenvector-basis", "densities", "m3-overflow"],
+    )
+    def test_the_callers_state_is_left_as_it_was(self, monkeypatch, run, seam, error, quantity):
+        if seam is not None:
+            monkeypatch.setattr(linalg, seam, self._fails)
+        ext = extend((0, 0, 0, 0))
+        vb = measure._vandermonde([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], ext.basis)  # a repeated atom
+        runs = {
+            "solve": lambda: solve_cubic(seq_from_a((0.4, -0.9, 1.2, 0.5))),
+            "commutator": lambda: joint_eigen(np.array(([[0.0, 1.0], [0.0, 0.0]], np.diag([1.0, 2.0])))),
+            "densities": lambda: measure._densities(vb, ext.basis, seq_from_a((0, 0, 0, 0))),
+            "m3": lambda: extend((0.0, 1e100, 0.0, 0.0)).m3,
+        }
+        with np.errstate(all="raise"):
+            before, state = np.geterr(), linalg.ERROR_STATE.get()
+            if error is None:
+                runs[run]()
+            else:
+                with pytest.raises(error) as info:
+                    runs[run]()
+                assert type(info.value) is error and info.value.quantity == quantity
+            assert np.geterr() == before and np.geterrcall() is None
+            assert linalg.ERROR_STATE.get() is state

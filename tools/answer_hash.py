@@ -13,9 +13,9 @@ side's src/ and records, one input at a time:
   the outcome of solve_cubic(beta), that is the error's type, stage,
   quantity and the bits of its value and bound (its message, for an
   untyped error), or the atoms, k, rank, max_moment_residual, the
-  normalization certificate's d2 and d3, and the bytes of
-  certificate.map, certificate.normalized.values and extension.m2, m3,
-  mx and my;
+  normalization certificate's d2 and d3, report.commutator_norm, and the
+  bytes of certificate.map, certificate.normalized.values and
+  extension.m2, m3, mx and my;
 * the stdout and exit code of `random --atoms N --seed S`, of
   `solve --emit-matrices` on that output and of `verify` on that request
   and answer, for N in 3, 4, 5 and S in 0..99, and of `info`,
@@ -71,7 +71,9 @@ def solve_outcome(beta) -> tuple[str, bytes]:
     m3 = ext.m3
     numbers = [
         np.array([tuple(a) for a in mu.atoms], dtype=float),
-        np.array([report.k, report.rank, report.max_moment_residual, cert.d2, cert.d3], dtype=float),
+        np.array(
+            [report.k, report.rank, report.max_moment_residual, cert.d2, cert.d3, report.commutator_norm], dtype=float
+        ),
         cert.map,
         cert.normalized.values,
         ext.m2,
