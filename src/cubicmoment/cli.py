@@ -269,8 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with np.errstate(all="ignore"):  # an overflow shows as inf/nan or a typed error
-            return args.func(args)
+        return args.func(args)
     except _InputError as exc:
         return _fail(EXIT_INPUT, exc)
     except SingularM1Error as exc:

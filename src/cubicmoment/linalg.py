@@ -8,21 +8,24 @@ matrices are 3x3 or 4x4, so plain dense LAPACK routines are used.
 Those routines are numpy.linalg's own gufuncs (numpy.linalg._umath_linalg),
 called without the Python wrappers of np.linalg.eig, inv and solve:
 lapack_eig, lapack_inv and lapack_solve return what those three return,
-byte for byte, and raise LinAlgError where they raise it, when run under
-LAPACK_STATE. That error state and QUIET_STATE are built once, by
-np.errstate at import, and entered by token on numpy's context variable
+byte for byte, and all NaN where they raise because LAPACK failed. The
+solver's public stages (solve_cubic, normalize_cubic, joint_eigen,
+ExtensionResult.m3 and monomial_table) do their numpy arithmetic under
+QUIET_STATE, so an overflow or a failed LAPACK call is an inf or NaN
+that a gate names in a typed error, not a numpy warning, whatever the
+caller's error state. The state is built once, by np.errstate at import,
+and entered by token on numpy's context variable
 numpy._core.umath._extobj_contextvar, as np.errstate enters its own but
 without its rebuild. Both private names are verified on numpy 2.4.6.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
 from numpy._core.umath import _extobj_contextvar as ERROR_STATE
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import _umath_linalg
 
 from .errors import TOL_COMMUTE, TOL_EIG, CommutatorError, ComplexAtomError, MomentProblemError
 
@@ -31,36 +34,19 @@ from .errors import TOL_COMMUTE, TOL_EIG, CommutatorError, ComplexAtomError, Mom
 _COMBINATIONS = (0.5821770123928727, 0.3)
 
 
-def _lapack_failed(err, flag):
-    """The errstate call handler: a gufunc reports a LAPACK failure as an invalid operation."""
-    raise LinAlgError("the LAPACK routine failed: a singular matrix or no convergence")
-
-
-# numpy.linalg's state around its gufuncs: a LAPACK failure raises LinAlgError, the rest stays quiet
-with np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-    LAPACK_STATE = ERROR_STATE.get()
-with np.errstate(all="ignore"):  # huge entries overflow to an inf or NaN that the gates reject
+with np.errstate(all="ignore"):  # an overflow or a failed LAPACK call leaves an inf or NaN that the gates reject
     QUIET_STATE = ERROR_STATE.get()
-
-
-@contextlib.contextmanager
-def lapack_errors():
-    """The block under LAPACK_STATE, entered by token as the solver enters it."""
-    token = ERROR_STATE.set(LAPACK_STATE)
-    try:
-        yield
-    finally:
-        ERROR_STATE.reset(token)
 
 
 def lapack_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eig of a real square float array: real w and V when no eigenvalue has an imaginary part.
 
-    Raises LinAlgError for a non-finite entry before LAPACK runs, and, under
-    lapack_errors(), when LAPACK does not converge.
+    Where np.linalg.eig raises, w and V are complex and all NaN: LAPACK did
+    not converge, or an entry is not finite, which LAPACK is never handed.
     """
     if np.count_nonzero(np.isfinite(a)) != a.size:
-        raise LinAlgError("Array must not contain infs or NaNs")
+        nan = complex(math.nan, math.nan)
+        return np.full(len(a), nan), np.full(a.shape, nan)
     w, v = _umath_linalg.eig(a, signature="d->DD")
     if np.count_nonzero(w.imag):  # NaN counts and -0.0 does not, as in np.linalg.eig's w.imag == 0.0
         return w, v
@@ -68,12 +54,12 @@ def lapack_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lapack_inv(a: np.ndarray) -> np.ndarray:
-    """np.linalg.inv of a real square float array; under lapack_errors() a singular one raises."""
+    """np.linalg.inv of a real square float array; all NaN where np.linalg.inv raises (a singular one)."""
     return _umath_linalg.inv(a, signature="d->d")
 
 
 def lapack_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve of a real square float a and a vector b; under lapack_errors() a singular a raises."""
+    """np.linalg.solve of a real square float a and a vector b; all NaN where np.linalg.solve raises (a singular a)."""
     return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
@@ -160,21 +146,22 @@ def _read_spectrum(M: np.ndarray, c: float) -> tuple[list[tuple[float, float]], 
     Returns them with the largest eigenvector residual of either matrix
     over eig's own columns, which LAPACK's dgeev returns with norm 1.
     The atoms of the extension are real, so a non-real eigenvalue,
-    however small its imaginary part, raises ComplexAtomError.
+    however small its imaginary part, raises ComplexAtomError. A failed
+    eig or inv, read as the NaN it returns, raises MomentProblemError
+    naming eig or the eigenvector basis.
     """
-    token, step = ERROR_STATE.set(LAPACK_STATE), "eig"
-    try:
-        lam, V = lapack_eig(c * M[0] + (1.0 - c) * M[1])
-        if lam.dtype.kind == "c":  # eig returns a complex lam exactly when an eigenvalue is not real
-            raise ComplexAtomError("joint spectrum", "max |Im lambda|", float(np.abs(lam.imag).max()), 0.0)
-        step = "eigenvector basis"
-        V_inv = lapack_inv(V)
-    except LinAlgError as exc:
-        raise MomentProblemError("joint spectrum", step) from exc
-    finally:
-        ERROR_STATE.reset(token)
+    lam, V = lapack_eig(c * M[0] + (1.0 - c) * M[1])
+    if lam.dtype.kind == "c":  # eig returns a complex lam when an eigenvalue is not real, and when it failed
+        imag = float(np.abs(lam.imag).max())
+        if math.isnan(imag):  # a failed eig is all NaN
+            raise MomentProblemError("joint spectrum", "eig")
+        raise ComplexAtomError("joint spectrum", "max |Im lambda|", imag, 0.0)
+    V_inv = lapack_inv(V)
     xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
     R = M @ V - V * xy[:, None, :]
     squares = np.add.reduce(R * R, 1).ravel().tolist()  # the squared norms of the columns of R
     # sqrt is monotone and correctly rounded: the root of the largest square is the largest norm
-    return list(zip(*xy.tolist())), math.sqrt(largest(squares))
+    residual = math.sqrt(largest(squares))
+    if math.isnan(residual) and np.isnan(V_inv).all():  # a failed inv is all NaN: V is singular
+        raise MomentProblemError("joint spectrum", "eigenvector basis")
+    return list(zip(*xy.tolist())), residual

@@ -21,7 +21,7 @@ import numpy as np
 from .cubic import CaseTag, ExtensionResult, extend
 from .errors import MAX_VARIETY_RESIDUAL, MIN_ATOM_SEPARATION, MIN_WEIGHT, TOL_ACCEPT
 from .errors import MomentProblemError, SingularVandermondeError, VerificationError
-from .linalg import ERROR_STATE, LAPACK_STATE, commutator_norm, joint_eigen, lapack_solve, largest
+from .linalg import ERROR_STATE, QUIET_STATE, commutator_norm, joint_eigen, lapack_solve, largest
 from .moments import (
     AtomicMeasure,
     MomentSequence,
@@ -107,14 +107,8 @@ def _columns(basis: tuple) -> np.ndarray:
 
 
 def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
-    """Densities from V_B: solves V_B^T rho = (Lambda(t_1), ..., Lambda(t_r))^T."""
-    token = ERROR_STATE.set(LAPACK_STATE)
-    try:
-        return lapack_solve(vb.T, beta.values[_columns(tuple(basis))])
-    except np.linalg.LinAlgError as exc:
-        raise SingularVandermondeError("densities", "V_B") from exc
-    finally:
-        ERROR_STATE.reset(token)
+    """Densities from V_B: solves V_B^T rho = (Lambda(t_1), ..., Lambda(t_r))^T; all NaN for a singular V_B."""
+    return lapack_solve(vb.T, beta.values[_columns(tuple(basis))])
 
 
 def verify_measure(mu: AtomicMeasure, beta: MomentSequence) -> MeasureCheck:
@@ -151,24 +145,28 @@ def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) 
     written for the seeded solve keep working: the joint spectrum uses
     fixed combinations. A failed gate raises its stage's MomentProblemError
     (errors.py), SingularM1Error for an M(1) that is not safely positive
-    definite.
+    definite, and never a numpy warning (linalg.QUIET_STATE).
 
     Near k = 0 a rank-4 route's smallest density is of order |k|, so one
     that fails the floor may be a tie at k = 0 in floating point: the
     stages after extend run once more on the flat rank-3 route, and when
     that attempt fails too the rank-4 error is raised.
     """
-    certificate = normalize_cubic(beta)
-    ext = extend(certificate.a_vec)
+    token = ERROR_STATE.set(QUIET_STATE)
     try:
-        return _recover(beta, certificate, ext, accept)
-    except VerificationError as first:
-        if ext.case is CaseTag.FLAT_K0 or first.quantity != "min density":
-            raise
+        certificate = normalize_cubic(beta)
+        ext = extend(certificate.a_vec)
         try:
-            return _recover(beta, certificate, extend(certificate.a_vec, tol_k=abs(ext.k)), accept)
-        except MomentProblemError:
-            raise first from None
+            return _recover(beta, certificate, ext, accept)
+        except VerificationError as first:
+            if ext.case is CaseTag.FLAT_K0 or first.quantity != "min density":
+                raise
+            try:
+                return _recover(beta, certificate, extend(certificate.a_vec, tol_k=abs(ext.k)), accept)
+            except MomentProblemError:
+                raise first from None
+    finally:
+        ERROR_STATE.reset(token)
 
 
 def _recover(beta, certificate, ext, accept) -> tuple[AtomicMeasure, SolveReport]:
@@ -177,6 +175,8 @@ def _recover(beta, certificate, ext, accept) -> tuple[AtomicMeasure, SolveReport
     vb = _vandermonde(*zip(*atoms), ext.basis)
     rho = _densities(vb, ext.basis, certificate.normalized).tolist()
     if not all(r >= MIN_WEIGHT for r in rho):  # also rejects a NaN density
+        if all(r != r for r in rho):  # a failed solve is all NaN: V_B is singular
+            raise SingularVandermondeError("densities", "V_B")
         raise VerificationError("densities", "min density", float(np.min(rho)), MIN_WEIGHT)
     variety_residual = _variety_residual(ext, vb)
     if not variety_residual <= MAX_VARIETY_RESIDUAL:

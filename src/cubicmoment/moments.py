@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MomentProblemError
+from .linalg import ERROR_STATE, QUIET_STATE
 
 
 class Monomial(NamedTuple):
@@ -138,7 +139,7 @@ def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:
     given. The powers are Python float powers and the weight multiplies
     x^i before y^j, so each entry rounds exactly as w * x**i * y**j does;
     the products are Python float products, so an overflow gives +-inf
-    (and inf * 0 gives NaN) without a warning.
+    (and inf * 0 gives NaN) without a warning, whatever the caller's error state.
     """
     if len(x) != len(y):
         raise ValueError(f"{len(x)} x-coordinates but {len(y)} y-coordinates")
@@ -150,8 +151,11 @@ def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:
     try:
         entries = [wk * u**i * v**j for u, v, wk in zip(x, y, w) for i, j in exponents]
     except OverflowError:  # float ** raises where C pow gives +-inf; np.power gives it
-        with np.errstate(over="ignore"):
+        token = ERROR_STATE.set(QUIET_STATE)  # and may underflow too
+        try:
             p = np.power.outer([*x, *y], np.arange(degree + 1.0)).tolist()
+        finally:
+            ERROR_STATE.reset(token)
         rows = zip(p[: len(x)], p[len(x) :], w)
         entries = [wk * px[i] * py[j] for px, py, wk in rows for i, j in exponents]
     return np.array(entries, dtype=float).reshape(len(x), len(exponents))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFECT_ATOL, SINGULAR_RTOL, MomentProblemError, SingularM1Error
-from .linalg import largest
+from .linalg import ERROR_STATE, QUIET_STATE, largest
 from .moments import Atom, MomentSequence, frozen_record, monomial_index, require_finite
 
 _Z = np.array([[0, 0], [1, 0], [0, 1]])  # the exponents (i, j) of z = (1, x, y)
@@ -113,6 +113,8 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
     through psi(x, y) = (-y, x) alone, with no arithmetic, to the
     certificate the factors would give, bit for bit. A failed gate raises
     a MomentProblemError of stage "normalize"; a pivot's is a SingularM1Error.
+    The arithmetic runs on Python floats or under linalg.QUIET_STATE, so it
+    warns and raises nothing else, whatever the caller's error state.
     """
     if beta.degree != 3:
         raise ValueError("normalization expects a degree-3 sequence")
@@ -141,20 +143,24 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
         raise SingularM1Error("normalize", "d3", d3, threshold)
     if not math.isfinite(d3):  # an overflow degenerates the map; past its gate, d2 is finite
         raise MomentProblemError("normalize", "d3", d3)
-    whiten = _whiten(m1, d2, d3)
-    pushed = _push(whiten, np.array(values))
-    refined = pushed[:6].tolist()
-    r2, r3 = _pivots(refined)
-    if not (r2 > 0.0 and r3 > 0.0):  # also rejects NaN pivots
-        name, pivot = ("refined d2", r2) if not r2 > 0.0 else ("refined d3", r3)
-        raise MomentProblemError("normalize", name, pivot, 0.0)
-    turn = _QUARTER.dot(_whiten(refined, r2, r3))
-    normalized = _push(turn, pushed)
-    result = normalized.tolist()
-    defect = largest([abs(v - e) for v, e in zip(result, _IDENTITY_M1)])
-    if not defect <= DEFECT_ATOL:  # also rejects a NaN defect
-        raise MomentProblemError("normalize", "max |M(1) - I|", defect, DEFECT_ATOL)
-    psi = turn.dot(whiten)
+    token = ERROR_STATE.set(QUIET_STATE)  # the pushed moments may overflow to an inf or NaN that a gate names
+    try:
+        whiten = _whiten(m1, d2, d3)
+        pushed = _push(whiten, np.array(values))
+        refined = pushed[:6].tolist()
+        r2, r3 = _pivots(refined)
+        if not (r2 > 0.0 and r3 > 0.0):  # also rejects NaN pivots
+            name, pivot = ("refined d2", r2) if not r2 > 0.0 else ("refined d3", r3)
+            raise MomentProblemError("normalize", name, pivot, 0.0)
+        turn = _QUARTER.dot(_whiten(refined, r2, r3))
+        normalized = _push(turn, pushed)
+        result = normalized.tolist()
+        defect = largest([abs(v - e) for v, e in zip(result, _IDENTITY_M1)])
+        if not defect <= DEFECT_ATOL:  # also rejects a NaN defect
+            raise MomentProblemError("normalize", "max |M(1) - I|", defect, DEFECT_ATOL)
+        psi = turn.dot(whiten)
+    finally:
+        ERROR_STATE.reset(token)
     psi.setflags(write=False)
     normalized.setflags(write=False)  # a new array whose beta_00 passed the defect gate
     sequence = frozen_record(MomentSequence, degree=3, values=normalized)

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from cubicmoment import MomentSequence, compute_k, monomials_up_to
@@ -16,6 +18,20 @@ def fields(error) -> tuple:
 def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shape, dtype and bytes: NaN payloads and signed zeros included."""
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def failed_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What a failed eig gufunc returns for the square a, where np.linalg.eig raises: complex w and V, all NaN."""
+    nan = complex(math.nan, math.nan)
+    return np.full(len(a), nan), np.full(a.shape, nan)
+
+
+def solve_on_repeated_atoms(monkeypatch):
+    """solve_cubic of the square (+-1, +-1) with extract_atoms handing one atom twice, so V_B is singular."""
+    from cubicmoment import measure
+
+    monkeypatch.setattr(measure, "extract_atoms", lambda ext: [(1.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)])
+    return measure.solve_cubic(seq_from_a((0, 0, 0, 0)))
 
 
 def rescaled(beta: MomentSequence, factor: float) -> MomentSequence:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import subprocess
 import sys
 import types
 
@@ -77,6 +78,34 @@ def test_a_changed_verify_line_changes_the_cli_part(monkeypatch, tmp_path):
     changed, changed_part = cli_part()
     assert changed == [r.replace(b"within tolerance", b"inside tolerance") for r in records]
     assert changed_part != part
+
+
+def test_a_warning_in_the_cli_is_an_untyped_record(monkeypatch):
+    # RuntimeWarnings are errors in this suite, as they are in the working tree's child
+    def main(argv):
+        print("partial")
+        return int(np.float64(1e308) * 10.0)
+
+    monkeypatch.setattr(cli, "main", main)
+    with np.errstate(over="warn"):
+        code, out = answer_hash._run_cli(["solve"])
+    assert (code, out) == (-1, "partial\nerror RuntimeWarning: overflow encountered in scalar multiply")
+
+
+def test_only_the_working_tree_side_turns_runtime_warnings_into_errors(monkeypatch, capsys):
+    commands = []
+
+    def run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(answer_hash, "export", lambda revision, target: None)
+    monkeypatch.setattr(answer_hash.subprocess, "run", run)
+    assert answer_hash.main(["--base", "HEAD", "--seeds", "11"]) == 0
+    base, tree = commands
+    assert base[1] == tree[3] == answer_hash.__file__ and "-W" not in base
+    assert tree[1:3] == ["-W", "error::RuntimeWarning"]
+    assert capsys.readouterr().out.endswith("equal\n")
 
 
 def test_each_part_hashes_apart_and_names_its_first_difference():

@@ -8,7 +8,6 @@ import pickle
 
 import numpy as np
 import pytest
-from numpy.linalg import LinAlgError
 
 from cubicmoment import (
     Atom,
@@ -30,7 +29,7 @@ from cubicmoment import (
 from cubicmoment import cubic, errors, linalg, measure, normalize
 from cubicmoment.cubic import BASIS_K0
 
-from _util import fields, seq_from_a
+from _util import failed_eig, fields, seq_from_a, solve_on_repeated_atoms
 
 ERRORS = [
     SingularM1Error("normalize", "d2", 0.0, 1e-10),
@@ -80,10 +79,7 @@ def _non_finite_entry(monkeypatch):
 
 
 def _failing_eig(monkeypatch):
-    def eig(a):
-        raise LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(linalg, "lapack_eig", eig)
+    monkeypatch.setattr(linalg, "lapack_eig", failed_eig)  # NaN, as LAPACK returns it when eig fails
     solve_cubic(seq_from_a((0.4, -0.9, 1.2, 0.5)))
 
 
@@ -95,12 +91,6 @@ def _singular_basis(monkeypatch):
 def _repeated_atoms(monkeypatch):
     pair = np.array((np.diag([1.0, 1.0, -1.0, -1.0]), np.diag([1.0, 1.0 + 5e-9, -1.0, 1.0])))
     extract_atoms(dataclasses.replace(extend((0, 0, 0, 0)), pair=pair))
-
-
-def _singular_vandermonde(monkeypatch):
-    ext = extend((0, 0, 0, 0))
-    vb = measure._vandermonde([1.0, 1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0], ext.basis)  # a repeated atom
-    measure._densities(vb, ext.basis, seq_from_a((0, 0, 0, 0)))
 
 
 def _off_the_variety(monkeypatch):
@@ -167,7 +157,7 @@ GATES = [
     ),
     ("atom gap", _repeated_atoms, SingularVandermondeError, "joint spectrum", "atom gap"),
     # densities
-    ("Vandermonde solve", _singular_vandermonde, SingularVandermondeError, "densities", "V_B"),
+    ("Vandermonde solve", solve_on_repeated_atoms, SingularVandermondeError, "densities", "V_B"),
     ("density floor", _solve_a((1e104, 0, 1, 0)), VerificationError, "densities", "min density"),
     ("variety residual", _off_the_variety, VerificationError, "densities", "variety residual"),
     # verify

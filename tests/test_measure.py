@@ -41,7 +41,7 @@ from _oracle import (
     multiplication_matrices,
     paper_relations,
 )
-from _util import fields, match_points, rescaled, rotate_a, same_bytes, seq_from_a
+from _util import acceptance_draws, fields, match_points, rescaled, rotate_a, same_bytes, seq_from_a
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -205,9 +205,12 @@ class TestVerifyMeasure:
         check = verify_measure(mu, seq_from_a((0, 0, 0, 0)))
         assert math.isnan(check.max_moment_residual)
 
-    def test_overflowing_atom_gives_an_inf_residual(self):
-        # x^2 y = 1e450 leaves float range; the residual says so, without a warning
-        check = verify_measure(AtomicMeasure((Atom(1e150, 1e150, 1.0),)), seq_from_a((0, 0, 0, 0)))
+    @pytest.mark.parametrize("state", ["warn", "raise"])
+    @pytest.mark.parametrize("x, y", [(1e150, 1e150), (1e200, 1e-200)])  # 1e-200^2 underflows in np.power
+    def test_overflowing_atom_gives_an_inf_residual(self, state, x, y):
+        # x^2 y or x^3 leaves float range; the residual says so, without a warning whatever the caller's state
+        with np.errstate(all=state):
+            check = verify_measure(AtomicMeasure((Atom(x, y, 1.0),)), seq_from_a((0, 0, 0, 0)))
         assert check.max_moment_residual == math.inf
 
 
@@ -312,6 +315,24 @@ class TestSolveCubic:
         assert len(mu.atoms) == 4
         assert report.max_moment_residual <= 1e-10
         assert report.extension.m3 is not None
+
+    def test_kneg_route_puts_an_atom_at_the_mean(self):
+        # row 0 of Mx and My is zero for any bump t: no basis monomial times x or y has a constant
+        # term, so (0, 0) is a joint eigenvalue, the normalized mean, and pulls back to the input's mean
+        inputs = [seq_from_a(a) for a in acceptance_draws()]
+        inputs += [MomentSequence(3, np.array(random_request(n, s)["beta"])) for n in (3, 4, 5) for s in range(100)]
+        solved = 0
+        for beta in inputs:
+            mu, report = solve_cubic(beta)
+            if report.case is not CaseTag.RANK_INCREASING_K_NEG:
+                continue
+            assert not report.extension.pair[:, 0].any()
+            b00, b10, b01 = beta.values[:3].tolist()
+            x, y = b10 / b00, b01 / b00
+            gap = min(max(abs(a.x - x), abs(a.y - y)) for a in mu.atoms)
+            assert gap <= 1e-12 * max(1.0, abs(x), abs(y))
+            solved += 1
+        assert solved >= 700  # 677 of the acceptance draws and 48 of the random requests
 
     def test_mass_rescaling(self):
         beta = rescaled(seq_from_a((0, 0, 0, 0)), 5.0)

@@ -344,6 +344,20 @@ class TestNormalizeCubic:
         assert fields(info.value)[:3] == ("normalize", "1 / beta_00", 1 / 1e-300)
         assert f"{info.value.value:.3e}" == "1.000e+300"
 
+    @pytest.mark.parametrize(
+        "beta", [[1, 0.9, 0, 1, 0, 1, 1.7e308, 0, 0, 0], [1, 0.9, 0.1, 1, 0, 1, 1e308, 1e308, 1e308, 1e308]]
+    )
+    @pytest.mark.parametrize("run", [normalize_cubic, solve_cubic])
+    @pytest.mark.parametrize("state", ["warn", "raise"])
+    def test_overflowing_refinement_is_a_typed_error_whatever_the_callers_state(self, beta, run, state):
+        # finite moments whose whitened cubics overflow: the refined d2 is NaN. Under the caller's
+        # state a warning (an error in this suite) or a FloatingPointError would escape instead
+        with np.errstate(all=state), pytest.raises(MomentProblemError) as info:
+            run(MomentSequence(3, np.array(beta, dtype=float)))
+        assert type(info.value) is MomentProblemError
+        assert fields(info.value)[:2] == ("normalize", "refined d2") and info.value.bound == 0.0
+        assert math.isnan(info.value.value)
+
     def test_singular_input(self):
         values = np.array([1, 0, 0, 0, 0, 1, 0, 0, 0, 0], dtype=float)  # beta_20 = 0
         with pytest.raises(SingularM1Error):

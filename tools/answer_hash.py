@@ -33,6 +33,13 @@ that changed outcome, from which to which, and the inputs that kept
 their outcome but changed their record, and says whether every input
 the base solved is unchanged. It exits 0 when every part's hashes are
 equal and 1 otherwise. Sides run one after the other.
+
+The working tree's child also checks that the solver never warns: it
+runs with -W error::RuntimeWarning under numpy's default error state, so
+a numpy warning is raised, recorded as an untyped error, and makes its
+part differ. The base's child runs under np.errstate(all="ignore") with
+Python's default warning filters, so that revisions whose solver still
+warned can be compared.
 """
 
 from __future__ import annotations
@@ -107,8 +114,11 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
     from cubicmoment.cli import main
 
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except Exception as exc:  # a warning the strict child raises, say: an untyped error is part of the answer
+        return -1, out.getvalue() + error_record(exc).decode()
     return code, out.getvalue()
 
 
@@ -160,22 +170,31 @@ def digest(record: bytes) -> str:
 
 
 def hash_tree(tree: Path, seeds) -> None:
-    """Print one line per input, its record's digest, part and label, for the solver in tree/src."""
+    """Print one line per input, its record's digest, part and label, for the solver in tree/src.
+
+    Under -W error::RuntimeWarning the inputs run under numpy's default error state, and otherwise all quiet.
+    """
     sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
     import cubicmoment
 
     origin = Path(cubicmoment.__file__).resolve()
     if not origin.is_relative_to((tree / "src").resolve()):
         raise SystemExit(f"cubicmoment was imported from {origin}, not from {tree / 'src'}")
-    with tempfile.TemporaryDirectory(prefix="answer-hash-cli-") as tmp, np.errstate(all="ignore"):
+    strict = "error::RuntimeWarning" in sys.warnoptions
+    state = contextlib.nullcontext() if strict else np.errstate(all="ignore")
+    with tempfile.TemporaryDirectory(prefix="answer-hash-cli-") as tmp, state:
         for part, label, record in records(seeds, Path(tmp)):
             print(f"{digest(record)}\t{part}\t{label}")
 
 
-def _side(tree: Path, seeds) -> list[tuple[str, str, str]]:
-    """(digest, part, label) per input, from a child process that imports tree's solver."""
+def _side(tree: Path, seeds, strict: bool) -> list[tuple[str, str, str]]:
+    """(digest, part, label) per input, from a child process that imports tree's solver.
+
+    A strict child turns RuntimeWarnings into errors and hashes under numpy's default error state.
+    """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    cmd = [sys.executable, __file__, "--tree", str(tree), "--seeds", *map(str, seeds)]
+    warnings = ["-W", "error::RuntimeWarning"] if strict else []
+    cmd = [sys.executable, *warnings, __file__, "--tree", str(tree), "--seeds", *map(str, seeds)]
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"hashing {tree} failed:\n{done.stderr}")
@@ -262,8 +281,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="answer-hash-base-") as tmp:
         export(args.base, Path(tmp))
-        base = _side(Path(tmp), args.seeds)
-    tree = _side(ROOT, args.seeds)
+        base = _side(Path(tmp), args.seeds, strict=False)
+    tree = _side(ROOT, args.seeds, strict=True)
     report, equal = compare(args.base, base, "working tree", tree)
     print("\n".join([*report, *movements(args.base, base, tree)]))
     print("equal" if equal else "different")
