@@ -51,7 +51,7 @@ from .moments import (
     Monomial,
     build_moment_matrix,
     frozen_record,
-    monomial_index,
+    monomial_columns,
     monomials_up_to,
     require_finite,
 )
@@ -131,7 +131,7 @@ class ExtensionResult:
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:
             return None
         low, (mx, my), power = self.moments.values, self.pair, np.linalg.matrix_power
-        riesz_basis = low[[monomial_index(b) for b in self.basis]]
+        riesz_basis = low[monomial_columns(self.basis)]
         token = ERROR_STATE.set(QUIET_STATE)  # an overflowing power is named below, not warned about
         try:
             commutator_gate(self.pair)

@@ -75,17 +75,16 @@ def largest(values: list[float]) -> float:
     return total if total != total else max(values, default=0.0)
 
 
-def commutator_gate(M: np.ndarray) -> float:
+def commutator_gate(M: np.ndarray) -> None:
     """Raise CommutatorError unless the stacked pair M = (Mx, My) commutes within TOL_COMMUTE.
 
-    The tolerance is relative to the scale max(1, max|Mx|, max|My|), which
-    is returned. A NaN commutator fails.
+    The tolerance is relative to the scale max(1, max|Mx|, max|My|). A NaN
+    commutator fails.
     """
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     commutator = commutator_norm(M)
     if not commutator <= TOL_COMMUTE * scale:
         raise CommutatorError("joint spectrum", "max |Mx My - My Mx|", commutator, TOL_COMMUTE * scale)
-    return scale
 
 
 def joint_eigen(M) -> list[tuple[float, float]]:
@@ -101,8 +100,9 @@ def joint_eigen(M) -> list[tuple[float, float]]:
     -------
     list of (x, y)
         One pair per dimension (with multiplicity). Each pair comes with a
-        common unit eigenvector v satisfying ||Mx v - x v|| and
-        ||My v - y v|| <= TOL_EIG * scale.
+        common unit eigenvector v satisfying ||Mx v - x v|| <= TOL_EIG *
+        max(1, max|Mx|) and ||My v - y v|| <= TOL_EIG * max(1, max|My|),
+        each matrix on its own scale.
 
     Notes
     -----
@@ -122,33 +122,29 @@ def joint_eigen(M) -> list[tuple[float, float]]:
         raise ValueError(f"M must stack two square matrices, shape (2, n, n), not {M.shape}")
     token = ERROR_STATE.set(QUIET_STATE)
     try:
-        scale = commutator_gate(M)
+        commutator_gate(M)
         errors = []
         for c in _COMBINATIONS:
             try:
-                pairs, residual = _read_spectrum(M, c)
+                return _read_spectrum(M, c)
             except MomentProblemError as exc:
                 errors.append(exc)
-                continue
-            if residual <= TOL_EIG * scale:
-                return pairs
-            errors.append(MomentProblemError("joint spectrum", "eigenvector residual", residual, TOL_EIG * scale))
-            if not math.isfinite(residual):  # an overflow, not a tie: the second c is not tried
-                break
+                if exc.quantity == "eigenvector residual" and not math.isfinite(exc.value):
+                    break  # an overflow, not a tie: the second c is not tried
     finally:
         ERROR_STATE.reset(token)
     raise errors[0]
 
 
-def _read_spectrum(M: np.ndarray, c: float) -> tuple[list[tuple[float, float]], float]:
+def _read_spectrum(M: np.ndarray, c: float) -> list[tuple[float, float]]:
     """The pairs of the stack M = (Mx, My) read with the eigenvectors of c*Mx + (1-c)*My.
 
-    Returns them with the largest eigenvector residual of either matrix
-    over eig's own columns, which LAPACK's dgeev returns with norm 1.
     The atoms of the extension are real, so a non-real eigenvalue,
     however small its imaginary part, raises ComplexAtomError. A failed
     eig or inv, read as the NaN it returns, raises MomentProblemError
-    naming eig or the eigenvector basis.
+    naming eig or the eigenvector basis, and so does the eigenvector
+    residual of Mx, then of My, over eig's own columns (which LAPACK's
+    dgeev returns with norm 1) above TOL_EIG * max(1, max|M|) of its matrix.
     """
     lam, V = lapack_eig(c * M[0] + (1.0 - c) * M[1])
     if lam.dtype.kind == "c":  # eig returns a complex lam when an eigenvalue is not real, and when it failed
@@ -159,9 +155,14 @@ def _read_spectrum(M: np.ndarray, c: float) -> tuple[list[tuple[float, float]], 
     V_inv = lapack_inv(V)
     xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
     R = M @ V - V * xy[:, None, :]
-    squares = np.add.reduce(R * R, 1).ravel().tolist()  # the squared norms of the columns of R
+    squares = np.add.reduce(R * R, 1).ravel().tolist()  # the squared norms of the columns of R, Mx's then My's
     # sqrt is monotone and correctly rounded: the root of the largest square is the largest norm
     residual = math.sqrt(largest(squares))
     if math.isnan(residual) and np.isnan(V_inv).all():  # a failed inv is all NaN: V is singular
         raise MomentProblemError("joint spectrum", "eigenvector basis")
-    return list(zip(*xy.tolist())), residual
+    if not residual <= TOL_EIG:  # each matrix's bound is at least TOL_EIG
+        for k, entry in enumerate(np.abs(M).max(axis=(1, 2), initial=0.0).tolist()):
+            residual, bound = math.sqrt(largest(squares[k * len(V) : (k + 1) * len(V)])), TOL_EIG * max(1.0, entry)
+            if not residual <= bound:
+                raise MomentProblemError("joint spectrum", "eigenvector residual", residual, bound)
+    return list(zip(*xy.tolist()))

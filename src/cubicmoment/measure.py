@@ -11,7 +11,6 @@ never returns an unverified measure.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -27,8 +26,8 @@ from .moments import (
     MomentSequence,
     frozen_record,
     integrals_of,
-    monomial_index,
-    monomial_table,
+    monomial_columns,
+    monomials_at,
 )
 from .normalize import NormalizationCertificate, normalize_cubic, pullback_measure
 
@@ -85,30 +84,9 @@ def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
     return pairs
 
 
-def _vandermonde(x, y, basis) -> np.ndarray:
-    """V_B: row k evaluates the basis monomials at the atom (x_k, y_k).
-
-    The basis columns of monomial_table, entry by entry: x**i * y**j in
-    Python floats, and the table itself when a power overflows.
-    """
-    try:
-        entries = [u**i * v**j for u, v in zip(map(float, x), map(float, y)) for i, j in basis]
-    except OverflowError:  # float ** raises where the table's np.power gives +-inf
-        return monomial_table(x, y, max(map(sum, basis), default=0))[:, _columns(tuple(basis))]
-    return np.array(entries, dtype=float).reshape(len(x), len(basis))
-
-
-@functools.cache
-def _columns(basis: tuple) -> np.ndarray:
-    """The degree-lex positions of the basis monomials."""
-    columns = np.array([monomial_index(b) for b in basis], dtype=np.intp)
-    columns.setflags(write=False)
-    return columns
-
-
 def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
     """Densities from V_B: solves V_B^T rho = (Lambda(t_1), ..., Lambda(t_r))^T; all NaN for a singular V_B."""
-    return lapack_solve(vb.T, beta.values[_columns(tuple(basis))])
+    return lapack_solve(vb.T, beta.values[monomial_columns(tuple(basis))])
 
 
 def verify_measure(mu: AtomicMeasure, beta: MomentSequence) -> MeasureCheck:
@@ -172,7 +150,7 @@ def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) 
 def _recover(beta, certificate, ext, accept) -> tuple[AtomicMeasure, SolveReport]:
     """The stages after extend: atoms, densities, pullback and verification of one extension."""
     atoms = extract_atoms(ext)
-    vb = _vandermonde(*zip(*atoms), ext.basis)
+    vb = monomials_at(*zip(*atoms), [1.0] * len(atoms), ext.basis)  # V_B: row k is the basis at atom k
     rho = _densities(vb, ext.basis, certificate.normalized).tolist()
     if not all(r >= MIN_WEIGHT for r in rho):  # also rejects a NaN density
         if all(r != r for r in rho):  # a failed solve is all NaN: V_B is singular

@@ -9,6 +9,7 @@ at degree 6 a sequence holds 28 values, so no sparse structure is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -40,6 +41,14 @@ def monomial_index(m: tuple[int, int]) -> int:
     i, j = m
     d = i + j
     return d * (d + 1) // 2 + (d - i)
+
+
+@functools.cache
+def monomial_columns(monomials: tuple) -> np.ndarray:
+    """The degree-lex positions of the monomials, as a read-only index array."""
+    columns = np.array([monomial_index(m) for m in monomials], dtype=np.intp)
+    columns.setflags(write=False)
+    return columns
 
 
 def monomials_up_to(degree: int) -> list[Monomial]:
@@ -121,15 +130,10 @@ def build_moment_matrix(beta: MomentSequence) -> np.ndarray:
     """
     if beta.degree % 2 != 0:
         raise ValueError("a moment matrix requires an even-degree sequence")
-    i, j = _exponents(beta.degree // 2)
+    i, j = np.array(monomials_up_to(beta.degree // 2)).T
     entries = beta.values[monomial_index((i[:, None] + i[None, :], j[:, None] + j[None, :]))]
     entries.setflags(write=False)
     return entries
-
-
-def _exponents(degree: int) -> np.ndarray:
-    """Rows i and j: the exponents of the monomials up to degree, in degree-lex order."""
-    return np.array(monomials_up_to(degree)).T
 
 
 def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:
@@ -147,18 +151,28 @@ def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:
     w = [1.0] * len(x) if weights is None else list(map(float, weights))  # 1.0 * v is v
     if len(w) != len(x):
         raise ValueError(f"{len(w)} weights for {len(x)} points")
-    exponents = monomials_up_to(degree)
+    return monomials_at(x, y, w, monomials_up_to(degree))
+
+
+def monomials_at(x, y, w, monomials) -> np.ndarray:
+    """Row k holds w[k] * x[k]**i * y[k]**j for each (i, j) of monomials, from the Python floats x, y, w.
+
+    The one evaluator of monomials at points: monomial_table takes every
+    monomial up to a degree, and the density solve's V_B the basis with unit
+    weights, which 1.0 * v leaves as they are.
+    """
     try:
-        entries = [wk * u**i * v**j for u, v, wk in zip(x, y, w) for i, j in exponents]
+        entries = [wk * u**i * v**j for u, v, wk in zip(x, y, w) for i, j in monomials]
     except OverflowError:  # float ** raises where C pow gives +-inf; np.power gives it
+        degree = max(map(sum, monomials), default=0)
         token = ERROR_STATE.set(QUIET_STATE)  # and may underflow too
         try:
             p = np.power.outer([*x, *y], np.arange(degree + 1.0)).tolist()
         finally:
             ERROR_STATE.reset(token)
         rows = zip(p[: len(x)], p[len(x) :], w)
-        entries = [wk * px[i] * py[j] for px, py, wk in rows for i, j in exponents]
-    return np.array(entries, dtype=float).reshape(len(x), len(exponents))
+        entries = [wk * px[i] * py[j] for px, py, wk in rows for i, j in monomials]
+    return np.array(entries, dtype=float).reshape(len(x), len(monomials))
 
 
 class Atom(NamedTuple):

@@ -72,7 +72,7 @@ from cubicmoment import (
 from cubicmoment.cubic import BASIS_KNEG, _extension
 from cubicmoment.errors import SINGULAR_RTOL, TOL_COMMUTE, TOL_EIG, TOL_K
 from cubicmoment.linalg import commutator_norm
-from cubicmoment.moments import _exponents, sequence_length
+from cubicmoment.moments import sequence_length
 
 MASS_ATOL = 1e-9  # largest |beta_00 - 1| paper_minors accepts as a rescaled sequence
 TOL_IMAG = 1e-6  # largest |Im lambda| joint_eigen_reference accepts, relative to max(1, |lambda|)
@@ -324,7 +324,7 @@ def monomial_table_reference(x, y, degree: int, weights=None) -> np.ndarray:
     """
     if len(x) != len(y):
         raise ValueError(f"{len(x)} x-coordinates but {len(y)} y-coordinates")
-    i, j = _exponents(degree)
+    i, j = np.array(monomials_up_to(degree)).T
     coordinates = [*map(float, x), *map(float, y)]
     try:
         powers = np.array([[v**e for e in range(degree + 1)] for v in coordinates])
@@ -362,12 +362,11 @@ def joint_eigen_reference(Mx, My, c: float) -> list[tuple[float, float]]:
     x = np.diag(V_inv @ Mx @ V)
     y = np.diag(V_inv @ My @ V)
     V = V / np.linalg.norm(V, axis=0)
-    residual = max(
-        float(np.linalg.norm(Mx @ V - V * x, axis=0).max()),
-        float(np.linalg.norm(My @ V - V * y, axis=0).max()),
-    )
-    if not residual <= TOL_EIG * scale:  # also rejects a NaN residual
-        raise MomentProblemError("joint spectrum", "eigenvector residual", residual, TOL_EIG * scale)
+    for M, t in ((Mx, x), (My, y)):  # each matrix on its own scale
+        residual = float(np.linalg.norm(M @ V - V * t, axis=0).max())
+        bound = TOL_EIG * max(1.0, float(np.abs(M).max(initial=0.0)))
+        if not residual <= bound:  # also rejects a NaN residual
+            raise MomentProblemError("joint spectrum", "eigenvector residual", residual, bound)
     return [(float(xi), float(yi)) for xi, yi in zip(x, y)]
 
 

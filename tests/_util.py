@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from cubicmoment import MomentSequence, compute_k, monomials_up_to
+from cubicmoment.moments import monomials_at
 
 SUITE_SIZE = 1000
 K0_HAND_POINTS = [(0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, -0.7)]  # k = 0 exactly
@@ -24,6 +25,12 @@ def failed_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """What a failed eig gufunc returns for the square a, where np.linalg.eig raises: complex w and V, all NaN."""
     nan = complex(math.nan, math.nan)
     return np.full(len(a), nan), np.full(a.shape, nan)
+
+
+def vandermonde(x, y, basis) -> np.ndarray:
+    """V_B as the density solve builds it: the basis monomials at the points (x_k, y_k), with unit weights."""
+    x, y = list(map(float, x)), list(map(float, y))
+    return monomials_at(x, y, [1.0] * len(x), basis)
 
 
 def solve_on_repeated_atoms(monkeypatch):

@@ -29,7 +29,7 @@ from _oracle import (
     sos_certificate_check,
     x3_relation,
 )
-from _util import fields, is_hankel, match_points, quartics_of
+from _util import fields, is_hankel, match_points, quartics_of, vandermonde
 
 
 def _oracle_p(a, bump=1.0):
@@ -146,7 +146,7 @@ class TestKnegBump:
         atoms = extract_atoms(ext)
         r8 = 2.0 * np.sqrt(2.0)
         match_points(atoms, [(-r8, 2.0), (0.0, -2.0), (0.0, 0.0), (r8, 2.0)], atol=1e-12)
-        vb = measure._vandermonde(*zip(*atoms), ext.basis)
+        vb = vandermonde(*zip(*atoms), ext.basis)
         weights = measure._densities(vb, ext.basis, ext.moments)
         assert_allclose(weights, [1 / 16, 1 / 8, 3 / 4, 1 / 16], rtol=0, atol=1e-12)
 

@@ -41,6 +41,7 @@ from _util import (
     same_bytes,
     seq_from_a,
     solve_on_repeated_atoms,
+    vandermonde,
 )
 
 
@@ -288,7 +289,7 @@ def _seam_matrices() -> list[np.ndarray]:
     matrices = [rng.normal(size=(n, n)) for n in (3, 4) for _ in range(40)]
     matrices.append(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))  # a complex pair
     ext = extend(normalize_cubic(seq_from_a((0.4, -0.9, 1.2, 0.5))).a_vec)
-    vb = measure._vandermonde(*zip(*extract_atoms(ext)), ext.basis)
+    vb = vandermonde(*zip(*extract_atoms(ext)), ext.basis)
     matrices.append(vb.T)  # not contiguous, as the density solve hands it over
     return matrices
 
@@ -407,16 +408,22 @@ class TestUnitColumns:
             assert w.dtype.kind == "f"
             assert np.abs(np.linalg.norm(V, axis=0) - 1.0).max() <= 4 * np.spacing(1.0)
 
-    def test_residual_is_the_residual_over_normalized_columns(self):
-        # a residual near rounding level moves by a rounding of the products, so the two are
-        # compared on the scale the gate measures against, max(1, max |M|)
+    def test_residual_is_the_residual_over_normalized_columns(self, monkeypatch):
+        # a negative TOL_EIG fails the first matrix of every stack, so its error carries that
+        # matrix's residual; the swapped stack with 1 - c reads My first. A residual near rounding
+        # level moves by a rounding of the products, so it is compared on its matrix's scale
         for M in _route_pairs():
-            pairs, residual = linalg._read_spectrum(M, self.C)
-            _, V = np.linalg.eig(self.C * M[0] + (1.0 - self.C) * M[1])
-            V = V / np.linalg.norm(V, axis=0)  # as tests/_oracle.py normalizes them
-            x, y = np.array(pairs).T
-            expected = max(np.linalg.norm(M[i] @ V - V * xy, axis=0).max() for i, xy in enumerate((x, y)))
-            assert abs(residual - expected) <= 4 * np.spacing(max(1.0, np.abs(M).max()))
+            for stack, c in ((M, self.C), (M[::-1], 1.0 - self.C)):
+                pairs = linalg._read_spectrum(stack, c)
+                _, V = np.linalg.eig(c * stack[0] + (1.0 - c) * stack[1])
+                V = V / np.linalg.norm(V, axis=0)  # as tests/_oracle.py normalizes them
+                expected = np.linalg.norm(stack[0] @ V - V * np.array(pairs)[:, 0], axis=0).max()
+                with monkeypatch.context() as patch:
+                    patch.setattr(linalg, "TOL_EIG", -1.0)
+                    with pytest.raises(MomentProblemError) as info:
+                        linalg._read_spectrum(stack, c)
+                assert info.value.quantity == "eigenvector residual"
+                assert abs(info.value.value - expected) <= 4 * np.spacing(max(1.0, np.abs(stack[0]).max()))
 
     def test_complex_spectrum_is_a_complex_atom_error(self, monkeypatch):
         M = np.array((np.diag([1.0, 2.0, 3.0]), [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))

@@ -41,7 +41,7 @@ from _oracle import (
     multiplication_matrices,
     paper_relations,
 )
-from _util import acceptance_draws, fields, match_points, rescaled, rotate_a, same_bytes, seq_from_a
+from _util import acceptance_draws, fields, match_points, rescaled, rotate_a, same_bytes, seq_from_a, vandermonde
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -150,7 +150,7 @@ class TestExtractAtoms:
 
 def _densities(atoms, basis, beta):
     """The solver's own density solve on the atoms' V_B."""
-    return measure._densities(measure._vandermonde(*zip(*atoms), basis), basis, beta)
+    return measure._densities(vandermonde(*zip(*atoms), basis), basis, beta)
 
 
 class TestSolveDensities:
@@ -216,7 +216,7 @@ class TestVerifyMeasure:
 
 def _variety_residual(ext, points) -> float:
     x, y = np.array(points, dtype=float).reshape(-1, 2).T
-    return measure._variety_residual(ext, measure._vandermonde(x, y, ext.basis))
+    return measure._variety_residual(ext, vandermonde(x, y, ext.basis))
 
 
 class TestWrittenOutPaths:
@@ -231,7 +231,15 @@ class TestWrittenOutPaths:
         x, y = [self.POINTS[k][0] for k in rows], [self.POINTS[k][1] for k in rows]
         columns = [monomial_index(b) for b in basis]
         expected = monomial_table(x, y, 2)[:, columns]
-        assert same_bytes(measure._vandermonde(x, y, basis), expected)
+        assert same_bytes(vandermonde(x, y, basis), expected)
+
+    @pytest.mark.parametrize("basis", [BASIS_K0, BASIS_KPOS, BASIS_KNEG])
+    def test_unit_weights_leave_the_basis_powers_as_they_are(self, basis):
+        # V_B is the shared evaluator's w * x**i * y**j at w = 1.0, which is x**i * y**j bit for bit
+        points = [p for p in self.POINTS if p[0] != 1e200] + [(-0.0, -0.0), (math.inf, 2.0), (3.0, -math.inf)]
+        x, y = [p[0] for p in points], [p[1] for p in points]
+        expected = np.array([[u**i * v**j for i, j in basis] for u, v in points])
+        assert same_bytes(vandermonde(x, y, basis), expected)
 
     @pytest.mark.parametrize(
         "atoms",
@@ -257,7 +265,7 @@ class TestWrittenOutPaths:
         for n in (3, 4, 5):
             for seed in range(20):
                 ext = solve_cubic(MomentSequence(3, np.array(random_request(n, seed)["beta"])))[1].extension
-                vb = measure._vandermonde(*zip(*extract_atoms(ext)), ext.basis)
+                vb = vandermonde(*zip(*extract_atoms(ext)), ext.basis)
                 assert same_bytes(vb @ ext.pair, np.array((vb.dot(ext.mx), vb.dot(ext.my))))
 
     def test_solve_pulls_back_as_pullback_measure(self):
@@ -267,7 +275,7 @@ class TestWrittenOutPaths:
                 mu, report = solve_cubic(beta)
                 ext, cert = report.extension, report.certificate
                 atoms = extract_atoms(ext)
-                vb = measure._vandermonde(*zip(*atoms), ext.basis)
+                vb = vandermonde(*zip(*atoms), ext.basis)
                 rho = measure._densities(vb, ext.basis, cert.normalized).tolist()
                 mass = float(beta.values[0])
                 weighted = AtomicMeasure(tuple(Atom(x, y, r * mass) for (x, y), r in zip(atoms, rho)))
@@ -417,24 +425,49 @@ class TestSolveCubic:
             solve_cubic(seq_from_a(a))
         assert fields(info.value) == ("extend", moment, math.inf, None)
 
-    def test_nan_residual_of_one_matrix_fails_joint_eigen(self):
+    def test_each_matrix_residual_is_bounded_on_its_own_scale(self):
         # the k > 0 matrices at a = (0, 0, 0, 1e280), whose beta_04 overflows, so
-        # that a solve stops at the extension: the My eigenvector residual is NaN
-        # while the Mx one is finite, and the NaN-rejecting gate must stop it in
-        # joint_eigen, not pass it on to extract_atoms
+        # that a solve stops at the extension: the Mx residual is finite but far
+        # above TOL_EIG * max(1, max |Mx|) = 1e-7, which a bound on the joint scale
+        # 1e280 let through, and the My residual is NaN
         mx = np.array([(0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)], dtype=float).T
         my = np.array([(0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 1e280, 0), (0, 1, 0, 1e280)], dtype=float).T
         with pytest.raises(MomentProblemError) as info:
             linalg.joint_eigen(np.array((mx, my)))
         assert fields(info.value)[:2] == ("joint spectrum", "eigenvector residual")
-        assert math.isnan(info.value.value)
+        assert 1.0 < info.value.value < math.inf and info.value.bound == 1e-7
+
+    def test_nan_residual_of_one_matrix_fails_joint_eigen(self):
+        # a commuting pair whose My holds 9e307: y of the first atom overflows, so the My
+        # residual is NaN while the Mx one is at rounding level, and the NaN-rejecting gate
+        # must stop the pairs in joint_eigen, not pass them on to extract_atoms
+        s = 9e307
+        mx = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        my = np.array([[s, s, 0.0], [s, s, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(MomentProblemError) as info:
+            linalg.joint_eigen(np.array((mx, my)))
+        assert fields(info.value)[:2] == ("joint spectrum", "eigenvector residual")
+        assert math.isnan(info.value.value) and info.value.bound == pytest.approx(1e-7 * s)
+
+    def test_huge_atom_fails_at_the_joint_spectrum_not_the_atom_gap(self):
+        # k > 0 at the normalized a = (1e104, 0, 0, 0): the true atoms are (1e104, +-1) and
+        # (about -1e-104, +-1); the pairs read back have y = +-1e-88, an My residual of 1.0,
+        # which a bound of TOL_EIG * max(1, max |Mx|, max |My|) = 1e97 let through to an
+        # atom gap; My's own scale is 1
+        a = (1e104, 0, 0, 0)
+        for run in (lambda: linalg.joint_eigen(extend(a).pair), lambda: solve_cubic(seq_from_a(a))):
+            with pytest.raises(MomentProblemError) as info:
+                run()
+            assert type(info.value) is MomentProblemError
+            assert fields(info.value)[:2] == ("joint spectrum", "eigenvector residual")
+            assert info.value.value == pytest.approx(1.0) and info.value.bound == 1e-7
 
     @pytest.mark.parametrize(
         "a, residual, scale",
-        [((1e20, 0, 0, 0), "inf", 1e20), ((0, 0, 0, 1e20), "inf", 1e20), ((1e60, 0, 0, 0), "nan", 1e60)],
+        [((1e20, 0, 0, 0), "inf", 1.0), ((0, 0, 0, 1e20), "inf", 1e20), ((1e60, 0, 0, 0), "inf", 1.0)],
     )
     def test_overflowing_joint_spectrum_fails_without_a_warning(self, a, residual, scale):
-        # the residual's products overflow to inf or NaN, which the gate rejects quietly
+        # the My residual's products overflow to inf, which the gate rejects quietly, on My's own scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MomentProblemError) as info:
