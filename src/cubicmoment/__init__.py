@@ -22,14 +22,7 @@ from .cubic import (
     compute_k,
     extend,
 )
-from .errors import (
-    CommutatorError,
-    ComplexAtomError,
-    MomentProblemError,
-    SingularM1Error,
-    SingularVandermondeError,
-    VerificationError,
-)
+from .errors import MomentProblemError, SingularM1Error
 from .linalg import joint_eigen
 from .measure import (
     MeasureCheck,

@@ -1,8 +1,10 @@
 """Command-line front end: JSON in, JSON (or a residual table) out.
 
 Exit codes: 0 success, 1 malformed input, 2 out-of-scope input (singular
-M(1)), 3 verification failure or a downstream solver fault. The commands
-raise; main maps each error to its code and one JSON error document.
+M(1)), 3 verification failure or a downstream solver fault, 141 stdout
+closed before the output was written (128 + SIGPIPE, as a shell reports
+it). The commands raise; main maps each error to its code and one JSON
+error document.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -30,6 +33,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SINGULAR = 2
 EXIT_VERIFY = 3
+EXIT_PIPE = 141
 
 BETA_LENGTH = 10  # degree-lex order beta_00 ... beta_03
 
@@ -268,6 +272,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+    except BrokenPipeError:
+        # stdout goes to devnull, so the flush at exit does not raise again; nothing is printed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+    return code
+
+
+def _run(args) -> int:
+    """The command's exit code, each error mapped to its code and error document."""
     try:
         return args.func(args)
     except _InputError as exc:

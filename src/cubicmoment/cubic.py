@@ -126,7 +126,7 @@ class ExtensionResult:
         basis coordinates Mx^i My^j e_1 of x^i y^j. The two expansions of
         the XY^2 column differ by column Y of My Mx - Mx My, so the
         commutator gate of joint_eigen decides their consistency, quietly, and
-        raises CommutatorError; a non-finite higher moment is named as in extend.
+        raises its MomentProblemError; a non-finite higher moment is named as in extend.
         """
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:
             return None

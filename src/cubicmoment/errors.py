@@ -15,12 +15,14 @@ TOL_ACCEPT = 1e-8  # default largest moment residual of solve_cubic's accept and
 
 
 class MomentProblemError(Exception):
-    """Base class for every error this package raises deliberately: a failed gate.
+    """Every error this package raises deliberately: a failed gate, named by its fields.
 
     stage is the stage that failed, quantity names what its gate measured,
     value is the quantity's value (None for a failure without a number,
     such as a LAPACK failure) and bound the bound it failed (None when the
-    gate asks for a finite value). The message is formatted when it is read.
+    gate asks for a finite value). The one subclass, SingularM1Error, marks
+    input out of scope; with it, (stage, quantity) names each gate. The
+    message is formatted when it is read.
     """
 
     def __init__(self, stage: str, quantity: str, value: float | None = None, bound: float | None = None):
@@ -37,18 +39,3 @@ class MomentProblemError(Exception):
 class SingularM1Error(MomentProblemError):
     """A pivot of M(1), quantity "d2" or "d3", is not above its bound; the input is out of scope."""
 
-
-class CommutatorError(MomentProblemError):
-    """The multiplication matrices fail to commute (for k < 0: the two XY^2 expansions disagree)."""
-
-
-class ComplexAtomError(MomentProblemError):
-    """The joint spectrum is not real; signals upstream inconsistency."""
-
-
-class SingularVandermondeError(MomentProblemError):
-    """Coincident atoms made the density system singular; upstream failure."""
-
-
-class VerificationError(MomentProblemError):
-    """The recovered measure misses the input moments, a density floor, or the variety."""

@@ -27,7 +27,7 @@ import numpy as np
 from numpy._core.umath import _extobj_contextvar as ERROR_STATE
 from numpy.linalg import _umath_linalg
 
-from .errors import TOL_COMMUTE, TOL_EIG, CommutatorError, ComplexAtomError, MomentProblemError
+from .errors import TOL_COMMUTE, TOL_EIG, MomentProblemError
 
 # c of c*Mx + (1-c)*My, tried in order; the first is the seed-0 c of the earlier seeded solve,
 # so its answers stay bit-identical
@@ -76,7 +76,7 @@ def largest(values: list[float]) -> float:
 
 
 def commutator_gate(M: np.ndarray) -> None:
-    """Raise CommutatorError unless the stacked pair M = (Mx, My) commutes within TOL_COMMUTE.
+    """Raise MomentProblemError unless the stacked pair M = (Mx, My) commutes within TOL_COMMUTE.
 
     The tolerance is relative to the scale max(1, max|Mx|, max|My|). A NaN
     commutator fails.
@@ -84,7 +84,7 @@ def commutator_gate(M: np.ndarray) -> None:
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     commutator = commutator_norm(M)
     if not commutator <= TOL_COMMUTE * scale:
-        raise CommutatorError("joint spectrum", "max |Mx My - My Mx|", commutator, TOL_COMMUTE * scale)
+        raise MomentProblemError("joint spectrum", "max |Mx My - My Mx|", commutator, TOL_COMMUTE * scale)
 
 
 def joint_eigen(M) -> list[tuple[float, float]]:
@@ -112,8 +112,8 @@ def joint_eigen(M) -> list[tuple[float, float]]:
     Numerical Polynomial Algebra, 2004). c is the first of _COMBINATIONS;
     the second is tried only when the first fails, as it does when two
     distinct pairs tie under it, and not after an overflowing residual,
-    which is no tie. Raises ComplexAtomError for a non-real spectrum and
-    MomentProblemError when eig fails, V is singular or a column of V is
+    which is no tie. Raises MomentProblemError (stage "joint spectrum") for
+    a non-real spectrum, a failed eig, a singular V or a column of V that is
     not a joint eigenvector, each for the first c when both fail.
     """
     M = np.asarray(M, dtype=float)
@@ -140,18 +140,18 @@ def _read_spectrum(M: np.ndarray, c: float) -> list[tuple[float, float]]:
     """The pairs of the stack M = (Mx, My) read with the eigenvectors of c*Mx + (1-c)*My.
 
     The atoms of the extension are real, so a non-real eigenvalue,
-    however small its imaginary part, raises ComplexAtomError. A failed
-    eig or inv, read as the NaN it returns, raises MomentProblemError
-    naming eig or the eigenvector basis, and so does the eigenvector
-    residual of Mx, then of My, over eig's own columns (which LAPACK's
-    dgeev returns with norm 1) above TOL_EIG * max(1, max|M|) of its matrix.
+    however small its imaginary part, raises MomentProblemError. So do a
+    failed eig or inv, read as the NaN it returns, naming eig or the
+    eigenvector basis, and an eigenvector residual of Mx, then of My, over
+    eig's own columns (which LAPACK's dgeev returns with norm 1) above
+    TOL_EIG * max(1, max|M|) of its matrix.
     """
     lam, V = lapack_eig(c * M[0] + (1.0 - c) * M[1])
     if lam.dtype.kind == "c":  # eig returns a complex lam when an eigenvalue is not real, and when it failed
         imag = float(np.abs(lam.imag).max())
         if math.isnan(imag):  # a failed eig is all NaN
             raise MomentProblemError("joint spectrum", "eig")
-        raise ComplexAtomError("joint spectrum", "max |Im lambda|", imag, 0.0)
+        raise MomentProblemError("joint spectrum", "max |Im lambda|", imag, 0.0)
     V_inv = lapack_inv(V)
     xy = (V_inv @ M @ V).diagonal(0, 1, 2)  # rows x and y
     R = M @ V - V * xy[:, None, :]

@@ -18,8 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .cubic import CaseTag, ExtensionResult, extend
-from .errors import MAX_VARIETY_RESIDUAL, MIN_ATOM_SEPARATION, MIN_WEIGHT, TOL_ACCEPT
-from .errors import MomentProblemError, SingularVandermondeError, VerificationError
+from .errors import MAX_VARIETY_RESIDUAL, MIN_ATOM_SEPARATION, MIN_WEIGHT, TOL_ACCEPT, MomentProblemError
 from .linalg import ERROR_STATE, QUIET_STATE, commutator_norm, joint_eigen, lapack_solve, largest
 from .moments import (
     AtomicMeasure,
@@ -73,14 +72,14 @@ def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
 
     Returns the pairs sorted by (x, y). Flat extensions have distinct
     atoms, so two atoms closer than MIN_ATOM_SEPARATION in the max norm
-    signal an upstream failure and raise SingularVandermondeError, as does
-    a NaN gap.
+    signal an upstream failure and raise MomentProblemError naming the
+    atom gap, as does a NaN gap.
     """
     pairs = sorted(joint_eigen(ext.pair))
     for (x, y), (u, v) in combinations(pairs, 2):
         dx, dy = abs(x - u), abs(y - v)
         if math.isnan(dx + dy) or not (dx >= MIN_ATOM_SEPARATION or dy >= MIN_ATOM_SEPARATION):
-            raise SingularVandermondeError("joint spectrum", "atom gap", largest([dx, dy]), MIN_ATOM_SEPARATION)
+            raise MomentProblemError("joint spectrum", "atom gap", largest([dx, dy]), MIN_ATOM_SEPARATION)
     return pairs
 
 
@@ -136,7 +135,7 @@ def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) 
         ext = extend(certificate.a_vec)
         try:
             return _recover(beta, certificate, ext, accept)
-        except VerificationError as first:
+        except MomentProblemError as first:
             if ext.case is CaseTag.FLAT_K0 or first.quantity != "min density":
                 raise
             try:
@@ -154,11 +153,11 @@ def _recover(beta, certificate, ext, accept) -> tuple[AtomicMeasure, SolveReport
     rho = _densities(vb, ext.basis, certificate.normalized).tolist()
     if not all(r >= MIN_WEIGHT for r in rho):  # also rejects a NaN density
         if all(r != r for r in rho):  # a failed solve is all NaN: V_B is singular
-            raise SingularVandermondeError("densities", "V_B")
-        raise VerificationError("densities", "min density", float(np.min(rho)), MIN_WEIGHT)
+            raise MomentProblemError("densities", "V_B")
+        raise MomentProblemError("densities", "min density", float(np.min(rho)), MIN_WEIGHT)
     variety_residual = _variety_residual(ext, vb)
     if not variety_residual <= MAX_VARIETY_RESIDUAL:
-        raise VerificationError("densities", "variety residual", variety_residual, MAX_VARIETY_RESIDUAL)
+        raise MomentProblemError("densities", "variety residual", variety_residual, MAX_VARIETY_RESIDUAL)
     mass = float(beta.values[0])
     # the mass multiplies the weights before the pullback, which leaves them as they are
     weighted = [(x, y, r * mass) for (x, y), r in zip(atoms, rho)]
@@ -166,7 +165,7 @@ def _recover(beta, certificate, ext, accept) -> tuple[AtomicMeasure, SolveReport
     mu = frozen_record(AtomicMeasure, atoms=tuple(sorted(pullback_measure(weighted, certificate.map))))
     check = verify_measure(mu, beta)
     if not check.max_moment_residual <= accept:
-        raise VerificationError("verify", "max moment residual", check.max_moment_residual, accept)
+        raise MomentProblemError("verify", "max moment residual", check.max_moment_residual, accept)
     report = frozen_record(
         SolveReport,
         case=ext.case,

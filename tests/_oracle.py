@@ -24,7 +24,7 @@ only where the tests' inputs never go: the reference's Python max over
 the two residuals drops a NaN My residual that follows a finite Mx one,
 and the solver's single array max rejects it; and the reference accepts
 a spectrum whose imaginary parts are below its TOL_IMAG, where the
-solver raises ComplexAtomError for any imaginary part.
+solver raises its max |Im lambda| error for any imaginary part.
 
 paper_minors, degree_one_coeffs and transform_sequence are the paper's
 normalization as it is written: the leading minors of M(1), the six
@@ -58,8 +58,6 @@ import numpy as np
 
 from cubicmoment import (
     CaseTag,
-    CommutatorError,
-    ComplexAtomError,
     ExtensionResult,
     MomentProblemError,
     MomentSequence,
@@ -349,11 +347,11 @@ def joint_eigen_reference(Mx, My, c: float) -> list[tuple[float, float]]:
     scale = max(1.0, float(np.abs(Mx).max(initial=0.0)), float(np.abs(My).max(initial=0.0)))
     commutator = commutator_norm(np.array((Mx, My)))
     if not commutator <= TOL_COMMUTE * scale:  # also rejects a NaN commutator
-        raise CommutatorError("joint spectrum", "max |Mx My - My Mx|", commutator, TOL_COMMUTE * scale)
+        raise MomentProblemError("joint spectrum", "max |Mx My - My Mx|", commutator, TOL_COMMUTE * scale)
     lam, V = np.linalg.eig(c * Mx + (1.0 - c) * My)
     imag, bound = float(np.abs(lam.imag).max()), TOL_IMAG * max(1.0, float(np.abs(lam).max()))
     if imag > bound:
-        raise ComplexAtomError("joint spectrum", "max |Im lambda|", imag, bound)
+        raise MomentProblemError("joint spectrum", "max |Im lambda|", imag, bound)
     V = V.real
     try:
         V_inv = np.linalg.inv(V)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import subprocess
 import sys
 import types
@@ -49,15 +50,39 @@ def test_cli_record_is_reproducible(tmp_path):
 
 
 def test_request_record_covers_info_and_solve(tmp_path):
-    (request,) = answer_hash.CLI_REQUESTS
+    request = answer_hash.CLI_REQUESTS[0]  # the README's
     record = answer_hash.request_record(request, tmp_path)
     assert record == answer_hash.request_record(request, tmp_path)
     assert record.startswith(b"0\n{") and b'"normalized_beta"' in record and b'"matrices"' in record
     assert record.endswith(b"(within tolerance 1e-08), min weight 2.500e-01\n")
 
 
+def test_one_request_per_reachable_gate(tmp_path):
+    # every request after the README's ends in its gate's error document: exit code, stage and quantity
+    documents = []
+    for request in answer_hash.CLI_REQUESTS[1:]:
+        path = tmp_path / "request.json"
+        path.write_text(request)
+        code, out = answer_hash._run_cli(["solve", str(path)])
+        error = json.loads(out)["error"]
+        documents.append((code, error["code"], error["stage"], error["quantity"]))
+    assert documents == [
+        (2, 2, "normalize", "d2"),
+        (2, 2, "normalize", "d3"),
+        (3, 3, "normalize", "d3"),
+        (3, 3, "normalize", "refined d3"),
+        (3, 3, "normalize", "1 / beta_00"),
+        (3, 3, "extend", "k"),
+        (3, 3, "extend", "beta_04"),
+        (3, 3, "joint spectrum", "max |Mx My - My Mx|"),
+        (3, 3, "joint spectrum", "eigenvector residual"),
+        (3, 3, "densities", "min density"),
+        (3, 3, "verify", "max moment residual"),
+    ]
+
+
 def test_a_changed_verify_line_changes_the_cli_part(monkeypatch, tmp_path):
-    (request,) = answer_hash.CLI_REQUESTS
+    request = answer_hash.CLI_REQUESTS[0]  # the README's
 
     def cli_part():
         records = [answer_hash.cli_record(4, 7, tmp_path), answer_hash.request_record(request, tmp_path)]

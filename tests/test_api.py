@@ -2,7 +2,10 @@
 
 import argparse
 import enum
+import importlib.metadata
 import inspect
+import tomllib
+from pathlib import Path
 
 import numpy as np
 
@@ -15,8 +18,6 @@ PUBLIC_NAMES = {
     "Atom",
     "AtomicMeasure",
     "CaseTag",
-    "CommutatorError",
-    "ComplexAtomError",
     "ExtensionResult",
     "MeasureCheck",
     "MomentProblemError",
@@ -24,9 +25,7 @@ PUBLIC_NAMES = {
     "Monomial",
     "NormalizationCertificate",
     "SingularM1Error",
-    "SingularVandermondeError",
     "SolveReport",
-    "VerificationError",
     "build_moment_matrix",
     "classify_k",
     "compute_k",
@@ -51,17 +50,25 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 29
+    assert len(PUBLIC_NAMES) == 25
+
+
+def _floor(requires_python: str) -> tuple[int, ...]:
+    """The version a ">=X.Y" specifier starts at, as a tuple of ints."""
+    assert requires_python.startswith(">="), requires_python
+    return tuple(int(part) for part in requires_python[2:].split("."))
+
+
+def test_python_floor_is_not_below_numpys():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    floor = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["requires-python"]
+    assert _floor(floor) >= _floor(importlib.metadata.metadata("numpy")["Requires-Python"])
 
 
 # every parameter with a default of a public callable: a new setting has to change this table
 DEFAULTS = {
-    "CommutatorError": {"value": None, "bound": None},
-    "ComplexAtomError": {"value": None, "bound": None},
     "MomentProblemError": {"value": None, "bound": None},
     "SingularM1Error": {"value": None, "bound": None},
-    "SingularVandermondeError": {"value": None, "bound": None},
-    "VerificationError": {"value": None, "bound": None},
     "classify_k": {"tol_k": 1e-10},
     "extend": {"tol_k": 1e-10},
     "monomial_table": {"weights": None},

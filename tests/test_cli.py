@@ -17,12 +17,8 @@ from hypothesis import strategies as st
 from cubicmoment import (
     Atom,
     AtomicMeasure,
-    CommutatorError,
-    ComplexAtomError,
     MomentProblemError,
     SingularM1Error,
-    SingularVandermondeError,
-    VerificationError,
 )
 from cubicmoment import cli
 from cubicmoment.cli import main, random_request
@@ -520,13 +516,13 @@ class TestTypedErrorExits:
         "error, code, numbers",
         [
             (SingularM1Error("normalize", "d2", 0.0, 1.0), 2, [0.0, 1.0]),
-            (CommutatorError("joint spectrum", "max |Mx My - My Mx|", 1e-3, 1e-9), 3, [1e-3, 1e-9]),
-            (ComplexAtomError("joint spectrum", "max |Im lambda|", 1e-12, 0.0), 3, [1e-12, 0.0]),
-            (SingularVandermondeError("densities", "V_B"), 3, [None, None]),
-            (VerificationError("verify", "max moment residual", math.nan, math.inf), 3, [None, None]),
+            (MomentProblemError("joint spectrum", "max |Mx My - My Mx|", 1e-3, 1e-9), 3, [1e-3, 1e-9]),
+            (MomentProblemError("joint spectrum", "max |Im lambda|", 1e-12, 0.0), 3, [1e-12, 0.0]),
+            (MomentProblemError("densities", "V_B"), 3, [None, None]),
+            (MomentProblemError("verify", "max moment residual", math.nan, math.inf), 3, [None, None]),
             (MomentProblemError("extend", "k", -math.inf), 3, [None, None]),
         ],
-        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+        ids=lambda value: f"{type(value).__name__}-{value.quantity}" if isinstance(value, Exception) else str(value),
     )
     @pytest.mark.parametrize(
         "command, stage", [("solve", "solve_cubic"), ("info", "normalize_cubic"), ("verify", "verify_measure")]
@@ -637,6 +633,25 @@ class TestConsoleEntry:
             assert code == 3 and solver_error(out)["quantity"] == "max |Mx My - My Mx|"
             code, out, _ = run_cli(capsys, ["verify", req, measure])
             assert code == 3 and "max residual nan (EXCEEDS" in out
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # as in `random | solve | head -4`: the reader is gone before solve writes
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "cubicmoment", "solve", "--quiet"],
+                stdin=subprocess.PIPE,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        _, err = proc.communicate(json.dumps(KPOS_REQUEST).encode())
+        assert (proc.returncode, err) == (cli.EXIT_PIPE, b"")
 
     def test_import_does_not_load_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

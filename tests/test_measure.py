@@ -17,8 +17,6 @@ from cubicmoment import (
     MomentProblemError,
     MomentSequence,
     SingularM1Error,
-    SingularVandermondeError,
-    VerificationError,
     extend,
     extract_atoms,
     monomial_index,
@@ -132,8 +130,10 @@ class TestExtractAtoms:
 
     def test_repeated_joint_spectrum_raises(self):
         ext = self._diagonal([1.0, 1.0, -1.0, -1.0], [1.0, 1.0 + 5e-9, -1.0, 1.0])
-        with pytest.raises(SingularVandermondeError):
+        with pytest.raises(MomentProblemError) as info:
             extract_atoms(ext)
+        assert type(info.value) is MomentProblemError
+        assert fields(info.value)[:2] == ("joint spectrum", "atom gap")
 
     def test_atoms_apart_in_one_coordinate_pass(self):
         # two pairs are closer than MIN_ATOM_SEPARATION in one coordinate, apart in the other
@@ -144,8 +144,10 @@ class TestExtractAtoms:
         # the y gap alone clears the threshold; the NaN x gap must still fail the check
         pairs = [(0.0, 0.0), (math.nan, 1.0), (2.0, 2.0)]
         monkeypatch.setattr(measure, "joint_eigen", lambda *args, **kwargs: pairs)
-        with pytest.raises(SingularVandermondeError):
+        with pytest.raises(MomentProblemError) as info:
             extract_atoms(extend((0, 0, 0, 0)))
+        assert type(info.value) is MomentProblemError
+        assert fields(info.value)[:2] == ("joint spectrum", "atom gap")
 
 
 def _densities(atoms, basis, beta):
@@ -388,8 +390,10 @@ class TestSolveCubic:
 
     def test_accept_tolerance_enforced(self):
         beta = seq_from_a((0.3, -0.8, 0.4, 1.1))
-        with pytest.raises(VerificationError):
+        with pytest.raises(MomentProblemError) as info:
             solve_cubic(beta, accept=1e-18)
+        assert type(info.value) is MomentProblemError
+        assert fields(info.value)[:2] == ("verify", "max moment residual")
 
     @pytest.mark.parametrize("turn", range(6))
     @pytest.mark.parametrize(
@@ -478,8 +482,9 @@ class TestSolveCubic:
 
     def test_overflowing_atom_power_raises(self):
         # an atom near x = 1e104 leaves the densities no precision: the floor rejects them
-        with pytest.raises(VerificationError) as info:
+        with pytest.raises(MomentProblemError) as info:
             solve_cubic(seq_from_a((1e104, 0, 1, 0)))
+        assert type(info.value) is MomentProblemError
         assert fields(info.value)[:2] == ("densities", "min density") and info.value.bound == 1e-10
 
     def test_atom_off_the_variety_fails_the_gate(self, monkeypatch):
@@ -490,8 +495,9 @@ class TestSolveCubic:
             return [(x + 1e-3, y), *rest]
 
         monkeypatch.setattr(measure, "extract_atoms", shifted)
-        with pytest.raises(VerificationError) as info:
+        with pytest.raises(MomentProblemError) as info:
             solve_cubic(seq_from_a((0, 0, 0, 0)))
+        assert type(info.value) is MomentProblemError
         assert fields(info.value)[:2] == ("densities", "variety residual") and info.value.bound == 1e-7
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -690,7 +696,8 @@ class TestTieFallback:
         for ext in (first, extend(cert.a_vec, tol_k=abs(first.k))):
             try:
                 outcomes.append(measure._recover(beta, cert, ext, TOL_ACCEPT)[1])
-            except VerificationError as exc:
+            except MomentProblemError as exc:
+                assert exc.quantity in ("min density", "variety residual", "max moment residual"), exc
                 outcomes.append(exc)
         return outcomes
 
@@ -709,8 +716,9 @@ class TestTieFallback:
         assert first.value == pytest.approx(9.84e-11, rel=1e-3)
         assert fields(second)[:2] == ("verify", "max moment residual")
         assert second.value == pytest.approx(2.70e-8, rel=1e-2)
-        with pytest.raises(VerificationError) as info:
+        with pytest.raises(MomentProblemError) as info:
             solve_cubic(MomentSequence(3, TIE_FAILS))
+        assert type(info.value) is MomentProblemError
         assert fields(info.value) == fields(first)
         assert info.value.__cause__ is None and info.value.__suppress_context__
 
@@ -738,7 +746,8 @@ class TestTieFallback:
             monkeypatch.setattr(measure, "extract_atoms", shifted)
         else:
             accept = 1e-18
-        with pytest.raises(VerificationError) as info:
+        with pytest.raises(MomentProblemError) as info:
             solve_cubic(seq_from_a(a), accept)
-        assert info.value.quantity == failure
+        assert type(info.value) is MomentProblemError
+        assert fields(info.value)[:2] == ("verify" if failure == "max moment residual" else "densities", failure)
         assert calls == {"extend": extends}
