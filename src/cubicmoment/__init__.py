@@ -35,7 +35,6 @@ from .moments import (
     Atom,
     AtomicMeasure,
     MomentSequence,
-    Monomial,
     build_moment_matrix,
     monomial_index,
     monomial_table,

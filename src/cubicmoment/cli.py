@@ -26,6 +26,7 @@ from .moments import (
     MomentSequence,
     build_moment_matrix,
     monomials_up_to,
+    sequence_length,
 )
 from .normalize import minors, normalize_cubic
 
@@ -35,7 +36,7 @@ EXIT_SINGULAR = 2
 EXIT_VERIFY = 3
 EXIT_PIPE = 141
 
-BETA_LENGTH = 10  # degree-lex order beta_00 ... beta_03
+BETA_LENGTH = sequence_length(3)  # degree-lex order beta_00 ... beta_03
 
 
 class _InputError(Exception):
@@ -167,8 +168,8 @@ def cmd_verify(args) -> int:
     mu = _parse_measure(_read_json(args.measure))
     check = verify_measure(mu, beta)
     print(f"{'moment':>8}  {'target':>22}  {'residual':>12}")
-    for m, residual in zip(monomials_up_to(beta.degree), check.residuals):
-        print(f"beta_{m.i}{m.j:<3}  {beta[m]:>22.15g}  {residual:>12.3e}")
+    for (i, j), residual in zip(monomials_up_to(beta.degree), check.residuals):
+        print(f"beta_{i}{j:<3}  {beta[i, j]:>22.15g}  {residual:>12.3e}")
     ok = check.max_moment_residual <= accept
     print(
         f"max residual {check.max_moment_residual:.3e} "

@@ -48,7 +48,6 @@ from .errors import TOL_K, MomentProblemError
 from .linalg import ERROR_STATE, QUIET_STATE, commutator_gate, largest
 from .moments import (
     MomentSequence,
-    Monomial,
     build_moment_matrix,
     frozen_record,
     monomial_columns,
@@ -56,9 +55,9 @@ from .moments import (
     require_finite,
 )
 
-BASIS_K0 = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
-BASIS_KPOS = (*BASIS_K0, Monomial(1, 1))
-BASIS_KNEG = (*BASIS_K0, Monomial(2, 0))
+BASIS_K0 = tuple(monomials_up_to(1))
+BASIS_KPOS = (*BASIS_K0, (1, 1))
+BASIS_KNEG = (*BASIS_K0, (2, 0))
 
 
 class CaseTag(enum.Enum):
@@ -99,7 +98,7 @@ class ExtensionResult:
     case: CaseTag
     k: float
     moments: MomentSequence
-    basis: tuple[Monomial, ...]
+    basis: tuple[tuple[int, int], ...]
     pair: np.ndarray
 
     @property

@@ -89,16 +89,17 @@ def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
 
 
 def verify_measure(mu: AtomicMeasure, beta: MomentSequence) -> MeasureCheck:
-    """Re-integrate every monomial of the sequence against the measure."""
+    """Re-integrate every monomial of the sequence against the measure; a NaN weight makes min_weight NaN."""
     integrals = integrals_of(mu.atoms, beta.degree)
     residuals = [abs(t - b) for t, b in zip(integrals, beta.values.tolist())]
     array = np.array(residuals)
     array.setflags(write=False)
+    weights = [a.weight for a in mu.atoms]
     return frozen_record(
         MeasureCheck,
         max_moment_residual=largest(residuals),
         residuals=array,
-        min_weight=min([a.weight for a in mu.atoms], default=0.0),
+        min_weight=min(weights, default=0.0) if all(w == w for w in weights) else math.nan,
     )
 
 
@@ -127,8 +128,11 @@ def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) 
     Near k = 0 a rank-4 route's smallest density is of order |k|, so one
     that fails the floor may be a tie at k = 0 in floating point: the
     stages after extend run once more on the flat rank-3 route, and when
-    that attempt fails too the rank-4 error is raised.
+    that attempt fails too the rank-4 error is raised. A NaN or negative
+    accept raises ValueError; 0 and inf are valid.
     """
+    if not accept >= 0.0:
+        raise ValueError(f"accept must be a non-negative number, got {accept!r}")
     token = ERROR_STATE.set(QUIET_STATE)
     try:
         certificate = normalize_cubic(beta)

@@ -21,17 +21,6 @@ from .errors import MomentProblemError
 from .linalg import ERROR_STATE, QUIET_STATE
 
 
-class Monomial(NamedTuple):
-    """Exponent pair (i, j) standing for x^i y^j."""
-
-    i: int
-    j: int
-
-    @property
-    def degree(self) -> int:
-        return self.i + self.j
-
-
 def monomial_index(m: tuple[int, int]) -> int:
     """Position of x^i y^j in degree-lex order.
 
@@ -51,9 +40,9 @@ def monomial_columns(monomials: tuple) -> np.ndarray:
     return columns
 
 
-def monomials_up_to(degree: int) -> list[Monomial]:
-    """All monomials of total degree <= degree, in degree-lex order."""
-    return [Monomial(i, d - i) for d in range(degree + 1) for i in range(d, -1, -1)]
+def monomials_up_to(degree: int) -> list[tuple[int, int]]:
+    """The exponent pairs (i, j) of all monomials of total degree <= degree, in degree-lex order."""
+    return [(i, d - i) for d in range(degree + 1) for i in range(d, -1, -1)]
 
 
 def require_finite(values: list[float], degree: int, stage: str) -> None:

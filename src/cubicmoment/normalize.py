@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import DEFECT_ATOL, SINGULAR_RTOL, MomentProblemError, SingularM1Error
 from .linalg import ERROR_STATE, QUIET_STATE, largest
-from .moments import Atom, MomentSequence, frozen_record, monomial_index, require_finite
+from .moments import Atom, MomentSequence, frozen_record, monomial_index, monomials_up_to, require_finite
 
-_Z = np.array([[0, 0], [1, 0], [0, 1]])  # the exponents (i, j) of z = (1, x, y)
+_Z = np.array(monomials_up_to(1))  # the exponents (i, j) of z = (1, x, y)
 # entry (a, b, c) is the degree-lex position of z_a z_b z_c, so values[_TENSOR] = E[z (x) z (x) z]
 _TENSOR = monomial_index((_Z[:, None, None] + _Z[:, None] + _Z).transpose(3, 0, 1, 2))
 _, _ENTRIES = np.unique(_TENSOR, return_index=True)  # the flat position of one entry per moment

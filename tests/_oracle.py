@@ -61,7 +61,6 @@ from cubicmoment import (
     ExtensionResult,
     MomentProblemError,
     MomentSequence,
-    Monomial,
     SingularM1Error,
     compute_k,
     monomial_index,
@@ -200,12 +199,12 @@ def flat_completion(A, B, tol_range: float = TOL_RANGE) -> np.ndarray:
 class ColumnRelation:
     """A dependent column: target = sum of combo[b] * (column b)."""
 
-    target: Monomial
-    combo: dict[Monomial, float]
+    target: tuple[int, int]
+    combo: dict[tuple[int, int], float]
 
     def polynomial(self) -> np.ndarray:
         """target - combo as a dense degree-lex vector; its column vanishes on the matrix."""
-        p = np.zeros(sequence_length(self.target.degree))
+        p = np.zeros(sequence_length(sum(self.target)))
         p[[monomial_index(m) for m in self.combo]] = [-c for c in self.combo.values()]
         p[monomial_index(self.target)] = 1.0
         return p
@@ -226,17 +225,17 @@ def paper_relations(ext: ExtensionResult, a) -> tuple[ColumnRelation, ...]:
     bit for bit.
     """
     a0, a1, a2, a3 = (float(v) for v in a)
-    one, x, y = Monomial(0, 0), Monomial(1, 0), Monomial(0, 1)
-    x2 = ColumnRelation(Monomial(2, 0), {one: 1.0, x: a0, y: a1})
-    xy = ColumnRelation(Monomial(1, 1), {x: a1, y: a2})
-    y2 = ColumnRelation(Monomial(0, 2), {one: 1.0, x: a2, y: a3})
+    one, x, y = (0, 0), (1, 0), (0, 1)
+    x2 = ColumnRelation((2, 0), {one: 1.0, x: a0, y: a1})
+    xy = ColumnRelation((1, 1), {x: a1, y: a2})
+    y2 = ColumnRelation((0, 2), {one: 1.0, x: a2, y: a3})
     if ext.case is CaseTag.FLAT_K0:
         return x2, xy, y2
     if ext.case is CaseTag.RECURSIVELY_DETERMINATE_K_POS:
         return x2, y2
-    t, xx = -compute_k(a), Monomial(2, 0)
-    y2 = ColumnRelation(Monomial(0, 2), {x: a2 - a0, y: a3 - a1, xx: 1.0})
-    x3 = ColumnRelation(Monomial(3, 0), {x: 1.0 + t + a1 * a1, y: a1 * a2, xx: a0})
+    t, xx = -compute_k(a), (2, 0)
+    y2 = ColumnRelation((0, 2), {x: a2 - a0, y: a3 - a1, xx: 1.0})
+    x3 = ColumnRelation((3, 0), {x: 1.0 + t + a1 * a1, y: a1 * a2, xx: a0})
     return xy, y2, x3
 
 
@@ -256,21 +255,22 @@ def multiplication_matrices(
     extension routes write their matrices in closed form instead, and the
     tests check those against this function.
     """
-    basis = tuple(Monomial(*b) for b in basis)
+    basis = tuple((i, j) for i, j in basis)
     known = dict(zip(basis, np.eye(len(basis))))
     for rel in relations:
         if not set(rel.combo) <= set(basis):
             raise ValueError(f"relation for {rel.target} uses a non-basis monomial")
         known[rel.target] = np.array([rel.combo.get(b, 0.0) for b in basis])
-    step = (Monomial(1, 0), Monomial(0, 1))
+    step = ((1, 0), (0, 1))
     mats = np.zeros((2, len(basis), len(basis)))
     filled = np.zeros((2, len(basis)), dtype=bool)
     while not filled.all():
         stuck = True
         for s, col in np.argwhere(~filled):
             o = 1 - s
-            m = Monomial(basis[col].i + step[s].i, basis[col].j + step[s].j)
-            parent = known.get((m.i - step[o].i, m.j - step[o].j))
+            (i, j), (si, sj), (oi, oj) = basis[col], step[s], step[o]
+            m = (i + si, j + sj)
+            parent = known.get((i + si - oi, j + sj - oj))
             if m not in known and parent is not None:
                 used = parent != 0
                 if filled[o][used].all():

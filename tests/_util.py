@@ -100,9 +100,9 @@ def is_hankel(M: np.ndarray, degree: int, tol: float = 0.0) -> bool:
     labels = monomials_up_to(degree)
     assert M.shape == (len(labels), len(labels))
     groups: dict[tuple[int, int], list[float]] = {}
-    for u, mu in enumerate(labels):
-        for v, mv in enumerate(labels):
-            groups.setdefault((mu.i + mv.i, mu.j + mv.j), []).append(float(M[u, v]))
+    for u, (i, j) in enumerate(labels):
+        for v, (k, l) in enumerate(labels):
+            groups.setdefault((i + k, j + l), []).append(float(M[u, v]))
     return all(max(vals) - min(vals) <= tol for vals in groups.values())
 
 

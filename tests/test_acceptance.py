@@ -19,7 +19,6 @@ from cubicmoment import (
     solve_cubic,
 )
 from cubicmoment.cli import main as cli_main, random_request
-from cubicmoment.cubic import Monomial
 from cubicmoment.measure import verify_measure
 
 from _oracle import (
@@ -219,13 +218,13 @@ def test_criterion_8_commutativity(random_suite):
     worst = max(report.commutator_norm for _, _, report in rows)
     ok = worst <= 1e-9
     # the flat-route commutator entries equal +/- k at integer points, exactly
-    basis = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+    basis = ((0, 0), (1, 0), (0, 1))
     for a in [(1, 2, 3, 4), (2, 0, 1, 1), (1, 1, 1, 1)]:
         a0, a1, a2, a3 = (float(v) for v in a)
         relations = (
-            ColumnRelation(Monomial(2, 0), {Monomial(0, 0): 1.0, Monomial(1, 0): a0, Monomial(0, 1): a1}),
-            ColumnRelation(Monomial(1, 1), {Monomial(1, 0): a1, Monomial(0, 1): a2}),
-            ColumnRelation(Monomial(0, 2), {Monomial(0, 0): 1.0, Monomial(1, 0): a2, Monomial(0, 1): a3}),
+            ColumnRelation((2, 0), {(0, 0): 1.0, (1, 0): a0, (0, 1): a1}),
+            ColumnRelation((1, 1), {(1, 0): a1, (0, 1): a2}),
+            ColumnRelation((0, 2), {(0, 0): 1.0, (1, 0): a2, (0, 1): a3}),
         )
         mx, my = multiplication_matrices(basis, relations)
         commutator = mx @ my - my @ mx

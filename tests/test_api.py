@@ -22,7 +22,6 @@ PUBLIC_NAMES = {
     "MeasureCheck",
     "MomentProblemError",
     "MomentSequence",
-    "Monomial",
     "NormalizationCertificate",
     "SingularM1Error",
     "SolveReport",
@@ -50,7 +49,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 25
+    assert len(PUBLIC_NAMES) == 24
 
 
 def _floor(requires_python: str) -> tuple[int, ...]:

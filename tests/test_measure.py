@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import math
 import sys
 import warnings
@@ -27,7 +28,7 @@ from cubicmoment import (
     verify_measure,
 )
 from cubicmoment import cubic, linalg, measure, normalize
-from cubicmoment.cubic import BASIS_K0, BASIS_KNEG, BASIS_KPOS, Monomial
+from cubicmoment.cubic import BASIS_K0, BASIS_KNEG, BASIS_KPOS
 from cubicmoment.cli import random_request
 from cubicmoment.errors import MIN_WEIGHT, TOL_ACCEPT, TOL_K
 from cubicmoment.moments import integrals_of
@@ -85,18 +86,18 @@ class TestMultiplicationMatrices:
         assert_allclose(mx[:, 3], [0, 3, 1, 0])
 
     def test_missing_relation(self):
-        basis = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
-        only_x2 = (ColumnRelation(Monomial(2, 0), {Monomial(0, 0): 1.0}),)
+        basis = ((0, 0), (1, 0), (0, 1))
+        only_x2 = (ColumnRelation((2, 0), {(0, 0): 1.0}),)
         with pytest.raises(MissingRelationError):
             multiplication_matrices(basis, only_x2)
 
     def test_non_finite_coefficient_raises(self):
         # a NaN coefficient must end the fill with an error, not keep it looping
-        basis = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+        basis = ((0, 0), (1, 0), (0, 1))
         relations = (
-            ColumnRelation(Monomial(2, 0), {Monomial(0, 0): float("nan")}),
-            ColumnRelation(Monomial(1, 1), {Monomial(1, 0): 1.0}),
-            ColumnRelation(Monomial(0, 2), {Monomial(0, 0): 1.0}),
+            ColumnRelation((2, 0), {(0, 0): float("nan")}),
+            ColumnRelation((1, 1), {(1, 0): 1.0}),
+            ColumnRelation((0, 2), {(0, 0): 1.0}),
         )
         with pytest.raises(MomentProblemError) as info:
             multiplication_matrices(basis, relations)
@@ -165,13 +166,13 @@ class TestSolveDensities:
     def test_three_point_case(self):
         r2 = math.sqrt(2.0)
         atoms = [(0, -1), (r2, 1), (-r2, 1)]
-        basis = (Monomial(0, 0), Monomial(1, 0), Monomial(0, 1))
+        basis = ((0, 0), (1, 0), (0, 1))
         rho = _densities(atoms, basis, seq_from_a((0, 1, 0, 0)))
         assert_allclose(rho, [0.5, 0.25, 0.25], atol=1e-12)
 
     def test_single_atom(self):
         beta = AtomicMeasure((Atom(0, 0, 0.7),)).moments(0)
-        rho = _densities([(0, 0)], (Monomial(0, 0),), beta)
+        rho = _densities([(0, 0)], ((0, 0),), beta)
         assert_allclose(rho, [0.7])
 
     def test_list_basis(self):
@@ -206,6 +207,13 @@ class TestVerifyMeasure:
         mu = AtomicMeasure(tuple(Atom(x, y, 0.25) for x, y in points))
         check = verify_measure(mu, seq_from_a((0, 0, 0, 0)))
         assert math.isnan(check.max_moment_residual)
+
+    @pytest.mark.parametrize("order", itertools.permutations(range(3)))
+    def test_nan_weight_gives_nan_min_weight_in_any_order(self, order):
+        # Python's min skips a NaN unless it comes first
+        atoms = [(0, 0, 1.0), (1, 0, float("nan")), (0, 1, 0.5)]
+        mu = AtomicMeasure(tuple(atoms[n] for n in order))
+        assert math.isnan(verify_measure(mu, seq_from_a((0, 0, 0, 0))).min_weight)
 
     @pytest.mark.parametrize("state", ["warn", "raise"])
     @pytest.mark.parametrize("x, y", [(1e150, 1e150), (1e200, 1e-200)])  # 1e-200^2 underflows in np.power
@@ -395,6 +403,20 @@ class TestSolveCubic:
         assert type(info.value) is MomentProblemError
         assert fields(info.value)[:2] == ("verify", "max moment residual")
 
+    @pytest.mark.parametrize("accept", [float("nan"), -1e-8, -math.inf])
+    def test_accept_that_is_not_a_bound_raises_value_error(self, accept):
+        beta = MomentSequence(3, np.array([1, 0, 0, 1, 0, 1, 0, 1, 0, 0], float))
+        with pytest.raises(ValueError, match="accept"):
+            solve_cubic(beta, accept)
+
+    def test_accept_zero_and_inf_are_bounds(self):
+        beta = seq_from_a((0.3, -0.8, 0.4, 1.1))
+        residual = solve_cubic(beta, math.inf)[1].max_moment_residual
+        assert 0.0 < residual <= 1e-9
+        with pytest.raises(MomentProblemError) as info:
+            solve_cubic(beta, 0.0)
+        assert fields(info.value) == ("verify", "max moment residual", residual, 0.0)
+
     @pytest.mark.parametrize("turn", range(6))
     @pytest.mark.parametrize(
         "a",
@@ -526,7 +548,7 @@ class TestSolveCubic:
             _, x, y = cert.map @ np.array([(1.0, at.x, at.y) for at in mu.atoms]).T
             for rel in paper_relations(report.extension, cert.a_vec):
                 poly = rel.polynomial()
-                values = monomial_table(x, y, rel.target.degree) @ poly
+                values = monomial_table(x, y, sum(rel.target)) @ poly
                 assert np.abs(values).max() <= 1e-7
 
 

@@ -134,9 +134,9 @@ class TestBuildMomentMatrix:
             assert m.shape == (side, side)
             assert_allclose(m, m.T, rtol=0, atol=0)
             labels = monomials_up_to(degree // 2)
-            for u, mu in enumerate(labels):
-                for v, mv in enumerate(labels):
-                    target = vals[monomial_index((mu.i + mv.i, mu.j + mv.j))]
+            for u, (i, j) in enumerate(labels):
+                for v, (k, l) in enumerate(labels):
+                    target = vals[monomial_index((i + k, j + l))]
                     assert m[u, v] == target
 
 
