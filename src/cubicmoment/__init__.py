@@ -37,7 +37,6 @@ from .moments import (
     MomentSequence,
     build_moment_matrix,
     monomial_index,
-    monomial_table,
     monomials_up_to,
 )
 from .normalize import (

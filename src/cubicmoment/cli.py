@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 malformed input, 2 out-of-scope input (singular
 M(1)), 3 verification failure or a downstream solver fault, 141 stdout
 closed before the output was written (128 + SIGPIPE, as a shell reports
-it). The commands raise; main maps each error to its code and one JSON
-error document.
+it). A closed stderr only drops solve's summary line. The commands raise;
+main maps each error to its code and one JSON error document.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ def _read_json(path: str):
         raise _InputError(f"invalid JSON in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's recursion limit
+        raise _InputError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
 def _parse_request(obj) -> tuple[MomentSequence, float]:
@@ -154,12 +156,12 @@ def cmd_solve(args) -> int:
             matrices["m3"] = m3.tolist()
         payload["matrices"] = matrices
     _emit(payload)
-    if not args.quiet:
-        print(
-            f"{report.case.value}: {len(mu.atoms)} atoms, "
-            f"max residual {report.max_moment_residual:.2e}",
-            file=sys.stderr,
-        )
+    if not args.quiet and sys.stderr is not None:  # None when fd 2 was closed at start: print would use stdout
+        summary = f"{report.case.value}: {len(mu.atoms)} atoms, max residual {report.max_moment_residual:.2e}"
+        try:
+            print(summary, file=sys.stderr, flush=True)
+        except OSError:  # a closed stderr drops the summary, and the exit code stays the solve's
+            _to_devnull(sys.stderr)
     return EXIT_OK
 
 
@@ -277,12 +279,16 @@ def main(argv=None) -> int:
         code = _run(args)
         sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
     except BrokenPipeError:
-        # stdout goes to devnull, so the flush at exit does not raise again; nothing is printed
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)  # nothing is printed
         return EXIT_PIPE
     return code
+
+
+def _to_devnull(stream) -> None:
+    """Point stream's file descriptor at os.devnull, so the flush at exit does not raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def _run(args) -> int:

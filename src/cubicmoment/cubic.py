@@ -88,11 +88,11 @@ class ExtensionResult:
 
     moments is the route's degree-4 sequence; basis lists the independent
     columns of its M(2), so len(basis) is the rank. pair is the read-only
-    stack (Mx, My) of shape (2, rank, rank), and mx, my are views of its
-    slices. Column b of mx (my) holds the basis coordinates of x*b (y*b),
-    so every column relation is a column: X^2 is column X of mx, and for
-    the k < 0 route the Y^2 relation is column Y of my and the X^3 relation
-    column X^2 of mx. Equality is identity.
+    stack (Mx, My) of shape (2, rank, rank). Column b of pair[0] (pair[1])
+    holds the basis coordinates of x*b (y*b), so every column relation is a
+    column: X^2 is column X of pair[0], and for the k < 0 route the Y^2
+    relation is column Y of pair[1] and the X^3 relation column X^2 of
+    pair[0]. Equality is identity.
     """
 
     case: CaseTag
@@ -100,16 +100,6 @@ class ExtensionResult:
     moments: MomentSequence
     basis: tuple[tuple[int, int], ...]
     pair: np.ndarray
-
-    @property
-    def mx(self) -> np.ndarray:
-        """The multiplication-by-x matrix, pair[0]."""
-        return self.pair[0]
-
-    @property
-    def my(self) -> np.ndarray:
-        """The multiplication-by-y matrix, pair[1]."""
-        return self.pair[1]
 
     @property
     def m2(self) -> np.ndarray:
@@ -122,10 +112,11 @@ class ExtensionResult:
 
         Functional calculus on the column space: moments of degree <= 4 are
         moments, and a quintic or sextic moment is the Riesz value of the
-        basis coordinates Mx^i My^j e_1 of x^i y^j. The two expansions of
-        the XY^2 column differ by column Y of My Mx - Mx My, so the
-        commutator gate of joint_eigen decides their consistency, quietly, and
-        raises its MomentProblemError; a non-finite higher moment is named as in extend.
+        basis coordinates pair[0]^i pair[1]^j e_1 of x^i y^j. The two
+        expansions of the XY^2 column differ by column Y of pair[1] pair[0] -
+        pair[0] pair[1], so the commutator gate of joint_eigen decides their
+        consistency, quietly, and raises its MomentProblemError; a non-finite
+        higher moment is named as in extend.
         """
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:
             return None
@@ -217,7 +208,7 @@ def _extend_kneg(a, k: float) -> ExtensionResult:
     """Rank-4 extension flat over the {1, X, Y, X^2} compression, bumped by t = |k| (k < 0).
 
     Includes the induced X^3 relation; the flat degree-3 matrix is built
-    from mx and my when m3 is read.
+    from pair when m3 is read.
     """
     a0, a1, a2, a3 = a
     t = -k

@@ -125,30 +125,13 @@ def build_moment_matrix(beta: MomentSequence) -> np.ndarray:
     return entries
 
 
-def monomial_table(x, y, degree: int, weights=None) -> np.ndarray:
-    """Every monomial of degree <= degree evaluated at the points (x_k, y_k).
-
-    Row k holds x_k^i y_k^j in degree-lex order, times weights[k] when
-    given. The powers are Python float powers and the weight multiplies
-    x^i before y^j, so each entry rounds exactly as w * x**i * y**j does;
-    the products are Python float products, so an overflow gives +-inf
-    (and inf * 0 gives NaN) without a warning, whatever the caller's error state.
-    """
-    if len(x) != len(y):
-        raise ValueError(f"{len(x)} x-coordinates but {len(y)} y-coordinates")
-    x, y = list(map(float, x)), list(map(float, y))
-    w = [1.0] * len(x) if weights is None else list(map(float, weights))  # 1.0 * v is v
-    if len(w) != len(x):
-        raise ValueError(f"{len(w)} weights for {len(x)} points")
-    return monomials_at(x, y, w, monomials_up_to(degree))
-
-
 def monomials_at(x, y, w, monomials) -> np.ndarray:
     """Row k holds w[k] * x[k]**i * y[k]**j for each (i, j) of monomials, from the Python floats x, y, w.
 
-    The one evaluator of monomials at points: monomial_table takes every
+    The one evaluator of monomials at points: integrals_of takes every
     monomial up to a degree, and the density solve's V_B the basis with unit
-    weights, which 1.0 * v leaves as they are.
+    weights, which 1.0 * v leaves as they are. An overflow gives +-inf (and
+    inf * 0 NaN) without a warning, whatever the caller's error state.
     """
     try:
         entries = [wk * u**i * v**j for u, v, wk in zip(x, y, w) for i, j in monomials]
@@ -197,12 +180,12 @@ def integrals_of(atoms, degree: int) -> list[float]:
     if degree == 3:
         try:
             return _cubic_integrals(atoms)
-        except OverflowError:  # monomial_table's powers take over
+        except OverflowError:  # monomials_at's powers take over
             pass
     totals = [0.0] * sequence_length(degree)
     if atoms:
-        x, y, w = zip(*atoms)
-        for row in monomial_table(x, y, degree, w).tolist():
+        x, y, w = (list(map(float, column)) for column in zip(*atoms))
+        for row in monomials_at(x, y, w, monomials_up_to(degree)).tolist():
             totals = list(map(operator.add, totals, row))
     return totals
 

@@ -34,10 +34,10 @@ substitution matrix build_J of any degree. The solver reaches the same
 matrix through a Cholesky factor of M(1) and pushes the moment tensor
 instead.
 
-monomial_table_reference is the numpy monomial table the solver used
+monomials_at_reference is the numpy monomial table the solver used
 before its Python-float kernels: a power table, fancy-indexed and
-multiplied as arrays. monomial_table and AtomicMeasure.integrals must
-match it and its row sum byte for byte.
+multiplied as arrays. monomials_at and integrals_of must match it and its
+row sum byte for byte.
 
 paper_extend_kneg is the paper's k < 0 construction as it is written: it
 bumps beta_40 by t = 1, solves the {1, X, Y, X^2} compression M4 for the
@@ -220,7 +220,7 @@ def paper_relations(ext: ExtensionResult, a) -> tuple[ColumnRelation, ...]:
             X^3 = (1 + t + a1^2) X + a1 a2 Y + a0 X^2 (the solver's route;
             paper_extend_kneg's t = 1 relations differ).
 
-    Reads ext.case, never ext.mx or ext.my. The k < 0 coefficients are the
+    Reads ext.case, never ext.pair. The k < 0 coefficients are the
     route's float expressions, so the reducer's matrices equal the route's
     bit for bit.
     """
@@ -313,7 +313,7 @@ def column_of(M: np.ndarray, p: np.ndarray) -> np.ndarray:
     return M[:, : p.size] @ p
 
 
-def monomial_table_reference(x, y, degree: int, weights=None) -> np.ndarray:
+def monomials_at_reference(x, y, degree: int, weights=None) -> np.ndarray:
     """Every monomial of degree <= degree evaluated at the points (x_k, y_k).
 
     Row k holds x_k^i y_k^j in degree-lex order, times weights[k] when

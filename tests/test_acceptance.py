@@ -133,7 +133,7 @@ def test_criterion_4_case2_oracle():
         checked += 1
         ext = paper_extend_kneg(a)
         worst_b04 = max(worst_b04, abs(ext.moments[0, 4] - beta04_formula(a)))
-        worst_p4 = max(worst_p4, abs(ext.my[:, 2][3] + k))
+        worst_p4 = max(worst_p4, abs(ext.pair[1][:, 2][3] + k))
     _check(
         "criterion 4 (1000 k<0 draws: flat-completed beta_04 matches the closed form, p4 = -k)",
         worst_b04 <= 1e-9 and worst_p4 <= 1e-10,
@@ -246,8 +246,8 @@ def test_closed_form_multiplication_matrices_match_reducer(random_suite):
     for _, _, report in rows:
         ext = report.extension
         mx, my = multiplication_matrices(ext.basis, paper_relations(ext, report.certificate.a_vec))
-        ok &= np.array_equal(ext.mx, mx) and np.array_equal(ext.my, my)
-        ok &= not (ext.mx.flags.writeable or ext.my.flags.writeable)
+        ok &= np.array_equal(ext.pair[0], mx) and np.array_equal(ext.pair[1], my)
+        ok &= not (ext.pair[0].flags.writeable or ext.pair[1].flags.writeable)
     _check(
         f"closed-form Mx, My ({len(rows)} solves: equal to the fixed-point reducer, read-only)",
         ok,

@@ -21,11 +21,11 @@ def test_success_record_covers_atoms_and_matrices():
     assert record == answer_hash.solve_record(np.array(K_NEG, dtype=float))
     mu, report = solve_cubic(MomentSequence(3, np.array(K_NEG, dtype=float)))
     ext, cert = report.extension, report.certificate
-    assert record.startswith(b"ok 4x3 6 3x3 10 6x6 10x10 4x4 4x4 4x2|")
+    assert record.startswith(b"ok 4x3 6 3x3 10 6x6 10x10 2x4x4 4x2|")
     atoms = np.array([tuple(a) for a in mu.atoms])
     scalars = np.array([report.k, 4.0, report.max_moment_residual, cert.d2, cert.d3, report.commutator_norm])
     basis = np.array(ext.basis, dtype=float)
-    parts = [atoms, scalars, cert.map, cert.normalized.values, ext.m2, ext.m3, ext.mx, ext.my, basis]
+    parts = [atoms, scalars, cert.map, cert.normalized.values, ext.m2, ext.m3, ext.pair, basis]
     assert record.endswith(b"".join(p.tobytes() for p in parts))
     assert answer_hash.solve_record(K_POS) != record
 

@@ -1,6 +1,7 @@
 """The package's public surface and the records it hands back."""
 
 import argparse
+import dataclasses
 import enum
 import importlib.metadata
 import inspect
@@ -33,7 +34,6 @@ PUBLIC_NAMES = {
     "joint_eigen",
     "minors",
     "monomial_index",
-    "monomial_table",
     "monomials_up_to",
     "normalize_cubic",
     "pullback_measure",
@@ -49,7 +49,42 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 24
+    assert len(PUBLIC_NAMES) == 23
+
+
+# each record's fields with the public properties and methods its class defines: an alias has to change this table
+RECORD_ATTRIBUTES = {
+    "Atom": {"x", "y", "weight"},
+    "AtomicMeasure": {"atoms", "moments"},
+    "ExtensionResult": {"basis", "case", "k", "m2", "m3", "moments", "pair"},
+    "MeasureCheck": {"max_moment_residual", "min_weight", "residuals"},
+    "MomentSequence": {"degree", "truncated", "values"},
+    "NormalizationCertificate": {"a_vec", "d2", "d3", "map", "normalized"},
+    "SolveReport": {
+        "case",
+        "certificate",
+        "commutator_norm",
+        "extension",
+        "k",
+        "max_moment_residual",
+        "min_weight",
+        "rank",
+    },
+}
+
+
+def test_record_attributes_are_pinned():
+    attributes = {}
+    for name in PUBLIC_NAMES:
+        record = getattr(cubicmoment, name)
+        if hasattr(record, "_fields"):  # a NamedTuple
+            fields = record._fields
+        elif dataclasses.is_dataclass(record):
+            fields = [f.name for f in dataclasses.fields(record)]
+        else:
+            continue
+        attributes[name] = {*fields, *(attribute for attribute in vars(record) if not attribute.startswith("_"))}
+    assert attributes == RECORD_ATTRIBUTES
 
 
 def _floor(requires_python: str) -> tuple[int, ...]:
@@ -70,7 +105,6 @@ DEFAULTS = {
     "SingularM1Error": {"value": None, "bound": None},
     "classify_k": {"tol_k": 1e-10},
     "extend": {"tol_k": 1e-10},
-    "monomial_table": {"weights": None},
     "solve_cubic": {"accept": 1e-08, "seed": None},
 }
 

@@ -83,6 +83,29 @@ class TestSolve:
         _, _, err = run_cli(capsys, ["solve", path])
         assert "k_pos" in err and "4 atoms" in err
 
+    def test_without_stderr_stdout_is_one_json_document(self, tmp_path, capsys, monkeypatch):
+        # fd 2 closed at start (`solve 2>&-`) leaves sys.stderr None, and print(file=None) writes to stdout
+        path = write_json(tmp_path, "req.json", KPOS_REQUEST)
+        _, quiet, _ = run_cli(capsys, ["solve", path, "--quiet"])
+        monkeypatch.setattr(sys, "stderr", None)
+        code, out, _ = run_cli(capsys, ["solve", path])
+        assert (code, out) == (0, quiet)
+        assert json.loads(out)["diagnostics"]["case"] == "k_pos"
+
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys, monkeypatch):
+        # json's parser recurses once per level and raises RecursionError past the interpreter's limit
+        nested = "[" * 100_000 + "]" * 100_000
+        deep = tmp_path / "deep.json"
+        deep.write_text(nested)
+        req = write_json(tmp_path, "req.json", KPOS_REQUEST)
+        for argv in (["solve", str(deep)], ["info", str(deep)], ["verify", req, str(deep)]):
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 1
+            assert json.loads(out)["error"] == {"code": 1, "message": f"invalid JSON in {deep}: nested too deeply"}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(nested))
+        code, out, _ = run_cli(capsys, ["solve"])
+        assert (code, json.loads(out)["error"]["message"]) == (1, "invalid JSON in -: nested too deeply")
+
     def test_singular_d2_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path, "req.json", SINGULAR_D2)
         code, out, _ = run_cli(capsys, ["solve", path, "--quiet"])
@@ -652,6 +675,23 @@ class TestConsoleEntry:
             os.close(write_end)
         _, err = proc.communicate(json.dumps(KPOS_REQUEST).encode())
         assert (proc.returncode, err) == (cli.EXIT_PIPE, b"")
+
+    def test_closed_stderr_keeps_stdout_and_exit_code(self, tmp_path):
+        # as in `solve 2>&1 >out | head -0`: the summary line's reader is gone, the answer's is not
+        path = write_json(tmp_path, "req.json", KPOS_REQUEST)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "cubicmoment", "solve", path]
+        normal = subprocess.run(argv, capture_output=True, env=env)
+        assert normal.returncode == 0 and normal.stderr.startswith(b"k_pos: 4 atoms")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=write_end, env=env)
+        finally:
+            os.close(write_end)
+        out, _ = proc.communicate()
+        assert (proc.returncode, out) == (0, normal.stdout)
 
     def test_import_does_not_load_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

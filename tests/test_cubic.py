@@ -87,14 +87,14 @@ class TestExtendKpos:
         assert quartics_of(ext.moments) == (1, 0, 1, 0, 1)
         assert numeric_rank(ext.m2, 1e-10) == 4
         # the X^2 and Y^2 relations are column X of Mx and column Y of My
-        assert ext.mx[:, 1].tolist() == [1.0, 0.0, 0.0, 0.0]  # x^2 = 1
-        assert ext.my[:, 2].tolist() == [1.0, 0.0, 0.0, 0.0]  # y^2 = 1
+        assert ext.pair[0][:, 1].tolist() == [1.0, 0.0, 0.0, 0.0]  # x^2 = 1
+        assert ext.pair[1][:, 2].tolist() == [1.0, 0.0, 0.0, 0.0]  # y^2 = 1
 
     def test_shifted(self):
         ext = extend((1, 0, 0, 0))
         b40, b31, b22, b13, b04 = quartics_of(ext.moments)
         assert (b40, b22, b04) == (2, 1, 1)
-        assert ext.mx[:, 1].tolist() == [1.0, 1.0, 0.0, 0.0]  # x^2 = 1 + x
+        assert ext.pair[0][:, 1].tolist() == [1.0, 1.0, 0.0, 0.0]  # x^2 = 1 + x
 
     def test_beta22_pins_k_gap(self):
         ext = extend((0, 1, 0, 1))
@@ -108,8 +108,8 @@ class TestExtendKneg:
         ext = paper_extend_kneg(a)
         assert quartics_of(ext.moments)[:4] == (3, 1, 2, 1)
         p_oracle, b04_oracle = _oracle_p(a)
-        assert_allclose(ext.my[:, 2], (0, 1, -1, 1), atol=1e-12)
-        assert_allclose(ext.my[:, 2], p_oracle, atol=1e-12)
+        assert_allclose(ext.pair[1][:, 2], (0, 1, -1, 1), atol=1e-12)
+        assert_allclose(ext.pair[1][:, 2], p_oracle, atol=1e-12)
         assert ext.moments[0, 4] == pytest.approx(3.0, abs=1e-12)
         assert ext.moments[0, 4] == pytest.approx(b04_oracle, abs=1e-12)
         assert ext.basis == ((0, 0), (1, 0), (0, 1), (2, 0))
@@ -119,7 +119,7 @@ class TestExtendKneg:
         ext = paper_extend_kneg(a)
         assert ext.k == -3.0
         assert quartics_of(ext.moments)[:4] == (6, 0, 4, 0)
-        assert_allclose(ext.my[:, 2], (-2, 0, -6, 3), atol=1e-12)
+        assert_allclose(ext.pair[1][:, 2], (-2, 0, -6, 3), atol=1e-12)
         assert ext.moments[0, 4] == pytest.approx(10.0, abs=1e-12)
 
     def test_p4_is_minus_k(self):
@@ -130,7 +130,7 @@ class TestExtendKneg:
             if k >= -1e-6:
                 continue
             ext = paper_extend_kneg(a)
-            assert abs(ext.my[:, 2][3] + k) <= 1e-10
+            assert abs(ext.pair[1][:, 2][3] + k) <= 1e-10
 
 
 class TestKnegBump:
@@ -140,8 +140,8 @@ class TestKnegBump:
         # k = -3, so t = 3: Y^2 = X^2 - 2Y, X^3 = 8X and XY = 2X
         ext = extend((0, 2, 0, 0))
         assert quartics_of(ext.moments) == (8, 0, 4, 0, 4)
-        assert ext.my[:, 2].tolist() == [0.0, 0.0, -2.0, 1.0]
-        assert ext.mx[:, 3].tolist() == [0.0, 8.0, 0.0, 0.0]
+        assert ext.pair[1][:, 2].tolist() == [0.0, 0.0, -2.0, 1.0]
+        assert ext.pair[0][:, 3].tolist() == [0.0, 8.0, 0.0, 0.0]
         atoms = extract_atoms(ext)
         r8 = 2.0 * np.sqrt(2.0)
         match_points(atoms, [(-r8, 2.0), (0.0, -2.0), (0.0, 0.0), (r8, 2.0)], atol=1e-12)
@@ -161,7 +161,7 @@ class TestKnegBump:
             checked += 1
             ext = extend(a)
             p, b04 = _oracle_p(a, bump=-k)
-            assert np.abs(ext.my[:, 2] - p).max() <= 1e-12 * max(1.0, np.abs(p).max())
+            assert np.abs(ext.pair[1][:, 2] - p).max() <= 1e-12 * max(1.0, np.abs(p).max())
             assert abs(ext.moments[0, 4] - b04) <= 1e-12 * abs(b04)
 
 
@@ -218,7 +218,7 @@ class TestBuildM3:
     def test_second_example_beta50_row_consistency(self):
         ext = paper_extend_kneg((0, 2, 0, 0))
         beta50 = ext.m3[monomial_index((3, 0)), monomial_index((2, 0))]  # row X^3, column X^2
-        assert beta50 == pytest.approx(x3_relation((0, 2, 0, 0), ext.my[:, 2])[1], abs=1e-12)
+        assert beta50 == pytest.approx(x3_relation((0, 2, 0, 0), ext.pair[1][:, 2])[1], abs=1e-12)
         assert is_hankel(ext.m3, 3)
 
     def test_principal_block_is_m2(self):
@@ -232,10 +232,10 @@ class TestBuildM3:
     def test_disagreeing_xy2_expansions_fail_the_commutator_gate(self):
         # the two XY^2 expansions differ by column Y of My Mx - Mx My
         ext = extend((0, 1, 1, 0))
-        mx = ext.mx.copy()
+        mx = ext.pair[0].copy()
         mx[0, 3] += 1e-3  # corrupt the X^3 column
         with pytest.raises(MomentProblemError) as info:
-            dataclasses.replace(ext, pair=np.array((mx, ext.my))).m3
+            dataclasses.replace(ext, pair=np.array((mx, ext.pair[1]))).m3
         assert type(info.value) is MomentProblemError
         assert fields(info.value)[:3] == ("joint spectrum", "max |Mx My - My Mx|", 1e-3)
 

@@ -279,7 +279,7 @@ def test_joint_eigen_equals_loop_reading():
             ext = extend(normalize_cubic(beta).a_vec)
         except MomentProblemError:
             continue
-        loop = _outcome(joint_eigen_reference, ext.mx, ext.my, linalg._COMBINATIONS[0])
+        loop = _outcome(joint_eigen_reference, ext.pair[0], ext.pair[1], linalg._COMBINATIONS[0])
         assert _outcome(joint_eigen, ext.pair) == loop
         compared += 1
     assert compared >= 1200
@@ -463,7 +463,7 @@ class TestEigFailure:
         ext = extend((0.4, -0.9, 1.2, 0.5))
         second = linalg._COMBINATIONS[1]
         monkeypatch.setattr(linalg, "lapack_eig", self.failing(1))
-        assert linalg.joint_eigen(ext.pair) == joint_eigen_reference(ext.mx, ext.my, second)
+        assert linalg.joint_eigen(ext.pair) == joint_eigen_reference(ext.pair[0], ext.pair[1], second)
 
     def test_solve_raises_a_typed_error_naming_eig(self, monkeypatch):
         monkeypatch.setattr(linalg, "lapack_eig", self.failing(len(linalg._COMBINATIONS)))

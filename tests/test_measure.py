@@ -21,7 +21,7 @@ from cubicmoment import (
     extend,
     extract_atoms,
     monomial_index,
-    monomial_table,
+    monomials_up_to,
     normalize_cubic,
     pullback_measure,
     solve_cubic,
@@ -31,7 +31,7 @@ from cubicmoment import cubic, linalg, measure, normalize
 from cubicmoment.cubic import BASIS_K0, BASIS_KNEG, BASIS_KPOS
 from cubicmoment.cli import random_request
 from cubicmoment.errors import MIN_WEIGHT, TOL_ACCEPT, TOL_K
-from cubicmoment.moments import integrals_of
+from cubicmoment.moments import integrals_of, monomials_at
 
 from _oracle import (
     ColumnRelation,
@@ -240,7 +240,7 @@ class TestWrittenOutPaths:
     def test_vandermonde_is_the_basis_columns_of_the_table(self, basis, rows):
         x, y = [self.POINTS[k][0] for k in rows], [self.POINTS[k][1] for k in rows]
         columns = [monomial_index(b) for b in basis]
-        expected = monomial_table(x, y, 2)[:, columns]
+        expected = monomials_at(x, y, [1.0] * len(x), monomials_up_to(2))[:, columns]
         assert same_bytes(vandermonde(x, y, basis), expected)
 
     @pytest.mark.parametrize("basis", [BASIS_K0, BASIS_KPOS, BASIS_KNEG])
@@ -276,7 +276,7 @@ class TestWrittenOutPaths:
             for seed in range(20):
                 ext = solve_cubic(MomentSequence(3, np.array(random_request(n, seed)["beta"])))[1].extension
                 vb = vandermonde(*zip(*extract_atoms(ext)), ext.basis)
-                assert same_bytes(vb @ ext.pair, np.array((vb.dot(ext.mx), vb.dot(ext.my))))
+                assert same_bytes(vb @ ext.pair, np.array((vb.dot(ext.pair[0]), vb.dot(ext.pair[1]))))
 
     def test_solve_pulls_back_as_pullback_measure(self):
         for n in (3, 4, 5):
@@ -384,7 +384,8 @@ class TestSolveCubic:
         arrays = {
             f"{type(r).__name__}.{k}": v for r in records for k, v in vars(r).items() if isinstance(v, np.ndarray)
         }
-        arrays.update({f"ExtensionResult.{k}": getattr(ext, k) for k in ("mx", "my", "m2", "m3")})
+        arrays.update({f"ExtensionResult.{k}": getattr(ext, k) for k in ("m2", "m3")})
+        arrays.update({f"ExtensionResult.pair[{n}]": ext.pair[n] for n in (0, 1)})
         if ext.m3 is None:
             del arrays["ExtensionResult.m3"]
         assert {"NormalizationCertificate.map", "ExtensionResult.pair", "MeasureCheck.residuals"} <= set(arrays)
@@ -548,8 +549,65 @@ class TestSolveCubic:
             _, x, y = cert.map @ np.array([(1.0, at.x, at.y) for at in mu.atoms]).T
             for rel in paper_relations(report.extension, cert.a_vec):
                 poly = rel.polynomial()
-                values = monomial_table(x, y, sum(rel.target)) @ poly
+                table = monomials_at(x.tolist(), y.tolist(), [1.0] * len(x), monomials_up_to(sum(rel.target)))
+                values = table @ poly
                 assert np.abs(values).max() <= 1e-7
+
+
+def _scaled(beta, p: int, q: int, r: int) -> MomentSequence:
+    """beta_ij times 2^(p i + q j + r), exactly: the moments after x, y and the mass are scaled by 2^p, 2^q, 2^r."""
+    values = [math.ldexp(b, p * i + q * j + r) for b, (i, j) in zip(beta, monomials_up_to(3))]
+    return MomentSequence(3, np.array(values))
+
+
+def _outcome(beta: MomentSequence):
+    """solve_cubic(beta) with no accept bound, which is not scale-free: (measure, report), or the error."""
+    try:
+        return solve_cubic(beta, math.inf)
+    except MomentProblemError as error:
+        return error
+
+
+def _assert_scales_back(plain, scaled, p: int, q: int, r: int) -> None:
+    """The scaled solve's atoms and weights, scaled back, are the plain solve's bits, with its case and k."""
+    (mu, report), (scaled_mu, scaled_report) = plain, scaled
+    back = [(math.ldexp(x, -p), math.ldexp(y, -q), math.ldexp(w, -r)) for x, y, w in scaled_mu.atoms]
+    assert same_bytes(np.array(back), np.array(mu.atoms))
+    assert (scaled_report.case, scaled_report.k) == (report.case, report.k)
+
+
+REQUESTS = st.builds(lambda n, seed: random_request(n, seed)["beta"], st.integers(3, 6), st.integers(0, 2**32 - 1))
+# inputs that fail at each gate an accept of inf leaves, one gate each
+GATE_INPUTS = [
+    [1, 0, 0, 0, 0, 1, 0, 0, 0, 0],  # normalize, d2
+    [1, 0, 0, 1, 1, 1, 0, 0, 0, 0],  # normalize, d3
+    [1, 0, 0, 1, 0, 1, 0, 1e200, 0, 0],  # extend, k
+    [1, 0, 0, 1, 0, 1, 1e200, 0, 0, 0],  # extend, beta_04
+    [1, 0, 0, 1, 0, 1, 0, 1e140, 0, 0],  # joint spectrum, max |Mx My - My Mx|
+    [1, 0, 0, 1, 0, 1, 1e20, 0, 0, 0],  # joint spectrum, eigenvector residual
+    [1, 0, 0, 1, 0, 1, 1e104, 0, 1, 0],  # densities, min density
+]
+
+
+class TestPowerOfTwoScaling:
+    """Moments scaled by powers of two, which every product and quotient carries exactly (aim 3)."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(REQUESTS, st.integers(-10, 10), st.integers(-10, 10), st.integers(-40, 40))
+    def test_a_scaled_answer_scales_back_bit_for_bit(self, beta, p, q, r):
+        plain, scaled = _outcome(_scaled(beta, 0, 0, 0)), _outcome(_scaled(beta, p, q, r))
+        if not isinstance(plain, MomentProblemError) and not isinstance(scaled, MomentProblemError):
+            _assert_scales_back(plain, scaled, p, q, r)
+
+    @settings(derandomize=True, max_examples=200)
+    @given(st.one_of(REQUESTS, st.sampled_from(GATE_INPUTS)), st.integers(-40, 40))
+    def test_mass_scaling_keeps_the_outcome(self, beta, r):
+        plain, scaled = _outcome(_scaled(beta, 0, 0, 0)), _outcome(_scaled(beta, 0, 0, r))
+        if isinstance(plain, MomentProblemError):
+            assert isinstance(scaled, MomentProblemError)
+            assert (type(scaled), *fields(scaled)[:2]) == (type(plain), *fields(plain)[:2])
+        else:
+            _assert_scales_back(plain, scaled, 0, 0, r)
 
 
 def _counted(calls, name, fn):
@@ -665,9 +723,9 @@ class TestCombinationFallback:
         ext = extend(normalize_cubic(self.measure(t).moments(3)).a_vec)
         first, second = linalg._COMBINATIONS
         with pytest.raises(MomentProblemError) as info:
-            joint_eigen_reference(ext.mx, ext.my, first)
+            joint_eigen_reference(ext.pair[0], ext.pair[1], first)
         assert info.value.quantity == "eigenvector residual"
-        assert linalg.joint_eigen(ext.pair) == joint_eigen_reference(ext.mx, ext.my, second)
+        assert linalg.joint_eigen(ext.pair) == joint_eigen_reference(ext.pair[0], ext.pair[1], second)
 
     def test_both_failing_raise_the_first_error(self, monkeypatch):
         def failing(M, c):

@@ -12,12 +12,11 @@ from cubicmoment import (
     MomentSequence,
     build_moment_matrix,
     monomial_index,
-    monomial_table,
     monomials_up_to,
 )
-from cubicmoment.moments import integrals_of, sequence_length
+from cubicmoment.moments import integrals_of, monomials_at, sequence_length
 
-from _oracle import column_of, monomial_table_reference, riesz
+from _oracle import column_of, monomials_at_reference, riesz
 from _util import same_bytes, seq_from_a
 
 
@@ -140,48 +139,37 @@ class TestBuildMomentMatrix:
                     assert m[u, v] == target
 
 
-class TestMonomialTable:
+class TestMonomialsAt:
     def test_matches_explicit_powers(self):
         rng = np.random.default_rng(5)
-        x = rng.uniform(-1.5, 1.5, 7)
-        y = rng.uniform(-1.5, 1.5, 7)
-        w = rng.uniform(0.2, 1.5, 7)
+        x = rng.uniform(-1.5, 1.5, 7).tolist()
+        y = rng.uniform(-1.5, 1.5, 7).tolist()
+        w = rng.uniform(0.2, 1.5, 7).tolist()
         for degree in range(7):
             labels = monomials_up_to(degree)
-            table = monomial_table(x, y, degree)
-            expected = [
-                [float(xk) ** i * float(yk) ** j for i, j in labels] for xk, yk in zip(x, y)
-            ]
+            table = monomials_at(x, y, [1.0] * 7, labels)
+            expected = [[xk**i * yk**j for i, j in labels] for xk, yk in zip(x, y)]
             assert table.tolist() == expected
             # weighted column sums round exactly as the scalar sum over the atoms
-            sums = sum(monomial_table(x, y, degree, w), np.zeros(len(labels)))
-            assert sums.tolist() == [
-                sum(float(wk) * float(xk) ** i * float(yk) ** j for xk, yk, wk in zip(x, y, w))
-                for i, j in labels
-            ]
+            sums = sum(monomials_at(x, y, w, labels), np.zeros(len(labels)))
+            assert sums.tolist() == [sum(wk * xk**i * yk**j for xk, yk, wk in zip(x, y, w)) for i, j in labels]
             mu = AtomicMeasure(tuple(Atom(*a) for a in zip(x, y, w)))
             assert mu.moments(degree).values.tolist() == sums.tolist()
 
     def test_overflowing_power_is_inf(self):
         # float ** raises OverflowError here; the table follows IEEE arithmetic instead
-        table = monomial_table([1e200, -1.7], [-1e200, 0.3], 3)
+        table = monomials_at([1e200, -1.7], [-1e200, 0.3], [1.0, 1.0], monomials_up_to(3))
         assert table[0, :6].tolist() == [1.0, 1e200, -1e200, math.inf, -math.inf, math.inf]
         assert table[1].tolist() == [(-1.7) ** i * 0.3**j for i, j in monomials_up_to(3)]
 
     def test_overflowing_product_is_inf(self):
         # the powers are finite and their products leave float range, without a warning
-        assert monomial_table([1e150], [1e150], 3)[0, 6:].tolist() == [math.inf] * 4
-        table = monomial_table([1e150], [1.0], 2, [1e100])
+        assert monomials_at([1e150], [1e150], [1.0], monomials_up_to(3))[0, 6:].tolist() == [math.inf] * 4
+        table = monomials_at([1e150], [1.0], [1e100], monomials_up_to(2))
         assert table.tolist() == [[1e100, 1e250, 1e100, math.inf, 1e250, 1e100]]
 
     def test_no_points(self):
-        assert monomial_table([], [], 3).shape == (0, 10)
-
-    def test_coordinate_counts_must_match(self):
-        with pytest.raises(ValueError):
-            monomial_table([1.0, 2.0, 3.0], [1.0], 2)
-        with pytest.raises(ValueError, match="2 weights for 1 points"):
-            monomial_table([1.0], [2.0], 2, [1.0, 2.0])
+        assert monomials_at([], [], [], monomials_up_to(3)).shape == (0, 10)
 
 
 def _signed(magnitude_and_sign) -> float:
@@ -203,11 +191,11 @@ class TestRoundingPin:
     def test_tables_and_integrals_match_the_numpy_reference(self, points, degree):
         x, y, w = ([p[k] for p in points] for k in range(3))
         with np.errstate(all="ignore"):  # the reference's array products warn on overflow
-            weighted = monomial_table_reference(x, y, degree, w)
-            plain = monomial_table_reference(x, y, degree)
+            weighted = monomials_at_reference(x, y, degree, w)
+            plain = monomials_at_reference(x, y, degree)
             integrals = sum(weighted, np.zeros(sequence_length(degree)))
-        assert same_bytes(monomial_table(x, y, degree, w), weighted)
-        assert same_bytes(monomial_table(x, y, degree), plain)
+        assert same_bytes(monomials_at(x, y, w, monomials_up_to(degree)), weighted)
+        assert same_bytes(monomials_at(x, y, [1.0] * len(x), monomials_up_to(degree)), plain)
         assert same_bytes(np.array(integrals_of(points, degree)), integrals)
 
 

@@ -117,7 +117,7 @@ def test_routes_write_the_proved_matrices():
         seen.add(name)
         ext = extend(a)
         assert ext.case.value == name
-        assert_allclose(np.hstack([ext.mx, ext.my]), numeric[name](*a), rtol=1e-14, atol=1e-14)
+        assert_allclose(np.hstack([ext.pair[0], ext.pair[1]]), numeric[name](*a), rtol=1e-14, atol=1e-14)
     assert seen == set(numeric)
 
 

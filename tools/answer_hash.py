@@ -15,7 +15,7 @@ side's src/ and records, one input at a time:
   untyped error), or the atoms, k, rank, max_moment_residual, the
   normalization certificate's d2 and d3, report.commutator_norm, and the
   bytes of certificate.map, certificate.normalized.values and
-  extension.m2, m3, mx and my, and the exponent pairs of extension.basis;
+  extension.m2, m3 and pair, and the exponent pairs of extension.basis;
 * the stdout and exit code of `random --atoms N --seed S`, of
   `solve --emit-matrices` on that output and of `verify` on that request
   and answer, for N in 3, 4, 5 and S in 0..99, and of `info`,
@@ -103,8 +103,7 @@ def solve_outcome(beta) -> tuple[str, bytes]:
         cert.normalized.values,
         ext.m2,
         np.empty(0) if m3 is None else m3,
-        ext.mx,
-        ext.my,
+        ext.pair,
         np.array(ext.basis),
     ]
     shapes = " ".join("x".join(map(str, np.shape(n))) for n in numbers)
