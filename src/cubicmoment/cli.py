@@ -127,20 +127,20 @@ def _map_payload(psi) -> dict:
 def cmd_solve(args) -> int:
     beta, accept = _parse_request(_read_json(args.input))
     mu, report = solve_cubic(beta, accept)
-    cert = report.certificate
+    cert, ext, check = report.certificate, report.extension, report.check
     payload = {
         "atoms": [{"x": a.x, "y": a.y, "weight": a.weight} for a in mu.atoms],
         "diagnostics": {
             "case": report.case.value,
-            "k": report.k,
-            "rank": report.rank,
+            "k": ext.k,
+            "rank": len(ext.basis),
             "variety_size": len(mu.atoms),
-            "max_moment_residual": report.max_moment_residual,
-            "min_weight": report.min_weight,
+            "max_moment_residual": check.max_moment_residual,
+            "min_weight": check.min_weight,
             "commutator_norm": report.commutator_norm,
             "d2": cert.d2,
             "d3": cert.d3,
-            "a_vec": list(cert.a_vec),
+            "a_vec": cert.normalized.values[6:].tolist(),
             "map": _map_payload(cert.map),
         },
     }
@@ -149,15 +149,15 @@ def cmd_solve(args) -> int:
         m1 = build_moment_matrix(cert.normalized.truncated(2))
         matrices = {
             "m1": m1.tolist(),
-            "m2": report.extension.m2.tolist(),
+            "m2": ext.m2.tolist(),
         }
-        m3 = report.extension.m3
+        m3 = ext.m3
         if m3 is not None:
             matrices["m3"] = m3.tolist()
         payload["matrices"] = matrices
     _emit(payload)
     if not args.quiet and sys.stderr is not None:  # None when fd 2 was closed at start: print would use stdout
-        summary = f"{report.case.value}: {len(mu.atoms)} atoms, max residual {report.max_moment_residual:.2e}"
+        summary = f"{report.case.value}: {len(mu.atoms)} atoms, max residual {check.max_moment_residual:.2e}"
         try:
             print(summary, file=sys.stderr, flush=True)
         except OSError:  # a closed stderr drops the summary, and the exit code stays the solve's
@@ -225,13 +225,14 @@ def cmd_random(args) -> int:
 def cmd_info(args) -> int:
     beta, _ = _parse_request(_read_json(args.input))
     cert = normalize_cubic(beta)
-    k = compute_k(cert.a_vec)
+    a = cert.normalized.values[6:].tolist()  # the cubic moments beta~_30, ..., beta~_03
+    k = compute_k(a)
     _emit(
         {
             "d2": cert.d2,
             "d3": cert.d3,
             "map": _map_payload(cert.map),
-            "a_vec": list(cert.a_vec),
+            "a_vec": a,
             "k": k,
             "case": classify_k(k).value,  # the route solve tries first
             "normalized_beta": [float(v) for v in cert.normalized.values],

@@ -32,29 +32,6 @@ from .normalize import NormalizationCertificate, normalize_cubic, pullback_measu
 
 
 @dataclass(frozen=True, eq=False)
-class SolveReport:
-    """Verified diagnostics attached to every successful solve.
-
-    rank is the extension's rank len(extension.basis): 3 for case k_zero, else 4.
-    joint_eigen returns one atom per basis column, so the measure has
-    exactly rank atoms. Equality is identity.
-    """
-
-    case: CaseTag
-    k: float
-    rank: int
-    max_moment_residual: float
-    min_weight: float
-    certificate: NormalizationCertificate
-    extension: ExtensionResult
-
-    @property
-    def commutator_norm(self) -> float:
-        """Largest entry of Mx My - My Mx, the quantity joint_eigen bounds."""
-        return commutator_norm(self.extension.pair)
-
-
-@dataclass(frozen=True, eq=False)
 class MeasureCheck:
     """Residual report from re-integrating a candidate measure.
 
@@ -65,6 +42,25 @@ class MeasureCheck:
     max_moment_residual: float
     residuals: np.ndarray
     min_weight: float
+
+
+@dataclass(frozen=True, eq=False)
+class SolveReport:
+    """The records of a successful solve's stages, each value stated once; check is verify_measure(mu, beta).
+
+    joint_eigen returns one atom per basis column, so the measure has
+    exactly len(extension.basis) atoms: 3 for case k_zero, else 4. Equality is identity.
+    """
+
+    case: CaseTag  # extension.case, kept as a field: callers such as the benchmark runner read report.case
+    certificate: NormalizationCertificate
+    extension: ExtensionResult
+    check: MeasureCheck
+
+    @property
+    def commutator_norm(self) -> float:
+        """Largest entry of Mx My - My Mx, the quantity joint_eigen bounds."""
+        return commutator_norm(self.extension.pair)
 
 
 def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
@@ -136,14 +132,15 @@ def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) 
     token = ERROR_STATE.set(QUIET_STATE)
     try:
         certificate = normalize_cubic(beta)
-        ext = extend(certificate.a_vec)
+        a = certificate.normalized.values[6:].tolist()  # the cubic moments beta~_30, ..., beta~_03
+        ext = extend(a)
         try:
             return _recover(beta, certificate, ext, accept)
         except MomentProblemError as first:
             if ext.case is CaseTag.FLAT_K0 or first.quantity != "min density":
                 raise
             try:
-                return _recover(beta, certificate, extend(certificate.a_vec, tol_k=abs(ext.k)), accept)
+                return _recover(beta, certificate, extend(a, tol_k=abs(ext.k)), accept)
             except MomentProblemError:
                 raise first from None
     finally:
@@ -170,14 +167,4 @@ def _recover(beta, certificate, ext, accept) -> tuple[AtomicMeasure, SolveReport
     check = verify_measure(mu, beta)
     if not check.max_moment_residual <= accept:
         raise MomentProblemError("verify", "max moment residual", check.max_moment_residual, accept)
-    report = frozen_record(
-        SolveReport,
-        case=ext.case,
-        k=ext.k,
-        rank=len(ext.basis),
-        max_moment_residual=check.max_moment_residual,
-        min_weight=check.min_weight,
-        certificate=certificate,
-        extension=ext,
-    )
-    return mu, report
+    return mu, frozen_record(SolveReport, case=ext.case, certificate=certificate, extension=ext, check=check)

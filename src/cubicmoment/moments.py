@@ -22,12 +22,14 @@ from .linalg import ERROR_STATE, QUIET_STATE
 
 
 def monomial_index(m: tuple[int, int]) -> int:
-    """Position of x^i y^j in degree-lex order.
+    """Position of x^i y^j in degree-lex order, for ints or index arrays; a negative exponent raises ValueError.
 
     >>> [monomial_index(m) for m in [(0, 0), (1, 1), (0, 3)]]
     [0, 4, 9]
     """
     i, j = m
+    if np.min(i) < 0 or np.min(j) < 0:
+        raise ValueError(f"monomial exponents must be non-negative, got {min(np.min(i), np.min(j))}")
     d = i + j
     return d * (d + 1) // 2 + (d - i)
 
@@ -63,17 +65,24 @@ class MomentSequence:
     """Real moments beta_ij for every i + j <= degree.
 
     Values are stored densely in degree-lex order and are read-only after
-    construction. beta_00 must be positive. Equality is identity; compare
-    values with np.array_equal.
+    construction. beta_00 must be positive. A bool or a degree that is not
+    an int >= 0, a moment past the float range or a wrong shape raises
+    ValueError; a numpy integer degree is stored as an int. Equality is
+    identity; compare values with np.array_equal.
     """
 
     degree: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"a sequence needs a degree >= 0, got degree {self.degree}")
-        vals = np.array(self.values, dtype=float)
+        degree = self.degree  # an int or a numpy integer, and not a bool, which is an int too
+        if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
+            raise ValueError(f"a sequence needs an integer degree >= 0, got degree {degree!r}")
+        object.__setattr__(self, "degree", operator.index(degree))
+        try:
+            vals = np.array(self.values, dtype=float)
+        except OverflowError as exc:  # an int moment beyond the float range
+            raise ValueError(f"degree-{degree} moments must fit in a float: {exc}") from exc
         expected = sequence_length(self.degree)
         if vals.shape != (expected,):
             raise ValueError(

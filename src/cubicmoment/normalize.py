@@ -91,16 +91,15 @@ class NormalizationCertificate:
     d2 and d3 are the pivots of the first Cholesky factor, the leading
     minors of the rescaled M(1). map is the read-only 3x3 matrix of
     z -> psi z, whose rows 1-2 are (a, b, c) and (d, e, f) for
-    psi(x, y) = (a + b x + c y, d + e x + f y). a_vec holds the four
-    normalized cubic moments (beta~_30, beta~_21, beta~_12, beta~_03).
-    Equality is identity.
+    psi(x, y) = (a + b x + c y, d + e x + f y). normalized.values[6:]
+    holds the four normalized cubic moments (beta~_30, beta~_21, beta~_12,
+    beta~_03), the data a of the extension. Equality is identity.
     """
 
     d2: float
     d3: float
     map: np.ndarray
     normalized: MomentSequence
-    a_vec: tuple[float, float, float, float]
 
 
 def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
@@ -128,13 +127,10 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
     if m1 == [*_IDENTITY_M1]:  # -0.0 == 0.0 too: R L2^-1 L1^-1 rounds to R exactly
         b30, b21, b12, b03 = values[6:]
         # beta~_ij = (-1)^i beta_ji, a zero stored as +0.0, as the factors' products store it
-        a_vec = (0.0 - b03, b12 + 0.0, 0.0 - b21, b30 + 0.0)
-        normalized = np.array((*_IDENTITY_M1, *a_vec))
+        normalized = np.array((*_IDENTITY_M1, 0.0 - b03, b12 + 0.0, 0.0 - b21, b30 + 0.0))
         normalized.setflags(write=False)
         sequence = frozen_record(MomentSequence, degree=3, values=normalized)
-        return frozen_record(
-            NormalizationCertificate, d2=1.0, d3=1.0, map=_QUARTER.view(), normalized=sequence, a_vec=a_vec
-        )
+        return frozen_record(NormalizationCertificate, d2=1.0, d3=1.0, map=_QUARTER.view(), normalized=sequence)
     threshold = SINGULAR_RTOL * max(map(abs, m1))
     d2, d3 = _pivots(m1)
     if d2 <= threshold:
@@ -164,5 +160,4 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
     psi.setflags(write=False)
     normalized.setflags(write=False)  # a new array whose beta_00 passed the defect gate
     sequence = frozen_record(MomentSequence, degree=3, values=normalized)
-    a_vec = tuple(result[6:])  # beta~_30, ..., beta~_03
-    return frozen_record(NormalizationCertificate, d2=d2, d3=d3, map=psi, normalized=sequence, a_vec=a_vec)
+    return frozen_record(NormalizationCertificate, d2=d2, d3=d3, map=psi, normalized=sequence)

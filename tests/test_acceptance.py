@@ -109,9 +109,9 @@ def test_criterion_3_random_instance_suite(random_suite):
         expected_atoms = 3 if abs(compute_k(a)) <= 1e-10 else 4
         ok &= len(mu.atoms) == expected_atoms
         ok &= all(atom.weight > 0.0 for atom in mu.atoms)
-        ok &= report.max_moment_residual <= 1e-8
-        worst_residual = max(worst_residual, report.max_moment_residual)
-        min_weight = min(min_weight, report.min_weight)
+        ok &= report.check.max_moment_residual <= 1e-8
+        worst_residual = max(worst_residual, report.check.max_moment_residual)
+        min_weight = min(min_weight, report.check.min_weight)
     ok &= solve_seconds < 10.0
     _check(
         "criterion 3 (1000 seeded solves: atom law, positive weights, residual <= 1e-8, <10 s)",
@@ -245,7 +245,7 @@ def test_closed_form_multiplication_matrices_match_reducer(random_suite):
     ok = True
     for _, _, report in rows:
         ext = report.extension
-        mx, my = multiplication_matrices(ext.basis, paper_relations(ext, report.certificate.a_vec))
+        mx, my = multiplication_matrices(ext.basis, paper_relations(ext, report.certificate.normalized.values[6:]))
         ok &= np.array_equal(ext.pair[0], mx) and np.array_equal(ext.pair[1], my)
         ok &= not (ext.pair[0].flags.writeable or ext.pair[1].flags.writeable)
     _check(

@@ -23,7 +23,7 @@ def test_success_record_covers_atoms_and_matrices():
     ext, cert = report.extension, report.certificate
     assert record.startswith(b"ok 4x3 6 3x3 10 6x6 10x10 2x4x4 4x2|")
     atoms = np.array([tuple(a) for a in mu.atoms])
-    scalars = np.array([report.k, 4.0, report.max_moment_residual, cert.d2, cert.d3, report.commutator_norm])
+    scalars = np.array([ext.k, 4.0, report.check.max_moment_residual, cert.d2, cert.d3, report.commutator_norm])
     basis = np.array(ext.basis, dtype=float)
     parts = [atoms, scalars, cert.map, cert.normalized.values, ext.m2, ext.m3, ext.pair, basis]
     assert record.endswith(b"".join(p.tobytes() for p in parts))

@@ -276,7 +276,7 @@ def test_joint_eigen_equals_loop_reading():
     compared = 0
     for beta in inputs:
         try:
-            ext = extend(normalize_cubic(beta).a_vec)
+            ext = extend(normalize_cubic(beta).normalized.values[6:])
         except MomentProblemError:
             continue
         loop = _outcome(joint_eigen_reference, ext.pair[0], ext.pair[1], linalg._COMBINATIONS[0])
@@ -290,7 +290,7 @@ def _seam_matrices() -> list[np.ndarray]:
     rng = np.random.default_rng(18)
     matrices = [rng.normal(size=(n, n)) for n in (3, 4) for _ in range(40)]
     matrices.append(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))  # a complex pair
-    ext = extend(normalize_cubic(seq_from_a((0.4, -0.9, 1.2, 0.5))).a_vec)
+    ext = extend(normalize_cubic(seq_from_a((0.4, -0.9, 1.2, 0.5))).normalized.values[6:])
     vb = vandermonde(*zip(*extract_atoms(ext)), ext.basis)
     matrices.append(vb.T)  # not contiguous, as the density solve hands it over
     return matrices
@@ -392,7 +392,7 @@ def _route_pairs() -> list[np.ndarray]:
     """The stacks (Mx, My) of seeded inputs of all three routes, at the first c."""
     inputs = [seq_from_a(a) for a in acceptance_draws()[::5]]
     inputs += [MomentSequence(3, np.array(random_request(n, s)["beta"])) for n in range(3, 6) for s in range(30)]
-    exts = [extend(normalize_cubic(beta).a_vec) for beta in inputs]
+    exts = [extend(normalize_cubic(beta).normalized.values[6:]) for beta in inputs]
     assert {ext.case.value for ext in exts} == {"k_zero", "k_pos", "k_neg"}
     return [ext.pair for ext in exts]
 

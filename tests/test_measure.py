@@ -311,17 +311,17 @@ class TestSolveCubic:
     def test_kpos_closed_form(self):
         mu, report = solve_cubic(seq_from_a((0, 0, 0, 0)))
         assert report.case is CaseTag.RECURSIVELY_DETERMINATE_K_POS
-        assert report.k == 1.0
-        assert report.rank == 4 == len(mu.atoms)
+        assert report.extension.k == 1.0
+        assert len(report.extension.basis) == 4 == len(mu.atoms)
         match_points([(a.x, a.y) for a in mu.atoms], [(1, 1), (1, -1), (-1, 1), (-1, -1)], atol=1e-10)
         assert_allclose([a.weight for a in mu.atoms], 0.25 * np.ones(4), atol=1e-10)
-        assert report.max_moment_residual <= 1e-12
+        assert report.check.max_moment_residual <= 1e-12
         assert report.commutator_norm <= 1e-12
 
     def test_k0_closed_form(self):
         mu, report = solve_cubic(seq_from_a((0, 1, 0, 0)))
         assert report.case is CaseTag.FLAT_K0
-        assert len(mu.atoms) == 3 == report.rank
+        assert len(mu.atoms) == 3 == len(report.extension.basis)
         r2 = math.sqrt(2.0)
         match_points([(a.x, a.y) for a in mu.atoms], [(0, -1), (r2, 1), (-r2, 1)], atol=1e-9)
         by_y = sorted(mu.atoms, key=lambda a: a.y)
@@ -331,7 +331,7 @@ class TestSolveCubic:
         mu, report = solve_cubic(seq_from_a((0, 1, 1, 0)))
         assert report.case is CaseTag.RANK_INCREASING_K_NEG
         assert len(mu.atoms) == 4
-        assert report.max_moment_residual <= 1e-10
+        assert report.check.max_moment_residual <= 1e-10
         assert report.extension.m3 is not None
 
     def test_kneg_route_puts_an_atom_at_the_mean(self):
@@ -356,17 +356,17 @@ class TestSolveCubic:
         beta = rescaled(seq_from_a((0, 0, 0, 0)), 5.0)
         mu, report = solve_cubic(beta)
         assert sum(a.weight for a in mu.atoms) == pytest.approx(5.0, abs=1e-10)
-        assert report.max_moment_residual <= 1e-10
+        assert report.check.max_moment_residual <= 1e-10
 
     def test_random_raw_instances(self):
         for seed in range(20):
             request = random_request(5, seed)
             beta = MomentSequence(3, np.array(request["beta"]))
             mu, report = solve_cubic(beta)
-            assert report.max_moment_residual <= 1e-8
-            assert report.min_weight > 1e-10
-            assert len(mu.atoms) == (3 if abs(report.k) <= 1e-10 else 4)
-            assert report.rank == len(mu.atoms)
+            assert report.check.max_moment_residual <= 1e-8
+            assert report.check.min_weight > 1e-10
+            assert len(mu.atoms) == (3 if abs(report.extension.k) <= 1e-10 else 4)
+            assert len(report.extension.basis) == len(mu.atoms)
 
     def test_determinism(self):
         beta = MomentSequence(3, np.array(random_request(4, 99)["beta"]))
@@ -412,7 +412,7 @@ class TestSolveCubic:
 
     def test_accept_zero_and_inf_are_bounds(self):
         beta = seq_from_a((0.3, -0.8, 0.4, 1.1))
-        residual = solve_cubic(beta, math.inf)[1].max_moment_residual
+        residual = solve_cubic(beta, math.inf)[1].check.max_moment_residual
         assert 0.0 < residual <= 1e-9
         with pytest.raises(MomentProblemError) as info:
             solve_cubic(beta, 0.0)
@@ -429,7 +429,7 @@ class TestSolveCubic:
         # inside the default acceptance bound
         _, report = solve_cubic(seq_from_a(rotate_a(a, turn * math.pi / 6)))
         assert report.case is CaseTag.RANK_INCREASING_K_NEG
-        assert report.max_moment_residual <= 1e-9
+        assert report.check.max_moment_residual <= 1e-9
 
     @pytest.mark.parametrize("position, cubic", [(7, 1e140), (8, 1e140), (7, 1e160), (7, 1e200)])
     def test_overflowing_cubic_moments_raise(self, position, cubic):
@@ -538,8 +538,8 @@ class TestSolveCubic:
             mu, report = solve_cubic(seq_from_a((a0, a1, a2, a3)))
         except MomentProblemError:
             return
-        assert report.rank == len(mu.atoms)
-        assert (report.rank == 3) == (report.case is CaseTag.FLAT_K0)
+        assert len(report.extension.basis) == len(mu.atoms)
+        assert (len(report.extension.basis) == 3) == (report.case is CaseTag.FLAT_K0)
 
     def test_variety_membership(self):
         for a in [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0.4, -0.9, 1.2, 0.5)]:
@@ -547,7 +547,7 @@ class TestSolveCubic:
             mu, report = solve_cubic(beta)
             cert = report.certificate
             _, x, y = cert.map @ np.array([(1.0, at.x, at.y) for at in mu.atoms]).T
-            for rel in paper_relations(report.extension, cert.a_vec):
+            for rel in paper_relations(report.extension, cert.normalized.values[6:]):
                 poly = rel.polynomial()
                 table = monomials_at(x.tolist(), y.tolist(), [1.0] * len(x), monomials_up_to(sum(rel.target)))
                 values = table @ poly
@@ -573,7 +573,7 @@ def _assert_scales_back(plain, scaled, p: int, q: int, r: int) -> None:
     (mu, report), (scaled_mu, scaled_report) = plain, scaled
     back = [(math.ldexp(x, -p), math.ldexp(y, -q), math.ldexp(w, -r)) for x, y, w in scaled_mu.atoms]
     assert same_bytes(np.array(back), np.array(mu.atoms))
-    assert (scaled_report.case, scaled_report.k) == (report.case, report.k)
+    assert (scaled_report.case, scaled_report.extension.k) == (report.case, report.extension.k)
 
 
 REQUESTS = st.builds(lambda n, seed: random_request(n, seed)["beta"], st.integers(3, 6), st.integers(0, 2**32 - 1))
@@ -715,12 +715,12 @@ class TestCombinationFallback:
         tied = self.measure(t)
         mu, report = solve_cubic(tied.moments(3))
         assert report.case is CaseTag.FLAT_K0
-        assert report.max_moment_residual <= 1e-10
+        assert report.check.max_moment_residual <= 1e-10
         match_points([(a.x, a.y) for a in mu.atoms], [(a.x, a.y) for a in tied.atoms], atol=1e-9)
 
     @pytest.mark.parametrize("t", TIES)
     def test_first_combination_fails_and_the_second_reads_the_pairs(self, t):
-        ext = extend(normalize_cubic(self.measure(t).moments(3)).a_vec)
+        ext = extend(normalize_cubic(self.measure(t).moments(3)).normalized.values[6:])
         first, second = linalg._COMBINATIONS
         with pytest.raises(MomentProblemError) as info:
             joint_eigen_reference(ext.pair[0], ext.pair[1], first)
@@ -747,7 +747,7 @@ class TestNearZeroKneg:
         mu, report = solve_cubic(beta)
         assert report.case is CaseTag.RANK_INCREASING_K_NEG
         assert len(mu.atoms) == 4
-        assert report.max_moment_residual <= 1e-8
+        assert report.check.max_moment_residual <= 1e-8
 
     def test_band_below_k_zero_solves(self):
         # k = -10^u for u from -9.5 to -1.31; a3 puts each k on a normalized a
@@ -759,7 +759,7 @@ class TestNearZeroKneg:
             a3 = (-(10.0**u) - 1.0 - a0 * a2 + a1 * a1 + a2 * a2) / a1
             mu, report = solve_cubic(seq_from_a((a0, a1, a2, a3)))
             assert report.case is CaseTag.RANK_INCREASING_K_NEG and len(mu.atoms) == 4
-            worst = max(worst, report.max_moment_residual)
+            worst = max(worst, report.check.max_moment_residual)
         assert worst <= 1e-12
 
 
@@ -771,9 +771,9 @@ class TestTieFallback:
         """The two attempts' errors or reports: the route k picks, then the k = 0 route."""
         beta = MomentSequence(3, np.array(values, dtype=float))
         cert = normalize_cubic(beta)
-        first = extend(cert.a_vec)
+        first = extend(cert.normalized.values[6:])
         outcomes = []
-        for ext in (first, extend(cert.a_vec, tol_k=abs(first.k))):
+        for ext in (first, extend(cert.normalized.values[6:], tol_k=abs(first.k))):
             try:
                 outcomes.append(measure._recover(beta, cert, ext, TOL_ACCEPT)[1])
             except MomentProblemError as exc:
@@ -786,9 +786,9 @@ class TestTieFallback:
         assert fields(first)[:2] == ("densities", "min density")
         assert first.value == pytest.approx(4.72e-11, rel=1e-3)
         mu, report = solve_cubic(MomentSequence(3, TIE_SOLVES))
-        assert report.case is CaseTag.FLAT_K0 and report.rank == len(mu.atoms) == 3
-        assert report.k == pytest.approx(2.886e-10, rel=1e-3) and report.k > TOL_K
-        assert report.max_moment_residual <= TOL_ACCEPT
+        assert report.case is CaseTag.FLAT_K0 and len(report.extension.basis) == len(mu.atoms) == 3
+        assert report.extension.k == pytest.approx(2.886e-10, rel=1e-3) and report.extension.k > TOL_K
+        assert report.check.max_moment_residual <= TOL_ACCEPT
 
     def test_both_routes_failing_raise_the_first_error(self):
         first, second = self.attempts(TIE_FAILS)

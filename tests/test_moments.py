@@ -47,6 +47,12 @@ class TestIndexing:
     def test_sequence_length(self):
         assert [sequence_length(d) for d in (0, 1, 2, 3, 4, 6)] == [1, 3, 6, 10, 15, 28]
 
+    @pytest.mark.parametrize("m", [(0, -1), (-1, 0), (2, -1), (np.array([0, 1]), np.array([1, -1]))])
+    def test_negative_exponent_is_refused(self, m):
+        # the formula alone maps (0, -1) to -1, beta_03's position in a cubic sequence, and (-1, 0) to beta_00's
+        with pytest.raises(ValueError, match="non-negative"):
+            monomial_index(m)
+
 
 class TestMomentSequence:
     def test_requires_full_set(self):
@@ -78,6 +84,24 @@ class TestMomentSequence:
     def test_negative_degree_is_named(self):
         with pytest.raises(ValueError, match="degree -1"):
             MomentSequence(-1, [])
+
+    @pytest.mark.parametrize(
+        "degree, values",
+        [
+            (2.0, [1, 0, 0, 1, 0, 1]),  # its moment matrix would raise a TypeError
+            (True, [1, 0, 0]),
+            ("2", [1, 0, 0, 1, 0, 1]),
+            (3, [10**400, 0, 0, 1, 0, 1, 0, 0, 0, 0]),  # an int past the float range
+            (3, [1, 0, 0, 1, 0, 1, 0, 0, 0, -(10**400)]),
+        ],
+    )
+    def test_bad_degree_or_moment_is_a_value_error(self, degree, values):
+        with pytest.raises(ValueError):
+            MomentSequence(degree, values)
+
+    def test_numpy_integer_degree_is_stored_as_int(self):
+        beta = MomentSequence(np.int64(2), [1, 0, 0, 1, 0, 1])
+        assert type(beta.degree) is int and build_moment_matrix(beta).shape == (3, 3)
         with pytest.raises(ValueError, match="degree -1"):
             seq_from_a((1, 2, 3, 4)).truncated(-1)
 

@@ -12,10 +12,12 @@ side's src/ and records, one input at a time:
   perfbench/workloads.py, which this tool imports and does not change):
   the outcome of solve_cubic(beta), that is the error's type, stage,
   quantity and the bits of its value and bound (its message, for an
-  untyped error), or the atoms, k, rank, max_moment_residual, the
-  normalization certificate's d2 and d3, report.commutator_norm, and the
-  bytes of certificate.map, certificate.normalized.values and
-  extension.m2, m3 and pair, and the exponent pairs of extension.basis;
+  untyped error), or the atoms, extension.k, the rank len(extension.basis),
+  the max_moment_residual of verify_measure(mu, beta) (the solve's own
+  check, which older reports copied), the normalization certificate's d2
+  and d3, report.commutator_norm, and the bytes of certificate.map,
+  certificate.normalized.values and extension.m2, m3 and pair, and the
+  exponent pairs of extension.basis;
 * the stdout and exit code of `random --atoms N --seed S`, of
   `solve --emit-matrices` on that output and of `verify` on that request
   and answer, for N in 3, 4, 5 and S in 0..99, and of `info`,
@@ -85,20 +87,21 @@ CLI_REQUESTS = (
 
 def solve_outcome(beta) -> tuple[str, bytes]:
     """(outcome, record) of solve_cubic(beta); the outcome is the case value or "error"."""
-    from cubicmoment import MomentSequence, solve_cubic
+    from cubicmoment import MomentSequence, solve_cubic, verify_measure
 
     beta = np.asarray(beta, dtype=float)
     try:
-        mu, report = solve_cubic(MomentSequence(3, beta))
+        sequence = MomentSequence(3, beta)
+        mu, report = solve_cubic(sequence)
     except Exception as exc:  # every outcome is part of the answer, an untyped error too
         return "error", error_record(exc)
     ext, cert = report.extension, report.certificate
     m3 = ext.m3
+    # read through names every revision has: the same function on the same inputs as the solve's check
+    residual = verify_measure(mu, sequence).max_moment_residual
     numbers = [
         np.array([tuple(a) for a in mu.atoms], dtype=float),
-        np.array(
-            [report.k, report.rank, report.max_moment_residual, cert.d2, cert.d3, report.commutator_norm], dtype=float
-        ),
+        np.array([ext.k, len(ext.basis), residual, cert.d2, cert.d3, report.commutator_norm], dtype=float),
         cert.map,
         cert.normalized.values,
         ext.m2,
