@@ -72,7 +72,10 @@ def classify_k(k: float, tol_k: float = TOL_K) -> CaseTag:
     """The extension route for the invariant k; ties within tol_k go to k = 0.
 
     Raises MomentProblemError when k is not finite (the cubic moments overflow).
+    A NaN or negative tol_k raises ValueError; 0 and inf are bounds.
     """
+    if not tol_k >= 0.0:
+        raise ValueError(f"tol_k must be a non-negative number, got {tol_k!r}")
     if not math.isfinite(k):
         raise MomentProblemError("extend", "k", k)
     if abs(k) <= tol_k:
@@ -227,7 +230,8 @@ def extend(a, tol_k: float = TOL_K) -> ExtensionResult:
 
     The only way into the routes: a is read as floats once, k is computed
     once, classify_k alone picks the route, and the route is handed both.
-    Raises MomentProblemError when k is not finite (the cubic moments overflow).
+    Raises MomentProblemError when k is not finite (the cubic moments overflow),
+    and ValueError, from classify_k, for a NaN or negative tol_k.
     """
     a = tuple(map(float, a))
     k = compute_k(a)

@@ -55,6 +55,17 @@ def require_finite(values: list[float], degree: int, stage: str) -> None:
         raise MomentProblemError(stage, f"beta_{i}{j}", values[n])
 
 
+def _nonnegative_int(value, what: str) -> int:
+    """A degree or an exponent as an int: an integer >= 0 and not a bool (an int too), or ValueError."""
+    try:
+        n = operator.index(value)
+    except TypeError:  # not an integer
+        n = -1
+    if n < 0 or isinstance(value, bool):
+        raise ValueError(f"the {what} must be an integer >= 0, got {what} {value!r}")
+    return n
+
+
 def sequence_length(degree: int) -> int:
     """Number of monomials of total degree <= degree."""
     return (degree + 1) * (degree + 2) // 2
@@ -65,24 +76,22 @@ class MomentSequence:
     """Real moments beta_ij for every i + j <= degree.
 
     Values are stored densely in degree-lex order and are read-only after
-    construction. beta_00 must be positive. A bool or a degree that is not
-    an int >= 0, a moment past the float range or a wrong shape raises
-    ValueError; a numpy integer degree is stored as an int. Equality is
-    identity; compare values with np.array_equal.
+    construction. beta_00 must be positive. A degree, here or in truncated,
+    or an exponent of beta[i, j] that is a bool or not an integer >= 0, a
+    moment past the float range or a wrong shape raises ValueError; a numpy
+    integer degree is stored as an int. Equality is identity; compare
+    values with np.array_equal.
     """
 
     degree: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        degree = self.degree  # an int or a numpy integer, and not a bool, which is an int too
-        if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
-            raise ValueError(f"a sequence needs an integer degree >= 0, got degree {degree!r}")
-        object.__setattr__(self, "degree", operator.index(degree))
+        object.__setattr__(self, "degree", _nonnegative_int(self.degree, "degree"))
         try:
             vals = np.array(self.values, dtype=float)
         except OverflowError as exc:  # an int moment beyond the float range
-            raise ValueError(f"degree-{degree} moments must fit in a float: {exc}") from exc
+            raise ValueError(f"degree-{self.degree} moments must fit in a float: {exc}") from exc
         expected = sequence_length(self.degree)
         if vals.shape != (expected,):
             raise ValueError(
@@ -95,13 +104,14 @@ class MomentSequence:
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, m: tuple[int, int]) -> float:
-        i, j = m
-        if i < 0 or j < 0 or i + j > self.degree:
+        i, j = (_nonnegative_int(e, "exponent") for e in m)
+        if i + j > self.degree:
             raise IndexError(f"moment ({i},{j}) outside degree {self.degree}")
-        return float(self.values[monomial_index(m)])
+        return float(self.values[monomial_index((i, j))])
 
     def truncated(self, degree: int) -> "MomentSequence":
         """Drop all moments above the given total degree."""
+        degree = _nonnegative_int(degree, "degree")
         if degree > self.degree:
             raise ValueError("cannot truncate upwards")
         return MomentSequence(degree, self.values[: sequence_length(degree)])
@@ -181,6 +191,7 @@ class AtomicMeasure:
 
     def moments(self, degree: int) -> MomentSequence:
         """Exact moments sum rho_k x_k^i y_k^j up to the given degree."""
+        degree = _nonnegative_int(degree, "degree")
         return MomentSequence(degree, integrals_of(self.atoms, degree))
 
 

@@ -71,12 +71,13 @@ def pullback_measure(atoms, psi: np.ndarray) -> list[Atom]:
     psi is the 3x3 matrix of an invertible map z -> psi z on z = (1, x, y).
     Each atom (u, v) goes to the (x, y) that psi maps to it, by Cramer's
     rule on rows 1-2, with its weight. If the atoms represent the pushforward
-    sequence, the result represents the original one. A singular psi raises ValueError.
+    sequence, the result represents the original one. A psi whose determinant
+    b*f - c*e is 0 or not finite raises ValueError.
     """
     (a, b, c), (d, e, f) = psi[1:].tolist()
     det = b * f - c * e
-    if det == 0.0:
-        raise ValueError(f"psi is not invertible: its determinant b*f - c*e is {det}")
+    if det == 0.0 or not math.isfinite(det):
+        raise ValueError(f"psi is not invertible in floating point: its determinant b*f - c*e is {det}")
     pulled = []
     for u, v, w in atoms:
         ru, rv = u - a, v - d

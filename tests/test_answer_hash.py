@@ -1,24 +1,29 @@
-"""The records that tools/answer_hash.py hashes and its per-part comparison; no subprocess, no git."""
+"""The records that tools/answer_hash.py hashes, its per-part comparison and its loader; no git."""
 
 import contextlib
+import importlib
 import io
 import json
-import subprocess
+import shutil
 import sys
 import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 import answer_hash
+import cubicmoment
 from cubicmoment import MomentProblemError, MomentSequence, cli, solve_cubic
+from gitexport import ROOT, load_package
 
 K_POS = [1, 0, 0, 1, 0, 1, 0, 0, 0, 0]  # the four atoms (+-1, +-1)
 K_NEG = [1, 0, 0, 1, 0, 1, 0, 1, 1, 0]
 
 
 def test_success_record_covers_atoms_and_matrices():
-    record = answer_hash.solve_record(K_NEG)
-    assert record == answer_hash.solve_record(np.array(K_NEG, dtype=float))
+    record = answer_hash.solve_record(cubicmoment, K_NEG)
+    assert record == answer_hash.solve_record(cubicmoment, np.array(K_NEG, dtype=float))
     mu, report = solve_cubic(MomentSequence(3, np.array(K_NEG, dtype=float)))
     ext, cert = report.extension, report.certificate
     assert record.startswith(b"ok 4x3 6 3x3 10 6x6 10x10 2x4x4 4x2|")
@@ -27,12 +32,12 @@ def test_success_record_covers_atoms_and_matrices():
     basis = np.array(ext.basis, dtype=float)
     parts = [atoms, scalars, cert.map, cert.normalized.values, ext.m2, ext.m3, ext.pair, basis]
     assert record.endswith(b"".join(p.tobytes() for p in parts))
-    assert answer_hash.solve_record(K_POS) != record
+    assert answer_hash.solve_record(cubicmoment, K_POS) != record
 
 
 def test_error_record_names_type_and_fields():
     # d2 = 0 against its bound 1e-10, read as their exact bits
-    record = answer_hash.solve_record([1, 0, 0, 0, 0, 1, 0, 0, 0, 0])
+    record = answer_hash.solve_record(cubicmoment, [1, 0, 0, 0, 0, 1, 0, 0, 0, 0])
     assert record == f"error SingularM1Error: normalize | d2 | {0.0.hex()} | {1e-10.hex()}".encode()
 
 
@@ -44,16 +49,16 @@ def test_error_record_without_fields_is_the_message():
 
 
 def test_cli_record_is_reproducible(tmp_path):
-    record = answer_hash.cli_record(4, 7, tmp_path)
-    assert record == answer_hash.cli_record(4, 7, tmp_path)
+    record = answer_hash.cli_record(cubicmoment, 4, 7, tmp_path)
+    assert record == answer_hash.cli_record(cubicmoment, 4, 7, tmp_path)
     assert record.startswith(b"0\n{") and b'"matrices"' in record
-    assert answer_hash.digest(record) != answer_hash.digest(answer_hash.cli_record(4, 8, tmp_path))
+    assert answer_hash.digest(record) != answer_hash.digest(answer_hash.cli_record(cubicmoment, 4, 8, tmp_path))
 
 
 def test_request_record_covers_info_and_solve(tmp_path):
     request = answer_hash.CLI_REQUESTS[0]  # the README's
-    record = answer_hash.request_record(request, tmp_path)
-    assert record == answer_hash.request_record(request, tmp_path)
+    record = answer_hash.request_record(cubicmoment, request, tmp_path)
+    assert record == answer_hash.request_record(cubicmoment, request, tmp_path)
     assert record.startswith(b"0\n{") and b'"normalized_beta"' in record and b'"matrices"' in record
     assert record.endswith(b"(within tolerance 1e-08), min weight 2.500e-01\n")
 
@@ -64,7 +69,7 @@ def test_one_request_per_reachable_gate(tmp_path):
     for request in answer_hash.CLI_REQUESTS[1:]:
         path = tmp_path / "request.json"
         path.write_text(request)
-        code, out = answer_hash._run_cli(["solve", str(path)])
+        code, out = answer_hash._run_cli(cubicmoment, ["solve", str(path)])
         error = json.loads(out)["error"]
         documents.append((code, error["code"], error["stage"], error["quantity"]))
     assert documents == [
@@ -86,7 +91,10 @@ def test_a_changed_verify_line_changes_the_cli_part(monkeypatch, tmp_path):
     request = answer_hash.CLI_REQUESTS[0]  # the README's
 
     def cli_part():
-        records = [answer_hash.cli_record(4, 7, tmp_path), answer_hash.request_record(request, tmp_path)]
+        records = [
+            answer_hash.cli_record(cubicmoment, 4, 7, tmp_path),
+            answer_hash.request_record(cubicmoment, request, tmp_path),
+        ]
         return records, answer_hash.part_hash([(answer_hash.digest(r), str(i)) for i, r in enumerate(records)])
 
     records, part = cli_part()
@@ -114,24 +122,93 @@ def test_a_warning_in_the_cli_is_an_untyped_record(monkeypatch):
 
     monkeypatch.setattr(cli, "main", main)
     with np.errstate(over="warn"):
-        code, out = answer_hash._run_cli(["solve"])
+        code, out = answer_hash._run_cli(cubicmoment, ["solve"])
     assert (code, out) == (-1, "partial\nerror RuntimeWarning: overflow encountered in scalar multiply")
 
 
+def _copy_src(into):
+    """A copy of the working tree's src/ under into, where export leaves a base's."""
+    shutil.copytree(ROOT / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+
+
+def _forget(package):
+    """Drop the package and its modules from sys.modules."""
+    for name in [name for name in sys.modules if name.partition(".")[0] == package]:
+        del sys.modules[name]
+
+
+def _cut_to_one_pool(monkeypatch, pool):
+    """Every workload and seed gives pool, and the CLI records are left out."""
+    workloads = types.ModuleType("workloads")
+    workloads.generate = lambda workload, seed: pool
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    monkeypatch.setattr(answer_hash, "WORKLOADS", ("pool",))
+    monkeypatch.setattr(answer_hash, "CLI_ATOMS", ())
+    monkeypatch.setattr(answer_hash, "CLI_REQUESTS", ())
+
+
 def test_only_the_working_tree_side_turns_runtime_warnings_into_errors(monkeypatch, capsys):
-    commands = []
+    # both sides are the working tree's solver, the base a copy loaded by path, and each solve overflows a float
+    def overflowing(cm):
+        solve = cm.solve_cubic
 
-    def run(cmd, **kwargs):
-        commands.append(cmd)
-        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+        def solve_cubic(beta):
+            np.float64(1e308) * 10.0
+            return solve(beta)
 
-    monkeypatch.setattr(answer_hash, "export", lambda revision, target: None)
-    monkeypatch.setattr(answer_hash.subprocess, "run", run)
-    assert answer_hash.main(["--base", "HEAD", "--seeds", "11"]) == 0
-    base, tree = commands
-    assert base[1] == tree[3] == answer_hash.__file__ and "-W" not in base
-    assert tree[1:3] == ["-W", "error::RuntimeWarning"]
-    assert capsys.readouterr().out.endswith("equal\n")
+        monkeypatch.setattr(cm, "solve_cubic", solve_cubic)
+        return cm
+
+    solved = answer_hash.digest(answer_hash.solve_record(cubicmoment, K_POS))
+    warned = answer_hash.digest(b"error RuntimeWarning: overflow encountered in scalar multiply")
+    monkeypatch.setattr(answer_hash, "export", lambda revision, into: _copy_src(into))
+    monkeypatch.setattr(answer_hash, "load_package", lambda src, name: overflowing(load_package(src, name)))
+    overflowing(cubicmoment)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src/ and perfbench/ in front
+    _cut_to_one_pool(monkeypatch, [np.array(K_POS, dtype=float)])
+    try:
+        # the caller's quiet numpy state and warning filters hide nothing from the working tree's side
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert answer_hash.main(["--base", "HEAD", "--seeds", "11"]) == 1
+            warnings.warn("ignored", RuntimeWarning)  # main leaves the filters as they were
+    finally:
+        _forget("cubicmoment_base")
+    # the base's side records the solve as if nothing overflowed, the working tree's side the warning
+    label = f"pool seed 11 #0 beta {[float(b) for b in K_POS]}"
+    assert capsys.readouterr().out.splitlines() == [
+        "pool seed 11 k_pos: DIFFERENT (1 / 0 inputs)",
+        f"  {answer_hash.part_hash([(solved, label)])}  HEAD",
+        f"  {answer_hash.part_hash([])}  working tree",
+        "  the sides cover 1 and 0 inputs",
+        "pool seed 11 error: DIFFERENT (0 / 1 inputs)",
+        f"  {answer_hash.part_hash([])}  HEAD",
+        f"  {answer_hash.part_hash([(warned, label)])}  working tree",
+        "  the sides cover 0 and 1 inputs",
+        "pool seed 11 moves: 1 k_pos -> error; 0 kept their outcome and changed their record",
+        "1 inputs HEAD solved changed",
+        "different",
+    ]
+    # under numpy's default state, where this suite raises the warning, the base's side stays quiet
+    assert answer_hash.side(cubicmoment, [11], strict=False) == [(solved, "pool seed 11 k_pos", label)]
+
+
+def test_load_package_imports_a_second_copy_of_the_solver_from_its_own_src(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    _copy_src(tmp_path)
+    try:
+        copy = load_package(tmp_path / "src", "cubicmoment_copy")
+        importlib.import_module("cubicmoment_copy.cli")
+        modules = {name: m for name, m in sys.modules.items() if name.partition(".")[0] == "cubicmoment_copy"}
+    finally:
+        _forget("cubicmoment_copy")
+    assert copy.solve_cubic is not solve_cubic
+    assert {"cubicmoment_copy", "cubicmoment_copy.cli", "cubicmoment_copy.moments"} <= set(modules)
+    assert all(Path(m.__file__).resolve().is_relative_to((tmp_path / "src").resolve()) for m in modules.values())
+    for beta in workloads.generate("generator_mixed", 1)[:3]:
+        assert answer_hash.solve_record(copy, beta) == answer_hash.solve_record(cubicmoment, beta)
 
 
 def test_each_part_hashes_apart_and_names_its_first_difference():
@@ -177,18 +254,12 @@ def test_outcome_is_the_case_or_error():
     singular = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0]
     outcomes = {"k_pos": K_POS, "k_neg": K_NEG, "k_zero": k_zero, "error": singular}
     for outcome, beta in outcomes.items():
-        assert answer_hash.solve_outcome(beta) == (outcome, answer_hash.solve_record(beta))
+        assert answer_hash.solve_outcome(cubicmoment, beta) == (outcome, answer_hash.solve_record(cubicmoment, beta))
 
 
 def test_pool_parts_split_by_outcome(monkeypatch, tmp_path):
-    pool = [np.array(beta, dtype=float) for beta in (K_POS, K_NEG, K_POS)]
-    workloads = types.ModuleType("workloads")
-    workloads.generate = lambda workload, seed: pool
-    monkeypatch.setitem(sys.modules, "workloads", workloads)
-    monkeypatch.setattr(answer_hash, "WORKLOADS", ("pool",))
-    monkeypatch.setattr(answer_hash, "CLI_ATOMS", ())
-    monkeypatch.setattr(answer_hash, "CLI_REQUESTS", ())
-    records = answer_hash.records([5], tmp_path)
+    _cut_to_one_pool(monkeypatch, [np.array(beta, dtype=float) for beta in (K_POS, K_NEG, K_POS)])
+    records = answer_hash.records(cubicmoment, [5], tmp_path)
     lines = [(answer_hash.digest(record), part, label) for part, label, record in records]
     assert [(part, label.split(" beta ")[0]) for _, part, label in lines] == [
         ("pool seed 5 k_pos", "pool seed 5 #0"),

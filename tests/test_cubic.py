@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from cubicmoment import (
     CaseTag,
     MomentProblemError,
+    classify_k,
     compute_k,
     extend,
     extract_atoms,
@@ -301,6 +302,20 @@ class TestExtendDispatch:
         signed = extend(a, tol_k=np.nextafter(abs(k), 0))
         expected = CaseTag.RECURSIVELY_DETERMINATE_K_POS if s > 0 else CaseTag.RANK_INCREASING_K_NEG
         assert signed.case is expected and len(signed.basis) == 4
+
+    @pytest.mark.parametrize("tol_k", [-1.0, -5e-324, math.nan])
+    def test_a_nan_or_negative_tol_k_raises(self, tol_k):
+        # the exact k = 0 of a = (0, 1, 0, 0) went to the k < 0 route
+        assert compute_k((0, 1, 0, 0)) == 0.0
+        with pytest.raises(ValueError, match="tol_k must be a non-negative number"):
+            extend((0, 1, 0, 0), tol_k=tol_k)
+        with pytest.raises(ValueError, match="tol_k must be a non-negative number"):
+            classify_k(0.0, tol_k)
+
+    def test_zero_and_inf_tol_k_are_bounds(self):
+        assert extend((0, 1, 0, 0), tol_k=0.0).case is CaseTag.FLAT_K0
+        assert extend((0, 0, 0, 0), tol_k=0.0).case is CaseTag.RECURSIVELY_DETERMINATE_K_POS
+        assert extend((0, 1, 1, 0), tol_k=math.inf).case is CaseTag.FLAT_K0
 
     def test_non_finite_k_raises(self):
         with pytest.raises(MomentProblemError) as info:

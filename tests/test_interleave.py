@@ -1,16 +1,9 @@
 """The statistics of tools/interleave.py; no benchmark runs."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "interleave", Path(__file__).resolve().parent.parent / "tools" / "interleave.py"
-)
-interleave = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(interleave)
-ratio_stats = interleave.ratio_stats
+import interleave
+from interleave import ratio_stats
 
 
 def test_percentiles_are_in_microseconds_per_side():

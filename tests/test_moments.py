@@ -99,6 +99,22 @@ class TestMomentSequence:
         with pytest.raises(ValueError):
             MomentSequence(degree, values)
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            pytest.param(lambda beta: beta.truncated(2.0), id="truncated 2.0"),  # a TypeError of the slice
+            pytest.param(lambda beta: beta.truncated(True), id="truncated True"),
+            pytest.param(lambda beta: AtomicMeasure(()).moments(2.0), id="moments 2.0"),  # a TypeError
+            pytest.param(lambda beta: AtomicMeasure(()).moments(-1), id="moments -1"),
+            pytest.param(lambda beta: beta[True, 0], id="beta[True, 0]"),  # read as beta_10
+            pytest.param(lambda beta: beta[1.0, 0], id="beta[1.0, 0]"),  # numpy's IndexError
+            pytest.param(lambda beta: beta[0, -1], id="beta[0, -1]"),  # an IndexError
+        ],
+    )
+    def test_a_degree_or_exponent_not_an_integer_at_least_0_is_a_value_error(self, read):
+        with pytest.raises(ValueError, match=r"must be an integer >= 0"):
+            read(seq_from_a((1, 2, 3, 4)))
+
     def test_numpy_integer_degree_is_stored_as_int(self):
         beta = MomentSequence(np.int64(2), [1, 0, 0, 1, 0, 1])
         assert type(beta.degree) is int and build_moment_matrix(beta).shape == (3, 3)

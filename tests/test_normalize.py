@@ -215,16 +215,19 @@ class TestPullbackMeasure:
         assert back == pytest.approx((0.7, -1.3, 0.5))
 
     @pytest.mark.parametrize(
-        "psi",
+        "psi, det",
         [
-            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]),  # b f - c e = 0
-            np.zeros((3, 3)),
+            (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]), r"0\.0"),  # b f - c e = 0
+            (np.zeros((3, 3)), r"0\.0"),
+            (np.diag([1.0, math.inf, 1.0]), "inf"),  # (0.5, 0.5) came back as (0, nan)
+            (np.diag([1.0, 1e200, 1e200]), "inf"),  # invertible, but (0.5, 0.5) came back as (0, 0), not 5e-201
+            (np.diag([1.0, math.inf, 0.0]), "nan"),
         ],
     )
-    @pytest.mark.parametrize("atoms", [(Atom(1.0, 2.0, 0.5),), ()])
-    def test_singular_map_raises(self, psi, atoms):
-        # a typed error, not the ZeroDivisionError of Cramer's rule, and for no atoms too
-        with pytest.raises(ValueError, match=r"determinant b\*f - c\*e is 0\.0$"):
+    @pytest.mark.parametrize("atoms", [(Atom(0.5, 0.5, 1.0),), ()])
+    def test_a_determinant_that_is_zero_or_not_finite_raises(self, psi, det, atoms):
+        # a typed error, not the ZeroDivisionError of Cramer's rule or wrong atoms, and for no atoms too
+        with pytest.raises(ValueError, match=rf"determinant b\*f - c\*e is {det}$"):
             pullback_measure(AtomicMeasure(atoms).atoms, psi)
 
 

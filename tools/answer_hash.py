@@ -5,8 +5,9 @@ Run from anywhere inside the repository:
     python3 tools/answer_hash.py --base HEAD --seeds 11 23
 
 The base revision is exported with `git archive` into a temporary
-directory. For each side, a child process imports cubicmoment from that
-side's src/ and records, one input at a time:
+directory. Its src/ is imported as the package cubicmoment_base, and the
+working tree's src/ as cubicmoment, so both sides run in this process.
+For each side the tool records, one input at a time:
 
 * every input of the three perfbench workloads at each seed (the pools of
   perfbench/workloads.py, which this tool imports and does not change):
@@ -36,14 +37,20 @@ first input whose records differ. Then, per pool, it counts the inputs
 that changed outcome, from which to which, and the inputs that kept
 their outcome but changed their record, and says whether every input
 the base solved is unchanged. It exits 0 when every part's hashes are
-equal and 1 otherwise. Sides run one after the other.
+equal and 1 otherwise. Sides run one after the other, the base first.
 
-The working tree's child also checks that the solver never warns: it
-runs with -W error::RuntimeWarning under numpy's default error state, so
+Both sides solve the same pool inputs, which perfbench/workloads.py draws
+with the working tree's cli.random_request. A change to random_request
+shows in the cli part, which records each side's own `random` output,
+and the solvers are compared on identical inputs.
+
+The working tree's side also checks that the solver never warns: it
+turns RuntimeWarnings into errors under numpy's default error state, so
 a numpy warning is raised, recorded as an untyped error, and makes its
-part differ. The base's child runs under np.errstate(all="ignore") with
-Python's default warning filters, so that revisions whose solver still
-warned can be compared.
+part differ. That state is set explicitly, so that a base which changed
+numpy's global state cannot hide a warning. The base's side runs under
+np.errstate(all="ignore") with the warning filters as they were, so that
+revisions whose solver still warned can be compared.
 """
 
 from __future__ import annotations
@@ -52,16 +59,16 @@ import argparse
 import collections
 import contextlib
 import hashlib
+import importlib
 import io
-import os
-import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from gitexport import ROOT, export
+from gitexport import ROOT, export, load_package
 
 WORKLOADS = ("generator_mixed", "kneg_normalized", "ill_conditioned")
 CLI_ATOMS = (3, 4, 5)
@@ -85,20 +92,18 @@ CLI_REQUESTS = (
 )
 
 
-def solve_outcome(beta) -> tuple[str, bytes]:
-    """(outcome, record) of solve_cubic(beta); the outcome is the case value or "error"."""
-    from cubicmoment import MomentSequence, solve_cubic, verify_measure
-
+def solve_outcome(cm, beta) -> tuple[str, bytes]:
+    """(outcome, record) of the solver package cm's solve_cubic(beta); the outcome is the case value or "error"."""
     beta = np.asarray(beta, dtype=float)
     try:
-        sequence = MomentSequence(3, beta)
-        mu, report = solve_cubic(sequence)
+        sequence = cm.MomentSequence(3, beta)
+        mu, report = cm.solve_cubic(sequence)
     except Exception as exc:  # every outcome is part of the answer, an untyped error too
         return "error", error_record(exc)
     ext, cert = report.extension, report.certificate
     m3 = ext.m3
     # read through names every revision has: the same function on the same inputs as the solve's check
-    residual = verify_measure(mu, sequence).max_moment_residual
+    residual = cm.verify_measure(mu, sequence).max_moment_residual
     numbers = [
         np.array([tuple(a) for a in mu.atoms], dtype=float),
         np.array([ext.k, len(ext.basis), residual, cert.d2, cert.d3, report.commutator_norm], dtype=float),
@@ -125,101 +130,84 @@ def error_record(exc: Exception) -> bytes:
     return f"error {type(exc).__name__}: {exc.stage} | {exc.quantity} | {numbers[0]} | {numbers[1]}".encode()
 
 
-def solve_record(beta) -> bytes:
-    """Everything the hash covers of solve_cubic(beta)."""
-    return solve_outcome(beta)[1]
+def solve_record(cm, beta) -> bytes:
+    """Everything the hash covers of cm's solve_cubic(beta)."""
+    return solve_outcome(cm, beta)[1]
 
 
-def _run_cli(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of the command line run in-process; stderr is dropped."""
-    from cubicmoment.cli import main
-
+def _run_cli(cm, argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of cm's command line run in-process; stderr is dropped."""
+    cli = importlib.import_module(f"{cm.__name__}.cli")
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    except Exception as exc:  # a warning the strict child raises, say: an untyped error is part of the answer
+            code = cli.main(argv)
+    except Exception as exc:  # a warning the strict side raises, say: an untyped error is part of the answer
         return -1, out.getvalue() + error_record(exc).decode()
     return code, out.getvalue()
 
 
-def cli_record(atoms: int, seed: int, scratch: Path) -> bytes:
+def cli_record(cm, atoms: int, seed: int, scratch: Path) -> bytes:
     """Exit codes and stdout of `random --atoms atoms --seed seed`, and of `_solve_and_verify` on its output."""
-    code, request = _run_cli(["random", "--atoms", str(atoms), "--seed", str(seed)])
+    code, request = _run_cli(cm, ["random", "--atoms", str(atoms), "--seed", str(seed)])
     path = scratch / "request.json"
     path.write_text(request)
-    return f"{code}\n{request}\n".encode() + _solve_and_verify(path)
+    return f"{code}\n{request}\n".encode() + _solve_and_verify(cm, path)
 
 
-def request_record(request: str, scratch: Path) -> bytes:
+def request_record(cm, request: str, scratch: Path) -> bytes:
     """Exit codes and stdout of `info`, `solve --emit-matrices` and `verify` on the request."""
     path = scratch / "request.json"
     path.write_text(request)
-    info_code, info = _run_cli(["info", str(path)])
-    return f"{info_code}\n{info}\n".encode() + _solve_and_verify(path)
+    info_code, info = _run_cli(cm, ["info", str(path)])
+    return f"{info_code}\n{info}\n".encode() + _solve_and_verify(cm, path)
 
 
-def _solve_and_verify(request: Path) -> bytes:
+def _solve_and_verify(cm, request: Path) -> bytes:
     """Exit codes and stdout of `solve --emit-matrices` on the request file and of `verify` on it and that answer."""
-    solve_code, answer = _run_cli(["solve", str(request), "--emit-matrices"])
+    solve_code, answer = _run_cli(cm, ["solve", str(request), "--emit-matrices"])
     measure = request.with_name("answer.json")
     measure.write_text(answer)
-    verify_code, table = _run_cli(["verify", str(request), str(measure)])
+    verify_code, table = _run_cli(cm, ["verify", str(request), str(measure)])
     return f"{solve_code}\n{answer}\n{verify_code}\n{table}".encode()
 
 
-def records(seeds, scratch: Path):
-    """(part, label, record) for every input the hash covers, in a fixed order."""
+def records(cm, seeds, scratch: Path):
+    """(part, label, record) for every input the hash covers, in a fixed order, for the solver package cm."""
     import workloads
 
     for seed in seeds:
         for workload in WORKLOADS:
             pool = f"{workload} seed {seed}"
             for i, beta in enumerate(workloads.generate(workload, seed)):
-                outcome, record = solve_outcome(beta)
+                outcome, record = solve_outcome(cm, beta)
                 yield f"{pool} {outcome}", f"{pool} #{i} beta {beta.tolist()}", record
     for atoms in CLI_ATOMS:
         for seed in CLI_SEEDS:
             label = f"solve --emit-matrices and verify on random --atoms {atoms} --seed {seed}"
-            yield "cli", label, cli_record(atoms, seed, scratch)
+            yield "cli", label, cli_record(cm, atoms, seed, scratch)
     for request in CLI_REQUESTS:
-        yield "cli", f"info, solve --emit-matrices and verify on {request}", request_record(request, scratch)
+        yield "cli", f"info, solve --emit-matrices and verify on {request}", request_record(cm, request, scratch)
 
 
 def digest(record: bytes) -> str:
     return hashlib.sha256(record).hexdigest()
 
 
-def hash_tree(tree: Path, seeds) -> None:
-    """Print one line per input, its record's digest, part and label, for the solver in tree/src.
+def side(cm, seeds, strict: bool) -> list[tuple[str, str, str]]:
+    """(digest, part, label) per input, for the solver package cm.
 
-    Under -W error::RuntimeWarning the inputs run under numpy's default error state, and otherwise all quiet.
+    A strict side turns RuntimeWarnings into errors under numpy's default error state;
+    the other runs all quiet.
     """
-    sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench")]
-    import cubicmoment
-
-    origin = Path(cubicmoment.__file__).resolve()
-    if not origin.is_relative_to((tree / "src").resolve()):
-        raise SystemExit(f"cubicmoment was imported from {origin}, not from {tree / 'src'}")
-    strict = "error::RuntimeWarning" in sys.warnoptions
-    state = contextlib.nullcontext() if strict else np.errstate(all="ignore")
-    with tempfile.TemporaryDirectory(prefix="answer-hash-cli-") as tmp, state:
-        for part, label, record in records(seeds, Path(tmp)):
-            print(f"{digest(record)}\t{part}\t{label}")
-
-
-def _side(tree: Path, seeds, strict: bool) -> list[tuple[str, str, str]]:
-    """(digest, part, label) per input, from a child process that imports tree's solver.
-
-    A strict child turns RuntimeWarnings into errors and hashes under numpy's default error state.
-    """
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    warnings = ["-W", "error::RuntimeWarning"] if strict else []
-    cmd = [sys.executable, *warnings, __file__, "--tree", str(tree), "--seeds", *map(str, seeds)]
-    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise RuntimeError(f"hashing {tree} failed:\n{done.stderr}")
-    return [tuple(line.split("\t", 2)) for line in done.stdout.splitlines()]
+    if strict:
+        state = np.errstate(divide="warn", over="warn", invalid="warn", under="ignore")
+    else:
+        state = np.errstate(all="ignore")
+    with warnings.catch_warnings(), state, tempfile.TemporaryDirectory(prefix="answer-hash-cli-") as tmp:
+        if strict:
+            warnings.simplefilter("error", RuntimeWarning)
+        return [(digest(record), part, label) for part, label, record in records(cm, seeds, Path(tmp))]
 
 
 def by_part(lines) -> dict[str, list[tuple[str, str]]]:
@@ -294,16 +282,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="revision to compare the working tree against")
     parser.add_argument("--seeds", type=int, nargs="+", default=[11, 23], help="workload seeds")
-    parser.add_argument("--tree", type=Path, help="only print the per-input digests of the solver in TREE")
     args = parser.parse_args(argv)
-    if args.tree is not None:
-        hash_tree(args.tree.resolve(), args.seeds)
-        return 0
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import cubicmoment
 
     with tempfile.TemporaryDirectory(prefix="answer-hash-base-") as tmp:
         export(args.base, Path(tmp))
-        base = _side(Path(tmp), args.seeds, strict=False)
-    tree = _side(ROOT, args.seeds, strict=True)
+        base = side(load_package(Path(tmp) / "src", "cubicmoment_base"), args.seeds, strict=False)
+    tree = side(cubicmoment, args.seeds, strict=True)
     report, equal = compare(args.base, base, "working tree", tree)
     print("\n".join([*report, *movements(args.base, base, tree)]))
     print("equal" if equal else "different")

@@ -40,7 +40,6 @@ if __name__ == "__main__":  # numpy reads these once, when it loads
         os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import importlib.util  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -49,7 +48,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from gitexport import ROOT, export  # noqa: E402
+from gitexport import ROOT, export, load_package  # noqa: E402
 
 TIMED_INPUTS = 400  # the first inputs of the pool, as in perfbench/run.py
 
@@ -75,16 +74,6 @@ def ratio_stats(base_ns: list[float], change_ns: list[float]) -> dict:
         "ratio": statistics.median(ratios),
         "won": sum(r < 1.0 for r in ratios) / len(ratios),
     }
-
-
-def load_package(src: Path, name: str):
-    """Import the cubicmoment package under src/ as a top-level package called name."""
-    init = src / "cubicmoment" / "__init__.py"
-    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def fastest_calls(sides, sequences, seconds: float) -> list[list[float]]:
