@@ -78,11 +78,13 @@ def largest(values: list[float]) -> float:
 def commutator_gate(M: np.ndarray) -> None:
     """Raise MomentProblemError unless the stacked pair M = (Mx, My) commutes within TOL_COMMUTE.
 
-    The tolerance is relative to the scale max(1, max|Mx|, max|My|). A NaN
-    commutator fails.
+    The tolerance is relative to the scale max(1, max|Mx|, max|My|), read only
+    past TOL_COMMUTE, which it cannot fail below. A NaN commutator fails.
     """
-    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     commutator = commutator_norm(M)
+    if commutator <= TOL_COMMUTE:
+        return
+    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     if not commutator <= TOL_COMMUTE * scale:
         raise MomentProblemError("joint spectrum", "max |Mx My - My Mx|", commutator, TOL_COMMUTE * scale)
 

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cubic import CaseTag, ExtensionResult, extend
+from .cubic import BASIS_K0, BASIS_KNEG, BASIS_KPOS, CaseTag, ExtensionResult, extend
 from .errors import MAX_VARIETY_RESIDUAL, MIN_ATOM_SEPARATION, MIN_WEIGHT, TOL_ACCEPT, MomentProblemError
 from .linalg import ERROR_STATE, QUIET_STATE, commutator_norm, joint_eigen, lapack_solve, largest
 from .moments import (
@@ -29,6 +29,13 @@ from .moments import (
     monomials_at,
 )
 from .normalize import NormalizationCertificate, normalize_cubic, pullback_measure
+
+# V_B's row at the atom (x, y) for each route's basis, the floats monomials_at gives: x**2 is its C pow
+_BASIS_ROWS = {
+    BASIS_K0: lambda x, y: (1.0, x, y),
+    BASIS_KPOS: lambda x, y: (1.0, x, y, x * y),
+    BASIS_KNEG: lambda x, y: (1.0, x, y, x**2),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +84,15 @@ def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
         if math.isnan(dx + dy) or not (dx >= MIN_ATOM_SEPARATION or dy >= MIN_ATOM_SEPARATION):
             raise MomentProblemError("joint spectrum", "atom gap", largest([dx, dy]), MIN_ATOM_SEPARATION)
     return pairs
+
+
+def _vandermonde(atoms: list[tuple[float, float]], basis) -> np.ndarray:
+    """V_B, whose row k is a route's basis at atom k: monomials_at's unit-weight table, bit for bit."""
+    row = _BASIS_ROWS[basis]
+    try:
+        return np.array([row(x, y) for x, y in atoms])
+    except OverflowError:  # x**2 raises where monomials_at's np.power gives inf
+        return monomials_at(*zip(*atoms), [1.0] * len(atoms), basis)
 
 
 def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
@@ -150,7 +166,7 @@ def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) 
 def _recover(beta, certificate, ext, accept) -> tuple[AtomicMeasure, SolveReport]:
     """The stages after extend: atoms, densities, pullback and verification of one extension."""
     atoms = extract_atoms(ext)
-    vb = monomials_at(*zip(*atoms), [1.0] * len(atoms), ext.basis)  # V_B: row k is the basis at atom k
+    vb = _vandermonde(atoms, ext.basis)
     rho = _densities(vb, ext.basis, certificate.normalized).tolist()
     if not all(r >= MIN_WEIGHT for r in rho):  # also rejects a NaN density
         if all(r != r for r in rho):  # a failed solve is all NaN: V_B is singular

@@ -148,9 +148,10 @@ def monomials_at(x, y, w, monomials) -> np.ndarray:
     """Row k holds w[k] * x[k]**i * y[k]**j for each (i, j) of monomials, from the Python floats x, y, w.
 
     The one evaluator of monomials at points: integrals_of takes every
-    monomial up to a degree, and the density solve's V_B the basis with unit
-    weights, which 1.0 * v leaves as they are. An overflow gives +-inf (and
-    inf * 0 NaN) without a warning, whatever the caller's error state.
+    monomial up to a degree, and the density solve's V_B, written from the
+    route's basis, falls back to it with unit weights, which 1.0 * v leaves
+    as they are. An overflow gives +-inf (and inf * 0 NaN) without a
+    warning, whatever the caller's error state.
     """
     try:
         entries = [wk * u**i * v**j for u, v, wk in zip(x, y, w) for i, j in monomials]

@@ -72,12 +72,15 @@ def pullback_measure(atoms, psi: np.ndarray) -> list[Atom]:
     Each atom (u, v) goes to the (x, y) that psi maps to it, by Cramer's
     rule on rows 1-2, with its weight. If the atoms represent the pushforward
     sequence, the result represents the original one. A psi whose determinant
-    b*f - c*e is 0 or not finite raises ValueError.
+    b*f - c*e is 0 or not finite, or whose translation a or d is not
+    finite, raises ValueError.
     """
     (a, b, c), (d, e, f) = psi[1:].tolist()
     det = b * f - c * e
     if det == 0.0 or not math.isfinite(det):
         raise ValueError(f"psi is not invertible in floating point: its determinant b*f - c*e is {det}")
+    if not (math.isfinite(a) and math.isfinite(d)):
+        raise ValueError(f"psi's translation (a, d) = ({a}, {d}) is not finite")
     pulled = []
     for u, v, w in atoms:
         ru, rv = u - a, v - d

@@ -137,14 +137,16 @@ def _forget(package):
         del sys.modules[name]
 
 
-def _cut_to_one_pool(monkeypatch, pool):
-    """Every workload and seed gives pool, and the CLI records are left out."""
+def _cut_to_one_pool(monkeypatch, pool) -> list[tuple[str, int]]:
+    """Every workload and seed gives pool, and the CLI records are left out; returns the (workload, seed) draws."""
+    drawn = []
     workloads = types.ModuleType("workloads")
-    workloads.generate = lambda workload, seed: pool
+    workloads.generate = lambda workload, seed: drawn.append((workload, seed)) or pool
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     monkeypatch.setattr(answer_hash, "WORKLOADS", ("pool",))
     monkeypatch.setattr(answer_hash, "CLI_ATOMS", ())
     monkeypatch.setattr(answer_hash, "CLI_REQUESTS", ())
+    return drawn
 
 
 def test_only_the_working_tree_side_turns_runtime_warnings_into_errors(monkeypatch, capsys):
@@ -165,7 +167,7 @@ def test_only_the_working_tree_side_turns_runtime_warnings_into_errors(monkeypat
     monkeypatch.setattr(answer_hash, "load_package", lambda src, name: overflowing(load_package(src, name)))
     overflowing(cubicmoment)
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src/ and perfbench/ in front
-    _cut_to_one_pool(monkeypatch, [np.array(K_POS, dtype=float)])
+    drawn = _cut_to_one_pool(monkeypatch, [np.array(K_POS, dtype=float)])
     try:
         # the caller's quiet numpy state and warning filters hide nothing from the working tree's side
         with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -174,6 +176,7 @@ def test_only_the_working_tree_side_turns_runtime_warnings_into_errors(monkeypat
             warnings.warn("ignored", RuntimeWarning)  # main leaves the filters as they were
     finally:
         _forget("cubicmoment_base")
+    assert drawn == [("pool", 11)]  # one draw of the pool, which both sides solve
     # the base's side records the solve as if nothing overflowed, the working tree's side the warning
     label = f"pool seed 11 #0 beta {[float(b) for b in K_POS]}"
     assert capsys.readouterr().out.splitlines() == [
@@ -190,7 +193,8 @@ def test_only_the_working_tree_side_turns_runtime_warnings_into_errors(monkeypat
         "different",
     ]
     # under numpy's default state, where this suite raises the warning, the base's side stays quiet
-    assert answer_hash.side(cubicmoment, [11], strict=False) == [(solved, "pool seed 11 k_pos", label)]
+    quiet = answer_hash.side(cubicmoment, answer_hash.draw_pools([11]), strict=False)
+    assert quiet == [(solved, "pool seed 11 k_pos", label)]
 
 
 def test_load_package_imports_a_second_copy_of_the_solver_from_its_own_src(monkeypatch, tmp_path):
@@ -259,7 +263,7 @@ def test_outcome_is_the_case_or_error():
 
 def test_pool_parts_split_by_outcome(monkeypatch, tmp_path):
     _cut_to_one_pool(monkeypatch, [np.array(beta, dtype=float) for beta in (K_POS, K_NEG, K_POS)])
-    records = answer_hash.records(cubicmoment, [5], tmp_path)
+    records = answer_hash.records(cubicmoment, answer_hash.draw_pools([5]), tmp_path)
     lines = [(answer_hash.digest(record), part, label) for part, label, record in records]
     assert [(part, label.split(" beta ")[0]) for _, part, label in lines] == [
         ("pool seed 5 k_pos", "pool seed 5 #0"),

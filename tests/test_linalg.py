@@ -17,6 +17,7 @@ from cubicmoment import (
 )
 from cubicmoment import linalg, measure
 from cubicmoment.cli import random_request
+from cubicmoment.errors import TOL_COMMUTE
 
 from _oracle import (
     RangeError,
@@ -498,6 +499,44 @@ class TestCommutatorNorm:
                 overflowed += math.isnan(expected)
         assert cases == {"k_zero", "k_pos", "k_neg"}
         assert overflowed == 2
+
+
+def _nilpotent_pair(s: float, e: float) -> np.ndarray:
+    """The stack (diag(0, s), e E_12): max|M| = s for s >= e, and the commutator's one entry is s e."""
+    return np.array((np.diag([0.0, s]), [[0.0, e], [0.0, 0.0]]))
+
+
+class TestCommutatorGate:
+    """The gate reads its scale max(1, max|M|) only past TOL_COMMUTE, which it cannot fail below."""
+
+    def test_a_commutator_within_the_scaled_bound_passes(self):
+        M = _nilpotent_pair(100.0, 1e-10)
+        assert TOL_COMMUTE < linalg.commutator_norm(M) <= TOL_COMMUTE * 100.0
+        assert linalg.commutator_gate(M) is None
+        match_points(joint_eigen(M), [(0.0, 0.0), (100.0, 0.0)], atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            _nilpotent_pair(1.0, 2e-9),  # 2 TOL_COMMUTE on the unit scale
+            _nilpotent_pair(100.0, 2e-9),  # 200 TOL_COMMUTE against 100 TOL_COMMUTE
+            np.array((np.diag([math.nan, 1.0]), np.eye(2))),  # a NaN commutator on the scale max(1, NaN) = 1
+            np.array((np.diag([math.inf, 1.0]), np.eye(2))),  # inf - inf, on an infinite scale
+        ],
+        ids=["unit", "scaled", "nan", "inf-minus-inf"],
+    )
+    def test_a_commutator_past_the_scaled_bound_fails_naming_it(self, M):
+        with np.errstate(invalid="ignore"):  # inf - inf; the callers of the gate run it quiet
+            commutator, scale = linalg.commutator_norm(M), max(1.0, float(np.abs(M).max()))
+        assert not commutator <= TOL_COMMUTE * scale
+        expected = ("joint spectrum", "max |Mx My - My Mx|", commutator, TOL_COMMUTE * scale)
+        for gate in (linalg.commutator_gate, joint_eigen):
+            with pytest.raises(MomentProblemError) as info, np.errstate(invalid="ignore"):
+                gate(M)
+            assert type(info.value) is MomentProblemError
+            got = fields(info.value)
+            assert got[:2] == expected[:2] and got[3] == expected[3]
+            assert got[2] == expected[2] or math.isnan(got[2]) and math.isnan(expected[2])
 
 
 class TestErrorStates:

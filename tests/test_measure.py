@@ -251,6 +251,31 @@ class TestWrittenOutPaths:
         expected = np.array([[u**i * v**j for i, j in basis] for u, v in points])
         assert same_bytes(vandermonde(x, y, basis), expected)
 
+    # x**2 != x * x at 0.9398749725167077; 1.3407807929942596e154 is the last value ** squares, the next the first
+    # whose ** raises OverflowError, where V_B falls back to the table's np.power
+    EDGES = [0.9398749725167077, 0.0, -0.0, math.nan, math.inf, -math.inf]
+    EDGES += [1.3407807929942596e154, 1.3407807929942597e154]
+
+    @pytest.mark.parametrize("basis", [BASIS_K0, BASIS_KPOS, BASIS_KNEG])
+    def test_basis_rows_are_the_table_at_the_edges(self, basis):
+        for x, y in itertools.product(self.EDGES, repeat=2):
+            atoms = [(x, y), (-x, 0.5), (0.3, -y)]
+            assert same_bytes(measure._vandermonde(atoms, basis), vandermonde(*zip(*atoms), basis)), (x, y)
+
+    def test_the_edges_are_where_pow_and_the_product_part(self):
+        assert 0.9398749725167077**2 != 0.9398749725167077 * 0.9398749725167077
+        assert math.isfinite(1.3407807929942596e154**2)
+        with pytest.raises(OverflowError):
+            1.3407807929942597e154**2
+
+    # the atoms are products, and a product is never a signaling NaN, which 1.0 * x would quiet
+    @given(
+        st.sampled_from([BASIS_K0, BASIS_KPOS, BASIS_KNEG]),
+        st.lists(st.tuples(st.floats(), st.floats()).map(lambda p: (1.0 * p[0], 1.0 * p[1])), min_size=1, max_size=5),
+    )
+    def test_basis_rows_are_the_table(self, basis, atoms):
+        assert same_bytes(measure._vandermonde(atoms, basis), vandermonde(*zip(*atoms), basis))
+
     @pytest.mark.parametrize(
         "atoms",
         [

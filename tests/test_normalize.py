@@ -33,6 +33,11 @@ SHIFT_AND_STRETCH = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
 GENERIC = np.array([[1.0, 0.0, 0.0], [0.3, 1.2, -0.7], [-0.1, 0.4, 0.9]])
 
 
+def _translated(a: float, d: float) -> np.ndarray:
+    """The matrix of psi(x, y) = (a + x, d + y)."""
+    return np.array([[1.0, 0.0, 0.0], [a, 1.0, 0.0], [d, 0.0, 1.0]])
+
+
 def _sequence(degree, **entries):
     from cubicmoment.moments import monomial_index, sequence_length
 
@@ -215,19 +220,28 @@ class TestPullbackMeasure:
         assert back == pytest.approx((0.7, -1.3, 0.5))
 
     @pytest.mark.parametrize(
-        "psi, det",
+        "psi, message",
         [
-            (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]), r"0\.0"),  # b f - c e = 0
-            (np.zeros((3, 3)), r"0\.0"),
-            (np.diag([1.0, math.inf, 1.0]), "inf"),  # (0.5, 0.5) came back as (0, nan)
-            (np.diag([1.0, 1e200, 1e200]), "inf"),  # invertible, but (0.5, 0.5) came back as (0, 0), not 5e-201
-            (np.diag([1.0, math.inf, 0.0]), "nan"),
+            # b f - c e = 0
+            (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]), r"determinant b\*f - c\*e is 0\.0"),
+            (np.zeros((3, 3)), r"determinant b\*f - c\*e is 0\.0"),
+            # (0.5, 0.5) came back as (0, nan)
+            (np.diag([1.0, math.inf, 1.0]), r"determinant b\*f - c\*e is inf"),
+            # invertible, but (0.5, 0.5) came back as (0, 0), not 5e-201
+            (np.diag([1.0, 1e200, 1e200]), r"determinant b\*f - c\*e is inf"),
+            (np.diag([1.0, math.inf, 0.0]), r"determinant b\*f - c\*e is nan"),
+            # a unit determinant, but a translation that is not finite: (0.5, 0.5) came back as (-inf, nan)
+            (_translated(math.inf, 0.0), r"translation \(a, d\) = \(inf, 0\.0\) is not finite"),
+            (_translated(math.nan, 0.0), r"translation \(a, d\) = \(nan, 0\.0\) is not finite"),
+            (_translated(0.0, -math.inf), r"translation \(a, d\) = \(0\.0, -inf\) is not finite"),
+            (_translated(0.0, math.nan), r"translation \(a, d\) = \(0\.0, nan\) is not finite"),
         ],
     )
     @pytest.mark.parametrize("atoms", [(Atom(0.5, 0.5, 1.0),), ()])
-    def test_a_determinant_that_is_zero_or_not_finite_raises(self, psi, det, atoms):
-        # a typed error, not the ZeroDivisionError of Cramer's rule or wrong atoms, and for no atoms too
-        with pytest.raises(ValueError, match=rf"determinant b\*f - c\*e is {det}$"):
+    def test_a_determinant_that_is_zero_or_not_finite_raises(self, psi, message, atoms):
+        # a typed error, not the ZeroDivisionError of Cramer's rule or wrong atoms, and for no atoms too;
+        # so is a translation entry a or d of psi that is not finite
+        with pytest.raises(ValueError, match=rf"{message}$"):
             pullback_measure(AtomicMeasure(atoms).atoms, psi)
 
 

@@ -40,9 +40,10 @@ the base solved is unchanged. It exits 0 when every part's hashes are
 equal and 1 otherwise. Sides run one after the other, the base first.
 
 Both sides solve the same pool inputs, which perfbench/workloads.py draws
-with the working tree's cli.random_request. A change to random_request
-shows in the cli part, which records each side's own `random` output,
-and the solvers are compared on identical inputs.
+once, before either side runs, with the working tree's cli.random_request.
+A change to random_request shows in the cli part, which records each
+side's own `random` output, and the solvers are compared on identical
+inputs.
 
 The working tree's side also checks that the solver never warns: it
 turns RuntimeWarnings into errors under numpy's default error state, so
@@ -172,16 +173,19 @@ def _solve_and_verify(cm, request: Path) -> bytes:
     return f"{solve_code}\n{answer}\n{verify_code}\n{table}".encode()
 
 
-def records(cm, seeds, scratch: Path):
-    """(part, label, record) for every input the hash covers, in a fixed order, for the solver package cm."""
+def draw_pools(seeds) -> list[tuple[str, list]]:
+    """(name, inputs) of each (workload, seed) pool, seeds outermost, drawn once for both sides."""
     import workloads
 
-    for seed in seeds:
-        for workload in WORKLOADS:
-            pool = f"{workload} seed {seed}"
-            for i, beta in enumerate(workloads.generate(workload, seed)):
-                outcome, record = solve_outcome(cm, beta)
-                yield f"{pool} {outcome}", f"{pool} #{i} beta {beta.tolist()}", record
+    return [(f"{workload} seed {seed}", workloads.generate(workload, seed)) for seed in seeds for workload in WORKLOADS]
+
+
+def records(cm, pools, scratch: Path):
+    """(part, label, record) for every input the hash covers, in a fixed order, for the solver package cm."""
+    for pool, inputs in pools:
+        for i, beta in enumerate(inputs):
+            outcome, record = solve_outcome(cm, beta)
+            yield f"{pool} {outcome}", f"{pool} #{i} beta {beta.tolist()}", record
     for atoms in CLI_ATOMS:
         for seed in CLI_SEEDS:
             label = f"solve --emit-matrices and verify on random --atoms {atoms} --seed {seed}"
@@ -194,8 +198,8 @@ def digest(record: bytes) -> str:
     return hashlib.sha256(record).hexdigest()
 
 
-def side(cm, seeds, strict: bool) -> list[tuple[str, str, str]]:
-    """(digest, part, label) per input, for the solver package cm.
+def side(cm, pools, strict: bool) -> list[tuple[str, str, str]]:
+    """(digest, part, label) per input of the pools and the CLI records, for the solver package cm.
 
     A strict side turns RuntimeWarnings into errors under numpy's default error state;
     the other runs all quiet.
@@ -207,7 +211,7 @@ def side(cm, seeds, strict: bool) -> list[tuple[str, str, str]]:
     with warnings.catch_warnings(), state, tempfile.TemporaryDirectory(prefix="answer-hash-cli-") as tmp:
         if strict:
             warnings.simplefilter("error", RuntimeWarning)
-        return [(digest(record), part, label) for part, label, record in records(cm, seeds, Path(tmp))]
+        return [(digest(record), part, label) for part, label, record in records(cm, pools, Path(tmp))]
 
 
 def by_part(lines) -> dict[str, list[tuple[str, str]]]:
@@ -287,10 +291,11 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import cubicmoment
 
+    pools = draw_pools(args.seeds)
     with tempfile.TemporaryDirectory(prefix="answer-hash-base-") as tmp:
         export(args.base, Path(tmp))
-        base = side(load_package(Path(tmp) / "src", "cubicmoment_base"), args.seeds, strict=False)
-    tree = side(cubicmoment, args.seeds, strict=True)
+        base = side(load_package(Path(tmp) / "src", "cubicmoment_base"), pools, strict=False)
+    tree = side(cubicmoment, pools, strict=True)
     report, equal = compare(args.base, base, "working tree", tree)
     print("\n".join([*report, *movements(args.base, base, tree)]))
     print("equal" if equal else "different")
