@@ -9,12 +9,13 @@ Those routines are numpy.linalg's own gufuncs (numpy.linalg._umath_linalg),
 called without the Python wrappers of np.linalg.eig, inv and solve:
 lapack_eig, lapack_inv and lapack_solve return what those three return,
 byte for byte, and all NaN where they raise because LAPACK failed. The
-solver's stages (solve_cubic, normalize_cubic, joint_eigen,
-ExtensionResult.m3 and the overflow fallback of monomials_at) do their
-numpy arithmetic under QUIET_STATE, so an overflow or a failed LAPACK
-call is an inf or NaN that a gate names in a typed error, not a numpy
-warning, whatever the caller's error state. The state is built once, by
-np.errstate at import, and entered by token on numpy's context variable
+solver's stages (solve_cubic, normalize_cubic, joint_eigen and
+ExtensionResult.m3) do their numpy arithmetic under QUIET_STATE, and
+moments.py's powers are Python float products, +-inf past the float
+range, so an overflow or a failed LAPACK call is an inf or NaN that a
+gate names in a typed error, not a numpy warning, whatever the caller's
+error state. The state is built once, by np.errstate at import, and
+entered by token on numpy's context variable
 numpy._core.umath._extobj_contextvar, as np.errstate enters its own but
 without its rebuild. Both private names are verified on numpy 2.4.6.
 """

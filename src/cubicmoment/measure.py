@@ -26,15 +26,14 @@ from .moments import (
     frozen_record,
     integrals_of,
     monomial_columns,
-    monomials_at,
 )
 from .normalize import NormalizationCertificate, normalize_cubic, pullback_measure
 
-# V_B's row at the atom (x, y) for each route's basis, the floats monomials_at gives: x**2 is its C pow
+# V_B's row at the atom (x, y) for each route's basis, the floats monomials_at gives: x^2 is its product x * x
 _BASIS_ROWS = {
     BASIS_K0: lambda x, y: (1.0, x, y),
     BASIS_KPOS: lambda x, y: (1.0, x, y, x * y),
-    BASIS_KNEG: lambda x, y: (1.0, x, y, x**2),
+    BASIS_KNEG: lambda x, y: (1.0, x, y, x * x),
 }
 
 
@@ -89,10 +88,7 @@ def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
 def _vandermonde(atoms: list[tuple[float, float]], basis) -> np.ndarray:
     """V_B, whose row k is a route's basis at atom k: monomials_at's unit-weight table, bit for bit."""
     row = _BASIS_ROWS[basis]
-    try:
-        return np.array([row(x, y) for x, y in atoms])
-    except OverflowError:  # x**2 raises where monomials_at's np.power gives inf
-        return monomials_at(*zip(*atoms), [1.0] * len(atoms), basis)
+    return np.array([row(x, y) for x, y in atoms])
 
 
 def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:

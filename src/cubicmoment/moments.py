@@ -10,6 +10,7 @@ at degree 6 a sequence holds 28 values, so no sparse structure is needed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -18,20 +19,26 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MomentProblemError
-from .linalg import ERROR_STATE, QUIET_STATE
 
 
 def monomial_index(m: tuple[int, int]) -> int:
-    """Position of x^i y^j in degree-lex order, for ints or index arrays; a negative exponent raises ValueError.
+    """Position of x^i y^j in degree-lex order, for ints or integer index arrays; a bad exponent raises ValueError.
 
     >>> [monomial_index(m) for m in [(0, 0), (1, 1), (0, 3)]]
     [0, 4, 9]
     """
-    i, j = m
-    if np.min(i) < 0 or np.min(j) < 0:
-        raise ValueError(f"monomial exponents must be non-negative, got {min(np.min(i), np.min(j))}")
+    i, j = map(_exponents, m)
     d = i + j
     return d * (d + 1) // 2 + (d - i)
+
+
+def _exponents(e):
+    """An exponent as _nonnegative_int reads it, or an index array of them: an integer dtype and no entry < 0."""
+    if isinstance(e, np.ndarray) and e.ndim:
+        if e.dtype.kind in "iu" and not (e < 0).any():
+            return e
+        raise ValueError(f"each exponent must be an integer >= 0, got exponents {e!r}")
+    return _nonnegative_int(e, "exponent")
 
 
 @functools.cache
@@ -43,7 +50,8 @@ def monomial_columns(monomials: tuple) -> np.ndarray:
 
 
 def monomials_up_to(degree: int) -> list[tuple[int, int]]:
-    """The exponent pairs (i, j) of all monomials of total degree <= degree, in degree-lex order."""
+    """The exponent pairs (i, j) of all monomials of total degree <= degree (an int >= 0), in degree-lex order."""
+    degree = _nonnegative_int(degree, "degree")
     return [(i, d - i) for d in range(degree + 1) for i in range(d, -1, -1)]
 
 
@@ -145,25 +153,20 @@ def build_moment_matrix(beta: MomentSequence) -> np.ndarray:
 
 
 def monomials_at(x, y, w, monomials) -> np.ndarray:
-    """Row k holds w[k] * x[k]**i * y[k]**j for each (i, j) of monomials, from the Python floats x, y, w.
+    """Row k holds (w[k] * x[k]^i) * y[k]^j for each (i, j) of monomials, from the Python floats x, y, w.
 
     The one evaluator of monomials at points: integrals_of takes every
     monomial up to a degree, and the density solve's V_B, written from the
-    route's basis, falls back to it with unit weights, which 1.0 * v leaves
-    as they are. An overflow gives +-inf (and inf * 0 NaN) without a
-    warning, whatever the caller's error state.
+    route's basis, is its unit-weight table, which 1.0 * v leaves as it is.
+    Each power is a running product, x^0 = 1.0 and x^(e+1) = x^e * x, so
+    x^2 is correctly rounded, and a power past the float range is +-inf
+    (and inf * 0 NaN), as IEEE products give it, without an error or warning.
     """
-    try:
-        entries = [wk * u**i * v**j for u, v, wk in zip(x, y, w) for i, j in monomials]
-    except OverflowError:  # float ** raises where C pow gives +-inf; np.power gives it
-        degree = max(map(sum, monomials), default=0)
-        token = ERROR_STATE.set(QUIET_STATE)  # and may underflow too
-        try:
-            p = np.power.outer([*x, *y], np.arange(degree + 1.0)).tolist()
-        finally:
-            ERROR_STATE.reset(token)
-        rows = zip(p[: len(x)], p[len(x) :], w)
-        entries = [wk * px[i] * py[j] for px, py, wk in rows for i, j in monomials]
+    degree = max(map(sum, monomials), default=0)
+    entries = []
+    for u, v, wk in zip(x, y, w):
+        px, py = (list(itertools.accumulate([z] * degree, operator.mul, initial=1.0)) for z in (u, v))
+        entries += [wk * px[i] * py[j] for i, j in monomials]
     return np.array(entries, dtype=float).reshape(len(x), len(monomials))
 
 
@@ -199,10 +202,7 @@ class AtomicMeasure:
 def integrals_of(atoms, degree: int) -> list[float]:
     """Degree-lex sums of w x^i y^j over the (x, y, w) triples atoms, added in order, as Python floats."""
     if degree == 3:
-        try:
-            return _cubic_integrals(atoms)
-        except OverflowError:  # monomials_at's powers take over
-            pass
+        return _cubic_integrals(atoms)
     totals = [0.0] * sequence_length(degree)
     if atoms:
         x, y, w = (list(map(float, column)) for column in zip(*atoms))
@@ -212,14 +212,11 @@ def integrals_of(atoms, degree: int) -> list[float]:
 
 
 def _cubic_integrals(atoms) -> list[float]:
-    """integrals_of(atoms, 3) written out: (w * x**i) * y**j, with x**1 as x and x**0 as 1.0.
-
-    The exponents are floats, which pow the same as ints without the conversion.
-    """
+    """integrals_of(atoms, 3) written out: (w * x^i) * y^j with monomials_at's products x^2 = x * x, x^3 = x^2 * x."""
     t0 = t1 = t2 = t3 = t4 = t5 = t6 = t7 = t8 = t9 = 0.0
     for x, y, w in atoms:
         x, y, w = float(x), float(y), float(w)
-        x2, y2 = x**2.0, y**2.0
+        x2, y2 = x * x, y * y
         wx, wx2 = w * x, w * x2
         t0 += w
         t1 += wx
@@ -227,8 +224,8 @@ def _cubic_integrals(atoms) -> list[float]:
         t3 += wx2
         t4 += wx * y
         t5 += w * y2
-        t6 += w * x**3.0
+        t6 += w * (x2 * x)
         t7 += wx2 * y
         t8 += wx * y2
-        t9 += w * y**3.0
+        t9 += w * (y2 * y)
     return [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9]

@@ -35,9 +35,9 @@ matrix through a Cholesky factor of M(1) and pushes the moment tensor
 instead.
 
 monomials_at_reference is the numpy monomial table the solver used
-before its Python-float kernels: a power table, fancy-indexed and
-multiplied as arrays. monomials_at and integrals_of must match it and its
-row sum byte for byte.
+before its Python-float kernels: a power table of running products,
+fancy-indexed and multiplied as arrays. monomials_at and integrals_of
+must match it and its row sum byte for byte.
 
 paper_extend_kneg is the paper's k < 0 construction as it is written: it
 bumps beta_40 by t = 1, solves the {1, X, Y, X^2} compression M4 for the
@@ -317,18 +317,16 @@ def monomials_at_reference(x, y, degree: int, weights=None) -> np.ndarray:
     """Every monomial of degree <= degree evaluated at the points (x_k, y_k).
 
     Row k holds x_k^i y_k^j in degree-lex order, times weights[k] when
-    given. The powers are Python float powers and the weight multiplies
-    x^i before y^j, so each entry rounds exactly as w * x**i * y**j does.
+    given. The powers are running products along each row of [1, v, ..., v]
+    and the weight multiplies x^i before y^j, so each entry rounds exactly
+    as (w * x^i) * y^j does with x^(e+1) = x^e * x.
     """
     if len(x) != len(y):
         raise ValueError(f"{len(x)} x-coordinates but {len(y)} y-coordinates")
     i, j = np.array(monomials_up_to(degree)).T
-    coordinates = [*map(float, x), *map(float, y)]
-    try:
-        powers = np.array([[v**e for e in range(degree + 1)] for v in coordinates])
-    except OverflowError:  # float ** raises where C pow gives +-inf; np.power gives it
-        with np.errstate(over="ignore"):
-            powers = np.power.outer(coordinates, np.arange(degree + 1.0))
+    factors = np.ones((len(x) + len(y), degree + 1))
+    factors[:, 1:] = np.array([*map(float, x), *map(float, y)])[:, None]
+    powers = np.multiply.accumulate(factors, axis=1)
     x_pow, y_pow = powers.reshape(2, -1, degree + 1)
     if weights is not None:
         x_pow = np.asarray(weights, dtype=float)[:, None] * x_pow

@@ -27,6 +27,11 @@ def failed_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.full(len(a), nan), np.full(a.shape, nan)
 
 
+def power(v: float, e: int) -> float:
+    """v^e as the running product ((1.0 * v) * v) * ..., which rounds v^2 correctly where C pow may not."""
+    return math.prod([v] * e, start=1.0)
+
+
 def vandermonde(x, y, basis) -> np.ndarray:
     """V_B as the density solve builds it: the basis monomials at the points (x_k, y_k), with unit weights."""
     x, y = list(map(float, x)), list(map(float, y))

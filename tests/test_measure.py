@@ -4,10 +4,11 @@ import itertools
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -40,7 +41,17 @@ from _oracle import (
     multiplication_matrices,
     paper_relations,
 )
-from _util import acceptance_draws, fields, match_points, rescaled, rotate_a, same_bytes, seq_from_a, vandermonde
+from _util import (
+    acceptance_draws,
+    fields,
+    match_points,
+    power,
+    rescaled,
+    rotate_a,
+    same_bytes,
+    seq_from_a,
+    vandermonde,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -216,7 +227,7 @@ class TestVerifyMeasure:
         assert math.isnan(verify_measure(mu, seq_from_a((0, 0, 0, 0))).min_weight)
 
     @pytest.mark.parametrize("state", ["warn", "raise"])
-    @pytest.mark.parametrize("x, y", [(1e150, 1e150), (1e200, 1e-200)])  # 1e-200^2 underflows in np.power
+    @pytest.mark.parametrize("x, y", [(1e150, 1e150), (1e200, 1e-200)])  # 1e-200^2 underflows
     def test_overflowing_atom_gives_an_inf_residual(self, state, x, y):
         # x^2 y or x^3 leaves float range; the residual says so, without a warning whatever the caller's state
         with np.errstate(all=state):
@@ -245,15 +256,16 @@ class TestWrittenOutPaths:
 
     @pytest.mark.parametrize("basis", [BASIS_K0, BASIS_KPOS, BASIS_KNEG])
     def test_unit_weights_leave_the_basis_powers_as_they_are(self, basis):
-        # V_B is the shared evaluator's w * x**i * y**j at w = 1.0, which is x**i * y**j bit for bit
+        # V_B is the shared evaluator's (w * x^i) * y^j at w = 1.0, which is x^i * y^j bit for bit
         points = [p for p in self.POINTS if p[0] != 1e200] + [(-0.0, -0.0), (math.inf, 2.0), (3.0, -math.inf)]
         x, y = [p[0] for p in points], [p[1] for p in points]
-        expected = np.array([[u**i * v**j for i, j in basis] for u, v in points])
+        expected = np.array([[power(u, i) * power(v, j) for i, j in basis] for u, v in points])
         assert same_bytes(vandermonde(x, y, basis), expected)
 
-    # x**2 != x * x at 0.9398749725167077; 1.3407807929942596e154 is the last value ** squares, the next the first
-    # whose ** raises OverflowError, where V_B falls back to the table's np.power
-    EDGES = [0.9398749725167077, 0.0, -0.0, math.nan, math.inf, -math.inf]
+    # C pow rounds 0.9398749725167077^2 the farther way; 1.3407807929942596e154 is the last value whose square is
+    # finite, and the next the first whose square is inf
+    SQUARE_EDGE = 0.9398749725167077
+    EDGES = [SQUARE_EDGE, 0.0, -0.0, math.nan, math.inf, -math.inf]
     EDGES += [1.3407807929942596e154, 1.3407807929942597e154]
 
     @pytest.mark.parametrize("basis", [BASIS_K0, BASIS_KPOS, BASIS_KNEG])
@@ -262,19 +274,48 @@ class TestWrittenOutPaths:
             atoms = [(x, y), (-x, 0.5), (0.3, -y)]
             assert same_bytes(measure._vandermonde(atoms, basis), vandermonde(*zip(*atoms), basis)), (x, y)
 
-    def test_the_edges_are_where_pow_and_the_product_part(self):
-        assert 0.9398749725167077**2 != 0.9398749725167077 * 0.9398749725167077
-        assert math.isfinite(1.3407807929942596e154**2)
-        with pytest.raises(OverflowError):
-            1.3407807929942597e154**2
+    def test_the_square_is_correctly_rounded(self):
+        # the nearest float to x^2, which Fraction's float conversion rounds to
+        nearest = float(Fraction(self.SQUARE_EDGE) ** 2)
+        vb = measure._vandermonde([(self.SQUARE_EDGE, 0.5)], BASIS_KNEG)
+        assert vb[0, 3] == nearest
+        integrals = integrals_of([(self.SQUARE_EDGE, self.SQUARE_EDGE, 1.0)], 3)
+        assert integrals[3] == integrals[5] == nearest
+        assert integrals_of([(self.SQUARE_EDGE, self.SQUARE_EDGE, 1.0)], 2)[3:6:2] == [nearest, nearest]
+
+    # signed zeros, infinities, NaN, and either sign of a subnormal or of a magnitude whose square overflows
+    MAGNITUDES = st.one_of(st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True), st.floats(1e154, 1e308))
+    EXTREMES = st.one_of(
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+        st.tuples(MAGNITUDES, st.booleans()).map(lambda p: -p[0] if p[1] else p[0]),
+    )
+
+    @given(st.lists(st.tuples(EXTREMES, EXTREMES, EXTREMES), min_size=1, max_size=4))
+    def test_extreme_floats_raise_and_warn_nothing(self, points):
+        # the powers are Python float products: past the float range they are +-inf, and nothing raises or warns
+        x, y, w = zip(*points)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for degree in range(7):
+                monomials_at(x, y, w, monomials_up_to(degree))
+                integrals_of(points, degree)
+            for basis in (BASIS_K0, BASIS_KPOS, BASIS_KNEG):
+                measure._vandermonde(list(zip(x, y)), basis)
 
     # the atoms are products, and a product is never a signaling NaN, which 1.0 * x would quiet
     @given(
         st.sampled_from([BASIS_K0, BASIS_KPOS, BASIS_KNEG]),
         st.lists(st.tuples(st.floats(), st.floats()).map(lambda p: (1.0 * p[0], 1.0 * p[1])), min_size=1, max_size=5),
     )
+    @example(BASIS_KNEG, [(SQUARE_EDGE, -SQUARE_EDGE), (1.3407807929942597e154, math.nan), (-math.inf, -0.0)])
     def test_basis_rows_are_the_table(self, basis, atoms):
         assert same_bytes(measure._vandermonde(atoms, basis), vandermonde(*zip(*atoms), basis))
+        # and the degree-3 integrals, at unit weights, are the full table's columns added in order as Python floats,
+        # as integrals_of's generic path adds them: numpy's array add may keep the other NaN of NaN + NaN
+        sums = [0.0] * 10
+        for row in monomials_at(*zip(*atoms), [1.0] * len(atoms), monomials_up_to(3)).tolist():
+            sums = [t + e for t, e in zip(sums, row)]
+        assert same_bytes(np.array(integrals_of([(x, y, 1.0) for x, y in atoms], 3)), np.array(sums))
 
     @pytest.mark.parametrize(
         "atoms",

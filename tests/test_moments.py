@@ -17,7 +17,7 @@ from cubicmoment import (
 from cubicmoment.moments import integrals_of, monomials_at, sequence_length
 
 from _oracle import column_of, monomials_at_reference, riesz
-from _util import same_bytes, seq_from_a
+from _util import power, same_bytes, seq_from_a
 
 
 class TestIndexing:
@@ -50,7 +50,7 @@ class TestIndexing:
     @pytest.mark.parametrize("m", [(0, -1), (-1, 0), (2, -1), (np.array([0, 1]), np.array([1, -1]))])
     def test_negative_exponent_is_refused(self, m):
         # the formula alone maps (0, -1) to -1, beta_03's position in a cubic sequence, and (-1, 0) to beta_00's
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"must be an integer >= 0"):
             monomial_index(m)
 
 
@@ -109,6 +109,14 @@ class TestMomentSequence:
             pytest.param(lambda beta: beta[True, 0], id="beta[True, 0]"),  # read as beta_10
             pytest.param(lambda beta: beta[1.0, 0], id="beta[1.0, 0]"),  # numpy's IndexError
             pytest.param(lambda beta: beta[0, -1], id="beta[0, -1]"),  # an IndexError
+            pytest.param(lambda beta: monomial_index((1.5, 0)), id="index (1.5, 0)"),  # read as position 1.0
+            pytest.param(lambda beta: monomial_index((1.0, 2)), id="index (1.0, 2)"),  # read as position 8.0
+            pytest.param(lambda beta: monomial_index((True, 0)), id="index (True, 0)"),
+            pytest.param(lambda beta: monomial_index((np.array([1.0]), np.array([0]))), id="index float array"),
+            pytest.param(lambda beta: monomial_index((np.array([True]), np.array([0]))), id="index bool array"),
+            pytest.param(lambda beta: monomials_up_to(-1), id="up_to -1"),  # an empty list
+            pytest.param(lambda beta: monomials_up_to(2.0), id="up_to 2.0"),  # a TypeError of range
+            pytest.param(lambda beta: monomials_up_to(True), id="up_to True"),
         ],
     )
     def test_a_degree_or_exponent_not_an_integer_at_least_0_is_a_value_error(self, read):
@@ -188,19 +196,20 @@ class TestMonomialsAt:
         for degree in range(7):
             labels = monomials_up_to(degree)
             table = monomials_at(x, y, [1.0] * 7, labels)
-            expected = [[xk**i * yk**j for i, j in labels] for xk, yk in zip(x, y)]
+            expected = [[power(xk, i) * power(yk, j) for i, j in labels] for xk, yk in zip(x, y)]
             assert table.tolist() == expected
             # weighted column sums round exactly as the scalar sum over the atoms
             sums = sum(monomials_at(x, y, w, labels), np.zeros(len(labels)))
-            assert sums.tolist() == [sum(wk * xk**i * yk**j for xk, yk, wk in zip(x, y, w)) for i, j in labels]
+            expected = [sum(wk * power(xk, i) * power(yk, j) for xk, yk, wk in zip(x, y, w)) for i, j in labels]
+            assert sums.tolist() == expected
             mu = AtomicMeasure(tuple(Atom(*a) for a in zip(x, y, w)))
             assert mu.moments(degree).values.tolist() == sums.tolist()
 
     def test_overflowing_power_is_inf(self):
-        # float ** raises OverflowError here; the table follows IEEE arithmetic instead
+        # the powers are IEEE products, so a square past the float range is inf and nothing raises
         table = monomials_at([1e200, -1.7], [-1e200, 0.3], [1.0, 1.0], monomials_up_to(3))
         assert table[0, :6].tolist() == [1.0, 1e200, -1e200, math.inf, -math.inf, math.inf]
-        assert table[1].tolist() == [(-1.7) ** i * 0.3**j for i, j in monomials_up_to(3)]
+        assert table[1].tolist() == [power(-1.7, i) * power(0.3, j) for i, j in monomials_up_to(3)]
 
     def test_overflowing_product_is_inf(self):
         # the powers are finite and their products leave float range, without a warning
@@ -226,8 +235,10 @@ COORDINATES = st.one_of(
 class TestRoundingPin:
     @settings(max_examples=400)
     @given(st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES), max_size=5), st.integers(0, 6))
-    @example([(1e200, -0.0, -1e-300), (2.5, -1e-160, 3.0)], 3)  # the OverflowError fallback at degree 3
+    @example([(1e200, -0.0, -1e-300), (2.5, -1e-160, 3.0)], 3)  # squares and cubes past the float range at degree 3
     @example([(0.3, -0.7, 0.25), (-0.0, 1e-300, 0.5)], 3)
+    # C pow rounds the first square the farther way; the last two are the largest with a finite square and the next
+    @example([(0.9398749725167077, -0.9398749725167077, 0.5), (1.3407807929942596e154, 1.3407807929942597e154, 1.0)], 3)
     def test_tables_and_integrals_match_the_numpy_reference(self, points, degree):
         x, y, w = ([p[k] for p in points] for k in range(3))
         with np.errstate(all="ignore"):  # the reference's array products warn on overflow

@@ -175,7 +175,7 @@ class TestBuildJ:
                 labels = monomials_up_to(degree)
                 n = len(labels)
                 shift_x, shift_y = np.zeros((n, n)), np.zeros((n, n))
-                for i, j in monomials_up_to(degree - 1):
+                for i, j in labels[: n - degree - 1]:  # the monomials of degree < degree
                     shift_x[monomial_index((i + 1, j)), monomial_index((i, j))] = 1.0
                     shift_y[monomial_index((i, j + 1)), monomial_index((i, j))] = 1.0
                 times_p1 = a * np.eye(n) + b * shift_x + c * shift_y
