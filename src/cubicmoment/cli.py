@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .cubic import classify_k, compute_k
+from .cubic import classify_k, compute_k, tie_band
 from .errors import TOL_ACCEPT, MomentProblemError, SingularM1Error
 from .measure import solve_cubic, verify_measure
 from .moments import (
@@ -80,7 +80,7 @@ def _read_json(path: str):
 
 
 def _parse_request(obj) -> tuple[MomentSequence, float]:
-    """The moments and the accept tolerance of a request, TOL_ACCEPT when it sets none."""
+    """The moments and the accept tolerance (a backward error) of a request, TOL_ACCEPT when it sets none."""
     if not isinstance(obj, dict) or "beta" not in obj:
         raise _InputError('request must be a JSON object with a "beta" array')
     beta = obj["beta"]
@@ -136,6 +136,7 @@ def cmd_solve(args) -> int:
             "rank": len(ext.basis),
             "variety_size": len(mu.atoms),
             "max_moment_residual": check.max_moment_residual,
+            "backward_error": check.backward_error,
             "min_weight": check.min_weight,
             "commutator_norm": report.commutator_norm,
             "d2": cert.d2,
@@ -157,7 +158,7 @@ def cmd_solve(args) -> int:
         payload["matrices"] = matrices
     _emit(payload)
     if not args.quiet and sys.stderr is not None:  # None when fd 2 was closed at start: print would use stdout
-        summary = f"{report.case.value}: {len(mu.atoms)} atoms, max residual {check.max_moment_residual:.2e}"
+        summary = f"{report.case.value}: {len(mu.atoms)} atoms, backward error {check.backward_error:.2e}"
         try:
             print(summary, file=sys.stderr, flush=True)
         except OSError:  # a closed stderr drops the summary, and the exit code stays the solve's
@@ -172,10 +173,10 @@ def cmd_verify(args) -> int:
     print(f"{'moment':>8}  {'target':>22}  {'residual':>12}")
     for (i, j), residual in zip(monomials_up_to(beta.degree), check.residuals):
         print(f"beta_{i}{j:<3}  {beta[i, j]:>22.15g}  {residual:>12.3e}")
-    ok = check.max_moment_residual <= accept
+    ok = check.backward_error <= accept
     print(
-        f"max residual {check.max_moment_residual:.3e} "
-        f"({'within' if ok else 'EXCEEDS'} tolerance {accept:g}), "
+        f"max residual {check.max_moment_residual:.3e}, "
+        f"backward error {check.backward_error:.3e} ({'within' if ok else 'EXCEEDS'} tolerance {accept:g}), "
         f"min weight {check.min_weight:.3e}"
     )
     return EXIT_OK if ok else EXIT_VERIFY
@@ -234,7 +235,7 @@ def cmd_info(args) -> int:
             "map": _map_payload(cert.map),
             "a_vec": a,
             "k": k,
-            "case": classify_k(k).value,  # the route solve tries first
+            "case": classify_k(k, tie_band(a)).value,  # the route solve tries first
             "normalized_beta": [float(v) for v in cert.normalized.values],
         }
     )

@@ -29,7 +29,7 @@ decides how they can be chosen:
   and the smallest density is of order |k| as k -> 0-.
 
 extend is the only way in: it computes k once, and classify_k alone
-states the sign rule and picks one of the private closed forms
+states the sign rule (k = 0 up to its rounding error, tie_band) and picks one of the private closed forms
 _extend_k0, _extend_kpos, _extend_kneg, which take (a, k). Each route
 writes every column relation once, as a column of the multiplication
 matrix Mx or My on its basis (see ExtensionResult), and the k < 0 route's
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TOL_K, MomentProblemError
-from .linalg import ERROR_STATE, QUIET_STATE, commutator_gate, largest
+from .errors import TOL_TIE, MomentProblemError
+from .linalg import ERROR_STATE, QUIET_STATE, largest
 from .moments import (
     MomentSequence,
     build_moment_matrix,
@@ -68,16 +68,16 @@ class CaseTag(enum.Enum):
     RANK_INCREASING_K_NEG = "k_neg"
 
 
-def classify_k(k: float, tol_k: float = TOL_K) -> CaseTag:
+def classify_k(k: float, tol_k: float) -> CaseTag:
     """The extension route for the invariant k; ties within tol_k go to k = 0.
 
-    Raises MomentProblemError when k is not finite (the cubic moments overflow).
-    A NaN or negative tol_k raises ValueError; 0 and inf are bounds.
+    Raises MomentProblemError when k is not finite (the cubic moments overflow),
+    before it reads tol_k. A NaN or negative tol_k raises ValueError; 0 and inf are bounds.
     """
-    if not tol_k >= 0.0:
-        raise ValueError(f"tol_k must be a non-negative number, got {tol_k!r}")
     if not math.isfinite(k):
         raise MomentProblemError("extend", "k", k)
+    if not tol_k >= 0.0:
+        raise ValueError(f"tol_k must be a non-negative number, got {tol_k!r}")
     if abs(k) <= tol_k:
         return CaseTag.FLAT_K0
     if k > 0.0:
@@ -115,11 +115,10 @@ class ExtensionResult:
 
         Functional calculus on the column space: moments of degree <= 4 are
         moments, and a quintic or sextic moment is the Riesz value of the
-        basis coordinates pair[0]^i pair[1]^j e_1 of x^i y^j. The two
-        expansions of the XY^2 column differ by column Y of pair[1] pair[0] -
-        pair[0] pair[1], so the commutator gate of joint_eigen decides their
-        consistency, quietly, and raises its MomentProblemError; a non-finite
-        higher moment is named as in extend.
+        basis coordinates pair[0]^i pair[1]^j e_1 of x^i y^j, computed
+        quietly. The two expansions of the XY^2 column differ by column Y of
+        pair[1] pair[0] - pair[0] pair[1], which SolveReport.commutator_norm
+        reports; a non-finite higher moment is named as in extend.
         """
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:
             return None
@@ -127,7 +126,6 @@ class ExtensionResult:
         riesz_basis = low[monomial_columns(self.basis)]
         token = ERROR_STATE.set(QUIET_STATE)  # an overflowing power is named below, not warned about
         try:
-            commutator_gate(self.pair)
             exponents = monomials_up_to(6)[low.size :]
             higher = [float(riesz_basis @ (power(mx, i) @ power(my, j)[:, 0])) for i, j in exponents]
         finally:
@@ -166,6 +164,12 @@ def compute_k(a) -> float:
     """The flatness invariant (1 + a0 a2 + a1 a3) - (a1^2 + a2^2)."""
     a0, a1, a2, a3 = map(float, a)
     return (1.0 + a0 * a2 + a1 * a3) - (a1 * a1 + a2 * a2)
+
+
+def tie_band(a) -> float:
+    """TOL_TIE times s = 1 + |a0 a2| + |a1 a3| + a1^2 + a2^2, the scale of compute_k's rounding error."""
+    a0, a1, a2, a3 = map(float, a)
+    return TOL_TIE * (1.0 + abs(a0 * a2) + abs(a1 * a3) + a1 * a1 + a2 * a2)
 
 
 def _quartics(a, b22: float, t: float = 0.0) -> tuple[float, ...]:
@@ -225,8 +229,8 @@ def _extend_kneg(a, k: float) -> ExtensionResult:
     return _extension(CaseTag.RANK_INCREASING_K_NEG, k, a, quartics, BASIS_KNEG, mx, my)
 
 
-def extend(a, tol_k: float = TOL_K) -> ExtensionResult:
-    """Dispatch on the sign of k; ties within tol_k go to the flat rank-3 case.
+def extend(a, tol_k: float | None = None) -> ExtensionResult:
+    """Dispatch on the sign of k; ties within tol_k, by default tie_band(a), go to the flat rank-3 case.
 
     The only way into the routes: a is read as floats once, k is computed
     once, classify_k alone picks the route, and the route is handed both.
@@ -235,7 +239,7 @@ def extend(a, tol_k: float = TOL_K) -> ExtensionResult:
     """
     a = tuple(map(float, a))
     k = compute_k(a)
-    return _ROUTES[classify_k(k, tol_k)](a, k)
+    return _ROUTES[classify_k(k, tie_band(a) if tol_k is None else tol_k)](a, k)
 
 
 _ROUTES = {

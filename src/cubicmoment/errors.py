@@ -1,17 +1,13 @@
 """The bounds of the solver's gates, each defined here once, and the errors a failed gate raises.
 
 A solve passes the gates of five stages: normalize, extend, joint spectrum, densities and verify.
+The answer is judged by its signs (densities, verify) and its backward error; u = 2^-53 is the unit roundoff.
 """
 
-TOL_K = 1e-10  # |k| at or below which k counts as 0: the flat rank-3 route, also tried after a density-floor failure
-SINGULAR_RTOL = 1e-10  # the pivots d2, d3 of M(1) must exceed this times its largest entry
-DEFECT_ATOL = 1e-10  # largest entry of M(1) - I accepted after normalization
-TOL_COMMUTE = 1e-9  # largest entry of Mx My - My Mx, relative to max(1, max |Mx|, max |My|)
+TOL_PIVOT = 64 * 2.0**-53  # the pivots d2, d3 of M(1) must exceed this times their rounding scales t2, t3
+TOL_TIE = 1024 * 2.0**-53  # |k| at or below this times its rounding scale s is 0; 64 gave phantom fourth atoms
 TOL_EIG = 1e-7  # largest joint eigenvector residual of Mx, and of My, relative to max(1, max |M|) of that matrix
-MIN_ATOM_SEPARATION = 1e-8  # smallest max-norm distance between two atoms
-MAX_VARIETY_RESIDUAL = 1e-7  # largest entry of V_B M - diag(t) V_B accepted at the normalized atoms
-MIN_WEIGHT = 1e-10  # smallest normalized density accepted before the solve is declared faulty
-TOL_ACCEPT = 1e-8  # default largest moment residual of solve_cubic's accept and of a request's, for solve and verify
+TOL_ACCEPT = 1e-8  # default largest componentwise backward error of solve_cubic's accept and of a request's
 
 
 class MomentProblemError(Exception):

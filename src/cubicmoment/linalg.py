@@ -28,7 +28,7 @@ import numpy as np
 from numpy._core.umath import _extobj_contextvar as ERROR_STATE
 from numpy.linalg import _umath_linalg
 
-from .errors import TOL_COMMUTE, TOL_EIG, MomentProblemError
+from .errors import TOL_EIG, MomentProblemError
 
 # c of c*Mx + (1-c)*My, tried in order; the first is the seed-0 c of the earlier seeded solve,
 # so its answers stay bit-identical
@@ -76,28 +76,15 @@ def largest(values: list[float]) -> float:
     return total if total != total else max(values, default=0.0)
 
 
-def commutator_gate(M: np.ndarray) -> None:
-    """Raise MomentProblemError unless the stacked pair M = (Mx, My) commutes within TOL_COMMUTE.
-
-    The tolerance is relative to the scale max(1, max|Mx|, max|My|), read only
-    past TOL_COMMUTE, which it cannot fail below. A NaN commutator fails.
-    """
-    commutator = commutator_norm(M)
-    if commutator <= TOL_COMMUTE:
-        return
-    scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    if not commutator <= TOL_COMMUTE * scale:
-        raise MomentProblemError("joint spectrum", "max |Mx My - My Mx|", commutator, TOL_COMMUTE * scale)
-
-
 def joint_eigen(M) -> list[tuple[float, float]]:
     """Joint eigenvalue pairs of two commuting real matrices.
 
     Parameters
     ----------
     M : array_like, shape (2, n, n)
-        The stack (Mx, My) of two square real matrices, commuting within
-        TOL_COMMUTE (relative to the largest entry magnitude).
+        The stack (Mx, My) of two square real matrices. They should commute:
+        a pair that does not has no basis of common eigenvectors, and the
+        eigenvector residual below measures how far V is from one.
 
     Returns
     -------
@@ -125,7 +112,6 @@ def joint_eigen(M) -> list[tuple[float, float]]:
         raise ValueError(f"M must stack two square matrices, shape (2, n, n), not {M.shape}")
     token = ERROR_STATE.set(QUIET_STATE)
     try:
-        commutator_gate(M)
         errors = []
         for c in _COMBINATIONS:
             try:

@@ -3,22 +3,22 @@
 The pipeline: normalize the input so M(1) = I, extend to a quartic moment
 matrix, form the multiplication-by-x and -by-y matrices on the column-space
 basis, take their joint spectrum as the atoms, solve the basis-restricted
-Vandermonde system V_B for the densities, check on V_B that the atoms meet
-the column relations in Mx, My, pull the measure back through the
-normalizing map, and verify it against the original moments. The solver
-never returns an unverified measure.
+Vandermonde system V_B for the densities, pull the measure back through
+the normalizing map, and verify it against the original moments. The
+solver never returns an unverified measure: a returned measure has
+positive weights and a componentwise backward error of at most accept.
+The stages before verify reject only what cannot be computed on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .cubic import BASIS_K0, BASIS_KNEG, BASIS_KPOS, CaseTag, ExtensionResult, extend
-from .errors import MAX_VARIETY_RESIDUAL, MIN_ATOM_SEPARATION, MIN_WEIGHT, TOL_ACCEPT, MomentProblemError
+from .errors import TOL_ACCEPT, MomentProblemError
 from .linalg import ERROR_STATE, QUIET_STATE, commutator_norm, joint_eigen, lapack_solve, largest
 from .moments import (
     AtomicMeasure,
@@ -42,10 +42,15 @@ class MeasureCheck:
     """Residual report from re-integrating a candidate measure.
 
     residuals is the read-only array of |sum rho x^i y^j - beta_ij| per
-    monomial in degree-lex order. Equality is identity.
+    monomial in degree-lex order, and backward_error the largest residual
+    relative to its scale sum |rho| |x|^i |y|^j: the componentwise backward
+    error (Higham, Accuracy and Stability of Numerical Algorithms, ch. 7),
+    which translation, scaling per axis and scaling of the mass leave
+    alone. Equality is identity.
     """
 
     max_moment_residual: float
+    backward_error: float
     residuals: np.ndarray
     min_weight: float
 
@@ -65,7 +70,7 @@ class SolveReport:
 
     @property
     def commutator_norm(self) -> float:
-        """Largest entry of Mx My - My Mx, the quantity joint_eigen bounds."""
+        """Largest entry of Mx My - My Mx: a diagnostic, which no gate reads."""
         return commutator_norm(self.extension.pair)
 
 
@@ -73,16 +78,10 @@ def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
     """Atoms of the representing measure: the joint spectrum of (Mx, My).
 
     Returns the pairs sorted by (x, y). Flat extensions have distinct
-    atoms, so two atoms closer than MIN_ATOM_SEPARATION in the max norm
-    signal an upstream failure and raise MomentProblemError naming the
-    atom gap, as does a NaN gap.
+    atoms; two that coincide make V_B singular, which the density solve
+    names.
     """
-    pairs = sorted(joint_eigen(ext.pair))
-    for (x, y), (u, v) in combinations(pairs, 2):
-        dx, dy = abs(x - u), abs(y - v)
-        if math.isnan(dx + dy) or not (dx >= MIN_ATOM_SEPARATION or dy >= MIN_ATOM_SEPARATION):
-            raise MomentProblemError("joint spectrum", "atom gap", largest([dx, dy]), MIN_ATOM_SEPARATION)
-    return pairs
+    return sorted(joint_eigen(ext.pair))
 
 
 def _vandermonde(atoms: list[tuple[float, float]], basis) -> np.ndarray:
@@ -97,29 +96,24 @@ def _densities(vb, basis, beta: MomentSequence) -> np.ndarray:
 
 
 def verify_measure(mu: AtomicMeasure, beta: MomentSequence) -> MeasureCheck:
-    """Re-integrate every monomial of the sequence against the measure; a NaN weight makes min_weight NaN."""
+    """Re-integrate every monomial of the sequence against the measure; a NaN weight makes min_weight NaN.
+
+    The backward error's scales are the integrals over (|x|, |y|, |w|); a zero
+    scale gives 0 for an exact moment and inf otherwise, and a non-finite moment NaN or inf.
+    """
     integrals = integrals_of(mu.atoms, beta.degree)
     residuals = [abs(t - b) for t, b in zip(integrals, beta.values.tolist())]
+    scales = integrals_of([(abs(x), abs(y), abs(w)) for x, y, w in mu.atoms], beta.degree)
     array = np.array(residuals)
     array.setflags(write=False)
     weights = [a.weight for a in mu.atoms]
     return frozen_record(
         MeasureCheck,
         max_moment_residual=largest(residuals),
+        backward_error=largest([r / s if s else r and math.inf for r, s in zip(residuals, scales)]),
         residuals=array,
         min_weight=min(weights, default=0.0) if all(w == w for w in weights) else math.nan,
     )
-
-
-def _variety_residual(ext: ExtensionResult, vb) -> float:
-    """Largest |V_B M - diag(t) V_B| over M in (Mx, My), t = x or y (basis columns 1, 2).
-
-    Row k of V_B is a left eigenvector of Mx and My with eigenvalues x_k, y_k
-    exactly when atom k meets every relation they encode (Moller and Stetter
-    1995). An empty V_B gives 0, and a NaN propagates.
-    """
-    gap = vb @ ext.pair - vb.T[1:3, :, None] * vb
-    return float(np.abs(gap).max(initial=0.0))
 
 
 def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) -> tuple[AtomicMeasure, SolveReport]:
@@ -127,14 +121,15 @@ def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) 
 
     Returns the measure in the original coordinates together with a report
     whose verification fields are always populated; accept bounds its
-    largest moment residual. seed is accepted and ignored, so callers
+    componentwise backward error (MeasureCheck), and every weight is
+    positive. seed is accepted and ignored, so callers
     written for the seeded solve keep working: the joint spectrum uses
     fixed combinations. A failed gate raises its stage's MomentProblemError
     (errors.py), SingularM1Error for an M(1) that is not safely positive
     definite, and never a numpy warning (linalg.QUIET_STATE).
 
     Near k = 0 a rank-4 route's smallest density is of order |k|, so one
-    that fails the floor may be a tie at k = 0 in floating point: the
+    that is not positive may be a tie at k = 0 in floating point: the
     stages after extend run once more on the flat rank-3 route, and when
     that attempt fails too the rank-4 error is raised. A NaN or negative
     accept raises ValueError; 0 and inf are valid.
@@ -162,21 +157,19 @@ def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) 
 def _recover(beta, certificate, ext, accept) -> tuple[AtomicMeasure, SolveReport]:
     """The stages after extend: atoms, densities, pullback and verification of one extension."""
     atoms = extract_atoms(ext)
-    vb = _vandermonde(atoms, ext.basis)
-    rho = _densities(vb, ext.basis, certificate.normalized).tolist()
-    if not all(r >= MIN_WEIGHT for r in rho):  # also rejects a NaN density
+    rho = _densities(_vandermonde(atoms, ext.basis), ext.basis, certificate.normalized).tolist()
+    if not all(r > 0.0 for r in rho):  # also rejects a NaN density
         if all(r != r for r in rho):  # a failed solve is all NaN: V_B is singular
             raise MomentProblemError("densities", "V_B")
-        raise MomentProblemError("densities", "min density", float(np.min(rho)), MIN_WEIGHT)
-    variety_residual = _variety_residual(ext, vb)
-    if not variety_residual <= MAX_VARIETY_RESIDUAL:
-        raise MomentProblemError("densities", "variety residual", variety_residual, MAX_VARIETY_RESIDUAL)
+        raise MomentProblemError("densities", "min density", float(np.min(rho)), 0.0)
     mass = float(beta.values[0])
     # the mass multiplies the weights before the pullback, which leaves them as they are
     weighted = [(x, y, r * mass) for (x, y), r in zip(atoms, rho)]
     # the pulled-back atoms are Atoms, sorted once, so the record has nothing left to convert
     mu = frozen_record(AtomicMeasure, atoms=tuple(sorted(pullback_measure(weighted, certificate.map))))
     check = verify_measure(mu, beta)
-    if not check.max_moment_residual <= accept:
-        raise MomentProblemError("verify", "max moment residual", check.max_moment_residual, accept)
+    if not check.min_weight > 0.0:  # the returned weights themselves: an underflow or a pullback fault shows here
+        raise MomentProblemError("verify", "min weight", check.min_weight, 0.0)
+    if not check.backward_error <= accept:
+        raise MomentProblemError("verify", "backward error", check.backward_error, accept)
     return mu, frozen_record(SolveReport, case=ext.case, certificate=certificate, extension=ext, check=check)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFECT_ATOL, SINGULAR_RTOL, MomentProblemError, SingularM1Error
-from .linalg import ERROR_STATE, QUIET_STATE, largest
+from .errors import TOL_PIVOT, MomentProblemError, SingularM1Error
+from .linalg import ERROR_STATE, QUIET_STATE
 from .moments import Atom, MomentSequence, frozen_record, monomial_index, monomials_up_to, require_finite
 
 _Z = np.array(monomials_up_to(1))  # the exponents (i, j) of z = (1, x, y)
@@ -48,6 +48,15 @@ def _pivots(m1: list[float]) -> tuple[float, float]:
     _, b10, b01, b20, b11, b02 = m1
     d2, c11 = b20 - b10 * b10, b11 - b10 * b01
     return d2, d2 * (b02 - b01 * b01) - c11 * c11
+
+
+def _pivot_bounds(m1: list[float], d2: float) -> tuple[float, float]:
+    """TOL_PIVOT times t2 and t3, the scales of _pivots' rounding errors in d2 and d3: operand errors, then products."""
+    _, b10, b01, b20, b11, b02 = m1
+    e02, c11 = b02 - b01 * b01, b11 - b10 * b01
+    t2 = abs(b20) + b10 * b10
+    operands = t2 * abs(e02) + abs(d2) * (abs(b02) + b01 * b01) + 2.0 * abs(c11) * (abs(b11) + abs(b10 * b01))
+    return TOL_PIVOT * t2, TOL_PIVOT * (operands + abs(d2 * e02) + c11 * c11)
 
 
 def _whiten(m1: list[float], d2: float, d3: float) -> np.ndarray:
@@ -111,11 +120,11 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
 
     Factors M(1) = L1 L1^T, pushes the moments through L1^-1, factors the
     pushed-forward M(1) = L2 L2^T and pushes through R L2^-1, so psi is
-    the matrix R L2^-1 L1^-1; the resulting M(1) is checked against the
-    identity to DEFECT_ATOL. Input whose rescaled M(1) is already I maps
+    the matrix R L2^-1 L1^-1. Input whose rescaled M(1) is already I maps
     through psi(x, y) = (-y, x) alone, with no arithmetic, to the
     certificate the factors would give, bit for bit. A failed gate raises
-    a MomentProblemError of stage "normalize"; a pivot's is a SingularM1Error.
+    a MomentProblemError of stage "normalize"; a pivot not above TOL_PIVOT
+    times its rounding scale (_pivot_bounds) raises a SingularM1Error.
     The arithmetic runs on Python floats or under linalg.QUIET_STATE, so it
     warns and raises nothing else, whatever the caller's error state.
     """
@@ -135,12 +144,12 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
         normalized.setflags(write=False)
         sequence = frozen_record(MomentSequence, degree=3, values=normalized)
         return frozen_record(NormalizationCertificate, d2=1.0, d3=1.0, map=_QUARTER.view(), normalized=sequence)
-    threshold = SINGULAR_RTOL * max(map(abs, m1))
     d2, d3 = _pivots(m1)
-    if d2 <= threshold:
-        raise SingularM1Error("normalize", "d2", d2, threshold)
-    if d3 <= threshold:
-        raise SingularM1Error("normalize", "d3", d3, threshold)
+    bound2, bound3 = _pivot_bounds(m1, d2)
+    if d2 <= bound2:
+        raise SingularM1Error("normalize", "d2", d2, bound2)
+    if d3 <= bound3 and d3 != math.inf:  # an overflowing d3 is no pivot out of scope; it is named below
+        raise SingularM1Error("normalize", "d3", d3, bound3)
     if not math.isfinite(d3):  # an overflow degenerates the map; past its gate, d2 is finite
         raise MomentProblemError("normalize", "d3", d3)
     token = ERROR_STATE.set(QUIET_STATE)  # the pushed moments may overflow to an inf or NaN that a gate names
@@ -154,14 +163,10 @@ def normalize_cubic(beta: MomentSequence) -> NormalizationCertificate:
             raise MomentProblemError("normalize", name, pivot, 0.0)
         turn = _QUARTER.dot(_whiten(refined, r2, r3))
         normalized = _push(turn, pushed)
-        result = normalized.tolist()
-        defect = largest([abs(v - e) for v, e in zip(result, _IDENTITY_M1)])
-        if not defect <= DEFECT_ATOL:  # also rejects a NaN defect
-            raise MomentProblemError("normalize", "max |M(1) - I|", defect, DEFECT_ATOL)
         psi = turn.dot(whiten)
     finally:
         ERROR_STATE.reset(token)
     psi.setflags(write=False)
-    normalized.setflags(write=False)  # a new array whose beta_00 passed the defect gate
+    normalized.setflags(write=False)
     sequence = frozen_record(MomentSequence, degree=3, values=normalized)
     return frozen_record(NormalizationCertificate, d2=d2, d3=d3, map=psi, normalized=sequence)

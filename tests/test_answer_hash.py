@@ -36,9 +36,9 @@ def test_success_record_covers_atoms_and_matrices():
 
 
 def test_error_record_names_type_and_fields():
-    # d2 = 0 against its bound 1e-10, read as their exact bits
-    record = answer_hash.solve_record(cubicmoment, [1, 0, 0, 0, 0, 1, 0, 0, 0, 0])
-    assert record == f"error SingularM1Error: normalize | d2 | {0.0.hex()} | {1e-10.hex()}".encode()
+    # d3 = 0 against its bound 64 u t3 = 6 * 2^-47 (t3 = 1 + 1 + 2 + 1 + 1), read as their exact bits
+    record = answer_hash.solve_record(cubicmoment, [1, 0, 0, 1, 1, 1, 0, 0, 0, 0])
+    assert record == f"error SingularM1Error: normalize | d3 | {0.0.hex()} | {(6 * 2.0**-47).hex()}".encode()
 
 
 def test_error_record_without_fields_is_the_message():
@@ -76,14 +76,13 @@ def test_one_request_per_reachable_gate(tmp_path):
         (2, 2, "normalize", "d2"),
         (2, 2, "normalize", "d3"),
         (3, 3, "normalize", "d3"),
-        (3, 3, "normalize", "refined d3"),
+        (3, 3, "normalize", "refined d2"),
         (3, 3, "normalize", "1 / beta_00"),
         (3, 3, "extend", "k"),
         (3, 3, "extend", "beta_04"),
-        (3, 3, "joint spectrum", "max |Mx My - My Mx|"),
         (3, 3, "joint spectrum", "eigenvector residual"),
         (3, 3, "densities", "min density"),
-        (3, 3, "verify", "max moment residual"),
+        (3, 3, "verify", "backward error"),
     ]
 
 

@@ -57,7 +57,7 @@ RECORD_ATTRIBUTES = {
     "Atom": {"x", "y", "weight"},
     "AtomicMeasure": {"atoms", "moments"},
     "ExtensionResult": {"basis", "case", "k", "m2", "m3", "moments", "pair"},
-    "MeasureCheck": {"max_moment_residual", "min_weight", "residuals"},
+    "MeasureCheck": {"backward_error", "max_moment_residual", "min_weight", "residuals"},
     "MomentSequence": {"degree", "truncated", "values"},
     "NormalizationCertificate": {"d2", "d3", "map", "normalized"},
     "SolveReport": {"case", "certificate", "check", "commutator_norm", "extension"},
@@ -94,8 +94,7 @@ def test_python_floor_is_not_below_numpys():
 DEFAULTS = {
     "MomentProblemError": {"value": None, "bound": None},
     "SingularM1Error": {"value": None, "bound": None},
-    "classify_k": {"tol_k": 1e-10},
-    "extend": {"tol_k": 1e-10},
+    "extend": {"tol_k": None},
     "solve_cubic": {"accept": 1e-08, "seed": None},
 }
 

@@ -113,7 +113,8 @@ class TestSolve:
         payload = json.loads(out)
         error = solver_error(out)
         assert error["code"] == 2
-        assert [error[key] for key in ("stage", "quantity", "value", "bound")] == ["normalize", "d2", 0.0, 1e-10]
+        # d2 = 0 with its rounding scale t2 = |b20| + b10^2 = 0: the bound 64 u t2 is 0 too
+        assert [error[key] for key in ("stage", "quantity", "value", "bound")] == ["normalize", "d2", 0.0, 0.0]
         assert "atoms" not in payload
 
     def test_overflowing_cubic_moment_exits_3(self, tmp_path, capsys):
@@ -323,25 +324,23 @@ class TestVerify:
         assert "(EXCEEDS tolerance 1e-18)" in out
 
     def test_verify_judges_by_the_request_accept_as_solve_does(self, tmp_path, capsys):
-        # input #10 of perfbench's ill_conditioned pool at seed 11: its residual,
-        # about 1.35e-8, is within the request's accept 1e-3 but not the default 1e-8
-        beta = [
-            9.222576643761128e-07, 2.6648676368308183e-05, 0.013441955137957394, 0.0007815022815205984,
-            0.38875247039215843, 195.9420659697231, 0.023262977611626153, 11.411622774929082,
-            5671.9545447503115, 2856594.6681655957,
-        ]
-        req = write_json(tmp_path, "req.json", {"beta": beta, "tolerances": {"accept": 1e-3}})
+        # a near-tie with k just above its tie band (tests/test_measure.py's TIE_FAILS): the k = 0 route's
+        # backward error, about 3.98e-7, is within the request's accept 1e-6 but not the default 1e-8
+        beta = [1, 0, 0, 1, 0, 1, -444.1486624295237, -694.3378775092427, -1085.3329447795145, -1696.5839710198004]
+        req = write_json(tmp_path, "req.json", {"beta": beta, "tolerances": {"accept": 1e-6}})
         code, out, _ = run_cli(capsys, ["solve", req, "--quiet"])
         assert code == 0
-        assert 1.3e-8 < json.loads(out)["diagnostics"]["max_moment_residual"] < 1.4e-8
+        assert 3.9e-7 < json.loads(out)["diagnostics"]["backward_error"] < 4.0e-7
         measure = write_json(tmp_path, "measure.json", json.loads(out))
         code, out, _ = run_cli(capsys, ["verify", req, measure])
         assert code == 0
-        assert "(within tolerance 0.001)" in out
+        assert "(within tolerance 1e-06)" in out
         default = write_json(tmp_path, "default.json", {"beta": beta})
         code, out, _ = run_cli(capsys, ["verify", default, measure])
         assert code == 3
         assert "(EXCEEDS tolerance 1e-08)" in out
+        code, out, _ = run_cli(capsys, ["solve", default, "--quiet"])
+        assert code == 3
 
     def test_perturbed_weight_exits_3(self, tmp_path, capsys):
         req = write_json(tmp_path, "req.json", KPOS_REQUEST)
@@ -414,7 +413,7 @@ class TestVerify:
         measure = write_json(tmp_path, "measure.json", {"atoms": atoms})
         code, out, _ = run_cli(capsys, ["verify", req, measure])
         assert code == 3
-        assert "max residual nan (EXCEEDS" in out
+        assert "max residual nan, backward error nan (EXCEEDS" in out
 
 
 class TestRandom:
@@ -476,9 +475,10 @@ class TestInfo:
         assert code == 2
         assert solver_error(out)["quantity"] == "d2"
 
-    def test_normalization_fault_exits_3_like_solve(self, tmp_path, capsys):
-        # four atoms near the line y = 483107.29: the pushed-forward M(1) rounds to an
-        # indefinite matrix, so the refinement step cannot map it to I
+    def test_out_of_scope_pivot_exits_2_like_solve(self, tmp_path, capsys):
+        # four atoms near the line y = 483107.29: d3 = 5.9e4 is below its rounding scale 64 u t3 = 6.4e6, so
+        # the input is out of scope (exit 2); with a pivot bound relative to the largest entry of M(1), the
+        # pushed-forward M(1) rounded to an indefinite matrix, a fault (exit 3)
         atoms = [
             (-44501.38264829572, 483107.2875033109, 0.6925377303771841),
             (41806.91316264958, 483107.2875032406, 0.47100608652878617),
@@ -488,11 +488,11 @@ class TestInfo:
         mu = AtomicMeasure(tuple(Atom(x, y, w) for x, y, w in atoms))
         path = write_json(tmp_path, "req.json", {"beta": mu.moments(3).values.tolist()})
         code, info_out, _ = run_cli(capsys, ["info", path])
-        assert code == 3
+        assert code == 2
         error = solver_error(info_out)
-        assert (error["stage"], error["quantity"], error["bound"]) == ("normalize", "refined d3", 0.0)
+        assert (error["stage"], error["quantity"]) == ("normalize", "d3") and 0.0 < error["value"] <= error["bound"]
         code, solve_out, _ = run_cli(capsys, ["solve", path, "--quiet"])
-        assert (code, solve_out) == (3, info_out)
+        assert (code, solve_out) == (2, info_out)
 
     @pytest.mark.parametrize(
         "beta, stage, quantity, value",
@@ -653,9 +653,9 @@ class TestConsoleEntry:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, _ = run_cli(capsys, ["solve", overflowing, "--quiet"])
-            assert code == 3 and solver_error(out)["quantity"] == "max |Mx My - My Mx|"
+            assert code == 3 and solver_error(out)["quantity"] == "backward error"
             code, out, _ = run_cli(capsys, ["verify", req, measure])
-            assert code == 3 and "max residual nan (EXCEEDS" in out
+            assert code == 3 and "backward error nan (EXCEEDS" in out
 
     def test_closed_stdout_exits_141_quietly(self):
         # as in `random | solve | head -4`: the reader is gone before solve writes

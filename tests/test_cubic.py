@@ -12,10 +12,11 @@ from cubicmoment import (
     compute_k,
     extend,
     extract_atoms,
-    joint_eigen,
     monomial_index,
+    solve_cubic,
 )
-from cubicmoment import measure
+from cubicmoment import linalg, measure
+from cubicmoment.cubic import tie_band
 
 from _oracle import (
     SOS_GRAM,
@@ -29,7 +30,7 @@ from _oracle import (
     sos_certificate_check,
     x3_relation,
 )
-from _util import fields, is_hankel, match_points, quartics_of, vandermonde
+from _util import fields, is_hankel, match_points, quartics_of, seq_from_a, vandermonde
 
 
 def _oracle_p(a, bump=1.0):
@@ -230,29 +231,32 @@ class TestBuildM3:
         ext = extend((0, 0, 0, 0))
         assert ext.m3 is None
 
-    def test_disagreeing_xy2_expansions_fail_the_commutator_gate(self):
-        # the two XY^2 expansions differ by column Y of My Mx - Mx My
+    def test_disagreeing_xy2_expansions_show_in_the_commutator_norm(self):
+        # the two XY^2 expansions differ by column Y of My Mx - Mx My: m3 is built from Mx, and the
+        # disagreement is the commutator norm a report carries, which no gate reads
         ext = extend((0, 1, 1, 0))
         mx = ext.pair[0].copy()
         mx[0, 3] += 1e-3  # corrupt the X^3 column
-        with pytest.raises(MomentProblemError) as info:
-            dataclasses.replace(ext, pair=np.array((mx, ext.pair[1]))).m3
-        assert type(info.value) is MomentProblemError
-        assert fields(info.value)[:3] == ("joint spectrum", "max |Mx My - My Mx|", 1e-3)
+        corrupted = dataclasses.replace(ext, pair=np.array((mx, ext.pair[1])))
+        assert corrupted.m3.shape == ext.m3.shape and not np.array_equal(corrupted.m3, ext.m3)
+        assert linalg.commutator_norm(corrupted.pair) == 1e-3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_a_typed_error_without_a_warning(self):
-        # the commutator overflows to NaN: the gate fails quietly, as joint_eigen's does on the same pair
+        # the commutator overflows to NaN, and so does a quintic moment, which m3 names quietly; the solve
+        # fails quietly too, at the backward error of atoms whose powers overflow
         ext = extend((0.0, 1e150, 0.0, 0.0))
+        with np.errstate(all="ignore"):
+            assert math.isnan(linalg.commutator_norm(ext.pair))
         with pytest.raises(MomentProblemError) as info:
             ext.m3
         assert type(info.value) is MomentProblemError
         stage, quantity, value, bound = fields(info.value)
-        assert (stage, quantity, math.isnan(value)) == ("joint spectrum", "max |Mx My - My Mx|", True)
-        with pytest.raises(MomentProblemError) as joint:
-            joint_eigen(ext.pair)
-        assert type(joint.value) is MomentProblemError
-        assert fields(joint.value)[:2] == (stage, quantity) and joint.value.bound == bound
+        assert (stage, quantity, math.isnan(value), bound) == ("extend", "beta_50", True, None)
+        with pytest.raises(MomentProblemError) as solve:
+            solve_cubic(seq_from_a((0.0, 1e150, 0.0, 0.0)))
+        assert type(solve.value) is MomentProblemError
+        assert fields(solve.value)[:2] == ("verify", "backward error")
         # the pair commutes, but a quintic moment overflows: the first non-finite one is named
         with pytest.raises(MomentProblemError) as info:
             extend((0.0, 1e100, 0.0, 0.0)).m3
@@ -289,8 +293,12 @@ class TestExtendDispatch:
         assert extend((0, 1, 1, 0)).case is CaseTag.RANK_INCREASING_K_NEG
 
     def test_tie_goes_to_flat(self):
-        ext = extend((0, 1 + 1e-12, 0, 0))
-        assert ext.case is CaseTag.FLAT_K0
+        # k = 0 in exact arithmetic at a1 = 1; a1 = 1 + 1e-13 gives k = -2.0e-13, within the band 2.27e-13
+        # of s = 2, and a1 = 1 + 1e-12 gives k = -2.0e-12, outside it
+        a = (0, 1 + 1e-13, 0, 0)
+        assert 0.0 < -compute_k(a) <= tie_band(a) < 1.2 * -compute_k(a)
+        assert extend(a).case is CaseTag.FLAT_K0
+        assert extend((0, 1 + 1e-12, 0, 0)).case is CaseTag.RANK_INCREASING_K_NEG
 
     @pytest.mark.parametrize("s", [1e-10, -1e-10, 0.3, -0.3])
     def test_tie_rule_is_classify_k(self, s):

@@ -1,4 +1,4 @@
-"""The one shape of a solver error, and one row per gate of the five stages."""
+"""The one shape of a solver error, one row per gate of the five stages, and faults no intermediate gate checks."""
 
 import copy
 import dataclasses
@@ -16,23 +16,22 @@ from cubicmoment import (
     MomentProblemError,
     MomentSequence,
     SingularM1Error,
-    extend,
     extract_atoms,
     joint_eigen,
     normalize_cubic,
     solve_cubic,
 )
-from cubicmoment import cubic, errors, linalg, measure, normalize
+from cubicmoment import cubic, errors, linalg, measure
 from cubicmoment.cubic import BASIS_K0
 
 from _util import failed_eig, fields, seq_from_a, solve_on_repeated_atoms
 
 ERRORS = [
     SingularM1Error("normalize", "d2", 0.0, 1e-10),
-    MomentProblemError("joint spectrum", "max |Mx My - My Mx|", 1e-3, 1e-9),
+    MomentProblemError("joint spectrum", "eigenvector residual", 1e-3, 1e-7),
     MomentProblemError("joint spectrum", "max |Im lambda|", 1e-12, 0.0),
     MomentProblemError("densities", "V_B"),
-    MomentProblemError("verify", "max moment residual", math.inf, 1e-8),
+    MomentProblemError("verify", "backward error", math.inf, 1e-8),
     MomentProblemError("extend", "k", -math.inf),
 ]
 
@@ -63,9 +62,16 @@ def _solve_a(a, accept=errors.TOL_ACCEPT):
 
 
 def _defect(monkeypatch):
-    monkeypatch.setattr(normalize, "DEFECT_ATOL", -1.0)  # no defect is below it
-    # M(1) is not I, so the factors run and the defect gate is reached
-    normalize_cubic(AtomicMeasure((Atom(0.3, 0.1, 0.3), Atom(-0.7, 0.4, 0.5), Atom(0.2, -0.9, 0.2))).moments(3))
+    # the normalized beta_00 off by 1e-6, a defect of the normalized M(1): the densities sum to it
+    def off(beta):
+        certificate = normalize_cubic(beta)
+        values = certificate.normalized.values.copy()
+        values[0] += 1e-6
+        return dataclasses.replace(certificate, normalized=MomentSequence(3, values))
+
+    monkeypatch.setattr(measure, "normalize_cubic", off)
+    # M(1) is not I, so the factors run
+    solve_cubic(AtomicMeasure((Atom(0.3, 0.1, 0.3), Atom(-0.7, 0.4, 0.5), Atom(0.2, -0.9, 0.2))).moments(3))
 
 
 def _non_finite_entry(monkeypatch):
@@ -85,8 +91,14 @@ def _singular_basis(monkeypatch):
 
 
 def _repeated_atoms(monkeypatch):
-    pair = np.array((np.diag([1.0, 1.0, -1.0, -1.0]), np.diag([1.0, 1.0 + 5e-9, -1.0, 1.0])))
-    extract_atoms(dataclasses.replace(extend((0, 0, 0, 0)), pair=pair))
+    # the second atom 5e-9 from the first: V_B is near singular
+    def close(ext):
+        pairs = extract_atoms(ext)
+        pairs[1] = (pairs[0][0], pairs[0][1] + 5e-9)
+        return pairs
+
+    monkeypatch.setattr(measure, "extract_atoms", close)
+    solve_cubic(seq_from_a((0, 0, 0, 0)))
 
 
 def _off_the_variety(monkeypatch):
@@ -98,7 +110,20 @@ def _off_the_variety(monkeypatch):
     solve_cubic(seq_from_a((0, 0, 0, 0)))
 
 
-# four atoms near the line y = 483107.29: the pushed-forward M(1) rounds to an indefinite matrix
+def _negative_weight(monkeypatch):
+    # a pullback that flips a weight's sign: the backward error alone would take a tiny weight's flip
+    pullback_measure = measure.pullback_measure
+
+    def flipped(atoms, psi):
+        first, *rest = pullback_measure(atoms, psi)
+        return [first._replace(weight=-first.weight), *rest]
+
+    monkeypatch.setattr(measure, "pullback_measure", flipped)
+    solve_cubic(seq_from_a((0, 0, 0, 0)))
+
+
+# four atoms near the line y = 483107.29: d3 = 5.9e4 lies below 64 u t3 = 6.4e6, and the pushed-forward M(1)
+# of a factor that took it would round to an indefinite matrix
 NEAR_LINE = AtomicMeasure(
     (
         Atom(-44501.38264829572, 483107.2875033109, 0.6925377303771841),
@@ -121,14 +146,13 @@ GATES = [
     gate("d2", _solve([1, 0, 0, 0, 0, 1, 0, 0, 0, 0]), "normalize", "d2", SingularM1Error),
     gate("d3", _solve([1, 0, 0, 1, 1, 1, 0, 0, 0, 0]), "normalize", "d3", SingularM1Error),
     gate("pivot overflow", _solve([1, 0, 0, 1e300, 0, 1e300, 0, 0, 0, 0]), "normalize", "d3"),
-    gate("refined pivots", _solve(NEAR_LINE.moments(3).values), "normalize", "refined d3"),
-    gate("M(1) - I", _defect, "normalize", "max |M(1) - I|"),
+    # finite moments whose whitened cubics overflow to a NaN refined d2
+    gate("refined pivots", _solve([1, 0.9, 0, 1, 0, 1, 1.7e308, 0, 0, 0]), "normalize", "refined d2"),
     # extend
     gate("k", _solve([1, 0, 0, 1, 0, 1, 0, 1e200, 0, 0]), "extend", "k"),
     gate("finite quartics", _solve([1, 0, 0, 1, 0, 1, 1e200, 0, 0, 0]), "extend", "beta_04"),
     gate("Mx, My entries", _non_finite_entry, "extend", "max |Mx, My|"),
     # joint spectrum
-    gate("commutator", _solve([1, 0, 0, 1, 0, 1, 0, 1e140, 0, 0]), "joint spectrum", "max |Mx My - My Mx|"),
     gate("eig", _failing_eig, "joint spectrum", "eig"),
     gate(
         "complex lambda",
@@ -138,17 +162,28 @@ GATES = [
     ),
     gate("eigenvector basis", _singular_basis, "joint spectrum", "eigenvector basis"),
     gate("eigenvector residual", _solve_a((1e20, 0, 0, 0)), "joint spectrum", "eigenvector residual"),
-    gate("atom gap", _repeated_atoms, "joint spectrum", "atom gap"),
     # densities
     gate("Vandermonde solve", solve_on_repeated_atoms, "densities", "V_B"),
     gate("density floor", _solve_a((1e104, 0, 1, 0)), "densities", "min density"),
-    gate("variety residual", _off_the_variety, "densities", "variety residual"),
     # verify
-    gate("moment residual", _solve_a((0.3, -0.8, 0.4, 1.1), accept=1e-18), "verify", "max moment residual"),
+    gate("returned weight", _negative_weight, "verify", "min weight"),
+    gate("backward error", _solve_a((0.3, -0.8, 0.4, 1.1), accept=1e-18), "verify", "backward error"),
+]
+
+# faults that no intermediate gate checks (a defect of the normalized M(1), a pair that does not commute, two
+# atoms 5e-9 apart, an atom off the variety) fail the answer's checks: a density that is not positive or a
+# backward error above accept; and four atoms near a line are out of scope at the rounding-relative d3 bound
+OTHER_INPUTS = [
+    gate("refined pivots near a line", _solve(NEAR_LINE.moments(3).values), "normalize", "d3", SingularM1Error),
+    gate("M(1) - I", _defect, "verify", "backward error"),
+    # the atoms' powers overflow: the commutator norm is NaN, and so is the backward error
+    gate("commutator", _solve([1, 0, 0, 1, 0, 1, 0, 1e140, 0, 0]), "verify", "backward error"),
+    gate("atom gap", _repeated_atoms, "densities", "min density"),
+    gate("variety residual", _off_the_variety, "verify", "backward error"),
 ]
 
 
-@pytest.mark.parametrize("trip, kind, stage, quantity", GATES)
+@pytest.mark.parametrize("trip, kind, stage, quantity", GATES + OTHER_INPUTS)
 def test_each_gate_raises_its_stage_error(monkeypatch, trip, kind, stage, quantity):
     with pytest.raises(MomentProblemError) as info:
         trip(monkeypatch)
@@ -159,6 +194,6 @@ def test_each_gate_raises_its_stage_error(monkeypatch, trip, kind, stage, quanti
 def test_the_fields_name_one_gate():
     # a new gate chooses fields that tell it apart; the class tells only the out-of-scope pivots apart
     names = {row.values[1:] for row in GATES}
-    assert len(names) == len(GATES) == 20
+    assert len(names) == len(GATES) == 17
     classes = {value for value in vars(errors).values() if isinstance(value, type)}
     assert classes == {MomentProblemError, SingularM1Error}

@@ -17,7 +17,7 @@ from cubicmoment import (
 )
 from cubicmoment import linalg, measure
 from cubicmoment.cli import random_request
-from cubicmoment.errors import TOL_COMMUTE
+from cubicmoment.errors import TOL_EIG
 
 from _oracle import (
     RangeError,
@@ -203,12 +203,13 @@ class TestJointEigen:
         assert_allclose(np.array(sorted(pairs)), np.array([(1.0, 1.0), (1.0, 1.0)]), atol=1e-9)
 
     def test_commutator_guard(self):
+        # a pair that does not commute has no basis of joint eigenvectors: the residual rejects it
         mx = np.array([[0.0, 1.0], [0.0, 0.0]])
         my = np.diag([1.0, 2.0])
         with pytest.raises(MomentProblemError) as info:
             joint_eigen(np.array((mx, my)))
         assert type(info.value) is MomentProblemError
-        assert fields(info.value)[:2] == ("joint spectrum", "max |Mx My - My Mx|")
+        assert fields(info.value)[:2] == ("joint spectrum", "eigenvector residual")
 
     def test_complex_spectrum_guard(self):
         rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -241,7 +242,7 @@ class TestJointEigen:
             joint_eigen(np.zeros(shape))
 
     def test_empty_pair_has_no_pairs(self):
-        # like the commutator gate and the variety residual, an empty pair is exact
+        # like the commutator norm and the backward error, an empty pair is exact
         assert joint_eigen(np.zeros((2, 0, 0))) == []
 
     def test_pairs_satisfy_relations(self):
@@ -506,37 +507,31 @@ def _nilpotent_pair(s: float, e: float) -> np.ndarray:
     return np.array((np.diag([0.0, s]), [[0.0, e], [0.0, 0.0]]))
 
 
-class TestCommutatorGate:
-    """The gate reads its scale max(1, max|M|) only past TOL_COMMUTE, which it cannot fail below."""
+class TestNonCommutingPairs:
+    """No gate reads the commutator: the eigenvector residual judges the pairs, the backward error the measure."""
 
-    def test_a_commutator_within_the_scaled_bound_passes(self):
-        M = _nilpotent_pair(100.0, 1e-10)
-        assert TOL_COMMUTE < linalg.commutator_norm(M) <= TOL_COMMUTE * 100.0
-        assert linalg.commutator_gate(M) is None
-        match_points(joint_eigen(M), [(0.0, 0.0), (100.0, 0.0)], atol=1e-9)
+    @pytest.mark.parametrize("s, e", [(100.0, 1e-10), (1.0, 2e-9), (100.0, 2e-9)], ids=["scaled", "unit", "large"])
+    def test_a_commutator_within_the_residual_bound_passes(self, s, e):
+        M = _nilpotent_pair(s, e)
+        assert linalg.commutator_norm(M) == s * e > 0.0
+        match_points(joint_eigen(M), [(0.0, 0.0), (s, 0.0)], atol=1e-9)
 
     @pytest.mark.parametrize(
-        "M",
+        "M, quantity",
         [
-            _nilpotent_pair(1.0, 2e-9),  # 2 TOL_COMMUTE on the unit scale
-            _nilpotent_pair(100.0, 2e-9),  # 200 TOL_COMMUTE against 100 TOL_COMMUTE
-            np.array((np.diag([math.nan, 1.0]), np.eye(2))),  # a NaN commutator on the scale max(1, NaN) = 1
-            np.array((np.diag([math.inf, 1.0]), np.eye(2))),  # inf - inf, on an infinite scale
+            (_nilpotent_pair(1.0, 1e-3), "eigenvector residual"),  # 7.2e-4, 7e3 TOL_EIG on the unit scale
+            (np.array((np.diag([math.nan, 1.0]), np.eye(2))), "eig"),  # a NaN entry never reaches LAPACK
+            (np.array((np.diag([math.inf, 1.0]), np.eye(2))), "eig"),  # nor does an inf one
         ],
-        ids=["unit", "scaled", "nan", "inf-minus-inf"],
+        ids=["unit", "nan", "inf"],
     )
-    def test_a_commutator_past_the_scaled_bound_fails_naming_it(self, M):
-        with np.errstate(invalid="ignore"):  # inf - inf; the callers of the gate run it quiet
-            commutator, scale = linalg.commutator_norm(M), max(1.0, float(np.abs(M).max()))
-        assert not commutator <= TOL_COMMUTE * scale
-        expected = ("joint spectrum", "max |Mx My - My Mx|", commutator, TOL_COMMUTE * scale)
-        for gate in (linalg.commutator_gate, joint_eigen):
-            with pytest.raises(MomentProblemError) as info, np.errstate(invalid="ignore"):
-                gate(M)
-            assert type(info.value) is MomentProblemError
-            got = fields(info.value)
-            assert got[:2] == expected[:2] and got[3] == expected[3]
-            assert got[2] == expected[2] or math.isnan(got[2]) and math.isnan(expected[2])
+    def test_a_pair_past_the_residual_bound_fails_naming_it(self, M, quantity):
+        with pytest.raises(MomentProblemError) as info:
+            joint_eigen(M)
+        assert type(info.value) is MomentProblemError
+        stage, got, value, bound = fields(info.value)
+        assert (stage, got) == ("joint spectrum", quantity)
+        assert value is None or not value <= bound == TOL_EIG
 
 
 class TestErrorStates:
@@ -552,7 +547,7 @@ class TestErrorStates:
         "run, seam, failure",
         [
             ("solve", None, None),
-            ("commutator", None, ("joint spectrum", "max |Mx My - My Mx|")),
+            ("commutator", None, ("joint spectrum", "eigenvector residual")),
             ("solve", "lapack_eig", ("joint spectrum", "eig")),
             ("solve", "lapack_inv", ("joint spectrum", "eigenvector basis")),
             ("densities", None, ("densities", "V_B")),

@@ -381,12 +381,15 @@ class TestNormalizeCubic:
             normalize_cubic(MomentSequence(3, values))
 
     def test_threshold_failure_names_the_threshold(self):
-        # translated by 1e5, d2 = 0.2119 is positive but not above 1e-10 * beta_20 = 1.0
+        # translated by 1e7, d2 = 0.234 (0.212 exactly) is positive but not above 64 u t2 = 1.42, its rounding
+        # scale; translated by 1e6 it is above it, and normalizes
+        normalize_cubic(_test_measure(offset=1e6))
         with pytest.raises(SingularM1Error) as info:
-            normalize_cubic(_test_measure(offset=1e5))
+            normalize_cubic(_test_measure(offset=1e7))
         err = info.value
         assert (err.stage, err.quantity) == ("normalize", "d2") and 0.0 < err.value <= err.bound
-        assert err.bound == 1e-10 * max(map(abs, _test_measure(offset=1e5).values[:6].tolist()))
+        _, b10, _, b20 = _test_measure(offset=1e7).values[:4].tolist()
+        assert err.bound == 64 * 2.0**-53 * (abs(b20) + b10 * b10) == pytest.approx(1.42, rel=1e-2)
         assert str(err) == f"normalize failed: d2 = {err.value:.6g} (bound {err.bound:.6g})"
 
 
