@@ -9,9 +9,9 @@ Those routines are numpy.linalg's own gufuncs (numpy.linalg._umath_linalg),
 called without the Python wrappers of np.linalg.eig, inv and solve:
 lapack_eig, lapack_inv and lapack_solve return what those three return,
 byte for byte, and all NaN where they raise because LAPACK failed. The
-solver's stages (solve_cubic, normalize_cubic, joint_eigen and
-ExtensionResult.m3) do their numpy arithmetic under QUIET_STATE, and
-moments.py's powers are Python float products, +-inf past the float
+solver's stages (solve_cubic, joint_eigen and ExtensionResult.m3) do
+their numpy arithmetic under QUIET_STATE, and normalize_cubic and
+moments.py's powers are Python float arithmetic, +-inf past the float
 range, so an overflow or a failed LAPACK call is an inf or NaN that a
 gate names in a typed error, not a numpy warning, whatever the caller's
 error state. The state is built once, by np.errstate at import, and

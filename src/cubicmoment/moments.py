@@ -55,12 +55,12 @@ def monomials_up_to(degree: int) -> list[tuple[int, int]]:
     return [(i, d - i) for d in range(degree + 1) for i in range(d, -1, -1)]
 
 
-def require_finite(values: list[float], degree: int, stage: str) -> None:
-    """Raise stage's MomentProblemError naming the first of the degree-lex moments values that is not finite."""
+def require_finite(values: list[float], degree: int, stage: str, symbol: str = "beta") -> None:
+    """Raise stage's MomentProblemError naming the first non-finite degree-lex moment of values, as symbol_ij."""
     if not all(map(math.isfinite, values)):
         n = list(map(math.isfinite, values)).index(False)
         i, j = monomials_up_to(degree)[n]
-        raise MomentProblemError(stage, f"beta_{i}{j}", values[n])
+        raise MomentProblemError(stage, f"{symbol}_{i}{j}", values[n])
 
 
 def _nonnegative_int(value, what: str) -> int:

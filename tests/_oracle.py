@@ -31,8 +31,13 @@ normalization as it is written: the leading minors of M(1), the six
 coefficients of the normalizing map in closed form (rows 1-2 of its 3x3
 matrix on z = (1, x, y)), and the pushforward J^T beta through the
 substitution matrix build_J of any degree. The solver reaches the same
-matrix through a Cholesky factor of M(1) and pushes the moment tensor
-instead.
+matrix through two Cholesky factors of the central second moments, and
+pushes the central moments through them on Python floats.
+
+tensor_pivots, tensor_whiten and tensor_push are the normalization as the
+solver wrote it before: L^-1 for M(1) = L L^T as a 3x3 matrix on
+z = (1, x, y), and the moment tensor E[z (x) z (x) z], fancy-indexed from
+the ten moments, contracted with that matrix on each index.
 
 monomials_at_reference is the numpy monomial table the solver used
 before its Python-float kernels: a power table of running products,
@@ -435,6 +440,34 @@ def transform_sequence(beta: MomentSequence, psi: np.ndarray) -> MomentSequence:
     """
     return MomentSequence(beta.degree, build_J(psi, beta.degree).T @ beta.values)
 
+
+
+# entry (a, b, c) is the degree-lex position of z_a z_b z_c, so values[_TENSOR] = E[z (x) z (x) z]
+_Z = np.array(monomials_up_to(1))
+_TENSOR = monomial_index((_Z[:, None, None] + _Z[:, None] + _Z).transpose(3, 0, 1, 2))
+_, _ENTRIES = np.unique(_TENSOR, return_index=True)  # the flat position of one entry per moment
+
+
+def tensor_pivots(m1: list[float]) -> tuple[float, float]:
+    """d2 = L11^2 and d3 = (L11 L22)^2 for M(1) = L L^T, with beta_00 read as 1."""
+    _, b10, b01, b20, b11, b02 = m1
+    d2, c11 = b20 - b10 * b10, b11 - b10 * b01
+    return d2, d2 * (b02 - b01 * b01) - c11 * c11
+
+
+def tensor_whiten(m1: list[float], d2: float, d3: float) -> np.ndarray:
+    """L^-1 for M(1) = L L^T, from the positive pivots d2 = L11^2, d3 = (L11 L22)^2."""
+    _, b10, b01, _, b11, _ = m1
+    l11 = math.sqrt(d2)
+    l21, l22 = (b11 - b10 * b01) / l11, math.sqrt(d3) / l11
+    bottom = ((l21 * b10 / l11 - b01) / l22, -l21 / l11 / l22, 1.0 / l22)
+    return np.array((1.0, 0.0, 0.0, -b10 / l11, 1.0 / l11, 0.0, *bottom)).reshape(3, 3)
+
+
+def tensor_push(A: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The ten moments of the pushforward under z -> A z, read back from A (x) A (x) A T."""
+    S = A @ np.asarray(values)[_TENSOR] @ A.T
+    return A.dot(S.reshape(3, 9)).reshape(27)[_ENTRIES]
 
 def build_J(psi: np.ndarray, degree: int) -> np.ndarray:
     """Matrix of substitution on coefficient vectors: J p_hat = (p o psi)_hat.

@@ -76,7 +76,7 @@ def test_one_request_per_reachable_gate(tmp_path):
         (2, 2, "normalize", "d2"),
         (2, 2, "normalize", "d3"),
         (3, 3, "normalize", "d3"),
-        (3, 3, "normalize", "refined d2"),
+        (3, 3, "normalize", "beta~_03"),
         (3, 3, "normalize", "1 / beta_00"),
         (3, 3, "extend", "k"),
         (3, 3, "extend", "beta_04"),

@@ -503,7 +503,7 @@ class TestInfo:
              1 / 1.9055892520074806e-281),
             ([1, 0, 0, 1e300, 0, 1e300, 0, 0, 0, 0], "normalize", "d3", None),  # d3 = inf
             ([1, 0, 0, 1, 0, 1, 0, 1e200, 0, 0], "extend", "k", None),  # k = -inf
-            ([1, 0.9, 0, 1, 0, 1, 1.7e308, 0, 0, 0], "normalize", "refined d2", None),  # the whitened cubics overflow
+            ([1, 0.9, 0, 1, 0, 1, 1.7e308, 0, 0, 0], "normalize", "beta~_03", None),  # a pushed cubic overflows
         ],
     )
     def test_overflowing_normalization_exits_3(self, tmp_path, capsys, beta, stage, quantity, value):

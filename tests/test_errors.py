@@ -21,7 +21,7 @@ from cubicmoment import (
     normalize_cubic,
     solve_cubic,
 )
-from cubicmoment import cubic, errors, linalg, measure
+from cubicmoment import cubic, errors, linalg, measure, normalize
 from cubicmoment.cubic import BASIS_K0
 
 from _util import failed_eig, fields, seq_from_a, solve_on_repeated_atoms
@@ -61,6 +61,10 @@ def _solve_a(a, accept=errors.TOL_ACCEPT):
     return lambda monkeypatch: solve_cubic(seq_from_a(a), accept)
 
 
+# three atoms whose M(1) is not I, so normalize runs both factors
+UNNORMALIZED = AtomicMeasure((Atom(0.3, 0.1, 0.3), Atom(-0.7, 0.4, 0.5), Atom(0.2, -0.9, 0.2))).moments(3)
+
+
 def _defect(monkeypatch):
     # the normalized beta_00 off by 1e-6, a defect of the normalized M(1): the densities sum to it
     def off(beta):
@@ -70,8 +74,14 @@ def _defect(monkeypatch):
         return dataclasses.replace(certificate, normalized=MomentSequence(3, values))
 
     monkeypatch.setattr(measure, "normalize_cubic", off)
-    # M(1) is not I, so the factors run
-    solve_cubic(AtomicMeasure((Atom(0.3, 0.1, 0.3), Atom(-0.7, 0.4, 0.5), Atom(0.2, -0.9, 0.2))).moments(3))
+    solve_cubic(UNNORMALIZED)
+
+
+def _nan_refined_covariance(monkeypatch):
+    # past the d3 gate the covariance after the first factor is I up to rounding, so no finite input trips the
+    # refined pivots: a NaN one stands in for it, which math.sqrt would take without a word
+    monkeypatch.setattr(normalize, "_push_second", lambda w, s11, s12, s22: (math.nan, math.nan, math.nan))
+    solve_cubic(UNNORMALIZED)
 
 
 def _non_finite_entry(monkeypatch):
@@ -122,8 +132,8 @@ def _negative_weight(monkeypatch):
     solve_cubic(seq_from_a((0, 0, 0, 0)))
 
 
-# four atoms near the line y = 483107.29: d3 = 5.9e4 lies below 64 u t3 = 6.4e6, and the pushed-forward M(1)
-# of a factor that took it would round to an indefinite matrix
+# four atoms near the line y = 483107.29: d3 = 5.9e4 lies below 64 u t3 = 6.4e6, the scale of its rounding error,
+# so the pivot is out of scope
 NEAR_LINE = AtomicMeasure(
     (
         Atom(-44501.38264829572, 483107.2875033109, 0.6925377303771841),
@@ -146,8 +156,9 @@ GATES = [
     gate("d2", _solve([1, 0, 0, 0, 0, 1, 0, 0, 0, 0]), "normalize", "d2", SingularM1Error),
     gate("d3", _solve([1, 0, 0, 1, 1, 1, 0, 0, 0, 0]), "normalize", "d3", SingularM1Error),
     gate("pivot overflow", _solve([1, 0, 0, 1e300, 0, 1e300, 0, 0, 0, 0]), "normalize", "d3"),
-    # finite moments whose whitened cubics overflow to a NaN refined d2
-    gate("refined pivots", _solve([1, 0.9, 0, 1, 0, 1, 1.7e308, 0, 0, 0]), "normalize", "refined d2"),
+    gate("refined pivots", _nan_refined_covariance, "normalize", "refined d2"),
+    # finite moments whose pushed cubic moment E[u^3] overflows
+    gate("normalized moments", _solve([1, 0.9, 0, 1, 0, 1, 1.7e308, 0, 0, 0]), "normalize", "beta~_03"),
     # extend
     gate("k", _solve([1, 0, 0, 1, 0, 1, 0, 1e200, 0, 0]), "extend", "k"),
     gate("finite quartics", _solve([1, 0, 0, 1, 0, 1, 1e200, 0, 0, 0]), "extend", "beta_04"),
@@ -194,6 +205,6 @@ def test_each_gate_raises_its_stage_error(monkeypatch, trip, kind, stage, quanti
 def test_the_fields_name_one_gate():
     # a new gate chooses fields that tell it apart; the class tells only the out-of-scope pivots apart
     names = {row.values[1:] for row in GATES}
-    assert len(names) == len(GATES) == 17
+    assert len(names) == len(GATES) == 18
     classes = {value for value in vars(errors).values() if isinstance(value, type)}
     assert classes == {MomentProblemError, SingularM1Error}

@@ -552,7 +552,7 @@ class TestErrorStates:
             ("solve", "lapack_inv", ("joint spectrum", "eigenvector basis")),
             ("densities", None, ("densities", "V_B")),
             ("m3", None, ("extend", "beta_50")),
-            ("normalize", None, ("normalize", "refined d2")),
+            ("normalize", None, ("normalize", "beta~_03")),
         ],
         ids=["solve", "commutator", "eig", "eigenvector-basis", "densities", "m3-overflow", "normalize-overflow"],
     )
@@ -566,7 +566,7 @@ class TestErrorStates:
             "commutator": lambda: joint_eigen(np.array(([[0.0, 1.0], [0.0, 0.0]], np.diag([1.0, 2.0])))),
             "densities": lambda: solve_on_repeated_atoms(monkeypatch),
             "m3": lambda: extend((0.0, 1e100, 0.0, 0.0)).m3,
-            # finite moments whose whitened cubics overflow to a NaN refined d2
+            # finite moments whose normalized beta~_03 overflows
             "normalize": lambda: solve_cubic(MomentSequence(3, np.array([1, 0.9, 0, 1, 0, 1, 1.7e308, 0, 0, 0]))),
         }
         with np.errstate(all="raise"):

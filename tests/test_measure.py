@@ -788,10 +788,9 @@ class TestCallBudget:
     )
     def test_normalization_factors_only_input_that_is_not_normalized(self, monkeypatch, beta, factored):
         calls = collections.Counter()
-        for name in ("_whiten", "_push"):
-            monkeypatch.setattr(normalize, name, _counted(calls, name, getattr(normalize, name)))
+        monkeypatch.setattr(normalize, "_whitening", _counted(calls, "_whitening", normalize._whitening))
         solve_cubic(beta)
-        assert calls == ({"_whiten": factored, "_push": factored} if factored else {})
+        assert calls == ({"_whitening": factored} if factored else {})
 
 
 class TestCombinationFallback:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,14 +24,30 @@ from cubicmoment import (
 from cubicmoment import normalize
 from cubicmoment.cli import random_request
 
-from _oracle import build_J, degree_one_coeffs, numeric_rank, paper_minors, transform_sequence
+from _oracle import (
+    build_J,
+    degree_one_coeffs,
+    numeric_rank,
+    paper_minors,
+    tensor_pivots,
+    tensor_push,
+    tensor_whiten,
+    transform_sequence,
+)
 from _util import fields, rescaled, same_bytes, seq_from_a
+from gitexport import ROOT
+from test_robustness import ROWS
+
+sys.path.insert(0, str(ROOT / "perfbench"))  # the benchmark's own modules, imported as it imports them, unchanged
+
+import workloads  # noqa: E402
 
 TEST_POINTS = [(0.3, 0.1), (-0.7, 0.4), (0.2, -0.9), (0.5, 0.6)]  # weight 1/4 each
 # maps z -> psi z on z = (1, x, y): row 1 is psi1(x, y), row 2 is psi2(x, y)
 QUARTER_TURN = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])  # (x, y) -> (-y, x)
 SHIFT_AND_STRETCH = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])  # (x + 1, 2 y)
 GENERIC = np.array([[1.0, 0.0, 0.0], [0.3, 1.2, -0.7], [-0.1, 0.4, 0.9]])
+ROUNDING = 64 * 2.0**-53  # 64 units of roundoff: how far two orders of the same sums may round apart
 
 
 def _translated(a: float, d: float) -> np.ndarray:
@@ -362,18 +379,30 @@ class TestNormalizeCubic:
         assert f"{info.value.value:.3e}" == "1.000e+300"
 
     @pytest.mark.parametrize(
-        "beta", [[1, 0.9, 0, 1, 0, 1, 1.7e308, 0, 0, 0], [1, 0.9, 0.1, 1, 0, 1, 1e308, 1e308, 1e308, 1e308]]
+        "beta, quantity, value",
+        [
+            ([1, 0.9, 0, 1, 0, 1, 1.7e308, 0, 0, 0], "beta~_03", math.inf),  # E[u^3] = w11^3 (beta_30 - ...)
+            ([1, 0.9, 0.1, 1, 0, 1, 1e308, 1e308, 1e308, 1e308], "beta~_30", -math.inf),  # -E[v^3]
+        ],
     )
     @pytest.mark.parametrize("run", [normalize_cubic, solve_cubic])
     @pytest.mark.parametrize("state", ["warn", "raise"])
-    def test_overflowing_refinement_is_a_typed_error_whatever_the_callers_state(self, beta, run, state):
-        # finite moments whose whitened cubics overflow: the refined d2 is NaN. Under the caller's
-        # state a warning (an error in this suite) or a FloatingPointError would escape instead
+    def test_overflowing_refinement_is_a_typed_error_whatever_the_callers_state(
+        self, beta, quantity, value, run, state
+    ):
+        # finite moments whose pushed cubic moments overflow: normalize names the first normalized moment that is
+        # not finite, and the caller's numpy state, which no float arithmetic reads, lets no warning or error out
         with np.errstate(all=state), pytest.raises(MomentProblemError) as info:
             run(MomentSequence(3, np.array(beta, dtype=float)))
         assert type(info.value) is MomentProblemError
-        assert fields(info.value)[:2] == ("normalize", "refined d2") and info.value.bound == 0.0
-        assert math.isnan(info.value.value)
+        assert fields(info.value) == ("normalize", quantity, value, None)
+
+    def test_an_indefinite_refined_covariance_is_a_typed_error(self, monkeypatch):
+        # no finite input past the d3 gate reaches it: math.sqrt's ValueError on the negative pivot would escape
+        monkeypatch.setattr(normalize, "_push_second", lambda w, s11, s12, s22: (1.0, 2.0, 1.0))
+        with pytest.raises(MomentProblemError) as info:
+            normalize_cubic(_test_measure())
+        assert fields(info.value) == ("normalize", "refined d3", -3.0, 0.0)
 
     def test_singular_input(self):
         values = np.array([1, 0, 0, 0, 0, 1, 0, 0, 0, 0], dtype=float)  # beta_20 = 0
@@ -394,15 +423,15 @@ class TestNormalizeCubic:
 
 
 def _factored(beta: MomentSequence):
-    """d2, d3, the map and the normalized values, through both Cholesky factors as the general path chains them."""
+    """d2, d3, the map and the normalized values, through both Cholesky factors and the moment tensor."""
     scaled = beta.values * (1.0 / beta.values[0])
     m1 = scaled[:6].tolist()
-    d2, d3 = normalize._pivots(m1)
-    whiten = normalize._whiten(m1, d2, d3)
-    pushed = normalize._push(whiten, scaled)
+    d2, d3 = tensor_pivots(m1)
+    whiten = tensor_whiten(m1, d2, d3)
+    pushed = tensor_push(whiten, scaled)
     refined = pushed[:6].tolist()
-    turn = normalize._QUARTER.dot(normalize._whiten(refined, *normalize._pivots(refined)))
-    return d2, d3, turn.dot(whiten), normalize._push(turn, pushed)
+    turn = QUARTER_TURN.dot(tensor_whiten(refined, *tensor_pivots(refined)))
+    return d2, d3, turn.dot(whiten), tensor_push(turn, pushed)
 
 
 def _already_normalized() -> dict[str, list[MomentSequence]]:
@@ -429,14 +458,20 @@ class TestAlreadyNormalized:
     """Input whose rescaled M(1) is I gets, without arithmetic, the certificate both factors give."""
 
     @pytest.mark.parametrize("kind", list(_already_normalized()))
-    def test_certificate_is_the_factored_one_bit_for_bit(self, kind):
-        for beta in _already_normalized()[kind]:
-            cert = normalize_cubic(beta)
+    def test_certificate_is_the_factored_one_bit_for_bit(self, monkeypatch, kind):
+        inputs = _already_normalized()[kind]
+        certs = [normalize_cubic(beta) for beta in inputs]
+        monkeypatch.setattr(normalize, "_IDENTITY_M1", ())  # no M(1) equals (): the general path runs
+        for beta, cert in zip(inputs, certs):
+            general = normalize_cubic(beta)
             d2, d3, psi, normalized = _factored(beta)
-            assert (cert.d2, cert.d3) == (d2, d3) == (1.0, 1.0), beta.values
-            assert same_bytes(cert.map, psi) and same_bytes(psi, normalize._QUARTER), beta.values
+            assert (cert.d2, cert.d3) == (general.d2, general.d3) == (d2, d3) == (1.0, 1.0), beta.values
+            assert same_bytes(cert.map, general.map) and same_bytes(cert.map, psi), beta.values
+            assert same_bytes(psi, normalize._QUARTER), beta.values
+            assert same_bytes(cert.normalized.values, general.normalized.values), beta.values
             assert same_bytes(cert.normalized.values, normalized), beta.values
-            assert not cert.map.flags.writeable and not cert.normalized.values.flags.writeable
+            for c in (cert, general):
+                assert not c.map.flags.writeable and not c.normalized.values.flags.writeable
 
     def test_shared_map_cannot_be_made_writeable(self):
         # every such certificate holds a view of one quarter turn, so none may write through it
@@ -444,6 +479,32 @@ class TestAlreadyNormalized:
         with pytest.raises(ValueError):
             cert.map.setflags(write=True)
         assert np.array_equal(normalize_cubic(seq_from_a((0, 0, 0, 0))).map, QUARTER_TURN)
+
+
+def _reference_pool() -> list[MomentSequence]:
+    """Small seeded pools of the three benchmark workloads, and the robustness rows."""
+    pools = [MomentSequence(3, beta) for name in workloads.GENERATORS for beta in workloads.generate(name, 11, 40)]
+    return pools + list(ROWS.values())
+
+
+class TestTensorReference:
+    """The closed form on floats against the moment tensor pushed through both factors by numpy."""
+
+    def test_agrees_with_the_tensor_path_and_certifies_itself(self):
+        for beta in _reference_pool():
+            cert = normalize_cubic(beta)
+            d2, d3, psi, normalized = _factored(beta)
+            scaled = beta.values * (1.0 / beta.values[0])
+            # the rounding of the terms: the moments' magnitudes pushed through the map's magnitudes
+            bound = ROUNDING * tensor_push(np.abs(psi), np.abs(scaled))
+            assert (cert.d2, cert.d3) == (d2, d3), beta.values
+            assert np.all(np.abs(cert.normalized.values - normalized) <= bound), beta.values
+            # the pullback inverts cert.map, so cert.normalized must be beta pushed through it
+            assert np.all(np.abs(tensor_push(cert.map, scaled) - cert.normalized.values) <= bound), beta.values
+            # the maps differ by E psi, E as small as the rounding of the pushed M(1): a bound per column
+            terms = np.abs(psi[1:])
+            terms[:, 0] = terms @ np.abs(scaled[:3])  # the terms of the translation
+            assert np.all(np.abs(cert.map - psi) <= bound[:6].max() * terms.sum(axis=0)), beta.values
 
 
 class TestRobustnessRows:

@@ -80,7 +80,7 @@ CLI_REQUESTS = (
     '{"beta": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0]}',  # normalize, d2 (out of scope)
     '{"beta": [1, 0, 0, 1, 1, 1, 0, 0, 0, 0]}',  # normalize, d3 (out of scope)
     '{"beta": [1, 0, 0, 1e+300, 0, 1e+300, 0, 0, 0, 0]}',  # normalize, d3 (the pivot overflows)
-    '{"beta": [1, 0.9, 0, 1, 0, 1, 1.7e+308, 0, 0, 0]}',  # normalize, refined d2 (the whitened cubics overflow)
+    '{"beta": [1, 0.9, 0, 1, 0, 1, 1.7e+308, 0, 0, 0]}',  # normalize, beta~_03 (a pushed cubic moment overflows)
     '{"beta": [1e-300, 0, 0, 1e-300, 0, 1e-300, 10000000000.0, 0, 0, 0]}',  # normalize, 1 / beta_00
     '{"beta": [1, 0, 0, 1, 0, 1, 0, 1e+200, 0, 0]}',  # extend, k
     '{"beta": [1, 0, 0, 1, 0, 1, 1e+200, 0, 0, 0]}',  # extend, beta_04
