@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from .cubic import classify_k, compute_k, tie_band
 from .errors import TOL_ACCEPT, MomentProblemError, SingularM1Error
 from .measure import solve_cubic, verify_measure
 from .moments import (
@@ -28,7 +27,7 @@ from .moments import (
     monomials_up_to,
     sequence_length,
 )
-from .normalize import minors, normalize_cubic
+from .normalize import minors
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -56,11 +55,22 @@ def _emit(payload) -> None:
 
 def _fail(code: int, exc: Exception) -> int:
     error = {"code": code, "message": str(exc)}
-    if isinstance(exc, MomentProblemError):  # its fields; strict JSON has no inf or NaN, so those are null
-        value, bound = [v if v is None or math.isfinite(v) else None for v in (exc.value, exc.bound)]
-        error.update(stage=exc.stage, quantity=exc.quantity, value=value, bound=bound)
-    _emit({"error": error})
+    payload = {"error": error}
+    if isinstance(exc, MomentProblemError):  # its fields, and the diagnostics of the stages a solve passed
+        error.update(stage=exc.stage, quantity=exc.quantity, value=_strict(exc.value), bound=_strict(exc.bound))
+        if exc.certificate is not None:
+            payload["diagnostics"] = _diagnostics(exc.certificate, exc.extension)
+    _emit(payload)
     return code
+
+
+def _strict(value):
+    """value with each float that is not finite as None: strict JSON has no inf or NaN, so those are null."""
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _read_json(path: str):
@@ -119,9 +129,21 @@ def _finite_floats(values, not_numbers: str, not_finite: str) -> list[float]:
     return floats
 
 
-def _map_payload(psi) -> dict:
-    """The coefficients a, ..., f of psi(x, y) = (a + b x + c y, d + e x + f y), rows 1-2 of psi."""
-    return dict(zip("abcdef", psi[1:].ravel().tolist()))
+def _diagnostics(cert, ext=None, mu=None, check=None) -> dict:
+    """The diagnostics of the stages a solve passed, in one order; a failed solve has no mu or check.
+
+    ext is None when extend was not passed. map holds the coefficients a, ..., f of
+    psi(x, y) = (a + b x + c y, d + e x + f y), rows 1-2 of psi.
+    """
+    keys = {} if ext is None else {"case": ext.case.value, "k": ext.k, "rank": len(ext.basis)}
+    if check is not None:
+        keys.update(variety_size=len(mu.atoms), max_moment_residual=check.max_moment_residual)
+        keys.update(backward_error=check.backward_error, min_weight=check.min_weight)
+    if ext is not None:
+        keys["commutator_norm"] = ext.commutator_norm
+    keys.update(d2=cert.d2, d3=cert.d3, a_vec=cert.normalized.values[6:].tolist())
+    keys["map"] = dict(zip("abcdef", cert.map[1:].ravel().tolist()))
+    return _strict(keys)
 
 
 def cmd_solve(args) -> int:
@@ -130,20 +152,7 @@ def cmd_solve(args) -> int:
     cert, ext, check = report.certificate, report.extension, report.check
     payload = {
         "atoms": [{"x": a.x, "y": a.y, "weight": a.weight} for a in mu.atoms],
-        "diagnostics": {
-            "case": report.case.value,
-            "k": ext.k,
-            "rank": len(ext.basis),
-            "variety_size": len(mu.atoms),
-            "max_moment_residual": check.max_moment_residual,
-            "backward_error": check.backward_error,
-            "min_weight": check.min_weight,
-            "commutator_norm": report.commutator_norm,
-            "d2": cert.d2,
-            "d3": cert.d3,
-            "a_vec": cert.normalized.values[6:].tolist(),
-            "map": _map_payload(cert.map),
-        },
+        "diagnostics": _diagnostics(cert, ext, mu, check),
     }
     if args.emit_matrices:
         # all matrices live in the normalized coordinates of the map above
@@ -223,25 +232,6 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def cmd_info(args) -> int:
-    beta, _ = _parse_request(_read_json(args.input))
-    cert = normalize_cubic(beta)
-    a = cert.normalized.values[6:].tolist()  # the cubic moments beta~_30, ..., beta~_03
-    k = compute_k(a)
-    _emit(
-        {
-            "d2": cert.d2,
-            "d3": cert.d3,
-            "map": _map_payload(cert.map),
-            "a_vec": a,
-            "k": k,
-            "case": classify_k(k, tie_band(a)).value,  # the route solve tries first
-            "normalized_beta": [float(v) for v in cert.normalized.values],
-        }
-    )
-    return EXIT_OK
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cubicmoment",
@@ -268,10 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     random_cmd.add_argument("--atoms", type=int, default=4, help="number of atoms (>= 3)")
     random_cmd.add_argument("--seed", type=int, default=0, help="generator seed")
     random_cmd.set_defaults(func=cmd_random)
-
-    info = sub.add_parser("info", help="normalization diagnostics only, no solve")
-    info.add_argument("input", nargs="?", default="-", help="request file, or - for stdin")
-    info.set_defaults(func=cmd_info)
     return parser
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TOL_TIE, MomentProblemError
-from .linalg import ERROR_STATE, QUIET_STATE, largest
+from .linalg import ERROR_STATE, QUIET_STATE, commutator_norm, largest
 from .moments import (
     MomentSequence,
     build_moment_matrix,
@@ -105,6 +105,15 @@ class ExtensionResult:
     pair: np.ndarray
 
     @property
+    def commutator_norm(self) -> float:
+        """Largest entry of Mx My - My Mx, computed quietly (NaN past an overflow): a diagnostic no gate reads."""
+        token = ERROR_STATE.set(QUIET_STATE)
+        try:
+            return commutator_norm(self.pair)
+        finally:
+            ERROR_STATE.reset(token)
+
+    @property
     def m2(self) -> np.ndarray:
         """The moment matrix M(2) of moments, built on each read."""
         return build_moment_matrix(self.moments)
@@ -117,7 +126,7 @@ class ExtensionResult:
         moments, and a quintic or sextic moment is the Riesz value of the
         basis coordinates pair[0]^i pair[1]^j e_1 of x^i y^j, computed
         quietly. The two expansions of the XY^2 column differ by column Y of
-        pair[1] pair[0] - pair[0] pair[1], which SolveReport.commutator_norm
+        pair[1] pair[0] - pair[0] pair[1], which commutator_norm
         reports; a non-finite higher moment is named as in extend.
         """
         if self.case is not CaseTag.RANK_INCREASING_K_NEG:

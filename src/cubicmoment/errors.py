@@ -18,8 +18,11 @@ class MomentProblemError(Exception):
     such as a LAPACK failure) and bound the bound it failed (None when the
     gate asks for a finite value). The one subclass, SingularM1Error, marks
     input out of scope; with it, (stage, quantity) names each gate. The
-    message is formatted when it is read.
+    message is formatted when it is read. certificate and extension hold
+    the records of the stages a failed solve_cubic passed, else None.
     """
+
+    certificate = extension = None
 
     def __init__(self, stage: str, quantity: str, value: float | None = None, bound: float | None = None):
         super().__init__(stage, quantity, value, bound)  # args rebuild the error under pickle and copy

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cubic import BASIS_K0, BASIS_KNEG, BASIS_KPOS, CaseTag, ExtensionResult, extend
 from .errors import TOL_ACCEPT, MomentProblemError
-from .linalg import ERROR_STATE, QUIET_STATE, commutator_norm, joint_eigen, lapack_solve, largest
+from .linalg import ERROR_STATE, QUIET_STATE, joint_eigen, lapack_solve, largest
 from .moments import (
     AtomicMeasure,
     MomentSequence,
@@ -67,11 +67,6 @@ class SolveReport:
     certificate: NormalizationCertificate
     extension: ExtensionResult
     check: MeasureCheck
-
-    @property
-    def commutator_norm(self) -> float:
-        """Largest entry of Mx My - My Mx: a diagnostic, which no gate reads."""
-        return commutator_norm(self.extension.pair)
 
 
 def extract_atoms(ext: ExtensionResult) -> list[tuple[float, float]]:
@@ -126,17 +121,19 @@ def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) 
     written for the seeded solve keep working: the joint spectrum uses
     fixed combinations. A failed gate raises its stage's MomentProblemError
     (errors.py), SingularM1Error for an M(1) that is not safely positive
-    definite, and never a numpy warning (linalg.QUIET_STATE).
+    definite, and never a numpy warning (linalg.QUIET_STATE); the error
+    carries the records of the stages it passed.
 
     Near k = 0 a rank-4 route's smallest density is of order |k|, so one
     that is not positive may be a tie at k = 0 in floating point: the
     stages after extend run once more on the flat rank-3 route, and when
-    that attempt fails too the rank-4 error is raised. A NaN or negative
-    accept raises ValueError; 0 and inf are valid.
+    that attempt fails too the rank-4 error, with its extension, is
+    raised. A NaN or negative accept raises ValueError; 0 and inf are valid.
     """
     if not accept >= 0.0:
         raise ValueError(f"accept must be a non-negative number, got {accept!r}")
     token = ERROR_STATE.set(QUIET_STATE)
+    certificate = ext = None
     try:
         certificate = normalize_cubic(beta)
         a = certificate.normalized.values[6:].tolist()  # the cubic moments beta~_30, ..., beta~_03
@@ -150,6 +147,9 @@ def solve_cubic(beta: MomentSequence, accept: float = TOL_ACCEPT, *, seed=None) 
                 return _recover(beta, certificate, extend(a, tol_k=abs(ext.k)), accept)
             except MomentProblemError:
                 raise first from None
+    except MomentProblemError as error:  # the records of the stages it passed; after a retry, the first route's
+        error.certificate, error.extension = certificate, ext
+        raise
     finally:
         ERROR_STATE.reset(token)
 

@@ -215,7 +215,7 @@ def test_criterion_7_flatness_certificates(random_suite):
 
 def test_criterion_8_commutativity(random_suite):
     rows, _ = random_suite
-    worst = max(report.commutator_norm for _, _, report in rows)
+    worst = max(report.extension.commutator_norm for _, _, report in rows)
     ok = worst <= 1e-9
     # the flat-route commutator entries equal +/- k at integer points, exactly
     basis = ((0, 0), (1, 0), (0, 1))

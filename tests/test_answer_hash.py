@@ -28,7 +28,7 @@ def test_success_record_covers_atoms_and_matrices():
     ext, cert = report.extension, report.certificate
     assert record.startswith(b"ok 4x3 6 3x3 10 6x6 10x10 2x4x4 4x2|")
     atoms = np.array([tuple(a) for a in mu.atoms])
-    scalars = np.array([ext.k, 4.0, report.check.max_moment_residual, cert.d2, cert.d3, report.commutator_norm])
+    scalars = np.array([ext.k, 4.0, report.check.max_moment_residual, cert.d2, cert.d3, ext.commutator_norm])
     basis = np.array(ext.basis, dtype=float)
     parts = [atoms, scalars, cert.map, cert.normalized.values, ext.m2, ext.m3, ext.pair, basis]
     assert record.endswith(b"".join(p.tobytes() for p in parts))
@@ -55,11 +55,11 @@ def test_cli_record_is_reproducible(tmp_path):
     assert answer_hash.digest(record) != answer_hash.digest(answer_hash.cli_record(cubicmoment, 4, 8, tmp_path))
 
 
-def test_request_record_covers_info_and_solve(tmp_path):
+def test_request_record_covers_solve_and_verify(tmp_path):
     request = answer_hash.CLI_REQUESTS[0]  # the README's
     record = answer_hash.request_record(cubicmoment, request, tmp_path)
     assert record == answer_hash.request_record(cubicmoment, request, tmp_path)
-    assert record.startswith(b"0\n{") and b'"normalized_beta"' in record and b'"matrices"' in record
+    assert record.startswith(b'0\n{\n  "atoms"') and b'"matrices"' in record and b"info" not in record
     assert record.endswith(b"(within tolerance 1e-08), min weight 2.500e-01\n")
 
 

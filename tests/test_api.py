@@ -56,11 +56,11 @@ def test_public_names_are_pinned():
 RECORD_ATTRIBUTES = {
     "Atom": {"x", "y", "weight"},
     "AtomicMeasure": {"atoms", "moments"},
-    "ExtensionResult": {"basis", "case", "k", "m2", "m3", "moments", "pair"},
+    "ExtensionResult": {"basis", "case", "commutator_norm", "k", "m2", "m3", "moments", "pair"},
     "MeasureCheck": {"backward_error", "max_moment_residual", "min_weight", "residuals"},
     "MomentSequence": {"degree", "truncated", "values"},
     "NormalizationCertificate": {"d2", "d3", "map", "normalized"},
-    "SolveReport": {"case", "certificate", "check", "commutator_norm", "extension"},
+    "SolveReport": {"case", "certificate", "check", "extension"},
 }
 
 
@@ -103,7 +103,6 @@ CLI_ARGUMENTS = {
     "solve": {"input": "-", "--emit-matrices": False, "--quiet": False},
     "verify": {"beta": None, "measure": None},
     "random": {"--atoms": 4, "--seed": 0},
-    "info": {"input": "-"},
 }
 
 

@@ -24,7 +24,23 @@ from cubicmoment import (
 from cubicmoment import cubic, errors, linalg, measure, normalize
 from cubicmoment.cubic import BASIS_K0
 
-from _util import failed_eig, fields, seq_from_a, solve_on_repeated_atoms
+from _util import failed_eig, fields, same_bytes, seq_from_a, solve_on_repeated_atoms
+
+
+def _with_records(error, a):
+    """error carrying the records of the normalized input with cubic moments a, as a failed solve's does."""
+    error.certificate, error.extension = normalize_cubic(seq_from_a(a)), cubic.extend(a)
+    return error
+
+
+def records(error) -> tuple:
+    """The numbers of the certificate and the extension an error carries, None for each it does not."""
+    cert, ext = error.certificate, error.extension
+    return (
+        None if cert is None else (cert.d2, cert.d3, cert.map.tobytes(), cert.normalized.values.tobytes()),
+        None if ext is None else (ext.case, ext.k, ext.basis, ext.pair.tobytes(), ext.moments.values.tobytes()),
+    )
+
 
 ERRORS = [
     SingularM1Error("normalize", "d2", 0.0, 1e-10),
@@ -33,6 +49,7 @@ ERRORS = [
     MomentProblemError("densities", "V_B"),
     MomentProblemError("verify", "backward error", math.inf, 1e-8),
     MomentProblemError("extend", "k", -math.inf),
+    _with_records(MomentProblemError("densities", "min density", -1e-17, 0.0), (0.3, -0.8, 0.4, 1.1)),
 ]
 
 
@@ -41,6 +58,8 @@ def test_error_survives_pickle_and_copy(error):
     for twin in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
         assert type(twin) is type(error) and fields(twin) == fields(error)
         assert str(twin) == str(error)
+        assert records(twin) == records(error)
+    assert (records(error) == (None, None)) == (error.quantity != "min density")  # one error carries both
 
 
 def test_message_names_the_fields_it_has():
@@ -67,8 +86,10 @@ UNNORMALIZED = AtomicMeasure((Atom(0.3, 0.1, 0.3), Atom(-0.7, 0.4, 0.5), Atom(0.
 
 def _defect(monkeypatch):
     # the normalized beta_00 off by 1e-6, a defect of the normalized M(1): the densities sum to it
+    normalized = measure.normalize_cubic  # the stage as the test installed it, so a spy on it sees the input
+
     def off(beta):
-        certificate = normalize_cubic(beta)
+        certificate = normalized(beta)
         values = certificate.normalized.values.copy()
         values[0] += 1e-6
         return dataclasses.replace(certificate, normalized=MomentSequence(3, values))
@@ -196,10 +217,21 @@ OTHER_INPUTS = [
 
 @pytest.mark.parametrize("trip, kind, stage, quantity", GATES + OTHER_INPUTS)
 def test_each_gate_raises_its_stage_error(monkeypatch, trip, kind, stage, quantity):
+    seen = []  # the input of each solve_cubic: a row that calls a stage directly leaves it empty
+    monkeypatch.setattr(measure, "normalize_cubic", lambda beta: seen.append(beta) or normalize_cubic(beta))
     with pytest.raises(MomentProblemError) as info:
         trip(monkeypatch)
-    assert type(info.value) is kind
-    assert fields(info.value)[:2] == (stage, quantity)
+    error = info.value
+    assert type(error) is kind
+    assert fields(error)[:2] == (stage, quantity)
+    # a solve's error carries the records of the stages it passed, and a stage called directly sets neither
+    passed_normalize = bool(seen) and stage != "normalize"
+    passed_extend = passed_normalize and stage != "extend"
+    assert (error.certificate is not None, error.extension is not None) == (passed_normalize, passed_extend)
+    if passed_normalize:
+        expected = normalize_cubic(seen[0])
+        assert (error.certificate.d2.hex(), error.certificate.d3.hex()) == (expected.d2.hex(), expected.d3.hex())
+        assert same_bytes(error.certificate.map, expected.map)
 
 
 def test_the_fields_name_one_gate():

@@ -553,8 +553,18 @@ class TestErrorStates:
             ("densities", None, ("densities", "V_B")),
             ("m3", None, ("extend", "beta_50")),
             ("normalize", None, ("normalize", "beta~_03")),
+            ("commutator-norm", None, None),
         ],
-        ids=["solve", "commutator", "eig", "eigenvector-basis", "densities", "m3-overflow", "normalize-overflow"],
+        ids=[
+            "solve",
+            "commutator",
+            "eig",
+            "eigenvector-basis",
+            "densities",
+            "m3-overflow",
+            "normalize-overflow",
+            "commutator-norm-overflow",
+        ],
     )
     def test_the_callers_state_is_left_as_it_was(self, monkeypatch, run, seam, failure):
         # each seam returns the NaN that a failed LAPACK call returns
@@ -568,6 +578,8 @@ class TestErrorStates:
             "m3": lambda: extend((0.0, 1e100, 0.0, 0.0)).m3,
             # finite moments whose normalized beta~_03 overflows
             "normalize": lambda: solve_cubic(MomentSequence(3, np.array([1, 0.9, 0, 1, 0, 1, 1.7e308, 0, 0, 0]))),
+            # the diagnostic an error document prints: the products overflow, inf - inf is NaN
+            "commutator-norm": lambda: extend((0.0, 1e150, 0.0, 0.0)).commutator_norm,
         }
         with np.errstate(all="raise"):
             before, state = np.geterr(), linalg.ERROR_STATE.get()

@@ -394,7 +394,7 @@ class TestSolveCubic:
         match_points([(a.x, a.y) for a in mu.atoms], [(1, 1), (1, -1), (-1, 1), (-1, -1)], atol=1e-10)
         assert_allclose([a.weight for a in mu.atoms], 0.25 * np.ones(4), atol=1e-10)
         assert report.check.max_moment_residual <= 1e-12
-        assert report.commutator_norm <= 1e-12
+        assert report.extension.commutator_norm <= 1e-12
 
     def test_k0_closed_form(self):
         mu, report = solve_cubic(seq_from_a((0, 1, 0, 0)))
@@ -900,6 +900,8 @@ class TestTieFallback:
         assert type(info.value) is MomentProblemError
         assert fields(info.value) == fields(first)
         assert info.value.__cause__ is None and info.value.__suppress_context__
+        # the first route's records: the k > 0 extension, not the retry's k = 0 one
+        assert info.value.extension.case is CaseTag.RECURSIVELY_DETERMINATE_K_POS
 
     @pytest.mark.parametrize(
         "a, failure, expected, extends",

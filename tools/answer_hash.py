@@ -16,12 +16,13 @@ For each side the tool records, one input at a time:
   untyped error), or the atoms, extension.k, the rank len(extension.basis),
   the max_moment_residual of verify_measure(mu, beta) (the solve's own
   check, which older reports copied), the normalization certificate's d2
-  and d3, report.commutator_norm, and the bytes of certificate.map,
+  and d3, the commutator norm linalg.commutator_norm(extension.pair) (a
+  name every revision has), and the bytes of certificate.map,
   certificate.normalized.values and extension.m2, m3 and pair, and the
   exponent pairs of extension.basis;
 * the stdout and exit code of `random --atoms N --seed S`, of
   `solve --emit-matrices` on that output and of `verify` on that request
-  and answer, for N in 3, 4, 5 and S in 0..99, and of `info`,
+  and answer, for N in 3, 4, 5 and S in 0..99, and of
   `solve --emit-matrices` and `verify` on the README's request, whose
   moments are already normalized, and on one request for each gate a
   request can reach, whose error documents and exit codes are recorded
@@ -104,7 +105,7 @@ def solve_outcome(cm, beta) -> tuple[str, bytes]:
     residual = cm.verify_measure(mu, sequence).max_moment_residual
     numbers = [
         np.array([tuple(a) for a in mu.atoms], dtype=float),
-        np.array([ext.k, len(ext.basis), residual, cert.d2, cert.d3, report.commutator_norm], dtype=float),
+        np.array([ext.k, len(ext.basis), residual, cert.d2, cert.d3, cm.linalg.commutator_norm(ext.pair)], dtype=float),
         cert.map,
         cert.normalized.values,
         ext.m2,
@@ -154,11 +155,10 @@ def cli_record(cm, atoms: int, seed: int, scratch: Path) -> bytes:
 
 
 def request_record(cm, request: str, scratch: Path) -> bytes:
-    """Exit codes and stdout of `info`, `solve --emit-matrices` and `verify` on the request."""
+    """Exit codes and stdout of `solve --emit-matrices` and `verify` on the request."""
     path = scratch / "request.json"
     path.write_text(request)
-    info_code, info = _run_cli(cm, ["info", str(path)])
-    return f"{info_code}\n{info}\n".encode() + _solve_and_verify(cm, path)
+    return _solve_and_verify(cm, path)
 
 
 def _solve_and_verify(cm, request: Path) -> bytes:
@@ -188,7 +188,7 @@ def records(cm, pools, scratch: Path):
             label = f"solve --emit-matrices and verify on random --atoms {atoms} --seed {seed}"
             yield "cli", label, cli_record(cm, atoms, seed, scratch)
     for request in CLI_REQUESTS:
-        yield "cli", f"info, solve --emit-matrices and verify on {request}", request_record(cm, request, scratch)
+        yield "cli", f"solve --emit-matrices and verify on {request}", request_record(cm, request, scratch)
 
 
 def digest(record: bytes) -> str:
